@@ -5,8 +5,10 @@ of class-incremental steps where new classes arrive with image-level labels
 only.  New classes borrow spatial evidence from semantically related old
 classes through dense similarity maps built from class-name embeddings.
 
-Hot numeric kernels are numba-compiled by default; set SEGPRIOR_NO_NUMBA=1
-to run the pure-numpy fallbacks instead.
+Everything is plain numpy with one numeric path.  The encoder's stride-1
+3x3 convolutions run as shifted GEMMs over the flattened zero-padded input
+(see ``segprior.layers``), and a layer's forward cache stays valid until
+the next forward of the same layer.
 """
 
 __version__ = "0.1.0"

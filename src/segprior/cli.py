@@ -23,6 +23,7 @@ import numpy as np
 from . import config as config_mod
 from . import engine, evalkit, memory as memory_mod, netpbm, protocol, synthdata
 from .class_semantics import load_embeddings, save_embeddings, similarity_matrix
+from .fileio import atomic_open
 
 
 class CliError(Exception):
@@ -40,6 +41,12 @@ def _ckpt_path(cfg, step, seed):
 
 def _losses_path(cfg, step, seed):
     return os.path.join(cfg.resolve(cfg.workdir), f"losses_step{step}_seed{seed}.json")
+
+
+def _write_losses(path, step, seed, trace):
+    with atomic_open(path, encoding="utf-8") as fh:
+        json.dump({"step": step, "seed": seed, "loss": trace}, fh, indent=1)
+        fh.write("\n")
 
 
 def _load_config(path):
@@ -123,9 +130,7 @@ def cmd_train_base(args):
     os.makedirs(cfg.resolve(cfg.workdir), exist_ok=True)
     ckpt = _ckpt_path(cfg, 0, cfg.engine.seed)
     engine.save_checkpoint(model, ckpt, step=0, config_hash=chash)
-    with open(_losses_path(cfg, 0, cfg.engine.seed), "w", encoding="utf-8") as fh:
-        json.dump({"step": 0, "seed": cfg.engine.seed, "loss": trace}, fh, indent=1)
-        fh.write("\n")
+    _write_losses(_losses_path(cfg, 0, cfg.engine.seed), 0, cfg.engine.seed, trace)
     print(f"base training done on {len(base)} samples; "
           f"final loss {trace[-1]:.6f}; checkpoint {ckpt}")
     return 0
@@ -185,9 +190,7 @@ def cmd_train_incremental(args):
     model, trace = engine.incremental_step(state, step_samples, bank, sim, registry)
     ckpt = _ckpt_path(cfg, step, seed)
     engine.save_checkpoint(model, ckpt, step=step, config_hash=chash)
-    with open(_losses_path(cfg, step, seed), "w", encoding="utf-8") as fh:
-        json.dump({"step": step, "seed": seed, "loss": trace}, fh, indent=1)
-        fh.write("\n")
+    _write_losses(_losses_path(cfg, step, seed), step, seed, trace)
     print(f"step {step} done on {len(step_samples)} samples "
           f"(memory: {cfg.memory.mode}); checkpoint {ckpt}")
     return 0

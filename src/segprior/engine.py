@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import objectives, simprior
+from .fileio import atomic_open
 from .layers import ChannelNorm, Conv2d, LeakyReLU, SGDMomentum, zero_grads
 from .memory import MemoryEntry, mix_batch
 from .objectives import ChannelPartition, LossConfig
@@ -49,6 +50,8 @@ class Arch:
             raise ValueError("encoder strides must be 1 or 2")
         if self.encoder_norm not in ("none", "all", "final"):
             raise ValueError("encoder_norm must be 'none', 'all' or 'final'")
+        if not 0.0 <= self.leaky_slope < 1.0:
+            raise ValueError("leaky_slope must lie in [0, 1)")
 
     def to_dict(self):
         d = asdict(self)
@@ -76,6 +79,10 @@ class EngineConfig:
     seed: int = 0
     dtype: str = "float32"
     seg_updates_encoder: bool = True
+
+    def __post_init__(self):
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be 'float32' or 'float64', not {self.dtype!r}")
 
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
@@ -125,19 +132,18 @@ class Encoder:
             nc = None
             if norm is not None:
                 x, nc = norm.forward(x)
-            x, pos = self.act.forward(x)
-            caches.append((c, nc, pos))
+            x, gain = self.act.forward(x)
+            caches.append((c, nc, gain))
         return x, caches
 
     def backward(self, dy, caches, grads):
-        for conv, norm, (c, nc, pos) in zip(
-            reversed(self.convs), reversed(self.norms), reversed(caches)
-        ):
-            dy = self.act.backward(dy, pos)
-            if norm is not None:
-                dy = norm.backward(dy, nc, grads)
-            dy = conv.backward(dy, c, grads)
-        return dy
+        """Accumulate parameter gradients; the input images get no gradient."""
+        for i in reversed(range(len(self.convs))):
+            c, nc, gain = caches[i]
+            dy = self.act.backward(dy, gain)
+            if self.norms[i] is not None:
+                dy = self.norms[i].backward(dy, nc, grads)
+            dy = self.convs[i].backward(dy, c, grads, input_grad=i > 0)
 
 
 class Localizer:
@@ -292,16 +298,12 @@ def image_to_input(image, dtype):
     return (image.astype(dtype) / 255.0) - 0.5
 
 
-def downsample_mask(mask, ho, wo):
-    from . import kernels
-
-    return kernels.nearest_resize(np.ascontiguousarray(mask), ho, wo)
-
-
-def upsample_labels(grid, h, w):
-    from . import kernels
-
-    return kernels.nearest_resize(np.ascontiguousarray(grid), h, w)
+def nearest_resize(src, oh, ow):
+    """Nearest-neighbour resize of a 2-D integer grid to (oh, ow)."""
+    h, w = src.shape
+    rows = (np.arange(oh) * h) // oh
+    cols = (np.arange(ow) * w) // ow
+    return src[rows[:, None], cols[None, :]]
 
 
 def feature_hw(arch, h, w):
@@ -345,7 +347,7 @@ def base_train(model, samples, registry, cfg):
     targets = np.zeros((len(samples), ho, wo, n_classes), dtype=dtype)
     eye = np.eye(n_classes, dtype=dtype)
     for i, s in enumerate(samples):
-        small = downsample_mask(s.dense_mask, ho, wo)
+        small = nearest_resize(s.dense_mask, ho, wo)
         targets[i] = eye[lut[small]]
     opt = SGDMomentum(cfg.lr_base, cfg.momentum)
     params = model.params()
@@ -661,7 +663,7 @@ def predict_dataset(model, samples, registry, batch_size=24):
         for j, sample in enumerate(chunk):
             h, w = sample.dense_mask.shape
             grid = lut[winners[j]]
-            preds.append(upsample_labels(grid, h, w))
+            preds.append(nearest_resize(grid, h, w))
     return preds
 
 
@@ -673,7 +675,10 @@ def save_checkpoint(model, path, step, config_hash):
         "__arch__": np.array(json.dumps(model.arch.to_dict())),
         "__dtype__": np.array("float32" if model.dtype == np.float32 else "float64"),
     }
-    np.savez(path, **model.params(), **meta)
+    if not path.endswith(".npz"):
+        path += ".npz"   # np.savez's own naming rule for a path argument
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, **model.params(), **meta)
 
 
 def load_checkpoint(path):

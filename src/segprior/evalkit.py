@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+from .fileio import atomic_open
 
 
 def confusion_accumulate(pred, truth, counts):
@@ -25,11 +25,9 @@ def confusion_accumulate(pred, truth, counts):
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
-    kernels.confusion_update(
-        np.ascontiguousarray(truth.ravel().astype(np.int64)),
-        np.ascontiguousarray(pred.ravel().astype(np.int64)),
-        counts,
-    )
+    n = counts.shape[0]
+    flat = truth.ravel().astype(np.int64) * n + pred.ravel().astype(np.int64)
+    counts += np.bincount(flat, minlength=n * n).reshape(n, n)
     return counts
 
 
@@ -168,7 +166,7 @@ def append_trace(trace_path, report):
             reports[entry.step] = entry
     reports[report.step] = report
     payload = [report_to_dict(reports[s]) for s in sorted(reports)]
-    with open(trace_path, "w", encoding="utf-8") as fh:
+    with atomic_open(trace_path, encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, allow_nan=False)
         fh.write("\n")
     return trace_path

@@ -1,30 +1,59 @@
 """Convolutional building blocks with explicit backward passes.
 
 Everything runs channel-last on numpy arrays: activations are
-(B, H, W, C).  3x3 convolutions lower to one GEMM per layer through the
-im2col kernels; 1x1 convolutions are plain matrix products.  Backward
-methods return the input gradient and accumulate parameter gradients into
-a caller-supplied dict keyed by parameter name.
+(B, H, W, C).  Backward methods return the input gradient and accumulate
+parameter gradients into a caller-supplied dict keyed by parameter name.
+
+Stride-1 3x3 convolutions are shifted GEMMs (the kn2row/accumulate family
+of Anderson et al., arXiv:1709.03395).  The zero-padded input
+(B, H+2, W+2, C) is flattened to rows of C channels, one row per padded
+pixel.  Output pixel (n, i, j) is computed at row r = (n*(H+2) + i)*(W+2) + j
+of the same padded grid, and its tap (ki, kj) reads input row
+r + ki*(W+2) + kj.  Each tap is therefore one GEMM over a contiguous range
+of rows, accumulated into an output on the padded grid that is cropped to
+(B, H, W) at the end; the backward pass runs the same nine row ranges for
+the weight and input gradients.  Stride-2 3x3 convolutions gather their
+patches instead; 1x1 convolutions are plain matrix products.
+
+Cache contract: layers reuse their work buffers across calls, so the cache
+a forward returns is valid until the next forward of the same layer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
+_TAPS = tuple((ki, kj) for ki in range(3) for kj in range(3))
+
+
+def _im2col(xp, stride, ho, wo, cols):
+    """Gather 3x3 patches of xp (B, H+2, W+2, C) into cols (B, ho, wo, 3, 3, C)."""
+    for ki in range(3):
+        for kj in range(3):
+            cols[:, :, :, ki, kj, :] = xp[:, ki:ki + stride * ho:stride,
+                                          kj:kj + stride * wo:stride, :]
+
+
+def _col2im(dcols, stride, dxp):
+    """Scatter-add patch gradients (B, ho, wo, 3, 3, C) into dxp (B, H+2, W+2, C)."""
+    ho, wo = dcols.shape[1], dcols.shape[2]
+    dxp[:] = 0
+    for ki in range(3):
+        for kj in range(3):
+            dxp[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride, :] += \
+                dcols[:, :, :, ki, kj, :]
 
 
 class Conv2d:
     """k x k convolution (k in {1, 3}), stride 1 or 2, zero padding for k=3.
 
-    The im2col workspace, its gradient twin and the padded-input buffer are
-    leased per layer and reused across batches; a forward's cache is only
-    valid until the next forward of the same layer.
+    Work buffers are leased per layer and reused across batches; a
+    forward's cache is only valid until the next forward of the same layer.
     """
 
     def __init__(self, name, k, cin, cout, stride, rng, dtype):
         if k not in (1, 3):
-            raise ValueError("only 1x1 and 3x3 kernels are supported")
+            raise ValueError("only 1x1 and 3x3 convolutions are supported")
         if k == 1 and stride != 1:
             raise ValueError("1x1 convolutions are stride-1 only")
         std = np.sqrt(2.0 / (k * k * cin))
@@ -46,10 +75,10 @@ class Conv2d:
         memo[id(self)] = clone
         return clone
 
-    def _lease(self, key, shape, dtype, zero=False):
+    def _lease(self, key, shape, dtype, fill=None):
         arr = self._buf.get(key)
         if arr is None or arr.shape != shape or arr.dtype != dtype:
-            arr = np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
+            arr = np.empty(shape, dtype) if fill is None else np.full(shape, fill, dtype)
             self._buf[key] = arr
         return arr
 
@@ -62,19 +91,39 @@ class Conv2d:
         if self.k == 1:
             y = x.reshape(-1, cin) @ self.W[0, 0] + self.b
             return y.reshape(b, h, w, cout), x
+        if self.stride == 1:
+            return self._forward_shifted(x)
         ho = (h + 2 - 3) // self.stride + 1
         wo = (w + 2 - 3) // self.stride + 1
         # zeroed on creation; only the interior is rewritten afterwards,
         # so the padding border stays zero across reuses
-        xp = self._lease("xp", (b, h + 2, w + 2, cin), x.dtype, zero=True)
+        xp = self._lease("xp", (b, h + 2, w + 2, cin), x.dtype, fill=0)
         xp[:, 1:h + 1, 1:w + 1, :] = x
         cols = self._lease("cols", (b, ho, wo, 3, 3, cin), x.dtype)
-        kernels.im2col_k3(xp, self.stride, ho, wo, cols)
+        _im2col(xp, self.stride, ho, wo, cols)
         flat = cols.reshape(b * ho * wo, 9 * cin)
         y = flat @ self.W.reshape(9 * cin, cout) + self.b
         return y.reshape(b, ho, wo, cout), (cols, (b, h, w, cin, ho, wo))
 
-    def backward(self, dy, cache, grads):
+    def _forward_shifted(self, x):
+        b, h, w, cin = x.shape
+        cout = self.W.shape[3]
+        wp = w + 2
+        n = b * (h + 2) * wp
+        span = n - 2 * wp - 2         # rows up to the last output pixel
+        xp = self._lease("xp", (b, h + 2, wp, cin), x.dtype, fill=0)
+        xp[:, 1:h + 1, 1:w + 1, :] = x
+        rows = xp.reshape(n, cin)
+        out = np.empty((n, cout), x.dtype)
+        np.matmul(rows[:span], self.W[0, 0], out=out[:span])
+        for ki, kj in _TAPS[1:]:
+            shift = ki * wp + kj
+            out[:span] += rows[shift:shift + span] @ self.W[ki, kj]
+        y = out.reshape(b, h + 2, wp, cout)[:, :h, :w] + self.b
+        return y, (xp, (b, h, w, cin))
+
+    def backward(self, dy, cache, grads, input_grad=True):
+        """Accumulate parameter gradients; return dx, or None if not input_grad."""
         cout = self.W.shape[3]
         if self.k == 1:
             x = cache
@@ -83,20 +132,51 @@ class Conv2d:
             xflat = x.reshape(-1, cin)
             grads[f"{self.name}.W"][0, 0] += xflat.T @ dflat
             grads[f"{self.name}.b"] += dflat.sum(axis=0)
-            return (dflat @ self.W[0, 0].T).reshape(x.shape)
+            return (dflat @ self.W[0, 0].T).reshape(x.shape) if input_grad else None
+        if self.stride == 1:
+            return self._backward_shifted(dy, cache, grads, input_grad)
         cols, (b, h, w, cin, ho, wo) = cache
         flat = cols.reshape(b * ho * wo, 9 * cin)
         dflat = np.ascontiguousarray(dy).reshape(b * ho * wo, cout)
         grads[f"{self.name}.W"] += (flat.T @ dflat).reshape(self.W.shape)
         # column sums as a GEMV; axis-0 reduction in numpy is far slower
-        ones = self._lease("ones", (dflat.shape[0],), dflat.dtype)
-        ones[:] = 1
+        ones = self._lease("ones", (dflat.shape[0],), dflat.dtype, fill=1)
         grads[f"{self.name}.b"] += ones @ dflat
+        if not input_grad:
+            return None
         # cols is no longer needed; overwrite it in place with dcols
         np.matmul(dflat, self.W.reshape(9 * cin, cout).T, out=flat)
         dxp = self._lease("dxp", (b, h + 2, w + 2, cin), flat.dtype)
-        kernels.col2im_k3(cols, self.stride, dxp)
+        _col2im(cols, self.stride, dxp)
         return dxp[:, 1:h + 1, 1:w + 1, :]
+
+    def _backward_shifted(self, dy, cache, grads, input_grad):
+        xp, (b, h, w, cin) = cache
+        cout = self.W.shape[3]
+        wp = w + 2
+        n = b * (h + 2) * wp
+        span = n - 2 * wp - 2
+        # dy on the padded output grid; the rows outside the image are
+        # zeroed on creation and never written, so they add nothing below
+        dgrid = self._lease("dgrid", (n, cout), xp.dtype, fill=0)
+        dgrid.reshape(b, h + 2, wp, cout)[:, :h, :w] = dy
+        d = dgrid[:span]
+        rows = xp.reshape(n, cin)
+        dW = grads[f"{self.name}.W"]
+        for ki, kj in _TAPS:
+            shift = ki * wp + kj
+            dW[ki, kj] += rows[shift:shift + span].T @ d
+        ones = self._lease("ones", (span,), d.dtype, fill=1)
+        grads[f"{self.name}.b"] += ones @ d
+        if not input_grad:
+            return None
+        dxp = np.empty((n, cin), d.dtype)
+        np.matmul(d, self.W[0, 0].T, out=dxp[:span])
+        dxp[span:] = 0
+        for ki, kj in _TAPS[1:]:
+            shift = ki * wp + kj
+            dxp[shift:shift + span] += d @ self.W[ki, kj].T
+        return dxp.reshape(b, h + 2, wp, cin)[:, 1:h + 1, 1:w + 1]
 
 
 class ChannelNorm:
@@ -138,14 +218,22 @@ class ChannelNorm:
 
 
 class LeakyReLU:
+    """x for x > 0, slope * x otherwise, for a slope in [0, 1).
+
+    The forward caches the gain g = max(sign(x), slope), which is 1 where
+    x > 0 and slope elsewhere, so both directions are one multiply by g.
+    """
+
     def __init__(self, slope):
         self.slope = slope
 
     def forward(self, x):
-        return np.where(x > 0, x, self.slope * x), x > 0
+        g = np.sign(x)
+        np.maximum(g, self.slope, out=g)
+        return x * g, g
 
-    def backward(self, dy, positive):
-        return np.where(positive, dy, self.slope * dy)
+    def backward(self, dy, g):
+        return dy * g
 
 
 class SGDMomentum:

@@ -18,15 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, netpbm
+from . import netpbm
 from .class_semantics import ClassRegistry, EmbeddingTable
 from .protocol import Sample
 
+ELLIPSE, RECTANGLE, TRIANGLE, CROSS = 0, 1, 2, 3
 GEOMETRY_CODES = {
-    "ellipse": kernels.ELLIPSE,
-    "rectangle": kernels.RECTANGLE,
-    "triangle": kernels.TRIANGLE,
-    "cross": kernels.CROSS,
+    "ellipse": ELLIPSE,
+    "rectangle": RECTANGLE,
+    "triangle": TRIANGLE,
+    "cross": CROSS,
 }
 
 _FAMILIES = (
@@ -147,22 +148,49 @@ def _paint(image, mask_bool, color, texture, rng):
     image[mask_bool] = np.clip(fill[mask_bool], 0, 255)
 
 
+def shape_mask(kind, h, w, cx, cy, pa, pb):
+    """Boolean (h, w) mask of the shape; pa/pb are per-kind size parameters.
+
+    ellipse: pa, pb = semi-axes; rectangle: pa, pb = full width/height;
+    triangle: pa, pb = base width, height (apex up); cross: pa, pb =
+    full extent, arm width.  A pixel is inside when its integer center is.
+    """
+    ys = np.arange(h, dtype=np.float64)[:, None]
+    xs = np.arange(w, dtype=np.float64)[None, :]
+    dx = xs - cx
+    dy = ys - cy
+    if kind == ELLIPSE:
+        return (dx / pa) ** 2 + (dy / pb) ** 2 <= 1.0
+    if kind == RECTANGLE:
+        return (np.abs(dx) <= pa / 2) & (np.abs(dy) <= pb / 2)
+    if kind == TRIANGLE:
+        top = cy - pb / 2
+        frac = (ys - top) / pb
+        inside_y = (frac >= 0.0) & (frac <= 1.0)
+        return inside_y & (np.abs(dx) <= frac * pa / 2)
+    if kind == CROSS:
+        bar_h = (np.abs(dx) <= pa / 2) & (np.abs(dy) <= pb / 2)
+        bar_v = (np.abs(dx) <= pb / 2) & (np.abs(dy) <= pa / 2)
+        return bar_h | bar_v
+    raise ValueError(f"unknown shape kind {kind}")
+
+
 def _draw_params(spec, rng):
     size = rng.uniform(*spec.size_range)
     kind = GEOMETRY_CODES[spec.geometry]
-    if kind == kernels.ELLIPSE:
+    if kind == ELLIPSE:
         pa = size / 2.0
         pb = pa * rng.uniform(0.6, 1.0)
         if rng.random() < 0.5:
             pa, pb = pb, pa
         extent = 2.0 * max(pa, pb)
-    elif kind == kernels.RECTANGLE:
+    elif kind == RECTANGLE:
         pa = size
         pb = size * rng.uniform(0.5, 1.0)
         if rng.random() < 0.5:
             pa, pb = pb, pa
         extent = max(pa, pb)
-    elif kind == kernels.TRIANGLE:
+    elif kind == TRIANGLE:
         pa = size
         pb = size * rng.uniform(0.8, 1.2)
         extent = max(pa, pb)
@@ -214,7 +242,7 @@ def generate_dataset(taxonomy, n, image_size=64, objects_range=(1, 3), seed=0,
                 margin = extent / 2.0 + 1.0
                 cx = rng.uniform(margin, image_size - margin)
                 cy = rng.uniform(margin, image_size - margin)
-                shape = kernels.shape_mask(kind, image_size, image_size, cx, cy, pa, pb)
+                shape = shape_mask(kind, image_size, image_size, cx, cy, pa, pb)
                 if shape.any() and not (shape & occupied).any():
                     _paint(img, shape, family_color(name), spec.texture, rng)
                     mask[shape] = registry.index_of(name)

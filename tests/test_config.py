@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from segprior.config import (
@@ -10,6 +11,7 @@ from segprior.config import (
     load_config,
     save_config,
 )
+from segprior.engine import Arch, EngineConfig
 
 
 def make_config():
@@ -76,3 +78,36 @@ def test_resolve_paths(tmp_path):
     assert cfg.resolve("x/y.json") == str(tmp_path / "x" / "y.json")
     assert cfg.resolve("/abs/path.json") == "/abs/path.json"
     assert cfg.resolve(None) is None
+
+
+@pytest.mark.parametrize("slope", [-0.01, 1.0, 1.5])
+def test_leaky_slope_outside_unit_interval_rejected(slope):
+    with pytest.raises(ValueError, match="leaky_slope"):
+        Arch(leaky_slope=slope)
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.01, 0.99])
+def test_leaky_slope_inside_unit_interval_accepted(slope):
+    assert Arch(leaky_slope=slope).leaky_slope == slope
+
+
+@pytest.mark.parametrize("dtype", ["float16", "int32", "Float32", ""])
+def test_engine_dtype_rejected(dtype, tmp_path):
+    with pytest.raises(ValueError, match="dtype"):
+        EngineConfig(dtype=dtype)
+    # the same check guards configs read from disk
+    cfg = make_config()
+    path = str(tmp_path / "config.json")
+    save_config(cfg, path)
+    with open(path) as fh:
+        raw = json.load(fh)
+    raw["engine"]["dtype"] = dtype
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    with pytest.raises(ValueError, match="dtype"):
+        load_config(path)
+
+
+def test_engine_dtype_accepted():
+    assert EngineConfig(dtype="float64").np_dtype() is np.float64
+    assert EngineConfig(dtype="float32").np_dtype() is np.float32

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segprior.layers import ChannelNorm, Conv2d, LeakyReLU, SGDMomentum, zero_grads
 
@@ -36,6 +37,65 @@ def test_conv_gradients(k, stride):
         assert max_rel_error(grads[pname], num) < 1e-4
 
 
+def naive_conv(x, W, b, stride, dy):
+    """Loop reference: output, input gradient and parameter gradients."""
+    k = W.shape[0]
+    pad = k // 2
+    bsz, h, w, _ = x.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (w + 2 * pad - k) // stride + 1
+    y = np.empty((bsz, ho, wo, W.shape[3]))
+    dxp = np.zeros_like(xp)
+    dW = np.zeros_like(W)
+    for n in range(bsz):
+        for i in range(ho):
+            for j in range(wo):
+                r, c = i * stride, j * stride
+                patch = xp[n, r:r + k, c:c + k]
+                y[n, i, j] = b + np.tensordot(patch, W, axes=3)
+                dW += patch[..., None] * dy[n, i, j]
+                dxp[n, r:r + k, c:c + k] += W @ dy[n, i, j]
+    dx = dxp[:, pad:pad + h, pad:pad + w]
+    return y, dx, dW, dy.sum(axis=(0, 1, 2))
+
+
+@st.composite
+def conv_cases(draw):
+    k = draw(st.sampled_from([1, 3]))
+    stride = 1 if k == 1 else draw(st.sampled_from([1, 2]))
+    h = draw(st.integers(1, 9))
+    w = draw(st.integers(1, 9).filter(lambda v: v != h))
+    return (draw(st.integers(1, 3)), h, w, draw(st.integers(1, 5)),
+            draw(st.integers(1, 5)), k, stride, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(conv_cases())
+def test_conv_matches_naive_loops(case):
+    bsz, h, w, cin, cout, k, stride, seed = case
+    rng = np.random.default_rng(seed)
+    conv = Conv2d("c", k, cin, cout, stride, rng, np.float64)
+    conv.b[...] = rng.standard_normal(cout)
+    x = rng.standard_normal((bsz, h, w, cin))
+    y, cache = conv.forward(x)
+    dy = rng.standard_normal(y.shape)
+    ref_y, ref_dx, ref_dW, ref_db = naive_conv(x, conv.W, conv.b, stride, dy)
+    grads = zero_grads(conv.params())
+    dx = conv.backward(dy, cache, grads)
+    tol = dict(rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(y, ref_y, **tol)
+    np.testing.assert_allclose(dx, ref_dx, **tol)
+    np.testing.assert_allclose(grads["c.W"], ref_dW, **tol)
+    np.testing.assert_allclose(grads["c.b"], ref_db, **tol)
+    # without the input gradient, the parameter gradients are unchanged
+    _, cache = conv.forward(x)
+    only = zero_grads(conv.params())
+    assert conv.backward(dy, cache, only, input_grad=False) is None
+    for name in grads:
+        np.testing.assert_array_equal(only[name], grads[name])
+
+
 def test_channel_norm_gradients():
     rng = np.random.default_rng(1)
     norm = ChannelNorm("n", 3, np.float64)
@@ -70,10 +130,25 @@ def test_channel_norm_gradients():
 def test_leaky_relu_backward():
     act = LeakyReLU(0.01)
     x = np.array([[-2.0, 3.0]])
-    y, pos = act.forward(x)
+    y, gain = act.forward(x)
     assert np.allclose(y, [[-0.02, 3.0]])
-    dx = act.backward(np.ones_like(x), pos)
+    dx = act.backward(np.ones_like(x), gain)
     assert np.allclose(dx, [[0.01, 1.0]])
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.01, 0.3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_matches_where(slope, dtype):
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((3, 5, 4, 2)).astype(dtype)
+    x[0, 0, 0] = [0.0, -0.0]
+    dy = rng.standard_normal(x.shape).astype(dtype)
+    act = LeakyReLU(slope)
+    y, gain = act.forward(x)
+    dx = act.backward(dy, gain)
+    assert y.dtype == dtype and dx.dtype == dtype
+    assert np.array_equal(y, np.where(x > 0, x, slope * x))
+    assert np.array_equal(dx, np.where(x > 0, dy, slope * dy))
 
 
 def test_sgd_momentum_matches_reference():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from segprior import kernels
 from segprior.class_semantics import semantic_similarity
 from segprior.synthdata import (
     ISOLATED_FAMILY,
@@ -9,6 +8,7 @@ from segprior.synthdata import (
     export_dataset,
     generate_dataset,
     load_dataset,
+    shape_mask,
 )
 
 
@@ -85,7 +85,7 @@ def test_masks_match_analytic_regions(taxonomy):
         union = np.zeros(sample.dense_mask.shape, dtype=bool)
         for shape in placed:
             h, w = sample.dense_mask.shape
-            m = kernels.np_shape_mask(shape.kind, h, w, shape.cx, shape.cy,
+            m = shape_mask(shape.kind, h, w, shape.cx, shape.cy,
                                       shape.pa, shape.pb)
             assert not (m & union).any(), "shapes overlap"
             union |= m
