@@ -6,9 +6,10 @@ only.  New classes borrow spatial evidence from semantically related old
 classes through dense similarity maps built from class-name embeddings.
 
 Everything is plain numpy with one numeric path.  The encoder's stride-1
-3x3 convolutions run as shifted GEMMs over the flattened zero-padded input
-(see ``segprior.layers``), and a layer's forward cache stays valid until
-the next forward of the same layer.
+3x3 convolutions run as shifted GEMMs over the flattened zero-padded input,
+every batch runs as two fixed shards on two threads, and a layer's forward
+cache stays valid until the next forward of the same layer on the same
+thread (see ``segprior.layers``).
 """
 
 __version__ = "0.1.0"

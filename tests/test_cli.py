@@ -96,6 +96,23 @@ def test_memory_flags(workspace):
     assert "manifest" in res.stderr
 
 
+def test_incremental_checkpoint_records_parent_hash(workspace):
+    out, cfg_path = workspace
+    res = run_cli("train-base", "--config", cfg_path, "--seed", "7")
+    assert res.returncode == 0, res.stderr
+    # the override changes the config hash; the step runs all the same
+    res = run_cli("train-incremental", "--config", cfg_path, "--step", "1",
+                  "--seed", "7", "--lambda-rasp", "0.5")
+    assert res.returncode == 0, res.stderr
+    runs = os.path.join(out, "runs")
+    with np.load(os.path.join(runs, "ckpt_step0_seed7.npz")) as ckpt0:
+        assert "__parent_config_hash__" not in ckpt0.files
+        parent_hash = str(ckpt0["__config_hash__"])
+    with np.load(os.path.join(runs, "ckpt_step1_seed7.npz")) as ckpt1:
+        assert str(ckpt1["__parent_config_hash__"]) == parent_hash
+        assert str(ckpt1["__config_hash__"]) != parent_hash
+
+
 def test_bad_usage_and_missing_files():
     res = run_cli("train-base", "--config", "/nonexistent/config.json")
     assert res.returncode == 1

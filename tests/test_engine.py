@@ -1,7 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from segprior import engine, objectives, simprior
+from segprior import engine, layers, objectives, simprior
 from segprior.class_semantics import similarity_matrix
 from segprior.engine import (
     Arch,
@@ -17,7 +20,7 @@ from segprior.engine import (
     save_checkpoint,
     snapshot,
 )
-from segprior.layers import zero_grads
+from segprior.layers import on_shards, shard_slices, zero_grads
 from segprior.memory import populate_episodic
 from segprior.objectives import LossConfig
 from segprior.protocol import build_schedule, filter_step, with_weak_labels
@@ -295,3 +298,238 @@ def test_predict_dataset_shapes(world):
     for p, s in zip(preds, data[:5]):
         assert p.shape == s.dense_mask.shape
         assert set(np.unique(p)) <= {tax.registry.index_of(n) for n in model.class_names}
+
+
+def test_checkpoint_records_parent_config_hash(world, tmp_path):
+    cfg = small_cfg()
+    model, _ = base_model(world, cfg, train=False)
+    old_style = str(tmp_path / "ckpt_step0.npz")
+    save_checkpoint(model, old_style, step=0, config_hash="parent")
+    with np.load(old_style) as data:
+        assert "__parent_config_hash__" not in data.files
+    # a checkpoint without the field still loads
+    _, step, chash = load_checkpoint(old_style)
+    assert (step, chash) == (0, "parent")
+    child = str(tmp_path / "ckpt_step1.npz")
+    save_checkpoint(model, child, step=1, config_hash="child",
+                    parent_config_hash="parent")
+    with np.load(child) as data:
+        assert str(data["__parent_config_hash__"]) == "parent"
+    _, step, chash = load_checkpoint(child)
+    assert (step, chash) == (1, "child")
+
+
+# ---------------------------------------------------------------------------
+# Two-shard batches
+# ---------------------------------------------------------------------------
+
+def whole_batch(b):
+    """Stand-in for shard_slices: the engine runs the batch whole, on this thread."""
+    return [slice(0, b)]
+
+
+def assert_close_dicts(got, want, tol=1e-10):
+    assert got.keys() == want.keys()
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=tol, atol=tol,
+                                   err_msg=name)
+
+
+def test_shard_slices_are_fixed_halves():
+    assert shard_slices(1) == [slice(0, 1)]
+    assert shard_slices(2) == [slice(0, 1), slice(1, 2)]
+    assert shard_slices(3) == [slice(0, 2), slice(2, 3)]
+    assert shard_slices(8) == [slice(0, 4), slice(4, 8)]
+
+
+def test_base_train_shards_match_full_batch(world, monkeypatch):
+    """float64: every step's gradient equals the whole-batch one at 1e-10."""
+    cfg = small_cfg(dtype="float64", epochs_base=1, batch_size=5)
+    tax, sched, data, _ = world
+    base = filter_step(data, sched, 0)[:14]   # batches of 5, 5 and 4
+
+    steps = []
+
+    class Recording(layers.SGDMomentum):
+        def step(self, params, grads):
+            steps.append({k: v.copy() for k, v in grads.items()})
+            super().step(params, grads)
+
+    monkeypatch.setattr(engine, "SGDMomentum", Recording)
+    runs = []
+    for whole in (False, True):
+        steps.clear()
+        model = SegModel.init(cfg.arch, sched.channel_names(0), seed=cfg.seed,
+                              dtype=np.float64)
+        loc_before = {k: v.copy() for k, v in model.localizer.params().items()}
+        with monkeypatch.context() as patch:
+            if whole:
+                patch.setattr(engine, "shard_slices", whole_batch)
+            model, trace = base_train(model, base, tax.registry, cfg)
+        runs.append((model, trace, list(steps)))
+        # base training optimises the encoder and head only
+        assert not any(k.startswith("loc.") for k in steps[0])
+        for k, v in model.localizer.params().items():
+            assert np.array_equal(v, loc_before[k])
+    (m_sh, t_sh, g_sh), (m_one, t_one, g_one) = runs
+    assert len(g_sh) == len(g_one) == 3
+    np.testing.assert_allclose(t_sh, t_one, rtol=1e-10)
+    for a, b in zip(g_sh, g_one):
+        assert_close_dicts(a, b)
+    assert_close_dicts(m_sh.params(), m_one.params())
+
+
+@pytest.mark.parametrize("n_items", [1, 3, 8])
+@pytest.mark.parametrize("seg_on", [False, True])
+def test_incremental_batch_shards_match_full_batch(world, monkeypatch, n_items,
+                                                    seg_on):
+    """float64: shard gradients and losses equal the whole-batch ones at 1e-10."""
+    tax, sched, data, sim = world
+    cfg = small_cfg(dtype="float64")
+    model, _ = base_model(world, cfg, train=False)
+    state, samples, _ = step_inputs(world, model, cfg, rasp_mode="on",
+                                    loss_cfg=LossConfig(seg_warmup_epochs=1))
+    state.epoch = 1 if seg_on else 0
+    items = engine._prepare_items(state, samples[:n_items], tax.registry, sim)
+    if n_items > 1:   # a memory item in the last slot, as mix_batch puts it
+        bank = populate_episodic(filter_step(data, sched, 0), sched.base_classes,
+                                 tax.registry, 4, seed=3)
+        items[-1] = next(iter(engine._prepare_memory(state, bank).values()))
+    grads = zero_grads(state.model.params())
+    comps = incremental_batch(state, items, grads)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "shard_slices", whole_batch)
+        ref = zero_grads(state.model.params())
+        ref_comps = incremental_batch(state, items, ref)
+    assert_close_dicts(grads, ref)
+    for key in ref_comps:
+        assert abs(comps[key] - ref_comps[key]) < 1e-10, key
+    assert any(np.any(grads[k] != 0.0) for k in grads if k.startswith("enc."))
+
+    x = np.stack([it.x for it in items])
+    scores, feat = state.snapshot.predict(x)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "shard_slices", whole_batch)
+        ref_scores, ref_feat = state.snapshot.predict(x)
+    np.testing.assert_allclose(scores, ref_scores, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(feat, ref_feat, rtol=1e-10, atol=1e-10)
+
+
+class _NoHead:
+    """A seg head that fails if the warm-up epochs run it."""
+
+    def __init__(self, head):
+        self.W, self.b, self.name = head.W, head.b, head.name
+
+    def params(self):
+        return {f"{self.name}.W": self.W, f"{self.name}.b": self.b}
+
+    def forward(self, x):
+        raise AssertionError("seg head ran forward during warm-up")
+
+    def backward(self, *args, **kwargs):
+        raise AssertionError("seg head ran backward during warm-up")
+
+
+def warmup_grads_with_head(state, items):
+    """Warm-up gradients as computed before the head was skipped.
+
+    Shard by shard on this thread, the head runs forward and then backward
+    on an all-zero gradient, whose input gradient is added to the
+    encoder's.  Each shard's forward is run again right before its backward,
+    since a layer's cache lasts until its next forward on the same thread.
+    """
+    model = state.model
+    x = np.stack([it.x for it in items])
+    rows = shard_slices(len(items))
+    outs = []
+    for r in rows:
+        feat, _ = model.encoder.forward(x[r])
+        z, _ = model.localizer.forward(feat)
+        outs.append((feat, z))
+    _, dz, dp, dfeat_extra = engine._batch_losses(
+        state, items, np.concatenate([o[0] for o in outs]),
+        np.concatenate([o[1] for o in outs]), None)
+    assert dp is None
+    dicts = [zero_grads(model.params()) for _ in rows]
+    for r, g in zip(rows, dicts):
+        feat, enc_cache = model.encoder.forward(x[r])
+        _, loc_cache = model.localizer.forward(feat)
+        p_hat, head_cache = model.head.forward(feat)
+        dfeat = model.localizer.backward(dz[r], loc_cache, g) + dfeat_extra[r]
+        dfeat = dfeat + model.head.backward(np.zeros_like(p_hat), head_cache, g)
+        model.encoder.backward(dfeat, enc_cache, g)
+    for name in dicts[0]:
+        dicts[0][name] += dicts[1][name]
+    return dicts[0]
+
+
+def test_warmup_skips_seg_head(world):
+    tax, sched, data, sim = world
+    cfg = small_cfg()
+    model, _ = base_model(world, cfg)
+    state, samples, _ = step_inputs(world, model, cfg,
+                                    loss_cfg=LossConfig(seg_warmup_epochs=2))
+    items = engine._prepare_items(state, samples[:7], tax.registry, sim)
+    state.epoch = 1
+    want = warmup_grads_with_head(state, items)
+    state.model.head = _NoHead(state.model.head)
+    grads = zero_grads(state.model.params())
+    incremental_batch(state, items, grads)
+    assert grads.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(grads[name], want[name]), name
+    assert not np.any(grads["head.W"]) and not np.any(grads["head.b"])
+    state.epoch = 2
+    with pytest.raises(AssertionError, match="seg head ran forward"):
+        incremental_batch(state, items, zero_grads(state.model.params()))
+
+
+def test_shards_run_on_caller_and_one_worker(world):
+    """Shard 0 on the calling thread, shard 1 always on the same other thread."""
+    def whoami(shard):
+        return shard, threading.get_ident()
+
+    seen = [on_shards(whoami, [(0,), (1,)]) for _ in range(50)]
+    assert {ident for (_, ident), _ in seen} == {threading.get_ident()}
+    workers = {ident for _, (_, ident) in seen}
+    assert len(workers) == 1 and threading.get_ident() not in workers
+
+    # through the engine, with frequent thread switches: a shard whose
+    # forward and backward ran on different threads, or whose buffers the
+    # other shard overwrote, would change the gradients between repeats
+    tax, sched, data, sim = world
+    cfg = small_cfg()
+    model, _ = base_model(world, cfg, train=False)
+    state, samples, _ = step_inputs(world, model, cfg,
+                                    loss_cfg=LossConfig(seg_warmup_epochs=0))
+    items = engine._prepare_items(state, samples[:7], tax.registry, sim)
+    calls = []
+    encoder = state.model.encoder
+    forward, backward = encoder.forward, encoder.backward
+
+    def spy_forward(x):
+        calls.append(("fwd", len(x), threading.get_ident()))
+        return forward(x)
+
+    def spy_backward(dy, caches, grads):
+        calls.append(("bwd", len(dy), threading.get_ident()))
+        return backward(dy, caches, grads)
+
+    encoder.forward, encoder.backward = spy_forward, spy_backward
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = []
+        for _ in range(10):
+            grads = zero_grads(state.model.params())
+            incremental_batch(state, items, grads)
+            results.append(grads)
+    finally:
+        sys.setswitchinterval(interval)
+    for grads in results[1:]:
+        for name in grads:
+            assert np.array_equal(grads[name], results[0][name]), name
+    assert len(calls) == 40
+    assert {ident for _, n, ident in calls if n == 4} == {threading.get_ident()}
+    assert {ident for _, n, ident in calls if n == 3} == workers
