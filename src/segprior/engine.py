@@ -20,9 +20,14 @@ Memory items contribute only to the classification loss, extended over the
 old foreground channels (their stored labels) with the new classes as
 negatives.
 
-Every batch runs as the two shards of ``layers.on_shards``: each shard's
-forward and backward run on its own thread, the losses see the joined
-full-batch outputs, and the shard gradients are summed in shard order.
+Every training batch is one ``layers.on_shards`` call over its two shards.
+Each shard runs forward, its own items' loss terms and backward in one pass
+on its own thread.  Every loss term is a per-item quantity normalised by
+whole-batch counts (all items, current items), so each shard computes its
+items' terms and output gradients with the whole batch's normalisers and
+the shard gradients, summed in shard order, are the whole batch's.  The
+caller adds the per-item losses in item order and checks them for
+finiteness.  Inference shards the forward pass only and joins the outputs.
 """
 
 from __future__ import annotations
@@ -341,17 +346,20 @@ def _join(shard_outs, i):
     return np.concatenate([out[i] for out in shard_outs])
 
 
-def _backward_shards(backward, shard_args, grads):
-    """Run backward(*args, g) on each shard and sum the gradients in order.
+def _train_shards(step, n, grads):
+    """Run step(rows, g) on each shard of a batch of n; results in shard order.
 
+    A step runs forward, its shard's loss terms and backward in one pass.
     Shard 0 accumulates into grads and shard 1 into a zeroed dict of its
     own, which is added to grads afterwards.
     """
-    dicts = [grads] + [zero_grads(grads) for _ in shard_args[1:]]
-    on_shards(backward, [(*args, g) for args, g in zip(shard_args, dicts)])
+    rows = shard_slices(n)
+    dicts = [grads] + [zero_grads(grads) for _ in rows[1:]]
+    outs = on_shards(step, list(zip(rows, dicts)))
     for g in dicts[1:]:
         for name, value in g.items():
             grads[name] += value
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +396,6 @@ def base_train(model, samples, registry, cfg):
     # the localizer plays no part here, and extend_head replaces it
     params = {**model.encoder.params(), **model.head.params()}
 
-    def forward(x):
-        feat, enc_cache = model.encoder.forward(x)
-        logits, head_cache = model.head.forward(feat)
-        return logits, (enc_cache, head_cache)
-
-    def backward(dlogits, caches, grads):
-        enc_cache, head_cache = caches
-        dfeat = model.head.backward(dlogits, head_cache, grads)
-        model.encoder.backward(dfeat, enc_cache, grads)
-
     trace = []
     for _epoch in range(cfg.epochs_base):
         order = shuffle_rng.permutation(len(samples))
@@ -405,14 +403,20 @@ def base_train(model, samples, registry, cfg):
         for idx in _batches(len(samples), cfg.batch_size, order):
             x = xs[idx]
             t = targets[idx]
-            rows, outs = _forward_shards(forward, x)
-            loss, dlogits = objectives.seg_loss_grad(_join(outs, 0), t)
+            size = t.size
+
+            def step(rows, g):
+                feat, enc_cache = model.encoder.forward(x[rows])
+                logits, head_cache = model.head.forward(feat)
+                loss_sum, dlogits = objectives.bce_sum_grad(logits, t[rows], size)
+                dfeat = model.head.backward(dlogits, head_cache, g)
+                model.encoder.backward(dfeat, enc_cache, g)
+                return float(loss_sum)
+
+            grads = zero_grads(params)
+            loss = sum(_train_shards(step, len(idx), grads)) / size
             if not np.isfinite(loss):
                 raise RuntimeError(f"non-finite base loss at epoch {_epoch}")
-            dlogits = dlogits.astype(dtype)
-            grads = zero_grads(params)
-            _backward_shards(backward, [(dlogits[r], out[1])
-                                        for r, out in zip(rows, outs)], grads)
             opt.step(params, grads)
             total += loss
             n_batches += 1
@@ -516,66 +520,89 @@ def _prepare_memory(state, bank):
 def incremental_batch(state, batch_items, grads):
     """Losses and parameter gradients for one mixed batch.
 
-    The seg head runs only once the warm-up epochs are over.  Exposed
-    separately so tests can probe the gradient routing directly.
+    Each shard runs forward, its own items' loss terms and backward on its
+    thread; the loss terms share the whole batch's normalisers, so the
+    summed shard gradients are the whole batch's.  The seg head runs only
+    once the warm-up epochs are over.  Exposed separately so tests can
+    probe the gradient routing directly.
     """
     model = state.model
     seg_active = state.seg_active()
+    rasp_on = state.rasp_active()
+    n_all = len(batch_items)
+    n_cur = sum(not it.is_memory for it in batch_items)
 
-    def forward(xs):
-        feat, enc_cache = model.encoder.forward(xs)
+    def step(rows, g):
+        items = batch_items[rows]
+        feat, enc_cache = model.encoder.forward(np.stack([it.x for it in items]))
         z, loc_cache = model.localizer.forward(feat)
         p_hat, head_cache = model.head.forward(feat) if seg_active else (None, None)
-        return feat, z, p_hat, (enc_cache, loc_cache, head_cache)
-
-    rows, outs = _forward_shards(forward, np.stack([it.x for it in batch_items]))
-    p_hat = _join(outs, 2) if seg_active else None
-    comps, dz, dp, dfeat_extra = _batch_losses(
-        state, batch_items, _join(outs, 0), _join(outs, 1), p_hat)
-
-    def backward(r, caches, g):
-        enc_cache, loc_cache, head_cache = caches
-        dfeat = model.localizer.backward(dz[r], loc_cache, g) + dfeat_extra[r]
+        losses, dz, dp, dfeat = _batch_losses(state, items, feat, z, p_hat,
+                                              n_all, n_cur)
+        dfeat += model.localizer.backward(dz, loc_cache, g)
         if seg_active:
-            dfeat_head = model.head.backward(dp[r], head_cache, g)
+            dfeat_head = model.head.backward(dp, head_cache, g)
             if state.engine_cfg.seg_updates_encoder:
-                dfeat = dfeat + dfeat_head
+                dfeat += dfeat_head
         model.encoder.backward(dfeat, enc_cache, g)
+        return losses
 
-    _backward_shards(backward, [(r, out[3]) for r, out in zip(rows, outs)], grads)
+    # per-item losses in item order (shard 0's items come first), added
+    # one by one as a whole-batch loop would, so the trace does not depend
+    # on the split
+    sums = dict.fromkeys(objectives.LOSS_COMPONENTS, 0.0)
+    for losses in _train_shards(step, n_all, grads):
+        for key, values in losses.items():
+            for value in values:
+                sums[key] += value
+    comps = {
+        "cls": sums["cls"] / n_all,
+        "kdl": sums["kdl"] / n_cur if n_cur else 0.0,
+        "kde": sums["kde"] / n_cur if n_cur else 0.0,
+        "rasp": sums["rasp"] / n_cur if (n_cur and rasp_on) else 0.0,
+        "seg": sums["seg"] / n_cur if (n_cur and seg_active) else 0.0,
+    }
+    for key, value in comps.items():
+        if not np.isfinite(value):
+            raise RuntimeError(
+                f"non-finite {key} loss at step {state.step} epoch {state.epoch}: {comps}"
+            )
     return comps
 
 
-def _batch_losses(state, batch_items, feat, z, p_hat):
-    """Loss components and output gradients of one batch's joined outputs.
+def _batch_losses(state, items, feat, z, p_hat, n_all, n_cur):
+    """Per-item loss terms and output gradients of one shard's outputs.
 
-    p_hat is None in the warm-up epochs, where dp is None too.  Elementwise
-    work is vectorized across the batch; per-item scalar losses still come
-    from per-item reductions, so recomputing any item through the
-    objectives module reproduces them exactly.  Returns (comps, dz, dp,
-    dfeat_extra), the last being the kde gradient on the encoder features.
+    items are the shard's own; n_all and n_cur count the whole batch's
+    items and current (non-memory) items, which normalise every gradient,
+    so the shards' gradients add up to the whole batch's.  p_hat is None
+    in the warm-up epochs, where dp is None too.  Elementwise work is
+    vectorized across the shard; each per-item loss comes from a per-item
+    reduction, so recomputing any item through the objectives module
+    reproduces it exactly.  Returns (losses, dz, dp, dfeat_extra): losses
+    maps each term to its per-item values in item order (every item for
+    cls, current items for the rest), and dfeat_extra is the kde gradient
+    on the encoder features.
     """
     lcfg = state.loss_cfg
     dtype = state.model.dtype
     n_old = state.n_old
     n_total = state.model.n_classes()
     seg_active = p_hat is not None
-    rasp_on = state.rasp_active()
-    cur_rows = np.array([i for i, it in enumerate(batch_items) if not it.is_memory])
-    n_cur = len(cur_rows)
-    n_all = len(batch_items)
+    n_items = len(items)
+    cur_rows = [i for i, it in enumerate(items) if not it.is_memory]
     n_pix = z.shape[1] * z.shape[2]
 
     dz = np.zeros_like(z)
     dp = np.zeros_like(p_hat) if seg_active else None
     dfeat_extra = np.zeros_like(feat)
-    sums = {"cls": 0.0, "kdl": 0.0, "kde": 0.0, "seg": 0.0, "rasp": 0.0}
+    losses = {key: [] for key in objectives.LOSS_COMPONENTS}
 
     # classification through pooled scores, every item
     m_all = objectives._softmax_lastaxis(z)
-    msum = m_all.reshape(n_all, n_pix, n_total).sum(axis=1)
+    msum = m_all.reshape(n_items, n_pix, n_total).sum(axis=1)
     mass = msum / n_pix
-    pooled = (m_all * z).reshape(n_all, n_pix, n_total).sum(axis=1) \
+    pooled = (m_all * z).reshape(n_items, n_pix, n_total).sum(axis=1) \
         / (lcfg.epsilon_ngwp + msum)
     if lcfg.gamma_focal == 0:
         foc = np.log(lcfg.lambda_focal + mass)
@@ -586,8 +613,8 @@ def _batch_losses(state, batch_items, feat, z, p_hat):
             * np.log(lcfg.lambda_focal + mass) \
             + (1.0 - mass) ** lcfg.gamma_focal / (lcfg.lambda_focal + mass)
     scores = pooled + foc
-    upstream = np.zeros((n_all, n_total), dtype)
-    for bi, item in enumerate(batch_items):
+    upstream = np.zeros((n_items, n_total), dtype)
+    for bi, item in enumerate(items):
         if item.is_memory:
             sel = slice(1, n_total)
             labels = item.labels_fg
@@ -596,45 +623,45 @@ def _batch_losses(state, batch_items, feat, z, p_hat):
             labels = item.labels_new
         closs, dsel = objectives.cls_loss_grad(scores[bi, sel], labels)
         upstream[bi, sel] = dsel
-        sums["cls"] += closs
+        losses["cls"].append(closs)
     u = upstream / (lcfg.epsilon_ngwp + msum)
     v = upstream * dfoc / n_pix
     a = u[:, None, None, :] * (z - pooled[:, None, None, :]) + v[:, None, None, :]
     dz += (m_all * (a - (a * m_all).sum(axis=-1, keepdims=True))
            + u[:, None, None, :] * m_all) / n_all
 
-    if n_cur:
+    if cur_rows:
         # distillation and pseudo-supervision, current items only
-        y_old = np.stack([batch_items[i].y_old for i in cur_rows])
-        feat_old = np.stack([batch_items[i].feat_old for i in cur_rows])
+        n_here = len(cur_rows)
+        y_old = np.stack([items[i].y_old for i in cur_rows])
+        feat_old = np.stack([items[i].feat_old for i in cur_rows])
         zc = np.ascontiguousarray(z[cur_rows][:, :, :, :n_old])
         bce = objectives.softplus(zc) - y_old * zc
-        for li in bce.reshape(n_cur, -1).mean(axis=1):
-            sums["kdl"] += float(li)
+        losses["kdl"] = [float(li) for li in bce.reshape(n_here, -1).mean(axis=1)]
         g_kdl = (objectives.sigmoid(zc) - y_old) / (n_pix * n_old * n_cur)
         dz[cur_rows, :, :, :n_old] += g_kdl
 
         diff = feat[cur_rows] - feat_old
         if lcfg.kde_squared:
             sq = (diff * diff).sum(axis=-1)
-            for li in sq.reshape(n_cur, -1).sum(axis=1):
-                sums["kde"] += float(li) / n_pix
+            losses["kde"] = [float(li) / n_pix
+                             for li in sq.reshape(n_here, -1).sum(axis=1)]
             dfeat_extra[cur_rows] += 2.0 * diff / (n_pix * n_cur)
         else:
             norm = np.sqrt((diff * diff).sum(axis=-1))
-            for li in norm.reshape(n_cur, -1).sum(axis=1):
-                sums["kde"] += float(li) / n_pix
+            losses["kde"] = [float(li) / n_pix
+                             for li in norm.reshape(n_here, -1).sum(axis=1)]
             safe = np.where(norm > 0, norm, 1.0)
             g = np.where(norm[..., None] > 0, diff / safe[..., None], 0.0)
             dfeat_extra[cur_rows] += g / (n_pix * n_cur)
 
-        if rasp_on:
+        if state.rasp_active():
             for i in cur_rows:
-                item = batch_items[i]
+                item = items[i]
                 rl, dz_rasp = objectives.rasp_loss_grad(
                     z[i][:, :, item.present], item.sig_smap
                 )
-                sums["rasp"] += rl
+                losses["rasp"].append(rl)
                 if lcfg.lambda_rasp != 0.0:
                     dz[i][:, :, item.present] += (
                         lcfg.lambda_rasp / n_cur
@@ -652,25 +679,11 @@ def _batch_losses(state, batch_items, feat, z, p_hat):
             q_tilde[..., n_old:] = q[..., n_old:]
             pc = p_hat[cur_rows]
             bce = objectives.softplus(pc) - q_tilde * pc
-            for li in bce.reshape(n_cur, -1).mean(axis=1):
-                sums["seg"] += float(li)
+            losses["seg"] = [float(li) for li in bce.reshape(n_here, -1).mean(axis=1)]
             dp[cur_rows] += (objectives.sigmoid(pc) - q_tilde) \
                 / (n_pix * n_total * n_cur)
 
-    comps = {
-        "cls": sums["cls"] / n_all,
-        "kdl": sums["kdl"] / n_cur if n_cur else 0.0,
-        "kde": sums["kde"] / n_cur if n_cur else 0.0,
-        "rasp": sums["rasp"] / n_cur if (n_cur and rasp_on) else 0.0,
-        "seg": sums["seg"] / n_cur if (n_cur and seg_active) else 0.0,
-    }
-    for key, value in comps.items():
-        if not np.isfinite(value):
-            raise RuntimeError(
-                f"non-finite {key} loss at step {state.step} epoch {state.epoch}: {comps}"
-            )
-
-    return comps, dz, dp, dfeat_extra
+    return losses, dz, dp, dfeat_extra
 
 
 def incremental_step(state, samples, bank, sim_matrix, registry):

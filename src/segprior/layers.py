@@ -18,10 +18,11 @@ patches instead; 1x1 convolutions are one matrix product per image.
 Every batch is split along axis 0 into two fixed shards of ceil(B/2) and
 floor(B/2) items (``shard_slices``).  ``on_shards`` runs shard 0 on the
 calling thread and shard 1 on one persistent worker thread, each with its
-own caches and gradient dicts; callers join the shard outputs, compute
-losses on the whole batch and sum the shard gradients in shard order.  A
-batch of one runs inline.  The split never depends on the host's core
-count, so results are the same on every machine.
+own caches and gradient dicts.  In training a shard's function runs its
+forward, its loss terms (with whole-batch normalisers) and its backward,
+and the caller sums the shard gradients in shard order; inference joins
+the shard outputs.  A batch of one runs inline.  The split never depends
+on the host's core count, so results are the same on every machine.
 
 Cache contract: layers reuse their work buffers across calls, one set per
 thread, so the cache a forward returns is valid until the next forward of

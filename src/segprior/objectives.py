@@ -53,12 +53,16 @@ class LossConfig:
 
 
 def sigmoid(x):
+    """Logistic function as 0.5 + 0.5 * tanh(x / 2), in place on one buffer.
+
+    tanh saturates instead of overflowing, so no input needs a branch.
+    """
     x = np.asarray(x)
     out = np.empty_like(x, dtype=x.dtype if x.dtype.kind == "f" else np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
     return out
 
 
@@ -67,11 +71,20 @@ def softplus(x):
     return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
 
 
+def bce_sum_grad(logits, targets, n):
+    """Summed binary cross-entropy from logits, and (sigmoid - target) / n.
+
+    n is the element count the loss is averaged over, which for a shard of
+    a batch is the whole batch's.  The sum is a scalar of the logits' dtype.
+    """
+    total = (softplus(logits) - targets * logits).sum()
+    return total, (sigmoid(logits) - targets) / n
+
+
 def _bce_mean(logits, targets):
     """Mean binary cross-entropy from logits; grad is (sigmoid - target)/size."""
-    loss = float(np.mean(softplus(logits) - targets * logits))
-    grad = (sigmoid(logits) - targets) / logits.size
-    return loss, grad
+    total, grad = bce_sum_grad(logits, targets, logits.size)
+    return float(total / logits.size), grad
 
 
 # ---------------------------------------------------------------------------

@@ -21,16 +21,30 @@ import numpy as np
 from .class_semantics import ClassRegistry
 
 
+def present_classes(mask):
+    """Registry indices with at least one pixel in an integer mask."""
+    return frozenset(int(v) for v in np.flatnonzero(np.bincount(mask.ravel())))
+
+
 @dataclass
 class Sample:
-    """One image with its dense mask; weak_labels is filled per step."""
+    """One image with its dense mask; weak_labels is filled per step.
+
+    The mask is scanned for its classes once, on construction; copies made
+    with ``dataclasses.replace`` carry the result over.
+    """
 
     image: np.ndarray              # (H, W, 3) uint8
     dense_mask: np.ndarray         # (H, W) integer registry indices
     weak_labels: frozenset = frozenset()
+    present: frozenset = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.present is None and self.dense_mask is not None:
+            self.present = present_classes(self.dense_mask)
 
     def present_indices(self):
-        return set(int(v) for v in np.unique(self.dense_mask))
+        return self.present
 
 
 @dataclass(frozen=True)
@@ -134,12 +148,12 @@ def filter_step(dataset, schedule, step):
     return out
 
 
-def weak_labels(dense_mask, schedule, step):
+def weak_labels(sample, schedule, step):
     """Image-level labels: current-step classes with at least one pixel."""
     if step < 1:
         raise ValueError("weak labels exist for incremental steps only (step >= 1)")
     schedule._check_step(step)
-    present = {int(v) for v in np.unique(dense_mask)}
+    present = sample.present_indices()
     return frozenset(
         name for name in schedule.classes_at_step(step)
         if schedule.registry.index_of(name) in present
@@ -149,7 +163,7 @@ def weak_labels(dense_mask, schedule, step):
 def with_weak_labels(samples, schedule, step):
     """Copies of samples with weak_labels populated for the given step."""
     return [
-        replace(s, weak_labels=weak_labels(s.dense_mask, schedule, step))
+        replace(s, weak_labels=weak_labels(s, schedule, step))
         for s in samples
     ]
 

@@ -1,8 +1,10 @@
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segprior import engine, layers, objectives, simprior
 from segprior.class_semantics import similarity_matrix
@@ -415,6 +417,104 @@ def test_incremental_batch_shards_match_full_batch(world, monkeypatch, n_items,
     np.testing.assert_allclose(feat, ref_feat, rtol=1e-10, atol=1e-10)
 
 
+@pytest.fixture(scope="module")
+def float64_pools(world):
+    """A float64 step-1 state with prepared current and memory items."""
+    tax, sched, data, sim = world
+    cfg = small_cfg(dtype="float64")
+    model, _ = base_model(world, cfg, train=False)
+    state, samples, _ = step_inputs(world, model, cfg, rasp_mode="on",
+                                    loss_cfg=LossConfig(seg_warmup_epochs=1))
+    current = engine._prepare_items(state, samples[:9], tax.registry, sim)
+    bank = populate_episodic(filter_step(data, sched, 0), sched.base_classes,
+                             tax.registry, 9, seed=3)
+    memory = list(engine._prepare_memory(state, bank).values())
+    return state, current, memory
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_shard_local_losses_match_whole_batch(float64_pools, data):
+    """float64: comps and gradients equal a whole-batch run at 1e-10."""
+    state, current, memory = float64_pools
+    n = data.draw(st.integers(1, 9), label="batch size")
+    is_memory = data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
+                          label="memory slots")
+    order = data.draw(st.permutations(range(9)), label="item order")
+    items = [memory[k] if mem else current[k] for k, mem in zip(order, is_memory)]
+    state.epoch = 1 if data.draw(st.booleans(), label="seg on") else 0
+    state.rasp_mode = data.draw(st.sampled_from(["on", "off"]), label="rasp")
+
+    shard_losses = []
+    real_losses = engine._batch_losses
+
+    def spy_losses(st_, shard_items, *args):
+        out = real_losses(st_, shard_items, *args)
+        shard_losses.append((shard_items[0] is not items[0], out[0]))
+        return out
+
+    grads = zero_grads(state.model.params())
+    with mock.patch.object(engine, "_batch_losses", spy_losses):
+        comps = incremental_batch(state, items, grads)
+    # the per-item losses are added one by one in item order
+    total = 0.0
+    for _, losses in sorted(shard_losses, key=lambda c: c[0]):
+        for value in losses["cls"]:
+            total += value
+    assert comps["cls"] == total / n
+    with mock.patch.object(engine, "shard_slices", whole_batch):
+        ref = zero_grads(state.model.params())
+        ref_comps = incremental_batch(state, items, ref)
+    assert_close_dicts(grads, ref)
+    assert comps.keys() == ref_comps.keys()
+    for key in ref_comps:
+        assert abs(comps[key] - ref_comps[key]) < 1e-10, key
+    if all(is_memory):
+        assert all(comps[k] == 0.0 for k in ("kdl", "kde", "rasp", "seg"))
+
+
+def test_one_on_shards_call_per_training_batch(world, monkeypatch):
+    """Forward, losses and backward of a batch share one on_shards call,
+    and the loss terms run on the caller's thread and the worker's."""
+    tax, sched, data, sim = world
+    cfg = small_cfg(epochs_base=2, epochs_incremental=2, batch_size=8)
+    events, loss_threads = [], []
+    real_on_shards, real_losses = engine.on_shards, engine._batch_losses
+    real_batch = engine.incremental_batch
+
+    def spy_on_shards(fn, shard_args):
+        events.append("on_shards")
+        return real_on_shards(fn, shard_args)
+
+    def spy_batch(*args):
+        events.append("batch")
+        return real_batch(*args)
+
+    def spy_losses(*args):
+        loss_threads.append(threading.get_ident())
+        return real_losses(*args)
+
+    monkeypatch.setattr(engine, "on_shards", spy_on_shards)
+    monkeypatch.setattr(engine, "incremental_batch", spy_batch)
+    monkeypatch.setattr(engine, "_batch_losses", spy_losses)
+    base = filter_step(data, sched, 0)[:20]
+    model = SegModel.init(cfg.arch, sched.channel_names(0), seed=cfg.seed)
+    model, _ = base_train(model, base, tax.registry, cfg)
+    assert events == ["on_shards"] * (2 * 3)       # 2 epochs of batches 8, 8, 4
+
+    events.clear()
+    bank = populate_episodic(base, sched.base_classes, tax.registry, 8, seed=3)
+    state, samples, _ = step_inputs(world, model, cfg,
+                                    loss_cfg=LossConfig(seg_warmup_epochs=1))
+    incremental_step(state, samples[:12], bank, sim, tax.registry)
+    first = events.index("batch")
+    assert "batch" not in events[:first]
+    assert events[first:] == ["batch", "on_shards"] * (2 * 2)   # batches 8, 4
+    assert threading.get_ident() in loss_threads
+    assert len(set(loss_threads)) == 2
+    assert len(loss_threads) == 2 * (2 * 2)
+
+
 class _NoHead:
     """A seg head that fails if the warm-up epochs run it."""
 
@@ -436,27 +536,22 @@ def warmup_grads_with_head(state, items):
 
     Shard by shard on this thread, the head runs forward and then backward
     on an all-zero gradient, whose input gradient is added to the
-    encoder's.  Each shard's forward is run again right before its backward,
-    since a layer's cache lasts until its next forward on the same thread.
+    encoder's.  Each shard's loss terms see its own items and the whole
+    batch's item counts.
     """
     model = state.model
     x = np.stack([it.x for it in items])
+    n_cur = sum(not it.is_memory for it in items)
     rows = shard_slices(len(items))
-    outs = []
-    for r in rows:
-        feat, _ = model.encoder.forward(x[r])
-        z, _ = model.localizer.forward(feat)
-        outs.append((feat, z))
-    _, dz, dp, dfeat_extra = engine._batch_losses(
-        state, items, np.concatenate([o[0] for o in outs]),
-        np.concatenate([o[1] for o in outs]), None)
-    assert dp is None
     dicts = [zero_grads(model.params()) for _ in rows]
     for r, g in zip(rows, dicts):
         feat, enc_cache = model.encoder.forward(x[r])
-        _, loc_cache = model.localizer.forward(feat)
+        z, loc_cache = model.localizer.forward(feat)
         p_hat, head_cache = model.head.forward(feat)
-        dfeat = model.localizer.backward(dz[r], loc_cache, g) + dfeat_extra[r]
+        _, dz, dp, dfeat_extra = engine._batch_losses(
+            state, items[r], feat, z, None, len(items), n_cur)
+        assert dp is None
+        dfeat = model.localizer.backward(dz, loc_cache, g) + dfeat_extra
         dfeat = dfeat + model.head.backward(np.zeros_like(p_hat), head_cache, g)
         model.encoder.backward(dfeat, enc_cache, g)
     for name in dicts[0]:

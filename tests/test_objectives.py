@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +16,34 @@ from segprior.objectives import (
     ngwp_aggregate,
     rasp_loss,
     seg_loss,
+    sigmoid,
     smooth_pseudo_labels,
     total_loss,
 )
 
 LN2 = math.log(2.0)
+
+
+# ---------------------------------------------------------------------------
+# sigmoid
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_float64_reference(dtype):
+    rng = np.random.default_rng(3)
+    x = np.concatenate([
+        rng.standard_normal(20000) * 8.0,
+        np.linspace(-1e4, 1e4, 4001),
+        [0.0, -0.0, 1e4, -1e4, 17.0, -17.0, 40.0, -40.0, 90.0, -90.0],
+    ]).astype(dtype)
+    want = np.exp(-np.logaddexp(0.0, -x.astype(np.float64)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(x)
+    assert got.dtype == dtype
+    assert np.max(np.abs(got - want)) <= np.finfo(dtype).eps
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    assert sigmoid(np.arange(3)).dtype == np.float64
 
 
 # ---------------------------------------------------------------------------

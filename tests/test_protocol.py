@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from segprior import protocol
+from segprior.memory import populate_episodic
 from segprior.protocol import (
     Sample,
     build_schedule,
@@ -128,13 +130,13 @@ def test_weak_labels(taxonomy):
     step1 = sched.increments[0]
     old = sched.base_classes[0]
     sample = make_sample(reg, [old, step1[0]])
-    assert weak_labels(sample.dense_mask, sched, 1) == {step1[0]}
+    assert weak_labels(sample, sched, 1) == {step1[0]}
     both = make_sample(reg, list(step1))
-    assert weak_labels(both.dense_mask, sched, 1) == set(step1)
+    assert weak_labels(both, sched, 1) == set(step1)
     none = make_sample(reg, [old])
-    assert weak_labels(none.dense_mask, sched, 1) == frozenset()
+    assert weak_labels(none, sched, 1) == frozenset()
     with pytest.raises(ValueError):
-        weak_labels(sample.dense_mask, sched, 0)
+        weak_labels(sample, sched, 0)
 
 
 def test_weak_labels_never_leak(taxonomy, toy_dataset):
@@ -193,3 +195,34 @@ def test_few_shot_insufficient(taxonomy):
     pool = [make_sample(reg, [name])]
     with pytest.raises(ValueError, match="eligible"):
         few_shot_sample(pool, sched, 1, 5, seed=0)
+
+
+def test_present_classes_scanned_once_per_sample(taxonomy, monkeypatch):
+    reg = taxonomy.registry
+    sched = build_schedule(reg, 4, 2, "overlap")
+    scans = []
+    present_classes = protocol.present_classes
+
+    def counting(mask):
+        scans.append(mask)
+        return present_classes(mask)
+
+    monkeypatch.setattr(protocol, "present_classes", counting)
+    data = generate_dataset(taxonomy, 40, seed=23)
+    assert len(scans) == len(data)
+    for sample in data:
+        assert sample.present_indices() == {int(v) for v in np.unique(sample.dense_mask)}
+    # int32, as generated and loaded masks are, and uint8, as PGM files store them
+    mask = np.array([[0, 3, 3], [7, 0, 1]], dtype=np.int32)
+    assert present_classes(mask) == {0, 1, 3, 7}
+    assert present_classes(mask.astype(np.uint8)) == {0, 1, 3, 7}
+
+    scans.clear()
+    base = filter_step(data, sched, 0)
+    step1 = with_weak_labels(filter_step(data, sched, 1), sched, 1)
+    populate_episodic(base, sched.base_classes, reg, 6, seed=1)
+    few_shot_sample(data, sched, 1, 1, seed=2)
+    for sample in step1:
+        assert weak_labels(sample, sched, 1) == sample.weak_labels
+        assert sample.present_indices() == {int(v) for v in np.unique(sample.dense_mask)}
+    assert scans == []
