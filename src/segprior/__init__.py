@@ -7,9 +7,10 @@ classes through dense similarity maps built from class-name embeddings.
 
 Everything is plain numpy with one numeric path.  The encoder's stride-1
 3x3 convolutions run as shifted GEMMs over the flattened zero-padded input,
-every batch runs as two fixed shards on two threads, and a layer's forward
-cache stays valid until the next forward of the same layer on the same
-thread (see ``segprior.layers``).  In training each shard computes its own
+every batch (and the evaluation set, image by image) runs as two fixed
+shards on two threads, and a layer's forward cache stays valid until the
+next forward of the same layer on the same thread (see
+``segprior.layers``).  In training each shard computes its own
 items' losses with whole-batch normalisers and runs its own backward, so
 the summed shard gradients equal the whole batch's (see
 ``segprior.engine``).

@@ -213,7 +213,7 @@ def cmd_eval(args):
     new_classes = [c for grp in schedule.increments[:step] for c in grp]
     report = evalkit.evaluate_model(
         model, samples, registry, schedule.base_classes, new_classes,
-        step, chash, batch_size=cfg.engine.batch_size)
+        step, chash)
     stem = os.path.splitext(os.path.basename(args.checkpoint))[0]
     outdir = cfg.resolve(cfg.workdir)
     os.makedirs(outdir, exist_ok=True)

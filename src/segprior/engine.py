@@ -27,7 +27,14 @@ whole-batch counts (all items, current items), so each shard computes its
 items' terms and output gradients with the whole batch's normalisers and
 the shard gradients, summed in shard order, are the whole batch's.  The
 caller adds the per-item losses in item order and checks them for
-finiteness.  Inference shards the forward pass only and joins the outputs.
+finiteness.
+
+Evaluation (``predict_dataset``) is one ``on_shards`` call over the two
+halves of the sample list.  Each shard streams its images one at a time
+through the encoder and the seg head, so no batch is stacked and one
+image's activations stay in cache.  The frozen snapshot
+(``Snapshot.predict``) still runs a stacked batch forward, shard by shard,
+and joins the outputs.
 """
 
 from __future__ import annotations
@@ -254,13 +261,17 @@ class Snapshot:
         self.dtype = model.dtype
 
     def predict(self, x):
-        """Sigmoid scores and encoder features for a batch, no caches kept."""
+        """Sigmoid scores and encoder features for a batch, no caches kept.
+
+        The batch's two shards run forward on their threads and the
+        outputs are joined along the batch axis.
+        """
         def shard(xs):
             feat, _ = self.encoder.forward(xs)
             logits, _ = self.head.forward(feat)
             return objectives.sigmoid(logits), feat
 
-        _, outs = _forward_shards(shard, x)
+        outs = on_shards(shard, [(x[r],) for r in shard_slices(len(x))])
         return _join(outs, 0), _join(outs, 1)
 
     def params(self):
@@ -331,12 +342,6 @@ def feature_hw(arch, h, w):
 def _batches(n, batch_size, order):
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]
-
-
-def _forward_shards(forward, x):
-    """The shards' row slices of batch x, and forward(x[rows]) of each."""
-    rows = shard_slices(len(x))
-    return rows, on_shards(forward, [(x[r],) for r in rows])
 
 
 def _join(shard_outs, i):
@@ -734,26 +739,30 @@ def incremental_step(state, samples, bank, sim_matrix, registry):
 # Inference and checkpoints
 # ---------------------------------------------------------------------------
 
-def predict_dataset(model, samples, registry, batch_size=24):
-    """Argmax maps of the main head, upsampled to each mask's resolution."""
+def predict_dataset(model, samples, registry):
+    """Main-head label maps, one per sample, at the shape of its mask.
+
+    One ``on_shards`` call over the two fixed shards of the sample list.
+    Each shard takes its images one at a time through the encoder and the
+    head, then argmax, the registry lookup and a nearest resize, so one
+    image's activations stay in cache and images of any size can mix.
+    The maps come back in sample order.
+    """
     lut = np.array([registry.index_of(n) for n in model.class_names],
                    dtype=np.int32)
 
-    def shard(xs):
-        feat, _ = model.encoder.forward(xs)
-        logits, _ = model.head.forward(feat)
-        return (np.argmax(logits, axis=3),)
+    def shard(rows):
+        maps = []
+        for sample in samples[rows]:
+            x = image_to_input(sample.image, model.dtype)[None]
+            feat, _ = model.encoder.forward(x)
+            logits, _ = model.head.forward(feat)
+            grid = lut[np.argmax(logits[0], axis=2)]
+            maps.append(nearest_resize(grid, *sample.dense_mask.shape))
+        return maps
 
-    preds = []
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
-        x = np.stack([image_to_input(s.image, model.dtype) for s in chunk])
-        winners = _join(_forward_shards(shard, x)[1], 0)
-        for j, sample in enumerate(chunk):
-            h, w = sample.dense_mask.shape
-            grid = lut[winners[j]]
-            preds.append(nearest_resize(grid, h, w))
-    return preds
+    shard_maps = on_shards(shard, [(r,) for r in shard_slices(len(samples))])
+    return [m for maps in shard_maps for m in maps]
 
 
 def save_checkpoint(model, path, step, config_hash, parent_config_hash=None):

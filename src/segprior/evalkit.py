@@ -1,7 +1,10 @@
 """Evaluation metrics, report files, and the mIoU-curve plot.
 
-Evaluation always scores the main segmentation head: predictions are argmax
-maps upsampled to mask resolution, accumulated into a confusion matrix.
+Evaluation always scores the main segmentation head.  ``evaluate_model``
+takes one label map per image from ``engine.predict_dataset`` (argmax maps
+resized to mask resolution, computed image by image on the two shard
+threads) and adds them into a confusion matrix one image at a time, on the
+calling thread, in sample order.
 ``miou_all`` averages over every class including background, ``miou_base``
 excludes it, and classes absent from both prediction and truth are left out
 of the means.
@@ -251,12 +254,12 @@ def plot_trace_svg(reports, out_path, width=640, height=420):
 
 
 def evaluate_model(model, samples, registry, base_classes, new_classes, step,
-                   config_hash, batch_size=24):
+                   config_hash):
     """Confusion over a dataset from main-head predictions, as a report."""
     from . import engine
 
     counts = np.zeros((len(registry), len(registry)), dtype=np.int64)
-    preds = engine.predict_dataset(model, samples, registry, batch_size)
+    preds = engine.predict_dataset(model, samples, registry)
     for pred, sample in zip(preds, samples):
         confusion_accumulate(pred, sample.dense_mask, counts)
     return build_report(counts, registry, base_classes, new_classes, step,

@@ -20,9 +20,11 @@ floor(B/2) items (``shard_slices``).  ``on_shards`` runs shard 0 on the
 calling thread and shard 1 on one persistent worker thread, each with its
 own caches and gradient dicts.  In training a shard's function runs its
 forward, its loss terms (with whole-batch normalisers) and its backward,
-and the caller sums the shard gradients in shard order; inference joins
-the shard outputs.  A batch of one runs inline.  The split never depends
-on the host's core count, so results are the same on every machine.
+and the caller sums the shard gradients in shard order.  Evaluation splits
+the whole sample list the same way and each shard runs its images one at
+a time, returning its results in order.  A batch of one runs inline.  The
+split never depends on the host's core count, so results are the same on
+every machine.
 
 Cache contract: layers reuse their work buffers across calls, one set per
 thread, so the cache a forward returns is valid until the next forward of

@@ -628,3 +628,83 @@ def test_shards_run_on_caller_and_one_worker(world):
     assert len(calls) == 40
     assert {ident for _, n, ident in calls if n == 4} == {threading.get_ident()}
     assert {ident for _, n, ident in calls if n == 3} == workers
+
+
+# ---------------------------------------------------------------------------
+# Streaming evaluation
+# ---------------------------------------------------------------------------
+
+def predict_alone(model, sample, registry):
+    """One image's label map, the image run through the model by itself:
+    encoder, head, argmax, registry index, nearest resize to its mask."""
+    x = engine.image_to_input(sample.image, model.dtype)[None]
+    feat, _ = model.encoder.forward(x)
+    logits, _ = model.head.forward(feat)
+    channels = np.argmax(logits[0], axis=-1)
+    h, w = sample.dense_mask.shape
+    gh, gw = channels.shape
+    out = np.empty((h, w), dtype=np.int64)
+    for i in range(h):
+        for j in range(w):
+            name = model.class_names[channels[i * gh // h, j * gw // w]]
+            out[i, j] = registry.index_of(name)
+    return out
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_predict_dataset_equals_per_image_reference(world, dtype, n):
+    tax, sched, data, _ = world
+    cfg = small_cfg(dtype=dtype)
+    model, _ = base_model(world, cfg, train=False)
+    samples = data[:n]
+    want = [predict_alone(model, s, tax.registry) for s in samples]
+    got = predict_dataset(model, samples, tax.registry)
+    assert len(got) == n
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    if n == 7:
+        assert len(np.unique(np.concatenate([w.ravel() for w in want]))) > 1
+        back = predict_dataset(model, samples[::-1], tax.registry)
+        for g, b in zip(got, back[::-1]):
+            assert np.array_equal(g, b)
+
+
+def test_predict_dataset_mixes_image_sizes(world):
+    tax, sched, data, _ = world
+    cfg = small_cfg()
+    model, _ = base_model(world, cfg, train=False)
+    wide = generate_dataset(tax, 3, image_size=96, seed=7)
+    samples = [data[0], wide[0], wide[1], data[1], wide[2]]
+    got = predict_dataset(model, samples, tax.registry)
+    assert [g.shape for g in got] == [(64, 64), (96, 96), (96, 96), (64, 64),
+                                      (96, 96)]
+    for g, s in zip(got, samples):
+        assert np.array_equal(g, predict_alone(model, s, tax.registry))
+
+
+def test_predict_dataset_streams_on_the_two_shard_threads(world, monkeypatch):
+    """One on_shards call; the first half of the samples runs on the
+    caller's thread and the second half on the shard-1 worker."""
+    tax, sched, data, _ = world
+    cfg = small_cfg()
+    model, _ = base_model(world, cfg, train=False)
+    samples = data[:7]
+    calls, seen = [], {}
+    real_on_shards, real_input = engine.on_shards, engine.image_to_input
+
+    def spy_on_shards(fn, shard_args):
+        calls.append(len(shard_args))
+        return real_on_shards(fn, shard_args)
+
+    def spy_input(image, dtype):
+        seen[id(image)] = threading.get_ident()
+        return real_input(image, dtype)
+
+    monkeypatch.setattr(engine, "on_shards", spy_on_shards)
+    monkeypatch.setattr(engine, "image_to_input", spy_input)
+    predict_dataset(model, samples, tax.registry)
+    assert calls == [2]
+    threads = [seen[id(s.image)] for s in samples]
+    worker = on_shards(lambda: threading.get_ident(), [(), ()])[1]
+    assert threads == [threading.get_ident()] * 4 + [worker] * 3

@@ -4,12 +4,14 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from segprior import engine
 from segprior.class_semantics import ClassRegistry
 from segprior.evalkit import (
     MetricsReport,
     build_report,
     confusion_accumulate,
     emit_report,
+    evaluate_model,
     harmonic_mean,
     load_trace,
     append_trace,
@@ -17,7 +19,10 @@ from segprior.evalkit import (
     parse_report,
     plot_trace_svg,
     relative_gain,
+    report_to_dict,
 )
+from segprior.protocol import build_schedule
+from segprior.synthdata import default_taxonomy, generate_dataset
 
 
 def brute_confusion(pred, truth, n):
@@ -195,3 +200,22 @@ def test_svg_structure(tmp_path):
     assert root.findall(f"{ns}line")  # axes and ticks exist
     labels = {t.text for t in root.findall(f"{ns}text")}
     assert {"base", "new", "all"} <= labels
+
+
+def test_evaluate_model_counts_every_predicted_map():
+    """The report equals build_report over counts added map by map."""
+    tax = default_taxonomy()
+    sched = build_schedule(tax.registry, 4, 2, "overlap")
+    base = engine.SegModel.init(engine.Arch(), sched.channel_names(0), seed=2)
+    model = engine.extend_head(base, sched.classes_at_step(1), seed=3)
+    samples = generate_dataset(tax, 9, seed=12)
+    new = list(sched.classes_at_step(1))
+    report = evaluate_model(model, samples, tax.registry, sched.base_classes,
+                            new, 1, "cafe")
+    counts = np.zeros((len(tax.registry),) * 2, dtype=np.int64)
+    for pred, sample in zip(engine.predict_dataset(model, samples, tax.registry),
+                            samples):
+        confusion_accumulate(pred, sample.dense_mask, counts)
+    assert counts.sum() == sum(s.dense_mask.size for s in samples)
+    want = build_report(counts, tax.registry, sched.base_classes, new, 1, "cafe")
+    assert report_to_dict(report) == report_to_dict(want)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segprior import protocol
 from segprior.memory import populate_episodic
@@ -226,3 +227,33 @@ def test_present_classes_scanned_once_per_sample(taxonomy, monkeypatch):
         assert weak_labels(sample, sched, 1) == sample.weak_labels
         assert sample.present_indices() == {int(v) for v in np.unique(sample.dense_mask)}
     assert scans == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_few_shot_sample_properties(taxonomy, data):
+    reg = taxonomy.registry
+    sched = build_schedule(reg, 4, 2, "overlap")
+    step = data.draw(st.integers(1, len(sched.increments)), label="step")
+    k = data.draw(st.integers(1, 3), label="k")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    current = list(sched.classes_at_step(step))
+    fg = list(reg.names[1:])
+    # random samples over all foreground classes, plus enough samples
+    # showing every current class that no class pool runs short whatever
+    # the earlier classes took; those sit in every pool at once
+    mixes = data.draw(st.lists(st.lists(st.sampled_from(fg), min_size=1,
+                                        max_size=4, unique=True),
+                               max_size=12), label="mixes")
+    mixes += [current] * (k * len(current))
+    order = data.draw(st.permutations(range(len(mixes))), label="order")
+    pool = [make_sample(reg, mixes[i]) for i in order]
+    picks = few_shot_sample(pool, sched, step, k, seed=seed)
+    assert len(picks) == k * len(current)
+    assert len({id(s) for s in picks}) == len(picks)
+    assert all(any(s is p for p in pool) for s in picks)
+    for c, name in enumerate(current):
+        for s in picks[c * k:(c + 1) * k]:
+            assert reg.index_of(name) in s.present_indices()
+    again = few_shot_sample(pool, sched, step, k, seed=seed)
+    assert [id(s) for s in again] == [id(s) for s in picks]
