@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import config as config_mod
-from . import engine, evalkit, memory as memory_mod, netpbm, protocol, synthdata
+from . import engine, evalkit, memory as memory_mod, protocol, synthdata
 from .class_semantics import load_embeddings, save_embeddings, similarity_matrix
 from .fileio import atomic_open
 

@@ -20,6 +20,15 @@ Memory items contribute only to the classification loss, extended over the
 old foreground channels (their stored labels) with the new classes as
 negatives.
 
+Every loss and pooling formula lives in ``objectives``, which the
+finite-difference tests check; this module holds none.  ``_batch_losses``
+only routes: it picks the rows and channels each term applies to, calls
+the term's batch-native function with the whole batch's normaliser, and
+adds the gradient into dz (localizer logits), dp (seg logits) or the
+encoder features.  ``base_train`` and ``incremental_step`` share one
+training loop, ``_fit``; each supplies the per-batch work and keeps its own
+trace format.
+
 Every training batch is one ``layers.on_shards`` call over its two shards.
 Each shard runs forward, its own items' loss terms and backward in one pass
 on its own thread.  Every loss term is a per-item quantity normalised by
@@ -339,11 +348,6 @@ def feature_hw(arch, h, w):
     return h, w
 
 
-def _batches(n, batch_size, order):
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
-
-
 def _join(shard_outs, i):
     """Output i of every shard, joined along the batch axis."""
     if len(shard_outs) == 1:
@@ -365,6 +369,32 @@ def _train_shards(step, n, grads):
         for name, value in g.items():
             grads[name] += value
     return outs
+
+
+def _fit(cfg, params, lr, epochs, n_items, rng, run_batch):
+    """The training loop both steps share; returns per-epoch batch means.
+
+    Each epoch draws a permutation of the n_items from rng and cuts it into
+    batches of cfg.batch_size.  For each batch, run_batch(epoch, idx, grads)
+    fills the zeroed gradients of params and returns a dict of floats, and
+    one SGD-with-momentum step applies the gradients.  An epoch's entry
+    holds the mean of each returned value over its batches, added up in
+    batch order.
+    """
+    opt = SGDMomentum(lr, cfg.momentum)
+    trace = []
+    for epoch in range(epochs):
+        order = rng.permutation(n_items)
+        sums, n_batches = {}, 0
+        for start in range(0, n_items, cfg.batch_size):
+            grads = zero_grads(params)
+            out = run_batch(epoch, order[start:start + cfg.batch_size], grads)
+            opt.step(params, grads)
+            for key, value in out.items():
+                sums[key] = sums.get(key, 0.0) + value
+            n_batches += 1
+        trace.append({key: total / n_batches for key, total in sums.items()})
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -397,36 +427,30 @@ def base_train(model, samples, registry, cfg):
     for i, s in enumerate(samples):
         small = nearest_resize(s.dense_mask, ho, wo)
         targets[i] = eye[lut[small]]
-    opt = SGDMomentum(cfg.lr_base, cfg.momentum)
     # the localizer plays no part here, and extend_head replaces it
     params = {**model.encoder.params(), **model.head.params()}
 
-    trace = []
-    for _epoch in range(cfg.epochs_base):
-        order = shuffle_rng.permutation(len(samples))
-        total, n_batches = 0.0, 0
-        for idx in _batches(len(samples), cfg.batch_size, order):
-            x = xs[idx]
-            t = targets[idx]
-            size = t.size
+    def run_batch(epoch, idx, grads):
+        x = xs[idx]
+        t = targets[idx]
+        size = t.size
 
-            def step(rows, g):
-                feat, enc_cache = model.encoder.forward(x[rows])
-                logits, head_cache = model.head.forward(feat)
-                loss_sum, dlogits = objectives.bce_sum_grad(logits, t[rows], size)
-                dfeat = model.head.backward(dlogits, head_cache, g)
-                model.encoder.backward(dfeat, enc_cache, g)
-                return float(loss_sum)
+        def step(rows, g):
+            feat, enc_cache = model.encoder.forward(x[rows])
+            logits, head_cache = model.head.forward(feat)
+            loss_sum, dlogits = objectives.bce_sum_grad(logits, t[rows], size)
+            dfeat = model.head.backward(dlogits, head_cache, g)
+            model.encoder.backward(dfeat, enc_cache, g)
+            return float(loss_sum)
 
-            grads = zero_grads(params)
-            loss = sum(_train_shards(step, len(idx), grads)) / size
-            if not np.isfinite(loss):
-                raise RuntimeError(f"non-finite base loss at epoch {_epoch}")
-            opt.step(params, grads)
-            total += loss
-            n_batches += 1
-        trace.append(total / n_batches)
-    return model, trace
+        loss = sum(_train_shards(step, len(idx), grads)) / size
+        if not np.isfinite(loss):
+            raise RuntimeError(f"non-finite base loss at epoch {epoch}")
+        return {"loss": loss}
+
+    trace = _fit(cfg, params, cfg.lr_base, cfg.epochs_base, len(samples),
+                 shuffle_rng, run_batch)
+    return model, [entry["loss"] for entry in trace]
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +465,11 @@ class StepState:
     loss_cfg: LossConfig
     engine_cfg: EngineConfig
     n_old: int                   # previous label-space size, bkg included
-    rasp_mode: str = "auto"      # "auto" | "on" | "off"
     memory_ratio: float = 0.25
     epoch: int = 0
 
     def seg_active(self):
         return self.epoch >= self.loss_cfg.seg_warmup_epochs
-
-    def rasp_active(self):
-        if self.rasp_mode == "on":
-            return True
-        if self.rasp_mode == "off":
-            return False
-        return self.loss_cfg.lambda_rasp != 0.0
 
 
 @dataclass
@@ -477,7 +493,6 @@ def _prepare_items(state, samples, registry, sim_matrix):
     new_names = state.model.class_names[n_old:]
     new_pos = {name: k for k, name in enumerate(new_names)}
     items = []
-    rasp_on = state.rasp_active()
     for start in range(0, len(samples), cfg.batch_size):
         chunk = samples[start:start + cfg.batch_size]
         x = np.stack([image_to_input(s.image, dtype) for s in chunk])
@@ -495,7 +510,7 @@ def _prepare_items(state, samples, registry, sim_matrix):
                 [n_old + new_pos[name] for name in sorted(sample.weak_labels)],
                 dtype=np.int64,
             )
-            if rasp_on:
+            if state.loss_cfg.lambda_rasp != 0:
                 lmap = simprior.argmax_label_map(y_old[j], old_names, registry)
                 stack = simprior.similarity_maps(
                     lmap, sample.weak_labels, sim_matrix, state.loss_cfg.tau
@@ -533,7 +548,6 @@ def incremental_batch(state, batch_items, grads):
     """
     model = state.model
     seg_active = state.seg_active()
-    rasp_on = state.rasp_active()
     n_all = len(batch_items)
     n_cur = sum(not it.is_memory for it in batch_items)
 
@@ -554,19 +568,14 @@ def incremental_batch(state, batch_items, grads):
 
     # per-item losses in item order (shard 0's items come first), added
     # one by one as a whole-batch loop would, so the trace does not depend
-    # on the split
+    # on the split; a term no item computed stays 0.0
     sums = dict.fromkeys(objectives.LOSS_COMPONENTS, 0.0)
     for losses in _train_shards(step, n_all, grads):
         for key, values in losses.items():
             for value in values:
-                sums[key] += value
-    comps = {
-        "cls": sums["cls"] / n_all,
-        "kdl": sums["kdl"] / n_cur if n_cur else 0.0,
-        "kde": sums["kde"] / n_cur if n_cur else 0.0,
-        "rasp": sums["rasp"] / n_cur if (n_cur and rasp_on) else 0.0,
-        "seg": sums["seg"] / n_cur if (n_cur and seg_active) else 0.0,
-    }
+                sums[key] += float(value)
+    comps = {key: total / (n_all if key == "cls" else max(n_cur, 1))
+             for key, total in sums.items()}
     for key, value in comps.items():
         if not np.isfinite(value):
             raise RuntimeError(
@@ -576,118 +585,67 @@ def incremental_batch(state, batch_items, grads):
 
 
 def _batch_losses(state, items, feat, z, p_hat, n_all, n_cur):
-    """Per-item loss terms and output gradients of one shard's outputs.
+    """Route one shard's outputs through the objective; no formula lives here.
 
     items are the shard's own; n_all and n_cur count the whole batch's
-    items and current (non-memory) items, which normalise every gradient,
-    so the shards' gradients add up to the whole batch's.  p_hat is None
-    in the warm-up epochs, where dp is None too.  Elementwise work is
-    vectorized across the shard; each per-item loss comes from a per-item
-    reduction, so recomputing any item through the objectives module
-    reproduces it exactly.  Returns (losses, dz, dp, dfeat_extra): losses
-    maps each term to its per-item values in item order (every item for
-    cls, current items for the rest), and dfeat_extra is the kde gradient
-    on the encoder features.
+    items and current (non-memory) items.  Each term comes from its
+    objectives function, called on the rows it applies to and normalised
+    by the whole batch's count, so the shards' gradients add up to the
+    whole batch's:
+
+    * cls, every item: the pooled scores of ``image_scores_vjp``, scored
+      per item by ``cls_loss_grad`` over the new channels (current items)
+      or all foreground channels (memory items), back through the VJP;
+    * kdl, kde and seg, current items: the old channels of z against the
+      old model's scores, the features against the old features, and the
+      seg logits against ``pseudo_supervision`` of the localizer softmax;
+    * rasp, current items, when lambda_rasp is non-zero: ``rasp_loss_grad``
+      per item on the channels of the new classes present.
+
+    p_hat is None in the warm-up epochs, where dp is None too.  Returns
+    (losses, dz, dp, dfeat_extra): losses maps each term to its per-item
+    values in item order, and dfeat_extra is the kde gradient on the
+    encoder features.
     """
     lcfg = state.loss_cfg
-    dtype = state.model.dtype
     n_old = state.n_old
-    n_total = state.model.n_classes()
-    seg_active = p_hat is not None
-    n_items = len(items)
-    cur_rows = [i for i, it in enumerate(items) if not it.is_memory]
-    n_pix = z.shape[1] * z.shape[2]
-
-    dz = np.zeros_like(z)
-    dp = np.zeros_like(p_hat) if seg_active else None
-    dfeat_extra = np.zeros_like(feat)
+    cur = [i for i, it in enumerate(items) if not it.is_memory]
     losses = {key: [] for key in objectives.LOSS_COMPONENTS}
 
-    # classification through pooled scores, every item
-    m_all = objectives._softmax_lastaxis(z)
-    msum = m_all.reshape(n_items, n_pix, n_total).sum(axis=1)
-    mass = msum / n_pix
-    pooled = (m_all * z).reshape(n_items, n_pix, n_total).sum(axis=1) \
-        / (lcfg.epsilon_ngwp + msum)
-    if lcfg.gamma_focal == 0:
-        foc = np.log(lcfg.lambda_focal + mass)
-        dfoc = 1.0 / (lcfg.lambda_focal + mass)
-    else:
-        foc = (1.0 - mass) ** lcfg.gamma_focal * np.log(lcfg.lambda_focal + mass)
-        dfoc = -lcfg.gamma_focal * (1.0 - mass) ** (lcfg.gamma_focal - 1.0) \
-            * np.log(lcfg.lambda_focal + mass) \
-            + (1.0 - mass) ** lcfg.gamma_focal / (lcfg.lambda_focal + mass)
-    scores = pooled + foc
-    upstream = np.zeros((n_items, n_total), dtype)
-    for bi, item in enumerate(items):
-        if item.is_memory:
-            sel = slice(1, n_total)
-            labels = item.labels_fg
-        else:
-            sel = slice(n_old, n_total)
-            labels = item.labels_new
-        closs, dsel = objectives.cls_loss_grad(scores[bi, sel], labels)
-        upstream[bi, sel] = dsel
-        losses["cls"].append(closs)
-    u = upstream / (lcfg.epsilon_ngwp + msum)
-    v = upstream * dfoc / n_pix
-    a = u[:, None, None, :] * (z - pooled[:, None, None, :]) + v[:, None, None, :]
-    dz += (m_all * (a - (a * m_all).sum(axis=-1, keepdims=True))
-           + u[:, None, None, :] * m_all) / n_all
+    scores, m, scores_vjp = objectives.image_scores_vjp(z, lcfg)
+    upstream = np.zeros_like(scores)
+    for i, item in enumerate(items):
+        sel = slice(1, None) if item.is_memory else slice(n_old, None)
+        labels = item.labels_fg if item.is_memory else item.labels_new
+        loss, upstream[i, sel] = objectives.cls_loss_grad(scores[i, sel], labels)
+        losses["cls"].append(loss)
+    dz = scores_vjp(upstream) / n_all
+    dp = None if p_hat is None else np.zeros_like(p_hat)
+    dfeat_extra = np.zeros_like(feat)
+    if not cur:
+        return losses, dz, dp, dfeat_extra
 
-    if cur_rows:
-        # distillation and pseudo-supervision, current items only
-        n_here = len(cur_rows)
-        y_old = np.stack([items[i].y_old for i in cur_rows])
-        feat_old = np.stack([items[i].feat_old for i in cur_rows])
-        zc = np.ascontiguousarray(z[cur_rows][:, :, :, :n_old])
-        bce = objectives.softplus(zc) - y_old * zc
-        losses["kdl"] = [float(li) for li in bce.reshape(n_here, -1).mean(axis=1)]
-        g_kdl = (objectives.sigmoid(zc) - y_old) / (n_pix * n_old * n_cur)
-        dz[cur_rows, :, :, :n_old] += g_kdl
-
-        diff = feat[cur_rows] - feat_old
-        if lcfg.kde_squared:
-            sq = (diff * diff).sum(axis=-1)
-            losses["kde"] = [float(li) / n_pix
-                             for li in sq.reshape(n_here, -1).sum(axis=1)]
-            dfeat_extra[cur_rows] += 2.0 * diff / (n_pix * n_cur)
-        else:
-            norm = np.sqrt((diff * diff).sum(axis=-1))
-            losses["kde"] = [float(li) / n_pix
-                             for li in norm.reshape(n_here, -1).sum(axis=1)]
-            safe = np.where(norm > 0, norm, 1.0)
-            g = np.where(norm[..., None] > 0, diff / safe[..., None], 0.0)
-            dfeat_extra[cur_rows] += g / (n_pix * n_cur)
-
-        if state.rasp_active():
-            for i in cur_rows:
-                item = items[i]
-                rl, dz_rasp = objectives.rasp_loss_grad(
-                    z[i][:, :, item.present], item.sig_smap
-                )
-                losses["rasp"].append(rl)
-                if lcfg.lambda_rasp != 0.0:
-                    dz[i][:, :, item.present] += (
-                        lcfg.lambda_rasp / n_cur
-                    ) * dz_rasp.astype(dtype)
-
-        if seg_active:
-            m_cur = m_all[cur_rows]
-            winners = np.argmax(m_cur, axis=-1)
-            q = (1.0 - lcfg.alpha) * m_cur
-            b_ix, r_ix, c_ix = np.indices(winners.shape, sparse=True)
-            q[b_ix, r_ix, c_ix, winners] += lcfg.alpha
-            q_tilde = np.empty_like(q)
-            q_tilde[..., 0] = np.minimum(y_old[..., 0], q[..., 0])
-            q_tilde[..., 1:n_old] = y_old[..., 1:]
-            q_tilde[..., n_old:] = q[..., n_old:]
-            pc = p_hat[cur_rows]
-            bce = objectives.softplus(pc) - q_tilde * pc
-            losses["seg"] = [float(li) for li in bce.reshape(n_here, -1).mean(axis=1)]
-            dp[cur_rows] += (objectives.sigmoid(pc) - q_tilde) \
-                / (n_pix * n_total * n_cur)
-
+    n_pix = z.shape[1] * z.shape[2]
+    y_old = np.stack([items[i].y_old for i in cur])
+    feat_old = np.stack([items[i].feat_old for i in cur])
+    losses["kdl"], grad = objectives.kdl_loss_grad(
+        z[cur, :, :, :n_old], y_old, n_pix * n_old * n_cur)
+    dz[cur, :, :, :n_old] += grad
+    losses["kde"], grad = objectives.kde_loss_grad(
+        feat[cur], feat_old, n_pix * n_cur, lcfg.kde_squared)
+    dfeat_extra[cur] += grad
+    if lcfg.lambda_rasp != 0:
+        for i in cur:
+            present = items[i].present
+            loss, grad = objectives.rasp_loss_grad(z[i][:, :, present],
+                                                   items[i].sig_smap)
+            losses["rasp"].append(loss)
+            dz[i][:, :, present] += (lcfg.lambda_rasp / n_cur) * grad
+    if p_hat is not None:
+        q_tilde = objectives.pseudo_supervision(m[cur], y_old, lcfg.alpha)
+        losses["seg"], grad = objectives.seg_loss_grad(
+            p_hat[cur], q_tilde, n_pix * p_hat.shape[3] * n_cur)
+        dp[cur] += grad
     return losses, dz, dp, dfeat_extra
 
 
@@ -705,33 +663,21 @@ def incremental_step(state, samples, bank, sim_matrix, registry):
     shuffle_rng = np.random.default_rng(shuffle_seed)
     memory_rng = np.random.default_rng(memory_seed)
     use_memory = bank is not None and len(bank) > 0 and state.memory_ratio > 0
-    opt = SGDMomentum(cfg.lr_incremental, cfg.momentum)
-    params = state.model.params()
-    trace = []
-    for epoch in range(cfg.epochs_incremental):
+
+    def run_batch(epoch, idx, grads):
         state.epoch = epoch
-        order = shuffle_rng.permutation(len(items))
-        acc = {k: 0.0 for k in objectives.LOSS_COMPONENTS}
-        total_acc, n_batches = 0.0, 0
-        for idx in _batches(len(items), cfg.batch_size, order):
-            batch = [items[i] for i in idx]
-            if use_memory:
-                entries = mix_batch(batch, bank, state.memory_ratio, memory_rng)
-                batch = [
-                    mem_items[id(e)] if isinstance(e, MemoryEntry) else e
-                    for e in entries
-                ]
-            grads = zero_grads(params)
-            comps = incremental_batch(state, batch, grads)
-            opt.step(params, grads)
-            for k in acc:
-                acc[k] += comps[k]
-            total_acc += objectives.total_loss(comps, state.loss_cfg, epoch)
-            n_batches += 1
-        entry = {k: acc[k] / n_batches for k in acc}
-        entry["total"] = total_acc / n_batches
-        entry["seg_active"] = state.seg_active()
-        trace.append(entry)
+        batch = [items[i] for i in idx]
+        if use_memory:
+            entries = mix_batch(batch, bank, state.memory_ratio, memory_rng)
+            batch = [mem_items[id(e)] if isinstance(e, MemoryEntry) else e
+                     for e in entries]
+        comps = incremental_batch(state, batch, grads)
+        return {**comps, "total": objectives.total_loss(comps, state.loss_cfg, epoch)}
+
+    trace = _fit(cfg, state.model.params(), cfg.lr_incremental,
+                 cfg.epochs_incremental, len(items), shuffle_rng, run_batch)
+    for epoch, entry in enumerate(trace):
+        entry["seg_active"] = epoch >= state.loss_cfg.seg_warmup_epochs
     return state.model, trace
 
 

@@ -63,13 +63,6 @@ def harmonic_mean(a, b):
     return 2.0 * a * b / (a + b)
 
 
-def relative_gain(ours, baseline):
-    """Signed percentage change of ours over the baseline."""
-    if baseline <= 0:
-        raise ValueError("relative gain needs a positive baseline")
-    return 100.0 * (ours - baseline) / baseline
-
-
 @dataclass
 class MetricsReport:
     step: int
@@ -148,17 +141,12 @@ def emit_report(report, csv_path, json_path):
     for key, value in report.aggregates().items():
         cell = "" if math.isnan(value) else repr(value)
         lines.append(f"{report.step},{key},{cell}")
-    with open(csv_path, "w", encoding="utf-8") as fh:
+    with atomic_open(csv_path, encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    with open(json_path, "w", encoding="utf-8") as fh:
+    with atomic_open(json_path, encoding="utf-8") as fh:
         json.dump(report_to_dict(report), fh, indent=1, allow_nan=False)
         fh.write("\n")
     return csv_path, json_path
-
-
-def parse_report(json_path):
-    with open(json_path, "r", encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh))
 
 
 def append_trace(trace_path, report):

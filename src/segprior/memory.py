@@ -10,7 +10,6 @@ classification loss, acting as negatives for the new classes.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -113,31 +112,6 @@ def ingest_external(manifest_path, registry):
             image = netpbm.read_ppm(path)
             entries.append(MemoryEntry(image, frozenset([name]), "external"))
     return MemoryBank(capacity=max(len(entries), 1), entries=entries)
-
-
-def export_bank(bank, outdir):
-    """Write bank images plus a manifest; multi-label entries get a sidecar."""
-    img_dir = os.path.join(outdir, "memory_images")
-    os.makedirs(img_dir, exist_ok=True)
-    rows = []
-    sidecar = {}
-    for i, entry in enumerate(bank.entries):
-        rel = os.path.join("memory_images", f"mem_{i:05d}.ppm")
-        netpbm.write_ppm(os.path.join(outdir, rel), entry.image)
-        labels = sorted(entry.labels)
-        rows.append(f"{labels[0]}\t{rel}")
-        if len(labels) > 1:
-            sidecar[rel] = labels
-    manifest_path = os.path.join(outdir, "memory_manifest.tsv")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + ("\n" if rows else ""))
-    sidecar_path = None
-    if sidecar:
-        sidecar_path = os.path.join(outdir, "memory_labels.json")
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=1)
-            fh.write("\n")
-    return manifest_path, sidecar_path
 
 
 def mix_batch(current, bank, ratio, rng):

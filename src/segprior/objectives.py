@@ -1,9 +1,18 @@
 """Every loss and pooling formula of the training objective.
 
 All tensors are channel-last numpy arrays.  Each differentiable operation
-has a ``*_grad`` companion returning ``(value, gradient)`` with the gradient
-taken analytically; the test suite checks every one of them against central
-finite differences.
+returns its value together with an analytic gradient; the test suite checks
+every one of them against central finite differences, and the training
+step calls the same functions.
+
+The batch-native functions take a leading item axis B and reduce per item:
+their losses come back as a float64 vector of B per-item values, each one
+the mean the objective defines for a single image.  Their gradients are
+divided by an explicit normaliser n, the count the whole batch's term is
+averaged over (elements, or pixels for ``kde``).  A shard of a batch passes
+the whole batch's count, so the shards' gradients add up to the batch's.
+``cls_loss_grad`` and ``rasp_loss_grad`` work on one image at a time,
+because each image has its own label set.
 
 The combined objective is
 
@@ -16,7 +25,7 @@ present in the image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -81,10 +90,25 @@ def bce_sum_grad(logits, targets, n):
     return total, (sigmoid(logits) - targets) / n
 
 
-def _bce_mean(logits, targets):
-    """Mean binary cross-entropy from logits; grad is (sigmoid - target)/size."""
-    total, grad = bce_sum_grad(logits, targets, logits.size)
-    return float(total / logits.size), grad
+def _bce_items(logits, targets, n):
+    """Per-item mean binary cross-entropy (float64), and (sigmoid - target) / n."""
+    bce = softplus(logits) - targets * logits
+    losses = bce.reshape(len(logits), -1).mean(axis=1).astype(np.float64)
+    return losses, (sigmoid(logits) - targets) / n
+
+
+def _check_pair(a, b, what):
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"{what} must share a shape, not {a.shape} and {b.shape}")
+    if a.ndim < 2:
+        raise ValueError(f"{what} need a leading item axis")
+    return a, b
+
+
+def _check_unit_range(t, what):
+    if np.any(t < 0) or np.any(t > 1):
+        raise ValueError(f"{what} must lie in [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +116,11 @@ def _bce_mean(logits, targets):
 # ---------------------------------------------------------------------------
 
 def rasp_loss_grad(z, s):
-    """BCE between sigmoid(similarity) targets and localizer logits.
+    """BCE between sigmoid(similarity) targets and localizer logits, one image.
 
     z and s are (H, W, K) over the new classes present in the image only;
     normalization is (K * H * W), the masked analog of averaging over the
-    full class set.
+    full class set.  Returns the mean loss and its gradient.
     """
     z = np.asarray(z)
     s = np.asarray(s)
@@ -104,80 +128,53 @@ def rasp_loss_grad(z, s):
         raise ValueError(f"shape mismatch between logits {z.shape} and maps {s.shape}")
     if z.ndim != 3 or z.shape[2] == 0:
         raise ValueError("rasp loss needs a non-empty (H, W, K) class axis")
-    return _bce_mean(z, sigmoid(s))
-
-
-def rasp_loss(z, s):
-    return rasp_loss_grad(z, s)[0]
+    total, grad = bce_sum_grad(z, sigmoid(s), z.size)
+    return float(total / z.size), grad
 
 
 # ---------------------------------------------------------------------------
 # Image-level score pooling
 # ---------------------------------------------------------------------------
 
-def _softmax_lastaxis(z):
-    shifted = z - z.max(axis=-1, keepdims=True)
-    ez = np.exp(shifted)
-    return ez / ez.sum(axis=-1, keepdims=True)
+def image_scores_vjp(z, cfg):
+    """Pooled per-class image scores of (B, H, W, C) logits, and their VJP.
 
+    With m the softmax over the class axis and P the pixel count, item b
+    scores class c as softmax-weighted pooling (nGWP) plus a focal penalty
+    on near-empty masks:
 
-def _check_pooling_input(z):
+        sum(m * z) / (epsilon + sum(m))  +  (1 - mass)^gamma * log(lambda + mass)
+
+    where the sums run over the item's pixels and mass = sum(m) / P.
+    Returns (scores, m, vjp): scores is (B, C), m is the softmax, which the
+    pseudo-labels reuse, and vjp(upstream) maps a (B, C) upstream gradient
+    to d(sum(upstream * scores)) / dz.
+    """
     z = np.asarray(z)
-    if z.ndim != 3:
-        raise ValueError("pooling expects an (H, W, C) tensor")
-    if z.shape[2] < 2:
+    if z.ndim != 4:
+        raise ValueError("pooling expects a (B, H, W, C) tensor")
+    if z.shape[3] < 2:
         raise ValueError("pooling needs at least two classes for the softmax")
-    return z
-
-
-def ngwp_aggregate(z, epsilon):
-    """Softmax-weighted spatial pooling of logits into per-class scores."""
-    z = _check_pooling_input(z)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    m = _softmax_lastaxis(z)
-    return (m * z).sum(axis=(0, 1)) / (epsilon + m.sum(axis=(0, 1)))
-
-
-def focal_penalty(z, gamma, lambda_focal):
-    """Penalty discouraging near-empty masks: (1 - mass)^gamma * log(lam + mass)."""
-    z = _check_pooling_input(z)
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    if lambda_focal <= 0:
-        raise ValueError("lambda_focal must be positive")
-    m = _softmax_lastaxis(z)
-    mass = m.sum(axis=(0, 1)) / (z.shape[0] * z.shape[1])
-    return (1.0 - mass) ** gamma * np.log(lambda_focal + mass)
-
-
-def image_scores(z, cfg):
-    """Pooled per-class image scores: weighted pooling plus the focal term."""
-    return ngwp_aggregate(z, cfg.epsilon_ngwp) + \
-        focal_penalty(z, cfg.gamma_focal, cfg.lambda_focal)
-
-
-def image_scores_vjp(z, cfg, upstream):
-    """Scores plus d(upstream . scores)/dz, propagated through the softmax."""
-    z = _check_pooling_input(z)
-    upstream = np.asarray(upstream, dtype=z.dtype)
     eps, gamma, lam = cfg.epsilon_ngwp, cfg.gamma_focal, cfg.lambda_focal
-    n_pix = z.shape[0] * z.shape[1]
-    m = _softmax_lastaxis(z)
-    msum = m.sum(axis=(0, 1))
+    n_items, n_pix, n_cls = len(z), z.shape[1] * z.shape[2], z.shape[3]
+    m = np.exp(z - z.max(axis=-1, keepdims=True))
+    m /= m.sum(axis=-1, keepdims=True)
+    msum = m.reshape(n_items, n_pix, n_cls).sum(axis=1)
     mass = msum / n_pix
-    y_pool = (m * z).sum(axis=(0, 1)) / (eps + msum)
-    foc = (1.0 - mass) ** gamma * np.log(lam + mass)
-    if gamma == 0:
-        dfoc = 1.0 / (lam + mass)
-    else:
-        dfoc = -gamma * (1.0 - mass) ** (gamma - 1.0) * np.log(lam + mass) \
-            + (1.0 - mass) ** gamma / (lam + mass)
-    u = upstream / (eps + msum)
-    v = upstream * dfoc / n_pix
-    a = u * (z - y_pool) + v                       # softmax-jacobian coefficients
-    dz = m * (a - (a * m).sum(axis=-1, keepdims=True)) + u * m
-    return y_pool + foc, dz
+    pooled = (m * z).reshape(n_items, n_pix, n_cls).sum(axis=1) / (eps + msum)
+    log_mass = np.log(lam + mass)
+    dfoc = (1.0 - mass) ** gamma / (lam + mass)      # d(focal) / d(mass)
+    if gamma != 0:
+        dfoc -= gamma * (1.0 - mass) ** (gamma - 1.0) * log_mass
+    scores = pooled + (1.0 - mass) ** gamma * log_mass
+
+    def vjp(upstream):
+        u = (upstream / (eps + msum))[:, None, None, :]
+        v = (upstream * dfoc / n_pix)[:, None, None, :]
+        a = u * (z - pooled[:, None, None, :]) + v     # softmax-jacobian coefficients
+        return m * (a - (a * m).sum(axis=-1, keepdims=True)) + u * m
+
+    return scores, m, vjp
 
 
 # ---------------------------------------------------------------------------
@@ -185,128 +182,87 @@ def image_scores_vjp(z, cfg, upstream):
 # ---------------------------------------------------------------------------
 
 def cls_loss_grad(y_hat, labels):
-    """Multi-label soft-margin loss over pooled scores (mean over classes)."""
+    """Multi-label soft-margin loss over one image's pooled scores.
+
+    Returns the mean over classes and its gradient; the caller divides the
+    gradient by its batch's item count.
+    """
     y_hat = np.asarray(y_hat, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if y_hat.shape != labels.shape or y_hat.ndim != 1:
         raise ValueError("scores and labels must be equal-length vectors")
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise ValueError("labels must be binary")
-    return _bce_mean(y_hat, labels)
+    total, grad = bce_sum_grad(y_hat, labels, y_hat.size)
+    return float(total / y_hat.size), grad
 
 
-def cls_loss(y_hat, labels):
-    return cls_loss_grad(y_hat, labels)[0]
+def kde_loss_grad(f, f_old, n, squared=True):
+    """Feature distillation: per item, the mean over pixels of the feature distance.
 
-
-def kde_loss_grad(feat_now, feat_old, squared=True):
-    """Feature distillation: mean over pixels of the (squared) feature distance.
-
-    The squared form is the default; the plain-norm variant sits behind the
-    flag for comparison.
+    f and f_old are (B, H, W, D); the distance is squared by default, the
+    plain norm sits behind the flag for comparison.  n counts pixels.
     """
-    feat_now = np.asarray(feat_now)
-    feat_old = np.asarray(feat_old)
-    if feat_now.shape != feat_old.shape:
-        raise ValueError("feature tensors must share a shape")
-    diff = feat_now - feat_old
-    n_pix = int(np.prod(diff.shape[:-1])) if diff.ndim > 1 else 1
-    sq = (diff * diff).sum(axis=-1)
+    f, f_old = _check_pair(f, f_old, "feature tensors")
+    diff = f - f_old
+    n_pix = int(np.prod(diff.shape[1:-1]))
+    dist = (diff * diff).sum(axis=-1)
     if squared:
-        return float(sq.sum() / n_pix), 2.0 * diff / n_pix
-    norm = np.sqrt(sq)
-    safe = np.where(norm > 0, norm, 1.0)
-    grad = diff / (safe[..., None] * n_pix)
-    grad = np.where(norm[..., None] > 0, grad, 0.0)
-    return float(norm.sum() / n_pix), grad
+        grad = 2.0 * diff / n
+    else:
+        dist = np.sqrt(dist)
+        safe = np.where(dist > 0, dist, 1.0)
+        grad = np.where(dist[..., None] > 0, diff / safe[..., None], 0.0) / n
+    losses = dist.reshape(len(diff), -1).sum(axis=1).astype(np.float64) / n_pix
+    return losses, grad
 
 
-def kde_loss(feat_now, feat_old, squared=True):
-    return kde_loss_grad(feat_now, feat_old, squared)[0]
+def kdl_loss_grad(z, y_old, n):
+    """Output distillation: BCE between old-model scores and localizer logits.
+
+    z and y_old are (B, H, W, C_old).
+    """
+    z, y_old = _check_pair(z, y_old, "logits and targets")
+    _check_unit_range(y_old, "distillation targets")
+    return _bce_items(z, y_old, n)
 
 
-def kdl_loss_grad(z, y_old):
-    """Output distillation: BCE between old-model scores and localizer logits."""
-    z = np.asarray(z)
-    y_old = np.asarray(y_old)
-    if z.shape != y_old.shape:
-        raise ValueError("logits and targets must share a shape")
-    if np.any(y_old < 0) or np.any(y_old > 1):
-        raise ValueError("distillation targets must lie in [0, 1]")
-    return _bce_mean(z, y_old)
-
-
-def kdl_loss(z, y_old):
-    return kdl_loss_grad(z, y_old)[0]
-
-
-def seg_loss_grad(p_hat, q_tilde):
-    """Dense BCE between fused pseudo-supervision and main-head logits."""
-    p_hat = np.asarray(p_hat)
-    q_tilde = np.asarray(q_tilde)
-    if p_hat.shape != q_tilde.shape:
-        raise ValueError("logits and supervision must share a shape")
-    if np.any(q_tilde < 0) or np.any(q_tilde > 1):
-        raise ValueError("pseudo-supervision must lie in [0, 1]")
-    return _bce_mean(p_hat, q_tilde)
-
-
-def seg_loss(p_hat, q_tilde):
-    return seg_loss_grad(p_hat, q_tilde)[0]
+def seg_loss_grad(p, q, n):
+    """Dense BCE between fused pseudo-supervision q and main-head logits p."""
+    p, q = _check_pair(p, q, "logits and supervision")
+    _check_unit_range(q, "pseudo-supervision")
+    return _bce_items(p, q, n)
 
 
 # ---------------------------------------------------------------------------
-# Pseudo-supervision assembly
+# Pseudo-supervision
 # ---------------------------------------------------------------------------
 
-def smooth_pseudo_labels(m, alpha):
-    """Blend the one-hot argmax of softmax scores with the scores themselves."""
+def pseudo_supervision(m, y_old, alpha):
+    """Fused seg-head targets from the localizer softmax and the old model.
+
+    m is (B, H, W, C) and y_old (B, H, W, n_old), bkg first.  The localizer
+    labels are smoothed, alpha * one-hot(argmax m) + (1 - alpha) * m; then
+    bkg takes the minimum of smoothed and old score, the old foreground
+    channels take the old model's scores and the new channels the smoothed
+    labels.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     m = np.asarray(m)
-    if m.ndim != 3:
-        raise ValueError("expected an (H, W, C) softmax tensor")
-    sums = m.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
-        raise ValueError("softmax rows must sum to 1")
-    winners = np.argmax(m, axis=-1)
-    one_hot = np.zeros_like(m)
-    rows, cols = np.indices(winners.shape)
-    one_hot[rows, cols, winners] = 1.0
-    return alpha * one_hot + (1.0 - alpha) * m
-
-
-@dataclass(frozen=True)
-class ChannelPartition:
-    """Background / old / new channel split of the current label space."""
-
-    n_old: int          # channels of the previous label space, bkg included
-    n_total: int        # channels of the current label space
-
-    def __post_init__(self):
-        if not 1 <= self.n_old <= self.n_total:
-            raise ValueError("partition needs 1 <= n_old <= n_total")
-
-
-def fuse_supervision(q, y_old, partition):
-    """Per-channel supervision: min for bkg, localizer for new, old model else."""
-    q = np.asarray(q)
     y_old = np.asarray(y_old)
-    if q.ndim != 3 or y_old.ndim != 3 or q.shape[:2] != y_old.shape[:2]:
-        raise ValueError("q and y_old must be (H, W, C) with equal spatial shape")
-    if q.shape[2] != partition.n_total:
-        raise ValueError(
-            f"q has {q.shape[2]} channels, partition expects {partition.n_total}"
-        )
-    if y_old.shape[2] != partition.n_old:
-        raise ValueError(
-            f"y_old has {y_old.shape[2]} channels, partition expects {partition.n_old}"
-        )
-    fused = np.empty_like(q)
-    fused[:, :, 0] = np.minimum(y_old[:, :, 0], q[:, :, 0])
-    fused[:, :, 1:partition.n_old] = y_old[:, :, 1:]
-    fused[:, :, partition.n_old:] = q[:, :, partition.n_old:]
-    return fused
+    n_old = y_old.shape[-1]
+    if m.ndim != 4 or y_old.shape[:3] != m.shape[:3] or not 1 <= n_old <= m.shape[3]:
+        raise ValueError(f"softmax {m.shape} and old scores {y_old.shape} do not pair up")
+    winners = np.argmax(m, axis=-1)
+    q = (1.0 - alpha) * m
+    b_ix, r_ix, c_ix = np.indices(winners.shape, sparse=True)
+    q[b_ix, r_ix, c_ix, winners] += alpha
+    q_tilde = np.empty_like(q)
+    q_tilde[..., 0] = np.minimum(y_old[..., 0], q[..., 0])
+    q_tilde[..., 1:n_old] = y_old[..., 1:]
+    q_tilde[..., n_old:] = q[..., n_old:]
+    return q_tilde
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import netpbm
 from .class_semantics import ClassRegistry
 
 
@@ -43,9 +42,6 @@ class SimilarityStack:
     values: np.ndarray
     class_names: tuple
     tau: float
-
-    def map_for(self, name):
-        return self.values[:, :, self.class_names.index(name)]
 
 
 def argmax_label_map(old_scores, channel_names, registry):
@@ -86,25 +82,3 @@ def similarity_maps(label_map, new_labels, sim, tau):
         table = np.exp((sim[:, col] - sim[bkg, col]) / tau)
         maps[:, :, k] = table[label_map.grid]
     return SimilarityStack(values=maps, class_names=tuple(names), tau=float(tau))
-
-
-def export_pgm_stack(stack, outdir, prefix="simmap"):
-    """One grayscale PGM per class, min-max scaled to 0-255.
-
-    A constant map exports as all zeros.  Returns the written paths.
-    """
-    import os
-
-    os.makedirs(outdir, exist_ok=True)
-    paths = []
-    for k, name in enumerate(stack.class_names):
-        values = stack.values[:, :, k]
-        lo, hi = float(values.min()), float(values.max())
-        if hi > lo:
-            scaled = (values - lo) / (hi - lo) * 255.0
-        else:
-            scaled = np.zeros_like(values)
-        path = os.path.join(outdir, f"{prefix}_{name}.pgm")
-        netpbm.write_pgm(path, np.round(scaled).astype(np.uint8))
-        paths.append(path)
-    return paths

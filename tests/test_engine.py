@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 from unittest import mock
@@ -63,7 +64,7 @@ def base_model(world, cfg, train=True):
     return model, None
 
 
-def step_inputs(world, model, cfg, step=1, loss_cfg=None, rasp_mode="auto"):
+def step_inputs(world, model, cfg, step=1, loss_cfg=None):
     tax, sched, data, sim = world
     snap = snapshot(model)
     extended = extend_head(model, sched.classes_at_step(step), seed=cfg.seed + step)
@@ -75,7 +76,6 @@ def step_inputs(world, model, cfg, step=1, loss_cfg=None, rasp_mode="auto"):
         loss_cfg=loss_cfg or LossConfig(seg_warmup_epochs=1),
         engine_cfg=cfg,
         n_old=len(snap.class_names),
-        rasp_mode=rasp_mode,
     )
     return state, samples, sim
 
@@ -172,31 +172,29 @@ def test_batch_losses_match_objectives_recompute(world):
     cfg = small_cfg()
     model, _ = base_model(world, cfg)
     loss_cfg = LossConfig(seg_warmup_epochs=0)
-    state, samples, _ = step_inputs(world, model, cfg, loss_cfg=loss_cfg,
-                                    rasp_mode="on")
+    state, samples, _ = step_inputs(world, model, cfg, loss_cfg=loss_cfg)
     items = engine._prepare_items(state, samples[:6], tax.registry, sim)
     state.epoch = 0
     grads = zero_grads(state.model.params())
     comps = incremental_batch(state, items, grads)
 
-    # independent recomputation through the objectives module
+    # recomputation item by item, each one a batch of one through the
+    # objectives module, normalised by itself
     x = np.stack([it.x for it in items])
     feat, _ = state.model.encoder.forward(x)
     z, _ = state.model.localizer.forward(feat)
     p_hat, _ = state.model.head.forward(feat)
-    part = objectives.ChannelPartition(state.n_old, state.model.n_classes())
+    n_old = state.n_old
     agg = {k: 0.0 for k in ("cls", "kdl", "kde", "rasp", "seg")}
     for i, it in enumerate(items):
-        zi = z[i]
-        scores = objectives.image_scores(zi, loss_cfg)
-        agg["cls"] += objectives.cls_loss(scores[state.n_old:], it.labels_new)
-        agg["kdl"] += objectives.kdl_loss(zi[:, :, :state.n_old], it.y_old)
-        agg["kde"] += objectives.kde_loss(feat[i], it.feat_old)
-        agg["rasp"] += objectives.rasp_loss(zi[:, :, it.present], it.sig_smap)
-        m = objectives._softmax_lastaxis(zi)
-        q = objectives.smooth_pseudo_labels(m, loss_cfg.alpha)
-        qt = objectives.fuse_supervision(q, it.y_old, part)
-        agg["seg"] += objectives.seg_loss(p_hat[i], qt)
+        zi, y_old = z[i:i + 1], it.y_old[None]
+        scores, m, _ = objectives.image_scores_vjp(zi, loss_cfg)
+        agg["cls"] += objectives.cls_loss_grad(scores[0, n_old:], it.labels_new)[0]
+        agg["kdl"] += objectives.kdl_loss_grad(zi[..., :n_old], y_old, 1)[0][0]
+        agg["kde"] += objectives.kde_loss_grad(feat[i:i + 1], it.feat_old[None], 1)[0][0]
+        agg["rasp"] += objectives.rasp_loss_grad(zi[0][:, :, it.present], it.sig_smap)[0]
+        qt = objectives.pseudo_supervision(m, y_old, loss_cfg.alpha)
+        agg["seg"] += objectives.seg_loss_grad(p_hat[i:i + 1], qt, 1)[0][0]
     for key in agg:
         assert abs(agg[key] / len(items) - comps[key]) < 1e-10, key
 
@@ -389,7 +387,7 @@ def test_incremental_batch_shards_match_full_batch(world, monkeypatch, n_items,
     tax, sched, data, sim = world
     cfg = small_cfg(dtype="float64")
     model, _ = base_model(world, cfg, train=False)
-    state, samples, _ = step_inputs(world, model, cfg, rasp_mode="on",
+    state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=1))
     state.epoch = 1 if seg_on else 0
     items = engine._prepare_items(state, samples[:n_items], tax.registry, sim)
@@ -423,7 +421,7 @@ def float64_pools(world):
     tax, sched, data, sim = world
     cfg = small_cfg(dtype="float64")
     model, _ = base_model(world, cfg, train=False)
-    state, samples, _ = step_inputs(world, model, cfg, rasp_mode="on",
+    state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=1))
     current = engine._prepare_items(state, samples[:9], tax.registry, sim)
     bank = populate_episodic(filter_step(data, sched, 0), sched.base_classes,
@@ -443,7 +441,8 @@ def test_shard_local_losses_match_whole_batch(float64_pools, data):
     order = data.draw(st.permutations(range(9)), label="item order")
     items = [memory[k] if mem else current[k] for k, mem in zip(order, is_memory)]
     state.epoch = 1 if data.draw(st.booleans(), label="seg on") else 0
-    state.rasp_mode = data.draw(st.sampled_from(["on", "off"]), label="rasp")
+    state.loss_cfg = dataclasses.replace(
+        state.loss_cfg, lambda_rasp=data.draw(st.sampled_from([0.0, 1.0]), label="rasp"))
 
     shard_losses = []
     real_losses = engine._batch_losses
@@ -471,6 +470,9 @@ def test_shard_local_losses_match_whole_batch(float64_pools, data):
         assert abs(comps[key] - ref_comps[key]) < 1e-10, key
     if all(is_memory):
         assert all(comps[k] == 0.0 for k in ("kdl", "kde", "rasp", "seg"))
+    if state.loss_cfg.lambda_rasp == 0.0:      # RaSP runs iff lambda_rasp != 0
+        assert comps["rasp"] == 0.0
+        assert not any(losses["rasp"] for _, losses in shard_losses)
 
 
 def test_one_on_shards_call_per_training_batch(world, monkeypatch):

@@ -94,3 +94,21 @@ def test_losses_json_failure_keeps_previous(tmp_path, monkeypatch):
     with open(path) as fh:
         assert json.load(fh) == {"step": 0, "seed": 3, "loss": [0.5, 0.25]}
     assert leftovers(tmp_path, "losses.json") == []
+
+
+def test_emit_report_failure_keeps_previous(tmp_path, monkeypatch):
+    csv_path, json_path = str(tmp_path / "r.csv"), str(tmp_path / "r.json")
+    evalkit.emit_report(fake_report(step=1), csv_path, json_path)
+    monkeypatch.setattr(evalkit.json, "dump",
+                        lambda obj, fh, **_: fail_after_partial_write(fh))
+    with pytest.raises(Boom):
+        evalkit.emit_report(fake_report(step=2), csv_path, json_path)
+    monkeypatch.undo()
+    with open(json_path) as fh:
+        assert evalkit.report_from_dict(json.load(fh)).step == 1
+    # the CSV, written first, is whole: the new report's rows, all of them
+    with open(csv_path) as fh:
+        rows = fh.read().splitlines()
+    assert rows[0] == "step,class,iou" and len(rows) == 1 + 2 + 4
+    assert all(row.startswith("2,") for row in rows[1:])
+    assert leftovers(tmp_path, "r.json") == ["r.csv"]

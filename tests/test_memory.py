@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 from segprior.memory import (
     MemoryBank,
     MemoryEntry,
-    export_bank,
     ingest_external,
     mix_batch,
     populate_episodic,
 )
+from segprior.netpbm import write_ppm
 from segprior.protocol import build_schedule, filter_step
 from segprior.synthdata import default_taxonomy, generate_dataset
 
@@ -84,15 +84,21 @@ def test_capacity_never_exceeded_and_counts_close(past, taxonomy):
 def test_external_round_trip(tmp_path, past, taxonomy):
     samples, sched = past
     bank = populate_episodic(samples, sched.base_classes, taxonomy.registry, 12, seed=3)
-    manifest, sidecar = export_bank(bank, str(tmp_path))
-    loaded = ingest_external(manifest, taxonomy.registry)
+    # one 'class<TAB>path' row per entry, paths relative to the manifest
+    (tmp_path / "memory_images").mkdir()
+    rows = []
+    for i, entry in enumerate(bank.entries):
+        rel = f"memory_images/mem_{i:05d}.ppm"
+        write_ppm(str(tmp_path / rel), entry.image)
+        rows.append(f"{sorted(entry.labels)[0]}\t{rel}\n")
+    manifest = tmp_path / "memory_manifest.tsv"
+    manifest.write_text("".join(rows), encoding="utf-8")
+    loaded = ingest_external(str(manifest), taxonomy.registry)
     assert len(loaded) == len(bank)
     for orig, back in zip(bank.entries, loaded.entries):
         assert np.array_equal(orig.image, back.image)
         assert back.source == "external"
         assert back.labels == frozenset([sorted(orig.labels)[0]])
-    if any(len(e.labels) > 1 for e in bank.entries):
-        assert sidecar is not None
 
 
 def test_external_empty_manifest(tmp_path, taxonomy):

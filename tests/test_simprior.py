@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from segprior.class_semantics import ClassRegistry, EmbeddingTable, similarity_matrix
-from segprior.netpbm import read_pgm
 from segprior.simprior import (
     LabelMap,
     argmax_label_map,
-    export_pgm_stack,
     similarity_maps,
 )
 from segprior.synthdata import default_taxonomy
@@ -54,10 +52,11 @@ def test_similarity_map_values(setup):
     lm = LabelMap(grid=grid, registry=registry)
     stack = similarity_maps(lm, {"disc_striped"}, sim, tau=5.0)
     # bkg pixel: numerator equals denominator
-    assert stack.map_for("disc_striped")[0, 0] == 1.0
+    assert stack.class_names == ("disc_striped",)
+    assert stack.values[0, 0, 0] == 1.0
     # related old class: exp((S(disc_solid, disc_striped) - S(bkg, .)) / tau)
     expected = math.exp((-0.1 + 1.0) / 5.0)
-    assert stack.map_for("disc_striped")[0, 1] == pytest.approx(expected, rel=1e-9)
+    assert stack.values[0, 1, 0] == pytest.approx(expected, rel=1e-9)
 
 
 def test_similarity_map_frozen_value():
@@ -107,9 +106,10 @@ def test_invariants_random_label_maps(setup):
         tau = float(rng.uniform(0.5, 10.0))
         stack = similarity_maps(lm, set(new_names), sim, tau)
         wide = similarity_maps(lm, set(new_names), sim, tau * 4.0)
-        for name in new_names:
+        assert stack.class_names == tuple(new_names) == wide.class_names
+        for k, name in enumerate(new_names):
             col = registry.index_of(name)
-            values = stack.map_for(name)
+            values = stack.values[..., k]
             assert np.all(values > 0)
             bkg_pixels = grid == 0
             assert np.all(np.abs(values[bkg_pixels] - 1.0) <= 1e-12)
@@ -117,7 +117,7 @@ def test_invariants_random_label_maps(setup):
             assert np.array_equal(values > 1.0, diff > 0)
             assert np.array_equal(values < 1.0, diff < 0)
             # larger tau pulls scores toward 1
-            v4 = wide.map_for(name)
+            v4 = wide.values[..., k]
             above = diff > 0
             assert np.all(v4[above] < values[above])
             assert np.all(v4[above] > 1.0)
@@ -140,18 +140,3 @@ def test_relabeling_invariance():
     stack_a = similarity_maps(LabelMap(grid_a, reg_a), {"sheep"}, sim_a, 5.0)
     stack_b = similarity_maps(LabelMap(grid_b, reg_b), {"sheep"}, sim_b, 5.0)
     assert np.allclose(stack_a.values, stack_b.values, atol=1e-12)
-
-
-def test_pgm_export(tmp_path, setup):
-    registry, sim = setup
-    grid = np.array([[0, 1], [2, 3]], dtype=np.int32)
-    lm = LabelMap(grid=grid, registry=registry)
-    stack = similarity_maps(lm, {"disc_striped", "box_striped"}, sim, 5.0)
-    paths = export_pgm_stack(stack, str(tmp_path))
-    assert len(paths) == 2
-    for k, path in enumerate(paths):
-        img = read_pgm(path)
-        assert img.shape == grid.shape
-        values = stack.values[:, :, k]
-        assert img[np.unravel_index(values.argmax(), values.shape)] == 255
-        assert img[np.unravel_index(values.argmin(), values.shape)] == 0
