@@ -3,7 +3,9 @@
 A small numpy package that trains a toy segmentation model over a sequence
 of class-incremental steps where new classes arrive with image-level labels
 only.  New classes borrow spatial evidence from semantically related old
-classes through dense similarity maps built from class-name embeddings.
+classes: a pairwise table built from class-name embeddings gives each
+(old class, new class) pair a target, and each pixel takes the row of the
+old class the previous model predicts there (see ``segprior.simprior``).
 
 Everything is plain numpy with one numeric path.  The encoder's stride-1
 3x3 convolutions run as shifted GEMMs over the flattened zero-padded input,

@@ -14,58 +14,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class ClassEntry:
-    index: int
-    name: str
-    is_background: bool
+from .fileio import atomic_open
 
 
 class ClassRegistry:
-    """Ordered semantic classes; the single source of truth for partitions."""
+    """Ordered class names, bkg first; the single source of truth for partitions."""
 
-    def __init__(self, entries):
-        entries = tuple(entries)
-        if not entries:
+    def __init__(self, names):
+        names = tuple(names)
+        if not names:
             raise ValueError("registry needs at least one class")
-        bkg = [e for e in entries if e.is_background]
-        if len(bkg) != 1:
-            raise ValueError("registry must contain exactly one background class")
-        if bkg[0].index != 0:
-            raise ValueError("background class must sit at index 0")
-        for pos, e in enumerate(entries):
-            if e.index != pos:
-                raise ValueError(f"class indices must be contiguous, got {e.index} at {pos}")
-            if not e.name:
-                raise ValueError("class names must be non-empty")
-        names = [e.name for e in entries]
+        if not all(names):
+            raise ValueError("class names must be non-empty")
         if len(set(names)) != len(names):
             raise ValueError("class names must be unique")
-        self.entries = entries
-        self._index = {e.name: e.index for e in entries}
-
-    @classmethod
-    def from_names(cls, names, background=None):
-        """Build a registry from an ordered name list; first name is bkg by default."""
-        names = list(names)
-        if background is None:
-            background = names[0] if names else None
-        return cls(
-            ClassEntry(i, n, n == background) for i, n in enumerate(names)
-        )
-
-    @property
-    def names(self):
-        return tuple(e.name for e in self.entries)
+        self.names = names
+        self._index = {name: i for i, name in enumerate(names)}
 
     @property
     def background_name(self):
-        return self.entries[0].name
+        return self.names[0]
 
     @property
     def foreground_names(self):
-        return tuple(e.name for e in self.entries if not e.is_background)
+        return self.names[1:]
 
     def index_of(self, name):
         try:
@@ -74,13 +46,10 @@ class ClassRegistry:
             raise ValueError(f"unknown class name {name!r}") from None
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.names)
 
     def __contains__(self, name):
         return name in self._index
-
-    def __eq__(self, other):
-        return isinstance(other, ClassRegistry) and self.entries == other.entries
 
 
 @dataclass(frozen=True)
@@ -142,24 +111,16 @@ def load_embeddings(path):
 
 
 def save_embeddings(table, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, encoding="utf-8") as fh:
         json.dump({n: list(map(float, v)) for n, v in table.vectors.items()}, fh, indent=1)
         fh.write("\n")
-
-
-def semantic_similarity(a, b, table):
-    """Cosine-derived similarity in [-2, 0]; 0 iff the vectors are parallel."""
-    va = table.vector(a)
-    vb = table.vector(b)
-    cos = float(va @ vb) / (float(np.linalg.norm(va)) * float(np.linalg.norm(vb)))
-    return float(np.clip(-(1.0 - cos), -2.0, 0.0))
 
 
 def similarity_matrix(registry, table):
     """All pairwise similarities, indexed by registry order.
 
-    Symmetric with an exactly zero diagonal; precomputed once per step so the
-    per-pixel map construction is a plain table lookup.
+    Symmetric with an exactly zero diagonal; computed once per step, and
+    ``segprior.simprior.rasp_target_table`` reads its old-class rows.
     """
     names = registry.names
     for name in names:

@@ -168,8 +168,8 @@ def cmd_train_incremental(args):
     if not os.path.exists(prev):
         raise CliError(f"missing checkpoint for step {step - 1}: {prev} "
                        "(run the previous step first)")
-    model, _, parent_hash = engine.load_checkpoint(prev)
-    if tuple(model.class_names) != schedule.channel_names(step - 1):
+    parent, _, parent_hash = engine.load_checkpoint(prev)
+    if tuple(parent.class_names) != schedule.channel_names(step - 1):
         raise CliError("checkpoint class list does not match the schedule")
     samples = _load_split(cfg, "train")
     step_samples = protocol.filter_step(samples, schedule, step)
@@ -182,12 +182,11 @@ def cmd_train_incremental(args):
     bank = _build_bank(cfg, registry, schedule, step, samples, seed)
     table = load_embeddings(cfg.resolve(cfg.embeddings_path))
     sim = similarity_matrix(registry, table)
-    snap = engine.snapshot(model)
-    model = engine.extend_head(model, schedule.classes_at_step(step),
+    model = engine.extend_head(parent, schedule.classes_at_step(step),
                                seed=np.random.SeedSequence((seed, step, 7)).generate_state(1)[0])
     state = engine.StepState(
-        step=step, snapshot=snap, model=model, loss_cfg=cfg.loss,
-        engine_cfg=cfg.engine, n_old=len(snap.class_names),
+        step=step, old_model=parent, model=model, loss_cfg=cfg.loss,
+        engine_cfg=cfg.engine, n_old=len(parent.class_names),
         memory_ratio=cfg.memory.ratio,
     )
     model, trace = engine.incremental_step(state, step_samples, bank, sim, registry)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, asdict
 
 from .class_semantics import ClassRegistry
 from .engine import EngineConfig
+from .fileio import atomic_open
 from .objectives import LossConfig
 from .protocol import build_schedule
 
@@ -72,7 +73,7 @@ class ExperimentConfig:
         return os.path.join(self.root, path)
 
     def class_registry(self):
-        return ClassRegistry.from_names(self.registry)
+        return ClassRegistry(self.registry)
 
     def task_schedule(self):
         return build_schedule(
@@ -107,7 +108,7 @@ def config_hash(cfg):
 
 
 def save_config(cfg, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, encoding="utf-8") as fh:
         json.dump(cfg.to_dict(), fh, indent=1)
         fh.write("\n")
     return path

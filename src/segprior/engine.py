@@ -3,9 +3,9 @@
 The model is a small convolutional encoder shared by two heads: a 1x1
 segmentation head extended with new output channels at every step, and a
 localizer retrained from scratch per step whose spatial scores drive the
-image-level classification loss and the pseudo-labels.  A frozen snapshot
-of the previous step's encoder+head supplies distillation targets and the
-label maps behind the similarity priors.
+image-level classification loss and the pseudo-labels.  The previous
+step's model, frozen, supplies the distillation targets, and its argmax
+picks each pixel's row of the RaSP target table (``segprior.simprior``).
 
 Channel order of every head is bkg first, then base classes, then each
 increment in schedule order.  Gradient routing per batch:
@@ -14,7 +14,7 @@ increment in schedule order.  Gradient routing per batch:
 * seg head    <- seg (after the warmup epochs)
 * encoder     <- everything above plus kde (seg contribution optional via
   ``seg_updates_encoder``)
-* snapshot    <- nothing, ever
+* old model   <- nothing, ever
 
 Memory items contribute only to the classification loss, extended over the
 old foreground channels (their stored labels) with the new classes as
@@ -41,9 +41,9 @@ finiteness.
 Evaluation (``predict_dataset``) is one ``on_shards`` call over the two
 halves of the sample list.  Each shard streams its images one at a time
 through the encoder and the seg head, so no batch is stacked and one
-image's activations stay in cache.  The frozen snapshot
-(``Snapshot.predict``) still runs a stacked batch forward, shard by shard,
-and joins the outputs.
+image's activations stay in cache.  Before a step trains, the old model
+runs a stacked batch forward over the step's images, shard by shard, and
+the outputs are joined (``_prepare_items``).
 """
 
 from __future__ import annotations
@@ -257,44 +257,6 @@ class SegModel:
         return len(self.class_names)
 
 
-class Snapshot:
-    """Frozen copy of a step's encoder + seg head, inference only."""
-
-    def __init__(self, model):
-        import copy as _copy
-
-        self.arch = model.arch
-        self.class_names = model.class_names
-        self.encoder = _copy.deepcopy(model.encoder)
-        self.head = _copy.deepcopy(model.head)
-        self.dtype = model.dtype
-
-    def predict(self, x):
-        """Sigmoid scores and encoder features for a batch, no caches kept.
-
-        The batch's two shards run forward on their threads and the
-        outputs are joined along the batch axis.
-        """
-        def shard(xs):
-            feat, _ = self.encoder.forward(xs)
-            logits, _ = self.head.forward(feat)
-            return objectives.sigmoid(logits), feat
-
-        outs = on_shards(shard, [(x[r],) for r in shard_slices(len(x))])
-        return _join(outs, 0), _join(outs, 1)
-
-    def params(self):
-        out = {}
-        out.update(self.encoder.params())
-        out.update(self.head.params())
-        return out
-
-
-def snapshot(model):
-    """Deep, immutable copy of the current encoder and segmentation head."""
-    return Snapshot(model)
-
-
 def extend_head(model, new_classes, seed):
     """Grow the seg head by the new classes and reinitialize the localizer.
 
@@ -459,8 +421,14 @@ def base_train(model, samples, registry, cfg):
 
 @dataclass
 class StepState:
+    """One incremental step: the parent model, the model it trains, the settings.
+
+    old_model is the previous step's model, frozen; ``extend_head`` built
+    ``model`` from a deep copy of it, so training leaves it unchanged.
+    """
+
     step: int
-    snapshot: Snapshot
+    old_model: SegModel
     model: SegModel
     loss_cfg: LossConfig
     engine_cfg: EngineConfig
@@ -477,7 +445,7 @@ class _Item:
     x: np.ndarray
     y_old: np.ndarray = None        # (h, w, n_old) old-model sigmoid scores
     feat_old: np.ndarray = None     # (h, w, D) old-model features
-    sig_smap: np.ndarray = None     # (h, w, K) sigmoid similarity targets
+    rasp_target: np.ndarray = None  # (h, w, K) RaSP targets of the present classes
     present: np.ndarray = None      # channel indices of present new classes
     labels_new: np.ndarray = None   # binary over new channels
     labels_fg: np.ndarray = None    # binary over all foreground channels (memory)
@@ -485,18 +453,37 @@ class _Item:
 
 
 def _prepare_items(state, samples, registry, sim_matrix):
-    """Per-image caches: old-model outputs, label maps, similarity targets."""
+    """Per-image caches: old-model scores and features, labels, RaSP targets.
+
+    The old model runs forward on stacked chunks of cfg.batch_size images,
+    each chunk as the two shards on their threads.  The RaSP target table is
+    built once; an image's targets are its rows at the old model's argmax,
+    at the columns of the new classes present.
+    """
     cfg = state.engine_cfg
+    old = state.old_model
     dtype = state.model.dtype
     n_old = state.n_old
-    old_names = state.snapshot.class_names
     new_names = state.model.class_names[n_old:]
     new_pos = {name: k for k, name in enumerate(new_names)}
+    use_rasp = state.loss_cfg.lambda_rasp != 0
+    if use_rasp:
+        table = simprior.rasp_target_table(sim_matrix, registry, old.class_names,
+                                           new_names, state.loss_cfg.tau, dtype)
+
+    def old_forward(xs):
+        feat, _ = old.encoder.forward(xs)
+        logits, _ = old.head.forward(feat)
+        return objectives.sigmoid(logits), feat
+
     items = []
     for start in range(0, len(samples), cfg.batch_size):
         chunk = samples[start:start + cfg.batch_size]
         x = np.stack([image_to_input(s.image, dtype) for s in chunk])
-        y_old, feat_old = state.snapshot.predict(x)
+        outs = on_shards(old_forward, [(x[r],) for r in shard_slices(len(x))])
+        y_old, feat_old = _join(outs, 0), _join(outs, 1)
+        if not np.all(np.isfinite(y_old)):
+            raise ValueError("old-model scores contain non-finite values")
         for j, sample in enumerate(chunk):
             if not sample.weak_labels:
                 raise ValueError("incremental samples need non-empty weak labels")
@@ -505,17 +492,13 @@ def _prepare_items(state, samples, registry, sim_matrix):
             for name in sample.weak_labels:
                 labels[new_pos[name]] = 1.0
             item.labels_new = labels
-            # alphabetical, matching the class order of the similarity stack
-            item.present = np.array(
-                [n_old + new_pos[name] for name in sorted(sample.weak_labels)],
-                dtype=np.int64,
-            )
-            if state.loss_cfg.lambda_rasp != 0:
-                lmap = simprior.argmax_label_map(y_old[j], old_names, registry)
-                stack = simprior.similarity_maps(
-                    lmap, sample.weak_labels, sim_matrix, state.loss_cfg.tau
-                )
-                item.sig_smap = objectives.sigmoid(stack.values).astype(dtype)
+            # sorted: a set's order varies from run to run, and the rasp
+            # loss sums over the columns in this order
+            cols = [new_pos[name] for name in sorted(sample.weak_labels)]
+            item.present = n_old + np.array(cols, dtype=np.int64)
+            if use_rasp:
+                # columns first: the lookup then yields a contiguous array
+                item.rasp_target = table[:, cols][np.argmax(y_old[j], axis=2)]
             items.append(item)
     return items
 
@@ -638,7 +621,7 @@ def _batch_losses(state, items, feat, z, p_hat, n_all, n_cur):
         for i in cur:
             present = items[i].present
             loss, grad = objectives.rasp_loss_grad(z[i][:, :, present],
-                                                   items[i].sig_smap)
+                                                   items[i].rasp_target)
             losses["rasp"].append(loss)
             dz[i][:, :, present] += (lcfg.lambda_rasp / n_cur) * grad
     if p_hat is not None:

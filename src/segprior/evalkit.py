@@ -141,11 +141,12 @@ def emit_report(report, csv_path, json_path):
     for key, value in report.aggregates().items():
         cell = "" if math.isnan(value) else repr(value)
         lines.append(f"{report.step},{key},{cell}")
-    with atomic_open(csv_path, encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with atomic_open(json_path, encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=1, allow_nan=False)
-        fh.write("\n")
+    # both files are written before either is renamed into place
+    with atomic_open(csv_path, encoding="utf-8") as csv_fh, \
+            atomic_open(json_path, encoding="utf-8") as json_fh:
+        csv_fh.write("\n".join(lines) + "\n")
+        json.dump(report_to_dict(report), json_fh, indent=1, allow_nan=False)
+        json_fh.write("\n")
     return csv_path, json_path
 
 
@@ -236,7 +237,7 @@ def plot_trace_svg(reports, out_path, width=640, height=420):
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{x + 28}" y="{y}" font-size="12">{label}</text>')
     parts.append("</svg>")
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with atomic_open(out_path, encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
     return out_path
 

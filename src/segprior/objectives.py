@@ -19,8 +19,8 @@ The combined objective is
     total = cls + kdl + kde + [epoch >= warmup] * seg + lambda_rasp * rasp
 
 where the semantic-prior term ``rasp`` is a binary cross-entropy between
-sigmoid-squashed similarity maps and the localizer logits of the new classes
-present in the image.
+the RaSP targets of ``segprior.simprior`` and the localizer logits of the
+new classes present in the image.
 """
 
 from __future__ import annotations
@@ -115,20 +115,22 @@ def _check_unit_range(t, what):
 # Semantic-prior loss
 # ---------------------------------------------------------------------------
 
-def rasp_loss_grad(z, s):
-    """BCE between sigmoid(similarity) targets and localizer logits, one image.
+def rasp_loss_grad(z, t):
+    """BCE between RaSP targets and localizer logits, one image.
 
-    z and s are (H, W, K) over the new classes present in the image only;
-    normalization is (K * H * W), the masked analog of averaging over the
+    z and t are (H, W, K) over the new classes present in the image only;
+    t lies in [0, 1] (``segprior.simprior.rasp_target_table`` builds it).
+    Normalization is (K * H * W), the masked analog of averaging over the
     full class set.  Returns the mean loss and its gradient.
     """
     z = np.asarray(z)
-    s = np.asarray(s)
-    if z.shape != s.shape:
-        raise ValueError(f"shape mismatch between logits {z.shape} and maps {s.shape}")
+    t = np.asarray(t)
+    if z.shape != t.shape:
+        raise ValueError(f"shape mismatch between logits {z.shape} and targets {t.shape}")
     if z.ndim != 3 or z.shape[2] == 0:
         raise ValueError("rasp loss needs a non-empty (H, W, K) class axis")
-    total, grad = bce_sum_grad(z, sigmoid(s), z.size)
+    _check_unit_range(t, "rasp targets")
+    total, grad = bce_sum_grad(z, t, z.size)
     return float(total / z.size), grad
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import netpbm
 from .class_semantics import ClassRegistry, EmbeddingTable
+from .fileio import atomic_open
 from .protocol import Sample
 
 ELLIPSE, RECTANGLE, TRIANGLE, CROSS = 0, 1, 2, 3
@@ -115,7 +116,7 @@ def default_taxonomy():
     names = ["bkg"]
     names += [f"{fam}_solid" for fam, _, _, _ in _FAMILIES]
     names += [f"{fam}_striped" for fam, _, _, _ in _FAMILIES]
-    registry = ClassRegistry.from_names(names)
+    registry = ClassRegistry(names)
     table = EmbeddingTable.from_mapping({n: vectors[n] for n in names})
     shapes = {}
     for family, geometry, size_range, _ in _FAMILIES:
@@ -278,7 +279,7 @@ def export_dataset(samples, registry, outdir):
         })
     manifest = {"classes": list(registry.names), "samples": rows}
     manifest_path = os.path.join(outdir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with atomic_open(manifest_path, encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
     return manifest_path

@@ -23,3 +23,16 @@ def numeric_gradient(fn, x, step=1e-5):
 def max_rel_error(analytic, numeric, floor=1e-6):
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def semantic_similarity(a, b, table):
+    """Scalar oracle of the class similarity, -(1 - cos), clipped to [-2, 0].
+
+    ``class_semantics.similarity_matrix`` computes every pair at once; the
+    tests compare it and the synthetic taxonomy against this one pair at a
+    time.
+    """
+    va = table.vector(a)
+    vb = table.vector(b)
+    cos = float(va @ vb) / (float(np.linalg.norm(va)) * float(np.linalg.norm(vb)))
+    return float(np.clip(-(1.0 - cos), -2.0, 0.0))

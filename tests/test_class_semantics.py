@@ -3,13 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from helpers import semantic_similarity
 from segprior.class_semantics import (
-    ClassEntry,
     ClassRegistry,
     EmbeddingTable,
     load_embeddings,
     save_embeddings,
-    semantic_similarity,
     similarity_matrix,
 )
 from segprior.synthdata import default_taxonomy
@@ -22,16 +21,19 @@ def write(tmp_path, payload):
 
 
 def test_registry_invariants():
-    reg = ClassRegistry.from_names(["bkg", "a", "b"])
+    reg = ClassRegistry(["bkg", "a", "b"])
+    assert reg.names == ("bkg", "a", "b")
     assert reg.background_name == "bkg"
     assert reg.foreground_names == ("a", "b")
-    assert reg.index_of("b") == 2
-    with pytest.raises(ValueError):
-        ClassRegistry.from_names(["a", "bkg", "b"], background="bkg")  # bkg not at 0
-    with pytest.raises(ValueError):
-        ClassRegistry.from_names(["bkg", "a", "a"])
-    with pytest.raises(ValueError):
-        ClassRegistry([ClassEntry(0, "bkg", True), ClassEntry(2, "a", False)])
+    assert reg.index_of("b") == 2 and len(reg) == 3 and "a" in reg
+    with pytest.raises(ValueError, match="unknown"):
+        reg.index_of("c")
+    with pytest.raises(ValueError, match="at least one"):
+        ClassRegistry([])
+    with pytest.raises(ValueError, match="non-empty"):
+        ClassRegistry(["bkg", ""])
+    with pytest.raises(ValueError, match="unique"):
+        ClassRegistry(["bkg", "a", "a"])
 
 
 def test_load_embeddings_minimal(tmp_path):
@@ -111,11 +113,11 @@ def test_similarity_symmetry_and_scale_invariance():
 
 
 def test_similarity_matrix_single_and_orthogonal():
-    reg1 = ClassRegistry.from_names(["bkg"])
+    reg1 = ClassRegistry(["bkg"])
     t1 = EmbeddingTable.from_mapping({"bkg": [1.0, 0.0]})
     assert np.array_equal(similarity_matrix(reg1, t1), np.zeros((1, 1)))
 
-    reg2 = ClassRegistry.from_names(["bkg", "x"])
+    reg2 = ClassRegistry(["bkg", "x"])
     t2 = EmbeddingTable.from_mapping({"bkg": [1.0, 0.0], "x": [0.0, 1.0]})
     mat = similarity_matrix(reg2, t2)
     assert mat[0, 1] == pytest.approx(-1.0, abs=1e-12)
@@ -136,7 +138,7 @@ def test_similarity_matrix_matches_scalar_oracle():
 
 
 def test_similarity_matrix_unhoused_name():
-    reg = ClassRegistry.from_names(["bkg", "a"])
+    reg = ClassRegistry(["bkg", "a"])
     table = EmbeddingTable.from_mapping({"bkg": [1.0, 0.0]})
     with pytest.raises(ValueError, match="'a'"):
         similarity_matrix(reg, table)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segprior import engine, layers, objectives, simprior
+from segprior import engine, layers, objectives
 from segprior.class_semantics import similarity_matrix
 from segprior.engine import (
     Arch,
@@ -21,7 +21,6 @@ from segprior.engine import (
     load_checkpoint,
     predict_dataset,
     save_checkpoint,
-    snapshot,
 )
 from segprior.layers import on_shards, shard_slices, zero_grads
 from segprior.memory import populate_episodic
@@ -66,34 +65,35 @@ def base_model(world, cfg, train=True):
 
 def step_inputs(world, model, cfg, step=1, loss_cfg=None):
     tax, sched, data, sim = world
-    snap = snapshot(model)
     extended = extend_head(model, sched.classes_at_step(step), seed=cfg.seed + step)
     samples = with_weak_labels(filter_step(data, sched, step), sched, step)
     state = StepState(
         step=step,
-        snapshot=snap,
+        old_model=model,
         model=extended,
         loss_cfg=loss_cfg or LossConfig(seg_warmup_epochs=1),
         engine_cfg=cfg,
-        n_old=len(snap.class_names),
+        n_old=len(model.class_names),
     )
     return state, samples, sim
 
 
-def test_snapshot_isolation(world):
-    cfg = small_cfg()
-    model, _ = base_model(world, cfg, train=False)
-    snap = snapshot(model)
-    x = np.full((1, 64, 64, 3), 0.25, dtype=cfg.np_dtype())
-    before, feats_before = snap.predict(x)
-    for p in model.params().values():
-        p += 0.37
-    after, feats_after = snap.predict(x)
-    assert np.array_equal(before, after)
-    assert np.array_equal(feats_before, feats_after)
-    # snapshot of snapshot behaves identically, forward is deterministic
-    again, _ = snap.predict(x)
-    assert np.array_equal(before, again)
+def test_step_leaves_old_model_unchanged(world):
+    """The parent model is the step's old model; training a step changes
+    none of its parameters and shares no array with the trained model."""
+    tax = world[0]
+    cfg = small_cfg(epochs_incremental=2)
+    model, _ = base_model(world, cfg)
+    before = {k: v.copy() for k, v in model.params().items()}
+    state, samples, sim = step_inputs(world, model, cfg)
+    trained, _ = incremental_step(state, samples, None, sim, tax.registry)
+    assert state.old_model is model
+    for k, v in model.params().items():
+        assert np.array_equal(v, before[k]), k
+    new_params = trained.params()
+    assert not np.array_equal(new_params["enc.0.W"], before["enc.0.W"])
+    for k, v in model.params().items():
+        assert not np.shares_memory(v, new_params[k]), k
 
 
 def test_extend_head_preserves_old_channels(world):
@@ -192,7 +192,7 @@ def test_batch_losses_match_objectives_recompute(world):
         agg["cls"] += objectives.cls_loss_grad(scores[0, n_old:], it.labels_new)[0]
         agg["kdl"] += objectives.kdl_loss_grad(zi[..., :n_old], y_old, 1)[0][0]
         agg["kde"] += objectives.kde_loss_grad(feat[i:i + 1], it.feat_old[None], 1)[0][0]
-        agg["rasp"] += objectives.rasp_loss_grad(zi[0][:, :, it.present], it.sig_smap)[0]
+        agg["rasp"] += objectives.rasp_loss_grad(zi[0][:, :, it.present], it.rasp_target)[0]
         qt = objectives.pseudo_supervision(m, y_old, loss_cfg.alpha)
         agg["seg"] += objectives.seg_loss_grad(p_hat[i:i + 1], qt, 1)[0][0]
     for key in agg:
@@ -200,14 +200,14 @@ def test_batch_losses_match_objectives_recompute(world):
 
 
 def test_gradient_routing(world):
-    """F gets gradient only from seg; snapshot parameters never change."""
+    """F gets gradient only from seg; old-model parameters never change."""
     tax, sched, data, sim = world
     cfg = small_cfg()
     model, _ = base_model(world, cfg)
     state, samples, _ = step_inputs(
         world, model, cfg, loss_cfg=LossConfig(seg_warmup_epochs=100)
     )
-    snap_before = {k: v.copy() for k, v in state.snapshot.params().items()}
+    old_before = {k: v.copy() for k, v in state.old_model.params().items()}
     items = engine._prepare_items(state, samples[:6], tax.registry, sim)
     state.epoch = 0  # inside warmup: seg inactive
     grads = zero_grads(state.model.params())
@@ -239,8 +239,8 @@ def test_gradient_routing(world):
         if k.startswith("enc.") or k.startswith("loc."):
             assert np.allclose(g1[k], g2[k], atol=0.0), k
 
-    for k, v in state.snapshot.params().items():
-        assert np.array_equal(v, snap_before[k])
+    for k, v in state.old_model.params().items():
+        assert np.array_equal(v, old_before[k])
 
 
 def test_memory_ratio_zero_is_bitwise_noop(world):
@@ -406,13 +406,15 @@ def test_incremental_batch_shards_match_full_batch(world, monkeypatch, n_items,
         assert abs(comps[key] - ref_comps[key]) < 1e-10, key
     assert any(np.any(grads[k] != 0.0) for k in grads if k.startswith("enc."))
 
-    x = np.stack([it.x for it in items])
-    scores, feat = state.snapshot.predict(x)
+    # the old model's batched two-shard forward equals the whole-batch one
+    prepared = engine._prepare_items(state, samples[:n_items], tax.registry, sim)
     with monkeypatch.context() as patch:
         patch.setattr(engine, "shard_slices", whole_batch)
-        ref_scores, ref_feat = state.snapshot.predict(x)
-    np.testing.assert_allclose(scores, ref_scores, rtol=1e-10, atol=1e-10)
-    np.testing.assert_allclose(feat, ref_feat, rtol=1e-10, atol=1e-10)
+        ref_items = engine._prepare_items(state, samples[:n_items], tax.registry, sim)
+    for it, ref in zip(prepared, ref_items):
+        for name in ("y_old", "feat_old", "rasp_target"):
+            np.testing.assert_allclose(getattr(it, name), getattr(ref, name),
+                                       rtol=1e-10, atol=1e-10, err_msg=name)
 
 
 @pytest.fixture(scope="module")

@@ -158,7 +158,7 @@ def test_report_round_trip(tmp_path):
 
 
 def test_build_report_from_counts():
-    registry = ClassRegistry.from_names(["bkg", "a", "b"])
+    registry = ClassRegistry(["bkg", "a", "b"])
     counts = np.array([
         [8, 1, 1],
         [2, 6, 0],

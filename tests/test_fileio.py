@@ -3,7 +3,9 @@
 import json
 import pytest
 
-from segprior import cli, engine, evalkit
+from segprior import class_semantics, cli, engine, evalkit, fileio, synthdata
+from segprior import config as config_mod
+from segprior.class_semantics import EmbeddingTable, load_embeddings, save_embeddings
 from segprior.engine import Arch, SegModel, load_checkpoint, save_checkpoint
 from segprior.evalkit import MetricsReport, append_trace, load_trace
 from segprior.fileio import atomic_open
@@ -97,6 +99,7 @@ def test_losses_json_failure_keeps_previous(tmp_path, monkeypatch):
 
 
 def test_emit_report_failure_keeps_previous(tmp_path, monkeypatch):
+    """A failure while writing the JSON leaves both files at the old report."""
     csv_path, json_path = str(tmp_path / "r.csv"), str(tmp_path / "r.json")
     evalkit.emit_report(fake_report(step=1), csv_path, json_path)
     monkeypatch.setattr(evalkit.json, "dump",
@@ -106,9 +109,83 @@ def test_emit_report_failure_keeps_previous(tmp_path, monkeypatch):
     monkeypatch.undo()
     with open(json_path) as fh:
         assert evalkit.report_from_dict(json.load(fh)).step == 1
-    # the CSV, written first, is whole: the new report's rows, all of them
     with open(csv_path) as fh:
         rows = fh.read().splitlines()
     assert rows[0] == "step,class,iou" and len(rows) == 1 + 2 + 4
-    assert all(row.startswith("2,") for row in rows[1:])
+    assert all(row.startswith("1,") for row in rows[1:])
     assert leftovers(tmp_path, "r.json") == ["r.csv"]
+
+
+def test_plot_trace_svg_failure_keeps_previous(tmp_path, monkeypatch):
+    path = str(tmp_path / "trace.svg")
+    evalkit.plot_trace_svg([fake_report(step=1)], path)
+    with open(path, "rb") as fh:
+        before = fh.read()
+    real_open = open
+
+    class PartialFile:
+        def __init__(self, fh):
+            self.fh, self.mode = fh, fh.mode
+
+        def write(self, data):
+            fail_after_partial_write(self.fh)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(fileio, "open", lambda *a, **k: PartialFile(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(Boom):
+        evalkit.plot_trace_svg([fake_report(step=1), fake_report(step=2)], path)
+    monkeypatch.undo()
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert leftovers(tmp_path, "trace.svg") == []
+
+
+def test_save_config_failure_keeps_previous(tmp_path, monkeypatch):
+    path = str(tmp_path / "config.json")
+    cfg = config_mod.ExperimentConfig(
+        registry=["bkg", "a", "b"], embeddings_path="e.json",
+        train_manifest="train.json", eval_manifest="", workdir="runs")
+    config_mod.save_config(cfg, path)
+    cfg.engine.seed = 99
+    monkeypatch.setattr(config_mod.json, "dump",
+                        lambda obj, fh, **_: fail_after_partial_write(fh))
+    with pytest.raises(Boom):
+        config_mod.save_config(cfg, path)
+    monkeypatch.undo()
+    assert config_mod.load_config(path).engine.seed == 0
+    assert leftovers(tmp_path, "config.json") == []
+
+
+def test_save_embeddings_failure_keeps_previous(tmp_path, monkeypatch):
+    path = str(tmp_path / "emb.json")
+    save_embeddings(EmbeddingTable.from_mapping({"bkg": [1.0, 0.0]}), path)
+    monkeypatch.setattr(class_semantics.json, "dump",
+                        lambda obj, fh, **_: fail_after_partial_write(fh))
+    with pytest.raises(Boom):
+        save_embeddings(EmbeddingTable.from_mapping({"bkg": [0.0, 2.0]}), path)
+    monkeypatch.undo()
+    assert list(load_embeddings(path).vector("bkg")) == [1.0, 0.0]
+    assert leftovers(tmp_path, "emb.json") == []
+
+
+def test_export_dataset_manifest_failure_keeps_previous(tmp_path, monkeypatch):
+    tax = synthdata.default_taxonomy()
+    samples = synthdata.generate_dataset(tax, 2, image_size=40, seed=1)
+    path = synthdata.export_dataset(samples[:1], tax.registry, str(tmp_path))
+    with open(path, "rb") as fh:
+        before = fh.read()
+    monkeypatch.setattr(synthdata.json, "dump",
+                        lambda obj, fh, **_: fail_after_partial_write(fh))
+    with pytest.raises(Boom):
+        synthdata.export_dataset(samples, tax.registry, str(tmp_path))
+    monkeypatch.undo()
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert len(synthdata.load_dataset(path)[0]) == 1
+    assert leftovers(tmp_path, "manifest.json") == ["images", "masks"]

@@ -65,7 +65,7 @@ def run_gradient_suite(n_draws=N_DRAWS, seed=123):
 
     for _ in range(n_draws):
         z1 = rng.standard_normal(HWC)
-        s = rng.uniform(-1.0, 4.0, size=HWC)
+        s = rng.uniform(0.0, 1.0, size=HWC)
         record("rasp", rasp_loss_grad(z1, s)[1], lambda t: rasp_loss_grad(t, s)[0], z1)
 
         yhat = rng.standard_normal(3)
@@ -167,7 +167,7 @@ def test_training_gradients_match_finite_differences(seed, scale, n_cls, rasp_sh
     check(g, numeric_gradient(lambda t: cls_loss_grad(t, labels)[0], yhat))
 
     z = rng.standard_normal(rasp_shape) * scale
-    s = rng.standard_normal(rasp_shape) * scale
+    s = rng.uniform(0.0, 1.0, rasp_shape)
     _, g = rasp_loss_grad(z, s)
     check(g, numeric_gradient(lambda t: rasp_loss_grad(t, s)[0], z))
 

@@ -42,8 +42,8 @@ def test_sigmoid_matches_float64_reference(dtype):
     assert sigmoid(np.arange(3)).dtype == np.float64
 
 
-def rasp_loss(z, s):
-    return rasp_loss_grad(z, s)[0]
+def rasp_loss(z, t):
+    return rasp_loss_grad(z, t)[0]
 
 
 def cls_loss(y_hat, labels):
@@ -64,21 +64,21 @@ def item_loss(fn, a, b, *args):
 def test_rasp_zero_logits_is_ln2():
     rng = np.random.default_rng(0)
     for _ in range(5):
-        s = rng.uniform(0.0, 4.0, size=(5, 4, 3))
-        assert rasp_loss(np.zeros_like(s), s) == pytest.approx(LN2, abs=1e-9)
+        t = rng.uniform(0.0, 1.0, size=(5, 4, 3))
+        assert rasp_loss(np.zeros_like(t), t) == pytest.approx(LN2, abs=1e-9)
 
 
 def test_rasp_single_entry_frozen():
-    # independent scalar BCE oracle: s=2, z=3 -> 0.40619611764009533
+    # independent scalar BCE oracle: t=sigmoid(2), z=3 -> 0.40619611764009533
     z = np.full((1, 1, 1), 3.0)
-    s = np.full((1, 1, 1), 2.0)
-    assert rasp_loss(z, s) == pytest.approx(0.40619611764009533, rel=1e-12)
+    t = np.full((1, 1, 1), 1.0 / (1.0 + math.exp(-2.0)))
+    assert rasp_loss(z, t) == pytest.approx(0.40619611764009533, rel=1e-12)
 
 
 def test_rasp_saturation():
     z = np.full((2, 2, 1), 40.0)
-    s = np.full((2, 2, 1), 40.0)
-    assert rasp_loss(z, s) < 1e-12
+    t = np.ones((2, 2, 1))
+    assert rasp_loss(z, t) < 1e-12
 
 
 def test_rasp_errors():
@@ -86,6 +86,9 @@ def test_rasp_errors():
         rasp_loss(np.zeros((2, 2, 1)), np.zeros((2, 3, 1)))
     with pytest.raises(ValueError):
         rasp_loss(np.zeros((2, 2, 0)), np.zeros((2, 2, 0)))
+    for bad in (-0.25, 1.5):     # targets are probabilities, not raw maps
+        with pytest.raises(ValueError, match="rasp targets"):
+            rasp_loss(np.zeros((2, 2, 1)), np.full((2, 2, 1), bad))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +268,7 @@ def test_losses_nonnegative():
         t = rng.uniform(0, 1, size=(3, 3, 2))
         assert item_loss(kdl_loss_grad, z, t) >= 0.0
         assert item_loss(seg_loss_grad, z, t) >= 0.0
-        assert rasp_loss(z, rng.standard_normal((3, 3, 2))) >= 0.0
+        assert rasp_loss(z, t) >= 0.0
         assert cls_loss(rng.standard_normal(4),
                         rng.integers(0, 2, 4).astype(float)) >= 0.0
 

@@ -51,13 +51,13 @@ def test_build_schedule_counts(taxonomy):
 
 def test_build_schedule_paper_arithmetic():
     from segprior.class_semantics import ClassRegistry
-    reg20 = ClassRegistry.from_names(["bkg"] + [f"c{i}" for i in range(20)])
+    reg20 = ClassRegistry(["bkg"] + [f"c{i}" for i in range(20)])
     assert build_schedule(reg20, 15, 5, "overlap").n_steps == 2
     ten_two = build_schedule(reg20, 10, 2, "overlap")
     assert ten_two.n_steps == 6
     assert [len(ten_two.base_classes)] + [len(g) for g in ten_two.increments] == \
         [10, 2, 2, 2, 2, 2]
-    reg6 = ClassRegistry.from_names(["bkg"] + [f"c{i}" for i in range(6)])
+    reg6 = ClassRegistry(["bkg"] + [f"c{i}" for i in range(6)])
     assert build_schedule(reg6, 4, 1, "overlap").n_steps == 3
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from segprior.class_semantics import semantic_similarity
+from helpers import semantic_similarity
 from segprior.synthdata import (
     ISOLATED_FAMILY,
     default_taxonomy,
@@ -20,7 +20,7 @@ def taxonomy():
 def test_taxonomy_shape(taxonomy):
     reg = taxonomy.registry
     assert len(reg) == 9
-    assert reg.entries[0].name == "bkg" and reg.entries[0].is_background
+    assert reg.background_name == reg.names[0] == "bkg"
     assert len(reg.foreground_names) == 8
     families = {n.split("_")[0] for n in reg.foreground_names}
     assert len(families) == 4
