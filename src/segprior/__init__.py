@@ -12,10 +12,11 @@ Everything is plain numpy with one numeric path.  The encoder's stride-1
 every batch (and the evaluation set, image by image) runs as two fixed
 shards on two threads, and a layer's forward cache stays valid until the
 next forward of the same layer on the same thread (see
-``segprior.layers``).  In training each shard computes its own
-items' losses with whole-batch normalisers and runs its own backward, so
-the summed shard gradients equal the whole batch's (see
-``segprior.engine``).
+``segprior.layers``).  In training each shard runs its items in
+cache-sized groups of at most four; each group computes its own items'
+losses with whole-batch normalisers and runs its own backward before the
+next group starts, so the summed group gradients equal the whole batch's
+(see ``segprior.engine``).
 """
 
 __version__ = "0.1.0"

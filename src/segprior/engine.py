@@ -30,13 +30,16 @@ training loop, ``_fit``; each supplies the per-batch work and keeps its own
 trace format.
 
 Every training batch is one ``layers.on_shards`` call over its two shards.
-Each shard runs forward, its own items' loss terms and backward in one pass
-on its own thread.  Every loss term is a per-item quantity normalised by
-whole-batch counts (all items, current items), so each shard computes its
-items' terms and output gradients with the whole batch's normalisers and
-the shard gradients, summed in shard order, are the whole batch's.  The
-caller adds the per-item losses in item order and checks them for
-finiteness.
+Each shard runs its items on its own thread as consecutive groups of at
+most ``layers.GROUP_ITEMS`` items (``layers.group_slices``), each small
+enough for its activations to come from cache.  Each group runs forward,
+its loss terms and backward in one pass, and its backward ends before
+the next group's forward begins.  Every loss term is a per-item quantity normalised
+by whole-batch counts (all items, current items), so each group computes
+its items' terms and output gradients with the whole batch's normalisers;
+the group gradients accumulate into their shard's, and the shard
+gradients, summed in shard order, are the whole batch's.  The caller adds
+the per-item losses in item order and checks them for finiteness.
 
 Evaluation (``predict_dataset``) is one ``on_shards`` call over the two
 halves of the sample list.  Each shard streams its images one at a time
@@ -55,8 +58,8 @@ import numpy as np
 
 from . import objectives, simprior
 from .fileio import atomic_open
-from .layers import (ChannelNorm, Conv2d, LeakyReLU, SGDMomentum, on_shards,
-                     shard_slices, zero_grads)
+from .layers import (ChannelNorm, Conv2d, LeakyReLU, SGDMomentum, group_slices,
+                     on_shards, shard_slices, zero_grads)
 from .memory import MemoryEntry, mix_batch
 from .objectives import LossConfig
 
@@ -318,19 +321,26 @@ def _join(shard_outs, i):
 
 
 def _train_shards(step, n, grads):
-    """Run step(rows, g) on each shard of a batch of n; results in shard order.
+    """Run step(rows, g) on each group of each shard of a batch of n.
 
-    A step runs forward, its shard's loss terms and backward in one pass.
-    Shard 0 accumulates into grads and shard 1 into a zeroed dict of its
-    own, which is added to grads afterwards.
+    Each shard runs its groups (``group_slices``) one after another on its
+    thread, and a step runs forward, its group's loss terms and backward in
+    one pass, so a group's backward ends before the next group's forward
+    begins.  Shard 0's groups accumulate into grads and shard 1's into a
+    zeroed dict of their own, which is added to grads afterwards.  Returns
+    the steps' results in item order: shard by shard, group by group.
     """
-    rows = shard_slices(n)
-    dicts = [grads] + [zero_grads(grads) for _ in rows[1:]]
-    outs = on_shards(step, list(zip(rows, dicts)))
+    shards = shard_slices(n)
+    dicts = [grads] + [zero_grads(grads) for _ in shards[1:]]
+
+    def shard(rows, g):
+        return [step(group, g) for group in group_slices(rows)]
+
+    outs = on_shards(shard, list(zip(shards, dicts)))
     for g in dicts[1:]:
         for name, value in g.items():
             grads[name] += value
-    return outs
+    return [out for groups in outs for out in groups]
 
 
 def _fit(cfg, params, lr, epochs, n_items, rng, run_batch):
@@ -523,11 +533,13 @@ def _prepare_memory(state, bank):
 def incremental_batch(state, batch_items, grads):
     """Losses and parameter gradients for one mixed batch.
 
-    Each shard runs forward, its own items' loss terms and backward on its
-    thread; the loss terms share the whole batch's normalisers, so the
-    summed shard gradients are the whole batch's.  The seg head runs only
-    once the warm-up epochs are over.  Exposed separately so tests can
-    probe the gradient routing directly.
+    Each shard runs its items on its thread in groups of at most
+    ``layers.GROUP_ITEMS``; each group runs forward, its own items' loss
+    terms and backward before the next group starts.  The loss terms share
+    the whole batch's normalisers, so the summed group gradients are the
+    whole batch's.  The seg head runs only once the warm-up epochs are
+    over.  Exposed separately so tests can probe the gradient routing
+    directly.
     """
     model = state.model
     seg_active = state.seg_active()
@@ -549,9 +561,9 @@ def incremental_batch(state, batch_items, grads):
         model.encoder.backward(dfeat, enc_cache, g)
         return losses
 
-    # per-item losses in item order (shard 0's items come first), added
-    # one by one as a whole-batch loop would, so the trace does not depend
-    # on the split; a term no item computed stays 0.0
+    # per-item losses in item order (group by group, shard 0's first),
+    # added one by one as a whole-batch loop would, so the trace does not
+    # depend on the split; a term no item computed stays 0.0
     sums = dict.fromkeys(objectives.LOSS_COMPONENTS, 0.0)
     for losses in _train_shards(step, n_all, grads):
         for key, values in losses.items():
@@ -568,12 +580,12 @@ def incremental_batch(state, batch_items, grads):
 
 
 def _batch_losses(state, items, feat, z, p_hat, n_all, n_cur):
-    """Route one shard's outputs through the objective; no formula lives here.
+    """Route one group's outputs through the objective; no formula lives here.
 
-    items are the shard's own; n_all and n_cur count the whole batch's
+    items are the group's own; n_all and n_cur count the whole batch's
     items and current (non-memory) items.  Each term comes from its
     objectives function, called on the rows it applies to and normalised
-    by the whole batch's count, so the shards' gradients add up to the
+    by the whole batch's count, so the groups' gradients add up to the
     whole batch's:
 
     * cls, every item: the pooled scores of ``image_scores_vjp``, scored

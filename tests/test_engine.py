@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import sys
 import threading
@@ -22,7 +23,7 @@ from segprior.engine import (
     predict_dataset,
     save_checkpoint,
 )
-from segprior.layers import on_shards, shard_slices, zero_grads
+from segprior.layers import group_slices, on_shards, shard_slices, zero_grads
 from segprior.memory import populate_episodic
 from segprior.objectives import LossConfig
 from segprior.protocol import build_schedule, filter_step, with_weak_labels
@@ -323,9 +324,13 @@ def test_checkpoint_records_parent_config_hash(world, tmp_path):
 # Two-shard batches
 # ---------------------------------------------------------------------------
 
-def whole_batch(b):
-    """Stand-in for shard_slices: the engine runs the batch whole, on this thread."""
-    return [slice(0, b)]
+@contextlib.contextmanager
+def whole_batch():
+    """The engine runs each batch whole: one shard of one group, on this thread."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "shard_slices", lambda b: [slice(0, b)])
+        patch.setattr(engine, "group_slices", lambda rows: [rows])
+        yield
 
 
 def assert_close_dicts(got, want, tol=1e-10):
@@ -344,9 +349,10 @@ def test_shard_slices_are_fixed_halves():
 
 def test_base_train_shards_match_full_batch(world, monkeypatch):
     """float64: every step's gradient equals the whole-batch one at 1e-10."""
-    cfg = small_cfg(dtype="float64", epochs_base=1, batch_size=5)
+    cfg = small_cfg(dtype="float64", epochs_base=1, batch_size=10)
     tax, sched, data, _ = world
-    base = filter_step(data, sched, 0)[:14]   # batches of 5, 5 and 4
+    # batches of 10, 10 and 3: shards of 5 run as groups of 3 and 2
+    base = filter_step(data, sched, 0)[:23]
 
     steps = []
 
@@ -362,9 +368,7 @@ def test_base_train_shards_match_full_batch(world, monkeypatch):
         model = SegModel.init(cfg.arch, sched.channel_names(0), seed=cfg.seed,
                               dtype=np.float64)
         loc_before = {k: v.copy() for k, v in model.localizer.params().items()}
-        with monkeypatch.context() as patch:
-            if whole:
-                patch.setattr(engine, "shard_slices", whole_batch)
+        with whole_batch() if whole else contextlib.nullcontext():
             model, trace = base_train(model, base, tax.registry, cfg)
         runs.append((model, trace, list(steps)))
         # base training optimises the encoder and head only
@@ -381,8 +385,7 @@ def test_base_train_shards_match_full_batch(world, monkeypatch):
 
 @pytest.mark.parametrize("n_items", [1, 3, 8])
 @pytest.mark.parametrize("seg_on", [False, True])
-def test_incremental_batch_shards_match_full_batch(world, monkeypatch, n_items,
-                                                    seg_on):
+def test_incremental_batch_shards_match_full_batch(world, n_items, seg_on):
     """float64: shard gradients and losses equal the whole-batch ones at 1e-10."""
     tax, sched, data, sim = world
     cfg = small_cfg(dtype="float64")
@@ -397,8 +400,7 @@ def test_incremental_batch_shards_match_full_batch(world, monkeypatch, n_items,
         items[-1] = next(iter(engine._prepare_memory(state, bank).values()))
     grads = zero_grads(state.model.params())
     comps = incremental_batch(state, items, grads)
-    with monkeypatch.context() as patch:
-        patch.setattr(engine, "shard_slices", whole_batch)
+    with whole_batch():
         ref = zero_grads(state.model.params())
         ref_comps = incremental_batch(state, items, ref)
     assert_close_dicts(grads, ref)
@@ -408,8 +410,7 @@ def test_incremental_batch_shards_match_full_batch(world, monkeypatch, n_items,
 
     # the old model's batched two-shard forward equals the whole-batch one
     prepared = engine._prepare_items(state, samples[:n_items], tax.registry, sim)
-    with monkeypatch.context() as patch:
-        patch.setattr(engine, "shard_slices", whole_batch)
+    with whole_batch():
         ref_items = engine._prepare_items(state, samples[:n_items], tax.registry, sim)
     for it, ref in zip(prepared, ref_items):
         for name in ("y_old", "feat_old", "rasp_target"):
@@ -446,12 +447,13 @@ def test_shard_local_losses_match_whole_batch(float64_pools, data):
     state.loss_cfg = dataclasses.replace(
         state.loss_cfg, lambda_rasp=data.draw(st.sampled_from([0.0, 1.0]), label="rasp"))
 
-    shard_losses = []
+    group_losses = []
     real_losses = engine._batch_losses
 
-    def spy_losses(st_, shard_items, *args):
-        out = real_losses(st_, shard_items, *args)
-        shard_losses.append((shard_items[0] is not items[0], out[0]))
+    def spy_losses(st_, group_items, *args):
+        out = real_losses(st_, group_items, *args)
+        first = next(i for i, it in enumerate(items) if it is group_items[0])
+        group_losses.append((first, out[0]))
         return out
 
     grads = zero_grads(state.model.params())
@@ -459,11 +461,11 @@ def test_shard_local_losses_match_whole_batch(float64_pools, data):
         comps = incremental_batch(state, items, grads)
     # the per-item losses are added one by one in item order
     total = 0.0
-    for _, losses in sorted(shard_losses, key=lambda c: c[0]):
+    for _, losses in sorted(group_losses, key=lambda c: c[0]):
         for value in losses["cls"]:
             total += value
     assert comps["cls"] == total / n
-    with mock.patch.object(engine, "shard_slices", whole_batch):
+    with whole_batch():
         ref = zero_grads(state.model.params())
         ref_comps = incremental_batch(state, items, ref)
     assert_close_dicts(grads, ref)
@@ -474,7 +476,103 @@ def test_shard_local_losses_match_whole_batch(float64_pools, data):
         assert all(comps[k] == 0.0 for k in ("kdl", "kde", "rasp", "seg"))
     if state.loss_cfg.lambda_rasp == 0.0:      # RaSP runs iff lambda_rasp != 0
         assert comps["rasp"] == 0.0
-        assert not any(losses["rasp"] for _, losses in shard_losses)
+        assert not any(losses["rasp"] for _, losses in group_losses)
+
+
+@pytest.mark.parametrize("rasp", [0.0, 1.0])
+@pytest.mark.parametrize("seg_on", [False, True])
+def test_grouped_benchmark_batch_matches_one_forward(world, rasp, seg_on):
+    """float64: a 24-item batch shaped like a step-1 benchmark batch (18
+    current items, then 6 memory items) runs as groups of 4 on each shard,
+    and its gradients and loss components equal one forward over all 24
+    items at 1e-10."""
+    tax, sched, data, sim = world
+    cfg = small_cfg(dtype="float64")
+    model, _ = base_model(world, cfg, train=False)
+    state, samples, _ = step_inputs(world, model, cfg, loss_cfg=LossConfig(
+        seg_warmup_epochs=1, lambda_rasp=rasp))
+    state.epoch = 1 if seg_on else 0
+    current = engine._prepare_items(state, samples[:18], tax.registry, sim)
+    bank = populate_episodic(filter_step(data, sched, 0), sched.base_classes,
+                             tax.registry, 6, seed=3)
+    items = current + list(engine._prepare_memory(state, bank).values())
+    assert len(items) == 24 and sum(it.is_memory for it in items) == 6
+
+    sizes = []
+    forward = state.model.encoder.forward
+
+    def spy_forward(x):
+        sizes.append(len(x))
+        return forward(x)
+
+    state.model.encoder.forward = spy_forward
+    grads = zero_grads(state.model.params())
+    comps = incremental_batch(state, items, grads)
+    assert sizes == [4] * 6
+    sizes.clear()
+    with whole_batch():
+        ref = zero_grads(state.model.params())
+        ref_comps = incremental_batch(state, items, ref)
+    assert sizes == [24]
+    assert_close_dicts(grads, ref)
+    assert comps.keys() == ref_comps.keys()
+    for key in ref_comps:
+        assert abs(comps[key] - ref_comps[key]) < 1e-10, key
+    assert (comps["rasp"] != 0.0) == (rasp != 0.0)
+    assert (comps["seg"] != 0.0) == seg_on
+
+
+def test_group_layout_on_the_shard_threads(world):
+    """Each shard runs its items as balanced groups of at most 4, on its
+    own thread, each group's backward ending before the next group's
+    forward begins."""
+    assert layers.GROUP_ITEMS == 4
+    want = {1: [(0, 1)], 4: [(0, 4)], 5: [(0, 3), (3, 5)],
+            12: [(0, 4), (4, 8), (8, 12)],
+            13: [(0, 4), (4, 7), (7, 10), (10, 13)]}
+    for n, bounds in want.items():
+        assert group_slices(slice(0, n)) == [slice(a, b) for a, b in bounds]
+        assert group_slices(slice(n, 2 * n)) == [slice(a + n, b + n)
+                                                 for a, b in bounds]
+
+    tax, sched, data, sim = world
+    cfg = small_cfg()
+    model, _ = base_model(world, cfg, train=False)
+    state, samples, _ = step_inputs(world, model, cfg,
+                                    loss_cfg=LossConfig(seg_warmup_epochs=0))
+    current = engine._prepare_items(state, samples[:20], tax.registry, sim)
+    bank = populate_episodic(filter_step(data, sched, 0), sched.base_classes,
+                             tax.registry, 6, seed=3)
+    items = current + list(engine._prepare_memory(state, bank).values())
+    events = []
+    encoder = state.model.encoder
+    forward, backward = encoder.forward, encoder.backward
+
+    def spy_forward(x):
+        events.append(("fwd", threading.get_ident(), x))
+        return forward(x)
+
+    def spy_backward(dy, caches, grads):
+        events.append(("bwd", threading.get_ident(), len(dy)))
+        out = backward(dy, caches, grads)
+        events.append(("bwd_end", threading.get_ident(), len(dy)))
+        return out
+
+    encoder.forward, encoder.backward = spy_forward, spy_backward
+    incremental_batch(state, items, zero_grads(state.model.params()))
+    worker = on_shards(lambda: threading.get_ident(), [(), ()])[1]
+    assert len(items) == 26        # two shards of 13: groups of 4, 3, 3, 3
+    for ident, shard in ((threading.get_ident(), slice(0, 13)),
+                         (worker, slice(13, 26))):
+        mine = [e for e in events if e[1] == ident]
+        groups = group_slices(shard)
+        assert [e[0] for e in mine] == ["fwd", "bwd", "bwd_end"] * len(groups)
+        for k, group in enumerate(groups):
+            fwd, bwd, bwd_end = mine[3 * k:3 * k + 3]
+            want_x = np.stack([it.x for it in items[group]])
+            assert np.array_equal(fwd[2], want_x)
+            assert bwd[2] == bwd_end[2] == len(want_x)
+    assert len(events) == 3 * 8
 
 
 def test_one_on_shards_call_per_training_batch(world, monkeypatch):

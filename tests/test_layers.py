@@ -1,8 +1,12 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segprior.layers import ChannelNorm, Conv2d, LeakyReLU, SGDMomentum, zero_grads
+from segprior.layers import (ChannelNorm, Conv2d, LeakyReLU, SGDMomentum, on_shards,
+                             zero_grads)
 
 from helpers import max_rel_error, numeric_gradient
 
@@ -160,3 +164,52 @@ def test_sgd_momentum_matches_reference():
     opt.step(p, g1)
     # v = 0.9*1 + 1 = 1.9 -> w -= 0.19
     assert np.allclose(p["w"], [0.71, 2.29])
+
+
+class ShardError(Exception):
+    pass
+
+
+def failing_in(*failing):
+    """A shard function that raises in the given shards."""
+    def fn(shard):
+        if shard in failing:
+            raise ShardError(f"shard {shard} failed")
+        return shard
+
+    return fn
+
+
+def worker_ident():
+    return on_shards(lambda: threading.get_ident(), [(), ()])[1]
+
+
+def test_on_shards_raises_shard_1_error():
+    with pytest.raises(ShardError, match="shard 1 failed"):
+        on_shards(failing_in(1), [(0,), (1,)])
+
+
+def test_on_shards_raises_shard_0_error_after_shard_1_finishes():
+    started, finished = threading.Event(), threading.Event()
+
+    def fn(shard):
+        if shard == 0:
+            assert started.wait(5.0)
+            raise ShardError("shard 0 failed")
+        started.set()
+        time.sleep(0.05)
+        finished.set()
+        return shard
+
+    with pytest.raises(ShardError, match="shard 0 failed"):
+        on_shards(fn, [(0,), (1,)])
+    assert finished.is_set()
+
+
+def test_on_shards_keeps_its_worker_after_errors():
+    worker = worker_ident()
+    assert worker != threading.get_ident()
+    for failing in ((0,), (1,), (0, 1)):
+        with pytest.raises(ShardError):
+            on_shards(failing_in(*failing), [(0,), (1,)])
+        assert worker_ident() == worker
