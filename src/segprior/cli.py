@@ -127,8 +127,8 @@ def cmd_train_base(args):
     base = protocol.filter_step(samples, schedule, 0)
     if not base:
         raise CliError("no samples remain after base-step filtering")
-    model = engine.SegModel.init(cfg.engine.arch, schedule.channel_names(0),
-                                 seed=cfg.engine.seed, dtype=cfg.engine.np_dtype())
+    model = engine.SegModel.init(schedule.channel_names(0), seed=cfg.engine.seed,
+                                 dtype=cfg.engine.np_dtype())
     model, trace = engine.base_train(model, base, registry, cfg.engine)
     os.makedirs(cfg.resolve(cfg.workdir), exist_ok=True)
     ckpt = _ckpt_path(cfg, 0, cfg.engine.seed)

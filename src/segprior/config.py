@@ -31,9 +31,6 @@ class ScheduleConfig:
     ordering_seed: int | None = None
     ordering: list | None = None
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class MemoryConfig:
@@ -49,9 +46,6 @@ class MemoryConfig:
             raise ValueError("memory capacity must be positive")
         if not 0.0 <= self.ratio <= 1.0:
             raise ValueError("memory ratio must lie in [0, 1]")
-
-    def to_dict(self):
-        return asdict(self)
 
 
 @dataclass
@@ -90,15 +84,15 @@ class ExperimentConfig:
         return {
             "registry": list(self.registry),
             "embeddings_path": self.embeddings_path,
-            "schedule": self.schedule.to_dict(),
-            "loss": self.loss.to_dict(),
+            "schedule": asdict(self.schedule),
+            "loss": asdict(self.loss),
             "engine": {
-                **self.engine.to_dict(),
+                **asdict(self.engine),
                 "train_manifest": self.train_manifest,
                 "eval_manifest": self.eval_manifest,
                 "workdir": self.workdir,
             },
-            "memory": self.memory.to_dict(),
+            "memory": asdict(self.memory),
         }
 
 
@@ -136,7 +130,7 @@ def load_config(path):
         workdir=workdir,
         schedule=ScheduleConfig(**raw["schedule"]),
         loss=LossConfig(**raw["loss"]),
-        engine=EngineConfig.from_dict(engine_raw),
+        engine=EngineConfig(**engine_raw),
         memory=MemoryConfig(**raw["memory"]),
         root=os.path.dirname(os.path.abspath(path)),
     )

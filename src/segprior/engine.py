@@ -1,19 +1,26 @@
 """The segmentation model and the per-step training loops.
 
-The model is a small convolutional encoder shared by two heads: a 1x1
-segmentation head extended with new output channels at every step, and a
-localizer retrained from scratch per step whose spatial scores drive the
-image-level classification loss and the pseudo-labels.  The previous
-step's model, frozen, supplies the distillation targets, and its argmax
-picks each pixel's row of the RaSP target table (``segprior.simprior``).
+The network is one fixed definition, written as the module constants
+below; no setting changes it.  The encoder is four 3x3 convs of 8, 16, 16
+and 32 channels, the first of stride 2 and the rest of stride 1, so its
+features have half the image's height and width.  Each conv is followed by
+a leaky ReLU of slope 0.01, the last one by a ChannelNorm before it.  Two
+heads share the encoder: a 1x1 segmentation head extended with new output
+channels at every step, and a localizer retrained from scratch per step.
+The localizer is two 3x3 convs of 16 channels, each followed by a
+ChannelNorm and a leaky ReLU, then a 1x1 projection to one channel per
+class; its spatial scores drive the image-level classification loss and
+the pseudo-labels.  Encoder and localizer are ``layers.Chain``s, and the
+encoder computes no gradient for the input images.  The previous step's
+model, frozen, supplies the distillation targets, and its argmax picks
+each pixel's row of the RaSP target table (``segprior.simprior``).
 
 Channel order of every head is bkg first, then base classes, then each
 increment in schedule order.  Gradient routing per batch:
 
 * localizer   <- cls + kdl + lambda * rasp
 * seg head    <- seg (after the warmup epochs)
-* encoder     <- everything above plus kde (seg contribution optional via
-  ``seg_updates_encoder``)
+* encoder     <- everything above plus kde
 * old model   <- nothing, ever
 
 Memory items contribute only to the classification loss, extended over the
@@ -51,54 +58,25 @@ the outputs are joined (``_prepare_items``).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import objectives, simprior
 from .fileio import atomic_open
-from .layers import (ChannelNorm, Conv2d, LeakyReLU, SGDMomentum, group_slices,
+from .layers import (Chain, ChannelNorm, Conv2d, LeakyReLU, SGDMomentum, group_slices,
                      on_shards, shard_slices, zero_grads)
-from .memory import MemoryEntry, mix_batch
+from .memory import mix_batch
 from .objectives import LossConfig
 
-
-@dataclass
-class Arch:
-    encoder_channels: tuple = (8, 16, 16, 32)
-    encoder_strides: tuple = (2, 1, 1, 1)
-    encoder_norm: str = "final"   # "none" | "all" | "final"
-    localizer_hidden: int = 16
-    leaky_slope: float = 0.01
-
-    def __post_init__(self):
-        if len(self.encoder_channels) != len(self.encoder_strides):
-            raise ValueError("encoder channels and strides must pair up")
-        if any(s not in (1, 2) for s in self.encoder_strides):
-            raise ValueError("encoder strides must be 1 or 2")
-        if self.encoder_norm not in ("none", "all", "final"):
-            raise ValueError("encoder_norm must be 'none', 'all' or 'final'")
-        if not 0.0 <= self.leaky_slope < 1.0:
-            raise ValueError("leaky_slope must lie in [0, 1)")
-
-    def to_dict(self):
-        d = asdict(self)
-        d["encoder_channels"] = list(self.encoder_channels)
-        d["encoder_strides"] = list(self.encoder_strides)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["encoder_channels"] = tuple(d["encoder_channels"])
-        d["encoder_strides"] = tuple(d["encoder_strides"])
-        return cls(**d)
+ENCODER_CHANNELS = (8, 16, 16, 32)
+ENCODER_STRIDES = (2, 1, 1, 1)
+LOCALIZER_HIDDEN = 16
+LEAKY_SLOPE = 0.01
 
 
 @dataclass
 class EngineConfig:
-    arch: Arch = field(default_factory=Arch)
     lr_base: float = 0.03
     lr_incremental: float = 0.005
     momentum: float = 0.9
@@ -107,7 +85,6 @@ class EngineConfig:
     batch_size: int = 24
     seed: int = 0
     dtype: str = "float32"
-    seg_updates_encoder: bool = True
 
     def __post_init__(self):
         if self.dtype not in ("float32", "float64"):
@@ -116,115 +93,33 @@ class EngineConfig:
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
 
-    def to_dict(self):
-        d = asdict(self)
-        d["arch"] = self.arch.to_dict()
-        return d
 
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["arch"] = Arch.from_dict(d.get("arch", Arch().to_dict()))
-        return cls(**d)
-
-
-class Encoder:
-    def __init__(self, arch, in_channels, rng, dtype):
-        self.convs = []
-        self.norms = []
-        cin = in_channels
-        last = len(arch.encoder_channels) - 1
-        for i, (cout, stride) in enumerate(
-            zip(arch.encoder_channels, arch.encoder_strides)
-        ):
-            self.convs.append(Conv2d(f"enc.{i}", 3, cin, cout, stride, rng, dtype))
-            use_norm = arch.encoder_norm == "all" or (
-                arch.encoder_norm == "final" and i == last
-            )
-            self.norms.append(ChannelNorm(f"enc.n{i}", cout, dtype) if use_norm else None)
-            cin = cout
-        self.act = LeakyReLU(arch.leaky_slope)
-        self.out_channels = cin
-
-    def params(self):
-        out = {}
-        for conv, norm in zip(self.convs, self.norms):
-            out.update(conv.params())
-            if norm is not None:
-                out.update(norm.params())
-        return out
-
-    def forward(self, x):
-        caches = []
-        for conv, norm in zip(self.convs, self.norms):
-            x, c = conv.forward(x)
-            nc = None
-            if norm is not None:
-                x, nc = norm.forward(x)
-            x, gain = self.act.forward(x)
-            caches.append((c, nc, gain))
-        return x, caches
-
-    def backward(self, dy, caches, grads):
-        """Accumulate parameter gradients; the input images get no gradient."""
-        for i in reversed(range(len(self.convs))):
-            c, nc, gain = caches[i]
-            dy = self.act.backward(dy, gain)
-            if self.norms[i] is not None:
-                dy = self.norms[i].backward(dy, nc, grads)
-            dy = self.convs[i].backward(dy, c, grads, input_grad=i > 0)
+def _encoder(rng, dtype):
+    act = LeakyReLU(LEAKY_SLOPE)
+    layers, cin = [], 3
+    for i, (cout, stride) in enumerate(zip(ENCODER_CHANNELS, ENCODER_STRIDES)):
+        layers.append(Conv2d(f"enc.{i}", 3, cin, cout, stride, rng, dtype))
+        if i == len(ENCODER_CHANNELS) - 1:
+            layers.append(ChannelNorm(f"enc.n{i}", cout, dtype))
+        layers.append(act)
+        cin = cout
+    return Chain(layers, input_grad=False)
 
 
-class Localizer:
-    """Three conv layers interleaved with normalization and leaky ReLU."""
-
-    def __init__(self, arch, in_channels, n_classes, rng, dtype):
-        h = arch.localizer_hidden
-        self.conv0 = Conv2d("loc.0", 3, in_channels, h, 1, rng, dtype)
-        self.norm0 = ChannelNorm("loc.n0", h, dtype)
-        self.conv1 = Conv2d("loc.1", 3, h, h, 1, rng, dtype)
-        self.norm1 = ChannelNorm("loc.n1", h, dtype)
-        self.proj = Conv2d("loc.2", 1, h, n_classes, 1, rng, dtype)
-        self.act = LeakyReLU(arch.leaky_slope)
-        self.n_classes = n_classes
-
-    def params(self):
-        out = {}
-        for part in (self.conv0, self.norm0, self.conv1, self.norm1, self.proj):
-            out.update(part.params())
-        return out
-
-    def forward(self, feat):
-        x, c0 = self.conv0.forward(feat)
-        x, n0 = self.norm0.forward(x)
-        x, p0 = self.act.forward(x)
-        x, c1 = self.conv1.forward(x)
-        x, n1 = self.norm1.forward(x)
-        x, p1 = self.act.forward(x)
-        z, cp = self.proj.forward(x)
-        return z, (c0, n0, p0, c1, n1, p1, cp)
-
-    def backward(self, dz, cache, grads):
-        c0, n0, p0, c1, n1, p1, cp = cache
-        dx = self.proj.backward(dz, cp, grads)
-        dx = self.act.backward(dx, p1)
-        dx = self.norm1.backward(dx, n1, grads)
-        dx = self.conv1.backward(dx, c1, grads)
-        dx = self.act.backward(dx, p0)
-        dx = self.norm0.backward(dx, n0, grads)
-        dx = self.conv0.backward(dx, c0, grads)
-        return dx
+def _localizer(n_classes, rng, dtype):
+    h, act = LOCALIZER_HIDDEN, LeakyReLU(LEAKY_SLOPE)
+    return Chain([
+        Conv2d("loc.0", 3, ENCODER_CHANNELS[-1], h, 1, rng, dtype),
+        ChannelNorm("loc.n0", h, dtype), act,
+        Conv2d("loc.1", 3, h, h, 1, rng, dtype), ChannelNorm("loc.n1", h, dtype), act,
+        Conv2d("loc.2", 1, h, n_classes, 1, rng, dtype),
+    ])
 
 
 class SegModel:
     """Encoder + incrementally extended seg head + per-step localizer."""
 
-    def __init__(self, arch, class_names, encoder, head, localizer, dtype):
-        if head.W.shape[3] != len(class_names):
-            raise ValueError("seg head channel count must match the class list")
-        if localizer.n_classes != len(class_names):
-            raise ValueError("localizer channel count must match the class list")
-        self.arch = arch
+    def __init__(self, class_names, encoder, head, localizer, dtype):
         self.class_names = tuple(class_names)
         self.encoder = encoder
         self.head = head
@@ -232,17 +127,15 @@ class SegModel:
         self.dtype = dtype
 
     @classmethod
-    def init(cls, arch, class_names, seed, dtype=np.float32, in_channels=3):
+    def init(cls, class_names, seed, dtype=np.float32):
         ss = np.random.SeedSequence(seed)
         enc_rng, head_rng, loc_rng = (
             np.random.default_rng(s) for s in ss.spawn(3)
         )
-        encoder = Encoder(arch, in_channels, enc_rng, dtype)
-        head = Conv2d("head", 1, encoder.out_channels, len(class_names), 1,
+        head = Conv2d("head", 1, ENCODER_CHANNELS[-1], len(class_names), 1,
                       head_rng, dtype)
-        localizer = Localizer(arch, encoder.out_channels, len(class_names),
-                              loc_rng, dtype)
-        return cls(arch, class_names, encoder, head, localizer, dtype)
+        return cls(class_names, _encoder(enc_rng, dtype), head,
+                   _localizer(len(class_names), loc_rng, dtype), dtype)
 
     def params(self):
         out = {}
@@ -284,9 +177,8 @@ def extend_head(model, new_classes, seed):
     ).astype(model.dtype)
     head.b = np.zeros(len(names), dtype=model.dtype)
     head.b[: len(model.class_names)] = model.head.b
-    localizer = Localizer(model.arch, model.encoder.out_channels, len(names),
-                          loc_rng, model.dtype)
-    return SegModel(model.arch, names, out.encoder, head, localizer, model.dtype)
+    localizer = _localizer(len(names), loc_rng, model.dtype)
+    return SegModel(names, out.encoder, head, localizer, model.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +195,6 @@ def nearest_resize(src, oh, ow):
     rows = (np.arange(oh) * h) // oh
     cols = (np.arange(ow) * w) // ow
     return src[rows[:, None], cols[None, :]]
-
-
-def feature_hw(arch, h, w):
-    for s in arch.encoder_strides:
-        if s == 2:
-            h = (h + 2 - 3) // 2 + 1
-            w = (w + 2 - 3) // 2 + 1
-    return h, w
 
 
 def _join(shard_outs, i):
@@ -388,7 +272,7 @@ def base_train(model, samples, registry, cfg):
     ss = np.random.SeedSequence(cfg.seed)
     shuffle_rng = np.random.default_rng(ss.spawn(1)[0])
     h, w = samples[0].image.shape[:2]
-    ho, wo = feature_hw(model.arch, h, w)
+    ho, wo = (h + 1) // 2, (w + 1) // 2   # the encoder's stride-2 conv
     n_classes = model.n_classes()
     lut = np.zeros(len(registry), dtype=np.int64)
     for ch, name in enumerate(model.class_names):
@@ -514,19 +398,19 @@ def _prepare_items(state, samples, registry, sim_matrix):
 
 
 def _prepare_memory(state, bank):
-    if bank is None or len(bank) == 0:
-        return {}
+    """The bank's entries as memory items, in bank order; none without a bank."""
+    if bank is None:
+        return []
     dtype = state.model.dtype
     fg_names = state.model.class_names[1:]
     pos = {name: k for k, name in enumerate(fg_names)}
-    prepared = {}
+    prepared = []
     for entry in bank.entries:
         labels = np.zeros(len(fg_names), dtype=np.float64)
         for name in entry.labels:
             labels[pos[name]] = 1.0
-        prepared[id(entry)] = _Item(
-            x=image_to_input(entry.image, dtype), labels_fg=labels, is_memory=True
-        )
+        prepared.append(_Item(x=image_to_input(entry.image, dtype), labels_fg=labels,
+                              is_memory=True))
     return prepared
 
 
@@ -555,9 +439,7 @@ def incremental_batch(state, batch_items, grads):
                                               n_all, n_cur)
         dfeat += model.localizer.backward(dz, loc_cache, g)
         if seg_active:
-            dfeat_head = model.head.backward(dp, head_cache, g)
-            if state.engine_cfg.seg_updates_encoder:
-                dfeat += dfeat_head
+            dfeat += model.head.backward(dp, head_cache, g)
         model.encoder.backward(dfeat, enc_cache, g)
         return losses
 
@@ -627,7 +509,7 @@ def _batch_losses(state, items, feat, z, p_hat, n_all, n_cur):
         z[cur, :, :, :n_old], y_old, n_pix * n_old * n_cur)
     dz[cur, :, :, :n_old] += grad
     losses["kde"], grad = objectives.kde_loss_grad(
-        feat[cur], feat_old, n_pix * n_cur, lcfg.kde_squared)
+        feat[cur], feat_old, n_pix * n_cur)
     dfeat_extra[cur] += grad
     if lcfg.lambda_rasp != 0:
         for i in cur:
@@ -657,15 +539,13 @@ def incremental_step(state, samples, bank, sim_matrix, registry):
     shuffle_seed, memory_seed = ss.spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     memory_rng = np.random.default_rng(memory_seed)
-    use_memory = bank is not None and len(bank) > 0 and state.memory_ratio > 0
+    use_memory = bool(mem_items) and state.memory_ratio > 0
 
     def run_batch(epoch, idx, grads):
         state.epoch = epoch
         batch = [items[i] for i in idx]
         if use_memory:
-            entries = mix_batch(batch, bank, state.memory_ratio, memory_rng)
-            batch = [mem_items[id(e)] if isinstance(e, MemoryEntry) else e
-                     for e in entries]
+            batch = mix_batch(batch, mem_items, state.memory_ratio, memory_rng)
         comps = incremental_batch(state, batch, grads)
         return {**comps, "total": objectives.total_loss(comps, state.loss_cfg, epoch)}
 
@@ -717,7 +597,6 @@ def save_checkpoint(model, path, step, config_hash, parent_config_hash=None):
         "__class_names__": np.array(model.class_names),
         "__step__": np.array(step, dtype=np.int64),
         "__config_hash__": np.array(config_hash),
-        "__arch__": np.array(json.dumps(model.arch.to_dict())),
         "__dtype__": np.array("float32" if model.dtype == np.float32 else "float64"),
     }
     if parent_config_hash is not None:
@@ -729,14 +608,23 @@ def save_checkpoint(model, path, step, config_hash, parent_config_hash=None):
 
 
 def load_checkpoint(path):
+    """The model, step and config hash of a checkpoint.
+
+    The stored parameter names must be exactly the model's; members named
+    ``__*__`` are metadata, and those the model does not read are ignored.
+    """
     with np.load(path, allow_pickle=False) as data:
         class_names = [str(n) for n in data["__class_names__"]]
         step = int(data["__step__"])
         config_hash = str(data["__config_hash__"])
-        arch = Arch.from_dict(json.loads(str(data["__arch__"])))
         dtype = np.float32 if str(data["__dtype__"]) == "float32" else np.float64
-        model = SegModel.init(arch, class_names, seed=0, dtype=dtype)
+        model = SegModel.init(class_names, seed=0, dtype=dtype)
         params = model.params()
+        stored = {n for n in data.files if not (n.startswith("__") and n.endswith("__"))}
+        missing, extra = sorted(params.keys() - stored), sorted(stored - params.keys())
+        if missing or extra:
+            raise ValueError(f"checkpoint parameters differ from the model's: "
+                             f"missing {missing}, not in the model {extra}")
         for name, p in params.items():
             stored = data[name]
             if stored.shape != p.shape:

@@ -313,13 +313,46 @@ class LeakyReLU:
     def __init__(self, slope):
         self.slope = slope
 
+    def params(self):
+        return {}
+
     def forward(self, x):
         g = np.sign(x)
         np.maximum(g, self.slope, out=g)
         return x * g, g
 
-    def backward(self, dy, g):
+    def backward(self, dy, g, grads):
         return dy * g
+
+
+class Chain:
+    """Layers run in order; backward runs them in reverse.
+
+    Every layer has params(), forward(x) -> (y, cache) and
+    backward(dy, cache, grads) -> dx.  The first layer is a Conv2d, and
+    input_grad says whether its backward computes the chain's input
+    gradient.
+    """
+
+    def __init__(self, layers, input_grad=True):
+        self.layers = layers
+        self.input_grad = input_grad
+
+    def params(self):
+        return {name: p for layer in self.layers for name, p in layer.params().items()}
+
+    def forward(self, x):
+        caches = []
+        for layer in self.layers:
+            x, cache = layer.forward(x)
+            caches.append(cache)
+        return x, caches
+
+    def backward(self, dy, caches, grads):
+        """Accumulate parameter gradients; return the input gradient or None."""
+        for layer, cache in zip(self.layers[:0:-1], caches[:0:-1]):
+            dy = layer.backward(dy, cache, grads)
+        return self.layers[0].backward(dy, caches[0], grads, self.input_grad)
 
 
 class SGDMomentum:

@@ -114,10 +114,11 @@ def ingest_external(manifest_path, registry):
     return MemoryBank(capacity=max(len(entries), 1), entries=entries)
 
 
-def mix_batch(current, bank, ratio, rng):
-    """Replace floor(ratio * B) batch items with uniform draws from the bank.
+def mix_batch(current, memory, ratio, rng):
+    """Replace the last floor(ratio * B) batch items with uniform draws from
+    the sequence memory.
 
-    Draws are without replacement inside a batch (when the bank allows) and
+    Draws are without replacement inside a batch (when memory allows) and
     independent across calls.  ratio 0 returns the batch unchanged without
     touching the generator, so a memory-free pipeline stays bitwise intact.
     """
@@ -125,12 +126,11 @@ def mix_batch(current, bank, ratio, rng):
         raise ValueError("ratio must lie in [0, 1]")
     batch = list(current)
     k = int(ratio * len(batch))
-    if ratio > 0 and (bank is None or len(bank) == 0):
-        raise ValueError("memory ratio is positive but the bank is empty")
+    if ratio > 0 and not memory:
+        raise ValueError("memory ratio is positive but the memory is empty")
     if k == 0:
         return batch
-    replace = len(bank) < k
-    picks = rng.choice(len(bank), size=k, replace=replace)
+    picks = rng.choice(len(memory), size=k, replace=len(memory) < k)
     for slot, p in enumerate(int(v) for v in picks):
-        batch[len(batch) - k + slot] = bank.entries[p]
+        batch[len(batch) - k + slot] = memory[p]
     return batch

@@ -25,13 +25,18 @@ new classes present in the image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
 class LossConfig:
+    """The objective's settings: the rasp weight, the RaSP target sharpness
+    tau, the pseudo-label smoothing alpha, the nGWP + focal pooling
+    constants and the seg warm-up length.  The kde term has none: it is
+    always the squared feature distance of ``kde_loss_grad``."""
+
     lambda_rasp: float = 1.0
     tau: float = 5.0
     alpha: float = 0.5
@@ -39,7 +44,6 @@ class LossConfig:
     gamma_focal: float = 3.0
     lambda_focal: float = 0.01
     seg_warmup_epochs: int = 5
-    kde_squared: bool = True
 
     def __post_init__(self):
         if self.lambda_rasp < 0:
@@ -56,9 +60,6 @@ class LossConfig:
             raise ValueError("lambda_focal must be positive")
         if self.seg_warmup_epochs < 0:
             raise ValueError("seg_warmup_epochs must be non-negative")
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def sigmoid(x):
@@ -199,24 +200,18 @@ def cls_loss_grad(y_hat, labels):
     return float(total / y_hat.size), grad
 
 
-def kde_loss_grad(f, f_old, n, squared=True):
-    """Feature distillation: per item, the mean over pixels of the feature distance.
+def kde_loss_grad(f, f_old, n):
+    """Feature distillation: per item, the mean over pixels of the squared
+    Euclidean distance between the feature vectors.
 
-    f and f_old are (B, H, W, D); the distance is squared by default, the
-    plain norm sits behind the flag for comparison.  n counts pixels.
+    f and f_old are (B, H, W, D); n counts pixels.
     """
     f, f_old = _check_pair(f, f_old, "feature tensors")
     diff = f - f_old
     n_pix = int(np.prod(diff.shape[1:-1]))
     dist = (diff * diff).sum(axis=-1)
-    if squared:
-        grad = 2.0 * diff / n
-    else:
-        dist = np.sqrt(dist)
-        safe = np.where(dist > 0, dist, 1.0)
-        grad = np.where(dist[..., None] > 0, diff / safe[..., None], 0.0) / n
     losses = dist.reshape(len(diff), -1).sum(axis=1).astype(np.float64) / n_pix
-    return losses, grad
+    return losses, 2.0 * diff / n
 
 
 def kdl_loss_grad(z, y_old, n):

@@ -122,3 +122,47 @@ def test_bad_usage_and_missing_files():
     assert res.returncode == 1
     res = run_cli("plot", "--trace", "/nonexistent.json", "--out", "/tmp/x.svg")
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("engine", "arch", {"encoder_channels": [8, 16, 16, 32]}),
+    ("engine", "seg_updates_encoder", True),
+    ("loss", "kde_squared", True),
+])
+def test_removed_config_keys_rejected(workspace, tmp_path, section, key, value):
+    """The network and its gradient paths are fixed; a config that still
+    sets one of the old keys is a validation error naming the key."""
+    _, cfg_path = workspace
+    with open(cfg_path) as fh:
+        cfg = json.load(fh)
+    cfg[section][key] = value
+    path = str(tmp_path / "config.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    res = run_cli("train-base", "--config", path, "--seed", "5")
+    assert res.returncode == 1
+    assert key in res.stderr
+
+
+def test_checkpoint_must_hold_exactly_the_model_parameters(workspace, tmp_path):
+    out, cfg_path = workspace
+    res = run_cli("train-base", "--config", cfg_path, "--seed", "8")
+    assert res.returncode == 0, res.stderr
+    with np.load(os.path.join(out, "runs", "ckpt_step0_seed8.npz")) as data:
+        members = {name: data[name] for name in data.files}
+
+    def eval_with(name, **changed):
+        path = str(tmp_path / name)
+        np.savez(path, **changed)
+        return run_cli("eval", "--config", cfg_path, "--checkpoint", path)
+
+    # metadata the model does not read, such as an old __arch__, is ignored
+    res = eval_with("meta.npz", **members, __arch__=np.array("{}"))
+    assert res.returncode == 0, res.stderr
+    missing = {k: v for k, v in members.items() if k != "enc.n3.gamma"}
+    res = eval_with("missing.npz", **missing)
+    assert res.returncode == 1
+    assert "enc.n3.gamma" in res.stderr
+    res = eval_with("extra.npz", **members, **{"enc.n0.gamma": np.ones(8, np.float32)})
+    assert res.returncode == 1
+    assert "enc.n0.gamma" in res.stderr

@@ -11,7 +11,7 @@ from segprior.config import (
     load_config,
     save_config,
 )
-from segprior.engine import Arch, EngineConfig
+from segprior.engine import EngineConfig
 
 
 def make_config():
@@ -78,17 +78,6 @@ def test_resolve_paths(tmp_path):
     assert cfg.resolve("x/y.json") == str(tmp_path / "x" / "y.json")
     assert cfg.resolve("/abs/path.json") == "/abs/path.json"
     assert cfg.resolve(None) is None
-
-
-@pytest.mark.parametrize("slope", [-0.01, 1.0, 1.5])
-def test_leaky_slope_outside_unit_interval_rejected(slope):
-    with pytest.raises(ValueError, match="leaky_slope"):
-        Arch(leaky_slope=slope)
-
-
-@pytest.mark.parametrize("slope", [0.0, 0.01, 0.99])
-def test_leaky_slope_inside_unit_interval_accepted(slope):
-    assert Arch(leaky_slope=slope).leaky_slope == slope
 
 
 @pytest.mark.parametrize("dtype", ["float16", "int32", "Float32", ""])

@@ -199,7 +199,7 @@ def test_evaluate_model_counts_every_predicted_map():
     """The report equals build_report over counts added map by map."""
     tax = default_taxonomy()
     sched = build_schedule(tax.registry, 4, 2, "overlap")
-    base = engine.SegModel.init(engine.Arch(), sched.channel_names(0), seed=2)
+    base = engine.SegModel.init(sched.channel_names(0), seed=2)
     model = engine.extend_head(base, sched.classes_at_step(1), seed=3)
     samples = generate_dataset(tax, 9, seed=12)
     new = list(sched.classes_at_step(1))

@@ -6,7 +6,7 @@ import pytest
 from segprior import class_semantics, cli, engine, evalkit, fileio, synthdata
 from segprior import config as config_mod
 from segprior.class_semantics import EmbeddingTable, load_embeddings, save_embeddings
-from segprior.engine import Arch, SegModel, load_checkpoint, save_checkpoint
+from segprior.engine import SegModel, load_checkpoint, save_checkpoint
 from segprior.evalkit import MetricsReport, append_trace, load_trace
 from segprior.fileio import atomic_open
 
@@ -49,7 +49,7 @@ def test_atomic_open_replaces_on_success(tmp_path):
 
 def test_save_checkpoint_failure_keeps_previous(tmp_path, monkeypatch):
     names = ("bkg", "a", "b")
-    model = SegModel.init(Arch(), names, seed=1)
+    model = SegModel.init(names, seed=1)
     path = str(tmp_path / "ckpt.npz")
     save_checkpoint(model, path, step=0, config_hash="first")
     with open(path, "rb") as fh:

@@ -136,7 +136,7 @@ def test_leaky_relu_backward():
     x = np.array([[-2.0, 3.0]])
     y, gain = act.forward(x)
     assert np.allclose(y, [[-0.02, 3.0]])
-    dx = act.backward(np.ones_like(x), gain)
+    dx = act.backward(np.ones_like(x), gain, {})
     assert np.allclose(dx, [[0.01, 1.0]])
 
 
@@ -149,7 +149,7 @@ def test_leaky_relu_matches_where(slope, dtype):
     dy = rng.standard_normal(x.shape).astype(dtype)
     act = LeakyReLU(slope)
     y, gain = act.forward(x)
-    dx = act.backward(dy, gain)
+    dx = act.backward(dy, gain, {})
     assert y.dtype == dtype and dx.dtype == dtype
     assert np.array_equal(y, np.where(x > 0, x, slope * x))
     assert np.array_equal(dx, np.where(x > 0, dy, slope * dy))

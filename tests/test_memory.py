@@ -127,35 +127,33 @@ def test_mix_batch(past, taxonomy):
     bank = populate_episodic(samples, sched.base_classes, taxonomy.registry, 16, seed=4)
     batch = list(range(8))
     rng = np.random.default_rng(0)
-    assert mix_batch(batch, bank, 0.0, rng) == batch
-    mixed = mix_batch(batch, bank, 0.25, np.random.default_rng(1))
+    assert mix_batch(batch, bank.entries, 0.0, rng) == batch
+    mixed = mix_batch(batch, bank.entries, 0.25, np.random.default_rng(1))
     assert len(mixed) == 8
     assert sum(isinstance(x, MemoryEntry) for x in mixed) == 2
-    full = mix_batch(batch, bank, 1.0, np.random.default_rng(2))
+    full = mix_batch(batch, bank.entries, 1.0, np.random.default_rng(2))
     assert all(isinstance(x, MemoryEntry) for x in full)
     # without replacement within a batch
     seen = {id(x) for x in full}
     assert len(seen) == 8
     with pytest.raises(ValueError):
-        mix_batch(batch, MemoryBank(capacity=4), 0.5, rng)
+        mix_batch(batch, [], 0.5, rng)
 
 
 @settings(max_examples=60, deadline=None)
 @given(b=st.integers(1, 16), ratio=st.floats(0.0, 1.0), bank_size=st.integers(1, 12),
        seed=st.integers(0, 2**32 - 1))
 def test_mix_batch_properties(b, ratio, bank_size, seed):
-    image = np.zeros((2, 2, 3), dtype=np.uint8)
-    bank = MemoryBank(capacity=bank_size, entries=[
-        MemoryEntry(image, frozenset(["a"]), "episodic") for _ in range(bank_size)])
+    memory = [object() for _ in range(bank_size)]
     batch = [object() for _ in range(b)]
     rng = np.random.default_rng(seed)
     state = rng.bit_generator.state
-    mixed = mix_batch(batch, bank, ratio, rng)
+    mixed = mix_batch(batch, memory, ratio, rng)
     k = int(np.floor(ratio * b))
     assert len(mixed) == b
     assert all(m is c for m, c in zip(mixed[:b - k], batch))
     tail = mixed[b - k:]
-    assert all(any(t is e for e in bank.entries) for t in tail)
+    assert all(any(t is e for e in memory) for t in tail)
     if bank_size >= k:
         assert len({id(t) for t in tail}) == k
     if ratio == 0.0:

@@ -228,8 +228,6 @@ def test_kde_values():
     two = np.zeros((2, 1, 1))
     ref = np.array([[[1.0]], [[np.sqrt(3.0)]]])
     assert item_loss(kde_loss_grad, two, ref) == pytest.approx(2.0, rel=1e-12)
-    # unsquared variant: mean of plain norms
-    assert item_loss(kde_loss_grad, a, b, False) == pytest.approx(5.0, rel=1e-12)
     with pytest.raises(ValueError):
         kde_loss_grad(np.zeros((1, 2, 2, 1)), np.zeros((1, 2, 3, 1)), 4)
 
@@ -279,16 +277,14 @@ def test_batch_native_losses_reduce_per_item():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((3, 4, 5, 2))
     t = rng.uniform(0.0, 1.0, a.shape)
-    cases = ((kdl_loss_grad, (t,)), (seg_loss_grad, (t,)),
-             (kde_loss_grad, (t, True)), (kde_loss_grad, (t, False)))
-    for fn, (other, *flag) in cases:
-        losses, grad = fn(a, other, 7, *flag)
+    for fn in (kdl_loss_grad, seg_loss_grad, kde_loss_grad):
+        losses, grad = fn(a, t, 7)
         assert losses.shape == (3,) and losses.dtype == np.float64
         for b in range(3):
-            one_loss, one_grad = fn(a[b:b + 1], other[b:b + 1], 7, *flag)
+            one_loss, one_grad = fn(a[b:b + 1], t[b:b + 1], 7)
             assert losses[b] == one_loss[0]
             assert np.array_equal(grad[b], one_grad[0])
-        np.testing.assert_allclose(grad * 7, fn(a, other, 1, *flag)[1], rtol=1e-15)
+        np.testing.assert_allclose(grad * 7, fn(a, t, 1)[1], rtol=1e-15)
     with pytest.raises(ValueError):      # no leading item axis
         kdl_loss_grad(np.zeros(3), np.zeros(3), 3)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from segprior import engine
 from segprior.class_semantics import ClassRegistry, EmbeddingTable, similarity_matrix
-from segprior.engine import Arch, EngineConfig, SegModel, StepState
+from segprior.engine import EngineConfig, SegModel, StepState
 from segprior.objectives import LossConfig, sigmoid
 from segprior.protocol import Sample
 from segprior.simprior import rasp_target_table
@@ -142,7 +142,7 @@ def scored_step(old_names, new_names, logits, labels, dtype="float32",
     cfg = EngineConfig(batch_size=batch_size, dtype=dtype)
     state = StepState(
         step=1, old_model=old,
-        model=SegModel.init(Arch(), tuple(old_names) + tuple(new_names), seed=0,
+        model=SegModel.init(tuple(old_names) + tuple(new_names), seed=0,
                             dtype=cfg.np_dtype()),
         loss_cfg=LossConfig(tau=tau, lambda_rasp=lambda_rasp), engine_cfg=cfg,
         n_old=len(old_names))
