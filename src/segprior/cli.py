@@ -77,7 +77,8 @@ def _apply_overrides(cfg, args):
 
 def _load_split(cfg, split):
     path = cfg.resolve(cfg.train_manifest if split == "train" else cfg.eval_manifest)
-    if not path or not os.path.exists(path):
+    # an empty manifest name resolves to the config's directory
+    if not path or not os.path.isfile(path):
         raise CliError(f"{split} manifest not found: {path}")
     samples, classes = synthdata.load_dataset(path)
     if classes != list(cfg.registry):
@@ -281,7 +282,6 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=("train", "eval"), default="eval")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("plot", help="render per-step mIoU curves as SVG")

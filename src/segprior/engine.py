@@ -89,6 +89,14 @@ class EngineConfig:
     def __post_init__(self):
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be 'float32' or 'float64', not {self.dtype!r}")
+        for name in ("batch_size", "epochs_base", "epochs_incremental"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1, not {getattr(self, name)!r}")
+        for name in ("lr_base", "lr_incremental"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, not {getattr(self, name)!r}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), not {self.momentum!r}")
 
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64

@@ -4,16 +4,22 @@ Everything runs channel-last on numpy arrays: activations are
 (B, H, W, C).  Backward methods return the input gradient and accumulate
 parameter gradients into a caller-supplied dict keyed by parameter name.
 
-Stride-1 3x3 convolutions are shifted GEMMs (the kn2row/accumulate family
-of Anderson et al., arXiv:1709.03395).  The zero-padded input
-(B, H+2, W+2, C) is flattened to rows of C channels, one row per padded
-pixel.  Output pixel (n, i, j) is computed at row r = (n*(H+2) + i)*(W+2) + j
-of the same padded grid, and its tap (ki, kj) reads input row
-r + ki*(W+2) + kj.  Each tap is therefore one GEMM over a contiguous range
-of rows, accumulated into an output on the padded grid that is cropped to
-(B, H, W) at the end; the backward pass runs the same nine row ranges for
-the weight and input gradients.  Stride-2 3x3 convolutions gather their
-patches instead; 1x1 convolutions are one matrix product per image.
+3x3 convolutions are shifted GEMMs (the kn2row/accumulate family of
+Anderson et al., arXiv:1709.03395) over phase grids.  The input is
+zero-padded by one pixel, rounded up to a multiple of the stride s, and
+split into its s x s phase grids: phase (pi, pj) holds the padded pixels
+(s*i + pi, s*j + pj) at grid position (i, j), the polyphase split behind
+sub-pixel convolution (Shi et al., arXiv:1609.05158).  Each grid is
+flattened to rows of C channels, one row per grid pixel, and is wq pixels
+wide.  Output pixel (n, i, j) is computed at row r = (n*hq + i)*wq + j of
+a grid of the same shape, and its tap (ki, kj) reads row
+r + (ki // s)*wq + kj // s of phase (ki % s, kj % s).  Each tap is
+therefore one GEMM over a contiguous range of rows, accumulated into an
+output grid that is cropped to the output size at the end; the backward
+pass runs the same nine row ranges for the weight gradient and scatters
+the input gradient into the phase grids, which interleave back into the
+padded image.  At s = 1 there is one phase, the padded input itself.  1x1
+convolutions are one matrix product per image.
 
 Every batch is split along axis 0 into two fixed shards of ceil(B/2) and
 floor(B/2) items (``shard_slices``).  ``on_shards`` runs shard 0 on the
@@ -44,9 +50,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
-
-_TAPS = tuple((ki, kj) for ki in range(3) for kj in range(3))
-
 
 # one worker thread, started on first use, so shard 1 always runs on it
 _SHARD1 = ThreadPoolExecutor(max_workers=1, thread_name_prefix="segprior-shard1")
@@ -92,22 +95,11 @@ def on_shards(fn, shard_args):
     return [first, second.result()]
 
 
-def _im2col(xp, stride, ho, wo, cols):
-    """Gather 3x3 patches of xp (B, H+2, W+2, C) into cols (B, ho, wo, 3, 3, C)."""
-    for ki in range(3):
-        for kj in range(3):
-            cols[:, :, :, ki, kj, :] = xp[:, ki:ki + stride * ho:stride,
-                                          kj:kj + stride * wo:stride, :]
-
-
-def _col2im(dcols, stride, dxp):
-    """Scatter-add patch gradients (B, ho, wo, 3, 3, C) into dxp (B, H+2, W+2, C)."""
-    ho, wo = dcols.shape[1], dcols.shape[2]
-    dxp[:] = 0
-    for ki in range(3):
-        for kj in range(3):
-            dxp[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride, :] += \
-                dcols[:, :, :, ki, kj, :]
+def _tap_rows(stride, wq):
+    """(ki, kj, phase, row shift) of each 3x3 tap in raster order, on phase
+    grids of width wq."""
+    return [(ki, kj, (ki % stride) * stride + kj % stride, (ki // stride) * wq + kj // stride)
+            for ki in range(3) for kj in range(3)]
 
 
 class Conv2d:
@@ -163,36 +155,28 @@ class Conv2d:
             y = np.matmul(x.reshape(b, h * w, cin), self.W[0, 0])
             y += self.b
             return y.reshape(b, h, w, cout), x
-        if self.stride == 1:
-            return self._forward_shifted(x)
-        ho = (h + 2 - 3) // self.stride + 1
-        wo = (w + 2 - 3) // self.stride + 1
-        # zeroed on creation; only the interior is rewritten afterwards,
-        # so the padding border stays zero across reuses
-        xp = self._lease("xp", (b, h + 2, w + 2, cin), x.dtype, fill=0)
-        xp[:, 1:h + 1, 1:w + 1, :] = x
-        cols = self._lease("cols", (b, ho, wo, 3, 3, cin), x.dtype)
-        _im2col(xp, self.stride, ho, wo, cols)
-        flat = cols.reshape(b * ho * wo, 9 * cin)
-        y = flat @ self.W.reshape(9 * cin, cout) + self.b
-        return y.reshape(b, ho, wo, cout), (cols, (b, h, w, cin, ho, wo))
-
-    def _forward_shifted(self, x):
-        b, h, w, cin = x.shape
-        cout = self.W.shape[3]
-        wp = w + 2
-        n = b * (h + 2) * wp
-        span = n - 2 * wp - 2         # rows up to the last output pixel
-        xp = self._lease("xp", (b, h + 2, wp, cin), x.dtype, fill=0)
-        xp[:, 1:h + 1, 1:w + 1, :] = x
-        rows = xp.reshape(n, cin)
+        s = self.stride
+        hq, wq = -(-(h + 2) // s), -(-(w + 2) // s)
+        n = b * hq * wq
+        span = n - (2 // s) * (wq + 1)    # rows up to the last output pixel
+        # zeroed on creation; only the image pixels are rewritten afterwards,
+        # so the padding stays zero across reuses.  Image row r is padded
+        # row r + 1: phase (r + 1) % s, grid row (r + 1) // s.
+        grids = self._lease("xq", (s, s, b, hq, wq, cin), x.dtype, fill=0)
+        for pi in range(s):
+            for pj in range(s):
+                r, c = (pi - 1) % s, (pj - 1) % s    # first image row and column
+                part = x[:, r::s, c::s]
+                i, j = (r + 1) // s, (c + 1) // s
+                grids[pi, pj, :, i:i + part.shape[1], j:j + part.shape[2]] = part
+        rows = grids.reshape(s * s, n, cin)
         out = np.empty((n, cout), x.dtype)
-        np.matmul(rows[:span], self.W[0, 0], out=out[:span])
-        for ki, kj in _TAPS[1:]:
-            shift = ki * wp + kj
-            out[:span] += rows[shift:shift + span] @ self.W[ki, kj]
-        y = out.reshape(b, h + 2, wp, cout)[:, :h, :w] + self.b
-        return y, (xp, (b, h, w, cin))
+        np.matmul(rows[0, :span], self.W[0, 0], out=out[:span])
+        for ki, kj, p, shift in _tap_rows(s, wq)[1:]:
+            out[:span] += rows[p, shift:shift + span] @ self.W[ki, kj]
+        ho, wo = (h - 1) // s + 1, (w - 1) // s + 1
+        y = out.reshape(b, hq, wq, cout)[:, :ho, :wo] + self.b
+        return y, (grids, h, w, span)
 
     def backward(self, dy, cache, grads, input_grad=True):
         """Accumulate parameter gradients; return dx, or None if not input_grad."""
@@ -205,50 +189,36 @@ class Conv2d:
             grads[f"{self.name}.W"][0, 0] += xflat.T @ dflat
             grads[f"{self.name}.b"] += dflat.sum(axis=0)
             return (dflat @ self.W[0, 0].T).reshape(x.shape) if input_grad else None
-        if self.stride == 1:
-            return self._backward_shifted(dy, cache, grads, input_grad)
-        cols, (b, h, w, cin, ho, wo) = cache
-        flat = cols.reshape(b * ho * wo, 9 * cin)
-        dflat = np.ascontiguousarray(dy).reshape(b * ho * wo, cout)
-        grads[f"{self.name}.W"] += (flat.T @ dflat).reshape(self.W.shape)
-        # column sums as a GEMV; axis-0 reduction in numpy is far slower
-        ones = self._lease("ones", (dflat.shape[0],), dflat.dtype, fill=1)
-        grads[f"{self.name}.b"] += ones @ dflat
-        if not input_grad:
-            return None
-        # cols is no longer needed; overwrite it in place with dcols
-        np.matmul(dflat, self.W.reshape(9 * cin, cout).T, out=flat)
-        dxp = self._lease("dxp", (b, h + 2, w + 2, cin), flat.dtype)
-        _col2im(cols, self.stride, dxp)
-        return dxp[:, 1:h + 1, 1:w + 1, :]
-
-    def _backward_shifted(self, dy, cache, grads, input_grad):
-        xp, (b, h, w, cin) = cache
-        cout = self.W.shape[3]
-        wp = w + 2
-        n = b * (h + 2) * wp
-        span = n - 2 * wp - 2
-        # dy on the padded output grid; the rows outside the image are
-        # zeroed on creation and never written, so they add nothing below
-        dgrid = self._lease("dgrid", (n, cout), xp.dtype, fill=0)
-        dgrid.reshape(b, h + 2, wp, cout)[:, :h, :w] = dy
+        grids, h, w, span = cache
+        s, _, b, hq, wq, cin = grids.shape
+        n = b * hq * wq
+        taps = _tap_rows(s, wq)
+        # dy on the output grid; the rows outside the output are zeroed on
+        # creation and never written, so they add nothing below
+        dgrid = self._lease("dgrid", (n, cout), grids.dtype, fill=0)
+        dgrid.reshape(b, hq, wq, cout)[:, :dy.shape[1], :dy.shape[2]] = dy
         d = dgrid[:span]
-        rows = xp.reshape(n, cin)
+        rows = grids.reshape(s * s, n, cin)
         dW = grads[f"{self.name}.W"]
-        for ki, kj in _TAPS:
-            shift = ki * wp + kj
-            dW[ki, kj] += rows[shift:shift + span].T @ d
+        for ki, kj, p, shift in taps:
+            dW[ki, kj] += rows[p, shift:shift + span].T @ d
+        # column sums as a GEMV; axis-0 reduction in numpy is far slower
         ones = self._lease("ones", (span,), d.dtype, fill=1)
         grads[f"{self.name}.b"] += ones @ d
         if not input_grad:
             return None
-        dxp = np.empty((n, cin), d.dtype)
-        np.matmul(d, self.W[0, 0].T, out=dxp[:span])
-        dxp[span:] = 0
-        for ki, kj in _TAPS[1:]:
-            shift = ki * wp + kj
-            dxp[shift:shift + span] += d @ self.W[ki, kj].T
-        return dxp.reshape(b, h + 2, wp, cin)[:, 1:h + 1, 1:w + 1]
+        # the first tap of each phase in raster order is the one with no
+        # shift; it writes the phase's first span rows, the others add
+        dq = np.empty((s * s, n, cin), d.dtype)
+        dq[:, span:] = 0
+        for ki, kj, p, shift in taps:
+            if shift:
+                dq[p, shift:shift + span] += d @ self.W[ki, kj].T
+            else:
+                np.matmul(d, self.W[ki, kj].T, out=dq[p, :span])
+        # interleave the phases back into the padded image (a view at s = 1)
+        dxp = dq.reshape(s, s, b, hq, wq, cin).transpose(2, 3, 0, 4, 1, 5)
+        return dxp.reshape(b, s * hq, s * wq, cin)[:, 1:h + 1, 1:w + 1]
 
 
 class ChannelNorm:

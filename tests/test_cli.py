@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -166,3 +167,53 @@ def test_checkpoint_must_hold_exactly_the_model_parameters(workspace, tmp_path):
     res = eval_with("extra.npz", **members, **{"enc.n0.gamma": np.ones(8, np.float32)})
     assert res.returncode == 1
     assert "enc.n0.gamma" in res.stderr
+
+
+@pytest.mark.parametrize("key, value", [
+    ("batch_size", 0),
+    ("batch_size", -4),
+    ("epochs_base", 0),
+    ("epochs_incremental", 0),
+    ("lr_base", -1.0),
+    ("lr_incremental", 0.0),
+    ("momentum", 1.5),
+    ("momentum", -0.1),
+])
+def test_bad_engine_values_rejected(workspace, tmp_path, key, value):
+    """Each of these used to fail mid-run (exit 1 or 2) or train without
+    complaint; the config is now rejected up front, naming the field."""
+    _, cfg_path = workspace
+    path = str(tmp_path / "config.json")
+    shutil.copy(cfg_path, path)
+    shrink_config(path, **{key: value})
+    res = run_cli("train-base", "--config", path, "--seed", "5")
+    assert res.returncode == 1, res.stderr
+    assert key in res.stderr
+
+
+def test_eval_without_an_eval_split(tmp_path):
+    out = str(tmp_path / "data")
+    res = run_cli("gen-data", "--out", out, "--n", "24", "--eval-n", "0", "--seed", "3")
+    assert res.returncode == 0, res.stderr
+    cfg_path = os.path.join(out, "config.json")
+    with open(cfg_path) as fh:
+        assert json.load(fh)["engine"]["eval_manifest"] == ""
+    shrink_config(cfg_path, epochs_base=1, batch_size=12)
+    res = run_cli("train-base", "--config", cfg_path, "--seed", "5")
+    assert res.returncode == 0, res.stderr
+    ckpt = os.path.join(out, "runs", "ckpt_step0_seed5.npz")
+    # the empty manifest name must not resolve to the config's directory
+    res = run_cli("eval", "--config", cfg_path, "--checkpoint", ckpt)
+    assert res.returncode == 1, res.stderr
+    assert "eval manifest not found" in res.stderr
+    res = run_cli("eval", "--config", cfg_path, "--checkpoint", ckpt, "--split", "train")
+    assert res.returncode == 0, res.stderr
+
+
+def test_eval_has_no_seed_flag(workspace):
+    """eval names its outputs after --checkpoint; a --seed would be ignored."""
+    _, cfg_path = workspace
+    res = run_cli("eval", "--config", cfg_path, "--checkpoint", "ckpt.npz",
+                  "--seed", "1")
+    assert res.returncode == 1
+    assert "--seed" in res.stderr

@@ -213,3 +213,28 @@ def test_on_shards_keeps_its_worker_after_errors():
         with pytest.raises(ShardError):
             on_shards(failing_in(*failing), [(0,), (1,)])
         assert worker_ident() == worker
+
+
+def cache_arrays(cache):
+    return [a for a in cache if isinstance(a, np.ndarray)]
+
+
+def shares_buffer(cache_a, cache_b):
+    return any(np.shares_memory(a, b) for a in cache_arrays(cache_a)
+               for b in cache_arrays(cache_b))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_buffers_are_leased_per_thread(stride):
+    """Forwards of one shape on one thread reuse the padded-input buffer,
+    which spares training a fresh zero-filled buffer per conv and group;
+    the shard-1 worker leases its own."""
+    rng = np.random.default_rng(5)
+    conv = Conv2d("c", 3, 3, 4, stride, rng, np.float32)
+    x = rng.standard_normal((2, 7, 6, 3)).astype(np.float32)
+    _, first = conv.forward(x)
+    _, second = conv.forward(x[::-1].copy())
+    assert shares_buffer(first, second)
+    (_, caller), (_, worker) = on_shards(conv.forward, [(x,), (x,)])
+    assert shares_buffer(caller, first)
+    assert not shares_buffer(worker, caller)
