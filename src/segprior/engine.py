@@ -58,7 +58,7 @@ the outputs are joined (``_prepare_items``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,6 +73,9 @@ ENCODER_CHANNELS = (8, 16, 16, 32)
 ENCODER_STRIDES = (2, 1, 1, 1)
 LOCALIZER_HIDDEN = 16
 LEAKY_SLOPE = 0.01
+
+# the Python types EngineConfig accepts for each annotated field type
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 @dataclass
@@ -89,8 +92,13 @@ class EngineConfig:
     def __post_init__(self):
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be 'float32' or 'float64', not {self.dtype!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # exact types, so that True is no batch size and 2.5 no epoch count
+            if type(value) not in _FIELD_TYPES[f.type]:
+                raise ValueError(f"{f.name} must be of type {f.type}, not {value!r}")
         for name in ("batch_size", "epochs_base", "epochs_incremental"):
-            if not getattr(self, name) >= 1:
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, not {getattr(self, name)!r}")
         for name in ("lr_base", "lr_incremental"):
             if not getattr(self, name) > 0:

@@ -159,16 +159,20 @@ class Conv2d:
         hq, wq = -(-(h + 2) // s), -(-(w + 2) // s)
         n = b * hq * wq
         span = n - (2 // s) * (wq + 1)    # rows up to the last output pixel
-        # zeroed on creation; only the image pixels are rewritten afterwards,
-        # so the padding stays zero across reuses.  Image row r is padded
-        # row r + 1: phase (r + 1) % s, grid row (r + 1) // s.
+        # Image row r is padded row r + 1: phase (r + 1) % s, grid row
+        # (r + 1) // s.  The top and left padding is zeroed on creation and
+        # never written.  The bottom and right padding is zeroed on every
+        # call: at s = 2, 63 and 64 px pad to grids of one size, so the
+        # grids may hold the last row or column of a larger image.
         grids = self._lease("xq", (s, s, b, hq, wq, cin), x.dtype, fill=0)
         for pi in range(s):
             for pj in range(s):
                 r, c = (pi - 1) % s, (pj - 1) % s    # first image row and column
                 part = x[:, r::s, c::s]
                 i, j = (r + 1) // s, (c + 1) // s
-                grids[pi, pj, :, i:i + part.shape[1], j:j + part.shape[2]] = part
+                g = grids[pi, pj]
+                g[:, i:i + part.shape[1], j:j + part.shape[2]] = part
+                g[:, i + part.shape[1]:] = g[:, :, j + part.shape[2]:] = 0
         rows = grids.reshape(s * s, n, cin)
         out = np.empty((n, cout), x.dtype)
         np.matmul(rows[0, :span], self.W[0, 0], out=out[:span])
@@ -193,11 +197,13 @@ class Conv2d:
         s, _, b, hq, wq, cin = grids.shape
         n = b * hq * wq
         taps = _tap_rows(s, wq)
-        # dy on the output grid; the rows outside the output are zeroed on
-        # creation and never written, so they add nothing below
-        dgrid = self._lease("dgrid", (n, cout), grids.dtype, fill=0)
-        dgrid.reshape(b, hq, wq, cout)[:, :dy.shape[1], :dy.shape[2]] = dy
-        d = dgrid[:span]
+        # dy on the output grid.  The rest of the grid must be zero to add
+        # nothing below: it is zeroed on every call, as a grid of this shape
+        # may have held a larger output.
+        dgrid = self._lease("dgrid", (b, hq, wq, cout), grids.dtype)
+        dgrid[:, :dy.shape[1], :dy.shape[2]] = dy
+        dgrid[:, dy.shape[1]:] = dgrid[:, :, dy.shape[2]:] = 0
+        d = dgrid.reshape(n, cout)[:span]
         rows = grids.reshape(s * s, n, cin)
         dW = grads[f"{self.name}.W"]
         for ki, kj, p, shift in taps:

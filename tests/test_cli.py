@@ -178,6 +178,13 @@ def test_checkpoint_must_hold_exactly_the_model_parameters(workspace, tmp_path):
     ("lr_incremental", 0.0),
     ("momentum", 1.5),
     ("momentum", -0.1),
+    ("batch_size", 2.5),
+    ("batch_size", "8"),
+    ("batch_size", True),
+    ("epochs_base", 1.5),
+    ("lr_base", "0.1"),
+    ("momentum", None),
+    ("seed", 1.5),
 ])
 def test_bad_engine_values_rejected(workspace, tmp_path, key, value):
     """Each of these used to fail mid-run (exit 1 or 2) or train without

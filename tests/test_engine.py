@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import dataclasses
 import sys
 import threading
@@ -771,6 +772,21 @@ def test_predict_dataset_mixes_image_sizes(world):
                                       (96, 96)]
     for g, s in zip(got, samples):
         assert np.array_equal(g, predict_alone(model, s, tax.registry))
+
+
+def test_predict_dataset_alternates_63_and_64_px(world):
+    """63 and 64 px images pad to 65 and 66 px, which the stride-2 conv
+    rounds up to the same size; each label map must match the image run
+    alone through a copy of the model with fresh buffers."""
+    tax, sched, data, _ = world
+    cfg = small_cfg()
+    model, _ = base_model(world, cfg, train=False)
+    odd = generate_dataset(tax, 3, image_size=63, seed=7)
+    samples = [data[0], odd[0], data[1], odd[1], data[2], odd[2]]
+    got = predict_dataset(model, samples, tax.registry)
+    assert [g.shape for g in got] == [(64, 64), (63, 63)] * 3
+    for g, s in zip(got, samples):
+        assert np.array_equal(g, predict_alone(copy.deepcopy(model), s, tax.registry))
 
 
 def test_predict_dataset_streams_on_the_two_shard_threads(world, monkeypatch):

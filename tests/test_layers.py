@@ -100,6 +100,26 @@ def test_conv_matches_naive_loops(case):
         np.testing.assert_array_equal(only[name], grads[name])
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_reused_buffers_hold_nothing_from_other_sizes(stride):
+    """One layer runs batches of different shapes in turn and matches the
+    loop reference on each: 6 and 5 px pad to 8 and 7, which round up to
+    the same stride-2 size, and 1 x 6 x 6 and 2 x 2 x 6 images pad to the
+    same number of pixels."""
+    rng = np.random.default_rng(9)
+    conv = Conv2d("c", 3, 3, 4, stride, rng, np.float64)
+    conv.b[...] = rng.standard_normal(4)
+    for shape in ((1, 6, 6), (2, 2, 6), (1, 5, 5), (1, 6, 5), (1, 5, 6), (1, 6, 6)):
+        x = rng.standard_normal((*shape, 3))
+        y, cache = conv.forward(x)
+        dy = rng.standard_normal(y.shape)
+        grads = zero_grads(conv.params())
+        dx = conv.backward(dy, cache, grads)
+        ref = naive_conv(x, conv.W, conv.b, stride, dy)
+        for got, want in zip((y, dx, grads["c.W"], grads["c.b"]), ref):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+
 def test_channel_norm_gradients():
     rng = np.random.default_rng(1)
     norm = ChannelNorm("n", 3, np.float64)
