@@ -7,11 +7,11 @@ classes: a pairwise table built from class-name embeddings gives each
 (old class, new class) pair a target, and each pixel takes the row of the
 old class the previous model predicts there (see ``segprior.simprior``).
 
-Everything is plain numpy with one numeric path.  The encoder's stride-1
-3x3 convolutions run as shifted GEMMs over the flattened zero-padded input,
-every batch (and the evaluation set, image by image) runs as two fixed
-shards on two threads, and a layer's forward cache stays valid until the
-next forward of the same layer on the same thread (see
+Everything is plain numpy with one numeric path.  Every 3x3 convolution,
+stride 1 or 2, runs as shifted GEMMs over the phase grids of its
+zero-padded input, every batch (and the evaluation set, image by image)
+runs as two fixed shards on two threads, and a layer's forward cache stays
+valid until the next forward of the same layer on the same thread (see
 ``segprior.layers``).  In training each shard runs its items in
 cache-sized groups of at most four; each group computes its own items'
 losses with whole-batch normalisers and runs its own backward before the

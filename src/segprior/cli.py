@@ -153,7 +153,7 @@ def _build_bank(cfg, registry, schedule, step, samples, seed):
         past.extend(protocol.filter_step(samples, schedule, past_step))
     old_classes = schedule.old_classes(step)
     return memory_mod.populate_episodic(past, old_classes, registry,
-                                        cfg.memory.capacity, seed)
+                                        memory_mod.CAPACITY, seed)
 
 
 def cmd_train_incremental(args):
@@ -188,7 +188,6 @@ def cmd_train_incremental(args):
     state = engine.StepState(
         step=step, old_model=parent, model=model, loss_cfg=cfg.loss,
         engine_cfg=cfg.engine, n_old=len(parent.class_names),
-        memory_ratio=cfg.memory.ratio,
     )
     model, trace = engine.incremental_step(state, step_samples, bank, sim, registry)
     ckpt = _ckpt_path(cfg, step, seed)
@@ -214,9 +213,10 @@ def cmd_eval(args):
     report = evalkit.evaluate_model(
         model, samples, registry, schedule.base_classes, new_classes,
         step, chash)
+    # beside the checkpoint: two checkpoints of one name in two directories
+    # keep their own reports and traces
     stem = os.path.splitext(os.path.basename(args.checkpoint))[0]
-    outdir = cfg.resolve(cfg.workdir)
-    os.makedirs(outdir, exist_ok=True)
+    outdir = os.path.dirname(os.path.abspath(args.checkpoint))
     csv_path = os.path.join(outdir, f"report_{stem}_{args.split}.csv")
     json_path = os.path.join(outdir, f"report_{stem}_{args.split}.json")
     evalkit.emit_report(report, csv_path, json_path)
@@ -278,7 +278,7 @@ def build_parser():
     p.add_argument("--memory-manifest", default=None)
     p.set_defaults(func=cmd_train_incremental)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint and emit reports")
+    p = sub.add_parser("eval", help="evaluate a checkpoint; reports go beside it")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=("train", "eval"), default="eval")

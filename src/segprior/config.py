@@ -6,6 +6,11 @@ verbatim (they hash portably) and resolved against the config file's
 directory when used.  The sha256 of the canonical serialization is stamped
 into checkpoints and metric reports so runs trace back to their exact
 configuration.
+
+``load_config`` rejects a document it cannot run: a missing section, a key
+no section defines (the settings of a fixed recipe among them), a value
+not of its field's annotated type, or a registry or schedule the class
+lists cannot build.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 from .class_semantics import ClassRegistry
 from .engine import EngineConfig
@@ -34,18 +39,15 @@ class ScheduleConfig:
 
 @dataclass
 class MemoryConfig:
+    """Which replay memory an incremental step mixes in; its capacity and
+    batch share are ``memory.CAPACITY`` and ``memory.RATIO``."""
+
     mode: str = "none"            # "none" | "episodic" | "external"
-    capacity: int = 100
-    ratio: float = 0.25
     manifest: str | None = None
 
     def __post_init__(self):
         if self.mode not in ("none", "episodic", "external"):
             raise ValueError(f"unknown memory mode {self.mode!r}")
-        if self.capacity <= 0:
-            raise ValueError("memory capacity must be positive")
-        if not 0.0 <= self.ratio <= 1.0:
-            raise ValueError("memory ratio must lie in [0, 1]")
 
 
 @dataclass
@@ -108,31 +110,54 @@ def save_config(cfg, path):
     return path
 
 
+_SECTIONS = {"schedule": ScheduleConfig, "loss": LossConfig, "engine": EngineConfig,
+             "memory": MemoryConfig}
+# ExperimentConfig fields that the engine section carries
+_ENGINE_PATHS = ("train_manifest", "eval_manifest", "workdir")
+# the Python types a field accepts for each annotated type: exact types, so
+# that True is no batch size and 2.5 no epoch count
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "list": (list,)}
+
+
+def _checked(section, raw, annotations):
+    """A copy of the section raw, once each key is a field of annotations
+    holding a value of the field's type; ``X | None`` also takes null."""
+    if type(raw) is not dict:
+        raise ValueError(f"the {section!r} section must be an object")
+    for key, value in raw.items():
+        if key not in annotations:
+            raise ValueError(f"the {section!r} section has no setting {key!r}")
+        kind, _, optional = annotations[key].partition(" | ")
+        if type(value) not in _FIELD_TYPES[kind] and not (optional and value is None):
+            raise ValueError(f"{section}.{key} must be of type {annotations[key]}, "
+                             f"not {value!r}")
+    return dict(raw)
+
+
+def _annotations(cls):
+    return {f.name: f.type for f in fields(cls)}
+
+
 def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    for section in ("registry", "embeddings_path", "schedule", "loss", "engine",
-                    "memory"):
+    for section in ("registry", "embeddings_path", *_SECTIONS):
         if section not in raw:
             raise ValueError(f"config is missing the {section!r} section")
-    engine_raw = dict(raw["engine"])
+    top = _checked("config", {key: raw[key] for key in ("registry", "embeddings_path")},
+                   _annotations(ExperimentConfig))
+    if not all(type(name) is str for name in top["registry"]):
+        raise ValueError(f"registry must be a list of class names, not {top['registry']!r}")
+    sections = {}
+    for name, cls in _SECTIONS.items():
+        paths = dict.fromkeys(_ENGINE_PATHS, "str") if name == "engine" else {}
+        sections[name] = _checked(name, raw[name], {**_annotations(cls), **paths})
     try:
-        train_manifest = engine_raw.pop("train_manifest")
-        eval_manifest = engine_raw.pop("eval_manifest")
-        workdir = engine_raw.pop("workdir")
+        top.update({key: sections["engine"].pop(key) for key in _ENGINE_PATHS})
     except KeyError as exc:
         raise ValueError(f"engine section is missing {exc}") from None
-    cfg = ExperimentConfig(
-        registry=list(raw["registry"]),
-        embeddings_path=raw["embeddings_path"],
-        train_manifest=train_manifest,
-        eval_manifest=eval_manifest,
-        workdir=workdir,
-        schedule=ScheduleConfig(**raw["schedule"]),
-        loss=LossConfig(**raw["loss"]),
-        engine=EngineConfig(**engine_raw),
-        memory=MemoryConfig(**raw["memory"]),
-        root=os.path.dirname(os.path.abspath(path)),
-    )
-    cfg.class_registry()   # validates the registry section
+    cfg = ExperimentConfig(**top, **{name: cls(**sections[name])
+                                     for name, cls in _SECTIONS.items()},
+                           root=os.path.dirname(os.path.abspath(path)))
+    cfg.task_schedule()   # validates the registry and schedule sections
     return cfg

@@ -58,7 +58,7 @@ the outputs are joined (``_prepare_items``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,15 +74,11 @@ ENCODER_STRIDES = (2, 1, 1, 1)
 LOCALIZER_HIDDEN = 16
 LEAKY_SLOPE = 0.01
 
-# the Python types EngineConfig accepts for each annotated field type
-_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
-
 
 @dataclass
 class EngineConfig:
     lr_base: float = 0.03
     lr_incremental: float = 0.005
-    momentum: float = 0.9
     epochs_base: int = 40
     epochs_incremental: int = 40
     batch_size: int = 24
@@ -92,19 +88,12 @@ class EngineConfig:
     def __post_init__(self):
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be 'float32' or 'float64', not {self.dtype!r}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # exact types, so that True is no batch size and 2.5 no epoch count
-            if type(value) not in _FIELD_TYPES[f.type]:
-                raise ValueError(f"{f.name} must be of type {f.type}, not {value!r}")
         for name in ("batch_size", "epochs_base", "epochs_incremental"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, not {getattr(self, name)!r}")
         for name in ("lr_base", "lr_incremental"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, not {getattr(self, name)!r}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must lie in [0, 1), not {self.momentum!r}")
 
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
@@ -253,7 +242,7 @@ def _fit(cfg, params, lr, epochs, n_items, rng, run_batch):
     holds the mean of each returned value over its batches, added up in
     batch order.
     """
-    opt = SGDMomentum(lr, cfg.momentum)
+    opt = SGDMomentum(lr)
     trace = []
     for epoch in range(epochs):
         order = rng.permutation(n_items)
@@ -343,7 +332,6 @@ class StepState:
     loss_cfg: LossConfig
     engine_cfg: EngineConfig
     n_old: int                   # previous label-space size, bkg included
-    memory_ratio: float = 0.25
     epoch: int = 0
 
     def seg_active(self):
@@ -505,7 +493,7 @@ def _batch_losses(state, items, feat, z, p_hat, n_all, n_cur):
     cur = [i for i, it in enumerate(items) if not it.is_memory]
     losses = {key: [] for key in objectives.LOSS_COMPONENTS}
 
-    scores, m, scores_vjp = objectives.image_scores_vjp(z, lcfg)
+    scores, m, scores_vjp = objectives.image_scores_vjp(z)
     upstream = np.zeros_like(scores)
     for i, item in enumerate(items):
         sel = slice(1, None) if item.is_memory else slice(n_old, None)
@@ -535,7 +523,7 @@ def _batch_losses(state, items, feat, z, p_hat, n_all, n_cur):
             losses["rasp"].append(loss)
             dz[i][:, :, present] += (lcfg.lambda_rasp / n_cur) * grad
     if p_hat is not None:
-        q_tilde = objectives.pseudo_supervision(m[cur], y_old, lcfg.alpha)
+        q_tilde = objectives.pseudo_supervision(m[cur], y_old)
         losses["seg"], grad = objectives.seg_loss_grad(
             p_hat[cur], q_tilde, n_pix * p_hat.shape[3] * n_cur)
         dp[cur] += grad
@@ -555,13 +543,12 @@ def incremental_step(state, samples, bank, sim_matrix, registry):
     shuffle_seed, memory_seed = ss.spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     memory_rng = np.random.default_rng(memory_seed)
-    use_memory = bool(mem_items) and state.memory_ratio > 0
 
     def run_batch(epoch, idx, grads):
         state.epoch = epoch
         batch = [items[i] for i in idx]
-        if use_memory:
-            batch = mix_batch(batch, mem_items, state.memory_ratio, memory_rng)
+        if mem_items:
+            batch = mix_batch(batch, mem_items, memory_rng)
         comps = incremental_batch(state, batch, grads)
         return {**comps, "total": objectives.total_loss(comps, state.loss_cfg, epoch)}
 

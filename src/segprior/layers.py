@@ -331,12 +331,14 @@ class Chain:
         return self.layers[0].backward(dy, caches[0], grads, self.input_grad)
 
 
-class SGDMomentum:
-    """Classic momentum: v <- mu v + g; p <- p - lr v."""
+MOMENTUM = 0.9
 
-    def __init__(self, lr, momentum):
+
+class SGDMomentum:
+    """Classic momentum: v <- mu v + g; p <- p - lr v, with mu = MOMENTUM."""
+
+    def __init__(self, lr):
         self.lr = lr
-        self.momentum = momentum
         self.velocity = {}
 
     def step(self, params, grads):
@@ -346,7 +348,7 @@ class SGDMomentum:
             if v is None:
                 v = np.zeros_like(p)
                 self.velocity[name] = v
-            v *= self.momentum
+            v *= MOMENTUM
             v += g
             p -= self.lr * v
 

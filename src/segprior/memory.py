@@ -6,6 +6,9 @@ classes) and an external bank ingested from a manifest of retrieved images
 (one class per row).  Memory items carry image-level label sets over old
 classes only; during training they contribute solely to the localizer's
 classification loss, acting as negatives for the new classes.
+
+The episodic bank holds at most ``CAPACITY`` entries, and memory items
+take the last ``RATIO`` share of every training batch.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import netpbm
+
+CAPACITY = 100
+RATIO = 0.25
 
 
 @dataclass(frozen=True)
@@ -114,20 +120,18 @@ def ingest_external(manifest_path, registry):
     return MemoryBank(capacity=max(len(entries), 1), entries=entries)
 
 
-def mix_batch(current, memory, ratio, rng):
-    """Replace the last floor(ratio * B) batch items with uniform draws from
-    the sequence memory.
+def mix_batch(current, memory, rng):
+    """Replace the last floor(RATIO * B) batch items with uniform draws from
+    the non-empty sequence memory.
 
     Draws are without replacement inside a batch (when memory allows) and
-    independent across calls.  ratio 0 returns the batch unchanged without
-    touching the generator, so a memory-free pipeline stays bitwise intact.
+    independent across calls.  A batch too small to take a memory item
+    comes back unchanged without touching the generator.
     """
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError("ratio must lie in [0, 1]")
+    if not memory:
+        raise ValueError("cannot mix from an empty memory")
     batch = list(current)
-    k = int(ratio * len(batch))
-    if ratio > 0 and not memory:
-        raise ValueError("memory ratio is positive but the memory is empty")
+    k = int(RATIO * len(batch))
     if k == 0:
         return batch
     picks = rng.choice(len(memory), size=k, replace=len(memory) < k)

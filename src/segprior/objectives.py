@@ -21,6 +21,11 @@ The combined objective is
 where the semantic-prior term ``rasp`` is a binary cross-entropy between
 the RaSP targets of ``segprior.simprior`` and the localizer logits of the
 new classes present in the image.
+
+The pooling and pseudo-label constants are fixed: ``NGWP_EPSILON``,
+``FOCAL_GAMMA`` and ``FOCAL_LAMBDA`` are the nGWP + focal constants of
+Araslanov & Roth (CVPR 2020, arXiv:2005.08104), and ``PSEUDO_ALPHA`` is the
+weight of the one-hot argmax in the smoothed pseudo-labels.
 """
 
 from __future__ import annotations
@@ -29,20 +34,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+NGWP_EPSILON = 1e-5
+FOCAL_GAMMA = 3.0
+FOCAL_LAMBDA = 0.01
+PSEUDO_ALPHA = 0.5
+
 
 @dataclass
 class LossConfig:
     """The objective's settings: the rasp weight, the RaSP target sharpness
-    tau, the pseudo-label smoothing alpha, the nGWP + focal pooling
-    constants and the seg warm-up length.  The kde term has none: it is
-    always the squared feature distance of ``kde_loss_grad``."""
+    tau and the seg warm-up length.  The pooling and pseudo-label constants
+    are fixed (``NGWP_EPSILON``, ``FOCAL_GAMMA``, ``FOCAL_LAMBDA``,
+    ``PSEUDO_ALPHA``), and the kde term has none: it is always the squared
+    feature distance of ``kde_loss_grad``."""
 
     lambda_rasp: float = 1.0
     tau: float = 5.0
-    alpha: float = 0.5
-    epsilon_ngwp: float = 1e-5
-    gamma_focal: float = 3.0
-    lambda_focal: float = 0.01
     seg_warmup_epochs: int = 5
 
     def __post_init__(self):
@@ -50,14 +57,6 @@ class LossConfig:
             raise ValueError("lambda_rasp must be non-negative")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.epsilon_ngwp <= 0:
-            raise ValueError("epsilon_ngwp must be positive")
-        if self.gamma_focal < 0:
-            raise ValueError("gamma_focal must be non-negative")
-        if self.lambda_focal <= 0:
-            raise ValueError("lambda_focal must be positive")
         if self.seg_warmup_epochs < 0:
             raise ValueError("seg_warmup_epochs must be non-negative")
 
@@ -139,7 +138,7 @@ def rasp_loss_grad(z, t):
 # Image-level score pooling
 # ---------------------------------------------------------------------------
 
-def image_scores_vjp(z, cfg):
+def image_scores_vjp(z):
     """Pooled per-class image scores of (B, H, W, C) logits, and their VJP.
 
     With m the softmax over the class axis and P the pixel count, item b
@@ -148,7 +147,8 @@ def image_scores_vjp(z, cfg):
 
         sum(m * z) / (epsilon + sum(m))  +  (1 - mass)^gamma * log(lambda + mass)
 
-    where the sums run over the item's pixels and mass = sum(m) / P.
+    where the sums run over the item's pixels, mass = sum(m) / P, and
+    epsilon, gamma and lambda are NGWP_EPSILON, FOCAL_GAMMA and FOCAL_LAMBDA.
     Returns (scores, m, vjp): scores is (B, C), m is the softmax, which the
     pseudo-labels reuse, and vjp(upstream) maps a (B, C) upstream gradient
     to d(sum(upstream * scores)) / dz.
@@ -158,7 +158,7 @@ def image_scores_vjp(z, cfg):
         raise ValueError("pooling expects a (B, H, W, C) tensor")
     if z.shape[3] < 2:
         raise ValueError("pooling needs at least two classes for the softmax")
-    eps, gamma, lam = cfg.epsilon_ngwp, cfg.gamma_focal, cfg.lambda_focal
+    eps, gamma, lam = NGWP_EPSILON, FOCAL_GAMMA, FOCAL_LAMBDA
     n_items, n_pix, n_cls = len(z), z.shape[1] * z.shape[2], z.shape[3]
     m = np.exp(z - z.max(axis=-1, keepdims=True))
     m /= m.sum(axis=-1, keepdims=True)
@@ -167,8 +167,7 @@ def image_scores_vjp(z, cfg):
     pooled = (m * z).reshape(n_items, n_pix, n_cls).sum(axis=1) / (eps + msum)
     log_mass = np.log(lam + mass)
     dfoc = (1.0 - mass) ** gamma / (lam + mass)      # d(focal) / d(mass)
-    if gamma != 0:
-        dfoc -= gamma * (1.0 - mass) ** (gamma - 1.0) * log_mass
+    dfoc -= gamma * (1.0 - mass) ** (gamma - 1.0) * log_mass
     scores = pooled + (1.0 - mass) ** gamma * log_mass
 
     def vjp(upstream):
@@ -235,26 +234,25 @@ def seg_loss_grad(p, q, n):
 # Pseudo-supervision
 # ---------------------------------------------------------------------------
 
-def pseudo_supervision(m, y_old, alpha):
+def pseudo_supervision(m, y_old):
     """Fused seg-head targets from the localizer softmax and the old model.
 
     m is (B, H, W, C) and y_old (B, H, W, n_old), bkg first.  The localizer
-    labels are smoothed, alpha * one-hot(argmax m) + (1 - alpha) * m; then
+    labels are smoothed, alpha * one-hot(argmax m) + (1 - alpha) * m with
+    alpha = PSEUDO_ALPHA; then
     bkg takes the minimum of smoothed and old score, the old foreground
     channels take the old model's scores and the new channels the smoothed
     labels.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
     m = np.asarray(m)
     y_old = np.asarray(y_old)
     n_old = y_old.shape[-1]
     if m.ndim != 4 or y_old.shape[:3] != m.shape[:3] or not 1 <= n_old <= m.shape[3]:
         raise ValueError(f"softmax {m.shape} and old scores {y_old.shape} do not pair up")
     winners = np.argmax(m, axis=-1)
-    q = (1.0 - alpha) * m
+    q = (1.0 - PSEUDO_ALPHA) * m
     b_ix, r_ix, c_ix = np.indices(winners.shape, sparse=True)
-    q[b_ix, r_ix, c_ix, winners] += alpha
+    q[b_ix, r_ix, c_ix, winners] += PSEUDO_ALPHA
     q_tilde = np.empty_like(q)
     q_tilde[..., 0] = np.minimum(y_old[..., 0], q[..., 0])
     q_tilde[..., 1:n_old] = y_old[..., 1:]

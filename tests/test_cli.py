@@ -129,10 +129,19 @@ def test_bad_usage_and_missing_files():
     ("engine", "arch", {"encoder_channels": [8, 16, 16, 32]}),
     ("engine", "seg_updates_encoder", True),
     ("loss", "kde_squared", True),
+    ("loss", "alpha", 0.5),
+    ("loss", "epsilon_ngwp", 1e-5),
+    ("loss", "gamma_focal", 3.0),
+    ("loss", "lambda_focal", 0.01),
+    ("engine", "momentum", 0.9),
+    ("memory", "capacity", 100),
+    ("memory", "ratio", 0.25),
 ])
 def test_removed_config_keys_rejected(workspace, tmp_path, section, key, value):
-    """The network and its gradient paths are fixed; a config that still
-    sets one of the old keys is a validation error naming the key."""
+    """The network, its gradient paths and the training recipe's pooling,
+    pseudo-label, momentum and memory constants are fixed; a config that
+    still sets one of the old keys, even to its fixed value, is a
+    validation error naming the key."""
     _, cfg_path = workspace
     with open(cfg_path) as fh:
         cfg = json.load(fh)
@@ -188,7 +197,9 @@ def test_checkpoint_must_hold_exactly_the_model_parameters(workspace, tmp_path):
 ])
 def test_bad_engine_values_rejected(workspace, tmp_path, key, value):
     """Each of these used to fail mid-run (exit 1 or 2) or train without
-    complaint; the config is now rejected up front, naming the field."""
+    complaint; the config is now rejected up front, naming the field.
+    momentum is no longer a setting, so a config that sets it is rejected
+    whatever its value."""
     _, cfg_path = workspace
     path = str(tmp_path / "config.json")
     shutil.copy(cfg_path, path)
@@ -224,3 +235,91 @@ def test_eval_has_no_seed_flag(workspace):
                   "--seed", "1")
     assert res.returncode == 1
     assert "--seed" in res.stderr
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("schedule", "n_base", "4"),
+    ("schedule", "ordering_seed", "x"),
+    ("loss", "lambda_rasp", True),
+    ("schedule", "shots", 2.5),
+    (None, "registry", "abc"),
+])
+def test_wrongly_typed_config_values_rejected(workspace, tmp_path, section, key, value):
+    """Each of these exited 2 mid-run or loaded without complaint; the config
+    is now rejected at load, naming the field."""
+    _, cfg_path = workspace
+    with open(cfg_path) as fh:
+        cfg = json.load(fh)
+    (cfg[section] if section else cfg)[key] = value
+    path = str(tmp_path / "config.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    res = run_cli("train-base", "--config", path, "--seed", "5")
+    assert res.returncode == 1, res.stderr
+    assert key in res.stderr
+
+
+def test_eval_writes_beside_the_checkpoint(workspace, tmp_path):
+    """Two checkpoints of one file name in two directories, evaluated under
+    one config, each keep their own report and trace."""
+    out, cfg_path = workspace
+    hashes = {}
+    for seed in ("11", "12"):
+        res = run_cli("train-base", "--config", cfg_path, "--seed", seed)
+        assert res.returncode == 0, res.stderr
+        ckpt = os.path.join(tmp_path, seed, "ckpt_step0_seed1.npz")
+        os.makedirs(os.path.dirname(ckpt))
+        shutil.copy(os.path.join(out, "runs", f"ckpt_step0_seed{seed}.npz"), ckpt)
+        with np.load(ckpt) as data:
+            hashes[seed] = str(data["__config_hash__"])
+        res = run_cli("eval", "--config", cfg_path, "--checkpoint", ckpt)
+        assert res.returncode == 0, res.stderr
+    assert hashes["11"] != hashes["12"]
+    for seed, chash in hashes.items():
+        folder = os.path.join(tmp_path, seed)
+        with open(os.path.join(folder, "report_ckpt_step0_seed1_eval.json")) as fh:
+            assert json.load(fh)["config_hash"] == chash
+        assert os.path.exists(os.path.join(folder, "report_ckpt_step0_seed1_eval.csv"))
+        with open(os.path.join(folder, "metrics_trace_seed1_eval.json")) as fh:
+            trace = json.load(fh)
+        assert [r["config_hash"] for r in trace] == [chash]
+    assert not os.path.exists(os.path.join(out, "runs", "report_ckpt_step0_seed1_eval.json"))
+
+
+def test_few_shot_disjoint_sequence(tmp_path):
+    """The paper's few-shot, disjoint protocol over two increments, with
+    episodic memory: each step trains on shots x classes samples, and step 2
+    runs with step 1's classes among the old ones."""
+    out = str(tmp_path / "data")
+    res = run_cli("gen-data", "--out", out, "--n", "120", "--eval-n", "20", "--seed", "3")
+    assert res.returncode == 0, res.stderr
+    cfg_path = os.path.join(out, "config.json")
+    with open(cfg_path) as fh:
+        cfg = json.load(fh)
+    cfg["schedule"].update(shots=3, mode="disjoint")
+    cfg["memory"]["mode"] = "episodic"
+    cfg["engine"].update(epochs_base=1, epochs_incremental=1, batch_size=8)
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh, indent=1)
+    runs = os.path.join(out, "runs")
+    res = run_cli("train-base", "--config", cfg_path)
+    assert res.returncode == 0, res.stderr
+    for step in (1, 2):
+        res = run_cli("train-incremental", "--config", cfg_path, "--step", str(step))
+        assert res.returncode == 0, res.stderr
+        assert f"step {step} done on 6 samples (memory: episodic)" in res.stdout
+        res = run_cli("eval", "--config", cfg_path, "--checkpoint",
+                      os.path.join(runs, f"ckpt_step{step}_seed3.npz"))
+        assert res.returncode == 0, res.stderr
+    with np.load(os.path.join(runs, "ckpt_step1_seed3.npz")) as ckpt1:
+        step1_hash = str(ckpt1["__config_hash__"])
+    with np.load(os.path.join(runs, "ckpt_step2_seed3.npz")) as ckpt2:
+        assert len(ckpt2["__class_names__"]) == 9
+        assert str(ckpt2["__parent_config_hash__"]) == step1_hash
+    trace = os.path.join(runs, "metrics_trace_seed3_eval.json")
+    with open(trace) as fh:
+        assert [r["step"] for r in json.load(fh)] == [1, 2]
+    svg = os.path.join(out, "curves.svg")
+    res = run_cli("plot", "--trace", trace, "--out", svg)
+    assert res.returncode == 0, res.stderr
+    assert open(svg).read().startswith("<svg")

@@ -66,10 +66,6 @@ def test_missing_section(tmp_path):
 def test_memory_config_validation():
     with pytest.raises(ValueError):
         MemoryConfig(mode="holographic")
-    with pytest.raises(ValueError):
-        MemoryConfig(ratio=1.5)
-    with pytest.raises(ValueError):
-        MemoryConfig(capacity=0)
 
 
 def test_resolve_paths(tmp_path):

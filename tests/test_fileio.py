@@ -150,7 +150,8 @@ def test_save_config_failure_keeps_previous(tmp_path, monkeypatch):
     path = str(tmp_path / "config.json")
     cfg = config_mod.ExperimentConfig(
         registry=["bkg", "a", "b"], embeddings_path="e.json",
-        train_manifest="train.json", eval_manifest="", workdir="runs")
+        train_manifest="train.json", eval_manifest="", workdir="runs",
+        schedule=config_mod.ScheduleConfig(n_base=1, n_per_step=1))
     config_mod.save_config(cfg, path)
     cfg.engine.seed = 99
     monkeypatch.setattr(config_mod.json, "dump",

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from segprior.engine import ENCODER_CHANNELS, SegModel
 from segprior.layers import LeakyReLU, zero_grads
 from segprior.objectives import (
-    LossConfig,
     bce_sum_grad,
     cls_loss_grad,
     image_scores_vjp,
@@ -40,15 +39,15 @@ def batch_term(fn, per_item, n):
     return lambda t: float(fn(t)[0].sum()) * per_item / n
 
 
-def pooled_cls(cfg, labels, n):
+def pooled_cls(labels, n):
     """cls through the pooled scores, summed over items and divided by n;
     returns (loss function of z, analytic gradient function of z)."""
     def loss(t):
-        scores = image_scores_vjp(t, cfg)[0]
+        scores = image_scores_vjp(t)[0]
         return sum(cls_loss_grad(s, lab)[0] for s, lab in zip(scores, labels)) / n
 
     def grad(t):
-        scores, _, vjp = image_scores_vjp(t, cfg)
+        scores, _, vjp = image_scores_vjp(t)
         upstream = np.stack([cls_loss_grad(s, lab)[1] for s, lab in zip(scores, labels)])
         return vjp(upstream) / n
 
@@ -58,7 +57,6 @@ def pooled_cls(cfg, labels, n):
 def run_gradient_suite(n_draws=N_DRAWS, seed=123):
     """Check each loss; returns {name: worst relative error}."""
     rng = np.random.default_rng(seed)
-    cfg = LossConfig()
     worst = {}
 
     def record(name, analytic, fn, x):
@@ -96,7 +94,7 @@ def run_gradient_suite(n_draws=N_DRAWS, seed=123):
 
             # classification through the nGWP + focal pooled scores
             item_labels = rng.integers(0, 2, (b, 3)).astype(np.float64)
-            loss, grad = pooled_cls(cfg, item_labels, b + EXTRA_ITEMS)
+            loss, grad = pooled_cls(item_labels, b + EXTRA_ITEMS)
             record(f"pooled_cls/B{b}", grad(z), loss, z)
 
     return worst
@@ -112,27 +110,16 @@ def test_gradient_suite():
 def test_image_scores_vjp_matches_forward():
     """A batch's scores, softmax and VJP are each item's computed alone."""
     rng = np.random.default_rng(5)
-    cfg = LossConfig()
     z = rng.standard_normal((3, 5, 5, 4))
     upstream = rng.standard_normal((3, 4))
-    scores, m, vjp = image_scores_vjp(z, cfg)
+    scores, m, vjp = image_scores_vjp(z)
     dz = vjp(upstream)
     assert scores.shape == (3, 4) and m.shape == z.shape and dz.shape == z.shape
     for b in range(3):
-        s1, m1, vjp1 = image_scores_vjp(z[b:b + 1], cfg)
+        s1, m1, vjp1 = image_scores_vjp(z[b:b + 1])
         np.testing.assert_allclose(scores[b], s1[0], rtol=0, atol=1e-15)
         np.testing.assert_allclose(m[b], m1[0], rtol=0, atol=1e-15)
         np.testing.assert_allclose(dz[b], vjp1(upstream[b:b + 1])[0], rtol=0, atol=1e-15)
-
-
-def test_pooled_gradient_gamma_zero():
-    rng = np.random.default_rng(6)
-    cfg = LossConfig(gamma_focal=0.0)
-    for b in ITEM_COUNTS:
-        z = rng.standard_normal((b,) + HWC)
-        labels = rng.integers(0, 2, (b, 3)).astype(np.float64)
-        loss, grad = pooled_cls(cfg, labels, b + EXTRA_ITEMS)
-        assert max_rel_error(grad(z), numeric_gradient(loss, z)) < TOL
 
 
 @settings(max_examples=50, deadline=None)
@@ -152,7 +139,6 @@ def test_training_gradients_match_finite_differences(seed, scale, n_cls, rasp_sh
     eps * |loss| / step); relative 1e-5 well below any real error.
     """
     rng = np.random.default_rng(seed)
-    cfg = LossConfig()
 
     def check(analytic, numeric):
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
@@ -196,7 +182,7 @@ def test_training_gradients_match_finite_differences(seed, scale, n_cls, rasp_sh
     check(g, numeric_gradient(
         batch_term(lambda v: kde_loss_grad(v, ref, n_pix), n_px, n_pix), zb))
     item_labels = rng.integers(0, 2, (items, item_shape[2])).astype(np.float64)
-    loss, grad = pooled_cls(cfg, item_labels, items + extra)
+    loss, grad = pooled_cls(item_labels, items + extra)
     check(grad(zb), numeric_gradient(loss, zb))
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segprior.layers import (ChannelNorm, Conv2d, LeakyReLU, SGDMomentum, on_shards,
-                             zero_grads)
+from segprior.layers import (MOMENTUM, ChannelNorm, Conv2d, LeakyReLU, SGDMomentum,
+                             on_shards, zero_grads)
 
 from helpers import max_rel_error, numeric_gradient
 
@@ -177,7 +177,8 @@ def test_leaky_relu_matches_where(slope, dtype):
 
 def test_sgd_momentum_matches_reference():
     p = {"w": np.array([1.0, 2.0])}
-    opt = SGDMomentum(lr=0.1, momentum=0.9)
+    assert MOMENTUM == 0.9
+    opt = SGDMomentum(lr=0.1)
     g1 = {"w": np.array([1.0, -1.0])}
     opt.step(p, g1)
     assert np.allclose(p["w"], [0.9, 2.1])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segprior.memory import (
+    RATIO,
     MemoryBank,
     MemoryEntry,
     ingest_external,
@@ -125,36 +126,32 @@ def test_external_unreadable_image(tmp_path, taxonomy):
 def test_mix_batch(past, taxonomy):
     samples, sched = past
     bank = populate_episodic(samples, sched.base_classes, taxonomy.registry, 16, seed=4)
-    batch = list(range(8))
-    rng = np.random.default_rng(0)
-    assert mix_batch(batch, bank.entries, 0.0, rng) == batch
-    mixed = mix_batch(batch, bank.entries, 0.25, np.random.default_rng(1))
-    assert len(mixed) == 8
-    assert sum(isinstance(x, MemoryEntry) for x in mixed) == 2
-    full = mix_batch(batch, bank.entries, 1.0, np.random.default_rng(2))
-    assert all(isinstance(x, MemoryEntry) for x in full)
-    # without replacement within a batch
-    seen = {id(x) for x in full}
-    assert len(seen) == 8
+    batch = list(range(24))
+    mixed = mix_batch(batch, bank.entries, np.random.default_rng(1))
+    # a quarter of the batch, the last six slots, drawn without replacement
+    assert RATIO == 0.25
+    assert mixed[:18] == batch[:18]
+    assert all(isinstance(x, MemoryEntry) for x in mixed[18:])
+    assert len({id(x) for x in mixed[18:]}) == 6
     with pytest.raises(ValueError):
-        mix_batch(batch, [], 0.5, rng)
+        mix_batch(batch, [], np.random.default_rng(0))
 
 
 @settings(max_examples=60, deadline=None)
-@given(b=st.integers(1, 16), ratio=st.floats(0.0, 1.0), bank_size=st.integers(1, 12),
+@given(b=st.integers(1, 16), bank_size=st.integers(1, 12),
        seed=st.integers(0, 2**32 - 1))
-def test_mix_batch_properties(b, ratio, bank_size, seed):
+def test_mix_batch_properties(b, bank_size, seed):
     memory = [object() for _ in range(bank_size)]
     batch = [object() for _ in range(b)]
     rng = np.random.default_rng(seed)
     state = rng.bit_generator.state
-    mixed = mix_batch(batch, memory, ratio, rng)
-    k = int(np.floor(ratio * b))
+    mixed = mix_batch(batch, memory, rng)
+    k = int(np.floor(RATIO * b))
     assert len(mixed) == b
     assert all(m is c for m, c in zip(mixed[:b - k], batch))
     tail = mixed[b - k:]
     assert all(any(t is e for e in memory) for t in tail)
     if bank_size >= k:
         assert len({id(t) for t in tail}) == k
-    if ratio == 0.0:
+    if k == 0:     # a batch of fewer than 4 items takes no memory item
         assert rng.bit_generator.state == state

@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from segprior.objectives import (
+    FOCAL_GAMMA,
+    FOCAL_LAMBDA,
+    NGWP_EPSILON,
+    PSEUDO_ALPHA,
     LossConfig,
     cls_loss_grad,
     image_scores_vjp,
@@ -95,84 +99,79 @@ def test_rasp_errors():
 # pooling: image_scores_vjp scores = nGWP + focal penalty
 # ---------------------------------------------------------------------------
 
-def scores_of(z, cfg):
+def scores_of(z):
     """Pooled scores of one (H, W, C) item."""
-    return image_scores_vjp(np.asarray(z)[None], cfg)[0][0]
+    return image_scores_vjp(np.asarray(z)[None])[0][0]
 
 
-def focal(mass, cfg):
+def focal(mass):
     """Scalar oracle of the focal penalty at one class's mean softmax mass."""
-    return (1.0 - mass) ** cfg.gamma_focal * math.log(cfg.lambda_focal + mass)
+    return (1.0 - mass) ** FOCAL_GAMMA * math.log(FOCAL_LAMBDA + mass)
 
 
 def test_ngwp_constant_logits():
     # uniform softmax: nGWP = k * P / C / (eps + P / C) with P pixels
     k, h, w, c = 3.0, 4, 4, 4
-    cfg = LossConfig(epsilon_ngwp=1e-5)
     z = np.full((h, w, c), k)
-    ngwp = k * (h * w / c) / (cfg.epsilon_ngwp + h * w / c)
-    out = scores_of(z, cfg)
-    assert np.allclose(out, ngwp + focal(1.0 / c, cfg), rtol=1e-12)
-    assert np.allclose(out - focal(1.0 / c, cfg), k, atol=1e-4)
+    ngwp = k * (h * w / c) / (NGWP_EPSILON + h * w / c)
+    out = scores_of(z)
+    assert np.allclose(out, ngwp + focal(1.0 / c), rtol=1e-12)
+    assert np.allclose(out - focal(1.0 / c), k, atol=1e-4)
 
 
 def test_ngwp_single_pixel_closed_form():
     z = np.array([[[2.0, 0.0]]])
     m0 = math.exp(2) / (math.exp(2) + 1)
-    cfg = LossConfig(epsilon_ngwp=1e-9)
-    out = scores_of(z, cfg)
-    assert out[0] == pytest.approx(2.0 * m0 / (cfg.epsilon_ngwp + m0) + focal(m0, cfg),
-                                   rel=1e-12)
-    assert out[0] - focal(m0, cfg) == pytest.approx(2.0, abs=1e-6)
+    out = scores_of(z)
+    assert out[0] == pytest.approx(2.0 * m0 / (NGWP_EPSILON + m0) + focal(m0), rel=1e-12)
+    # the nGWP term falls short of the logit by about 2 * epsilon / m0
+    assert out[0] - focal(m0) == pytest.approx(2.0, abs=3e-5)
     # zero logits pool to zero, leaving the penalty
-    assert out[1] == pytest.approx(focal(1.0 - m0, cfg), rel=1e-12)
+    assert out[1] == pytest.approx(focal(1.0 - m0), rel=1e-12)
 
 
 def test_ngwp_epsilon_dominates():
-    z = np.ones((3, 3, 2))
-    cfg = LossConfig(epsilon_ngwp=1e6)
-    assert np.all(np.abs(scores_of(z, cfg) - focal(0.5, cfg)) < 1e-5)
-    small = LossConfig(epsilon_ngwp=1e-5)
-    assert np.allclose(scores_of(z, small) - focal(0.5, small), 1.0, atol=1e-5)
+    """Where a class's softmax mass is far below epsilon, epsilon dominates
+    the nGWP denominator: the class pools to about 0, not to its logit."""
+    z = np.zeros((3, 3, 2))
+    z[:, :, 1] = -60.0
+    m1 = math.exp(-60.0) / (1.0 + math.exp(-60.0))
+    out = scores_of(z)
+    assert abs(out[1] - focal(m1)) < 1e-15
+    assert out[1] == pytest.approx(math.log(FOCAL_LAMBDA), abs=1e-12)
+    # with a mass far above epsilon the class pools to its logit
+    assert np.allclose(scores_of(np.ones((3, 3, 2))) - focal(0.5), 1.0, atol=1e-5)
 
 
 def test_ngwp_rejects_single_class():
     with pytest.raises(ValueError):
-        image_scores_vjp(np.zeros((1, 2, 2, 1)), LossConfig())
+        image_scores_vjp(np.zeros((1, 2, 2, 1)))
     with pytest.raises(ValueError):      # no leading item axis
-        image_scores_vjp(np.zeros((2, 2, 3)), LossConfig())
+        image_scores_vjp(np.zeros((2, 2, 3)))
 
 
 def test_ngwp_bounds_brute_force():
     rng = np.random.default_rng(4)
-    cfg = LossConfig()
     for _ in range(50):
         z = np.abs(rng.standard_normal((3, 3, 3)))
         m = np.exp(z - z.max(-1, keepdims=True))
         m /= m.sum(-1, keepdims=True)
-        y = scores_of(z, cfg)
+        y = scores_of(z)
         for c in range(3):
             msum = m[:, :, c].sum()
-            ngwp = y[c] - focal(msum / 9, cfg)
-            lo = z[:, :, c].min() * msum / (cfg.epsilon_ngwp + msum)
+            ngwp = y[c] - focal(msum / 9)
+            lo = z[:, :, c].min() * msum / (NGWP_EPSILON + msum)
             assert lo - 1e-12 <= ngwp <= z[:, :, c].max() + 1e-12
 
 
 def test_focal_penalty_cases():
     z = np.zeros((2, 2, 2))
     z[:, :, 0] = 60.0
-    cfg = LossConfig(gamma_focal=3.0, lambda_focal=0.01)
-    out = scores_of(z, cfg)
+    out = scores_of(z)
     # full mass -> no penalty, leaving nGWP over 4 pixels of logit 60
-    assert out[0] == pytest.approx(60.0 * 4 / (cfg.epsilon_ngwp + 4), rel=1e-12)
-    # zero mass and zero logits -> log(lambda), whatever gamma
-    for gamma in (3.0, 0.0):
-        out = scores_of(z, LossConfig(gamma_focal=gamma, lambda_focal=0.01))
-        assert out[1] == pytest.approx(math.log(0.01), abs=1e-9)
-    with pytest.raises(ValueError):
-        LossConfig(lambda_focal=0.0)
-    with pytest.raises(ValueError):
-        LossConfig(gamma_focal=-1.0)
+    assert out[0] == pytest.approx(60.0 * 4 / (NGWP_EPSILON + 4), rel=1e-12)
+    # zero mass and zero logits -> log(lambda)
+    assert out[1] == pytest.approx(math.log(0.01), abs=1e-9)
 
 
 def test_focal_penalty_frozen_value():
@@ -183,23 +182,22 @@ def test_focal_penalty_frozen_value():
         [[1.0, 3.0], [1.0, 3.0]],
         [[1.0, 3.0], [1.0, 3.0]],
     ]))
-    out = scores_of(z, LossConfig(gamma_focal=3.0, lambda_focal=0.01))
+    out = scores_of(z)
     assert out[0] == pytest.approx(pen, rel=1e-12)
     assert pen == pytest.approx(-0.5682966952359133, rel=1e-12)
 
 
 def test_image_scores_is_sum_of_parts():
     rng = np.random.default_rng(11)
-    cfg = LossConfig()
     z = rng.standard_normal((2, 5, 6, 4))
-    scores, m, _ = image_scores_vjp(z, cfg)
+    scores, m, _ = image_scores_vjp(z)
     ez = np.exp(z)
     want_m = ez / ez.sum(-1, keepdims=True)
     assert np.allclose(m, want_m, rtol=0, atol=1e-15)
     msum = want_m.sum(axis=(1, 2))
-    ngwp = (want_m * z).sum(axis=(1, 2)) / (cfg.epsilon_ngwp + msum)
+    ngwp = (want_m * z).sum(axis=(1, 2)) / (NGWP_EPSILON + msum)
     mass = msum / 30
-    foc = (1.0 - mass) ** cfg.gamma_focal * np.log(cfg.lambda_focal + mass)
+    foc = (1.0 - mass) ** FOCAL_GAMMA * np.log(FOCAL_LAMBDA + mass)
     assert np.allclose(scores, ngwp + foc, rtol=0, atol=1e-14)
 
 
@@ -298,48 +296,40 @@ def _random_softmax(rng, shape):
     return m / m.sum(-1, keepdims=True)
 
 
-def smooth(m, alpha):
+def smooth(m):
     """The smoothed localizer labels of one (H, W, C) item alone: fused with
     a bkg-only old model that scores 1 everywhere, which the bkg minimum
     never picks."""
     m = np.asarray(m)[None]
-    return pseudo_supervision(m, np.ones(m.shape[:3] + (1,)), alpha)[0]
+    return pseudo_supervision(m, np.ones(m.shape[:3] + (1,)))[0]
 
 
 def test_smooth_endpoints_and_value():
+    """Half one-hot argmax, half softmax; a one-hot softmax is a fixed point."""
+    assert PSEUDO_ALPHA == 0.5
     rng = np.random.default_rng(8)
     m = _random_softmax(rng, (3, 3, 4))
-    assert np.array_equal(smooth(m, 0.0), m)
-    hard = smooth(m, 1.0)
-    assert set(np.unique(hard)) <= {0.0, 1.0}
-    assert np.array_equal(hard.argmax(-1), m.argmax(-1))
+    hot = np.eye(4)[m.argmax(-1)]
+    assert np.allclose(smooth(m), 0.5 * hot + 0.5 * m, rtol=0, atol=1e-15)
+    assert np.array_equal(smooth(hot), hot)
     m2 = np.array([[[0.8, 0.15, 0.05]]])
-    assert smooth(m2, 0.5)[0, 0, 0] == pytest.approx(0.9, rel=1e-12)
+    assert smooth(m2)[0, 0, 0] == pytest.approx(0.9, rel=1e-12)
 
 
 def test_smooth_preserves_argmax_property():
     rng = np.random.default_rng(9)
     for _ in range(25):
         m = _random_softmax(rng, (4, 4, 3))
-        alpha = float(rng.uniform(0, 1))
-        q = smooth(m, alpha)
+        q = smooth(m)
         assert np.array_equal(q.argmax(-1), m.argmax(-1))
-
-
-def test_smooth_validates():
-    ok = np.full((1, 2, 2, 2), 0.5)
-    y_old = np.ones((1, 2, 2, 1))
-    for alpha in (1.5, -0.1):
-        with pytest.raises(ValueError):
-            pseudo_supervision(ok, y_old, alpha)
 
 
 def test_fuse_case_selection():
     rng = np.random.default_rng(10)
     m = _random_softmax(rng, (2, 4, 4, 5))
     y_old = rng.uniform(0, 1, size=(2, 4, 4, 3))
-    fused = pseudo_supervision(m, y_old, 0.3)
-    q = np.stack([smooth(item, 0.3) for item in m])
+    fused = pseudo_supervision(m, y_old)
+    q = np.stack([smooth(item) for item in m])
     assert np.array_equal(fused[..., 0], np.minimum(y_old[..., 0], q[..., 0]))
     assert np.array_equal(fused[..., 1:3], y_old[..., 1:])
     assert np.array_equal(fused[..., 3:], q[..., 3:])
@@ -348,17 +338,17 @@ def test_fuse_case_selection():
     assert np.all(fused[..., 0] <= y_old[..., 0])
     # an old model over the whole label space supplies every foreground channel
     y_all = rng.uniform(0, 1, size=(2, 4, 4, 5))
-    assert np.array_equal(pseudo_supervision(m, y_all, 0.3)[..., 1:], y_all[..., 1:])
+    assert np.array_equal(pseudo_supervision(m, y_all)[..., 1:], y_all[..., 1:])
 
 
 def test_fuse_channel_mismatch():
     m = np.full((1, 2, 2, 3), 1.0 / 3.0)
     with pytest.raises(ValueError):      # more old channels than classes
-        pseudo_supervision(m, np.ones((1, 2, 2, 4)), 0.5)
+        pseudo_supervision(m, np.ones((1, 2, 2, 4)))
     with pytest.raises(ValueError):      # spatial shapes differ
-        pseudo_supervision(m, np.ones((1, 2, 3, 2)), 0.5)
+        pseudo_supervision(m, np.ones((1, 2, 3, 2)))
     with pytest.raises(ValueError):      # no leading item axis
-        pseudo_supervision(m[0], np.ones((2, 2, 2)), 0.5)
+        pseudo_supervision(m[0], np.ones((2, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
