@@ -9,11 +9,13 @@ outputs byte for byte.
 
 import os
 
-# Every batch already runs as two shards on two threads (layers.on_shards),
+# Every batch already runs as two shards in two processes (layers.Shards),
 # and the GEMMs are too small (K = 8-32) for BLAS threads to pay on top of
-# that.  On a 2-vCPU host, the benchmark's traced base-dense pass (seed 7)
-# trained at 533 img/s with one BLAS thread and at 276 img/s with
-# OPENBLAS_NUM_THREADS=2.  One thread is the default but stays overridable.
+# that.  With OPENBLAS_NUM_THREADS=2 each shard process starts its own BLAS
+# threads, four in all: on a 2-vCPU host the benchmark's traced pass (seed
+# 5) ran base-dense at 385 img/s with one BLAS thread and at 58 img/s with
+# two, incr-rasp-memory at 177 and 26, and eval-wide at 283 and 28.  One
+# thread is the default but stays overridable.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
@@ -140,6 +142,15 @@ def cmd_train_base(args):
     return 0
 
 
+def _step_samples(samples, schedule, step, seed):
+    """The train samples a step trains on: the step's filtered split, cut
+    to schedule.shots images per class in few-shot incremental steps."""
+    out = protocol.filter_step(samples, schedule, step)
+    if step >= 1 and schedule.shots is not None:
+        out = protocol.few_shot_sample(out, schedule, step, schedule.shots, seed)
+    return out
+
+
 def _build_bank(cfg, registry, schedule, step, samples, seed):
     if cfg.memory.mode == "none":
         return None
@@ -150,7 +161,7 @@ def _build_bank(cfg, registry, schedule, step, samples, seed):
         return memory_mod.ingest_external(manifest, registry)
     past = []
     for past_step in range(step):
-        past.extend(protocol.filter_step(samples, schedule, past_step))
+        past.extend(_step_samples(samples, schedule, past_step, seed))
     old_classes = schedule.old_classes(step)
     return memory_mod.populate_episodic(past, old_classes, registry,
                                         memory_mod.CAPACITY, seed)
@@ -173,11 +184,8 @@ def cmd_train_incremental(args):
     if tuple(parent.class_names) != schedule.channel_names(step - 1):
         raise CliError("checkpoint class list does not match the schedule")
     samples = _load_split(cfg, "train")
-    step_samples = protocol.filter_step(samples, schedule, step)
-    if schedule.shots is not None:
-        step_samples = protocol.few_shot_sample(step_samples, schedule, step,
-                                                schedule.shots, seed)
-    step_samples = protocol.with_weak_labels(step_samples, schedule, step)
+    step_samples = protocol.with_weak_labels(
+        _step_samples(samples, schedule, step, seed), schedule, step)
     if not step_samples:
         raise CliError(f"no samples remain for step {step}")
     bank = _build_bank(cfg, registry, schedule, step, samples, seed)

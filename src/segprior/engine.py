@@ -36,24 +36,32 @@ encoder features.  ``base_train`` and ``incremental_step`` share one
 training loop, ``_fit``; each supplies the per-batch work and keeps its own
 trace format.
 
-Every training batch is one ``layers.on_shards`` call over its two shards.
-Each shard runs its items on its own thread as consecutive groups of at
-most ``layers.GROUP_ITEMS`` items (``layers.group_slices``), each small
-enough for its activations to come from cache.  Each group runs forward,
-its loss terms and backward in one pass, and its backward ends before
-the next group's forward begins.  Every loss term is a per-item quantity normalised
-by whole-batch counts (all items, current items), so each group computes
-its items' terms and output gradients with the whole batch's normalisers;
-the group gradients accumulate into their shard's, and the shard
-gradients, summed in shard order, are the whole batch's.  The caller adds
-the per-item losses in item order and checks them for finiteness.
+Every batch runs as two shards (``layers.Shards``): shard 0 in the calling
+process and shard 1 in one worker process that ``_fit`` forks once per
+training run (``_training_shards``), after the images, targets or
+prepared items exist, so the worker inherits them.  Each batch sends the
+worker only the batch's item indices, the epoch and the current
+parameters; it sends back its per-item losses and its gradients.  Each
+shard runs its items as consecutive groups of at most
+``layers.GROUP_ITEMS`` items (``layers.group_slices``), each small enough
+for its activations to come from cache.  Each group runs forward, its
+loss terms and backward in one pass, and its backward ends before the
+next group's forward begins.  Every loss term is a per-item quantity
+normalised by whole-batch counts (all items, current items), so each
+group computes its items' terms and output gradients with the whole
+batch's normalisers; the group gradients accumulate into their shard's,
+and the shard gradients, summed in shard order, are the whole batch's.
+The caller adds the per-item losses in item order and checks them for
+finiteness.
 
-Evaluation (``predict_dataset``) is one ``on_shards`` call over the two
-halves of the sample list.  Each shard streams its images one at a time
-through the encoder and the seg head, so no batch is stacked and one
-image's activations stay in cache.  Before a step trains, the old model
-runs a stacked batch forward over the step's images, shard by shard, and
-the outputs are joined (``_prepare_items``).
+Evaluation (``predict_dataset``) forks one worker for the second half of
+the sample list.  Each shard streams its images one at a time through the
+encoder and the seg head, so no batch is stacked and one image's
+activations stay in cache, and counts its label maps into a confusion
+matrix of its own; only the two matrices are joined.  Before a step
+trains, the old model runs a stacked batch forward over the step's
+images, chunk by chunk as two shards, and the outputs are joined
+(``_prepare_items``).
 """
 
 from __future__ import annotations
@@ -62,10 +70,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import objectives, simprior
+from . import evalkit, objectives, simprior
 from .fileio import atomic_open
-from .layers import (Chain, ChannelNorm, Conv2d, LeakyReLU, SGDMomentum, group_slices,
-                     on_shards, shard_slices, zero_grads)
+from .layers import (Chain, ChannelNorm, Conv2d, LeakyReLU, SGDMomentum, Shards,
+                     group_slices, shard_slices, zero_grads)
 from .memory import mix_batch
 from .objectives import LossConfig
 
@@ -202,59 +210,66 @@ def nearest_resize(src, oh, ow):
     return src[rows[:, None], cols[None, :]]
 
 
-def _join(shard_outs, i):
-    """Output i of every shard, joined along the batch axis."""
-    if len(shard_outs) == 1:
-        return shard_outs[0][i]
-    return np.concatenate([out[i] for out in shard_outs])
+def _training_shards(step, params):
+    """The Shards that run the batches of one training loop.
 
-
-def _train_shards(step, n, grads):
-    """Run step(rows, g) on each group of each shard of a batch of n.
-
-    Each shard runs its groups (``group_slices``) one after another on its
-    thread, and a step runs forward, its group's loss terms and backward in
+    Its shard function, shard(key, rows, g), runs step(key, group, g) on
+    each group of the slice rows (``group_slices``) one after another, and
+    returns the steps' results and g.  key identifies the batch, and must
+    pickle; a step runs forward, its group's loss terms and backward in
     one pass, so a group's backward ends before the next group's forward
-    begins.  Shard 0's groups accumulate into grads and shard 1's into a
-    zeroed dict of their own, which is added to grads afterwards.  Returns
-    the steps' results in item order: shard by shard, group by group.
+    begins.  Shard 1 gets no g and accumulates into a zeroed dict of its
+    own.  The worker keeps params in step with this process's.
     """
-    shards = shard_slices(n)
-    dicts = [grads] + [zero_grads(grads) for _ in shards[1:]]
+    def shard(key, rows, g=None):
+        if g is None:
+            g = zero_grads(params)
+        return [step(key, group, g) for group in group_slices(rows)], g
 
-    def shard(rows, g):
-        return [step(group, g) for group in group_slices(rows)]
+    return Shards(shard, sync=params)
 
-    outs = on_shards(shard, list(zip(shards, dicts)))
-    for g in dicts[1:]:
+
+def _train_batch(shards, key, n, grads):
+    """Run the batch key of n items on the two shards of a ``_training_shards``.
+
+    Shard 0's groups accumulate into grads, and shard 1's gradients are
+    added to them afterwards.  Returns the steps' results in item order:
+    shard by shard, group by group.
+    """
+    shard_args = [(key, rows) for rows in shard_slices(n)]
+    shard_args[0] += (grads,)
+    outs = shards(shard_args)
+    for _, g in outs[1:]:
         for name, value in g.items():
             grads[name] += value
-    return [out for groups in outs for out in groups]
+    return [result for results, _ in outs for result in results]
 
 
-def _fit(cfg, params, lr, epochs, n_items, rng, run_batch):
+def _fit(cfg, params, lr, epochs, n_items, rng, shards, run_batch):
     """The training loop both steps share; returns per-epoch batch means.
 
     Each epoch draws a permutation of the n_items from rng and cuts it into
     batches of cfg.batch_size.  For each batch, run_batch(epoch, idx, grads)
-    fills the zeroed gradients of params and returns a dict of floats, and
-    one SGD-with-momentum step applies the gradients.  An epoch's entry
-    holds the mean of each returned value over its batches, added up in
-    batch order.
+    fills the zeroed gradients of params through shards (a
+    ``_training_shards``) and returns a dict of floats, and one
+    SGD-with-momentum step applies the gradients.  An epoch's entry holds
+    the mean of each returned value over its batches, added up in batch
+    order.  The shards' worker lives for the whole loop.
     """
     opt = SGDMomentum(lr)
     trace = []
-    for epoch in range(epochs):
-        order = rng.permutation(n_items)
-        sums, n_batches = {}, 0
-        for start in range(0, n_items, cfg.batch_size):
-            grads = zero_grads(params)
-            out = run_batch(epoch, order[start:start + cfg.batch_size], grads)
-            opt.step(params, grads)
-            for key, value in out.items():
-                sums[key] = sums.get(key, 0.0) + value
-            n_batches += 1
-        trace.append({key: total / n_batches for key, total in sums.items()})
+    with shards:
+        for epoch in range(epochs):
+            order = rng.permutation(n_items)
+            sums, n_batches = {}, 0
+            for start in range(0, n_items, cfg.batch_size):
+                grads = zero_grads(params)
+                out = run_batch(epoch, order[start:start + cfg.batch_size], grads)
+                opt.step(params, grads)
+                for key, value in out.items():
+                    sums[key] = sums.get(key, 0.0) + value
+                n_batches += 1
+            trace.append({key: total / n_batches for key, total in sums.items()})
     return trace
 
 
@@ -290,27 +305,27 @@ def base_train(model, samples, registry, cfg):
         targets[i] = eye[lut[small]]
     # the localizer plays no part here, and extend_head replaces it
     params = {**model.encoder.params(), **model.head.params()}
+    per_item = targets[0].size
+
+    def step(idx, rows, g):
+        t = targets[idx[rows]]
+        feat, enc_cache = model.encoder.forward(xs[idx[rows]])
+        logits, head_cache = model.head.forward(feat)
+        loss_sum, dlogits = objectives.bce_sum_grad(logits, t, len(idx) * per_item)
+        dfeat = model.head.backward(dlogits, head_cache, g)
+        model.encoder.backward(dfeat, enc_cache, g)
+        return float(loss_sum)
+
+    shards = _training_shards(step, params)
 
     def run_batch(epoch, idx, grads):
-        x = xs[idx]
-        t = targets[idx]
-        size = t.size
-
-        def step(rows, g):
-            feat, enc_cache = model.encoder.forward(x[rows])
-            logits, head_cache = model.head.forward(feat)
-            loss_sum, dlogits = objectives.bce_sum_grad(logits, t[rows], size)
-            dfeat = model.head.backward(dlogits, head_cache, g)
-            model.encoder.backward(dfeat, enc_cache, g)
-            return float(loss_sum)
-
-        loss = sum(_train_shards(step, len(idx), grads)) / size
+        loss = sum(_train_batch(shards, idx, len(idx), grads)) / (len(idx) * per_item)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite base loss at epoch {epoch}")
         return {"loss": loss}
 
     trace = _fit(cfg, params, cfg.lr_base, cfg.epochs_base, len(samples),
-                 shuffle_rng, run_batch)
+                 shuffle_rng, shards, run_batch)
     return model, [entry["loss"] for entry in trace]
 
 
@@ -354,9 +369,9 @@ def _prepare_items(state, samples, registry, sim_matrix):
     """Per-image caches: old-model scores and features, labels, RaSP targets.
 
     The old model runs forward on stacked chunks of cfg.batch_size images,
-    each chunk as the two shards on their threads.  The RaSP target table is
-    built once; an image's targets are its rows at the old model's argmax,
-    at the columns of the new classes present.
+    each chunk as two shards, in this process and one forked worker.  The
+    RaSP target table is built once; an image's targets are its rows at
+    the old model's argmax, at the columns of the new classes present.
     """
     cfg = state.engine_cfg
     old = state.old_model
@@ -368,36 +383,39 @@ def _prepare_items(state, samples, registry, sim_matrix):
     if use_rasp:
         table = simprior.rasp_target_table(sim_matrix, registry, old.class_names,
                                            new_names, state.loss_cfg.tau, dtype)
+    xs = [image_to_input(s.image, dtype) for s in samples]
 
-    def old_forward(xs):
-        feat, _ = old.encoder.forward(xs)
+    def old_forward(start, stop):
+        feat, _ = old.encoder.forward(np.stack(xs[start:stop]))
         logits, _ = old.head.forward(feat)
         return objectives.sigmoid(logits), feat
 
     items = []
-    for start in range(0, len(samples), cfg.batch_size):
-        chunk = samples[start:start + cfg.batch_size]
-        x = np.stack([image_to_input(s.image, dtype) for s in chunk])
-        outs = on_shards(old_forward, [(x[r],) for r in shard_slices(len(x))])
-        y_old, feat_old = _join(outs, 0), _join(outs, 1)
-        if not np.all(np.isfinite(y_old)):
-            raise ValueError("old-model scores contain non-finite values")
-        for j, sample in enumerate(chunk):
-            if not sample.weak_labels:
-                raise ValueError("incremental samples need non-empty weak labels")
-            item = _Item(x=x[j], y_old=y_old[j], feat_old=feat_old[j])
-            labels = np.zeros(len(new_names), dtype=np.float64)
-            for name in sample.weak_labels:
-                labels[new_pos[name]] = 1.0
-            item.labels_new = labels
-            # sorted: a set's order varies from run to run, and the rasp
-            # loss sums over the columns in this order
-            cols = [new_pos[name] for name in sorted(sample.weak_labels)]
-            item.present = n_old + np.array(cols, dtype=np.int64)
-            if use_rasp:
-                # columns first: the lookup then yields a contiguous array
-                item.rasp_target = table[:, cols][np.argmax(y_old[j], axis=2)]
-            items.append(item)
+    with Shards(old_forward) as shards:
+        for start in range(0, len(samples), cfg.batch_size):
+            chunk = samples[start:start + cfg.batch_size]
+            outs = shards([(start + r.start, start + r.stop)
+                           for r in shard_slices(len(chunk))])
+            y_old = np.concatenate([y for y, _ in outs])
+            feat_old = np.concatenate([feat for _, feat in outs])
+            if not np.all(np.isfinite(y_old)):
+                raise ValueError("old-model scores contain non-finite values")
+            for j, sample in enumerate(chunk):
+                if not sample.weak_labels:
+                    raise ValueError("incremental samples need non-empty weak labels")
+                item = _Item(x=xs[start + j], y_old=y_old[j], feat_old=feat_old[j])
+                labels = np.zeros(len(new_names), dtype=np.float64)
+                for name in sample.weak_labels:
+                    labels[new_pos[name]] = 1.0
+                item.labels_new = labels
+                # sorted: a set's order varies from run to run, and the rasp
+                # loss sums over the columns in this order
+                cols = [new_pos[name] for name in sorted(sample.weak_labels)]
+                item.present = n_old + np.array(cols, dtype=np.int64)
+                if use_rasp:
+                    # columns first: the lookup then yields a contiguous array
+                    item.rasp_target = table[:, cols][np.argmax(y_old[j], axis=2)]
+                items.append(item)
     return items
 
 
@@ -418,40 +436,53 @@ def _prepare_memory(state, bank):
     return prepared
 
 
-def incremental_batch(state, batch_items, grads):
-    """Losses and parameter gradients for one mixed batch.
+def incremental_shards(state, pool):
+    """The ``_training_shards`` of a step's batches drawn from the item list pool.
 
-    Each shard runs its items on its thread in groups of at most
-    ``layers.GROUP_ITEMS``; each group runs forward, its own items' loss
-    terms and backward before the next group starts.  The loss terms share
-    the whole batch's normalisers, so the summed group gradients are the
-    whole batch's.  The seg head runs only once the warm-up epochs are
-    over.  Exposed separately so tests can probe the gradient routing
-    directly.
+    A batch's key is (epoch, idx): state.epoch and the positions of its
+    items in pool, in batch order.  Each group runs forward, its own items'
+    loss terms and backward before the next group starts.  The loss terms
+    share the whole batch's normalisers, so the summed group gradients are
+    the whole batch's.  The seg head runs only once the warm-up epochs are
+    over.
     """
     model = state.model
-    seg_active = state.seg_active()
-    n_all = len(batch_items)
-    n_cur = sum(not it.is_memory for it in batch_items)
 
-    def step(rows, g):
-        items = batch_items[rows]
+    def step(key, rows, g):
+        state.epoch, idx = key
+        batch = [pool[i] for i in idx]
+        n_cur = sum(not it.is_memory for it in batch)
+        items = batch[rows]
+        seg_active = state.seg_active()
         feat, enc_cache = model.encoder.forward(np.stack([it.x for it in items]))
         z, loc_cache = model.localizer.forward(feat)
         p_hat, head_cache = model.head.forward(feat) if seg_active else (None, None)
         losses, dz, dp, dfeat = _batch_losses(state, items, feat, z, p_hat,
-                                              n_all, n_cur)
+                                              len(batch), n_cur)
         dfeat += model.localizer.backward(dz, loc_cache, g)
         if seg_active:
             dfeat += model.head.backward(dp, head_cache, g)
         model.encoder.backward(dfeat, enc_cache, g)
         return losses
 
+    return _training_shards(step, model.params())
+
+
+def incremental_batch(state, pool, idx, grads, shards):
+    """Losses and parameter gradients for the batch of the items pool[idx].
+
+    shards is ``incremental_shards(state, pool)``; the batch runs at
+    state.epoch.  Exposed separately so tests can probe the gradient
+    routing directly.
+    """
+    idx = [int(i) for i in idx]
+    n_all = len(idx)
+    n_cur = sum(not pool[i].is_memory for i in idx)
     # per-item losses in item order (group by group, shard 0's first),
     # added one by one as a whole-batch loop would, so the trace does not
     # depend on the split; a term no item computed stays 0.0
     sums = dict.fromkeys(objectives.LOSS_COMPONENTS, 0.0)
-    for losses in _train_shards(step, n_all, grads):
+    for losses in _train_batch(shards, (state.epoch, idx), n_all, grads):
         for key, values in losses.items():
             for value in values:
                 sums[key] += float(value)
@@ -538,22 +569,23 @@ def incremental_step(state, samples, bank, sim_matrix, registry):
         raise ValueError("incremental step received no samples")
     cfg = state.engine_cfg
     items = _prepare_items(state, samples, registry, sim_matrix)
-    mem_items = _prepare_memory(state, bank)
+    pool = items + _prepare_memory(state, bank)
+    memory = range(len(items), len(pool))
     ss = np.random.SeedSequence((cfg.seed, state.step))
     shuffle_seed, memory_seed = ss.spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     memory_rng = np.random.default_rng(memory_seed)
+    shards = incremental_shards(state, pool)
 
     def run_batch(epoch, idx, grads):
         state.epoch = epoch
-        batch = [items[i] for i in idx]
-        if mem_items:
-            batch = mix_batch(batch, mem_items, memory_rng)
-        comps = incremental_batch(state, batch, grads)
+        if memory:
+            idx = mix_batch(idx, memory, memory_rng)
+        comps = incremental_batch(state, pool, idx, grads, shards)
         return {**comps, "total": objectives.total_loss(comps, state.loss_cfg, epoch)}
 
     trace = _fit(cfg, state.model.params(), cfg.lr_incremental,
-                 cfg.epochs_incremental, len(items), shuffle_rng, run_batch)
+                 cfg.epochs_incremental, len(items), shuffle_rng, shards, run_batch)
     for epoch, entry in enumerate(trace):
         entry["seg_active"] = epoch >= state.loss_cfg.seg_warmup_epochs
     return state.model, trace
@@ -564,29 +596,33 @@ def incremental_step(state, samples, bank, sim_matrix, registry):
 # ---------------------------------------------------------------------------
 
 def predict_dataset(model, samples, registry):
-    """Main-head label maps, one per sample, at the shape of its mask.
+    """Confusion counts of the main head's label maps against the samples'
+    dense masks: counts[truth, prediction] over registry indices.
 
-    One ``on_shards`` call over the two fixed shards of the sample list.
-    Each shard takes its images one at a time through the encoder and the
-    head, then argmax, the registry lookup and a nearest resize, so one
-    image's activations stay in cache and images of any size can mix.
-    The maps come back in sample order.
+    The sample list runs as two fixed shards, in this process and one
+    forked worker.  Each shard takes its images one at a time through the
+    encoder and the head, then argmax, the registry lookup and a nearest
+    resize to the mask's shape, so one image's activations stay in cache
+    and images of any size can mix.  Each shard adds its maps into its own
+    counts (``evalkit.confusion_accumulate``), and only the counts come
+    back; the caller adds them in shard order.
     """
     lut = np.array([registry.index_of(n) for n in model.class_names],
                    dtype=np.int32)
 
     def shard(rows):
-        maps = []
+        counts = np.zeros((len(registry), len(registry)), dtype=np.int64)
         for sample in samples[rows]:
             x = image_to_input(sample.image, model.dtype)[None]
             feat, _ = model.encoder.forward(x)
             logits, _ = model.head.forward(feat)
             grid = lut[np.argmax(logits[0], axis=2)]
-            maps.append(nearest_resize(grid, *sample.dense_mask.shape))
-        return maps
+            pred = nearest_resize(grid, *sample.dense_mask.shape)
+            evalkit.confusion_accumulate(pred, sample.dense_mask, counts)
+        return counts
 
-    shard_maps = on_shards(shard, [(r,) for r in shard_slices(len(samples))])
-    return [m for maps in shard_maps for m in maps]
+    with Shards(shard) as shards:
+        return sum(shards([(r,) for r in shard_slices(len(samples))]))
 
 
 def save_checkpoint(model, path, step, config_hash, parent_config_hash=None):

@@ -1,10 +1,9 @@
 """Evaluation metrics, report files, and the mIoU-curve plot.
 
 Evaluation always scores the main segmentation head.  ``evaluate_model``
-takes one label map per image from ``engine.predict_dataset`` (argmax maps
-resized to mask resolution, computed image by image on the two shard
-threads) and adds them into a confusion matrix one image at a time, on the
-calling thread, in sample order.
+takes the confusion matrix of ``engine.predict_dataset``, whose two shard
+processes each add their images' label maps (argmax maps resized to mask
+resolution) into counts of their own with ``confusion_accumulate``.
 ``miou_all`` averages over every class including background, ``miou_base``
 excludes it, and classes absent from both prediction and truth are left out
 of the means.
@@ -247,9 +246,6 @@ def evaluate_model(model, samples, registry, base_classes, new_classes, step,
     """Confusion over a dataset from main-head predictions, as a report."""
     from . import engine
 
-    counts = np.zeros((len(registry), len(registry)), dtype=np.int64)
-    preds = engine.predict_dataset(model, samples, registry)
-    for pred, sample in zip(preds, samples):
-        confusion_accumulate(pred, sample.dense_mask, counts)
+    counts = engine.predict_dataset(model, samples, registry)
     return build_report(counts, registry, base_classes, new_classes, step,
                         config_hash)

@@ -22,9 +22,12 @@ padded image.  At s = 1 there is one phase, the padded input itself.  1x1
 convolutions are one matrix product per image.
 
 Every batch is split along axis 0 into two fixed shards of ceil(B/2) and
-floor(B/2) items (``shard_slices``).  ``on_shards`` runs shard 0 on the
-calling thread and shard 1 on one persistent worker thread, each with its
-own caches and gradient dicts.  In training a shard runs its items as
+floor(B/2) items (``shard_slices``).  ``Shards`` runs shard 0 in the
+calling process and shard 1 in one worker process forked from it, which
+inherits the caller's data, so a call sends shard 1 only its small
+arguments and the current values of the arrays it keeps in step; each
+shard has its own caches and gradient dicts, and the two processes never
+share a GIL.  In training a shard runs its items as
 consecutive groups of at most ``GROUP_ITEMS`` items whose sizes differ by
 at most one (``group_slices``), which keeps the activations and caches a
 group's backward reads back small enough to come from cache (cache
@@ -32,27 +35,28 @@ blocking in the sense of Goto & van de Geijn, ACM TOMS 2008).  Each group
 runs its forward, its loss terms (with whole-batch normalisers) and its
 backward, accumulating into the shard's gradients, and its backward ends
 before the next group's forward begins.  The caller sums the shard
-gradients in shard order.  Evaluation splits
-the whole sample list the same way and each shard runs its images one at
-a time, returning its results in order.  A batch of one runs inline.  The
-split and the groups never depend on the host's core count or cache
-size, so results are the same on every machine.
+gradients in shard order.  Evaluation splits the whole sample list the
+same way and each shard runs its images one at a time.  A batch of one
+runs inline.  The split and the groups never depend on the host's core
+count or cache size, so results are the same on every machine.
 
-Cache contract: layers reuse their work buffers across calls, one set per
-thread, so the cache a forward returns is valid until the next forward of
-the same layer on the same thread.  A shard's backward must therefore run
-on the thread that ran its forward, which ``on_shards`` guarantees.
+Cache contract: layers reuse their work buffers across calls, so the
+cache a forward returns is valid until the next forward of the same layer
+in the same process.  Each process runs one Python thread, and a shard's
+forward and backward run in the same process.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+import multiprocessing
+import traceback
 
 import numpy as np
 
-# one worker thread, started on first use, so shard 1 always runs on it
-_SHARD1 = ThreadPoolExecutor(max_workers=1, thread_name_prefix="segprior-shard1")
+# fork, not spawn: shard 1's worker must inherit the caller's data and
+# model instead of receiving them.  The processes that fork it run one
+# Python thread, and OpenBLAS re-creates its own threads in the child.
+_FORK = multiprocessing.get_context("fork")
 
 
 def shard_slices(b):
@@ -79,20 +83,100 @@ def group_slices(rows):
     return [slice(a, b) for a, b in zip(starts, starts[1:])]
 
 
-def on_shards(fn, shard_args):
-    """Results of fn(*args) for each shard's args, in shard order.
+class Shards:
+    """fn run on the two shards of a batch: shard 0 in this process and
+    shard 1 in a worker process forked from it.
 
-    Shard 0 runs on the calling thread and shard 1 on the worker thread.
+    Calling it with one argument tuple per shard returns fn(*args) for
+    each, in shard order; with one tuple, fn runs here alone.  The worker
+    is forked on the first call with two shards and inherits everything
+    fn reads as it is at that moment.  Each call sends it only shard 1's
+    arguments, which must pickle, and the current values of the arrays in
+    sync (name -> array), which it copies into its own arrays of those
+    names before it runs fn.  Its result, or the exception it raised, comes
+    back pickled.  If shard 0 raises, the call waits for shard 1 and
+    raises shard 0's error.
+
+    Use it as a context manager: leaving it closes the pipe, on which the
+    worker exits, and joins the worker.  The worker also exits when this
+    process dies.  A worker that dies without replying, or whose reply
+    cannot be pickled, raises RuntimeError here with its exit code.
     """
-    if len(shard_args) == 1:
-        return [fn(*shard_args[0])]
-    second = _SHARD1.submit(fn, *shard_args[1])
-    try:
-        first = fn(*shard_args[0])
-    except BaseException:
-        wait([second])
-        raise
-    return [first, second.result()]
+
+    def __init__(self, fn, sync=None):
+        self.fn = fn
+        self.sync = {} if sync is None else sync
+        self._conn = self._proc = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._proc is not None:
+            self._conn.close()
+            self._proc.join()
+            self._conn = self._proc = None
+
+    def __call__(self, shard_args):
+        if len(shard_args) == 1:
+            return [self.fn(*shard_args[0])]
+        if self._proc is None:
+            self._conn, child = _FORK.Pipe()
+            self._proc = _FORK.Process(target=_serve, name="segprior-shard1",
+                                       args=(child, self._conn, self.fn, self.sync),
+                                       daemon=True)
+            self._proc.start()
+            child.close()
+        try:
+            self._conn.send((shard_args[1], self.sync))
+        except OSError:
+            self._lost()
+        try:
+            first = self.fn(*shard_args[0])
+        except BaseException:
+            try:
+                self._reply()
+            except Exception:
+                pass    # shard 0's error is the one raised
+            raise
+        return [first, self._reply()]
+
+    def _reply(self):
+        try:
+            error, value = self._conn.recv()
+        except EOFError:
+            self._lost()
+        if error is None:
+            return value
+        exc, trace = error
+        raise exc from RuntimeError(f"in shard 1's worker process:\n{trace}")
+
+    def _lost(self):
+        self._conn.close()
+        self._proc.join()
+        code = self._proc.exitcode
+        self._conn = self._proc = None
+        raise RuntimeError(f"shard 1's worker process exited with code {code} "
+                           "without replying")
+
+
+def _serve(conn, parent_end, fn, sync):
+    """Shard 1's worker: run fn for each message until the pipe closes."""
+    # the fork copied the parent's end too; with it open here, the worker
+    # would never see the pipe close
+    parent_end.close()
+    while True:
+        try:
+            args, values = conn.recv()
+        except EOFError:
+            return
+        try:
+            for name, value in values.items():
+                sync[name][...] = value
+            reply = (None, fn(*args))
+        except Exception as exc:
+            reply = ((exc, traceback.format_exc()), None)
+        conn.send(reply)
 
 
 def _tap_rows(stride, wq):
@@ -105,9 +189,9 @@ def _tap_rows(stride, wq):
 class Conv2d:
     """k x k convolution (k in {1, 3}), stride 1 or 2, zero padding for k=3.
 
-    Work buffers are leased per layer and thread and reused across
-    batches; a forward's cache is only valid until the next forward of the
-    same layer on the same thread.
+    Work buffers are leased per layer and reused across batches; a
+    forward's cache is only valid until the next forward of the same
+    layer.
     """
 
     def __init__(self, name, k, cin, cout, stride, rng, dtype):
@@ -135,7 +219,6 @@ class Conv2d:
         return clone
 
     def _lease(self, key, shape, dtype, fill=None):
-        key = (threading.get_ident(), key)
         arr = self._buf.get(key)
         if arr is None or arr.shape != shape or arr.dtype != dtype:
             arr = np.empty(shape, dtype) if fill is None else np.full(shape, fill, dtype)

@@ -1,5 +1,8 @@
 """Shared numeric helpers for the test suite."""
 
+import multiprocessing
+import os
+
 import numpy as np
 
 
@@ -36,3 +39,25 @@ def semantic_similarity(a, b, table):
     vb = table.vector(b)
     cos = float(va @ vb) / (float(np.linalg.norm(va)) * float(np.linalg.norm(vb)))
     return float(np.clip(-(1.0 - cos), -2.0, 0.0))
+
+
+class ProcessLog:
+    """Records from this process and from any process forked after the
+    log was made, such as shard 1's worker, in the order they were written.
+
+    Each record is stored with the pid of the process that wrote it.  Keep
+    records small: a write blocks while the pipe holds 64 KiB unread.
+    """
+
+    def __init__(self):
+        self._queue = multiprocessing.get_context("fork").SimpleQueue()
+
+    def append(self, record):
+        self._queue.put((os.getpid(), record))
+
+    def drain(self):
+        """The (pid, record) pairs written since the last drain."""
+        out = []
+        while not self._queue.empty():
+            out.append(self._queue.get())
+        return out

@@ -286,6 +286,41 @@ def test_eval_writes_beside_the_checkpoint(workspace, tmp_path):
     assert not os.path.exists(os.path.join(out, "runs", "report_ckpt_step0_seed1_eval.json"))
 
 
+def test_few_shot_memory_holds_only_trained_images(tmp_path, monkeypatch):
+    """In the few-shot protocol, every step-2 episodic memory entry of a
+    step-1 class is one of the images step 1 trained on."""
+    from segprior import cli, engine
+
+    out = str(tmp_path / "data")
+    assert cli.main(["gen-data", "--out", out, "--n", "120", "--eval-n", "0",
+                     "--seed", "3"]) == 0
+    cfg_path = os.path.join(out, "config.json")
+    with open(cfg_path) as fh:
+        cfg = json.load(fh)
+    cfg["schedule"].update(shots=3, mode="disjoint")
+    cfg["memory"]["mode"] = "episodic"
+    cfg["engine"].update(epochs_base=1, epochs_incremental=1, batch_size=8)
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh, indent=1)
+    steps = {}
+    real_step = engine.incremental_step
+
+    def spy_step(state, samples, bank, sim, registry):
+        steps[state.step] = (state.model.class_names[state.n_old:], samples, bank)
+        return real_step(state, samples, bank, sim, registry)
+
+    monkeypatch.setattr(engine, "incremental_step", spy_step)
+    assert cli.main(["train-base", "--config", cfg_path]) == 0
+    for step in ("1", "2"):
+        assert cli.main(["train-incremental", "--config", cfg_path, "--step", step]) == 0
+    step1_classes, step1_samples, _ = steps[1]
+    trained = {s.image.tobytes() for s in step1_samples}
+    assert len(trained) == 6
+    held = [e for e in steps[2][2].entries if e.labels & set(step1_classes)]
+    assert held
+    assert all(e.image.tobytes() in trained for e in held)
+
+
 def test_few_shot_disjoint_sequence(tmp_path):
     """The paper's few-shot, disjoint protocol over two increments, with
     episodic memory: each step trains on shots x classes samples, and step 2

@@ -1,8 +1,8 @@
 import contextlib
 import copy
 import dataclasses
-import sys
-import threading
+import hashlib
+import os
 from unittest import mock
 
 import numpy as np
@@ -23,11 +23,13 @@ from segprior.engine import (
     predict_dataset,
     save_checkpoint,
 )
-from segprior.layers import group_slices, on_shards, shard_slices, zero_grads
+from segprior.layers import group_slices, shard_slices, zero_grads
 from segprior.memory import populate_episodic
 from segprior.objectives import LossConfig
 from segprior.protocol import build_schedule, filter_step, with_weak_labels
 from segprior.synthdata import default_taxonomy, generate_dataset
+
+from helpers import ProcessLog
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +78,12 @@ def step_inputs(world, model, cfg, step=1, loss_cfg=None):
         n_old=len(model.class_names),
     )
     return state, samples, sim
+
+
+def one_batch(state, items, grads):
+    """incremental_batch over all of items, in order, with a worker of its own."""
+    with engine.incremental_shards(state, items) as shards:
+        return incremental_batch(state, items, range(len(items)), grads, shards)
 
 
 def test_step_leaves_old_model_unchanged(world):
@@ -176,7 +184,7 @@ def test_batch_losses_match_objectives_recompute(world):
     items = engine._prepare_items(state, samples[:6], tax.registry, sim)
     state.epoch = 0
     grads = zero_grads(state.model.params())
-    comps = incremental_batch(state, items, grads)
+    comps = one_batch(state, items, grads)
 
     # recomputation item by item, each one a batch of one through the
     # objectives module, normalised by itself
@@ -212,7 +220,7 @@ def test_gradient_routing(world):
     items = engine._prepare_items(state, samples[:6], tax.registry, sim)
     state.epoch = 0  # inside warmup: seg inactive
     grads = zero_grads(state.model.params())
-    incremental_batch(state, items, grads)
+    one_batch(state, items, grads)
     assert np.all(grads["head.W"] == 0.0)
     assert np.all(grads["head.b"] == 0.0)
     assert any(np.any(grads[k] != 0.0) for k in grads if k.startswith("loc."))
@@ -222,7 +230,7 @@ def test_gradient_routing(world):
     # encoder weight while the localizer's gradient stays as it was
     state.epoch = 200
     grads_on = zero_grads(state.model.params())
-    incremental_batch(state, items, grads_on)
+    one_batch(state, items, grads_on)
     assert np.any(grads_on["head.W"] != 0.0)
     for k in grads:
         if k.startswith("enc.") and k.endswith(".W"):
@@ -266,14 +274,19 @@ def test_checkpoint_round_trip(world, tmp_path):
 
 
 def test_predict_dataset_shapes(world):
+    """Counts are (truth, prediction) over the registry: each row adds up
+    to its class's pixels in the masks, and only the model's classes are
+    predicted."""
     tax, sched, data, _ = world
     cfg = small_cfg()
     model, _ = base_model(world, cfg, train=False)
-    preds = predict_dataset(model, data[:5], tax.registry)
-    assert len(preds) == 5
-    for p, s in zip(preds, data[:5]):
-        assert p.shape == s.dense_mask.shape
-        assert set(np.unique(p)) <= {tax.registry.index_of(n) for n in model.class_names}
+    counts = predict_dataset(model, data[:5], tax.registry)
+    n = len(tax.registry)
+    assert counts.shape == (n, n) and counts.dtype == np.int64
+    truth = np.concatenate([s.dense_mask.ravel() for s in data[:5]])
+    assert np.array_equal(counts.sum(axis=1), np.bincount(truth, minlength=n))
+    predicted = set(np.flatnonzero(counts.sum(axis=0)).tolist())
+    assert predicted <= {tax.registry.index_of(name) for name in model.class_names}
 
 
 def test_checkpoint_records_parent_config_hash(world, tmp_path):
@@ -373,10 +386,10 @@ def test_incremental_batch_shards_match_full_batch(world, n_items, seg_on):
                                  tax.registry, 4, seed=3)
         items[-1] = engine._prepare_memory(state, bank)[0]
     grads = zero_grads(state.model.params())
-    comps = incremental_batch(state, items, grads)
+    comps = one_batch(state, items, grads)
     with whole_batch():
         ref = zero_grads(state.model.params())
-        ref_comps = incremental_batch(state, items, ref)
+        ref_comps = one_batch(state, items, ref)
     assert_close_dicts(grads, ref)
     for key in ref_comps:
         assert abs(comps[key] - ref_comps[key]) < 1e-10, key
@@ -421,18 +434,20 @@ def test_shard_local_losses_match_whole_batch(float64_pools, data):
     state.loss_cfg = dataclasses.replace(
         state.loss_cfg, lambda_rasp=data.draw(st.sampled_from([0.0, 1.0]), label="rasp"))
 
-    group_losses = []
+    log = ProcessLog()
     real_losses = engine._batch_losses
 
     def spy_losses(st_, group_items, *args):
         out = real_losses(st_, group_items, *args)
+        # the worker's items are its inherited copies of these very objects
         first = next(i for i, it in enumerate(items) if it is group_items[0])
-        group_losses.append((first, out[0]))
+        log.append((first, out[0]))
         return out
 
     grads = zero_grads(state.model.params())
     with mock.patch.object(engine, "_batch_losses", spy_losses):
-        comps = incremental_batch(state, items, grads)
+        comps = one_batch(state, items, grads)
+    group_losses = [record for _, record in log.drain()]
     # the per-item losses are added one by one in item order
     total = 0.0
     for _, losses in sorted(group_losses, key=lambda c: c[0]):
@@ -441,7 +456,7 @@ def test_shard_local_losses_match_whole_batch(float64_pools, data):
     assert comps["cls"] == total / n
     with whole_batch():
         ref = zero_grads(state.model.params())
-        ref_comps = incremental_batch(state, items, ref)
+        ref_comps = one_batch(state, items, ref)
     assert_close_dicts(grads, ref)
     assert comps.keys() == ref_comps.keys()
     for key in ref_comps:
@@ -472,22 +487,24 @@ def test_grouped_benchmark_batch_matches_one_forward(world, rasp, seg_on):
     items = current + engine._prepare_memory(state, bank)
     assert len(items) == 24 and sum(it.is_memory for it in items) == 6
 
-    sizes = []
+    log = ProcessLog()
     forward = state.model.encoder.forward
 
     def spy_forward(x):
-        sizes.append(len(x))
+        log.append(len(x))
         return forward(x)
 
     state.model.encoder.forward = spy_forward
     grads = zero_grads(state.model.params())
-    comps = incremental_batch(state, items, grads)
-    assert sizes == [4] * 6
-    sizes.clear()
+    comps = one_batch(state, items, grads)
+    sizes = log.drain()
+    assert [n for _, n in sizes] == [4] * 6
+    here = [pid for pid, _ in sizes if pid == os.getpid()]
+    assert len(here) == 3 and len({pid for pid, _ in sizes}) == 2
     with whole_batch():
         ref = zero_grads(state.model.params())
-        ref_comps = incremental_batch(state, items, ref)
-    assert sizes == [24]
+        ref_comps = one_batch(state, items, ref)
+    assert log.drain() == [(os.getpid(), 24)]
     assert_close_dicts(grads, ref)
     assert comps.keys() == ref_comps.keys()
     for key in ref_comps:
@@ -496,10 +513,10 @@ def test_grouped_benchmark_batch_matches_one_forward(world, rasp, seg_on):
     assert (comps["seg"] != 0.0) == seg_on
 
 
-def test_group_layout_on_the_shard_threads(world):
-    """Each shard runs its items as balanced groups of at most 4, on its
-    own thread, each group's backward ending before the next group's
-    forward begins."""
+def test_group_layout_on_the_shard_processes(world):
+    """Each shard runs its items as balanced groups of at most 4, shard 0
+    in this process and shard 1 in its worker, each group's backward
+    ending before the next group's forward begins."""
     assert layers.GROUP_ITEMS == 4
     want = {1: [(0, 1)], 4: [(0, 4)], 5: [(0, 3), (3, 5)],
             12: [(0, 4), (4, 8), (8, 12)],
@@ -518,65 +535,68 @@ def test_group_layout_on_the_shard_threads(world):
     bank = populate_episodic(filter_step(data, sched, 0), sched.base_classes,
                              tax.registry, 6, seed=3)
     items = current + engine._prepare_memory(state, bank)
-    events = []
+    log = ProcessLog()
     encoder = state.model.encoder
     forward, backward = encoder.forward, encoder.backward
 
     def spy_forward(x):
-        events.append(("fwd", threading.get_ident(), x))
+        log.append(("fwd", hashlib.sha256(x.tobytes()).hexdigest()))
         return forward(x)
 
     def spy_backward(dy, caches, grads):
-        events.append(("bwd", threading.get_ident(), len(dy)))
+        log.append(("bwd", len(dy)))
         out = backward(dy, caches, grads)
-        events.append(("bwd_end", threading.get_ident(), len(dy)))
+        log.append(("bwd_end", len(dy)))
         return out
 
     encoder.forward, encoder.backward = spy_forward, spy_backward
-    incremental_batch(state, items, zero_grads(state.model.params()))
-    worker = on_shards(lambda: threading.get_ident(), [(), ()])[1]
+    with engine.incremental_shards(state, items) as shards:
+        incremental_batch(state, items, range(len(items)),
+                          zero_grads(state.model.params()), shards)
+        worker = shards._proc.pid
+    events = log.drain()
     assert len(items) == 26        # two shards of 13: groups of 4, 3, 3, 3
-    for ident, shard in ((threading.get_ident(), slice(0, 13)),
-                         (worker, slice(13, 26))):
-        mine = [e for e in events if e[1] == ident]
+    for pid, shard in ((os.getpid(), slice(0, 13)), (worker, slice(13, 26))):
+        mine = [e for p, e in events if p == pid]
         groups = group_slices(shard)
         assert [e[0] for e in mine] == ["fwd", "bwd", "bwd_end"] * len(groups)
         for k, group in enumerate(groups):
             fwd, bwd, bwd_end = mine[3 * k:3 * k + 3]
             want_x = np.stack([it.x for it in items[group]])
-            assert np.array_equal(fwd[2], want_x)
-            assert bwd[2] == bwd_end[2] == len(want_x)
+            assert fwd[1] == hashlib.sha256(want_x.tobytes()).hexdigest()
+            assert bwd[1] == bwd_end[1] == len(want_x)
     assert len(events) == 3 * 8
 
 
 def test_one_on_shards_call_per_training_batch(world, monkeypatch):
-    """Forward, losses and backward of a batch share one on_shards call,
-    and the loss terms run on the caller's thread and the worker's."""
+    """Forward, losses and backward of a batch share one call of the
+    loop's Shards, whose one worker serves the whole loop, and the loss
+    terms run in this process and in the worker."""
     tax, sched, data, sim = world
     cfg = small_cfg(epochs_base=2, epochs_incremental=2, batch_size=8)
-    events, loss_threads = [], []
-    real_on_shards, real_losses = engine.on_shards, engine._batch_losses
-    real_batch = engine.incremental_batch
+    events, log = [], ProcessLog()
+    real_losses, real_batch = engine._batch_losses, engine.incremental_batch
 
-    def spy_on_shards(fn, shard_args):
-        events.append("on_shards")
-        return real_on_shards(fn, shard_args)
+    class SpyShards(layers.Shards):
+        def __call__(self, shard_args):
+            events.append("shards")
+            return super().__call__(shard_args)
 
     def spy_batch(*args):
         events.append("batch")
         return real_batch(*args)
 
     def spy_losses(*args):
-        loss_threads.append(threading.get_ident())
+        log.append("losses")
         return real_losses(*args)
 
-    monkeypatch.setattr(engine, "on_shards", spy_on_shards)
+    monkeypatch.setattr(engine, "Shards", SpyShards)
     monkeypatch.setattr(engine, "incremental_batch", spy_batch)
     monkeypatch.setattr(engine, "_batch_losses", spy_losses)
     base = filter_step(data, sched, 0)[:20]
     model = SegModel.init(sched.channel_names(0), seed=cfg.seed)
     model, _ = base_train(model, base, tax.registry, cfg)
-    assert events == ["on_shards"] * (2 * 3)       # 2 epochs of batches 8, 8, 4
+    assert events == ["shards"] * (2 * 3)       # 2 epochs of batches 8, 8, 4
 
     events.clear()
     bank = populate_episodic(base, sched.base_classes, tax.registry, 8, seed=3)
@@ -584,11 +604,11 @@ def test_one_on_shards_call_per_training_batch(world, monkeypatch):
                                     loss_cfg=LossConfig(seg_warmup_epochs=1))
     incremental_step(state, samples[:12], bank, sim, tax.registry)
     first = events.index("batch")
-    assert "batch" not in events[:first]
-    assert events[first:] == ["batch", "on_shards"] * (2 * 2)   # batches 8, 4
-    assert threading.get_ident() in loss_threads
-    assert len(set(loss_threads)) == 2
-    assert len(loss_threads) == 2 * (2 * 2)
+    assert events[:first] == ["shards"] * 2       # _prepare_items: chunks 8, 4
+    assert events[first:] == ["batch", "shards"] * (2 * 2)   # batches 8, 4
+    pids = [pid for pid, _ in log.drain()]
+    assert len(pids) == 2 * (2 * 2)
+    assert os.getpid() in pids and len(set(pids)) == 2
 
 
 class _NoHead:
@@ -646,64 +666,54 @@ def test_warmup_skips_seg_head(world):
     want = warmup_grads_with_head(state, items)
     state.model.head = _NoHead(state.model.head)
     grads = zero_grads(state.model.params())
-    incremental_batch(state, items, grads)
+    one_batch(state, items, grads)
     assert grads.keys() == want.keys()
     for name in want:
         assert np.array_equal(grads[name], want[name]), name
     assert not np.any(grads["head.W"]) and not np.any(grads["head.b"])
     state.epoch = 2
     with pytest.raises(AssertionError, match="seg head ran forward"):
-        incremental_batch(state, items, zero_grads(state.model.params()))
+        one_batch(state, items, zero_grads(state.model.params()))
 
 
 def test_shards_run_on_caller_and_one_worker(world):
-    """Shard 0 on the calling thread, shard 1 always on the same other thread."""
-    def whoami(shard):
-        return shard, threading.get_ident()
-
-    seen = [on_shards(whoami, [(0,), (1,)]) for _ in range(50)]
-    assert {ident for (_, ident), _ in seen} == {threading.get_ident()}
-    workers = {ident for _, (_, ident) in seen}
-    assert len(workers) == 1 and threading.get_ident() not in workers
-
-    # through the engine, with frequent thread switches: a shard whose
-    # forward and backward ran on different threads, or whose buffers the
-    # other shard overwrote, would change the gradients between repeats
+    """Shard 0 in this process, shard 1 always in the same worker: ten
+    batches through one incremental_shards give the same gradients, so
+    each shard's forward and backward ran in one process, on its own
+    buffers, with the parameters this process sent."""
     tax, sched, data, sim = world
     cfg = small_cfg()
     model, _ = base_model(world, cfg, train=False)
     state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=0))
     items = engine._prepare_items(state, samples[:7], tax.registry, sim)
-    calls = []
+    log = ProcessLog()
     encoder = state.model.encoder
     forward, backward = encoder.forward, encoder.backward
 
     def spy_forward(x):
-        calls.append(("fwd", len(x), threading.get_ident()))
+        log.append(("fwd", len(x)))
         return forward(x)
 
     def spy_backward(dy, caches, grads):
-        calls.append(("bwd", len(dy), threading.get_ident()))
+        log.append(("bwd", len(dy)))
         return backward(dy, caches, grads)
 
     encoder.forward, encoder.backward = spy_forward, spy_backward
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        results = []
+    results = []
+    with engine.incremental_shards(state, items) as shards:
         for _ in range(10):
             grads = zero_grads(state.model.params())
-            incremental_batch(state, items, grads)
+            incremental_batch(state, items, range(7), grads, shards)
             results.append(grads)
-    finally:
-        sys.setswitchinterval(interval)
+        worker = shards._proc.pid
     for grads in results[1:]:
         for name in grads:
             assert np.array_equal(grads[name], results[0][name]), name
+    calls = log.drain()
     assert len(calls) == 40
-    assert {ident for _, n, ident in calls if n == 4} == {threading.get_ident()}
-    assert {ident for _, n, ident in calls if n == 3} == workers
+    assert {pid for pid, (_, n) in calls if n == 4} == {os.getpid()}
+    assert {pid for pid, (_, n) in calls if n == 3} == {worker} != {os.getpid()}
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +737,17 @@ def predict_alone(model, sample, registry):
     return out
 
 
+def reference_counts(model, samples, registry, fresh=False):
+    """Confusion counts of predict_alone's maps, image by image; with
+    fresh, each image runs through a copy of the model with new buffers."""
+    n = len(registry)
+    counts = np.zeros((n, n), dtype=np.int64)
+    for s in samples:
+        pred = predict_alone(copy.deepcopy(model) if fresh else model, s, registry)
+        np.add.at(counts, (s.dense_mask.ravel(), pred.ravel()), 1)
+    return counts
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 def test_predict_dataset_equals_per_image_reference(world, dtype, n):
@@ -734,16 +755,12 @@ def test_predict_dataset_equals_per_image_reference(world, dtype, n):
     cfg = small_cfg(dtype=dtype)
     model, _ = base_model(world, cfg, train=False)
     samples = data[:n]
-    want = [predict_alone(model, s, tax.registry) for s in samples]
+    want = reference_counts(model, samples, tax.registry)
     got = predict_dataset(model, samples, tax.registry)
-    assert len(got) == n
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    assert np.array_equal(got, want)
     if n == 7:
-        assert len(np.unique(np.concatenate([w.ravel() for w in want]))) > 1
-        back = predict_dataset(model, samples[::-1], tax.registry)
-        for g, b in zip(got, back[::-1]):
-            assert np.array_equal(g, b)
+        assert np.count_nonzero(want.sum(axis=0)) > 1
+        assert np.array_equal(predict_dataset(model, samples[::-1], tax.registry), got)
 
 
 def test_predict_dataset_mixes_image_sizes(world):
@@ -753,15 +770,13 @@ def test_predict_dataset_mixes_image_sizes(world):
     wide = generate_dataset(tax, 3, image_size=96, seed=7)
     samples = [data[0], wide[0], wide[1], data[1], wide[2]]
     got = predict_dataset(model, samples, tax.registry)
-    assert [g.shape for g in got] == [(64, 64), (96, 96), (96, 96), (64, 64),
-                                      (96, 96)]
-    for g, s in zip(got, samples):
-        assert np.array_equal(g, predict_alone(model, s, tax.registry))
+    assert got.sum() == 2 * 64 * 64 + 3 * 96 * 96
+    assert np.array_equal(got, reference_counts(model, samples, tax.registry))
 
 
 def test_predict_dataset_alternates_63_and_64_px(world):
     """63 and 64 px images pad to 65 and 66 px, which the stride-2 conv
-    rounds up to the same size; each label map must match the image run
+    rounds up to the same size; the counts must match each image run
     alone through a copy of the model with fresh buffers."""
     tax, sched, data, _ = world
     cfg = small_cfg()
@@ -769,33 +784,45 @@ def test_predict_dataset_alternates_63_and_64_px(world):
     odd = generate_dataset(tax, 3, image_size=63, seed=7)
     samples = [data[0], odd[0], data[1], odd[1], data[2], odd[2]]
     got = predict_dataset(model, samples, tax.registry)
-    assert [g.shape for g in got] == [(64, 64), (63, 63)] * 3
-    for g, s in zip(got, samples):
-        assert np.array_equal(g, predict_alone(copy.deepcopy(model), s, tax.registry))
+    assert got.sum() == 3 * (64 * 64 + 63 * 63)
+    assert np.array_equal(got, reference_counts(model, samples, tax.registry,
+                                                fresh=True))
 
 
-def test_predict_dataset_streams_on_the_two_shard_threads(world, monkeypatch):
-    """One on_shards call; the first half of the samples runs on the
-    caller's thread and the second half on the shard-1 worker."""
+def test_predict_dataset_streams_on_the_two_shard_processes(world, monkeypatch):
+    """One Shards call; the first half of the samples runs in this process
+    and the second half in the worker, and each shard counts its own maps
+    through evalkit.confusion_accumulate."""
     tax, sched, data, _ = world
     cfg = small_cfg()
     model, _ = base_model(world, cfg, train=False)
     samples = data[:7]
-    calls, seen = [], {}
-    real_on_shards, real_input = engine.on_shards, engine.image_to_input
+    calls, log = [], ProcessLog()
+    real_input = engine.image_to_input
+    real_count = engine.evalkit.confusion_accumulate
 
-    def spy_on_shards(fn, shard_args):
-        calls.append(len(shard_args))
-        return real_on_shards(fn, shard_args)
+    class SpyShards(layers.Shards):
+        def __call__(self, shard_args):
+            calls.append(len(shard_args))
+            return super().__call__(shard_args)
 
     def spy_input(image, dtype):
-        seen[id(image)] = threading.get_ident()
+        log.append(("image", hashlib.sha256(image.tobytes()).hexdigest()))
         return real_input(image, dtype)
 
-    monkeypatch.setattr(engine, "on_shards", spy_on_shards)
+    def spy_count(pred, truth, counts):
+        log.append(("count", None))
+        return real_count(pred, truth, counts)
+
+    monkeypatch.setattr(engine, "Shards", SpyShards)
     monkeypatch.setattr(engine, "image_to_input", spy_input)
+    monkeypatch.setattr(engine.evalkit, "confusion_accumulate", spy_count)
     predict_dataset(model, samples, tax.registry)
     assert calls == [2]
-    threads = [seen[id(s.image)] for s in samples]
-    worker = on_shards(lambda: threading.get_ident(), [(), ()])[1]
-    assert threads == [threading.get_ident()] * 4 + [worker] * 3
+    events = log.drain()
+    digests = [hashlib.sha256(s.image.tobytes()).hexdigest() for s in samples]
+    images = [(pid, digest) for pid, (kind, digest) in events if kind == "image"]
+    (worker,) = {pid for pid, _ in images} - {os.getpid()}
+    for pid, want in ((os.getpid(), digests[:4]), (worker, digests[4:])):
+        assert [d for p, d in images if p == pid] == want
+        assert sum(p == pid for p, (kind, _) in events if kind == "count") == len(want)

@@ -1,4 +1,7 @@
-import threading
+import multiprocessing
+import os
+import select
+import signal
 import time
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segprior.layers import (MOMENTUM, ChannelNorm, Conv2d, LeakyReLU, SGDMomentum,
-                             on_shards, zero_grads)
+                             Shards, zero_grads)
 
 from helpers import max_rel_error, numeric_gradient
 
@@ -191,49 +194,166 @@ class ShardError(Exception):
     pass
 
 
+class Unpicklable(Exception):
+    """An exception whose instances cannot be pickled."""
+
+    def __reduce__(self):
+        raise TypeError("this exception does not pickle")
+
+
+def whoami(shard):
+    return shard, os.getpid()
+
+
 def failing_in(*failing):
     """A shard function that raises in the given shards."""
     def fn(shard):
         if shard in failing:
             raise ShardError(f"shard {shard} failed")
-        return shard
+        return whoami(shard)
 
     return fn
 
 
-def worker_ident():
-    return on_shards(lambda: threading.get_ident(), [(), ()])[1]
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Every test here must leave no worker process behind."""
+    yield
+    assert multiprocessing.active_children() == []
+
+
+def test_shards_run_here_and_in_one_worker():
+    """Shard 0 in this process, shard 1 in one forked worker for every
+    call, and a one-shard call runs here alone."""
+    with Shards(whoami) as shards:
+        seen = [shards([(0,), (1,)]) for _ in range(5)]
+        assert shards([(0,)]) == [(0, os.getpid())]
+    assert {first for first, _ in seen} == {(0, os.getpid())}
+    workers = {second for _, second in seen}
+    assert len(workers) == 1
+    (shard, pid), = workers
+    assert shard == 1 and pid != os.getpid()
+
+
+def test_one_shard_forks_no_worker():
+    with Shards(whoami) as shards:
+        shards([(0,)])
+        assert multiprocessing.active_children() == []
+
+
+def test_shards_keep_synced_arrays_in_step():
+    """The worker inherits what fn reads and, before each call, copies in
+    the current values of the synced arrays, but of nothing else."""
+    w, other = np.zeros(3), np.zeros(3)
+    with Shards(lambda k: (k, w.sum(), other.sum()), sync={"w": w}) as shards:
+        assert shards([(0,), (1,)]) == [(0, 0.0, 0.0), (1, 0.0, 0.0)]
+        w[...] = 5.0
+        other[...] = 1.0
+        assert shards([(0,), (1,)]) == [(0, 15.0, 3.0), (1, 15.0, 0.0)]
 
 
 def test_on_shards_raises_shard_1_error():
-    with pytest.raises(ShardError, match="shard 1 failed"):
-        on_shards(failing_in(1), [(0,), (1,)])
-
-
-def test_on_shards_raises_shard_0_error_after_shard_1_finishes():
-    started, finished = threading.Event(), threading.Event()
-
-    def fn(shard):
-        if shard == 0:
-            assert started.wait(5.0)
-            raise ShardError("shard 0 failed")
-        started.set()
-        time.sleep(0.05)
-        finished.set()
-        return shard
-
-    with pytest.raises(ShardError, match="shard 0 failed"):
-        on_shards(fn, [(0,), (1,)])
-    assert finished.is_set()
+    with Shards(failing_in(1)) as shards:
+        with pytest.raises(ShardError, match="shard 1 failed") as info:
+            shards([(0,), (1,)])
+    # the worker's traceback rides along as the cause
+    assert "in shard 1's worker process" in str(info.value.__cause__)
+    assert "ShardError" in str(info.value.__cause__)
 
 
 def test_on_shards_keeps_its_worker_after_errors():
-    worker = worker_ident()
-    assert worker != threading.get_ident()
     for failing in ((0,), (1,), (0, 1)):
-        with pytest.raises(ShardError):
-            on_shards(failing_in(*failing), [(0,), (1,)])
-        assert worker_ident() == worker
+        with Shards(failing_in(*failing)) as shards:
+            (_, worker), = shards([(2,), (3,)])[1:]
+            with pytest.raises(ShardError):
+                shards([(0,), (1,)])
+            assert shards([(2,), (3,)])[1] == (3, worker)
+
+
+def test_on_shards_raises_shard_0_error_after_shard_1_finishes(tmp_path):
+    done = tmp_path / "shard1-done"
+
+    def fn(shard):
+        if shard == 0:
+            raise ShardError("shard 0 failed")
+        time.sleep(0.2)
+        done.write_text("done")
+        return whoami(shard)
+
+    with Shards(fn) as shards:
+        with pytest.raises(ShardError, match="shard 0 failed"):
+            shards([(0,), (1,)])
+        assert done.exists()
+        # the pipe is still in step: the next call gets its own reply
+        done.unlink()
+        assert shards([(2,), (1,)])[1][0] == 1
+
+
+@pytest.mark.parametrize("death", ["exit", "kill", "unpicklable"])
+def test_dead_worker_raises_runtime_error_with_its_exit_code(death):
+    """A worker that exits, is killed or cannot send its reply raises a
+    RuntimeError naming shard 1 and its exit code; the next call forks a
+    fresh worker."""
+    def fn(shard):
+        if shard == 1:
+            if death == "exit":
+                os._exit(3)
+            if death == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise Unpicklable("no reply")
+        return whoami(shard)
+
+    code = {"exit": 3, "kill": -signal.SIGKILL, "unpicklable": 1}[death]
+    with Shards(fn) as shards:
+        with pytest.raises(RuntimeError, match=rf"shard 1's worker process exited "
+                                               rf"with code {code} without replying"):
+            shards([(0,), (1,)])
+        assert multiprocessing.active_children() == []
+        shards.fn = whoami      # a fresh worker forks with the current fn
+        (_, here), (_, there) = shards([(0,), (1,)])
+        assert here == os.getpid() != there
+
+
+def test_worker_killed_between_calls_raises_runtime_error():
+    with Shards(whoami) as shards:
+        shards([(0,), (1,)])
+        os.kill(shards._proc.pid, signal.SIGKILL)
+        shards._proc.join(5.0)
+        with pytest.raises(RuntimeError, match=rf"code {-signal.SIGKILL} without"):
+            shards([(0,), (1,)])
+
+
+def _parent_of_a_worker(report):
+    """Fork a worker through Shards, report its pid, then wait to be killed."""
+    with Shards(whoami) as shards:
+        report.send(shards([(0,), (1,)])[1][1])
+        time.sleep(60)
+
+
+def test_worker_exits_when_its_parent_is_killed():
+    """A worker whose parent dies sees its pipe close and exits.  Both
+    hold the write end of a pipe that this test reads: it reaches EOF
+    once the parent and the worker have both exited."""
+    ctx = multiprocessing.get_context("fork")
+    alive_r, alive_w = os.pipe()
+    report, child_end = ctx.Pipe()
+    parent = ctx.Process(target=_parent_of_a_worker, args=(child_end,))
+    parent.start()
+    os.close(alive_w)
+    try:
+        assert report.poll(30.0)
+        worker = report.recv()
+        assert worker not in (os.getpid(), parent.pid)
+        parent.kill()
+        parent.join(30.0)
+        assert parent.exitcode == -signal.SIGKILL
+        ready, _, _ = select.select([alive_r], [], [], 30.0)
+        assert ready and os.read(alive_r, 1) == b""
+    finally:
+        os.close(alive_r)
+        if parent.is_alive():
+            parent.kill()
+            parent.join()
 
 
 def cache_arrays(cache):
@@ -246,16 +366,15 @@ def shares_buffer(cache_a, cache_b):
 
 
 @pytest.mark.parametrize("stride", [1, 2])
-def test_conv_buffers_are_leased_per_thread(stride):
-    """Forwards of one shape on one thread reuse the padded-input buffer,
-    which spares training a fresh zero-filled buffer per conv and group;
-    the shard-1 worker leases its own."""
+def test_conv_buffers_are_reused(stride):
+    """Forwards of one shape reuse the padded-input buffer, which spares
+    training a fresh zero-filled buffer per conv and group; a forward of
+    another shape leases a buffer of its own."""
     rng = np.random.default_rng(5)
     conv = Conv2d("c", 3, 3, 4, stride, rng, np.float32)
     x = rng.standard_normal((2, 7, 6, 3)).astype(np.float32)
     _, first = conv.forward(x)
     _, second = conv.forward(x[::-1].copy())
     assert shares_buffer(first, second)
-    (_, caller), (_, worker) = on_shards(conv.forward, [(x,), (x,)])
-    assert shares_buffer(caller, first)
-    assert not shares_buffer(worker, caller)
+    _, other = conv.forward(x[:1])
+    assert not shares_buffer(other, first)
