@@ -12,10 +12,15 @@ import os
 # Every batch already runs as two shards in two processes (layers.Shards),
 # and the GEMMs are too small (K = 8-32) for BLAS threads to pay on top of
 # that.  With OPENBLAS_NUM_THREADS=2 each shard process starts its own BLAS
-# threads, four in all: on a 2-vCPU host the benchmark's traced pass (seed
-# 5) ran base-dense at 385 img/s with one BLAS thread and at 58 img/s with
-# two, incr-rasp-memory at 177 and 26, and eval-wide at 283 and 28.  One
-# thread is the default but stays overridable.
+# threads, four busy threads in all: on a 2-vCPU host the benchmark's
+# traced pass (seed 5) ran base-dense at 385 img/s with one BLAS thread and
+# at 58 img/s with two, incr-rasp-memory at 177 and 26, and eval-wide at
+# 283 and 28.  So one thread is the default.  A value set in the
+# environment is kept, for hosts with four or more cores, where two
+# threads per shard process need not oversubscribe them (not measured);
+# on two cores it costs 4-10x.  Code that imports segprior.engine without
+# this module gets OpenBLAS's own default, one thread per core in each
+# shard process, unless it sets the variable before importing numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse

@@ -59,13 +59,22 @@ the sample list.  Each shard streams its images one at a time through the
 encoder and the seg head, so no batch is stacked and one image's
 activations stay in cache, and counts its label maps into a confusion
 matrix of its own; only the two matrices are joined.  Before a step
-trains, the old model runs a stacked batch forward over the step's
-images, chunk by chunk as two shards, and the outputs are joined
-(``_prepare_items``).
+trains, the old model runs forward over the step's images, chunk by
+chunk as two shards and each shard in groups, and the outputs are joined
+(``_prepare_items``).  Neither keeps backward caches (``Chain.infer``).
+
+Memory: the worker shares the caller's pages until one of the two writes
+them, so what the two processes hold together is the data both read
+once, plus each shard's own working set.  The data is kept small: items
+and base batches hold the raw uint8 images and convert a group's inputs
+when it runs, the old model's scores and features fill one array each,
+and a training group releases each layer's cache once its backward has
+run.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,9 +167,7 @@ class SegModel:
         return out
 
     def copy(self):
-        import copy as _copy
-
-        return _copy.deepcopy(self)
+        return copy.deepcopy(self)
 
     def n_classes(self):
         return len(self.class_names)
@@ -297,7 +304,8 @@ def base_train(model, samples, registry, cfg):
     lut = np.zeros(len(registry), dtype=np.int64)
     for ch, name in enumerate(model.class_names):
         lut[registry.index_of(name)] = ch
-    xs = np.stack([image_to_input(s.image, dtype) for s in samples])
+    # raw images: a group's inputs are converted when it runs
+    images = np.stack([s.image for s in samples])
     targets = np.zeros((len(samples), ho, wo, n_classes), dtype=dtype)
     eye = np.eye(n_classes, dtype=dtype)
     for i, s in enumerate(samples):
@@ -309,7 +317,7 @@ def base_train(model, samples, registry, cfg):
 
     def step(idx, rows, g):
         t = targets[idx[rows]]
-        feat, enc_cache = model.encoder.forward(xs[idx[rows]])
+        feat, enc_cache = model.encoder.forward(image_to_input(images[idx[rows]], dtype))
         logits, head_cache = model.head.forward(feat)
         loss_sum, dlogits = objectives.bce_sum_grad(logits, t, len(idx) * per_item)
         dfeat = model.head.backward(dlogits, head_cache, g)
@@ -355,7 +363,7 @@ class StepState:
 
 @dataclass
 class _Item:
-    x: np.ndarray
+    image: np.ndarray               # (H, W, 3) raw image; see ``_inputs``
     y_old: np.ndarray = None        # (h, w, n_old) old-model sigmoid scores
     feat_old: np.ndarray = None     # (h, w, D) old-model features
     rasp_target: np.ndarray = None  # (h, w, K) RaSP targets of the present classes
@@ -365,16 +373,25 @@ class _Item:
     is_memory: bool = False
 
 
+def _inputs(items, dtype):
+    """The stacked network inputs of items or samples, from their raw images."""
+    return image_to_input(np.stack([it.image for it in items]), dtype)
+
+
 def _prepare_items(state, samples, registry, sim_matrix):
     """Per-image caches: old-model scores and features, labels, RaSP targets.
 
-    The old model runs forward on stacked chunks of cfg.batch_size images,
-    each chunk as two shards, in this process and one forked worker.  The
-    RaSP target table is built once; an image's targets are its rows at
-    the old model's argmax, at the columns of the new classes present.
+    The old model runs forward over chunks of cfg.batch_size images, each
+    chunk as two shards, in this process and one forked worker, and each
+    shard in groups of at most ``GROUP_ITEMS`` images with no backward
+    caches kept, so one small group's activations are alive at a time.
+    The scores and features land in one array each, which the items view.
+    The RaSP target table is built once; an image's targets are its rows
+    at the old model's argmax, at the columns of the new classes present.
     """
     cfg = state.engine_cfg
-    old = state.old_model
+    # a copy, so that its conv work buffers go when this returns
+    old = copy.deepcopy(state.old_model)
     dtype = state.model.dtype
     n_old = state.n_old
     new_names = state.model.class_names[n_old:]
@@ -383,27 +400,35 @@ def _prepare_items(state, samples, registry, sim_matrix):
     if use_rasp:
         table = simprior.rasp_target_table(sim_matrix, registry, old.class_names,
                                            new_names, state.loss_cfg.tau, dtype)
-    xs = [image_to_input(s.image, dtype) for s in samples]
 
-    def old_forward(start, stop):
-        feat, _ = old.encoder.forward(np.stack(xs[start:stop]))
-        logits, _ = old.head.forward(feat)
-        return objectives.sigmoid(logits), feat
+    def old_forward(rows):
+        out = []
+        for group in group_slices(rows):
+            feat = old.encoder.infer(_inputs(samples[group], dtype))
+            logits, _ = old.head.forward(feat)
+            out.append((objectives.sigmoid(logits), feat))
+        return out
 
     items = []
+    y_old = feat_old = None
     with Shards(old_forward) as shards:
         for start in range(0, len(samples), cfg.batch_size):
             chunk = samples[start:start + cfg.batch_size]
-            outs = shards([(start + r.start, start + r.stop)
+            outs = shards([(slice(start + r.start, start + r.stop),)
                            for r in shard_slices(len(chunk))])
-            y_old = np.concatenate([y for y, _ in outs])
-            feat_old = np.concatenate([feat for _, feat in outs])
-            if not np.all(np.isfinite(y_old)):
+            pos = start
+            for y, feat in (group for shard in outs for group in shard):
+                if y_old is None:
+                    y_old = np.empty((len(samples),) + y.shape[1:], dtype)
+                    feat_old = np.empty((len(samples),) + feat.shape[1:], dtype)
+                y_old[pos:pos + len(y)], feat_old[pos:pos + len(y)] = y, feat
+                pos += len(y)
+            if not np.all(np.isfinite(y_old[start:pos])):
                 raise ValueError("old-model scores contain non-finite values")
-            for j, sample in enumerate(chunk):
+            for j, sample in enumerate(chunk, start):
                 if not sample.weak_labels:
                     raise ValueError("incremental samples need non-empty weak labels")
-                item = _Item(x=xs[start + j], y_old=y_old[j], feat_old=feat_old[j])
+                item = _Item(image=sample.image, y_old=y_old[j], feat_old=feat_old[j])
                 labels = np.zeros(len(new_names), dtype=np.float64)
                 for name in sample.weak_labels:
                     labels[new_pos[name]] = 1.0
@@ -423,7 +448,6 @@ def _prepare_memory(state, bank):
     """The bank's entries as memory items, in bank order; none without a bank."""
     if bank is None:
         return []
-    dtype = state.model.dtype
     fg_names = state.model.class_names[1:]
     pos = {name: k for k, name in enumerate(fg_names)}
     prepared = []
@@ -431,8 +455,7 @@ def _prepare_memory(state, bank):
         labels = np.zeros(len(fg_names), dtype=np.float64)
         for name in entry.labels:
             labels[pos[name]] = 1.0
-        prepared.append(_Item(x=image_to_input(entry.image, dtype), labels_fg=labels,
-                              is_memory=True))
+        prepared.append(_Item(image=entry.image, labels_fg=labels, is_memory=True))
     return prepared
 
 
@@ -441,7 +464,8 @@ def incremental_shards(state, pool):
 
     A batch's key is (epoch, idx): state.epoch and the positions of its
     items in pool, in batch order.  Each group runs forward, its own items'
-    loss terms and backward before the next group starts.  The loss terms
+    loss terms and backward before the next group starts, and returns its
+    per-item losses and the batch's count of current items.  The loss terms
     share the whole batch's normalisers, so the summed group gradients are
     the whole batch's.  The seg head runs only once the warm-up epochs are
     over.
@@ -454,7 +478,7 @@ def incremental_shards(state, pool):
         n_cur = sum(not it.is_memory for it in batch)
         items = batch[rows]
         seg_active = state.seg_active()
-        feat, enc_cache = model.encoder.forward(np.stack([it.x for it in items]))
+        feat, enc_cache = model.encoder.forward(_inputs(items, model.dtype))
         z, loc_cache = model.localizer.forward(feat)
         p_hat, head_cache = model.head.forward(feat) if seg_active else (None, None)
         losses, dz, dp, dfeat = _batch_losses(state, items, feat, z, p_hat,
@@ -462,13 +486,16 @@ def incremental_shards(state, pool):
         dfeat += model.localizer.backward(dz, loc_cache, g)
         if seg_active:
             dfeat += model.head.backward(dp, head_cache, g)
+        # the heads are done: their outputs and caches go before the
+        # encoder's backward runs
+        del feat, z, p_hat, dz, dp, loc_cache, head_cache
         model.encoder.backward(dfeat, enc_cache, g)
-        return losses
+        return losses, n_cur
 
     return _training_shards(step, model.params())
 
 
-def incremental_batch(state, pool, idx, grads, shards):
+def incremental_batch(state, idx, grads, shards):
     """Losses and parameter gradients for the batch of the items pool[idx].
 
     shards is ``incremental_shards(state, pool)``; the batch runs at
@@ -477,12 +504,13 @@ def incremental_batch(state, pool, idx, grads, shards):
     """
     idx = [int(i) for i in idx]
     n_all = len(idx)
-    n_cur = sum(not pool[i].is_memory for i in idx)
+    results = _train_batch(shards, (state.epoch, idx), n_all, grads)
+    n_cur = results[0][1]       # every group counts the same batch
     # per-item losses in item order (group by group, shard 0's first),
     # added one by one as a whole-batch loop would, so the trace does not
     # depend on the split; a term no item computed stays 0.0
     sums = dict.fromkeys(objectives.LOSS_COMPONENTS, 0.0)
-    for losses in _train_batch(shards, (state.epoch, idx), n_all, grads):
+    for losses, _ in results:
         for key, values in losses.items():
             for value in values:
                 sums[key] += float(value)
@@ -581,7 +609,7 @@ def incremental_step(state, samples, bank, sim_matrix, registry):
         state.epoch = epoch
         if memory:
             idx = mix_batch(idx, memory, memory_rng)
-        comps = incremental_batch(state, pool, idx, grads, shards)
+        comps = incremental_batch(state, idx, grads, shards)
         return {**comps, "total": objectives.total_loss(comps, state.loss_cfg, epoch)}
 
     trace = _fit(cfg, state.model.params(), cfg.lr_incremental,
@@ -614,8 +642,7 @@ def predict_dataset(model, samples, registry):
         counts = np.zeros((len(registry), len(registry)), dtype=np.int64)
         for sample in samples[rows]:
             x = image_to_input(sample.image, model.dtype)[None]
-            feat, _ = model.encoder.forward(x)
-            logits, _ = model.head.forward(feat)
+            logits, _ = model.head.forward(model.encoder.infer(x))
             grid = lut[np.argmax(logits[0], axis=2)]
             pred = nearest_resize(grid, *sample.dense_mask.shape)
             evalkit.confusion_accumulate(pred, sample.dense_mask, counts)

@@ -43,7 +43,9 @@ count or cache size, so results are the same on every machine.
 Cache contract: layers reuse their work buffers across calls, so the
 cache a forward returns is valid until the next forward of the same layer
 in the same process.  Each process runs one Python thread, and a shard's
-forward and backward run in the same process.
+forward and backward run in the same process.  ``Chain.backward`` empties
+the cache list it is given, freeing each layer's cache once that layer's
+backward has run, and ``Chain.infer`` keeps no cache at all.
 """
 
 from __future__ import annotations
@@ -280,10 +282,10 @@ class Conv2d:
         s, _, b, hq, wq, cin = grids.shape
         n = b * hq * wq
         taps = _tap_rows(s, wq)
-        # dy on the output grid.  The rest of the grid must be zero to add
-        # nothing below: it is zeroed on every call, as a grid of this shape
-        # may have held a larger output.
-        dgrid = self._lease("dgrid", (b, hq, wq, cout), grids.dtype)
+        # dy on the output grid; the rest of the grid must be zero to add
+        # nothing below.  A new array, not a leased one, so that only the
+        # running layer's grid is alive during a backward.
+        dgrid = np.empty((b, hq, wq, cout), grids.dtype)
         dgrid[:, :dy.shape[1], :dy.shape[2]] = dy
         dgrid[:, dy.shape[1]:] = dgrid[:, :, dy.shape[2]:] = 0
         d = dgrid.reshape(n, cout)[:span]
@@ -407,11 +409,22 @@ class Chain:
             caches.append(cache)
         return x, caches
 
+    def infer(self, x):
+        """The forward's output alone; each layer's cache is dropped as
+        soon as the next layer has run, so no backward can follow."""
+        for layer in self.layers:
+            x, _ = layer.forward(x)
+        return x
+
     def backward(self, dy, caches, grads):
-        """Accumulate parameter gradients; return the input gradient or None."""
-        for layer, cache in zip(self.layers[:0:-1], caches[:0:-1]):
-            dy = layer.backward(dy, cache, grads)
-        return self.layers[0].backward(dy, caches[0], grads, self.input_grad)
+        """Accumulate parameter gradients; return the input gradient or None.
+
+        caches is the list forward returned, and backward empties it: each
+        layer's cache is released as soon as that layer's backward has run.
+        """
+        for layer in self.layers[:0:-1]:
+            dy = layer.backward(dy, caches.pop(), grads)
+        return self.layers[0].backward(dy, caches.pop(), grads, self.input_grad)
 
 
 MOMENTUM = 0.9

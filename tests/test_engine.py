@@ -83,7 +83,7 @@ def step_inputs(world, model, cfg, step=1, loss_cfg=None):
 def one_batch(state, items, grads):
     """incremental_batch over all of items, in order, with a worker of its own."""
     with engine.incremental_shards(state, items) as shards:
-        return incremental_batch(state, items, range(len(items)), grads, shards)
+        return incremental_batch(state, range(len(items)), grads, shards)
 
 
 def test_step_leaves_old_model_unchanged(world):
@@ -188,7 +188,7 @@ def test_batch_losses_match_objectives_recompute(world):
 
     # recomputation item by item, each one a batch of one through the
     # objectives module, normalised by itself
-    x = np.stack([it.x for it in items])
+    x = engine._inputs(items, state.model.dtype)
     feat, _ = state.model.encoder.forward(x)
     z, _ = state.model.localizer.forward(feat)
     p_hat, _ = state.model.head.forward(feat)
@@ -287,6 +287,41 @@ def test_predict_dataset_shapes(world):
     assert np.array_equal(counts.sum(axis=1), np.bincount(truth, minlength=n))
     predicted = set(np.flatnonzero(counts.sum(axis=0)).tolist())
     assert predicted <= {tax.registry.index_of(name) for name in model.class_names}
+
+
+def test_prepare_items_runs_the_old_model_in_groups(world):
+    """float64: the old model runs cache-free (infer, never forward) in
+    groups of at most GROUP_ITEMS per shard: a 9-image chunk splits 5 | 4,
+    so groups of 3 and 2 run here and one of 4 in the worker.  Each item's
+    scores and features equal the old model's forward of its image alone."""
+    tax, sched, data, sim = world
+    cfg = small_cfg(dtype="float64")
+    model, _ = base_model(world, cfg, train=False)
+    state, samples, _ = step_inputs(world, model, cfg)
+    log = ProcessLog()
+    encoder = state.old_model.encoder
+    real_infer = encoder.infer
+
+    def spy_infer(x):
+        log.append(len(x))
+        return real_infer(x)
+
+    def no_forward(x):
+        raise AssertionError("the old model kept backward caches")
+
+    encoder.infer, encoder.forward = spy_infer, no_forward
+    items = engine._prepare_items(state, samples[:9], tax.registry, sim)
+    sizes = log.drain()
+    assert [n for pid, n in sizes if pid == os.getpid()] == [3, 2]
+    assert [n for pid, n in sizes if pid != os.getpid()] == [4]
+    del encoder.infer, encoder.forward
+    for item, sample in zip(items, samples[:9]):
+        x = engine.image_to_input(sample.image, cfg.np_dtype())[None]
+        feat, _ = model.encoder.forward(x)
+        logits, _ = model.head.forward(feat)
+        np.testing.assert_allclose(item.feat_old, feat[0], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(item.y_old, objectives.sigmoid(logits)[0],
+                                   rtol=1e-10, atol=1e-12)
 
 
 def test_checkpoint_records_parent_config_hash(world, tmp_path):
@@ -551,7 +586,7 @@ def test_group_layout_on_the_shard_processes(world):
 
     encoder.forward, encoder.backward = spy_forward, spy_backward
     with engine.incremental_shards(state, items) as shards:
-        incremental_batch(state, items, range(len(items)),
+        incremental_batch(state, range(len(items)),
                           zero_grads(state.model.params()), shards)
         worker = shards._proc.pid
     events = log.drain()
@@ -562,7 +597,7 @@ def test_group_layout_on_the_shard_processes(world):
         assert [e[0] for e in mine] == ["fwd", "bwd", "bwd_end"] * len(groups)
         for k, group in enumerate(groups):
             fwd, bwd, bwd_end = mine[3 * k:3 * k + 3]
-            want_x = np.stack([it.x for it in items[group]])
+            want_x = engine._inputs(items[group], state.model.dtype)
             assert fwd[1] == hashlib.sha256(want_x.tobytes()).hexdigest()
             assert bwd[1] == bwd_end[1] == len(want_x)
     assert len(events) == 3 * 8
@@ -636,7 +671,7 @@ def warmup_grads_with_head(state, items):
     batch's item counts.
     """
     model = state.model
-    x = np.stack([it.x for it in items])
+    x = engine._inputs(items, state.model.dtype)
     n_cur = sum(not it.is_memory for it in items)
     rows = shard_slices(len(items))
     dicts = [zero_grads(model.params()) for _ in rows]
@@ -704,7 +739,7 @@ def test_shards_run_on_caller_and_one_worker(world):
     with engine.incremental_shards(state, items) as shards:
         for _ in range(10):
             grads = zero_grads(state.model.params())
-            incremental_batch(state, items, range(7), grads, shards)
+            incremental_batch(state, range(7), grads, shards)
             results.append(grads)
         worker = shards._proc.pid
     for grads in results[1:]:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segprior.layers import (MOMENTUM, ChannelNorm, Conv2d, LeakyReLU, SGDMomentum,
-                             Shards, zero_grads)
+from segprior.layers import (MOMENTUM, Chain, ChannelNorm, Conv2d, LeakyReLU,
+                             SGDMomentum, Shards, zero_grads)
 
 from helpers import max_rel_error, numeric_gradient
 
@@ -176,6 +176,29 @@ def test_leaky_relu_matches_where(slope, dtype):
     assert y.dtype == dtype and dx.dtype == dtype
     assert np.array_equal(y, np.where(x > 0, x, slope * x))
     assert np.array_equal(dx, np.where(x > 0, dy, slope * dy))
+
+
+def test_chain_infer_and_backward_free_caches():
+    """infer returns the forward's output bit for bit without keeping a
+    cache, and backward empties the forward's cache list as it goes: when
+    a layer's backward runs, its own cache and those of the layers after
+    it are gone."""
+    rng = np.random.default_rng(3)
+    layers = [Conv2d("a", 3, 3, 4, 2, rng, np.float64), ChannelNorm("n", 4, np.float64),
+              LeakyReLU(0.01), Conv2d("b", 1, 4, 2, 1, rng, np.float64)]
+    chain = Chain(layers)
+    x = rng.standard_normal((2, 7, 7, 3))
+    inferred = chain.infer(x)
+    y, caches = chain.forward(x)
+    assert np.array_equal(inferred, y)
+    left = []
+    for layer in layers:
+        def spy(*args, real=layer.backward):
+            left.append(len(caches))
+            return real(*args)
+        layer.backward = spy
+    dx = chain.backward(np.ones_like(y), caches, zero_grads(chain.params()))
+    assert left == [3, 2, 1, 0] and caches == [] and dx.shape == x.shape
 
 
 def test_sgd_momentum_matches_reference():

@@ -137,7 +137,7 @@ def scored_step(old_names, new_names, logits, labels, dtype="float32",
         return logits[idx].astype(feat.dtype), None
 
     old = SimpleNamespace(class_names=tuple(old_names),
-                          encoder=SimpleNamespace(forward=lambda x: (x, None)),
+                          encoder=SimpleNamespace(infer=lambda x: x),
                           head=SimpleNamespace(forward=head))
     cfg = EngineConfig(batch_size=batch_size, dtype=dtype)
     state = StepState(
