@@ -83,6 +83,8 @@ def _apply_overrides(cfg, args):
 
 
 def _load_split(cfg, split):
+    """The split's samples as ``synthdata.load_dataset`` gives them: read
+    from disk when indexed."""
     path = cfg.resolve(cfg.train_manifest if split == "train" else cfg.eval_manifest)
     # an empty manifest name resolves to the config's directory
     if not path or not os.path.isfile(path):
@@ -131,7 +133,8 @@ def cmd_train_base(args):
     chash = config_mod.config_hash(cfg)
     registry = cfg.class_registry()
     schedule = cfg.task_schedule()
-    samples = _load_split(cfg, "train")
+    # every epoch reads every image again, so they are read once and kept
+    samples = list(_load_split(cfg, "train"))
     base = protocol.filter_step(samples, schedule, 0)
     if not base:
         raise CliError("no samples remain after base-step filtering")
@@ -188,7 +191,7 @@ def cmd_train_incremental(args):
     parent, _, parent_hash = engine.load_checkpoint(prev)
     if tuple(parent.class_names) != schedule.channel_names(step - 1):
         raise CliError("checkpoint class list does not match the schedule")
-    samples = _load_split(cfg, "train")
+    samples = list(_load_split(cfg, "train"))
     step_samples = protocol.with_weak_labels(
         _step_samples(samples, schedule, step, seed), schedule, step)
     if not step_samples:
@@ -221,6 +224,7 @@ def cmd_eval(args):
     model, step, chash = engine.load_checkpoint(args.checkpoint)
     if tuple(model.class_names) != schedule.channel_names(step):
         raise CliError("checkpoint class list does not match the schedule")
+    # each shard process reads its own images, one at a time
     samples = _load_split(cfg, args.split)
     new_classes = [c for grp in schedule.increments[:step] for c in grp]
     report = evalkit.evaluate_model(

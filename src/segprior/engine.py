@@ -55,21 +55,26 @@ The caller adds the per-item losses in item order and checks them for
 finiteness.
 
 Evaluation (``predict_dataset``) forks one worker for the second half of
-the sample list.  Each shard streams its images one at a time through the
-encoder and the seg head, so no batch is stacked and one image's
-activations stay in cache, and counts its label maps into a confusion
-matrix of its own; only the two matrices are joined.  Before a step
-trains, the old model runs forward over the step's images, chunk by
-chunk as two shards and each shard in groups, and the outputs are joined
-(``_prepare_items``).  Neither keeps backward caches (``Chain.infer``).
+the sample sequence.  The CLI passes the split as ``synthdata.load_dataset``
+returns it, a sequence that reads a sample from disk when it is indexed, so
+each shard reads its own images, one at a time, in its own process.  Each
+image goes through the encoder and the seg head alone, so no batch is
+stacked and one image's activations stay in cache, and each shard counts
+its label maps into a confusion matrix of its own; only the two matrices
+are joined.  Before a step trains, the old model runs forward over the
+step's images, chunk by chunk as two shards and each shard in groups, and
+the outputs are joined (``_prepare_items``).  Neither keeps backward
+caches (``Chain.infer``).
 
 Memory: the worker shares the caller's pages until one of the two writes
-them, so what the two processes hold together is the data both read
-once, plus each shard's own working set.  The data is kept small: items
-and base batches hold the raw uint8 images and convert a group's inputs
-when it runs, the old model's scores and features fill one array each,
-and a training group releases each layer's cache once its backward has
-run.
+them, so what the two processes hold together in training is the data
+both read once, plus each shard's own working set.  The data is kept
+small: images and masks stay uint8 as the files store them, items and base
+batches convert a group's inputs when it runs, the old model's scores and
+features fill one array each, and a training group releases each layer's
+cache once its backward has run.  Evaluation holds no split at all, only
+the image each shard is scoring, so its memory does not grow with the
+split's size.
 """
 
 from __future__ import annotations
@@ -627,13 +632,17 @@ def predict_dataset(model, samples, registry):
     """Confusion counts of the main head's label maps against the samples'
     dense masks: counts[truth, prediction] over registry indices.
 
-    The sample list runs as two fixed shards, in this process and one
-    forked worker.  Each shard takes its images one at a time through the
-    encoder and the head, then argmax, the registry lookup and a nearest
-    resize to the mask's shape, so one image's activations stay in cache
-    and images of any size can mix.  Each shard adds its maps into its own
-    counts (``evalkit.confusion_accumulate``), and only the counts come
-    back; the caller adds them in shard order.
+    samples is any sequence whose slices are sequences: a list, or the
+    ``synthdata.ManifestSamples`` of ``load_dataset``, which reads a sample
+    from disk when it is indexed.  It runs as two fixed shards, in this
+    process and one forked worker; each shard takes its slice's samples one
+    at a time, so with a ManifestSamples it reads only its own images, each
+    once.  Each image goes through the encoder and the head, then argmax,
+    the registry lookup and a nearest resize to the mask's shape, so one
+    image's activations stay in cache and images of any size can mix.  Each
+    shard adds its maps into its own counts
+    (``evalkit.confusion_accumulate``), and only the counts come back; the
+    caller adds them in shard order.
     """
     lut = np.array([registry.index_of(n) for n in model.class_names],
                    dtype=np.int32)

@@ -2,8 +2,10 @@
 
 Evaluation always scores the main segmentation head.  ``evaluate_model``
 takes the confusion matrix of ``engine.predict_dataset``, whose two shard
-processes each add their images' label maps (argmax maps resized to mask
-resolution) into counts of their own with ``confusion_accumulate``.
+processes each read their own half of the samples one at a time (from disk,
+for the CLI's ``synthdata.load_dataset`` sequence) and add their images'
+label maps (argmax maps resized to mask resolution) into counts of their
+own with ``confusion_accumulate``.
 ``miou_all`` averages over every class including background, ``miou_base``
 excludes it, and classes absent from both prediction and truth are left out
 of the means.
@@ -243,7 +245,10 @@ def plot_trace_svg(reports, out_path, width=640, height=420):
 
 def evaluate_model(model, samples, registry, base_classes, new_classes, step,
                    config_hash):
-    """Confusion over a dataset from main-head predictions, as a report."""
+    """Confusion over a dataset from main-head predictions, as a report.
+
+    samples goes to ``engine.predict_dataset`` as it is, so a sequence that
+    reads each sample when indexed is read inside the shards."""
     from . import engine
 
     counts = engine.predict_dataset(model, samples, registry)

@@ -35,7 +35,7 @@ class Sample:
     """
 
     image: np.ndarray              # (H, W, 3) uint8
-    dense_mask: np.ndarray         # (H, W) integer registry indices
+    dense_mask: np.ndarray         # (H, W) registry indices, uint8 as PGMs store them
     weak_labels: frozenset = frozenset()
     present: frozenset = field(default=None, repr=False, compare=False)
 

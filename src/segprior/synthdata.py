@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,7 +231,7 @@ def generate_dataset(taxonomy, n, image_size=64, objects_range=(1, 3), seed=0,
             _BKG_BASE + rng.normal(0.0, _BKG_NOISE, size=(image_size, image_size, 3)),
             0, 255,
         )
-        mask = np.zeros((image_size, image_size), dtype=np.int32)
+        mask = np.zeros((image_size, image_size), dtype=np.uint8)
         occupied = np.zeros((image_size, image_size), dtype=bool)
         n_objects = int(rng.integers(lo, hi + 1))
         class_names = [fg[i % len(fg)]]
@@ -270,7 +271,7 @@ def export_dataset(samples, registry, outdir):
         img_rel = os.path.join("images", f"img_{i:05d}.ppm")
         mask_rel = os.path.join("masks", f"mask_{i:05d}.pgm")
         netpbm.write_ppm(os.path.join(outdir, img_rel), sample.image)
-        netpbm.write_pgm(os.path.join(outdir, mask_rel), sample.dense_mask.astype(np.uint8))
+        netpbm.write_pgm(os.path.join(outdir, mask_rel), sample.dense_mask)
         present = sorted(sample.present_indices())
         rows.append({
             "image": img_rel,
@@ -285,14 +286,40 @@ def export_dataset(samples, registry, outdir):
     return manifest_path
 
 
+class ManifestSamples(Sequence):
+    """The samples of a dataset manifest, each read from disk when indexed.
+
+    Indexing reads that row's PPM image and PGM mask (uint8, as stored)
+    and returns a new ``Sample``; nothing is cached, so indexing a row
+    twice reads it twice.  Slicing returns a ManifestSamples over the
+    chosen rows and reads nothing.
+    """
+
+    def __init__(self, paths):
+        self._paths = paths         # (image path, mask path) per row
+
+    def __len__(self):
+        return len(self._paths)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ManifestSamples(self._paths[i])
+        image_path, mask_path = self._paths[i]
+        return Sample(image=netpbm.read_ppm(image_path),
+                      dense_mask=netpbm.read_pgm(mask_path))
+
+
 def load_dataset(manifest_path):
-    """Read a dataset manifest back into samples plus its class-name list."""
+    """A manifest's samples, as a ``ManifestSamples``, and its class names.
+
+    Only the manifest is read here; each image and mask is read when its
+    sample is indexed.  Evaluation passes the sequence on as it is, so each
+    shard reads its own images one at a time; training reads every image
+    once with ``list(files)``, since each epoch visits every image again.
+    """
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     root = os.path.dirname(os.path.abspath(manifest_path))
-    samples = []
-    for row in manifest["samples"]:
-        image = netpbm.read_ppm(os.path.join(root, row["image"]))
-        mask = netpbm.read_pgm(os.path.join(root, row["mask"])).astype(np.int32)
-        samples.append(Sample(image=image, dense_mask=mask))
-    return samples, list(manifest["classes"])
+    paths = tuple((os.path.join(root, row["image"]), os.path.join(root, row["mask"]))
+                  for row in manifest["samples"])
+    return ManifestSamples(paths), list(manifest["classes"])

@@ -286,6 +286,37 @@ def test_eval_writes_beside_the_checkpoint(workspace, tmp_path):
     assert not os.path.exists(os.path.join(out, "runs", "report_ckpt_step0_seed1_eval.json"))
 
 
+@pytest.mark.parametrize("broken", [0, 5])
+def test_eval_of_a_truncated_image_exits_1_and_reaps_its_worker(tmp_path, capsys,
+                                                               broken):
+    """The eval shards read their own images: a truncated one, in this
+    process's shard (0) or the worker's (5), stops eval with exit code 1
+    and the file's path, and no worker outlives the command."""
+    import multiprocessing
+
+    from segprior import cli, config, engine
+
+    out = str(tmp_path / "data")
+    assert cli.main(["gen-data", "--out", out, "--n", "8", "--eval-n", "6",
+                     "--size", "40", "--seed", "3"]) == 0
+    cfg_path = os.path.join(out, "config.json")
+    names = config.load_config(cfg_path).task_schedule().channel_names(0)
+    ckpt = str(tmp_path / "ckpt_step0_seed0.npz")
+    engine.save_checkpoint(engine.SegModel.init(names, seed=0), ckpt, step=0,
+                           config_hash="x")
+    image = os.path.join(out, "eval", "images", f"img_{broken:05d}.ppm")
+    with open(image, "rb") as fh:
+        data = fh.read()
+    with open(image, "wb") as fh:
+        fh.write(data[:-7])
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", cfg_path, "--checkpoint", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert "truncated PPM payload" in err and image in err
+    assert multiprocessing.active_children() == []
+    assert not os.path.exists(str(tmp_path / "report_ckpt_step0_seed0_eval.json"))
+
+
 def test_few_shot_memory_holds_only_trained_images(tmp_path, monkeypatch):
     """In the few-shot protocol, every step-2 episodic memory entry of a
     step-1 class is one of the images step 1 trained on."""

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segprior import engine, layers, objectives
+from segprior import engine, layers, netpbm, objectives
 from segprior.class_semantics import similarity_matrix
 from segprior.engine import (
     EngineConfig,
@@ -27,7 +27,8 @@ from segprior.layers import group_slices, shard_slices, zero_grads
 from segprior.memory import populate_episodic
 from segprior.objectives import LossConfig
 from segprior.protocol import build_schedule, filter_step, with_weak_labels
-from segprior.synthdata import default_taxonomy, generate_dataset
+from segprior.synthdata import (default_taxonomy, export_dataset, generate_dataset,
+                                load_dataset)
 
 from helpers import ProcessLog
 
@@ -861,3 +862,47 @@ def test_predict_dataset_streams_on_the_two_shard_processes(world, monkeypatch):
     for pid, want in ((os.getpid(), digests[:4]), (worker, digests[4:])):
         assert [d for p, d in images if p == pid] == want
         assert sum(p == pid for p, (kind, _) in events if kind == "count") == len(want)
+
+
+@pytest.fixture(scope="module")
+def exported(world, tmp_path_factory):
+    """The first seven world samples, exported; their manifest's path."""
+    tax, _, data, _ = world
+    return export_dataset(data[:7], tax.registry, str(tmp_path_factory.mktemp("eval")))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_predict_dataset_over_files_equals_over_the_list(world, exported, n):
+    tax, _, data, _ = world
+    model, _ = base_model(world, small_cfg(), train=False)
+    files = load_dataset(exported)[0][:n]
+    got = predict_dataset(model, files, tax.registry)
+    assert np.array_equal(got, predict_dataset(model, list(files), tax.registry))
+    assert np.array_equal(got, predict_dataset(model, data[:n], tax.registry))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_predict_dataset_reads_each_shards_images_in_its_process(world, exported,
+                                                                 monkeypatch, n):
+    """Loading reads no image; this process reads exactly the first
+    ceil(n / 2) images, each once, and the worker the rest."""
+    tax, _, _, _ = world
+    model, _ = base_model(world, small_cfg(), train=False)
+    here, log = [], ProcessLog()
+    real_read = netpbm.read_ppm
+
+    def spy_read(path):
+        name = os.path.basename(path)
+        here.append(name)
+        log.append(name)
+        return real_read(path)
+
+    monkeypatch.setattr(netpbm, "read_ppm", spy_read)
+    files = load_dataset(exported)[0][:n]
+    assert here == []
+    predict_dataset(model, files, tax.registry)
+    names = [f"img_{i:05d}.ppm" for i in range(n)]
+    half = -(-n // 2)
+    assert here == names[:half]
+    elsewhere = [name for pid, name in log.drain() if pid != os.getpid()]
+    assert elsewhere == names[half:]

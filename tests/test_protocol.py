@@ -213,7 +213,8 @@ def test_present_classes_scanned_once_per_sample(taxonomy, monkeypatch):
     assert len(scans) == len(data)
     for sample in data:
         assert sample.present_indices() == {int(v) for v in np.unique(sample.dense_mask)}
-    # int32, as generated and loaded masks are, and uint8, as PGM files store them
+    # uint8, as generated and loaded masks are, and any wider integer type
+    assert all(s.dense_mask.dtype == np.uint8 for s in data)
     mask = np.array([[0, 3, 3], [7, 0, 1]], dtype=np.int32)
     assert present_classes(mask) == {0, 1, 3, 7}
     assert present_classes(mask.astype(np.uint8)) == {0, 1, 3, 7}

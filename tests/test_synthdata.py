@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from helpers import semantic_similarity
+from segprior import netpbm
 from segprior.synthdata import (
     ISOLATED_FAMILY,
     default_taxonomy,
@@ -109,3 +112,63 @@ def test_export_load_round_trip(taxonomy, tmp_path):
     for orig, back in zip(samples, loaded):
         assert np.array_equal(orig.image, back.image)
         assert np.array_equal(orig.dense_mask, back.dense_mask)
+        assert orig.dense_mask.dtype == back.dense_mask.dtype == np.uint8
+        assert back.present_indices() == orig.present_indices()
+
+
+def test_loaded_samples_are_read_when_indexed(taxonomy, tmp_path, monkeypatch):
+    samples = generate_dataset(taxonomy, 7, image_size=40, seed=22)
+    manifest = export_dataset(samples, taxonomy.registry, str(tmp_path))
+    reads = []
+    real_read = netpbm.read_ppm
+
+    def spy_read(path):
+        reads.append(os.path.basename(path))
+        return real_read(path)
+
+    monkeypatch.setattr(netpbm, "read_ppm", spy_read)
+    files, _ = load_dataset(manifest)
+    assert len(files) == 7 and reads == []
+    cuts = [slice(None), slice(2, 5), slice(4, None), slice(None, None, -1),
+            slice(-3, -1), slice(1, 7, 3), slice(5, 2), slice(9, 12)]
+    for cut in cuts:
+        part = files[cut]
+        assert reads == []          # slicing reads nothing
+        want = samples[cut]
+        assert len(part) == len(want)
+        got = list(part)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.image, b.image)
+            assert np.array_equal(a.dense_mask, b.dense_mask)
+        assert len(reads) == len(want)
+        reads.clear()
+    assert np.array_equal(files[-1].image, samples[-1].image)
+    assert reads == ["img_00006.ppm"]
+    with pytest.raises(IndexError):
+        files[7]
+
+
+@pytest.mark.parametrize("bad", [256, 300, -1])
+def test_pgm_writer_rejects_values_outside_a_byte(tmp_path, bad):
+    path = tmp_path / "mask.pgm"
+    gray = np.zeros((3, 4), dtype=np.int32)
+    gray[1, 2] = bad
+    with pytest.raises(ValueError, match=r"\[0, 255\]"):
+        netpbm.write_pgm(str(path), gray)
+    assert not path.exists()
+    gray[1, 2] = 255
+    netpbm.write_pgm(str(path), gray)
+    assert np.array_equal(netpbm.read_pgm(str(path)), gray)
+
+
+@pytest.mark.parametrize("bad", [256, 300, -1])
+def test_ppm_writer_rejects_values_outside_a_byte(tmp_path, bad):
+    path = tmp_path / "image.ppm"
+    rgb = np.zeros((3, 4, 3), dtype=np.int64)
+    rgb[2, 0, 1] = bad
+    with pytest.raises(ValueError, match=r"\[0, 255\]"):
+        netpbm.write_ppm(str(path), rgb)
+    assert not path.exists()
+    rgb[2, 0, 1] = 255
+    netpbm.write_ppm(str(path), rgb)
+    assert np.array_equal(netpbm.read_ppm(str(path)), rgb)
