@@ -103,16 +103,11 @@ def cmd_gen_data(args):
         raise CliError("need 1 <= --min-objects <= --max-objects")
     tax = synthdata.default_taxonomy()
     os.makedirs(args.out, exist_ok=True)
-    train = synthdata.generate_dataset(
-        tax, args.n, image_size=args.size,
-        objects_range=(args.min_objects, args.max_objects), seed=args.seed)
-    synthdata.export_dataset(train, tax.registry, os.path.join(args.out, "train"))
+    splits = [(os.path.join(args.out, "train"), args.n, args.seed)]
     if args.eval_n:
-        evalset = synthdata.generate_dataset(
-            tax, args.eval_n, image_size=args.size,
-            objects_range=(args.min_objects, args.max_objects),
-            seed=args.seed + 10_000)
-        synthdata.export_dataset(evalset, tax.registry, os.path.join(args.out, "eval"))
+        splits.append((os.path.join(args.out, "eval"), args.eval_n, args.seed + 10_000))
+    synthdata.export_dataset(tax, splits, image_size=args.size,
+                             objects_range=(args.min_objects, args.max_objects))
     save_embeddings(tax.embeddings, os.path.join(args.out, "embeddings.json"))
     cfg = config_mod.ExperimentConfig(
         registry=list(tax.registry.names),
@@ -133,9 +128,11 @@ def cmd_train_base(args):
     chash = config_mod.config_hash(cfg)
     registry = cfg.class_registry()
     schedule = cfg.task_schedule()
-    # every epoch reads every image again, so they are read once and kept
-    samples = list(_load_split(cfg, "train"))
-    base = protocol.filter_step(samples, schedule, 0)
+    # the manifest's present lists choose the rows before any image is
+    # read; every epoch visits each chosen image again, so each is read
+    # once and kept
+    files = _load_split(cfg, "train")
+    base = list(files[protocol.step_rows(files.present, schedule, 0)])
     if not base:
         raise CliError("no samples remain after base-step filtering")
     model = engine.SegModel.init(schedule.channel_names(0), seed=cfg.engine.seed,
@@ -269,7 +266,9 @@ def build_parser():
                                  "segmentation, desk scale.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate and export a synthetic dataset")
+    p = sub.add_parser("gen-data",
+                       help="generate and export a synthetic dataset; two "
+                            "processes write each split, byte-identical to one")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=600)
     p.add_argument("--eval-n", type=int, default=200)

@@ -69,12 +69,13 @@ caches (``Chain.infer``).
 Memory: the worker shares the caller's pages until one of the two writes
 them, so what the two processes hold together in training is the data
 both read once, plus each shard's own working set.  The data is kept
-small: images and masks stay uint8 as the files store them, items and base
-batches convert a group's inputs when it runs, the old model's scores and
-features fill one array each, and a training group releases each layer's
-cache once its backward has run.  Evaluation holds no split at all, only
-the image each shard is scoring, so its memory does not grow with the
-split's size.
+small: images and masks stay uint8 as the files store them, and so do
+the base targets, as channel-index maps; items and base batches convert a
+group's inputs, and expand its one-hot targets, when it runs; the old
+model's scores and features fill one array each; and a training group
+releases each layer's cache once its backward has run.  Evaluation holds
+no split at all, only the image each shard is scoring, so its memory does
+not grow with the split's size.
 """
 
 from __future__ import annotations
@@ -306,22 +307,20 @@ def base_train(model, samples, registry, cfg):
     h, w = samples[0].image.shape[:2]
     ho, wo = (h + 1) // 2, (w + 1) // 2   # the encoder's stride-2 conv
     n_classes = model.n_classes()
-    lut = np.zeros(len(registry), dtype=np.int64)
+    lut = np.zeros(len(registry), dtype=np.uint8)
     for ch, name in enumerate(model.class_names):
         lut[registry.index_of(name)] = ch
-    # raw images: a group's inputs are converted when it runs
+    # raw images and channel-index maps: a group's inputs are converted and
+    # its one-hot targets expanded when it runs
     images = np.stack([s.image for s in samples])
-    targets = np.zeros((len(samples), ho, wo, n_classes), dtype=dtype)
+    labels = np.stack([lut[nearest_resize(s.dense_mask, ho, wo)] for s in samples])
     eye = np.eye(n_classes, dtype=dtype)
-    for i, s in enumerate(samples):
-        small = nearest_resize(s.dense_mask, ho, wo)
-        targets[i] = eye[lut[small]]
     # the localizer plays no part here, and extend_head replaces it
     params = {**model.encoder.params(), **model.head.params()}
-    per_item = targets[0].size
+    per_item = ho * wo * n_classes
 
     def step(idx, rows, g):
-        t = targets[idx[rows]]
+        t = eye[labels[idx[rows]]]
         feat, enc_cache = model.encoder.forward(image_to_input(images[idx[rows]], dtype))
         logits, head_cache = model.head.forward(feat)
         loss_sum, dlogits = objectives.bce_sum_grad(logits, t, len(idx) * per_item)

@@ -132,20 +132,21 @@ def _index_set(schedule, names):
     return {schedule.registry.index_of(n) for n in names}
 
 
-def filter_step(dataset, schedule, step):
-    """Samples admitted to a step under the schedule's protocol."""
+def step_rows(present, schedule, step):
+    """Positions of the samples admitted to a step under the schedule's
+    protocol, given each sample's set of present registry indices."""
     schedule._check_step(step)
     current = _index_set(schedule, schedule.classes_at_step(step))
     future = _index_set(schedule, schedule.future_classes(step))
-    out = []
-    for sample in dataset:
-        present = sample.present_indices()
-        if not present & current:
-            continue
-        if schedule.mode == "disjoint" and present & future:
-            continue
-        out.append(sample)
-    return out
+    disjoint = schedule.mode == "disjoint"
+    return [k for k, shown in enumerate(present)
+            if shown & current and not (disjoint and shown & future)]
+
+
+def filter_step(dataset, schedule, step):
+    """Samples admitted to a step under the schedule's protocol."""
+    present = [sample.present_indices() for sample in dataset]
+    return [dataset[k] for k in step_rows(present, schedule, step)]
 
 
 def weak_labels(sample, schedule, step):

@@ -8,6 +8,13 @@ name-space similarity mirrors that visual similarity for three families,
 while the cross family is semantically isolated: its two members are no
 closer to each other than to anything else, exercising the edge case where
 a new class has no related old class.
+
+``export_dataset`` generates and writes a split as the two fixed shards of
+``layers.Shards``: this process writes the first half of the samples, and
+one worker forked from it the second half.  Every sample draws from its
+own child of the split seed's ``SeedSequence``, so the two processes write
+the same bytes one process would.  Datasets on disk are read back by
+``load_dataset``, one sample at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import numpy as np
 from . import netpbm
 from .class_semantics import ClassRegistry, EmbeddingTable
 from .fileio import atomic_open
+from .layers import Shards, shard_slices
 from .protocol import Sample
 
 ELLIPSE, RECTANGLE, TRIANGLE, CROSS = 0, 1, 2, 3
@@ -204,13 +212,14 @@ def _draw_params(spec, rng):
 
 
 def generate_dataset(taxonomy, n, image_size=64, objects_range=(1, 3), seed=0,
-                     with_geometry=False):
+                     with_geometry=False, rows=slice(None)):
     """n samples of 1-3 non-overlapping shapes on a noisy gray background.
 
-    Deterministic per seed (per-sample child generators merged in index
-    order).  The first object of sample i cycles through the foreground
-    classes, so every class appears in at least floor(n / n_classes)
-    samples.
+    Deterministic per seed: sample i draws from child i of the seed's
+    ``SeedSequence`` alone.  The first object of sample i cycles through
+    the foreground classes, so every class appears in at least
+    floor(n / n_classes) samples.  rows, a slice of range(n), makes only
+    those samples, each equal to its sample in the whole call.
     """
     lo, hi = objects_range
     if not (1 <= lo <= hi):
@@ -225,7 +234,7 @@ def generate_dataset(taxonomy, n, image_size=64, objects_range=(1, 3), seed=0,
     children = np.random.SeedSequence(seed).spawn(n)
     samples = []
     geometries = []
-    for i in range(n):
+    for i in range(n)[rows]:
         rng = np.random.default_rng(children[i])
         img = np.clip(
             _BKG_BASE + rng.normal(0.0, _BKG_NOISE, size=(image_size, image_size, 3)),
@@ -260,30 +269,70 @@ def generate_dataset(taxonomy, n, image_size=64, objects_range=(1, 3), seed=0,
     return samples
 
 
-def export_dataset(samples, registry, outdir):
-    """Write paired PPM images and PGM index masks plus a JSON manifest."""
-    img_dir = os.path.join(outdir, "images")
-    mask_dir = os.path.join(outdir, "masks")
-    os.makedirs(img_dir, exist_ok=True)
-    os.makedirs(mask_dir, exist_ok=True)
-    rows = []
-    for i, sample in enumerate(samples):
-        img_rel = os.path.join("images", f"img_{i:05d}.ppm")
-        mask_rel = os.path.join("masks", f"mask_{i:05d}.pgm")
-        netpbm.write_ppm(os.path.join(outdir, img_rel), sample.image)
-        netpbm.write_pgm(os.path.join(outdir, mask_rel), sample.dense_mask)
-        present = sorted(sample.present_indices())
-        rows.append({
-            "image": img_rel,
-            "mask": mask_rel,
-            "present": [registry.names[p] for p in present if p != 0],
-        })
-    manifest = {"classes": list(registry.names), "samples": rows}
-    manifest_path = os.path.join(outdir, "manifest.json")
-    with atomic_open(manifest_path, encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
-    return manifest_path
+def _write_sample(outdir, i, sample, registry):
+    """Write sample i's PPM image and PGM mask under outdir; return its
+    manifest row."""
+    img_rel = os.path.join("images", f"img_{i:05d}.ppm")
+    mask_rel = os.path.join("masks", f"mask_{i:05d}.pgm")
+    netpbm.write_ppm(os.path.join(outdir, img_rel), sample.image)
+    netpbm.write_pgm(os.path.join(outdir, mask_rel), sample.dense_mask)
+    present = sorted(sample.present_indices())
+    return {
+        "image": img_rel,
+        "mask": mask_rel,
+        "present": [registry.names[p] for p in present if p != 0],
+    }
+
+
+def _halves(n):
+    """The two shards' rows of an n-sample split; the second is empty if n < 2."""
+    rows = shard_slices(n)
+    return rows if len(rows) == 2 else rows + [slice(n, n)]
+
+
+def export_dataset(taxonomy, splits, image_size=64, objects_range=(1, 3)):
+    """Generate each split and write it under its directory: paired PPM
+    images and PGM index masks, and a JSON manifest.  Returns the
+    manifests' paths.
+
+    splits holds one (outdir, n, seed) per split, whose samples are those
+    of ``generate_dataset(taxonomy, n, image_size, objects_range, seed)``.
+    One ``layers.Shards`` call does every split: shard 0 in this process
+    and shard 1 in one forked worker each generate and write their half of
+    every split (``layers.shard_slices``) and return its manifest rows.
+    Each manifest is then written here, once and atomically, with its rows
+    in index order.  Every file is byte-identical to a one-process write.
+    """
+    registry = taxonomy.registry
+    for outdir, _, _ in splits:
+        os.makedirs(os.path.join(outdir, "images"), exist_ok=True)
+        os.makedirs(os.path.join(outdir, "masks"), exist_ok=True)
+
+    def shard(split_rows):
+        out = []
+        for (outdir, n, seed), rows in zip(splits, split_rows):
+            samples = generate_dataset(taxonomy, n, image_size, objects_range, seed,
+                                       rows=rows)
+            out.append([_write_sample(outdir, i, sample, registry)
+                        for i, sample in zip(range(n)[rows], samples)])
+        return out
+
+    halves = [_halves(n) for _, n, _ in splits]
+    shard_args = [(tuple(h[k] for h in halves),) for k in (0, 1)]
+    if all(rows.start == rows.stop for rows in shard_args[1][0]):
+        shard_args.pop()        # at most one sample: no worker is forked
+    with Shards(shard) as shards:
+        parts = shards(shard_args)
+    paths = []
+    for k, (outdir, _, _) in enumerate(splits):
+        manifest = {"classes": list(registry.names),
+                    "samples": [row for part in parts for row in part[k]]}
+        path = os.path.join(outdir, "manifest.json")
+        with atomic_open(path, encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=1)
+            fh.write("\n")
+        paths.append(path)
+    return paths
 
 
 class ManifestSamples(Sequence):
@@ -291,22 +340,39 @@ class ManifestSamples(Sequence):
 
     Indexing reads that row's PPM image and PGM mask (uint8, as stored)
     and returns a new ``Sample``; nothing is cached, so indexing a row
-    twice reads it twice.  Slicing returns a ManifestSamples over the
-    chosen rows and reads nothing.
+    twice reads it twice.  A mask whose classes differ from its row's
+    ``present`` list raises ValueError naming the mask file.  Slicing, or
+    indexing with a list of row positions, returns a ManifestSamples over
+    the chosen rows and reads nothing.  ``present`` holds each row's
+    foreground registry indices as the manifest lists them, so rows can be
+    chosen before any image is read.
     """
 
-    def __init__(self, paths):
-        self._paths = paths         # (image path, mask path) per row
+    def __init__(self, rows, classes):
+        self._rows = rows           # (image path, mask path, present) per row
+        self._classes = classes
+        self.present = tuple(row[2] for row in rows)
 
     def __len__(self):
-        return len(self._paths)
+        return len(self._rows)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return ManifestSamples(self._paths[i])
-        image_path, mask_path = self._paths[i]
-        return Sample(image=netpbm.read_ppm(image_path),
-                      dense_mask=netpbm.read_pgm(mask_path))
+            return ManifestSamples(self._rows[i], self._classes)
+        if isinstance(i, list):
+            return ManifestSamples(tuple(self._rows[k] for k in i), self._classes)
+        image_path, mask_path, present = self._rows[i]
+        sample = Sample(image=netpbm.read_ppm(image_path),
+                        dense_mask=netpbm.read_pgm(mask_path))
+        shown = sample.present_indices() - {0}
+        if shown != present:
+            raise ValueError(f"mask {mask_path} shows classes {self._names(shown)}, "
+                             f"its manifest row lists {self._names(present)}")
+        return sample
+
+    def _names(self, indices):
+        return [self._classes[k] if k < len(self._classes) else str(k)
+                for k in sorted(indices)]
 
 
 def load_dataset(manifest_path):
@@ -314,12 +380,20 @@ def load_dataset(manifest_path):
 
     Only the manifest is read here; each image and mask is read when its
     sample is indexed.  Evaluation passes the sequence on as it is, so each
-    shard reads its own images one at a time; training reads every image
-    once with ``list(files)``, since each epoch visits every image again.
+    shard reads its own images one at a time; training first chooses its
+    rows by their ``present`` lists, then reads each chosen image once,
+    since each epoch visits every image again.
     """
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     root = os.path.dirname(os.path.abspath(manifest_path))
-    paths = tuple((os.path.join(root, row["image"]), os.path.join(root, row["mask"]))
-                  for row in manifest["samples"])
-    return ManifestSamples(paths), list(manifest["classes"])
+    classes = list(manifest["classes"])
+    index = {name: k for k, name in enumerate(classes)}
+    rows = []
+    for k, row in enumerate(manifest["samples"]):
+        unknown = [name for name in row["present"] if name not in index]
+        if unknown:
+            raise ValueError(f"{manifest_path}: row {k} lists unknown classes {unknown}")
+        rows.append((os.path.join(root, row["image"]), os.path.join(root, row["mask"]),
+                     frozenset(index[name] for name in row["present"])))
+    return ManifestSamples(tuple(rows), classes), classes

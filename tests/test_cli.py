@@ -389,3 +389,74 @@ def test_few_shot_disjoint_sequence(tmp_path):
     res = run_cli("plot", "--trace", trace, "--out", svg)
     assert res.returncode == 0, res.stderr
     assert open(svg).read().startswith("<svg")
+
+
+def test_gen_data_twice_writes_the_same_bytes(tmp_path):
+    """One seed, an odd --n: two runs, each split by two processes, write
+    the same files."""
+    dirs = [str(tmp_path / name) for name in ("a", "b")]
+    for out in dirs:
+        res = run_cli("gen-data", "--out", out, "--n", "7", "--eval-n", "3",
+                      "--size", "48", "--seed", "4")
+        assert res.returncode == 0, res.stderr
+    assert subprocess.run(["diff", "-r", *dirs]).returncode == 0
+
+
+@pytest.mark.parametrize("failure", ["raise", "exit"])
+def test_gen_data_exits_2_when_shard_1_fails_and_leaves_no_process(
+        tmp_path, capsys, monkeypatch, failure):
+    """A write that fails in shard 1's worker, or a worker that dies, stops
+    gen-data with exit code 2; the worker is reaped and no manifest is
+    written."""
+    import multiprocessing
+
+    from helpers import ProcessLog
+    from segprior import cli, netpbm
+
+    here, log = os.getpid(), ProcessLog()
+    real_write = netpbm.write_pgm
+
+    def write_pgm(path, gray):
+        if os.getpid() != here:
+            log.append("worker")
+            if failure == "exit":
+                os._exit(3)
+            raise OSError(28, "No space left on device", path)
+        return real_write(path, gray)
+
+    monkeypatch.setattr(netpbm, "write_pgm", write_pgm)
+    out = str(tmp_path / "data")
+    assert cli.main(["gen-data", "--out", out, "--n", "4", "--eval-n", "2",
+                     "--size", "48"]) == 2
+    assert "runtime failure" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    (worker, _), = log.drain()
+    with pytest.raises(ProcessLookupError):
+        os.kill(worker, 0)
+    assert not os.path.exists(os.path.join(out, "train", "manifest.json"))
+
+
+def test_train_base_reads_only_the_rows_showing_a_base_class(tmp_path, monkeypatch):
+    """train-base chooses its rows from the manifest's present lists and
+    reads each of those images once, and no other."""
+    from segprior import cli, config, netpbm, protocol, synthdata
+
+    out = str(tmp_path / "data")
+    assert cli.main(["gen-data", "--out", out, "--n", "30", "--eval-n", "0",
+                     "--size", "48", "--seed", "2"]) == 0
+    cfg_path = os.path.join(out, "config.json")
+    shrink_config(cfg_path, epochs_base=1, batch_size=8)
+    files, _ = synthdata.load_dataset(os.path.join(out, "train", "manifest.json"))
+    schedule = config.load_config(cfg_path).task_schedule()
+    base = protocol.step_rows(files.present, schedule, 0)
+    assert 0 < len(base) < len(files)
+    reads = []
+    real_read = netpbm.read_ppm
+
+    def spy_read(path):
+        reads.append(os.path.basename(path))
+        return real_read(path)
+
+    monkeypatch.setattr(netpbm, "read_ppm", spy_read)
+    assert cli.main(["train-base", "--config", cfg_path]) == 0
+    assert reads == [f"img_{k:05d}.ppm" for k in base]

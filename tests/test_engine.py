@@ -33,11 +33,14 @@ from segprior.synthdata import (default_taxonomy, export_dataset, generate_datas
 from helpers import ProcessLog
 
 
+WORLD_SEED = 101
+
+
 @pytest.fixture(scope="module")
 def world():
     tax = default_taxonomy()
     sched = build_schedule(tax.registry, 4, 2, "overlap")
-    data = generate_dataset(tax, 60, seed=101)
+    data = generate_dataset(tax, 60, seed=WORLD_SEED)
     sim = similarity_matrix(tax.registry, tax.embeddings)
     return tax, sched, data, sim
 
@@ -867,8 +870,8 @@ def test_predict_dataset_streams_on_the_two_shard_processes(world, monkeypatch):
 @pytest.fixture(scope="module")
 def exported(world, tmp_path_factory):
     """The first seven world samples, exported; their manifest's path."""
-    tax, _, data, _ = world
-    return export_dataset(data[:7], tax.registry, str(tmp_path_factory.mktemp("eval")))
+    tax, _, _, _ = world
+    return export_dataset(tax, [(str(tmp_path_factory.mktemp("eval")), 7, WORLD_SEED)])[0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])

@@ -177,14 +177,13 @@ def test_save_embeddings_failure_keeps_previous(tmp_path, monkeypatch):
 
 def test_export_dataset_manifest_failure_keeps_previous(tmp_path, monkeypatch):
     tax = synthdata.default_taxonomy()
-    samples = synthdata.generate_dataset(tax, 2, image_size=40, seed=1)
-    path = synthdata.export_dataset(samples[:1], tax.registry, str(tmp_path))
+    path, = synthdata.export_dataset(tax, [(str(tmp_path), 1, 1)], image_size=40)
     with open(path, "rb") as fh:
         before = fh.read()
     monkeypatch.setattr(synthdata.json, "dump",
                         lambda obj, fh, **_: fail_after_partial_write(fh))
     with pytest.raises(Boom):
-        synthdata.export_dataset(samples, tax.registry, str(tmp_path))
+        synthdata.export_dataset(tax, [(str(tmp_path), 2, 1)], image_size=40)
     monkeypatch.undo()
     with open(path, "rb") as fh:
         assert fh.read() == before

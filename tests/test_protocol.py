@@ -115,6 +115,19 @@ def test_filter_soundness_brute(taxonomy, toy_dataset):
                 assert (id(sample) in kept_ids) == want
 
 
+def test_step_rows_pick_what_filter_step_keeps(taxonomy, toy_dataset):
+    """Rows chosen from present sets alone, with or without the background
+    index a manifest leaves out, are the samples filter_step keeps."""
+    for mode in ("overlap", "disjoint"):
+        sched = build_schedule(taxonomy.registry, 4, 2, mode)
+        for step in range(sched.n_steps):
+            kept = {id(s) for s in filter_step(toy_dataset, sched, step)}
+            want = [k for k, s in enumerate(toy_dataset) if id(s) in kept]
+            present = [s.present_indices() for s in toy_dataset]
+            assert protocol.step_rows(present, sched, step) == want
+            assert protocol.step_rows([p - {0} for p in present], sched, step) == want
+
+
 def test_disjoint_subset_of_overlap(taxonomy, toy_dataset):
     reg = taxonomy.registry
     ov = build_schedule(reg, 4, 2, "overlap")

@@ -1,9 +1,11 @@
+import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from helpers import semantic_similarity
+from helpers import ProcessLog, semantic_similarity
 from segprior import netpbm
 from segprior.synthdata import (
     ISOLATED_FAMILY,
@@ -105,7 +107,7 @@ def test_objects_within_range(taxonomy):
 
 def test_export_load_round_trip(taxonomy, tmp_path):
     samples = generate_dataset(taxonomy, 4, seed=21)
-    manifest = export_dataset(samples, taxonomy.registry, str(tmp_path))
+    manifest, = export_dataset(taxonomy, [(str(tmp_path), 4, 21)])
     loaded, classes = load_dataset(manifest)
     assert classes == list(taxonomy.registry.names)
     assert len(loaded) == len(samples)
@@ -118,7 +120,7 @@ def test_export_load_round_trip(taxonomy, tmp_path):
 
 def test_loaded_samples_are_read_when_indexed(taxonomy, tmp_path, monkeypatch):
     samples = generate_dataset(taxonomy, 7, image_size=40, seed=22)
-    manifest = export_dataset(samples, taxonomy.registry, str(tmp_path))
+    manifest, = export_dataset(taxonomy, [(str(tmp_path), 7, 22)], image_size=40)
     reads = []
     real_read = netpbm.read_ppm
 
@@ -172,3 +174,117 @@ def test_ppm_writer_rejects_values_outside_a_byte(tmp_path, bad):
     rgb[2, 0, 1] = 255
     netpbm.write_ppm(str(path), rgb)
     assert np.array_equal(netpbm.read_ppm(str(path)), rgb)
+
+
+@pytest.mark.parametrize("rows", [slice(0, 3), slice(3, 9), slice(4, 4),
+                                  slice(8, 9), slice(None)])
+def test_a_range_call_equals_its_slice_of_the_whole_call(taxonomy, rows):
+    whole, whole_geoms = generate_dataset(taxonomy, 9, image_size=48, seed=14,
+                                          with_geometry=True)
+    part, geoms = generate_dataset(taxonomy, 9, image_size=48, seed=14,
+                                   with_geometry=True, rows=rows)
+    assert len(part) == len(whole[rows])
+    for a, b in zip(part, whole[rows]):
+        assert np.array_equal(a.image, b.image)
+        assert np.array_equal(a.dense_mask, b.dense_mask)
+    assert geoms == whole_geoms[rows]
+
+
+def files_under(root):
+    """relative path -> bytes of every file under root."""
+    out = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+def one_process_write(taxonomy, outdir, n, seed):
+    """A 48 px split written sample by sample in this process, the way
+    export_dataset lays it out; its files as ``files_under`` gives them."""
+    os.makedirs(os.path.join(outdir, "images"))
+    os.makedirs(os.path.join(outdir, "masks"))
+    rows = []
+    for i, sample in enumerate(generate_dataset(taxonomy, n, image_size=48, seed=seed)):
+        row = {"image": os.path.join("images", f"img_{i:05d}.ppm"),
+               "mask": os.path.join("masks", f"mask_{i:05d}.pgm"),
+               "present": [taxonomy.registry.names[k]
+                           for k in sorted(sample.present_indices()) if k]}
+        netpbm.write_ppm(os.path.join(outdir, row["image"]), sample.image)
+        netpbm.write_pgm(os.path.join(outdir, row["mask"]), sample.dense_mask)
+        rows.append(row)
+    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump({"classes": list(taxonomy.registry.names), "samples": rows}, fh,
+                  indent=1)
+        fh.write("\n")
+    return files_under(outdir)
+
+
+@pytest.mark.parametrize("eval_n", [0, 3])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_two_process_writer_is_byte_equal_to_one_process(taxonomy, tmp_path,
+                                                         monkeypatch, n, eval_n):
+    """export_dataset writes the first half of each split here and the
+    rest in one worker, and every file it writes is the one a
+    one-process write of generate_dataset's samples gives."""
+    splits = [(str(tmp_path / "train"), n, 31)]
+    if eval_n:
+        splits.append((str(tmp_path / "eval"), eval_n, 32))
+    want = [one_process_write(taxonomy, str(tmp_path / "one" / os.path.basename(d)),
+                              size, seed) for d, size, seed in splits]
+    log = ProcessLog()
+    real_write = netpbm.write_ppm
+
+    def spy_write(path, rgb):
+        log.append(os.path.relpath(path, tmp_path))
+        return real_write(path, rgb)
+
+    monkeypatch.setattr(netpbm, "write_ppm", spy_write)
+    paths = export_dataset(taxonomy, splits, image_size=48)
+    assert paths == [os.path.join(d, "manifest.json") for d, _, _ in splits]
+    assert [files_under(d) for d, _, _ in splits] == want
+    want_here, want_worker = [], []
+    for outdir, size, _ in splits:
+        names = [os.path.join(os.path.basename(outdir), "images", f"img_{i:05d}.ppm")
+                 for i in range(size)]
+        want_here += names[:(size + 1) // 2]
+        want_worker += names[(size + 1) // 2:]
+    writes = log.drain()
+    assert [name for pid, name in writes if pid == os.getpid()] == want_here
+    assert [name for pid, name in writes if pid != os.getpid()] == want_worker
+    assert len({pid for pid, _ in writes} - {os.getpid()}) == (1 if want_worker else 0)
+
+
+def test_a_mask_that_disagrees_with_its_manifest_row_is_refused(taxonomy, tmp_path):
+    manifest, = export_dataset(taxonomy, [(str(tmp_path), 3, 40)], image_size=48)
+    files, _ = load_dataset(manifest)
+    mask_path = str(tmp_path / "masks" / "mask_00001.pgm")
+    mask = netpbm.read_pgm(mask_path)
+    mask[mask == min(files.present[1])] = 0
+    netpbm.write_pgm(mask_path, mask)
+    files[0], files[2]
+    with pytest.raises(ValueError, match=re.escape(mask_path)):
+        files[1]
+
+
+def test_rows_are_chosen_by_their_present_lists_before_any_read(taxonomy, tmp_path,
+                                                                monkeypatch):
+    samples = generate_dataset(taxonomy, 6, image_size=48, seed=41)
+    manifest, = export_dataset(taxonomy, [(str(tmp_path), 6, 41)], image_size=48)
+    reads = []
+    real_read = netpbm.read_ppm
+
+    def spy_read(path):
+        reads.append(os.path.basename(path))
+        return real_read(path)
+
+    monkeypatch.setattr(netpbm, "read_ppm", spy_read)
+    files, _ = load_dataset(manifest)
+    assert files.present == tuple(s.present_indices() - {0} for s in samples)
+    chosen = files[[4, 1]]
+    assert reads == [] and len(chosen) == 2
+    for got, want in zip(chosen, (samples[4], samples[1])):
+        assert np.array_equal(got.image, want.image)
+    assert reads == ["img_00004.ppm", "img_00001.ppm"]
