@@ -9,18 +9,19 @@ old class the previous model predicts there (see ``segprior.simprior``).
 
 Everything is plain numpy with one numeric path.  Every 3x3 convolution,
 stride 1 or 2, runs as shifted GEMMs over the phase grids of its
-zero-padded input, every batch (and the evaluation set, image by image)
-runs as two fixed shards, shard 0 in the calling process and shard 1 in a
-worker process forked from it, and a layer's forward cache stays valid
-until the next forward of the same layer in the same process (see
-``segprior.layers``).  A dataset manifest loads as a sequence that reads
-each image and its uint8 mask when indexed (``segprior.synthdata``):
-training reads the split once and keeps it, and evaluation's shards each
-read their own images one at a time.  In training each shard runs its
-items in cache-sized groups of at most four; each group computes its own
-items' losses with whole-batch normalisers and runs its own backward
-before the next group starts, so the summed group gradients equal the
-whole batch's (see ``segprior.engine``).
+zero-padded input, and a layer's forward cache stays valid until the next
+forward of the same layer in the same process.  Every batch, the
+evaluation set (image by image) and each generated split run as two fixed
+shards, shard 0 in the calling process and shard 1 in a worker process
+forked from it; callers pass ``layers.Shards`` a count, and it cuts the
+shards itself (see ``segprior.layers``).  A dataset manifest loads as a
+sequence that reads each image and its uint8 mask when indexed
+(``segprior.synthdata``): training reads the split once and keeps it, and
+evaluation's shards each read their own images one at a time.  In training
+each shard runs its items in cache-sized groups of at most four; each
+group computes its own items' losses with whole-batch normalisers and runs
+its own backward before the next group starts, so the summed group
+gradients equal the whole batch's (see ``segprior.engine``).
 """
 
 __version__ = "0.1.0"

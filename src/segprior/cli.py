@@ -224,9 +224,9 @@ def cmd_eval(args):
     # each shard process reads its own images, one at a time
     samples = _load_split(cfg, args.split)
     new_classes = [c for grp in schedule.increments[:step] for c in grp]
-    report = evalkit.evaluate_model(
-        model, samples, registry, schedule.base_classes, new_classes,
-        step, chash)
+    counts = engine.predict_dataset(model, samples, registry)
+    report = evalkit.build_report(counts, registry, schedule.base_classes,
+                                  new_classes, step, chash)
     # beside the checkpoint: two checkpoints of one name in two directories
     # keep their own reports and traces
     stem = os.path.splitext(os.path.basename(args.checkpoint))[0]

@@ -36,11 +36,12 @@ encoder features.  ``base_train`` and ``incremental_step`` share one
 training loop, ``_fit``; each supplies the per-batch work and keeps its own
 trace format.
 
-Every batch runs as two shards (``layers.Shards``): shard 0 in the calling
+Every batch runs as two shards (``layers.Shards``): a call names the
+batch's item count and ``Shards`` cuts it, runs shard 0 in the calling
 process and shard 1 in one worker process that ``_fit`` forks once per
 training run (``_training_shards``), after the images, targets or
 prepared items exist, so the worker inherits them.  Each batch sends the
-worker only the batch's item indices, the epoch and the current
+worker only its rows, the batch's item indices, the epoch and the current
 parameters; it sends back its per-item losses and its gradients.  Each
 shard runs its items as consecutive groups of at most
 ``layers.GROUP_ITEMS`` items (``layers.group_slices``), each small enough
@@ -49,22 +50,23 @@ loss terms and backward in one pass, and its backward ends before the
 next group's forward begins.  Every loss term is a per-item quantity
 normalised by whole-batch counts (all items, current items), so each
 group computes its items' terms and output gradients with the whole
-batch's normalisers; the group gradients accumulate into their shard's,
-and the shard gradients, summed in shard order, are the whole batch's.
+batch's normalisers; the group gradients accumulate into their shard's
+own zeroed dict, and the two shard dicts, added in shard order, are the
+whole batch's.
 The caller adds the per-item losses in item order and checks them for
 finiteness.
 
-Evaluation (``predict_dataset``) forks one worker for the second half of
-the sample sequence.  The CLI passes the split as ``synthdata.load_dataset``
-returns it, a sequence that reads a sample from disk when it is indexed, so
-each shard reads its own images, one at a time, in its own process.  Each
-image goes through the encoder and the seg head alone, so no batch is
-stacked and one image's activations stay in cache, and each shard counts
-its label maps into a confusion matrix of its own; only the two matrices
-are joined.  Before a step trains, the old model runs forward over the
-step's images, chunk by chunk as two shards and each shard in groups, and
-the outputs are joined (``_prepare_items``).  Neither keeps backward
-caches (``Chain.infer``).
+Evaluation (``predict_dataset``) passes ``Shards`` the sample count, and
+one forked worker takes the second half of the sample sequence.  The CLI
+passes the split as ``synthdata.load_dataset`` returns it, a sequence that
+reads a sample from disk when it is indexed, so each shard reads its own
+images, one at a time, in its own process.  Each image goes through the
+encoder and the seg head alone, so no batch is stacked and one image's
+activations stay in cache, and each shard counts its label maps into a
+confusion matrix of its own; only the two matrices are joined.  Before a
+step trains, the old model runs forward over the step's images, chunk by
+chunk as two shards and each shard in groups, and the outputs are joined
+(``_prepare_items``).  Neither keeps backward caches (``Chain.infer``).
 
 Memory: the worker shares the caller's pages until one of the two writes
 them, so what the two processes hold together in training is the data
@@ -88,7 +90,7 @@ import numpy as np
 from . import evalkit, objectives, simprior
 from .fileio import atomic_open
 from .layers import (Chain, ChannelNorm, Conv2d, LeakyReLU, SGDMomentum, Shards,
-                     group_slices, shard_slices, zero_grads)
+                     group_slices, zero_grads)
 from .memory import mix_batch
 from .objectives import LossConfig
 
@@ -172,9 +174,6 @@ class SegModel:
         out.update(self.localizer.params())
         return out
 
-    def copy(self):
-        return copy.deepcopy(self)
-
     def n_classes(self):
         return len(self.class_names)
 
@@ -193,7 +192,6 @@ def extend_head(model, new_classes, seed):
         raise ValueError(f"duplicate classes in head extension: {sorted(dupes) or new_classes}")
     ss = np.random.SeedSequence(seed)
     head_rng, loc_rng = (np.random.default_rng(s) for s in ss.spawn(2))
-    out = model.copy()
     names = tuple(model.class_names) + tuple(new_classes)
     d = model.head.W.shape[2]
     head = Conv2d("head", 1, d, len(names), 1, head_rng, model.dtype)
@@ -204,7 +202,7 @@ def extend_head(model, new_classes, seed):
     head.b = np.zeros(len(names), dtype=model.dtype)
     head.b[: len(model.class_names)] = model.head.b
     localizer = _localizer(len(names), loc_rng, model.dtype)
-    return SegModel(names, out.encoder, head, localizer, model.dtype)
+    return SegModel(names, copy.deepcopy(model.encoder), head, localizer, model.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +224,16 @@ def nearest_resize(src, oh, ow):
 def _training_shards(step, params):
     """The Shards that run the batches of one training loop.
 
-    Its shard function, shard(key, rows, g), runs step(key, group, g) on
-    each group of the slice rows (``group_slices``) one after another, and
-    returns the steps' results and g.  key identifies the batch, and must
+    Its shard function, shard(rows, key), runs step(key, group, g) on each
+    group of the slice rows (``group_slices``) one after another, and
+    returns the steps' results and g, a zeroed gradient dict of the shard's
+    own that the steps accumulate into.  key identifies the batch, and must
     pickle; a step runs forward, its group's loss terms and backward in
     one pass, so a group's backward ends before the next group's forward
-    begins.  Shard 1 gets no g and accumulates into a zeroed dict of its
-    own.  The worker keeps params in step with this process's.
+    begins.  The worker keeps params in step with this process's.
     """
-    def shard(key, rows, g=None):
-        if g is None:
-            g = zero_grads(params)
+    def shard(rows, key):
+        g = zero_grads(params)
         return [step(key, group, g) for group in group_slices(rows)], g
 
     return Shards(shard, sync=params)
@@ -245,14 +242,11 @@ def _training_shards(step, params):
 def _train_batch(shards, key, n, grads):
     """Run the batch key of n items on the two shards of a ``_training_shards``.
 
-    Shard 0's groups accumulate into grads, and shard 1's gradients are
-    added to them afterwards.  Returns the steps' results in item order:
-    shard by shard, group by group.
+    Both shards' gradients are added into grads in shard order.  Returns
+    the steps' results in item order: shard by shard, group by group.
     """
-    shard_args = [(key, rows) for rows in shard_slices(n)]
-    shard_args[0] += (grads,)
-    outs = shards(shard_args)
-    for _, g in outs[1:]:
+    outs = shards(n, key)
+    for _, g in outs:
         for name, value in g.items():
             grads[name] += value
     return [result for results, _ in outs for result in results]
@@ -350,7 +344,8 @@ class StepState:
     """One incremental step: the parent model, the model it trains, the settings.
 
     old_model is the previous step's model, frozen; ``extend_head`` built
-    ``model`` from a deep copy of it, so training leaves it unchanged.
+    ``model`` from a deep copy of its encoder, so training leaves it
+    unchanged.
     """
 
     step: int
@@ -405,9 +400,9 @@ def _prepare_items(state, samples, registry, sim_matrix):
         table = simprior.rasp_target_table(sim_matrix, registry, old.class_names,
                                            new_names, state.loss_cfg.tau, dtype)
 
-    def old_forward(rows):
+    def old_forward(rows, start):
         out = []
-        for group in group_slices(rows):
+        for group in group_slices(slice(start + rows.start, start + rows.stop)):
             feat = old.encoder.infer(_inputs(samples[group], dtype))
             logits, _ = old.head.forward(feat)
             out.append((objectives.sigmoid(logits), feat))
@@ -418,8 +413,7 @@ def _prepare_items(state, samples, registry, sim_matrix):
     with Shards(old_forward) as shards:
         for start in range(0, len(samples), cfg.batch_size):
             chunk = samples[start:start + cfg.batch_size]
-            outs = shards([(slice(start + r.start, start + r.stop),)
-                           for r in shard_slices(len(chunk))])
+            outs = shards(len(chunk), start)
             pos = start
             for y, feat in (group for shard in outs for group in shard):
                 if y_old is None:
@@ -657,7 +651,7 @@ def predict_dataset(model, samples, registry):
         return counts
 
     with Shards(shard) as shards:
-        return sum(shards([(r,) for r in shard_slices(len(samples))]))
+        return sum(shards(len(samples)))
 
 
 def save_checkpoint(model, path, step, config_hash, parent_config_hash=None):

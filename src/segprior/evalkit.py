@@ -1,6 +1,6 @@
 """Evaluation metrics, report files, and the mIoU-curve plot.
 
-Evaluation always scores the main segmentation head.  ``evaluate_model``
+Evaluation always scores the main segmentation head.  ``build_report``
 takes the confusion matrix of ``engine.predict_dataset``, whose two shard
 processes each read their own half of the samples one at a time (from disk,
 for the CLI's ``synthdata.load_dataset`` sequence) and add their images'
@@ -241,16 +241,3 @@ def plot_trace_svg(reports, out_path, width=640, height=420):
     with atomic_open(out_path, encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
     return out_path
-
-
-def evaluate_model(model, samples, registry, base_classes, new_classes, step,
-                   config_hash):
-    """Confusion over a dataset from main-head predictions, as a report.
-
-    samples goes to ``engine.predict_dataset`` as it is, so a sequence that
-    reads each sample when indexed is read inside the shards."""
-    from . import engine
-
-    counts = engine.predict_dataset(model, samples, registry)
-    return build_report(counts, registry, base_classes, new_classes, step,
-                        config_hash)

@@ -21,24 +21,25 @@ the input gradient into the phase grids, which interleave back into the
 padded image.  At s = 1 there is one phase, the padded input itself.  1x1
 convolutions are one matrix product per image.
 
-Every batch is split along axis 0 into two fixed shards of ceil(B/2) and
-floor(B/2) items (``shard_slices``).  ``Shards`` runs shard 0 in the
-calling process and shard 1 in one worker process forked from it, which
-inherits the caller's data, so a call sends shard 1 only its small
-arguments and the current values of the arrays it keeps in step; each
-shard has its own caches and gradient dicts, and the two processes never
-share a GIL.  In training a shard runs its items as
-consecutive groups of at most ``GROUP_ITEMS`` items whose sizes differ by
-at most one (``group_slices``), which keeps the activations and caches a
-group's backward reads back small enough to come from cache (cache
-blocking in the sense of Goto & van de Geijn, ACM TOMS 2008).  Each group
-runs its forward, its loss terms (with whole-batch normalisers) and its
-backward, accumulating into the shard's gradients, and its backward ends
-before the next group's forward begins.  The caller sums the shard
-gradients in shard order.  Evaluation splits the whole sample list the
-same way and each shard runs its images one at a time.  A batch of one
-runs inline.  The split and the groups never depend on the host's core
-count or cache size, so results are the same on every machine.
+``Shards`` owns the split: a call names a count n, and ``Shards`` cuts
+range(n) into two fixed shards of ceil(n/2) and floor(n/2) rows
+(``shard_slices``), runs shard 0 in the calling process and shard 1 in one
+worker process forked from it.  The worker inherits the caller's data, so
+a call sends shard 1 only its rows, the call's small arguments and the
+current values of the arrays it keeps in step; each shard has its own
+caches and gradient dicts, and the two processes never share a GIL.  In
+training a shard runs its items as consecutive groups of at most
+``GROUP_ITEMS`` items whose sizes differ by at most one
+(``group_slices``), which keeps the activations and caches a group's
+backward reads back small enough to come from cache (cache blocking in the
+sense of Goto & van de Geijn, ACM TOMS 2008).  Each group runs its
+forward, its loss terms (with whole-batch normalisers) and its backward,
+accumulating into the shard's gradients, and its backward ends before the
+next group's forward begins.  The caller sums the shard gradients in shard
+order.  Evaluation splits the whole sample list the same way and each
+shard runs its images one at a time.  A count of one or none runs inline
+and forks nothing.  The split and the groups never depend on the host's
+core count or cache size, so results are the same on every machine.
 
 Cache contract: layers reuse their work buffers across calls, so the
 cache a forward returns is valid until the next forward of the same layer
@@ -62,9 +63,9 @@ _FORK = multiprocessing.get_context("fork")
 
 
 def shard_slices(b):
-    """The fixed shards of a batch of b items: one slice if b == 1, else two."""
+    """The fixed shards of a batch of b items: one slice if b <= 1, else two."""
     half = (b + 1) // 2
-    return [slice(0, b)] if b == 1 else [slice(0, half), slice(half, b)]
+    return [slice(0, b)] if b <= 1 else [slice(0, half), slice(half, b)]
 
 
 # training items per group within a shard.  A 12-item shard of 64 px
@@ -86,15 +87,16 @@ def group_slices(rows):
 
 
 class Shards:
-    """fn run on the two shards of a batch: shard 0 in this process and
+    """fn run on the two shards of range(n): shard 0 in this process and
     shard 1 in a worker process forked from it.
 
-    Calling it with one argument tuple per shard returns fn(*args) for
-    each, in shard order; with one tuple, fn runs here alone.  The worker
+    Calling it as shards(n, *args) cuts range(n) with ``shard_slices`` and
+    returns fn(rows, *args) for each shard's slice rows, in shard order;
+    with n <= 1 there is one shard, and fn runs here alone.  The worker
     is forked on the first call with two shards and inherits everything
     fn reads as it is at that moment.  Each call sends it only shard 1's
-    arguments, which must pickle, and the current values of the arrays in
-    sync (name -> array), which it copies into its own arrays of those
+    rows and args, which must pickle, and the current values of the arrays
+    in sync (name -> array), which it copies into its own arrays of those
     names before it runs fn.  Its result, or the exception it raised, comes
     back pickled.  If shard 0 raises, the call waits for shard 1 and
     raises shard 0's error.
@@ -119,9 +121,10 @@ class Shards:
             self._proc.join()
             self._conn = self._proc = None
 
-    def __call__(self, shard_args):
-        if len(shard_args) == 1:
-            return [self.fn(*shard_args[0])]
+    def __call__(self, n, *args):
+        rows = shard_slices(n)
+        if len(rows) == 1:
+            return [self.fn(rows[0], *args)]
         if self._proc is None:
             self._conn, child = _FORK.Pipe()
             self._proc = _FORK.Process(target=_serve, name="segprior-shard1",
@@ -130,11 +133,11 @@ class Shards:
             self._proc.start()
             child.close()
         try:
-            self._conn.send((shard_args[1], self.sync))
+            self._conn.send(((rows[1],) + args, self.sync))
         except OSError:
             self._lost()
         try:
-            first = self.fn(*shard_args[0])
+            first = self.fn(rows[0], *args)
         except BaseException:
             try:
                 self._reply()

@@ -28,7 +28,6 @@ RATIO = 0.25
 class MemoryEntry:
     image: np.ndarray            # (H, W, 3) uint8
     labels: frozenset            # non-empty, subset of old foreground classes
-    source: str                  # "episodic" | "external"
 
 
 @dataclass
@@ -87,7 +86,7 @@ def populate_episodic(past_samples, old_classes, registry, capacity, seed):
             labels = frozenset(
                 old_indices[j] for j in sample.present_indices() if j in old_indices
             )
-            entries.append(MemoryEntry(sample.image, labels, "episodic"))
+            entries.append(MemoryEntry(sample.image, labels))
     return MemoryBank(capacity=capacity, entries=entries)
 
 
@@ -116,7 +115,7 @@ def ingest_external(manifest_path, registry):
             if not os.path.exists(path):
                 raise ValueError(f"{manifest_path}:{lineno}: unreadable image {rel!r}")
             image = netpbm.read_ppm(path)
-            entries.append(MemoryEntry(image, frozenset([name]), "external"))
+            entries.append(MemoryEntry(image, frozenset([name])))
     return MemoryBank(capacity=max(len(entries), 1), entries=entries)
 
 

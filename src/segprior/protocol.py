@@ -54,7 +54,6 @@ class TaskSchedule:
     mode: str                      # "overlap" | "disjoint"
     registry: ClassRegistry
     shots: int | None = None
-    ordering_seed: int | None = None
 
     @property
     def n_steps(self):
@@ -125,7 +124,7 @@ def build_schedule(registry, n_base, n_per_step, mode, ordering=None,
     )
     if shots is not None and shots <= 0:
         raise ValueError("shots must be positive when given")
-    return TaskSchedule(base, increments, mode, registry, shots, ordering_seed)
+    return TaskSchedule(base, increments, mode, registry, shots)
 
 
 def _index_set(schedule, names):

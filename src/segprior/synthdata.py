@@ -9,12 +9,13 @@ while the cross family is semantically isolated: its two members are no
 closer to each other than to anything else, exercising the edge case where
 a new class has no related old class.
 
-``export_dataset`` generates and writes a split as the two fixed shards of
-``layers.Shards``: this process writes the first half of the samples, and
-one worker forked from it the second half.  Every sample draws from its
-own child of the split seed's ``SeedSequence``, so the two processes write
-the same bytes one process would.  Datasets on disk are read back by
-``load_dataset``, one sample at a time.
+``export_dataset`` generates and writes each split with one call of a
+``layers.Shards``, which cuts the split's samples into its two fixed
+shards: this process writes the first half of the samples, and one worker
+forked from it, the same for every split, the second half.  Every sample
+draws from its own child of the split seed's ``SeedSequence``, so the two
+processes write the same bytes one process would.  Datasets on disk are
+read back by ``load_dataset``, one sample at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from . import netpbm
 from .class_semantics import ClassRegistry, EmbeddingTable
 from .fileio import atomic_open
-from .layers import Shards, shard_slices
+from .layers import Shards
 from .protocol import Sample
 
 ELLIPSE, RECTANGLE, TRIANGLE, CROSS = 0, 1, 2, 3
@@ -251,6 +252,8 @@ def generate_dataset(taxonomy, n, image_size=64, objects_range=(1, 3), seed=0,
             for _ in range(_PLACE_RETRIES):
                 kind, pa, pb, extent = _draw_params(spec, rng)
                 margin = extent / 2.0 + 1.0
+                if 2 * margin > image_size:
+                    continue    # its margins leave no room for a center: draw again
                 cx = rng.uniform(margin, image_size - margin)
                 cy = rng.uniform(margin, image_size - margin)
                 shape = shape_mask(kind, image_size, image_size, cx, cy, pa, pb)
@@ -284,12 +287,6 @@ def _write_sample(outdir, i, sample, registry):
     }
 
 
-def _halves(n):
-    """The two shards' rows of an n-sample split; the second is empty if n < 2."""
-    rows = shard_slices(n)
-    return rows if len(rows) == 2 else rows + [slice(n, n)]
-
-
 def export_dataset(taxonomy, splits, image_size=64, objects_range=(1, 3)):
     """Generate each split and write it under its directory: paired PPM
     images and PGM index masks, and a JSON manifest.  Returns the
@@ -297,36 +294,30 @@ def export_dataset(taxonomy, splits, image_size=64, objects_range=(1, 3)):
 
     splits holds one (outdir, n, seed) per split, whose samples are those
     of ``generate_dataset(taxonomy, n, image_size, objects_range, seed)``.
-    One ``layers.Shards`` call does every split: shard 0 in this process
-    and shard 1 in one forked worker each generate and write their half of
-    every split (``layers.shard_slices``) and return its manifest rows.
-    Each manifest is then written here, once and atomically, with its rows
-    in index order.  Every file is byte-identical to a one-process write.
+    One ``layers.Shards`` call per split, all on the same worker: shard 0
+    in this process and shard 1 in the forked worker each generate and
+    write their half of the split and return its manifest rows; a split of
+    one sample or none runs here alone.  Once every split is written, each
+    manifest is written here, once and atomically, with its rows in index
+    order.  Every file is byte-identical to a one-process write.
     """
     registry = taxonomy.registry
     for outdir, _, _ in splits:
         os.makedirs(os.path.join(outdir, "images"), exist_ok=True)
         os.makedirs(os.path.join(outdir, "masks"), exist_ok=True)
 
-    def shard(split_rows):
-        out = []
-        for (outdir, n, seed), rows in zip(splits, split_rows):
-            samples = generate_dataset(taxonomy, n, image_size, objects_range, seed,
-                                       rows=rows)
-            out.append([_write_sample(outdir, i, sample, registry)
-                        for i, sample in zip(range(n)[rows], samples)])
-        return out
+    def shard(rows, outdir, n, seed):
+        samples = generate_dataset(taxonomy, n, image_size, objects_range, seed,
+                                   rows=rows)
+        return [_write_sample(outdir, i, sample, registry)
+                for i, sample in zip(range(n)[rows], samples)]
 
-    halves = [_halves(n) for _, n, _ in splits]
-    shard_args = [(tuple(h[k] for h in halves),) for k in (0, 1)]
-    if all(rows.start == rows.stop for rows in shard_args[1][0]):
-        shard_args.pop()        # at most one sample: no worker is forked
     with Shards(shard) as shards:
-        parts = shards(shard_args)
+        parts = [shards(n, outdir, n, seed) for outdir, n, seed in splits]
     paths = []
-    for k, (outdir, _, _) in enumerate(splits):
+    for (outdir, _, _), part in zip(splits, parts):
         manifest = {"classes": list(registry.names),
-                    "samples": [row for part in parts for row in part[k]]}
+                    "samples": [row for rows in part for row in rows]}
         path = os.path.join(outdir, "manifest.json")
         with atomic_open(path, encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=1)

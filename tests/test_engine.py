@@ -355,7 +355,7 @@ def test_checkpoint_records_parent_config_hash(world, tmp_path):
 def whole_batch():
     """The engine runs each batch whole: one shard of one group, on this thread."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "shard_slices", lambda b: [slice(0, b)])
+        patch.setattr(layers, "shard_slices", lambda b: [slice(0, b)])
         patch.setattr(engine, "group_slices", lambda rows: [rows])
         yield
 
@@ -368,6 +368,7 @@ def assert_close_dicts(got, want, tol=1e-10):
 
 
 def test_shard_slices_are_fixed_halves():
+    assert shard_slices(0) == [slice(0, 0)]
     assert shard_slices(1) == [slice(0, 1)]
     assert shard_slices(2) == [slice(0, 1), slice(1, 2)]
     assert shard_slices(3) == [slice(0, 2), slice(2, 3)]
@@ -617,9 +618,9 @@ def test_one_on_shards_call_per_training_batch(world, monkeypatch):
     real_losses, real_batch = engine._batch_losses, engine.incremental_batch
 
     class SpyShards(layers.Shards):
-        def __call__(self, shard_args):
+        def __call__(self, n, *args):
             events.append("shards")
-            return super().__call__(shard_args)
+            return super().__call__(n, *args)
 
     def spy_batch(*args):
         events.append("batch")
@@ -841,9 +842,9 @@ def test_predict_dataset_streams_on_the_two_shard_processes(world, monkeypatch):
     real_count = engine.evalkit.confusion_accumulate
 
     class SpyShards(layers.Shards):
-        def __call__(self, shard_args):
-            calls.append(len(shard_args))
-            return super().__call__(shard_args)
+        def __call__(self, n, *args):
+            calls.append(len(layers.shard_slices(n)))
+            return super().__call__(n, *args)
 
     def spy_input(image, dtype):
         log.append(("image", hashlib.sha256(image.tobytes()).hexdigest()))

@@ -12,7 +12,6 @@ from segprior.evalkit import (
     build_report,
     confusion_accumulate,
     emit_report,
-    evaluate_model,
     harmonic_mean,
     load_trace,
     append_trace,
@@ -196,16 +195,17 @@ def test_svg_structure(tmp_path):
 
 
 def test_evaluate_model_counts_every_predicted_map():
-    """The report equals build_report over counts added map by map, each
-    map from one image run alone through the encoder and the head."""
+    """The eval report, build_report over engine.predict_dataset's counts,
+    equals build_report over counts added map by map, each map from one
+    image run alone through the encoder and the head."""
     tax = default_taxonomy()
     sched = build_schedule(tax.registry, 4, 2, "overlap")
     base = engine.SegModel.init(sched.channel_names(0), seed=2)
     model = engine.extend_head(base, sched.classes_at_step(1), seed=3)
     samples = generate_dataset(tax, 9, seed=12)
     new = list(sched.classes_at_step(1))
-    report = evaluate_model(model, samples, tax.registry, sched.base_classes,
-                            new, 1, "cafe")
+    report = build_report(engine.predict_dataset(model, samples, tax.registry),
+                          tax.registry, sched.base_classes, new, 1, "cafe")
     counts = np.zeros((len(tax.registry),) * 2, dtype=np.int64)
     lut = np.array([tax.registry.index_of(n) for n in model.class_names])
     for sample in samples:

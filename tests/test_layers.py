@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segprior.layers import (MOMENTUM, Chain, ChannelNorm, Conv2d, LeakyReLU,
-                             SGDMomentum, Shards, zero_grads)
+                             SGDMomentum, Shards, shard_slices, zero_grads)
 
 from helpers import max_rel_error, numeric_gradient
 
@@ -224,16 +224,19 @@ class Unpicklable(Exception):
         raise TypeError("this exception does not pickle")
 
 
-def whoami(shard):
-    return shard, os.getpid()
+def whoami(rows, base=0):
+    """The shard's number, base plus its first row (a two-row call cuts
+    rows 0 and 1), and the process it ran in."""
+    return base + rows.start, os.getpid()
 
 
 def failing_in(*failing):
     """A shard function that raises in the given shards."""
-    def fn(shard):
+    def fn(rows, base=0):
+        shard = base + rows.start
         if shard in failing:
             raise ShardError(f"shard {shard} failed")
-        return whoami(shard)
+        return whoami(rows, base)
 
     return fn
 
@@ -249,8 +252,8 @@ def test_shards_run_here_and_in_one_worker():
     """Shard 0 in this process, shard 1 in one forked worker for every
     call, and a one-shard call runs here alone."""
     with Shards(whoami) as shards:
-        seen = [shards([(0,), (1,)]) for _ in range(5)]
-        assert shards([(0,)]) == [(0, os.getpid())]
+        seen = [shards(2) for _ in range(5)]
+        assert shards(1) == [(0, os.getpid())]
     assert {first for first, _ in seen} == {(0, os.getpid())}
     workers = {second for _, second in seen}
     assert len(workers) == 1
@@ -259,26 +262,41 @@ def test_shards_run_here_and_in_one_worker():
 
 
 def test_one_shard_forks_no_worker():
-    with Shards(whoami) as shards:
-        shards([(0,)])
+    """A count of one or none runs here alone, on all of range(n)."""
+    with Shards(lambda rows, tag: (rows, tag)) as shards:
+        assert shards(1, "a") == [(slice(0, 1), "a")]
+        assert shards(0, "b") == [(slice(0, 0), "b")]
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_a_call_cuts_range_n_into_its_two_fixed_shards(n):
+    """shards(n, *args) runs fn(rows, *args) on each of shard_slices(n),
+    shard 1 in the worker."""
+    with Shards(lambda rows, tag: (rows, tag, os.getpid())) as shards:
+        got = shards(n, "x")
+    assert [(rows, tag) for rows, tag, _ in got] == [(r, "x") for r in shard_slices(n)]
+    assert got[0][2] == os.getpid() != got[1][2]
 
 
 def test_shards_keep_synced_arrays_in_step():
     """The worker inherits what fn reads and, before each call, copies in
     the current values of the synced arrays, but of nothing else."""
     w, other = np.zeros(3), np.zeros(3)
-    with Shards(lambda k: (k, w.sum(), other.sum()), sync={"w": w}) as shards:
-        assert shards([(0,), (1,)]) == [(0, 0.0, 0.0), (1, 0.0, 0.0)]
+    def fn(rows):
+        return rows.start, w.sum(), other.sum()
+
+    with Shards(fn, sync={"w": w}) as shards:
+        assert shards(2) == [(0, 0.0, 0.0), (1, 0.0, 0.0)]
         w[...] = 5.0
         other[...] = 1.0
-        assert shards([(0,), (1,)]) == [(0, 15.0, 3.0), (1, 15.0, 0.0)]
+        assert shards(2) == [(0, 15.0, 3.0), (1, 15.0, 0.0)]
 
 
 def test_on_shards_raises_shard_1_error():
     with Shards(failing_in(1)) as shards:
         with pytest.raises(ShardError, match="shard 1 failed") as info:
-            shards([(0,), (1,)])
+            shards(2)
     # the worker's traceback rides along as the cause
     assert "in shard 1's worker process" in str(info.value.__cause__)
     assert "ShardError" in str(info.value.__cause__)
@@ -287,29 +305,30 @@ def test_on_shards_raises_shard_1_error():
 def test_on_shards_keeps_its_worker_after_errors():
     for failing in ((0,), (1,), (0, 1)):
         with Shards(failing_in(*failing)) as shards:
-            (_, worker), = shards([(2,), (3,)])[1:]
+            (_, worker), = shards(2, 2)[1:]
             with pytest.raises(ShardError):
-                shards([(0,), (1,)])
-            assert shards([(2,), (3,)])[1] == (3, worker)
+                shards(2)
+            assert shards(2, 2)[1] == (3, worker)
 
 
 def test_on_shards_raises_shard_0_error_after_shard_1_finishes(tmp_path):
     done = tmp_path / "shard1-done"
 
-    def fn(shard):
+    def fn(rows, base=0):
+        shard = base + rows.start
         if shard == 0:
             raise ShardError("shard 0 failed")
         time.sleep(0.2)
         done.write_text("done")
-        return whoami(shard)
+        return whoami(rows, base)
 
     with Shards(fn) as shards:
         with pytest.raises(ShardError, match="shard 0 failed"):
-            shards([(0,), (1,)])
+            shards(2)
         assert done.exists()
         # the pipe is still in step: the next call gets its own reply
         done.unlink()
-        assert shards([(2,), (1,)])[1][0] == 1
+        assert shards(2, 2)[1][0] == 3
 
 
 @pytest.mark.parametrize("death", ["exit", "kill", "unpicklable"])
@@ -317,39 +336,39 @@ def test_dead_worker_raises_runtime_error_with_its_exit_code(death):
     """A worker that exits, is killed or cannot send its reply raises a
     RuntimeError naming shard 1 and its exit code; the next call forks a
     fresh worker."""
-    def fn(shard):
-        if shard == 1:
+    def fn(rows):
+        if rows.start == 1:
             if death == "exit":
                 os._exit(3)
             if death == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise Unpicklable("no reply")
-        return whoami(shard)
+        return whoami(rows)
 
     code = {"exit": 3, "kill": -signal.SIGKILL, "unpicklable": 1}[death]
     with Shards(fn) as shards:
         with pytest.raises(RuntimeError, match=rf"shard 1's worker process exited "
                                                rf"with code {code} without replying"):
-            shards([(0,), (1,)])
+            shards(2)
         assert multiprocessing.active_children() == []
         shards.fn = whoami      # a fresh worker forks with the current fn
-        (_, here), (_, there) = shards([(0,), (1,)])
+        (_, here), (_, there) = shards(2)
         assert here == os.getpid() != there
 
 
 def test_worker_killed_between_calls_raises_runtime_error():
     with Shards(whoami) as shards:
-        shards([(0,), (1,)])
+        shards(2)
         os.kill(shards._proc.pid, signal.SIGKILL)
         shards._proc.join(5.0)
         with pytest.raises(RuntimeError, match=rf"code {-signal.SIGKILL} without"):
-            shards([(0,), (1,)])
+            shards(2)
 
 
 def _parent_of_a_worker(report):
     """Fork a worker through Shards, report its pid, then wait to be killed."""
     with Shards(whoami) as shards:
-        report.send(shards([(0,), (1,)])[1][1])
+        report.send(shards(2)[1][1])
         time.sleep(60)
 
 

@@ -34,7 +34,6 @@ def test_populate_balanced(past, taxonomy):
     counts = {n: 0 for n in sched.base_classes}
     for e in bank.entries:
         assert e.labels and e.labels <= set(sched.base_classes)
-        assert e.source == "episodic"
         # count by the quota class is not recoverable; count label presence
     # per-class quota: capacity 40 over 4 classes -> 10 each when pools allow
     assert len(bank) == 40
@@ -77,8 +76,8 @@ def test_capacity_never_exceeded_and_counts_close(past, taxonomy):
         assert len(bank) <= cap
     with pytest.raises(ValueError):
         MemoryBank(capacity=1, entries=[
-            MemoryEntry(np.zeros((2, 2, 3), np.uint8), frozenset(["a"]), "episodic"),
-            MemoryEntry(np.zeros((2, 2, 3), np.uint8), frozenset(["a"]), "episodic"),
+            MemoryEntry(np.zeros((2, 2, 3), np.uint8), frozenset(["a"])),
+            MemoryEntry(np.zeros((2, 2, 3), np.uint8), frozenset(["a"])),
         ])
 
 
@@ -98,7 +97,6 @@ def test_external_round_trip(tmp_path, past, taxonomy):
     assert len(loaded) == len(bank)
     for orig, back in zip(bank.entries, loaded.entries):
         assert np.array_equal(orig.image, back.image)
-        assert back.source == "external"
         assert back.labels == frozenset([sorted(orig.labels)[0]])
 
 

@@ -190,6 +190,19 @@ def test_a_range_call_equals_its_slice_of_the_whole_call(taxonomy, rows):
     assert geoms == whole_geoms[rows]
 
 
+@pytest.mark.parametrize("seed", [6, 7, 14])
+def test_shapes_too_tall_for_a_40px_image_are_drawn_again(taxonomy, seed):
+    """At 40 px a triangle can be taller than the image leaves room for;
+    such a draw is redrawn, and every placed shape is centred inside it."""
+    samples, geoms = generate_dataset(taxonomy, 9, image_size=40, seed=seed,
+                                      with_geometry=True)
+    assert len(samples) == 9
+    for sample, placed in zip(samples, geoms):
+        assert placed and sample.dense_mask.any()
+        for shape in placed:
+            assert 0 < shape.cx < 40 and 0 < shape.cy < 40
+
+
 def files_under(root):
     """relative path -> bytes of every file under root."""
     out = {}
