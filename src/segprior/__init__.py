@@ -16,9 +16,10 @@ shards, shard 0 in the calling process and shard 1 in a worker process
 forked from it; callers pass ``layers.Shards`` a count, and it cuts the
 shards itself (see ``segprior.layers``).  A dataset manifest loads as a
 sequence that reads each image and its uint8 mask when indexed
-(``segprior.synthdata``): training reads the split once and keeps it, and
-evaluation's shards each read their own images one at a time.  In training
-each shard runs its items in cache-sized groups of at most four; each
+(``segprior.synthdata``): training chooses its rows from the manifest's
+class lists and reads only the images it uses, and evaluation's shards
+each read their own images one at a time.  In training each shard runs
+its items in cache-sized groups of at most four; each
 group computes its own items' losses with whole-batch normalisers and runs
 its own backward before the next group starts, so the summed group
 gradients equal the whole batch's (see ``segprior.engine``).

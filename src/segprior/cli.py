@@ -23,6 +23,34 @@ import os
 # shard process, unless it sets the variable before importing numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import ctypes
+
+# A run is hundreds of identical batches, and each batch frees its
+# activations when it ends.  With glibc's defaults those pages go back to
+# the kernel and the next batch faults them in again: train-base on a
+# benchmark base-dense workspace (seed 5) took 173k minor faults, 736 per
+# 4-image group in each shard process.  A fault costs 2-3 us with page
+# zeroing on a 2-vCPU VM (a touch loop over a fresh mmap), so that is
+# 1.6-2.2 ms of a shard call of about 15 ms.  Fixing both thresholds at
+# 32 MiB, the largest mmap threshold every 64-bit glibc accepts (mallopt(3)),
+# keeps freed pages in the heap for the next batch, and the run takes
+# ~14.5k faults: imports, loading and the first batch.  Both are needed.
+# Setting only the trim threshold stops glibc from raising its mmap
+# threshold as arrays are freed, so every array above 128 KiB is mmapped
+# and unmapped on each use (1.06M faults); setting only the mmap threshold
+# leaves the top of the heap trimmed as before (201k faults).  The forked
+# shard worker inherits the setting.  Code that imports segprior.engine
+# without this module keeps glibc's defaults.  Where libc has no mallopt
+# (macOS), this does nothing.
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError):
+    pass
+else:
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-1, 32 << 20)    # M_TRIM_THRESHOLD
+    _mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
+
 import argparse
 import dataclasses
 import json
@@ -147,16 +175,19 @@ def cmd_train_base(args):
     return 0
 
 
-def _step_samples(samples, schedule, step, seed):
-    """The train samples a step trains on: the step's filtered split, cut
-    to schedule.shots images per class in few-shot incremental steps."""
-    out = protocol.filter_step(samples, schedule, step)
+def _step_rows(present, schedule, step, seed):
+    """Positions of the train samples a step trains on, given each row's
+    present classes: the step's filtered rows, cut to schedule.shots images
+    per class in few-shot incremental steps."""
+    rows = protocol.step_rows(present, schedule, step)
     if step >= 1 and schedule.shots is not None:
-        out = protocol.few_shot_sample(out, schedule, step, schedule.shots, seed)
-    return out
+        picks = protocol.few_shot_rows([present[k] for k in rows], schedule, step,
+                                       schedule.shots, seed)
+        rows = [rows[p] for p in picks]
+    return rows
 
 
-def _build_bank(cfg, registry, schedule, step, samples, seed):
+def _build_bank(cfg, registry, schedule, step, files, seed):
     if cfg.memory.mode == "none":
         return None
     if cfg.memory.mode == "external":
@@ -164,11 +195,10 @@ def _build_bank(cfg, registry, schedule, step, samples, seed):
         if not manifest or not os.path.exists(manifest):
             raise CliError(f"memory manifest not found: {manifest}")
         return memory_mod.ingest_external(manifest, registry)
-    past = []
-    for past_step in range(step):
-        past.extend(_step_samples(samples, schedule, past_step, seed))
+    past = [k for past_step in range(step)
+            for k in _step_rows(files.present, schedule, past_step, seed)]
     old_classes = schedule.old_classes(step)
-    return memory_mod.populate_episodic(past, old_classes, registry,
+    return memory_mod.populate_episodic(files[past], old_classes, registry,
                                         memory_mod.CAPACITY, seed)
 
 
@@ -188,12 +218,14 @@ def cmd_train_incremental(args):
     parent, _, parent_hash = engine.load_checkpoint(prev)
     if tuple(parent.class_names) != schedule.channel_names(step - 1):
         raise CliError("checkpoint class list does not match the schedule")
-    samples = list(_load_split(cfg, "train"))
+    # as in train-base, rows are chosen by the manifest's present lists and
+    # only the step's images and the memory's draws are read
+    files = _load_split(cfg, "train")
     step_samples = protocol.with_weak_labels(
-        _step_samples(samples, schedule, step, seed), schedule, step)
+        list(files[_step_rows(files.present, schedule, step, seed)]), schedule, step)
     if not step_samples:
         raise CliError(f"no samples remain for step {step}")
-    bank = _build_bank(cfg, registry, schedule, step, samples, seed)
+    bank = _build_bank(cfg, registry, schedule, step, files, seed)
     table = load_embeddings(cfg.resolve(cfg.embeddings_path))
     sim = similarity_matrix(registry, table)
     model = engine.extend_head(parent, schedule.classes_at_step(step),

@@ -77,7 +77,11 @@ group's inputs, and expand its one-hot targets, when it runs; the old
 model's scores and features fill one array each; and a training group
 releases each layer's cache once its backward has run.  Evaluation holds
 no split at all, only the image each shard is scoring, so its memory does
-not grow with the split's size.
+not grow with the split's size.  Each batch frees its activations, and
+``segprior.cli`` sets glibc's trim and mmap thresholds on import so that
+the freed pages stay in the heap for the next batch instead of being
+faulted in again; code that imports this module without the CLI keeps
+glibc's defaults.
 """
 
 from __future__ import annotations

@@ -46,7 +46,11 @@ cache a forward returns is valid until the next forward of the same layer
 in the same process.  Each process runs one Python thread, and a shard's
 forward and backward run in the same process.  ``Chain.backward`` empties
 the cache list it is given, freeing each layer's cache once that layer's
-backward has run, and ``Chain.infer`` keeps no cache at all.
+backward has run, and ``Chain.infer`` keeps no cache at all.  The worker
+inherits its parent's malloc settings: under ``segprior.cli``, which fixes
+glibc's trim and mmap thresholds, freed arrays stay in both processes'
+heaps for the next call; code that imports this module without the CLI
+keeps glibc's defaults, and each call faults its arrays' pages in again.
 """
 
 from __future__ import annotations

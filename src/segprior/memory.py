@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import netpbm
+from . import netpbm, protocol
 
 CAPACITY = 100
 RATIO = 0.25
@@ -59,10 +59,12 @@ def populate_episodic(past_samples, old_classes, registry, capacity, seed):
     The capacity is split as evenly as possible across the old classes with
     the remainder going to the lowest-index classes; a sample drawn for one
     class leaves the pools of the others.  Classes whose pools run short
-    simply contribute fewer entries.
+    simply contribute fewer entries.  The pools come from each sample's
+    present classes (``protocol.presence``), so a ``ManifestSamples`` has
+    only its drawn samples read.
     """
-    past_samples = list(past_samples)
-    if not past_samples:
+    present = protocol.presence(past_samples)
+    if not len(present):
         raise ValueError("episodic memory needs a non-empty past stream")
     old_classes = list(old_classes)
     old_indices = {registry.index_of(n): n for n in old_classes}
@@ -72,21 +74,17 @@ def populate_episodic(past_samples, old_classes, registry, capacity, seed):
     entries = []
     for name in old_classes:
         idx = registry.index_of(name)
-        pool = [
-            i for i, s in enumerate(past_samples)
-            if i not in taken and idx in s.present_indices()
-        ]
+        pool = [i for i, shown in enumerate(present) if i not in taken and idx in shown]
         want = min(quotas[name], len(pool))
         if want == 0:
             continue
         picks = rng.choice(len(pool), size=want, replace=False)
         for p in sorted(int(v) for v in picks):
-            sample = past_samples[pool[p]]
             taken.add(pool[p])
             labels = frozenset(
-                old_indices[j] for j in sample.present_indices() if j in old_indices
+                old_indices[j] for j in present[pool[p]] if j in old_indices
             )
-            entries.append(MemoryEntry(sample.image, labels))
+            entries.append(MemoryEntry(past_samples[pool[p]].image, labels))
     return MemoryBank(capacity=capacity, entries=entries)
 
 

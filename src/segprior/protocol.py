@@ -142,10 +142,18 @@ def step_rows(present, schedule, step):
             if shown & current and not (disjoint and shown & future)]
 
 
+def presence(samples):
+    """Each sample's set of present registry indices.  A sequence that
+    knows them without reading its samples, as a ``synthdata``
+    ``ManifestSamples`` does from its manifest, gives its own ``present``
+    and nothing is read."""
+    known = getattr(samples, "present", None)
+    return known if known is not None else [s.present_indices() for s in samples]
+
+
 def filter_step(dataset, schedule, step):
     """Samples admitted to a step under the schedule's protocol."""
-    present = [sample.present_indices() for sample in dataset]
-    return [dataset[k] for k in step_rows(present, schedule, step)]
+    return [dataset[k] for k in step_rows(presence(dataset), schedule, step)]
 
 
 def weak_labels(sample, schedule, step):
@@ -168,8 +176,9 @@ def with_weak_labels(samples, schedule, step):
     ]
 
 
-def few_shot_sample(dataset, schedule, step, k, seed):
-    """Exactly k samples per current-step class, drawn without replacement.
+def few_shot_rows(present, schedule, step, k, seed):
+    """Positions of exactly k samples per current-step class, drawn without
+    replacement, given each sample's set of present registry indices.
 
     A sample containing several current classes sits in each class's pool;
     once drawn for one class it is removed from the others so the result
@@ -183,10 +192,7 @@ def few_shot_sample(dataset, schedule, step, k, seed):
     taken = set()
     for name in schedule.classes_at_step(step):
         idx = schedule.registry.index_of(name)
-        pool = [
-            i for i, s in enumerate(dataset)
-            if i not in taken and idx in s.present_indices()
-        ]
+        pool = [i for i, shown in enumerate(present) if i not in taken and idx in shown]
         if len(pool) < k:
             raise ValueError(
                 f"class {name!r} has only {len(pool)} eligible samples, need {k}"
@@ -195,4 +201,4 @@ def few_shot_sample(dataset, schedule, step, k, seed):
         for p in sorted(int(v) for v in picks):
             taken.add(pool[p])
             chosen.append(pool[p])
-    return [dataset[i] for i in chosen]
+    return chosen

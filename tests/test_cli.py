@@ -460,3 +460,109 @@ def test_train_base_reads_only_the_rows_showing_a_base_class(tmp_path, monkeypat
     monkeypatch.setattr(netpbm, "read_ppm", spy_read)
     assert cli.main(["train-base", "--config", cfg_path]) == 0
     assert reads == [f"img_{k:05d}.ppm" for k in base]
+
+
+@pytest.mark.parametrize("shots, mode", [(None, "none"), (2, "episodic")])
+def test_train_incremental_reads_only_its_rows_and_the_memory_draws(
+        tmp_path, monkeypatch, shots, mode):
+    """train-incremental chooses its step's rows, its few-shot draws and its
+    episodic-memory draws from the manifest's present lists, and reads those
+    images, each once per use, and no other."""
+    from segprior import cli, config, engine, netpbm, protocol, synthdata
+
+    out = str(tmp_path / "data")
+    assert cli.main(["gen-data", "--out", out, "--n", "30", "--eval-n", "0",
+                     "--size", "48", "--seed", "2"]) == 0
+    cfg_path = os.path.join(out, "config.json")
+    with open(cfg_path) as fh:
+        cfg = json.load(fh)
+    cfg["schedule"]["shots"] = shots
+    cfg["memory"]["mode"] = mode
+    cfg["engine"].update(epochs_base=1, epochs_incremental=1, batch_size=8)
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh, indent=1)
+    assert cli.main(["train-base", "--config", cfg_path]) == 0
+    files, _ = synthdata.load_dataset(os.path.join(out, "train", "manifest.json"))
+    row_of = {files[k].image.tobytes(): k for k in range(len(files))}
+    assert len(row_of) == len(files)
+    schedule = config.load_config(cfg_path).task_schedule()
+    step_rows = protocol.step_rows(files.present, schedule, 1)
+    seen = {}
+    real_step = engine.incremental_step
+
+    def spy_step(state, samples, bank, sim, registry):
+        seen["step"] = [row_of[s.image.tobytes()] for s in samples]
+        seen["memory"] = [row_of[e.image.tobytes()] for e in bank.entries] \
+            if bank else []
+        return real_step(state, samples, bank, sim, registry)
+
+    reads = []
+    real_read = netpbm.read_ppm
+
+    def spy_read(path):
+        reads.append(os.path.basename(path))
+        return real_read(path)
+
+    monkeypatch.setattr(engine, "incremental_step", spy_step)
+    monkeypatch.setattr(netpbm, "read_ppm", spy_read)
+    assert cli.main(["train-incremental", "--config", cfg_path, "--step", "1"]) == 0
+    assert reads == [f"img_{k:05d}.ppm" for k in seen["step"] + seen["memory"]]
+    if shots is None:
+        assert seen["step"] == step_rows and not seen["memory"]
+    else:
+        assert len(seen["step"]) == 2 * shots
+        assert set(seen["step"]) < set(step_rows)
+        assert seen["memory"]
+        base_rows = protocol.step_rows(files.present, schedule, 0)
+        assert set(seen["memory"]) <= set(base_rows)
+        assert len(set(reads)) < len(files)
+
+
+_FAULT_PROBE = """
+import itertools, resource, sys
+import numpy as np
+if sys.argv[1] == "cli":
+    import segprior.cli
+from segprior import layers
+
+def step():
+    arrays = [np.ones(n, dtype=np.float32)
+              for n in (150_000, 300_000, 200_000, 400_000)]
+    del arrays
+
+def faults(rows):
+    # the warm-up runs the counting code too; in the forked pair the heap
+    # still took a page or two in the first eight repeats
+    for repeats in (10, 20):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in itertools.repeat(None, repeats):
+            step()
+        count = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return count
+
+with layers.Shards(faults) as shards:
+    print(*shards(2))
+"""
+
+
+def _has_mallopt():
+    import ctypes
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_cli_import_keeps_freed_heap_pages_between_batches():
+    """Once segprior.cli is imported, a batch-sized set of arrays allocated
+    and freed again and again faults no page in, in this process or in a
+    shard worker; without it, glibc hands the pages back each time."""
+    def probe(kind):
+        res = subprocess.run([sys.executable, "-c", _FAULT_PROBE, kind],
+                             capture_output=True, text=True, env=ENV)
+        assert res.returncode == 0, res.stderr
+        return [int(v) for v in res.stdout.split()]
+
+    assert probe("cli") == [0, 0]
+    assert all(n > 1000 for n in probe("plain"))

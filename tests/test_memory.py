@@ -63,6 +63,34 @@ def test_populate_deterministic(past, taxonomy):
         assert e1.labels == e2.labels
 
 
+
+def test_populate_from_a_manifest_reads_only_its_draws(tmp_path, taxonomy,
+                                                       monkeypatch):
+    """A loaded manifest's own present lists fill the pools, so only the
+    drawn rows are read, and the bank equals one drawn from the samples
+    read in full."""
+    from segprior import netpbm
+    from segprior.synthdata import export_dataset, load_dataset
+
+    manifest, = export_dataset(taxonomy, [(str(tmp_path), 24, 5)], image_size=40)
+    files, _ = load_dataset(manifest)
+    sched = build_schedule(taxonomy.registry, 4, 2, "overlap")
+    want = populate_episodic(list(files), sched.base_classes, taxonomy.registry,
+                             6, seed=2)
+    reads = []
+    real_read = netpbm.read_ppm
+
+    def spy_read(path):
+        reads.append(path)
+        return real_read(path)
+
+    monkeypatch.setattr(netpbm, "read_ppm", spy_read)
+    bank = populate_episodic(files, sched.base_classes, taxonomy.registry, 6, seed=2)
+    assert len(reads) == len(bank) == len(want) == 6
+    for got, ref in zip(bank.entries, want.entries):
+        assert np.array_equal(got.image, ref.image)
+        assert got.labels == ref.labels
+
 def test_populate_empty_stream(taxonomy):
     with pytest.raises(ValueError):
         populate_episodic([], ["disc_solid"], taxonomy.registry, 4, seed=0)

@@ -7,7 +7,6 @@ from segprior.memory import populate_episodic
 from segprior.protocol import (
     Sample,
     build_schedule,
-    few_shot_sample,
     filter_step,
     weak_labels,
     with_weak_labels,
@@ -23,6 +22,12 @@ def taxonomy():
 @pytest.fixture(scope="module")
 def toy_dataset(taxonomy):
     return generate_dataset(taxonomy, 200, seed=17)
+
+
+def few_shot_sample(dataset, schedule, step, k, seed):
+    """The samples protocol.few_shot_rows draws from a list of samples."""
+    rows = protocol.few_shot_rows(protocol.presence(dataset), schedule, step, k, seed)
+    return [dataset[i] for i in rows]
 
 
 def make_sample(registry, names, size=8):
@@ -200,6 +205,10 @@ def test_few_shot_determinism_and_replay(taxonomy, toy_dataset):
             taken.add(pool[p])
             expect.append(pool[p])
     assert [id(eligible[i]) for i in expect] == [id(s) for s in a]
+    # rows drawn from present sets without the background index a manifest
+    # leaves out are the same
+    present = [s.present_indices() - {0} for s in eligible]
+    assert protocol.few_shot_rows(present, sched, 1, 2, seed=9) == expect
 
 
 def test_few_shot_insufficient(taxonomy):
