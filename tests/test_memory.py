@@ -63,7 +63,6 @@ def test_populate_deterministic(past, taxonomy):
         assert e1.labels == e2.labels
 
 
-
 def test_populate_from_a_manifest_reads_only_its_draws(tmp_path, taxonomy,
                                                        monkeypatch):
     """A loaded manifest's own present lists fill the pools, so only the
@@ -90,6 +89,7 @@ def test_populate_from_a_manifest_reads_only_its_draws(tmp_path, taxonomy,
     for got, ref in zip(bank.entries, want.entries):
         assert np.array_equal(got.image, ref.image)
         assert got.labels == ref.labels
+
 
 def test_populate_empty_stream(taxonomy):
     with pytest.raises(ValueError):
