@@ -9,8 +9,8 @@ old class the previous model predicts there (see ``segprior.simprior``).
 
 Everything is plain numpy with one numeric path.  Every 3x3 convolution,
 stride 1 or 2, runs as shifted GEMMs over the phase grids of its
-zero-padded input, and a layer's forward cache stays valid until the next
-forward of the same layer in the same process.  Every batch, the
+zero-padded input, and a layer's forward cache belongs to its caller:
+layers keep no work buffers between calls.  Every batch, the
 evaluation set (image by image) and each generated split run as two fixed
 shards, shard 0 in the calling process and shard 1 in a worker process
 forked from it; callers pass ``layers.Shards`` a count, and it cuts the

@@ -393,8 +393,7 @@ def _prepare_items(state, samples, registry, sim_matrix):
     at the old model's argmax, at the columns of the new classes present.
     """
     cfg = state.engine_cfg
-    # a copy, so that its conv work buffers go when this returns
-    old = copy.deepcopy(state.old_model)
+    old = state.old_model
     dtype = state.model.dtype
     n_old = state.n_old
     new_names = state.model.class_names[n_old:]

@@ -41,16 +41,15 @@ shard runs its images one at a time.  A count of one or none runs inline
 and forks nothing.  The split and the groups never depend on the host's
 core count or cache size, so results are the same on every machine.
 
-Cache contract: layers reuse their work buffers across calls, so the
-cache a forward returns is valid until the next forward of the same layer
-in the same process.  Each process runs one Python thread, and a shard's
-forward and backward run in the same process.  ``Chain.backward`` empties
-the cache list it is given, freeing each layer's cache once that layer's
-backward has run, and ``Chain.infer`` keeps no cache at all.  The worker
-inherits its parent's malloc settings: under ``segprior.cli``, which fixes
-glibc's trim and mmap thresholds, freed arrays stay in both processes'
-heaps for the next call; code that imports this module without the CLI
-keeps glibc's defaults, and each call faults its arrays' pages in again.
+Layers keep no work buffers: every forward allocates its own arrays, so
+the cache it returns belongs to its caller and stays valid for as long as
+the caller keeps it.  ``Chain.backward`` empties the cache list it is
+given, freeing each layer's cache once that layer's backward has run, and
+``Chain.infer`` keeps no cache at all.  The worker inherits its parent's
+malloc settings: under ``segprior.cli``, which fixes glibc's trim and mmap
+thresholds, freed arrays stay in both processes' heaps for the next call;
+code that imports this module without the CLI keeps glibc's defaults, and
+each call faults its arrays' pages in again.
 """
 
 from __future__ import annotations
@@ -198,9 +197,8 @@ def _tap_rows(stride, wq):
 class Conv2d:
     """k x k convolution (k in {1, 3}), stride 1 or 2, zero padding for k=3.
 
-    Work buffers are leased per layer and reused across batches; a
-    forward's cache is only valid until the next forward of the same
-    layer.
+    A forward keeps nothing in the layer: its cache belongs to its caller,
+    and later forwards of the same layer leave it intact.
     """
 
     def __init__(self, name, k, cin, cout, stride, rng, dtype):
@@ -214,25 +212,6 @@ class Conv2d:
         self.stride = stride
         self.W = (rng.standard_normal((k, k, cin, cout)) * std).astype(dtype)
         self.b = np.zeros(cout, dtype=dtype)
-        self._buf = {}
-
-    def __deepcopy__(self, memo):
-        clone = object.__new__(Conv2d)
-        clone.name = self.name
-        clone.k = self.k
-        clone.stride = self.stride
-        clone.W = self.W.copy()
-        clone.b = self.b.copy()
-        clone._buf = {}
-        memo[id(self)] = clone
-        return clone
-
-    def _lease(self, key, shape, dtype, fill=None):
-        arr = self._buf.get(key)
-        if arr is None or arr.shape != shape or arr.dtype != dtype:
-            arr = np.empty(shape, dtype) if fill is None else np.full(shape, fill, dtype)
-            self._buf[key] = arr
-        return arr
 
     def params(self):
         return {f"{self.name}.W": self.W, f"{self.name}.b": self.b}
@@ -252,19 +231,19 @@ class Conv2d:
         n = b * hq * wq
         span = n - (2 // s) * (wq + 1)    # rows up to the last output pixel
         # Image row r is padded row r + 1: phase (r + 1) % s, grid row
-        # (r + 1) // s.  The top and left padding is zeroed on creation and
-        # never written.  The bottom and right padding is zeroed on every
-        # call: at s = 2, 63 and 64 px pad to grids of one size, so the
-        # grids may hold the last row or column of a larger image.
-        grids = self._lease("xq", (s, s, b, hq, wq, cin), x.dtype, fill=0)
+        # (r + 1) // s.  The grids start uninitialised: each phase's rows
+        # and columns outside the image are its padding, zeroed on every
+        # call, and the image pixels are not zeroed first.
+        grids = np.empty((s, s, b, hq, wq, cin), x.dtype)
         for pi in range(s):
             for pj in range(s):
                 r, c = (pi - 1) % s, (pj - 1) % s    # first image row and column
                 part = x[:, r::s, c::s]
                 i, j = (r + 1) // s, (c + 1) // s
+                ph, pw = part.shape[1:3]
                 g = grids[pi, pj]
-                g[:, i:i + part.shape[1], j:j + part.shape[2]] = part
-                g[:, i + part.shape[1]:] = g[:, :, j + part.shape[2]:] = 0
+                g[:, i:i + ph, j:j + pw] = part
+                g[:, :i] = g[:, i + ph:] = g[:, :, :j] = g[:, :, j + pw:] = 0
         rows = grids.reshape(s * s, n, cin)
         out = np.empty((n, cout), x.dtype)
         np.matmul(rows[0, :span], self.W[0, 0], out=out[:span])
@@ -290,8 +269,7 @@ class Conv2d:
         n = b * hq * wq
         taps = _tap_rows(s, wq)
         # dy on the output grid; the rest of the grid must be zero to add
-        # nothing below.  A new array, not a leased one, so that only the
-        # running layer's grid is alive during a backward.
+        # nothing below
         dgrid = np.empty((b, hq, wq, cout), grids.dtype)
         dgrid[:, :dy.shape[1], :dy.shape[2]] = dy
         dgrid[:, dy.shape[1]:] = dgrid[:, :, dy.shape[2]:] = 0
@@ -301,7 +279,7 @@ class Conv2d:
         for ki, kj, p, shift in taps:
             dW[ki, kj] += rows[p, shift:shift + span].T @ d
         # column sums as a GEMV; axis-0 reduction in numpy is far slower
-        ones = self._lease("ones", (span,), d.dtype, fill=1)
+        ones = np.ones(span, d.dtype)
         grads[f"{self.name}.b"] += ones @ d
         if not input_grad:
             return None
@@ -374,8 +352,9 @@ class ChannelNorm:
 class LeakyReLU:
     """x for x > 0, slope * x otherwise, for a slope in [0, 1).
 
-    The forward caches the gain g = max(sign(x), slope), which is 1 where
-    x > 0 and slope elsewhere, so both directions are one multiply by g.
+    The forward is max(x, slope * x) and caches x; at slope 0 it maps
+    +inf to NaN, as slope * inf is.  The backward multiplies by the gain
+    g = max(sign(x), slope), which is 1 where x > 0 and slope elsewhere.
     """
 
     def __init__(self, slope):
@@ -385,11 +364,11 @@ class LeakyReLU:
         return {}
 
     def forward(self, x):
+        return np.maximum(x, self.slope * x), x
+
+    def backward(self, dy, x, grads):
         g = np.sign(x)
         np.maximum(g, self.slope, out=g)
-        return x * g, g
-
-    def backward(self, dy, g, grads):
         return dy * g
 
 

@@ -151,11 +151,6 @@ def presence(samples):
     return known if known is not None else [s.present_indices() for s in samples]
 
 
-def filter_step(dataset, schedule, step):
-    """Samples admitted to a step under the schedule's protocol."""
-    return [dataset[k] for k in step_rows(presence(dataset), schedule, step)]
-
-
 def weak_labels(sample, schedule, step):
     """Image-level labels: current-step classes with at least one pixel."""
     if step < 1:

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 
+from segprior.protocol import presence, step_rows
+
 
 def numeric_gradient(fn, x, step=1e-5):
     """Central finite differences of a scalar function at x (float64)."""
@@ -39,6 +41,11 @@ def semantic_similarity(a, b, table):
     vb = table.vector(b)
     cos = float(va @ vb) / (float(np.linalg.norm(va)) * float(np.linalg.norm(vb)))
     return float(np.clip(-(1.0 - cos), -2.0, 0.0))
+
+
+def step_samples(dataset, schedule, step):
+    """The samples of dataset that protocol.step_rows admits to a step."""
+    return [dataset[k] for k in step_rows(presence(dataset), schedule, step)]
 
 
 class ProcessLog:

@@ -1,5 +1,4 @@
 import contextlib
-import copy
 import dataclasses
 import hashlib
 import os
@@ -26,11 +25,11 @@ from segprior.engine import (
 from segprior.layers import group_slices, shard_slices, zero_grads
 from segprior.memory import populate_episodic
 from segprior.objectives import LossConfig
-from segprior.protocol import build_schedule, filter_step, with_weak_labels
+from segprior.protocol import build_schedule, with_weak_labels
 from segprior.synthdata import (default_taxonomy, export_dataset, generate_dataset,
                                 load_dataset)
 
-from helpers import ProcessLog
+from helpers import ProcessLog, step_samples
 
 
 WORLD_SEED = 101
@@ -63,7 +62,7 @@ def base_model(world, cfg, train=True):
     names = sched.channel_names(0)
     model = SegModel.init(names, seed=cfg.seed, dtype=cfg.np_dtype())
     if train:
-        base = filter_step(data, sched, 0)
+        base = step_samples(data, sched, 0)
         model, trace = base_train(model, base, tax.registry, cfg)
         return model, trace
     return model, None
@@ -72,7 +71,7 @@ def base_model(world, cfg, train=True):
 def step_inputs(world, model, cfg, step=1, loss_cfg=None):
     tax, sched, data, sim = world
     extended = extend_head(model, sched.classes_at_step(step), seed=cfg.seed + step)
-    samples = with_weak_labels(filter_step(data, sched, step), sched, step)
+    samples = with_weak_labels(step_samples(data, sched, step), sched, step)
     state = StepState(
         step=step,
         old_model=model,
@@ -249,7 +248,7 @@ def test_gradient_routing(world):
 def test_memory_changes_cls_path(world):
     tax, sched, data, sim = world
     cfg = small_cfg()
-    base = filter_step(data, sched, 0)
+    base = step_samples(data, sched, 0)
     bank = populate_episodic(base, sched.base_classes, tax.registry, 8, seed=3)
     model, _ = base_model(world, cfg)
     state, samples, _ = step_inputs(world, model, cfg)
@@ -380,7 +379,7 @@ def test_base_train_shards_match_full_batch(world, monkeypatch):
     cfg = small_cfg(dtype="float64", epochs_base=1, batch_size=10)
     tax, sched, data, _ = world
     # batches of 10, 10 and 3: shards of 5 run as groups of 3 and 2
-    base = filter_step(data, sched, 0)[:23]
+    base = step_samples(data, sched, 0)[:23]
 
     steps = []
 
@@ -422,7 +421,7 @@ def test_incremental_batch_shards_match_full_batch(world, n_items, seg_on):
     state.epoch = 1 if seg_on else 0
     items = engine._prepare_items(state, samples[:n_items], tax.registry, sim)
     if n_items > 1:   # a memory item in the last slot, as mix_batch puts it
-        bank = populate_episodic(filter_step(data, sched, 0), sched.base_classes,
+        bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
                                  tax.registry, 4, seed=3)
         items[-1] = engine._prepare_memory(state, bank)[0]
     grads = zero_grads(state.model.params())
@@ -454,7 +453,7 @@ def float64_pools(world):
     state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=1))
     current = engine._prepare_items(state, samples[:9], tax.registry, sim)
-    bank = populate_episodic(filter_step(data, sched, 0), sched.base_classes,
+    bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
                              tax.registry, 9, seed=3)
     memory = engine._prepare_memory(state, bank)
     return state, current, memory
@@ -522,7 +521,7 @@ def test_grouped_benchmark_batch_matches_one_forward(world, rasp, seg_on):
         seg_warmup_epochs=1, lambda_rasp=rasp))
     state.epoch = 1 if seg_on else 0
     current = engine._prepare_items(state, samples[:18], tax.registry, sim)
-    bank = populate_episodic(filter_step(data, sched, 0), sched.base_classes,
+    bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
                              tax.registry, 6, seed=3)
     items = current + engine._prepare_memory(state, bank)
     assert len(items) == 24 and sum(it.is_memory for it in items) == 6
@@ -572,7 +571,7 @@ def test_group_layout_on_the_shard_processes(world):
     state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=0))
     current = engine._prepare_items(state, samples[:20], tax.registry, sim)
-    bank = populate_episodic(filter_step(data, sched, 0), sched.base_classes,
+    bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
                              tax.registry, 6, seed=3)
     items = current + engine._prepare_memory(state, bank)
     log = ProcessLog()
@@ -633,7 +632,7 @@ def test_one_on_shards_call_per_training_batch(world, monkeypatch):
     monkeypatch.setattr(engine, "Shards", SpyShards)
     monkeypatch.setattr(engine, "incremental_batch", spy_batch)
     monkeypatch.setattr(engine, "_batch_losses", spy_losses)
-    base = filter_step(data, sched, 0)[:20]
+    base = step_samples(data, sched, 0)[:20]
     model = SegModel.init(sched.channel_names(0), seed=cfg.seed)
     model, _ = base_train(model, base, tax.registry, cfg)
     assert events == ["shards"] * (2 * 3)       # 2 epochs of batches 8, 8, 4
@@ -777,13 +776,12 @@ def predict_alone(model, sample, registry):
     return out
 
 
-def reference_counts(model, samples, registry, fresh=False):
-    """Confusion counts of predict_alone's maps, image by image; with
-    fresh, each image runs through a copy of the model with new buffers."""
+def reference_counts(model, samples, registry):
+    """Confusion counts of predict_alone's maps, image by image."""
     n = len(registry)
     counts = np.zeros((n, n), dtype=np.int64)
     for s in samples:
-        pred = predict_alone(copy.deepcopy(model) if fresh else model, s, registry)
+        pred = predict_alone(model, s, registry)
         np.add.at(counts, (s.dense_mask.ravel(), pred.ravel()), 1)
     return counts
 
@@ -817,7 +815,7 @@ def test_predict_dataset_mixes_image_sizes(world):
 def test_predict_dataset_alternates_63_and_64_px(world):
     """63 and 64 px images pad to 65 and 66 px, which the stride-2 conv
     rounds up to the same size; the counts must match each image run
-    alone through a copy of the model with fresh buffers."""
+    alone."""
     tax, sched, data, _ = world
     cfg = small_cfg()
     model, _ = base_model(world, cfg, train=False)
@@ -825,8 +823,7 @@ def test_predict_dataset_alternates_63_and_64_px(world):
     samples = [data[0], odd[0], data[1], odd[1], data[2], odd[2]]
     got = predict_dataset(model, samples, tax.registry)
     assert got.sum() == 3 * (64 * 64 + 63 * 63)
-    assert np.array_equal(got, reference_counts(model, samples, tax.registry,
-                                                fresh=True))
+    assert np.array_equal(got, reference_counts(model, samples, tax.registry))
 
 
 def test_predict_dataset_streams_on_the_two_shard_processes(world, monkeypatch):

@@ -11,8 +11,10 @@ from segprior.memory import (
     populate_episodic,
 )
 from segprior.netpbm import write_ppm
-from segprior.protocol import build_schedule, filter_step
+from segprior.protocol import build_schedule
 from segprior.synthdata import default_taxonomy, generate_dataset
+
+from helpers import step_samples
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +26,7 @@ def taxonomy():
 def past(taxonomy):
     sched = build_schedule(taxonomy.registry, 4, 2, "overlap")
     data = generate_dataset(taxonomy, 240, seed=33)
-    return filter_step(data, sched, 0), sched
+    return step_samples(data, sched, 0), sched
 
 
 def test_populate_balanced(past, taxonomy):

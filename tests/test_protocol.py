@@ -7,11 +7,12 @@ from segprior.memory import populate_episodic
 from segprior.protocol import (
     Sample,
     build_schedule,
-    filter_step,
     weak_labels,
     with_weak_labels,
 )
 from segprior.synthdata import default_taxonomy, generate_dataset
+
+from helpers import step_samples
 
 
 @pytest.fixture(scope="module")
@@ -90,16 +91,24 @@ def test_filter_rules_handmade(taxonomy):
     sched = build_schedule(reg, 4, 2, "disjoint")
     step1, step2 = sched.increments
     only_future = make_sample(reg, [step2[0]])
-    assert filter_step([only_future], sched, 1) == []
+    assert step_samples([only_future], sched, 1) == []
     old_and_current = make_sample(reg, [sched.base_classes[0], step1[0]])
     ov = build_schedule(reg, 4, 2, "overlap")
-    assert filter_step([old_and_current], ov, 1) == [old_and_current]
+    assert step_samples([old_and_current], ov, 1) == [old_and_current]
     only_old = make_sample(reg, [sched.base_classes[0]])
-    assert filter_step([only_old], ov, 1) == []
-    assert filter_step([only_old], sched, 1) == []
+    assert step_samples([only_old], ov, 1) == []
+    assert step_samples([only_old], sched, 1) == []
     current_plus_future = make_sample(reg, [step1[0], step2[0]])
-    assert filter_step([current_plus_future], ov, 1) == [current_plus_future]
-    assert filter_step([current_plus_future], sched, 1) == []
+    assert step_samples([current_plus_future], ov, 1) == [current_plus_future]
+    assert step_samples([current_plus_future], sched, 1) == []
+
+
+def admitted(present, schedule, step):
+    """The defining predicate of a step's samples, on one present set."""
+    reg = schedule.registry
+    current = {reg.index_of(c) for c in schedule.classes_at_step(step)}
+    future = {reg.index_of(c) for c in schedule.future_classes(step)}
+    return bool(present & current) and not (schedule.mode == "disjoint" and present & future)
 
 
 def test_filter_soundness_brute(taxonomy, toy_dataset):
@@ -108,27 +117,21 @@ def test_filter_soundness_brute(taxonomy, toy_dataset):
     for mode in ("overlap", "disjoint"):
         sched = build_schedule(reg, 4, 2, mode)
         for step in range(sched.n_steps):
-            current = {reg.index_of(c) for c in sched.classes_at_step(step)}
-            future = {reg.index_of(c) for c in sched.future_classes(step)}
-            kept = filter_step(toy_dataset, sched, step)
+            kept = step_samples(toy_dataset, sched, step)
             kept_ids = {id(s) for s in kept}
             for sample in toy_dataset:
-                present = sample.present_indices()
-                want = bool(present & current)
-                if mode == "disjoint" and present & future:
-                    want = False
+                want = admitted(sample.present_indices(), sched, step)
                 assert (id(sample) in kept_ids) == want
 
 
-def test_step_rows_pick_what_filter_step_keeps(taxonomy, toy_dataset):
+def test_step_rows_with_or_without_the_background_index(taxonomy, toy_dataset):
     """Rows chosen from present sets alone, with or without the background
-    index a manifest leaves out, are the samples filter_step keeps."""
+    index a manifest leaves out, are the samples the predicate admits."""
     for mode in ("overlap", "disjoint"):
         sched = build_schedule(taxonomy.registry, 4, 2, mode)
         for step in range(sched.n_steps):
-            kept = {id(s) for s in filter_step(toy_dataset, sched, step)}
-            want = [k for k, s in enumerate(toy_dataset) if id(s) in kept]
             present = [s.present_indices() for s in toy_dataset]
+            want = [k for k, p in enumerate(present) if admitted(p, sched, step)]
             assert protocol.step_rows(present, sched, step) == want
             assert protocol.step_rows([p - {0} for p in present], sched, step) == want
 
@@ -138,8 +141,8 @@ def test_disjoint_subset_of_overlap(taxonomy, toy_dataset):
     ov = build_schedule(reg, 4, 2, "overlap")
     dj = build_schedule(reg, 4, 2, "disjoint")
     for step in range(ov.n_steps):
-        ov_ids = {id(s) for s in filter_step(toy_dataset, ov, step)}
-        dj_ids = {id(s) for s in filter_step(toy_dataset, dj, step)}
+        ov_ids = {id(s) for s in step_samples(toy_dataset, ov, step)}
+        dj_ids = {id(s) for s in step_samples(toy_dataset, dj, step)}
         assert dj_ids <= ov_ids
 
 
@@ -164,7 +167,7 @@ def test_weak_labels_never_leak(taxonomy, toy_dataset):
     for step in (1, 2):
         old = set(sched.old_classes(step))
         future = set(sched.future_classes(step))
-        for s in with_weak_labels(filter_step(toy_dataset, sched, step), sched, step):
+        for s in with_weak_labels(step_samples(toy_dataset, sched, step), sched, step):
             assert s.weak_labels
             assert not (s.weak_labels & old)
             assert not (s.weak_labels & future)
@@ -185,7 +188,7 @@ def test_few_shot_exhaustive_pool(taxonomy):
 def test_few_shot_determinism_and_replay(taxonomy, toy_dataset):
     reg = taxonomy.registry
     sched = build_schedule(reg, 4, 2, "overlap")
-    eligible = filter_step(toy_dataset, sched, 1)
+    eligible = step_samples(toy_dataset, sched, 1)
     a = few_shot_sample(eligible, sched, 1, 2, seed=9)
     b = few_shot_sample(eligible, sched, 1, 2, seed=9)
     assert [id(s) for s in a] == [id(s) for s in b]
@@ -242,8 +245,8 @@ def test_present_classes_scanned_once_per_sample(taxonomy, monkeypatch):
     assert present_classes(mask.astype(np.uint8)) == {0, 1, 3, 7}
 
     scans.clear()
-    base = filter_step(data, sched, 0)
-    step1 = with_weak_labels(filter_step(data, sched, 1), sched, 1)
+    base = step_samples(data, sched, 0)
+    step1 = with_weak_labels(step_samples(data, sched, 1), sched, 1)
     populate_episodic(base, sched.base_classes, reg, 6, seed=1)
     few_shot_sample(data, sched, 1, 1, seed=2)
     for sample in step1:
