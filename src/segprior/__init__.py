@@ -7,10 +7,10 @@ classes: a pairwise table built from class-name embeddings gives each
 (old class, new class) pair a target, and each pixel takes the row of the
 old class the previous model predicts there (see ``segprior.simprior``).
 
-Everything is plain numpy with one numeric path.  Every 3x3 convolution,
-stride 1 or 2, runs as shifted GEMMs over the phase grids of its
-zero-padded input, and a layer's forward cache belongs to its caller:
-layers keep no work buffers between calls.  Every batch, the
+Everything is plain numpy with one numeric path.  Every convolution runs
+as shifted GEMMs over the phase grids of its zero-padded input (a 1x1
+conv is the one-tap, unpadded case), and a layer's forward cache belongs
+to its caller: layers keep no work buffers between calls.  Every batch, the
 evaluation set (image by image) and each generated split run as two fixed
 shards, shard 0 in the calling process and shard 1 in a worker process
 forked from it; callers pass ``layers.Shards`` a count, and it cuts the

@@ -232,8 +232,7 @@ def cmd_train_incremental(args):
                                seed=np.random.SeedSequence((seed, step, 7)).generate_state(1)[0])
     state = engine.StepState(
         step=step, old_model=parent, model=model, loss_cfg=cfg.loss,
-        engine_cfg=cfg.engine, n_old=len(parent.class_names),
-    )
+        engine_cfg=cfg.engine)
     model, trace = engine.incremental_step(state, step_samples, bank, sim, registry)
     ckpt = _ckpt_path(cfg, step, seed)
     engine.save_checkpoint(model, ckpt, step=step, config_hash=chash,

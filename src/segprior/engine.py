@@ -357,8 +357,12 @@ class StepState:
     model: SegModel
     loss_cfg: LossConfig
     engine_cfg: EngineConfig
-    n_old: int                   # previous label-space size, bkg included
     epoch: int = 0
+
+    @property
+    def n_old(self):
+        """The previous label-space size, bkg included."""
+        return len(self.old_model.class_names)
 
     def seg_active(self):
         return self.epoch >= self.loss_cfg.seg_warmup_epochs

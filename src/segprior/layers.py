@@ -4,22 +4,23 @@ Everything runs channel-last on numpy arrays: activations are
 (B, H, W, C).  Backward methods return the input gradient and accumulate
 parameter gradients into a caller-supplied dict keyed by parameter name.
 
-3x3 convolutions are shifted GEMMs (the kn2row/accumulate family of
-Anderson et al., arXiv:1709.03395) over phase grids.  The input is
-zero-padded by one pixel, rounded up to a multiple of the stride s, and
-split into its s x s phase grids: phase (pi, pj) holds the padded pixels
-(s*i + pi, s*j + pj) at grid position (i, j), the polyphase split behind
-sub-pixel convolution (Shi et al., arXiv:1609.05158).  Each grid is
-flattened to rows of C channels, one row per grid pixel, and is wq pixels
-wide.  Output pixel (n, i, j) is computed at row r = (n*hq + i)*wq + j of
-a grid of the same shape, and its tap (ki, kj) reads row
-r + (ki // s)*wq + kj // s of phase (ki % s, kj % s).  Each tap is
-therefore one GEMM over a contiguous range of rows, accumulated into an
+Every convolution is a set of shifted GEMMs (the kn2row/accumulate family
+of Anderson et al., arXiv:1709.03395) over phase grids.  The input of a
+k x k conv is zero-padded by p = k // 2 pixels, rounded up to a multiple of
+the stride s, and split into its s x s phase grids: phase (pi, pj) holds
+the padded pixels (s*i + pi, s*j + pj) at grid position (i, j), the
+polyphase split behind sub-pixel convolution (Shi et al., arXiv:1609.05158).
+Each grid is flattened to rows of C channels, one row per grid pixel, and
+is wq pixels wide.  Output pixel (n, i, j) is computed at row
+r = (n*hq + i)*wq + j of a grid of the same shape, and its tap (ki, kj)
+reads row r + (ki // s)*wq + kj // s of phase (ki % s, kj % s).  Each tap
+is therefore one GEMM over a contiguous range of rows, accumulated into an
 output grid that is cropped to the output size at the end; the backward
-pass runs the same nine row ranges for the weight gradient and scatters
-the input gradient into the phase grids, which interleave back into the
-padded image.  At s = 1 there is one phase, the padded input itself.  1x1
-convolutions are one matrix product per image.
+pass runs the same k*k row ranges for the weight gradient and scatters the
+input gradient into the phase grids, which interleave back into the padded
+image.  At s = 1 there is one phase, the padded input itself.  A 1x1 conv
+is the one-tap case: one unpadded, unshifted tap on one phase, a single
+GEMM over the whole group's pixels.
 
 ``Shards`` owns the split: a call names a count n, and ``Shards`` cuts
 range(n) into two fixed shards of ceil(n/2) and floor(n/2) rows
@@ -187,15 +188,17 @@ def _serve(conn, parent_end, fn, sync):
         conn.send(reply)
 
 
-def _tap_rows(stride, wq):
-    """(ki, kj, phase, row shift) of each 3x3 tap in raster order, on phase
-    grids of width wq."""
+def _tap_rows(k, stride, wq):
+    """(ki, kj, phase, row shift) of each k x k tap in raster order, on phase
+    grids of width wq.  A 1x1 conv has one tap, unshifted, on phase 0."""
     return [(ki, kj, (ki % stride) * stride + kj % stride, (ki // stride) * wq + kj // stride)
-            for ki in range(3) for kj in range(3)]
+            for ki in range(k) for kj in range(k)]
 
 
 class Conv2d:
-    """k x k convolution (k in {1, 3}), stride 1 or 2, zero padding for k=3.
+    """k x k convolution (k in {1, 3}) with k // 2 pixels of zero padding,
+    stride 1 or 2 for k = 3; a 1x1 conv is one unpadded tap on one phase,
+    stride 1 only.
 
     A forward keeps nothing in the layer: its cache belongs to its caller,
     and later forwards of the same layer leave it intact.
@@ -204,6 +207,8 @@ class Conv2d:
     def __init__(self, name, k, cin, cout, stride, rng, dtype):
         if k not in (1, 3):
             raise ValueError("only 1x1 and 3x3 convolutions are supported")
+        # a strided 1x1 conv taps phase 0 alone, so the backward would
+        # leave the other phases of its input gradient unwritten
         if k == 1 and stride != 1:
             raise ValueError("1x1 convolutions are stride-1 only")
         std = np.sqrt(2.0 / (k * k * cin))
@@ -219,27 +224,21 @@ class Conv2d:
     def forward(self, x):
         b, h, w, cin = x.shape
         cout = self.W.shape[3]
-        if self.k == 1:
-            # one GEMM per image: OpenBLAS picks its kernel by matrix size,
-            # so one GEMM over the whole batch would round an image's
-            # output differently depending on the batch it came in
-            y = np.matmul(x.reshape(b, h * w, cin), self.W[0, 0])
-            y += self.b
-            return y.reshape(b, h, w, cout), x
-        s = self.stride
-        hq, wq = -(-(h + 2) // s), -(-(w + 2) // s)
+        k, s = self.k, self.stride
+        p = k // 2
+        hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
         n = b * hq * wq
-        span = n - (2 // s) * (wq + 1)    # rows up to the last output pixel
-        # Image row r is padded row r + 1: phase (r + 1) % s, grid row
-        # (r + 1) // s.  The grids start uninitialised: each phase's rows
+        span = n - (2 * p // s) * (wq + 1)    # rows up to the last output pixel
+        # Image row r is padded row r + p: phase (r + p) % s, grid row
+        # (r + p) // s.  The grids start uninitialised: each phase's rows
         # and columns outside the image are its padding, zeroed on every
         # call, and the image pixels are not zeroed first.
         grids = np.empty((s, s, b, hq, wq, cin), x.dtype)
         for pi in range(s):
             for pj in range(s):
-                r, c = (pi - 1) % s, (pj - 1) % s    # first image row and column
+                r, c = (pi - p) % s, (pj - p) % s    # first image row and column
                 part = x[:, r::s, c::s]
-                i, j = (r + 1) // s, (c + 1) // s
+                i, j = (r + p) // s, (c + p) // s
                 ph, pw = part.shape[1:3]
                 g = grids[pi, pj]
                 g[:, i:i + ph, j:j + pw] = part
@@ -247,8 +246,8 @@ class Conv2d:
         rows = grids.reshape(s * s, n, cin)
         out = np.empty((n, cout), x.dtype)
         np.matmul(rows[0, :span], self.W[0, 0], out=out[:span])
-        for ki, kj, p, shift in _tap_rows(s, wq)[1:]:
-            out[:span] += rows[p, shift:shift + span] @ self.W[ki, kj]
+        for ki, kj, q, shift in _tap_rows(k, s, wq)[1:]:
+            out[:span] += rows[q, shift:shift + span] @ self.W[ki, kj]
         ho, wo = (h - 1) // s + 1, (w - 1) // s + 1
         y = out.reshape(b, hq, wq, cout)[:, :ho, :wo] + self.b
         return y, (grids, h, w, span)
@@ -256,18 +255,10 @@ class Conv2d:
     def backward(self, dy, cache, grads, input_grad=True):
         """Accumulate parameter gradients; return dx, or None if not input_grad."""
         cout = self.W.shape[3]
-        if self.k == 1:
-            x = cache
-            b, h, w, cin = x.shape
-            dflat = dy.reshape(-1, cout)
-            xflat = x.reshape(-1, cin)
-            grads[f"{self.name}.W"][0, 0] += xflat.T @ dflat
-            grads[f"{self.name}.b"] += dflat.sum(axis=0)
-            return (dflat @ self.W[0, 0].T).reshape(x.shape) if input_grad else None
         grids, h, w, span = cache
         s, _, b, hq, wq, cin = grids.shape
         n = b * hq * wq
-        taps = _tap_rows(s, wq)
+        taps = _tap_rows(self.k, s, wq)
         # dy on the output grid; the rest of the grid must be zero to add
         # nothing below
         dgrid = np.empty((b, hq, wq, cout), grids.dtype)
@@ -276,8 +267,8 @@ class Conv2d:
         d = dgrid.reshape(n, cout)[:span]
         rows = grids.reshape(s * s, n, cin)
         dW = grads[f"{self.name}.W"]
-        for ki, kj, p, shift in taps:
-            dW[ki, kj] += rows[p, shift:shift + span].T @ d
+        for ki, kj, q, shift in taps:
+            dW[ki, kj] += rows[q, shift:shift + span].T @ d
         # column sums as a GEMV; axis-0 reduction in numpy is far slower
         ones = np.ones(span, d.dtype)
         grads[f"{self.name}.b"] += ones @ d
@@ -287,14 +278,15 @@ class Conv2d:
         # shift; it writes the phase's first span rows, the others add
         dq = np.empty((s * s, n, cin), d.dtype)
         dq[:, span:] = 0
-        for ki, kj, p, shift in taps:
+        for ki, kj, q, shift in taps:
             if shift:
-                dq[p, shift:shift + span] += d @ self.W[ki, kj].T
+                dq[q, shift:shift + span] += d @ self.W[ki, kj].T
             else:
-                np.matmul(d, self.W[ki, kj].T, out=dq[p, :span])
+                np.matmul(d, self.W[ki, kj].T, out=dq[q, :span])
         # interleave the phases back into the padded image (a view at s = 1)
         dxp = dq.reshape(s, s, b, hq, wq, cin).transpose(2, 3, 0, 4, 1, 5)
-        return dxp.reshape(b, s * hq, s * wq, cin)[:, 1:h + 1, 1:w + 1]
+        p = self.k // 2
+        return dxp.reshape(b, s * hq, s * wq, cin)[:, p:h + p, p:w + p]
 
 
 class ChannelNorm:

@@ -68,23 +68,15 @@ def populate_episodic(past_samples, old_classes, registry, capacity, seed):
         raise ValueError("episodic memory needs a non-empty past stream")
     old_classes = list(old_classes)
     old_indices = {registry.index_of(n): n for n in old_classes}
-    rng = np.random.default_rng(seed)
     quotas = _class_quotas(capacity, old_classes)
-    taken = set()
-    entries = []
-    for name in old_classes:
-        idx = registry.index_of(name)
-        pool = [i for i, shown in enumerate(present) if i not in taken and idx in shown]
-        want = min(quotas[name], len(pool))
-        if want == 0:
-            continue
-        picks = rng.choice(len(pool), size=want, replace=False)
-        for p in sorted(int(v) for v in picks):
-            taken.add(pool[p])
-            labels = frozenset(
-                old_indices[j] for j in present[pool[p]] if j in old_indices
-            )
-            entries.append(MemoryEntry(past_samples[pool[p]].image, labels))
+    draws = protocol.per_class_draw(
+        present, [(registry.index_of(n), quotas[n]) for n in old_classes],
+        np.random.default_rng(seed))
+    entries = [
+        MemoryEntry(past_samples[k].image,
+                    frozenset(old_indices[j] for j in present[k] if j in old_indices))
+        for rows in draws for k in rows
+    ]
     return MemoryBank(capacity=capacity, entries=entries)
 
 

@@ -43,9 +43,6 @@ class Sample:
         if self.present is None and self.dense_mask is not None:
             self.present = present_classes(self.dense_mask)
 
-    def present_indices(self):
-        return self.present
-
 
 @dataclass(frozen=True)
 class TaskSchedule:
@@ -148,7 +145,7 @@ def presence(samples):
     ``ManifestSamples`` does from its manifest, gives its own ``present``
     and nothing is read."""
     known = getattr(samples, "present", None)
-    return known if known is not None else [s.present_indices() for s in samples]
+    return known if known is not None else [s.present for s in samples]
 
 
 def weak_labels(sample, schedule, step):
@@ -156,7 +153,7 @@ def weak_labels(sample, schedule, step):
     if step < 1:
         raise ValueError("weak labels exist for incremental steps only (step >= 1)")
     schedule._check_step(step)
-    present = sample.present_indices()
+    present = sample.present
     return frozenset(
         name for name in schedule.classes_at_step(step)
         if schedule.registry.index_of(name) in present
@@ -171,29 +168,43 @@ def with_weak_labels(samples, schedule, step):
     ]
 
 
+def per_class_draw(present, quotas, rng):
+    """Rows drawn class by class, given each row's set of present registry
+    indices and (registry index, quota) pairs in drawing order.
+
+    A class's pool is the rows that show it and that no earlier class
+    took; it gets min(quota, pool size) of them, drawn without replacement
+    and sorted.  A class with an empty quota or pool leaves the generator
+    untouched.  Returns one list of rows per quota, in order.
+    """
+    taken = set()
+    draws = []
+    for idx, quota in quotas:
+        pool = [i for i, shown in enumerate(present) if i not in taken and idx in shown]
+        want = min(quota, len(pool))
+        picks = rng.choice(len(pool), size=want, replace=False) if want else []
+        rows = [pool[p] for p in sorted(int(v) for v in picks)]
+        taken.update(rows)
+        draws.append(rows)
+    return draws
+
+
 def few_shot_rows(present, schedule, step, k, seed):
     """Positions of exactly k samples per current-step class, drawn without
-    replacement, given each sample's set of present registry indices.
-
-    A sample containing several current classes sits in each class's pool;
-    once drawn for one class it is removed from the others so the result
-    holds no duplicates.
+    replacement by ``per_class_draw``, given each sample's set of present
+    registry indices.  A sample drawn for one class leaves the pools of
+    the others, so the result holds no duplicates.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     schedule._check_step(step)
-    rng = np.random.default_rng(seed)
-    chosen = []
-    taken = set()
-    for name in schedule.classes_at_step(step):
-        idx = schedule.registry.index_of(name)
-        pool = [i for i, shown in enumerate(present) if i not in taken and idx in shown]
-        if len(pool) < k:
+    names = schedule.classes_at_step(step)
+    draws = per_class_draw(present, [(schedule.registry.index_of(n), k) for n in names],
+                           np.random.default_rng(seed))
+    for name, rows in zip(names, draws):
+        # a short pool is drawn whole
+        if len(rows) < k:
             raise ValueError(
-                f"class {name!r} has only {len(pool)} eligible samples, need {k}"
+                f"class {name!r} has only {len(rows)} eligible samples, need {k}"
             )
-        picks = rng.choice(len(pool), size=k, replace=False)
-        for p in sorted(int(v) for v in picks):
-            taken.add(pool[p])
-            chosen.append(pool[p])
-    return chosen
+    return [r for rows in draws for r in rows]

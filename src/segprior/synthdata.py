@@ -74,7 +74,6 @@ class ShapeClassSpec:
     geometry: str
     size_range: tuple
     texture: str                 # "solid" | "striped"
-    embedding: tuple
 
 
 @dataclass(frozen=True)
@@ -132,9 +131,7 @@ def default_taxonomy():
     for family, geometry, size_range, _ in _FAMILIES:
         for texture in ("solid", "striped"):
             name = f"{family}_{texture}"
-            shapes[name] = ShapeClassSpec(
-                name, geometry, size_range, texture, tuple(vectors[name])
-            )
+            shapes[name] = ShapeClassSpec(name, geometry, size_range, texture)
     return Taxonomy(registry, table, shapes)
 
 
@@ -279,7 +276,7 @@ def _write_sample(outdir, i, sample, registry):
     mask_rel = os.path.join("masks", f"mask_{i:05d}.pgm")
     netpbm.write_ppm(os.path.join(outdir, img_rel), sample.image)
     netpbm.write_pgm(os.path.join(outdir, mask_rel), sample.dense_mask)
-    present = sorted(sample.present_indices())
+    present = sorted(sample.present)
     return {
         "image": img_rel,
         "mask": mask_rel,
@@ -355,7 +352,7 @@ class ManifestSamples(Sequence):
         image_path, mask_path, present = self._rows[i]
         sample = Sample(image=netpbm.read_ppm(image_path),
                         dense_mask=netpbm.read_pgm(mask_path))
-        shown = sample.present_indices() - {0}
+        shown = sample.present - {0}
         if shown != present:
             raise ValueError(f"mask {mask_path} shows classes {self._names(shown)}, "
                              f"its manifest row lists {self._names(present)}")

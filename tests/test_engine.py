@@ -78,7 +78,6 @@ def step_inputs(world, model, cfg, step=1, loss_cfg=None):
         model=extended,
         loss_cfg=loss_cfg or LossConfig(seg_warmup_epochs=1),
         engine_cfg=cfg,
-        n_old=len(model.class_names),
     )
     return state, samples, sim
 

@@ -124,13 +124,13 @@ def test_conv_reused_buffers_hold_nothing_from_other_sizes(stride):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-def test_conv_cache_outlives_the_next_forward(stride):
+@pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (3, 2)])
+def test_conv_cache_outlives_the_next_forward(k, stride):
     """A forward's cache belongs to its caller: a second forward of the
     same shape leaves it as it was, and a backward on it gives what the
     first input gives run alone."""
     rng = np.random.default_rng(5)
-    conv = Conv2d("c", 3, 3, 4, stride, rng, np.float64)
+    conv = Conv2d("c", k, 3, 4, stride, rng, np.float64)
     conv.b[...] = rng.standard_normal(4)
     a, b = rng.standard_normal((2, 2, 7, 6, 3))
     y, cache = conv.forward(a)
@@ -144,6 +144,13 @@ def test_conv_cache_outlives_the_next_forward(stride):
     np.testing.assert_array_equal(dx, dx_alone)
     for name in grads:
         np.testing.assert_array_equal(grads[name], alone[name])
+
+
+@pytest.mark.parametrize("k,stride", [(2, 1), (1, 2)])
+def test_conv_rejects_unsupported_shapes(k, stride):
+    """Only 1x1 and 3x3 kernels exist, and a 1x1 conv is stride 1."""
+    with pytest.raises(ValueError):
+        Conv2d("c", k, 3, 4, stride, np.random.default_rng(0), np.float64)
 
 
 def test_channel_norm_gradients():

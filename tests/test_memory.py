@@ -55,6 +55,32 @@ def test_populate_remainder_to_lowest_index(taxonomy):
     assert labels.count(a) == 2 and labels.count(b) == 1
 
 
+def test_populate_matches_a_replayed_draw(taxonomy):
+    """Each class in turn draws its quota from the rows that show it and
+    that no earlier class took, sorted; a class with an empty pool draws
+    nothing and leaves the generator to the next class."""
+    from segprior.protocol import Sample
+    reg = taxonomy.registry
+    a, b, c = reg.foreground_names[:3]
+    shows = [{a}, {a, c}, {c}, {a}, {a, c}, {c}, {a}, {c}]
+    samples = []
+    for k, names in enumerate(shows):
+        m = np.zeros((4, 4), dtype=np.int32)
+        for col, name in enumerate(sorted(names)):
+            m[0, col] = reg.index_of(name)
+        samples.append(Sample(image=np.full((4, 4, 3), k, np.uint8), dense_mask=m))
+    bank = populate_episodic(samples, [a, b, c], reg, 7, seed=4)
+    rng = np.random.default_rng(4)
+    expect, taken = [], set()
+    for name, quota in ((a, 3), (c, 2)):
+        pool = [k for k, names in enumerate(shows) if k not in taken and name in names]
+        picks = sorted(int(v) for v in rng.choice(len(pool), size=quota, replace=False))
+        taken.update(pool[p] for p in picks)
+        expect += [pool[p] for p in picks]
+    assert [int(e.image[0, 0, 0]) for e in bank.entries] == expect
+    assert [e.labels for e in bank.entries] == [frozenset(shows[k] - {b}) for k in expect]
+
+
 def test_populate_deterministic(past, taxonomy):
     samples, sched = past
     b1 = populate_episodic(samples, sched.base_classes, taxonomy.registry, 24, seed=7)

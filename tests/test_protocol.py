@@ -120,7 +120,7 @@ def test_filter_soundness_brute(taxonomy, toy_dataset):
             kept = step_samples(toy_dataset, sched, step)
             kept_ids = {id(s) for s in kept}
             for sample in toy_dataset:
-                want = admitted(sample.present_indices(), sched, step)
+                want = admitted(sample.present, sched, step)
                 assert (id(sample) in kept_ids) == want
 
 
@@ -130,7 +130,7 @@ def test_step_rows_with_or_without_the_background_index(taxonomy, toy_dataset):
     for mode in ("overlap", "disjoint"):
         sched = build_schedule(taxonomy.registry, 4, 2, mode)
         for step in range(sched.n_steps):
-            present = [s.present_indices() for s in toy_dataset]
+            present = [s.present for s in toy_dataset]
             want = [k for k, p in enumerate(present) if admitted(p, sched, step)]
             assert protocol.step_rows(present, sched, step) == want
             assert protocol.step_rows([p - {0} for p in present], sched, step) == want
@@ -202,7 +202,7 @@ def test_few_shot_determinism_and_replay(taxonomy, toy_dataset):
     for name in sched.classes_at_step(1):
         idx = reg.index_of(name)
         pool = [i for i, s in enumerate(eligible)
-                if i not in taken and idx in s.present_indices()]
+                if i not in taken and idx in s.present]
         picks = rng.choice(len(pool), size=2, replace=False)
         for p in sorted(int(v) for v in picks):
             taken.add(pool[p])
@@ -210,7 +210,7 @@ def test_few_shot_determinism_and_replay(taxonomy, toy_dataset):
     assert [id(eligible[i]) for i in expect] == [id(s) for s in a]
     # rows drawn from present sets without the background index a manifest
     # leaves out are the same
-    present = [s.present_indices() - {0} for s in eligible]
+    present = [s.present - {0} for s in eligible]
     assert protocol.few_shot_rows(present, sched, 1, 2, seed=9) == expect
 
 
@@ -237,7 +237,7 @@ def test_present_classes_scanned_once_per_sample(taxonomy, monkeypatch):
     data = generate_dataset(taxonomy, 40, seed=23)
     assert len(scans) == len(data)
     for sample in data:
-        assert sample.present_indices() == {int(v) for v in np.unique(sample.dense_mask)}
+        assert sample.present == {int(v) for v in np.unique(sample.dense_mask)}
     # uint8, as generated and loaded masks are, and any wider integer type
     assert all(s.dense_mask.dtype == np.uint8 for s in data)
     mask = np.array([[0, 3, 3], [7, 0, 1]], dtype=np.int32)
@@ -251,7 +251,7 @@ def test_present_classes_scanned_once_per_sample(taxonomy, monkeypatch):
     few_shot_sample(data, sched, 1, 1, seed=2)
     for sample in step1:
         assert weak_labels(sample, sched, 1) == sample.weak_labels
-        assert sample.present_indices() == {int(v) for v in np.unique(sample.dense_mask)}
+        assert sample.present == {int(v) for v in np.unique(sample.dense_mask)}
     assert scans == []
 
 
@@ -280,6 +280,6 @@ def test_few_shot_sample_properties(taxonomy, data):
     assert all(any(s is p for p in pool) for s in picks)
     for c, name in enumerate(current):
         for s in picks[c * k:(c + 1) * k]:
-            assert reg.index_of(name) in s.present_indices()
+            assert reg.index_of(name) in s.present
     again = few_shot_sample(pool, sched, step, k, seed=seed)
     assert [id(s) for s in again] == [id(s) for s in picks]

@@ -144,8 +144,7 @@ def scored_step(old_names, new_names, logits, labels, dtype="float32",
         step=1, old_model=old,
         model=SegModel.init(tuple(old_names) + tuple(new_names), seed=0,
                             dtype=cfg.np_dtype()),
-        loss_cfg=LossConfig(tau=tau, lambda_rasp=lambda_rasp), engine_cfg=cfg,
-        n_old=len(old_names))
+        loss_cfg=LossConfig(tau=tau, lambda_rasp=lambda_rasp), engine_cfg=cfg)
     samples = [Sample(image=np.full(logits.shape[1:3] + (3,), j, dtype=np.uint8),
                       dense_mask=None, weak_labels=frozenset(lab))
                for j, lab in enumerate(labels)]

@@ -55,7 +55,7 @@ def test_taxonomy_cosine_structure(taxonomy):
 
 def test_single_forced_ellipse(taxonomy):
     samples = generate_dataset(taxonomy, 1, objects_range=(1, 1), seed=3)
-    present = samples[0].present_indices()
+    present = samples[0].present
     assert present == {0, taxonomy.registry.index_of("disc_solid")}
 
 
@@ -75,7 +75,7 @@ def test_class_coverage(taxonomy):
     n_classes = len(taxonomy.registry.foreground_names)
     counts = {name: 0 for name in taxonomy.registry.foreground_names}
     for s in samples:
-        for idx in s.present_indices():
+        for idx in s.present:
             if idx != 0:
                 counts[taxonomy.registry.names[idx]] += 1
     bound = n // (3 * n_classes)
@@ -115,7 +115,7 @@ def test_export_load_round_trip(taxonomy, tmp_path):
         assert np.array_equal(orig.image, back.image)
         assert np.array_equal(orig.dense_mask, back.dense_mask)
         assert orig.dense_mask.dtype == back.dense_mask.dtype == np.uint8
-        assert back.present_indices() == orig.present_indices()
+        assert back.present == orig.present
 
 
 def test_loaded_samples_are_read_when_indexed(taxonomy, tmp_path, monkeypatch):
@@ -224,7 +224,7 @@ def one_process_write(taxonomy, outdir, n, seed):
         row = {"image": os.path.join("images", f"img_{i:05d}.ppm"),
                "mask": os.path.join("masks", f"mask_{i:05d}.pgm"),
                "present": [taxonomy.registry.names[k]
-                           for k in sorted(sample.present_indices()) if k]}
+                           for k in sorted(sample.present) if k]}
         netpbm.write_ppm(os.path.join(outdir, row["image"]), sample.image)
         netpbm.write_pgm(os.path.join(outdir, row["mask"]), sample.dense_mask)
         rows.append(row)
@@ -295,7 +295,7 @@ def test_rows_are_chosen_by_their_present_lists_before_any_read(taxonomy, tmp_pa
 
     monkeypatch.setattr(netpbm, "read_ppm", spy_read)
     files, _ = load_dataset(manifest)
-    assert files.present == tuple(s.present_indices() - {0} for s in samples)
+    assert files.present == tuple(s.present - {0} for s in samples)
     chosen = files[[4, 1]]
     assert reads == [] and len(chosen) == 2
     for got, want in zip(chosen, (samples[4], samples[1])):
