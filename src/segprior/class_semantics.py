@@ -56,7 +56,6 @@ class ClassRegistry:
 class EmbeddingTable:
     """Name -> vector map; every vector shares one dimension and has norm > 0."""
 
-    dimension: int
     vectors: dict
 
     def vector(self, name):
@@ -86,7 +85,7 @@ class EmbeddingTable:
             if np.linalg.norm(vec) == 0.0:
                 raise ValueError(f"embedding for {name!r} has zero norm")
             vectors[name] = vec
-        return cls(dimension=dim, vectors=vectors)
+        return cls(vectors=vectors)
 
 
 def _reject_duplicates(pairs):

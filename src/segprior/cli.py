@@ -189,7 +189,7 @@ def _step_rows(present, schedule, step, seed):
 
 def _build_bank(cfg, registry, schedule, step, files, seed):
     if cfg.memory.mode == "none":
-        return None
+        return []
     if cfg.memory.mode == "external":
         manifest = cfg.resolve(cfg.memory.manifest)
         if not manifest or not os.path.exists(manifest):
@@ -268,10 +268,10 @@ def cmd_eval(args):
     trace_name = f"metrics_trace_{args.split}.json" if "_seed" not in stem else \
         f"metrics_trace_seed{stem.split('_seed')[1]}_{args.split}.json"
     trace_path = evalkit.append_trace(os.path.join(outdir, trace_name), report)
-    pieces = [f"step {step}", f"mIoU(all) {report.miou_all:.4f}",
-              f"mIoU(base) {report.miou_base:.4f}"]
-    if not np.isnan(report.miou_new):
-        pieces.append(f"mIoU(new) {report.miou_new:.4f}")
+    pieces = [f"step {step}", f"mIoU(all) {report['miou_all']:.4f}",
+              f"mIoU(base) {report['miou_base']:.4f}"]
+    if report["miou_new"] is not None:
+        pieces.append(f"mIoU(new) {report['miou_new']:.4f}")
     print("; ".join(pieces))
     print(f"reports: {csv_path} {json_path}; trace: {trace_path}")
     return 0
@@ -280,10 +280,7 @@ def cmd_eval(args):
 def cmd_plot(args):
     if not os.path.exists(args.trace):
         raise CliError(f"trace file not found: {args.trace}")
-    try:
-        reports = evalkit.load_trace(args.trace)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise CliError(f"invalid trace {args.trace}: {exc}") from exc
+    reports = evalkit.load_trace(args.trace)
     if not reports:
         raise CliError(f"trace {args.trace} holds no reports")
     evalkit.plot_trace_svg(reports, args.out)
@@ -343,10 +340,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, FileNotFoundError) as exc:
+    except (CliError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

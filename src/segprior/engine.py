@@ -450,13 +450,12 @@ def _prepare_items(state, samples, registry, sim_matrix):
 
 
 def _prepare_memory(state, bank):
-    """The bank's entries as memory items, in bank order; none without a bank."""
-    if bank is None:
-        return []
+    """The bank's ``MemoryEntry`` list as memory items, in bank order; an
+    empty bank (no memory) gives none."""
     fg_names = state.model.class_names[1:]
     pos = {name: k for k, name in enumerate(fg_names)}
     prepared = []
-    for entry in bank.entries:
+    for entry in bank:
         labels = np.zeros(len(fg_names), dtype=np.float64)
         for name in entry.labels:
             labels[pos[name]] = 1.0
@@ -595,7 +594,11 @@ def _batch_losses(state, items, feat, z, p_hat, n_all, n_cur):
 
 
 def incremental_step(state, samples, bank, sim_matrix, registry):
-    """Run one weakly supervised step; returns the model and per-epoch trace."""
+    """Run one weakly supervised step; returns the model and per-epoch trace.
+
+    bank is the step's memory, a list of ``memory.MemoryEntry``, empty
+    without memory.
+    """
     if state.step < 1:
         raise ValueError("incremental steps start at 1")
     if not samples:
@@ -687,12 +690,21 @@ def load_checkpoint(path):
 
     The stored parameter names must be exactly the model's; members named
     ``__*__`` are metadata, and those the model does not read are ignored.
+    A missing metadata member, or a ``__dtype__`` other than float32 or
+    float64, raises ValueError naming the file.
     """
     with np.load(path, allow_pickle=False) as data:
+        for key in ("__class_names__", "__step__", "__config_hash__", "__dtype__"):
+            if key not in data.files:
+                raise ValueError(f"checkpoint {path} has no {key} member")
         class_names = [str(n) for n in data["__class_names__"]]
         step = int(data["__step__"])
         config_hash = str(data["__config_hash__"])
-        dtype = np.float32 if str(data["__dtype__"]) == "float32" else np.float64
+        dtype_name = str(data["__dtype__"])
+        if dtype_name not in ("float32", "float64"):
+            raise ValueError(f"checkpoint {path} has __dtype__ {dtype_name!r}, "
+                             "not float32 or float64")
+        dtype = np.dtype(dtype_name).type
         model = SegModel.init(class_names, seed=0, dtype=dtype)
         params = model.params()
         stored = {n for n in data.files if not (n.startswith("__") and n.endswith("__"))}

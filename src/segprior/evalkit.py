@@ -9,6 +9,11 @@ own with ``confusion_accumulate``.
 ``miou_all`` averages over every class including background, ``miou_base``
 excludes it, and classes absent from both prediction and truth are left out
 of the means.
+
+A report is the dict its JSON file holds: ``step``, ``config_hash``,
+``per_class_iou`` (class name -> IoU) and the aggregates ``miou_base``,
+``miou_new``, ``miou_all`` and ``harmonic_mean``.  None marks an undefined
+value, in the dict as in the file (null) and the CSV (an empty cell).
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,89 +68,42 @@ def harmonic_mean(a, b):
     return 2.0 * a * b / (a + b)
 
 
-@dataclass
-class MetricsReport:
-    step: int
-    config_hash: str
-    per_class_iou: dict                  # name -> IoU in [0,1] or NaN
-    miou_base: float
-    miou_new: float                      # NaN when no new classes exist yet
-    miou_all: float
-    harmonic_mean: float                 # NaN when miou_new is NaN
-
-    def aggregates(self):
-        return {
-            "miou_base": self.miou_base,
-            "miou_new": self.miou_new,
-            "miou_all": self.miou_all,
-            "harmonic_mean": self.harmonic_mean,
-        }
+_AGGREGATES = ("miou_base", "miou_new", "miou_all", "harmonic_mean")
 
 
 def build_report(counts, registry, base_classes, new_classes, step, config_hash):
+    """The report dict: per-class IoUs and the four aggregates, None where
+    undefined (an absent class; miou_new and harmonic_mean before step 1)."""
     values = iou_per_class(counts)
-    per_class = {name: float(values[registry.index_of(name)])
-                 for name in registry.names}
-    base_idx = [registry.index_of(n) for n in base_classes]
-    miou_base = miou(counts, base_idx)
-    miou_all = miou(counts, range(len(registry)))
+    miou_base = miou(counts, [registry.index_of(n) for n in base_classes])
+    miou_new = hm = None
     if new_classes:
         miou_new = miou(counts, [registry.index_of(n) for n in new_classes])
-        hm = harmonic_mean(miou_base, miou_new) if miou_base + miou_new > 0 \
-            else float("nan")
-    else:
-        miou_new = float("nan")
-        hm = float("nan")
-    return MetricsReport(step, config_hash, per_class, miou_base, miou_new,
-                         miou_all, hm)
-
-
-def _nan_to_none(x):
-    return None if isinstance(x, float) and math.isnan(x) else x
-
-
-def _none_to_nan(x):
-    return float("nan") if x is None else float(x)
-
-
-def report_to_dict(report):
+        if miou_base + miou_new > 0:
+            hm = harmonic_mean(miou_base, miou_new)
     return {
-        "step": report.step,
-        "config_hash": report.config_hash,
-        "per_class_iou": {k: _nan_to_none(v) for k, v in report.per_class_iou.items()},
-        "miou_base": _nan_to_none(report.miou_base),
-        "miou_new": _nan_to_none(report.miou_new),
-        "miou_all": _nan_to_none(report.miou_all),
-        "harmonic_mean": _nan_to_none(report.harmonic_mean),
+        "step": step,
+        "config_hash": config_hash,
+        "per_class_iou": {name: None if math.isnan(v) else float(v)
+                          for name, v in zip(registry.names, values)},
+        "miou_base": miou_base,
+        "miou_new": miou_new,
+        "miou_all": miou(counts, range(len(registry))),
+        "harmonic_mean": hm,
     }
-
-
-def report_from_dict(d):
-    return MetricsReport(
-        step=int(d["step"]),
-        config_hash=str(d["config_hash"]),
-        per_class_iou={k: _none_to_nan(v) for k, v in d["per_class_iou"].items()},
-        miou_base=_none_to_nan(d["miou_base"]),
-        miou_new=_none_to_nan(d["miou_new"]),
-        miou_all=_none_to_nan(d["miou_all"]),
-        harmonic_mean=_none_to_nan(d["harmonic_mean"]),
-    )
 
 
 def emit_report(report, csv_path, json_path):
     """Write the CSV table (per-class rows plus aggregates) and the JSON twin."""
-    lines = ["step,class,iou"]
-    for name, value in report.per_class_iou.items():
-        cell = "" if math.isnan(value) else repr(value)
-        lines.append(f"{report.step},{name},{cell}")
-    for key, value in report.aggregates().items():
-        cell = "" if math.isnan(value) else repr(value)
-        lines.append(f"{report.step},{key},{cell}")
+    rows = [*report["per_class_iou"].items(), *((k, report[k]) for k in _AGGREGATES)]
+    lines = ["step,class,iou"] + [
+        f"{report['step']},{name},{'' if value is None else repr(value)}"
+        for name, value in rows]
     # both files are written before either is renamed into place
     with atomic_open(csv_path, encoding="utf-8") as csv_fh, \
             atomic_open(json_path, encoding="utf-8") as json_fh:
         csv_fh.write("\n".join(lines) + "\n")
-        json.dump(report_to_dict(report), json_fh, indent=1, allow_nan=False)
+        json.dump(report, json_fh, indent=1, allow_nan=False)
         json_fh.write("\n")
     return csv_path, json_path
 
@@ -155,19 +112,36 @@ def append_trace(trace_path, report):
     """Insert a report into a per-step trace file, keyed and sorted by step."""
     reports = {}
     if os.path.exists(trace_path):
-        for entry in load_trace(trace_path):
-            reports[entry.step] = entry
-    reports[report.step] = report
-    payload = [report_to_dict(reports[s]) for s in sorted(reports)]
+        reports = {entry["step"]: entry for entry in load_trace(trace_path)}
+    reports[report["step"]] = report
     with atomic_open(trace_path, encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, allow_nan=False)
+        json.dump([reports[s] for s in sorted(reports)], fh, indent=1, allow_nan=False)
         fh.write("\n")
     return trace_path
 
 
+def _is_report(entry):
+    if not (isinstance(entry, dict) and isinstance(entry.get("per_class_iou"), dict)
+            and all(k in entry for k in _AGGREGATES)):
+        return False
+    values = [*entry["per_class_iou"].values(), *(entry[k] for k in _AGGREGATES)]
+    return (type(entry.get("step")) is int and isinstance(entry.get("config_hash"), str)
+            and all(v is None or type(v) in (int, float) and math.isfinite(v)
+                    for v in values))
+
+
 def load_trace(trace_path):
+    """A trace file's reports.  The file comes from outside the program, so
+    anything but a list of reports raises ValueError naming it."""
     with open(trace_path, "r", encoding="utf-8") as fh:
-        return [report_from_dict(d) for d in json.load(fh)]
+        try:
+            reports = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"invalid trace {trace_path}: {exc}") from None
+    if not isinstance(reports, list) or not all(map(_is_report, reports)):
+        raise ValueError(f"invalid trace {trace_path}: not a list of reports with "
+                         "an int step, a string config_hash and numeric or null IoUs")
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +153,20 @@ _SERIES = (("miou_base", "base", "#d62728"),
            ("miou_all", "all", "#1f77b4"))
 
 
-def plot_trace_svg(reports, out_path, width=640, height=420):
-    """Self-contained SVG with axes, legend and one polyline per series."""
+WIDTH, HEIGHT = 640, 420
+
+
+def plot_trace_svg(reports, out_path):
+    """Self-contained SVG with axes, legend and one polyline per series;
+    None values leave their points out."""
     if not reports:
         raise ValueError("empty metrics trace")
-    reports = sorted(reports, key=lambda r: r.step)
-    steps = [r.step for r in reports]
+    reports = sorted(reports, key=lambda r: r["step"])
+    steps = [r["step"] for r in reports]
     lo, hi = min(steps), max(steps)
     span = max(hi - lo, 1)
     ml, mr, mt, mb = 56, 24, 28, 44
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
 
     def sx(step):
         return ml + (step - lo) / span * pw
@@ -197,8 +175,8 @@ def plot_trace_svg(reports, out_path, width=640, height=420):
         return mt + (1.0 - value) * ph
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         '<rect width="100%" height="100%" fill="white"/>',
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" '
         'stroke="black" stroke-width="1"/>',
@@ -218,15 +196,15 @@ def plot_trace_svg(reports, out_path, width=640, height=420):
                      f'y2="{mt + ph + 4}" stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{x:.1f}" y="{mt + ph + 18}" font-size="11" '
                      f'text-anchor="middle">{step}</text>')
-    parts.append(f'<text x="{ml + pw / 2:.0f}" y="{height - 8}" font-size="12" '
+    parts.append(f'<text x="{ml + pw / 2:.0f}" y="{HEIGHT - 8}" font-size="12" '
                  'text-anchor="middle">incremental step</text>')
     parts.append(f'<text x="14" y="{mt + ph / 2:.0f}" font-size="12" '
                  f'text-anchor="middle" transform="rotate(-90 14 {mt + ph / 2:.0f})">'
                  'mIoU</text>')
     for key, label, color in _SERIES:
         points = [
-            f"{sx(r.step):.1f},{sy(getattr(r, key)):.1f}"
-            for r in reports if not math.isnan(getattr(r, key))
+            f"{sx(r['step']):.1f},{sy(r[key]):.1f}"
+            for r in reports if r[key] is not None
         ]
         if points:
             parts.append(f'<polyline fill="none" stroke="{color}" '

@@ -7,14 +7,16 @@ classes) and an external bank ingested from a manifest of retrieved images
 classes only; during training they contribute solely to the localizer's
 classification loss, acting as negatives for the new classes.
 
-The episodic bank holds at most ``CAPACITY`` entries, and memory items
-take the last ``RATIO`` share of every training batch.
+A bank is a list of ``MemoryEntry``, at most ``CAPACITY`` of them for
+episodic memory and one per manifest row for external memory; without
+memory it is empty.  Memory items take the last ``RATIO`` share of every
+training batch.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,31 +32,14 @@ class MemoryEntry:
     labels: frozenset            # non-empty, subset of old foreground classes
 
 
-@dataclass
-class MemoryBank:
-    capacity: int
-    entries: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if len(self.entries) > self.capacity:
-            raise ValueError("bank holds more entries than its capacity")
-        for e in self.entries:
-            if not e.labels:
-                raise ValueError("memory entries need a non-empty label set")
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def _class_quotas(capacity, classes):
     base, extra = divmod(capacity, len(classes))
     return {name: base + (1 if i < extra else 0) for i, name in enumerate(classes)}
 
 
 def populate_episodic(past_samples, old_classes, registry, capacity, seed):
-    """Per-class balanced uniform draw from past data, labels from dense masks.
+    """Per-class balanced uniform draw from past data, labels from dense
+    masks: a list of at most capacity ``MemoryEntry``.
 
     The capacity is split as evenly as possible across the old classes with
     the remainder going to the lowest-index classes; a sample drawn for one
@@ -72,16 +57,16 @@ def populate_episodic(past_samples, old_classes, registry, capacity, seed):
     draws = protocol.per_class_draw(
         present, [(registry.index_of(n), quotas[n]) for n in old_classes],
         np.random.default_rng(seed))
-    entries = [
+    return [
         MemoryEntry(past_samples[k].image,
                     frozenset(old_indices[j] for j in present[k] if j in old_indices))
         for rows in draws for k in rows
     ]
-    return MemoryBank(capacity=capacity, entries=entries)
 
 
 def ingest_external(manifest_path, registry):
-    """Read 'class_name<TAB>image_path' rows into an external bank."""
+    """Read 'class_name<TAB>image_path' rows into an external bank, one
+    ``MemoryEntry`` per row."""
     if not os.path.exists(manifest_path):
         raise FileNotFoundError(manifest_path)
     root = os.path.dirname(os.path.abspath(manifest_path))
@@ -106,7 +91,7 @@ def ingest_external(manifest_path, registry):
                 raise ValueError(f"{manifest_path}:{lineno}: unreadable image {rel!r}")
             image = netpbm.read_ppm(path)
             entries.append(MemoryEntry(image, frozenset([name])))
-    return MemoryBank(capacity=max(len(entries), 1), entries=entries)
+    return entries
 
 
 def mix_batch(current, memory, rng):

@@ -370,18 +370,28 @@ def load_dataset(manifest_path):
     sample is indexed.  Evaluation passes the sequence on as it is, so each
     shard reads its own images one at a time; training first chooses its
     rows by their ``present`` lists, then reads each chosen image once,
-    since each epoch visits every image again.
+    since each epoch visits every image again.  A manifest without its
+    ``classes`` or ``samples``, or a row without its ``image``, ``mask`` or
+    ``present``, raises ValueError naming the file and the member.
     """
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+
+    def member(obj, key, where):
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError(f"{manifest_path}: {where} has no {key!r}")
+        return obj[key]
+
     root = os.path.dirname(os.path.abspath(manifest_path))
-    classes = list(manifest["classes"])
+    classes = list(member(manifest, "classes", "the manifest"))
     index = {name: k for k, name in enumerate(classes)}
     rows = []
-    for k, row in enumerate(manifest["samples"]):
-        unknown = [name for name in row["present"] if name not in index]
+    for k, row in enumerate(member(manifest, "samples", "the manifest")):
+        image, mask, present = (member(row, key, f"row {k}")
+                                for key in ("image", "mask", "present"))
+        unknown = [name for name in present if name not in index]
         if unknown:
             raise ValueError(f"{manifest_path}: row {k} lists unknown classes {unknown}")
-        rows.append((os.path.join(root, row["image"]), os.path.join(root, row["mask"]),
-                     frozenset(index[name] for name in row["present"])))
+        rows.append((os.path.join(root, image), os.path.join(root, mask),
+                     frozenset(index[name] for name in present)))
     return ManifestSamples(tuple(rows), classes), classes

@@ -39,8 +39,7 @@ def test_registry_invariants():
 def test_load_embeddings_minimal(tmp_path):
     path = write(tmp_path, '{"bkg": [1, 0], "cow": [0, 1]}')
     table = load_embeddings(path)
-    assert table.dimension == 2
-    assert len(table.vectors) == 2
+    assert [v.shape for v in table.vectors.values()] == [(2,), (2,)]
     assert np.array_equal(table.vector("cow"), [0.0, 1.0])
 
 
@@ -72,7 +71,7 @@ def test_save_round_trip(tmp_path):
     path = str(tmp_path / "out.json")
     save_embeddings(table, path)
     again = load_embeddings(path)
-    assert again.dimension == 2
+    assert [v.shape for v in again.vectors.values()] == [(2,), (2,)]
     assert np.allclose(again.vector("cow"), table.vector("cow"))
 
 

@@ -176,6 +176,15 @@ def test_checkpoint_must_hold_exactly_the_model_parameters(workspace, tmp_path):
     res = eval_with("extra.npz", **members, **{"enc.n0.gamma": np.ones(8, np.float32)})
     assert res.returncode == 1
     assert "enc.n0.gamma" in res.stderr
+    # every metadata member that is read must be there, and __dtype__ must
+    # name a float type
+    for name in ("__class_names__", "__step__", "__config_hash__", "__dtype__"):
+        res = eval_with(f"no{name}.npz", **{k: v for k, v in members.items() if k != name})
+        assert res.returncode == 1, res.stderr
+        assert name in res.stderr
+    res = eval_with("float16.npz", **{**members, "__dtype__": np.array("float16")})
+    assert res.returncode == 1, res.stderr
+    assert "float16" in res.stderr
 
 
 @pytest.mark.parametrize("key, value", [
@@ -257,6 +266,63 @@ def test_wrongly_typed_config_values_rejected(workspace, tmp_path, section, key,
     res = run_cli("train-base", "--config", path, "--seed", "5")
     assert res.returncode == 1, res.stderr
     assert key in res.stderr
+
+
+def untrained_checkpoint(cfg_path, path):
+    """A step-0 checkpoint of an untrained model for the config's schedule."""
+    from segprior import config, engine
+
+    names = config.load_config(cfg_path).task_schedule().channel_names(0)
+    engine.save_checkpoint(engine.SegModel.init(names, seed=0), path, step=0,
+                           config_hash="h")
+    return path
+
+
+REPORT = {"step": 0, "config_hash": "h", "per_class_iou": {"bkg": 0.5},
+          "miou_base": 0.5, "miou_new": None, "miou_all": 0.5, "harmonic_mean": None}
+
+
+@pytest.mark.parametrize("trace", [
+    {},
+    [1],
+    [{**REPORT, "per_class_iou": [0.5]}],
+    [{**REPORT, "step": "one"}],
+], ids=["object", "list-of-numbers", "list-valued-per-class-iou", "string-step"])
+def test_malformed_trace_exits_1(workspace, tmp_path, trace):
+    """plot of a malformed trace, and eval appending to one, exit 1 naming
+    the file."""
+    _, cfg_path = workspace
+    path = str(tmp_path / "metrics_trace_seed0_eval.json")
+    with open(path, "w") as fh:
+        json.dump(trace, fh)
+    res = run_cli("plot", "--trace", path, "--out", str(tmp_path / "curves.svg"))
+    assert res.returncode == 1, res.stderr
+    assert path in res.stderr
+    ckpt = untrained_checkpoint(cfg_path, str(tmp_path / "ckpt_step0_seed0.npz"))
+    res = run_cli("eval", "--config", cfg_path, "--checkpoint", ckpt)
+    assert res.returncode == 1, res.stderr
+    assert path in res.stderr
+
+
+@pytest.mark.parametrize("member", ["classes", "samples", "mask"])
+def test_malformed_manifest_exits_1(workspace, tmp_path, member):
+    out, cfg_path = workspace
+    with open(os.path.join(out, "train", "manifest.json")) as fh:
+        manifest = json.load(fh)
+    del (manifest["samples"][3] if member == "mask" else manifest)[member]
+    path = str(tmp_path / "manifest.json")
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    with open(cfg_path) as fh:
+        cfg = json.load(fh)
+    cfg["engine"]["train_manifest"] = path
+    cfg["embeddings_path"] = os.path.join(out, "embeddings.json")
+    cfg_copy = str(tmp_path / "config.json")
+    with open(cfg_copy, "w") as fh:
+        json.dump(cfg, fh)
+    res = run_cli("train-base", "--config", cfg_copy)
+    assert res.returncode == 1, res.stderr
+    assert path in res.stderr and repr(member) in res.stderr
 
 
 def test_eval_writes_beside_the_checkpoint(workspace, tmp_path):
@@ -347,7 +413,7 @@ def test_few_shot_memory_holds_only_trained_images(tmp_path, monkeypatch):
     step1_classes, step1_samples, _ = steps[1]
     trained = {s.image.tobytes() for s in step1_samples}
     assert len(trained) == 6
-    held = [e for e in steps[2][2].entries if e.labels & set(step1_classes)]
+    held = [e for e in steps[2][2] if e.labels & set(step1_classes)]
     assert held
     assert all(e.image.tobytes() in trained for e in held)
 
@@ -492,8 +558,7 @@ def test_train_incremental_reads_only_its_rows_and_the_memory_draws(
 
     def spy_step(state, samples, bank, sim, registry):
         seen["step"] = [row_of[s.image.tobytes()] for s in samples]
-        seen["memory"] = [row_of[e.image.tobytes()] for e in bank.entries] \
-            if bank else []
+        seen["memory"] = [row_of[e.image.tobytes()] for e in bank]
         return real_step(state, samples, bank, sim, registry)
 
     reads = []

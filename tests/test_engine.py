@@ -96,7 +96,7 @@ def test_step_leaves_old_model_unchanged(world):
     model, _ = base_model(world, cfg)
     before = {k: v.copy() for k, v in model.params().items()}
     state, samples, sim = step_inputs(world, model, cfg)
-    trained, _ = incremental_step(state, samples, None, sim, tax.registry)
+    trained, _ = incremental_step(state, samples, [], sim, tax.registry)
     assert state.old_model is model
     for k, v in model.params().items():
         assert np.array_equal(v, before[k]), k
@@ -140,7 +140,7 @@ def test_incremental_trace_and_warmup(world):
         world, model, cfg, loss_cfg=LossConfig(seg_warmup_epochs=2)
     )
     tax = world[0]
-    _, trace = incremental_step(state, samples, None, sim, tax.registry)
+    _, trace = incremental_step(state, samples, [], sim, tax.registry)
     assert len(trace) == cfg.epochs_incremental
     assert not trace[0]["seg_active"] and not trace[1]["seg_active"]
     assert trace[2]["seg_active"]
@@ -158,7 +158,7 @@ def test_incremental_determinism(world):
     for _ in range(2):
         model, _ = base_model(world, cfg)
         state, samples, sim = step_inputs(world, model, cfg)
-        _, trace = incremental_step(state, samples, None, sim, tax.registry)
+        _, trace = incremental_step(state, samples, [], sim, tax.registry)
         traces.append(trace)
     assert traces[0] == traces[1]
 
@@ -170,7 +170,7 @@ def test_channel_growth(world):
     sizes = [model.n_classes()]
     for step in (1, 2):
         state, samples, _ = step_inputs(world, model, cfg, step=step)
-        model, _ = incremental_step(state, samples, None, sim, tax.registry)
+        model, _ = incremental_step(state, samples, [], sim, tax.registry)
         sizes.append(model.n_classes())
     assert sizes == [5, 7, 9]
     assert sizes[-1] == 1 + len(tax.registry.foreground_names)
@@ -254,7 +254,7 @@ def test_memory_changes_cls_path(world):
     _, trace_mem = incremental_step(state, samples, bank, sim, tax.registry)
     model2, _ = base_model(world, cfg)
     state2, samples2, _ = step_inputs(world, model2, cfg)
-    _, trace_plain = incremental_step(state2, samples2, None, sim, tax.registry)
+    _, trace_plain = incremental_step(state2, samples2, [], sim, tax.registry)
     assert trace_mem != trace_plain
 
 

@@ -1,5 +1,4 @@
 import json
-import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 from segprior import engine
 from segprior.class_semantics import ClassRegistry
 from segprior.evalkit import (
-    MetricsReport,
     build_report,
     confusion_accumulate,
     emit_report,
@@ -17,8 +15,6 @@ from segprior.evalkit import (
     append_trace,
     miou,
     plot_trace_svg,
-    report_from_dict,
-    report_to_dict,
 )
 from segprior.protocol import build_schedule
 from segprior.synthdata import default_taxonomy, generate_dataset
@@ -120,16 +116,16 @@ def test_harmonic_mean():
             assert hm < (a + b) / 2
 
 
-def fake_report(step=1, new_nan=False):
-    return MetricsReport(
-        step=step,
-        config_hash="deadbeef",
-        per_class_iou={"bkg": 0.9, "a": 0.8, "b": float("nan"), "c": 0.5},
-        miou_base=0.65,
-        miou_new=float("nan") if new_nan else 0.5,
-        miou_all=0.73,
-        harmonic_mean=float("nan") if new_nan else 0.565,
-    )
+def fake_report(step=1, new_null=False):
+    return {
+        "step": step,
+        "config_hash": "deadbeef",
+        "per_class_iou": {"bkg": 0.9, "a": 0.8, "b": None, "c": 0.5},
+        "miou_base": 0.65,
+        "miou_new": None if new_null else 0.5,
+        "miou_all": 0.73,
+        "harmonic_mean": None if new_null else 0.565,
+    }
 
 
 def test_emit_report_rows(tmp_path):
@@ -138,22 +134,41 @@ def test_emit_report_rows(tmp_path):
                                       str(tmp_path / "r.json"))
     lines = open(csv_path).read().strip().split("\n")
     assert lines[0] == "step,class,iou"
-    assert len(lines) == 1 + len(report.per_class_iou) + 4
+    assert len(lines) == 1 + len(report["per_class_iou"]) + 4
     assert any(line.startswith("1,miou_base,") for line in lines)
+    assert "1,b," in lines
 
 
 def test_report_round_trip(tmp_path):
-    report = fake_report(new_nan=True)
+    """The JSON file and the trace load back equal to the report dict, with
+    None still None."""
+    report = fake_report(new_null=True)
     _, json_path = emit_report(report, str(tmp_path / "r.csv"), str(tmp_path / "r.json"))
     with open(json_path, encoding="utf-8") as fh:
-        back = report_from_dict(json.load(fh))
-    assert back.step == report.step and back.config_hash == report.config_hash
-    for key in ("miou_base", "miou_new", "miou_all", "harmonic_mean"):
-        a, b = getattr(report, key), getattr(back, key)
-        assert (math.isnan(a) and math.isnan(b)) or abs(a - b) < 1e-9
-    for name in report.per_class_iou:
-        a, b = report.per_class_iou[name], back.per_class_iou[name]
-        assert (math.isnan(a) and math.isnan(b)) or abs(a - b) < 1e-9
+        back = json.load(fh)
+    assert back == report
+    assert back["miou_new"] is None and back["per_class_iou"]["b"] is None
+    trace = str(tmp_path / "trace.json")
+    append_trace(trace, report)
+    assert load_trace(trace) == [report]
+
+
+@pytest.mark.parametrize("text", [json.dumps(trace) for trace in [
+    {},
+    [1],
+    [{**fake_report(), "per_class_iou": [0.5]}],
+    [{**fake_report(), "step": "1"}],
+    [{**fake_report(), "config_hash": 7}],
+    [{**fake_report(), "miou_all": "0.7"}],
+    [{**fake_report(), "per_class_iou": {"a": True}}],
+    [{**fake_report(), "per_class_iou": {"a": float("nan")}}],
+    [{k: v for k, v in fake_report().items() if k != "harmonic_mean"}],
+]] + ["[{"])
+def test_load_trace_rejects_malformed_traces(tmp_path, text):
+    path = tmp_path / "trace.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match="trace.json"):
+        load_trace(str(path))
 
 
 def test_build_report_from_counts():
@@ -164,10 +179,10 @@ def test_build_report_from_counts():
         [0, 0, 4],
     ], dtype=np.int64)
     report = build_report(counts, registry, ["a"], ["b"], step=2, config_hash="x")
-    assert report.per_class_iou["a"] == pytest.approx(6 / 9)
-    assert report.miou_new == pytest.approx(4 / 5)
-    assert report.miou_all == pytest.approx(np.mean([8 / 12, 6 / 9, 4 / 5]))
-    assert report.harmonic_mean == pytest.approx(
+    assert report["per_class_iou"]["a"] == pytest.approx(6 / 9)
+    assert report["miou_new"] == pytest.approx(4 / 5)
+    assert report["miou_all"] == pytest.approx(np.mean([8 / 12, 6 / 9, 4 / 5]))
+    assert report["harmonic_mean"] == pytest.approx(
         harmonic_mean(6 / 9, 4 / 5))
 
 
@@ -177,7 +192,7 @@ def test_trace_append_idempotent(tmp_path):
     append_trace(path, fake_report(step=2))
     append_trace(path, fake_report(step=1))  # re-append same step
     trace = load_trace(path)
-    assert [r.step for r in trace] == [1, 2]
+    assert [r["step"] for r in trace] == [1, 2]
 
 
 def test_svg_structure(tmp_path):
@@ -216,4 +231,61 @@ def test_evaluate_model_counts_every_predicted_map():
         confusion_accumulate(pred, sample.dense_mask, counts)
     assert counts.sum() == sum(s.dense_mask.size for s in samples)
     want = build_report(counts, tax.registry, sched.base_classes, new, 1, "cafe")
-    assert report_to_dict(report) == report_to_dict(want)
+    assert report == want
+
+
+REPORT_CSV = """\
+step,class,iou
+{s},bkg,0.6666666666666666
+{s},a,0.6666666666666666
+{s},b,0.8
+{s},c,
+{s},miou_base,0.6666666666666666
+{s},miou_new,{new}
+{s},miou_all,0.7111111111111111
+{s},harmonic_mean,{hm}
+"""
+
+REPORT_JSON = """\
+{{
+{i} "step": {s},
+{i} "config_hash": "cafe",
+{i} "per_class_iou": {{
+{i}  "bkg": 0.6666666666666666,
+{i}  "a": 0.6666666666666666,
+{i}  "b": 0.8,
+{i}  "c": null
+{i} }},
+{i} "miou_base": 0.6666666666666666,
+{i} "miou_new": {new},
+{i} "miou_all": 0.7111111111111111,
+{i} "harmonic_mean": {hm}
+{i}}}"""
+
+
+def test_report_and_trace_bytes(tmp_path):
+    """The exact bytes of both report files and the trace.  Class c is in
+    neither truth nor prediction, so its IoU is null; step 0 has no new
+    classes, so miou_new and harmonic_mean are null."""
+    registry = ClassRegistry(["bkg", "a", "b", "c"])
+    counts = np.array([[8, 1, 1, 0],
+                       [2, 6, 0, 0],
+                       [0, 0, 4, 0],
+                       [0, 0, 0, 0]], dtype=np.int64)
+    trace = str(tmp_path / "trace.json")
+    cases = {1: (["b"], "0.8", "0.7272727272727272"), 0: ([], "", "")}
+    for step, (new, miou_new, hm) in cases.items():
+        report = build_report(counts, registry, ["a"], new, step, "cafe")
+        csv_path, json_path = emit_report(report, str(tmp_path / f"r{step}.csv"),
+                                          str(tmp_path / f"r{step}.json"))
+        with open(csv_path, encoding="utf-8") as fh:
+            assert fh.read() == REPORT_CSV.format(s=step, new=miou_new, hm=hm)
+        with open(json_path, encoding="utf-8") as fh:
+            assert fh.read() == REPORT_JSON.format(
+                i="", s=step, new=miou_new or "null", hm=hm or "null") + "\n"
+        append_trace(trace, report)
+    with open(trace, encoding="utf-8") as fh:
+        assert fh.read() == "[\n" + ",\n".join(
+            " " + REPORT_JSON.format(i=" ", s=s, new=cases[s][1] or "null",
+                                     hm=cases[s][2] or "null")
+            for s in (0, 1)) + "\n]\n"

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from segprior.memory import (
     RATIO,
-    MemoryBank,
     MemoryEntry,
     ingest_external,
     mix_batch,
@@ -34,7 +33,7 @@ def test_populate_balanced(past, taxonomy):
     bank = populate_episodic(samples, sched.base_classes, taxonomy.registry, 40, seed=1)
     assert len(bank) <= 40
     counts = {n: 0 for n in sched.base_classes}
-    for e in bank.entries:
+    for e in bank:
         assert e.labels and e.labels <= set(sched.base_classes)
         # count by the quota class is not recoverable; count label presence
     # per-class quota: capacity 40 over 4 classes -> 10 each when pools allow
@@ -51,7 +50,7 @@ def test_populate_remainder_to_lowest_index(taxonomy):
         return Sample(image=np.zeros((4, 4, 3), np.uint8), dense_mask=m)
     samples = [mk(a) for _ in range(5)] + [mk(b) for _ in range(5)]
     bank = populate_episodic(samples, [a, b], reg, 3, seed=0)
-    labels = [sorted(e.labels)[0] for e in bank.entries]
+    labels = [sorted(e.labels)[0] for e in bank]
     assert labels.count(a) == 2 and labels.count(b) == 1
 
 
@@ -77,8 +76,8 @@ def test_populate_matches_a_replayed_draw(taxonomy):
         picks = sorted(int(v) for v in rng.choice(len(pool), size=quota, replace=False))
         taken.update(pool[p] for p in picks)
         expect += [pool[p] for p in picks]
-    assert [int(e.image[0, 0, 0]) for e in bank.entries] == expect
-    assert [e.labels for e in bank.entries] == [frozenset(shows[k] - {b}) for k in expect]
+    assert [int(e.image[0, 0, 0]) for e in bank] == expect
+    assert [e.labels for e in bank] == [frozenset(shows[k] - {b}) for k in expect]
 
 
 def test_populate_deterministic(past, taxonomy):
@@ -86,7 +85,7 @@ def test_populate_deterministic(past, taxonomy):
     b1 = populate_episodic(samples, sched.base_classes, taxonomy.registry, 24, seed=7)
     b2 = populate_episodic(samples, sched.base_classes, taxonomy.registry, 24, seed=7)
     assert len(b1) == len(b2)
-    for e1, e2 in zip(b1.entries, b2.entries):
+    for e1, e2 in zip(b1, b2):
         assert np.array_equal(e1.image, e2.image)
         assert e1.labels == e2.labels
 
@@ -114,7 +113,7 @@ def test_populate_from_a_manifest_reads_only_its_draws(tmp_path, taxonomy,
     monkeypatch.setattr(netpbm, "read_ppm", spy_read)
     bank = populate_episodic(files, sched.base_classes, taxonomy.registry, 6, seed=2)
     assert len(reads) == len(bank) == len(want) == 6
-    for got, ref in zip(bank.entries, want.entries):
+    for got, ref in zip(bank, want):
         assert np.array_equal(got.image, ref.image)
         assert got.labels == ref.labels
 
@@ -130,11 +129,6 @@ def test_capacity_never_exceeded_and_counts_close(past, taxonomy):
         bank = populate_episodic(samples, sched.base_classes, taxonomy.registry,
                                  cap, seed=2)
         assert len(bank) <= cap
-    with pytest.raises(ValueError):
-        MemoryBank(capacity=1, entries=[
-            MemoryEntry(np.zeros((2, 2, 3), np.uint8), frozenset(["a"])),
-            MemoryEntry(np.zeros((2, 2, 3), np.uint8), frozenset(["a"])),
-        ])
 
 
 def test_external_round_trip(tmp_path, past, taxonomy):
@@ -143,7 +137,7 @@ def test_external_round_trip(tmp_path, past, taxonomy):
     # one 'class<TAB>path' row per entry, paths relative to the manifest
     (tmp_path / "memory_images").mkdir()
     rows = []
-    for i, entry in enumerate(bank.entries):
+    for i, entry in enumerate(bank):
         rel = f"memory_images/mem_{i:05d}.ppm"
         write_ppm(str(tmp_path / rel), entry.image)
         rows.append(f"{sorted(entry.labels)[0]}\t{rel}\n")
@@ -151,7 +145,7 @@ def test_external_round_trip(tmp_path, past, taxonomy):
     manifest.write_text("".join(rows), encoding="utf-8")
     loaded = ingest_external(str(manifest), taxonomy.registry)
     assert len(loaded) == len(bank)
-    for orig, back in zip(bank.entries, loaded.entries):
+    for orig, back in zip(bank, loaded):
         assert np.array_equal(orig.image, back.image)
         assert back.labels == frozenset([sorted(orig.labels)[0]])
 
@@ -181,7 +175,7 @@ def test_mix_batch(past, taxonomy):
     samples, sched = past
     bank = populate_episodic(samples, sched.base_classes, taxonomy.registry, 16, seed=4)
     batch = list(range(24))
-    mixed = mix_batch(batch, bank.entries, np.random.default_rng(1))
+    mixed = mix_batch(batch, bank, np.random.default_rng(1))
     # a quarter of the batch, the last six slots, drawn without replacement
     assert RATIO == 0.25
     assert mixed[:18] == batch[:18]

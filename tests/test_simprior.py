@@ -189,7 +189,7 @@ def test_argmax_rejects_bad_input(setup, monkeypatch):
                                      [{"disc_striped"}] * 3, lambda_rasp=lambda_rasp)
         before = {k: v.copy() for k, v in state.model.params().items()}
         with pytest.raises(ValueError, match="non-finite"):
-            engine.incremental_step(state, samples, None, sim, registry)
+            engine.incremental_step(state, samples, [], sim, registry)
         assert batches == []
         for k, v in state.model.params().items():
             assert np.array_equal(v, before[k]), k
