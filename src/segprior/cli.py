@@ -1,6 +1,9 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train-base, train-incremental, eval, plot.  Exit
+Subcommands: gen-data, train-base, train-incremental, eval, plot.
+train-base and train-incremental each load the config, the previous step's
+checkpoint and the train split, hand them to ``engine.run_step``, the one
+place a step is built, and write the step's checkpoint and losses.  Exit
 codes: 0 on success, 1 on validation errors (bad flags, malformed inputs,
 missing files), 2 on runtime failures.  All randomness derives from one
 --seed, so repeating a command with the same config and seed reproduces its
@@ -56,11 +59,9 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import config as config_mod
-from . import engine, evalkit, memory as memory_mod, protocol, synthdata
-from .class_semantics import load_embeddings, save_embeddings, similarity_matrix
+from . import engine, evalkit, synthdata
+from .class_semantics import save_embeddings
 from .fileio import atomic_open
 
 
@@ -151,95 +152,30 @@ def cmd_gen_data(args):
     return 0
 
 
-def cmd_train_base(args):
+def _train(args, step):
+    """train-base (step 0) and train-incremental: ``engine.run_step`` from
+    the previous step's checkpoint, then the step's checkpoint and losses."""
     cfg = _apply_overrides(_load_config(args.config), args)
-    chash = config_mod.config_hash(cfg)
-    registry = cfg.class_registry()
-    schedule = cfg.task_schedule()
-    # the manifest's present lists choose the rows before any image is
-    # read; every epoch visits each chosen image again, so each is read
-    # once and kept
-    files = _load_split(cfg, "train")
-    base = list(files[protocol.step_rows(files.present, schedule, 0)])
-    if not base:
-        raise CliError("no samples remain after base-step filtering")
-    model = engine.SegModel.init(schedule.channel_names(0), seed=cfg.engine.seed,
-                                 dtype=cfg.engine.np_dtype())
-    model, trace = engine.base_train(model, base, registry, cfg.engine)
-    os.makedirs(cfg.resolve(cfg.workdir), exist_ok=True)
-    ckpt = _ckpt_path(cfg, 0, cfg.engine.seed)
-    engine.save_checkpoint(model, ckpt, step=0, config_hash=chash)
-    _write_losses(_losses_path(cfg, 0, cfg.engine.seed), 0, cfg.engine.seed, trace)
-    print(f"base training done on {len(base)} samples; "
-          f"final loss {trace[-1]:.6f}; checkpoint {ckpt}")
-    return 0
-
-
-def _step_rows(present, schedule, step, seed):
-    """Positions of the train samples a step trains on, given each row's
-    present classes: the step's filtered rows, cut to schedule.shots images
-    per class in few-shot incremental steps."""
-    rows = protocol.step_rows(present, schedule, step)
-    if step >= 1 and schedule.shots is not None:
-        picks = protocol.few_shot_rows([present[k] for k in rows], schedule, step,
-                                       schedule.shots, seed)
-        rows = [rows[p] for p in picks]
-    return rows
-
-
-def _build_bank(cfg, registry, schedule, step, files, seed):
-    if cfg.memory.mode == "none":
-        return []
-    if cfg.memory.mode == "external":
-        manifest = cfg.resolve(cfg.memory.manifest)
-        if not manifest or not os.path.exists(manifest):
-            raise CliError(f"memory manifest not found: {manifest}")
-        return memory_mod.ingest_external(manifest, registry)
-    past = [k for past_step in range(step)
-            for k in _step_rows(files.present, schedule, past_step, seed)]
-    old_classes = schedule.old_classes(step)
-    return memory_mod.populate_episodic(files[past], old_classes, registry,
-                                        memory_mod.CAPACITY, seed)
-
-
-def cmd_train_incremental(args):
-    cfg = _apply_overrides(_load_config(args.config), args)
-    chash = config_mod.config_hash(cfg)
-    registry = cfg.class_registry()
-    schedule = cfg.task_schedule()
-    step = args.step
-    if not 1 <= step < schedule.n_steps:
-        raise CliError(f"--step must lie in [1, {schedule.n_steps - 1}]")
     seed = cfg.engine.seed
-    prev = _ckpt_path(cfg, step - 1, seed)
-    if not os.path.exists(prev):
-        raise CliError(f"missing checkpoint for step {step - 1}: {prev} "
-                       "(run the previous step first)")
-    parent, _, parent_hash = engine.load_checkpoint(prev)
-    if tuple(parent.class_names) != schedule.channel_names(step - 1):
-        raise CliError("checkpoint class list does not match the schedule")
-    # as in train-base, rows are chosen by the manifest's present lists and
-    # only the step's images and the memory's draws are read
-    files = _load_split(cfg, "train")
-    step_samples = protocol.with_weak_labels(
-        list(files[_step_rows(files.present, schedule, step, seed)]), schedule, step)
-    if not step_samples:
-        raise CliError(f"no samples remain for step {step}")
-    bank = _build_bank(cfg, registry, schedule, step, files, seed)
-    table = load_embeddings(cfg.resolve(cfg.embeddings_path))
-    sim = similarity_matrix(registry, table)
-    model = engine.extend_head(parent, schedule.classes_at_step(step),
-                               seed=np.random.SeedSequence((seed, step, 7)).generate_state(1)[0])
-    state = engine.StepState(
-        step=step, old_model=parent, model=model, loss_cfg=cfg.loss,
-        engine_cfg=cfg.engine)
-    model, trace = engine.incremental_step(state, step_samples, bank, sim, registry)
+    parent = parent_hash = None
+    if args.command == "train-incremental":
+        prev = _ckpt_path(cfg, step - 1, seed)
+        if not os.path.exists(prev):
+            raise CliError(f"missing checkpoint for step {step - 1}: {prev} "
+                           "(run the previous step first)")
+        parent, _, parent_hash = engine.load_checkpoint(prev)
+    model, trace, n_samples = engine.run_step(cfg, _load_split(cfg, "train"), parent, step)
+    os.makedirs(cfg.resolve(cfg.workdir), exist_ok=True)
     ckpt = _ckpt_path(cfg, step, seed)
-    engine.save_checkpoint(model, ckpt, step=step, config_hash=chash,
+    engine.save_checkpoint(model, ckpt, step=step, config_hash=config_mod.config_hash(cfg),
                            parent_config_hash=parent_hash)
     _write_losses(_losses_path(cfg, step, seed), step, seed, trace)
-    print(f"step {step} done on {len(step_samples)} samples "
-          f"(memory: {cfg.memory.mode}); checkpoint {ckpt}")
+    if parent is None:
+        print(f"base training done on {n_samples} samples; "
+              f"final loss {trace[-1]:.6f}; checkpoint {ckpt}")
+    else:
+        print(f"step {step} done on {n_samples} samples "
+              f"(memory: {cfg.memory.mode}); checkpoint {ckpt}")
     return 0
 
 
@@ -309,7 +245,7 @@ def build_parser():
     p = sub.add_parser("train-base", help="train the dense-supervision base model")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_train_base)
+    p.set_defaults(func=lambda args: _train(args, 0))
 
     p = sub.add_parser("train-incremental",
                        help="run one weakly supervised incremental step")
@@ -320,7 +256,7 @@ def build_parser():
     p.add_argument("--memory", choices=("none", "episodic", "external"),
                    default=None)
     p.add_argument("--memory-manifest", default=None)
-    p.set_defaults(func=cmd_train_incremental)
+    p.set_defaults(func=lambda args: _train(args, args.step))
 
     p = sub.add_parser("eval", help="evaluate a checkpoint; reports go beside it")
     p.add_argument("--config", required=True)

@@ -36,6 +36,12 @@ encoder features.  ``base_train`` and ``incremental_step`` share one
 training loop, ``_fit``; each supplies the per-batch work and keeps its own
 trace format.
 
+``run_step`` is the one place a step is built from an experiment config.
+It chooses the step's train rows and their few-shot cut, gives the samples
+their weak labels, builds the memory bank and the class similarity matrix,
+extends the parent's head and runs ``base_train`` or ``incremental_step``;
+the CLI only loads its inputs and writes its outputs.
+
 Every batch runs as two shards (``layers.Shards``): a call names the
 batch's item count and ``Shards`` cuts it, runs shard 0 in the calling
 process and shard 1 in one worker process that ``_fit`` forks once per
@@ -91,7 +97,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import evalkit, objectives, simprior
+from . import evalkit, memory, objectives, protocol, simprior
+from .class_semantics import load_embeddings, similarity_matrix
 from .fileio import atomic_open
 from .layers import (Chain, ChannelNorm, Conv2d, LeakyReLU, SGDMomentum, Shards,
                      group_slices, zero_grads)
@@ -357,15 +364,11 @@ class StepState:
     model: SegModel
     loss_cfg: LossConfig
     engine_cfg: EngineConfig
-    epoch: int = 0
 
     @property
     def n_old(self):
         """The previous label-space size, bkg included."""
         return len(self.old_model.class_names)
-
-    def seg_active(self):
-        return self.epoch >= self.loss_cfg.seg_warmup_epochs
 
 
 @dataclass
@@ -466,7 +469,7 @@ def _prepare_memory(state, bank):
 def incremental_shards(state, pool):
     """The ``_training_shards`` of a step's batches drawn from the item list pool.
 
-    A batch's key is (epoch, idx): state.epoch and the positions of its
+    A batch's key is (epoch, idx): its epoch and the positions of its
     items in pool, in batch order.  Each group runs forward, its own items'
     loss terms and backward before the next group starts, and returns its
     per-item losses and the batch's count of current items.  The loss terms
@@ -477,11 +480,11 @@ def incremental_shards(state, pool):
     model = state.model
 
     def step(key, rows, g):
-        state.epoch, idx = key
+        epoch, idx = key
         batch = [pool[i] for i in idx]
         n_cur = sum(not it.is_memory for it in batch)
         items = batch[rows]
-        seg_active = state.seg_active()
+        seg_active = state.loss_cfg.seg_active(epoch)
         feat, enc_cache = model.encoder.forward(_inputs(items, model.dtype))
         z, loc_cache = model.localizer.forward(feat)
         p_hat, head_cache = model.head.forward(feat) if seg_active else (None, None)
@@ -499,16 +502,16 @@ def incremental_shards(state, pool):
     return _training_shards(step, model.params())
 
 
-def incremental_batch(state, idx, grads, shards):
-    """Losses and parameter gradients for the batch of the items pool[idx].
+def incremental_batch(state, epoch, idx, grads, shards):
+    """Losses and parameter gradients for the batch of the items pool[idx]
+    at epoch.
 
-    shards is ``incremental_shards(state, pool)``; the batch runs at
-    state.epoch.  Exposed separately so tests can probe the gradient
-    routing directly.
+    shards is ``incremental_shards(state, pool)``.  Exposed separately so
+    tests can probe the gradient routing directly.
     """
     idx = [int(i) for i in idx]
     n_all = len(idx)
-    results = _train_batch(shards, (state.epoch, idx), n_all, grads)
+    results = _train_batch(shards, (epoch, idx), n_all, grads)
     n_cur = results[0][1]       # every group counts the same batch
     # per-item losses in item order (group by group, shard 0's first),
     # added one by one as a whole-batch loop would, so the trace does not
@@ -523,7 +526,7 @@ def incremental_batch(state, idx, grads, shards):
     for key, value in comps.items():
         if not np.isfinite(value):
             raise RuntimeError(
-                f"non-finite {key} loss at step {state.step} epoch {state.epoch}: {comps}"
+                f"non-finite {key} loss at step {state.step} epoch {epoch}: {comps}"
             )
     return comps
 
@@ -606,7 +609,7 @@ def incremental_step(state, samples, bank, sim_matrix, registry):
     cfg = state.engine_cfg
     items = _prepare_items(state, samples, registry, sim_matrix)
     pool = items + _prepare_memory(state, bank)
-    memory = range(len(items), len(pool))
+    memory_rows = range(len(items), len(pool))
     ss = np.random.SeedSequence((cfg.seed, state.step))
     shuffle_seed, memory_seed = ss.spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seed)
@@ -614,17 +617,85 @@ def incremental_step(state, samples, bank, sim_matrix, registry):
     shards = incremental_shards(state, pool)
 
     def run_batch(epoch, idx, grads):
-        state.epoch = epoch
-        if memory:
-            idx = mix_batch(idx, memory, memory_rng)
-        comps = incremental_batch(state, idx, grads, shards)
+        if memory_rows:
+            idx = mix_batch(idx, memory_rows, memory_rng)
+        comps = incremental_batch(state, epoch, idx, grads, shards)
         return {**comps, "total": objectives.total_loss(comps, state.loss_cfg, epoch)}
 
     trace = _fit(cfg, state.model.params(), cfg.lr_incremental,
                  cfg.epochs_incremental, len(items), shuffle_rng, shards, run_batch)
     for epoch, entry in enumerate(trace):
-        entry["seg_active"] = epoch >= state.loss_cfg.seg_warmup_epochs
+        entry["seg_active"] = state.loss_cfg.seg_active(epoch)
     return state.model, trace
+
+
+# ---------------------------------------------------------------------------
+# One step of an experiment
+# ---------------------------------------------------------------------------
+
+def _step_rows(present, schedule, step, seed):
+    """Positions of the train samples a step trains on, given each row's
+    present classes: the step's filtered rows, cut to schedule.shots images
+    per class in few-shot incremental steps."""
+    rows = protocol.step_rows(present, schedule, step)
+    if step >= 1 and schedule.shots is not None:
+        picks = protocol.few_shot_rows([present[k] for k in rows], schedule, step,
+                                       schedule.shots, seed)
+        rows = [rows[p] for p in picks]
+    return rows
+
+
+def run_step(cfg, files, parent, step):
+    """Train step of the experiment cfg (a ``config.ExperimentConfig``).
+
+    Returns the trained model, its per-epoch trace and the number of train
+    samples it trained on.  Step 0 takes no parent and runs ``base_train``
+    on a fresh model; a step s >= 1 takes the step s - 1 model as parent
+    and runs ``incremental_step`` on its ``extend_head`` extension.  files
+    is the train split as ``synthdata.load_dataset`` returns it: the
+    manifest's present lists choose the step's rows, its few-shot cut and
+    the episodic memory's draws, and only the step's images and then the
+    memory's draws are read.  A step outside the schedule, a parent whose
+    class list is not the schedule's at s - 1, or a step with no samples
+    raises ValueError.
+    """
+    registry = cfg.class_registry()
+    schedule = cfg.task_schedule()
+    seed = cfg.engine.seed
+    if not 0 <= step < schedule.n_steps:
+        raise ValueError(f"step {step} is not in [0, {schedule.n_steps - 1}]")
+    if (parent is None) != (step == 0):
+        raise ValueError(f"step {step}: step 0 trains from no parent, "
+                         "and step s >= 1 from the step s - 1 model")
+    if step and parent.class_names != schedule.channel_names(step - 1):
+        raise ValueError(f"the parent's class list {list(parent.class_names)} does not "
+                         f"match the schedule's at step {step - 1}")
+    samples = list(files[_step_rows(files.present, schedule, step, seed)])
+    if not samples:
+        raise ValueError(f"no train samples remain for step {step}")
+    if step == 0:
+        model = SegModel.init(schedule.channel_names(0), seed=seed,
+                              dtype=cfg.engine.np_dtype())
+        model, trace = base_train(model, samples, registry, cfg.engine)
+        return model, trace, len(samples)
+    samples = protocol.with_weak_labels(samples, schedule, step)
+    old_classes = schedule.old_classes(step)
+    if cfg.memory.mode == "external":
+        bank = memory.ingest_external(cfg.resolve(cfg.memory.manifest), old_classes)
+    elif cfg.memory.mode == "episodic":
+        past = [k for past_step in range(step)
+                for k in _step_rows(files.present, schedule, past_step, seed)]
+        bank = memory.populate_episodic(files[past], old_classes, registry,
+                                        memory.CAPACITY, seed)
+    else:
+        bank = []
+    sim = similarity_matrix(registry, load_embeddings(cfg.resolve(cfg.embeddings_path)))
+    model = extend_head(parent, schedule.classes_at_step(step),
+                        seed=np.random.SeedSequence((seed, step, 7)).generate_state(1)[0])
+    state = StepState(step=step, old_model=parent, model=model, loss_cfg=cfg.loss,
+                      engine_cfg=cfg.engine)
+    model, trace = incremental_step(state, samples, bank, sim, registry)
+    return model, trace, len(samples)
 
 
 # ---------------------------------------------------------------------------

@@ -64,11 +64,16 @@ def populate_episodic(past_samples, old_classes, registry, capacity, seed):
     ]
 
 
-def ingest_external(manifest_path, registry):
+def ingest_external(manifest_path, old_classes):
     """Read 'class_name<TAB>image_path' rows into an external bank, one
-    ``MemoryEntry`` per row."""
-    if not os.path.exists(manifest_path):
-        raise FileNotFoundError(manifest_path)
+    ``MemoryEntry`` per row.
+
+    Every row must name one of old_classes, the step's old foreground
+    classes; any other name, a current or future class among them, raises
+    ValueError naming the row.
+    """
+    if not os.path.isfile(manifest_path):
+        raise FileNotFoundError(f"memory manifest not found: {manifest_path}")
     root = os.path.dirname(os.path.abspath(manifest_path))
     entries = []
     with open(manifest_path, "r", encoding="utf-8") as fh:
@@ -82,10 +87,9 @@ def ingest_external(manifest_path, registry):
                     f"{manifest_path}:{lineno}: expected 'class<TAB>path'"
                 )
             name, rel = parts
-            if name not in registry:
-                raise ValueError(
-                    f"{manifest_path}:{lineno}: unknown class {name!r}"
-                )
+            if name not in old_classes:
+                raise ValueError(f"{manifest_path}:{lineno}: class {name!r} is not "
+                                 f"an old class of the step {list(old_classes)}")
             path = rel if os.path.isabs(rel) else os.path.join(root, rel)
             if not os.path.exists(path):
                 raise ValueError(f"{manifest_path}:{lineno}: unreadable image {rel!r}")

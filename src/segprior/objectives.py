@@ -60,6 +60,10 @@ class LossConfig:
         if self.seg_warmup_epochs < 0:
             raise ValueError("seg_warmup_epochs must be non-negative")
 
+    def seg_active(self, epoch):
+        """Whether the seg term trains at epoch: the warm-up epochs are over."""
+        return epoch >= self.seg_warmup_epochs
+
 
 def sigmoid(x):
     """Logistic function as 0.5 + 0.5 * tanh(x / 2), in place on one buffer.
@@ -278,6 +282,6 @@ def total_loss(components, cfg, epoch):
             raise ValueError(f"loss component {key!r} is not finite: {v}")
         vals[key] = v
     total = vals["cls"] + vals["kdl"] + vals["kde"] + cfg.lambda_rasp * vals["rasp"]
-    if epoch >= cfg.seg_warmup_epochs:
+    if cfg.seg_active(epoch):
         total += vals["seg"]
     return total

@@ -35,5 +35,5 @@ def rasp_target_table(sim, registry, old_names, new_names, tau, dtype):
     cols = [registry.index_of(name) for name in new_names]
     bkg = registry.index_of(registry.background_name)
     ratio = np.exp((sim[np.ix_(rows, cols)] - sim[bkg, cols]) / tau)
-    # squashed twice; ROADMAP item 1(d) questions both squashes and tau
+    # squashed twice; ROADMAP item 1(c) questions both squashes and tau
     return sigmoid(sigmoid(ratio).astype(dtype))

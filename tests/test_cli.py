@@ -114,6 +114,45 @@ def test_incremental_checkpoint_records_parent_hash(workspace):
         assert str(ckpt1["__config_hash__"]) != parent_hash
 
 
+def test_step_and_parent_checks_exit_1(workspace):
+    """train-incremental trains step s from the step s - 1 checkpoint of a
+    3-step schedule: a step outside [1, 2] or a parent whose class list is
+    not the schedule's exits 1."""
+    out, cfg_path = workspace
+    runs = os.path.join(out, "runs")
+    res = run_cli("train-base", "--config", cfg_path, "--seed", "9")
+    assert res.returncode == 0, res.stderr
+    for step in ("0", "4"):       # no checkpoint of step -1 or 3 can exist
+        res = run_cli("train-incremental", "--config", cfg_path, "--step", step,
+                      "--seed", "9")
+        assert res.returncode == 1 and "missing checkpoint" in res.stderr, res.stderr
+    # the step-0 model under the names of steps 1 and 2
+    for parent in (1, 2):
+        shutil.copy(os.path.join(runs, "ckpt_step0_seed9.npz"),
+                    os.path.join(runs, f"ckpt_step{parent}_seed9.npz"))
+    res = run_cli("train-incremental", "--config", cfg_path, "--step", "3", "--seed", "9")
+    assert res.returncode == 1 and r"step 3 is not in [0, 2]" in res.stderr, res.stderr
+    res = run_cli("train-incremental", "--config", cfg_path, "--step", "2", "--seed", "9")
+    assert res.returncode == 1 and "class list" in res.stderr, res.stderr
+    assert not os.path.exists(os.path.join(runs, "losses_step2_seed9.json"))
+
+
+@pytest.mark.parametrize("name", ["disc_striped", "cross_striped"])
+def test_external_memory_of_a_class_not_old_exits_1(workspace, tmp_path, name):
+    """A step-1 external memory row naming a class of step 1 or of step 2
+    is a malformed input: exit 1, naming the row."""
+    out, cfg_path = workspace
+    res = run_cli("train-base", "--config", cfg_path, "--seed", "10")
+    assert res.returncode == 0, res.stderr
+    image = os.path.join(out, "train", "images", "img_00000.ppm")
+    manifest = tmp_path / "memory.tsv"
+    manifest.write_text(f"disc_solid\t{image}\n{name}\t{image}\n")
+    res = run_cli("train-incremental", "--config", cfg_path, "--step", "1", "--seed", "10",
+                  "--memory", "external", "--memory-manifest", str(manifest))
+    assert res.returncode == 1, res.stderr
+    assert f"memory.tsv:2: class '{name}' is not an old class" in res.stderr
+
+
 def test_bad_usage_and_missing_files():
     res = run_cli("train-base", "--config", "/nonexistent/config.json")
     assert res.returncode == 1

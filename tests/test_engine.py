@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segprior import engine, layers, netpbm, objectives
-from segprior.class_semantics import similarity_matrix
+from segprior.class_semantics import save_embeddings, similarity_matrix
+from segprior.config import ExperimentConfig
 from segprior.engine import (
     EngineConfig,
     SegModel,
@@ -25,7 +26,7 @@ from segprior.engine import (
 from segprior.layers import group_slices, shard_slices, zero_grads
 from segprior.memory import populate_episodic
 from segprior.objectives import LossConfig
-from segprior.protocol import build_schedule, with_weak_labels
+from segprior.protocol import build_schedule, step_rows, with_weak_labels
 from segprior.synthdata import (default_taxonomy, export_dataset, generate_dataset,
                                 load_dataset)
 
@@ -82,10 +83,11 @@ def step_inputs(world, model, cfg, step=1, loss_cfg=None):
     return state, samples, sim
 
 
-def one_batch(state, items, grads):
-    """incremental_batch over all of items, in order, with a worker of its own."""
+def one_batch(state, epoch, items, grads):
+    """incremental_batch over all of items, in order, at epoch, with a
+    worker of its own."""
     with engine.incremental_shards(state, items) as shards:
-        return incremental_batch(state, range(len(items)), grads, shards)
+        return incremental_batch(state, epoch, range(len(items)), grads, shards)
 
 
 def test_step_leaves_old_model_unchanged(world):
@@ -184,9 +186,8 @@ def test_batch_losses_match_objectives_recompute(world):
     loss_cfg = LossConfig(seg_warmup_epochs=0)
     state, samples, _ = step_inputs(world, model, cfg, loss_cfg=loss_cfg)
     items = engine._prepare_items(state, samples[:6], tax.registry, sim)
-    state.epoch = 0
     grads = zero_grads(state.model.params())
-    comps = one_batch(state, items, grads)
+    comps = one_batch(state, 0, items, grads)
 
     # recomputation item by item, each one a batch of one through the
     # objectives module, normalised by itself
@@ -220,9 +221,8 @@ def test_gradient_routing(world):
     )
     old_before = {k: v.copy() for k, v in state.old_model.params().items()}
     items = engine._prepare_items(state, samples[:6], tax.registry, sim)
-    state.epoch = 0  # inside warmup: seg inactive
     grads = zero_grads(state.model.params())
-    one_batch(state, items, grads)
+    one_batch(state, 0, items, grads)  # inside warmup: seg inactive
     assert np.all(grads["head.W"] == 0.0)
     assert np.all(grads["head.b"] == 0.0)
     assert any(np.any(grads[k] != 0.0) for k in grads if k.startswith("loc."))
@@ -230,9 +230,8 @@ def test_gradient_routing(world):
 
     # after warmup the head trains, and its seg gradient reaches every
     # encoder weight while the localizer's gradient stays as it was
-    state.epoch = 200
     grads_on = zero_grads(state.model.params())
-    one_batch(state, items, grads_on)
+    one_batch(state, 200, items, grads_on)
     assert np.any(grads_on["head.W"] != 0.0)
     for k in grads:
         if k.startswith("enc.") and k.endswith(".W"):
@@ -345,6 +344,43 @@ def test_checkpoint_records_parent_config_hash(world, tmp_path):
     assert (step, chash) == (1, "child")
 
 
+@pytest.fixture(scope="module")
+def experiment(world, tmp_path_factory):
+    """A 40-image train split on disk and a one-epoch experiment config
+    over it."""
+    tax = world[0]
+    root = tmp_path_factory.mktemp("experiment")
+    manifest = export_dataset(tax, [(str(root / "train"), 40, WORLD_SEED)])[0]
+    save_embeddings(tax.embeddings, str(root / "embeddings.json"))
+    cfg = ExperimentConfig(registry=list(tax.registry.names),
+                           embeddings_path="embeddings.json", train_manifest=manifest,
+                           eval_manifest="", workdir="runs", root=str(root),
+                           engine=small_cfg(epochs_base=1, epochs_incremental=1))
+    return cfg, load_dataset(manifest)[0]
+
+
+def test_run_step_checks_the_step_and_the_parent(experiment, monkeypatch):
+    """Step 0 trains from no parent and step s >= 1 from the step s - 1
+    model; any other step or parent raises ValueError before an image is
+    read."""
+    cfg, files = experiment
+    schedule = cfg.task_schedule()
+    model, trace, n = engine.run_step(cfg, files, None, 0)
+    assert model.class_names == schedule.channel_names(0)
+    assert len(trace) == 1
+    assert n == len(step_rows(files.present, schedule, 0))
+    reads = []
+    monkeypatch.setattr(netpbm, "read_ppm", reads.append)
+    for parent, step, match in [(None, 1, "step 1: step 0 trains from no parent"),
+                                (model, 0, "step 0: step 0 trains from no parent"),
+                                (model, -1, r"step -1 is not in \[0, 2\]"),
+                                (model, 3, r"step 3 is not in \[0, 2\]"),
+                                (model, 2, "class list .* at step 1")]:
+        with pytest.raises(ValueError, match=match):
+            engine.run_step(cfg, files, parent, step)
+    assert reads == []
+
+
 # ---------------------------------------------------------------------------
 # Two-shard batches
 # ---------------------------------------------------------------------------
@@ -417,17 +453,17 @@ def test_incremental_batch_shards_match_full_batch(world, n_items, seg_on):
     model, _ = base_model(world, cfg, train=False)
     state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=1))
-    state.epoch = 1 if seg_on else 0
+    epoch = 1 if seg_on else 0
     items = engine._prepare_items(state, samples[:n_items], tax.registry, sim)
     if n_items > 1:   # a memory item in the last slot, as mix_batch puts it
         bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
                                  tax.registry, 4, seed=3)
         items[-1] = engine._prepare_memory(state, bank)[0]
     grads = zero_grads(state.model.params())
-    comps = one_batch(state, items, grads)
+    comps = one_batch(state, epoch, items, grads)
     with whole_batch():
         ref = zero_grads(state.model.params())
-        ref_comps = one_batch(state, items, ref)
+        ref_comps = one_batch(state, epoch, items, ref)
     assert_close_dicts(grads, ref)
     for key in ref_comps:
         assert abs(comps[key] - ref_comps[key]) < 1e-10, key
@@ -468,7 +504,7 @@ def test_shard_local_losses_match_whole_batch(float64_pools, data):
                           label="memory slots")
     order = data.draw(st.permutations(range(9)), label="item order")
     items = [memory[k] if mem else current[k] for k, mem in zip(order, is_memory)]
-    state.epoch = 1 if data.draw(st.booleans(), label="seg on") else 0
+    epoch = 1 if data.draw(st.booleans(), label="seg on") else 0
     state.loss_cfg = dataclasses.replace(
         state.loss_cfg, lambda_rasp=data.draw(st.sampled_from([0.0, 1.0]), label="rasp"))
 
@@ -484,7 +520,7 @@ def test_shard_local_losses_match_whole_batch(float64_pools, data):
 
     grads = zero_grads(state.model.params())
     with mock.patch.object(engine, "_batch_losses", spy_losses):
-        comps = one_batch(state, items, grads)
+        comps = one_batch(state, epoch, items, grads)
     group_losses = [record for _, record in log.drain()]
     # the per-item losses are added one by one in item order
     total = 0.0
@@ -494,7 +530,7 @@ def test_shard_local_losses_match_whole_batch(float64_pools, data):
     assert comps["cls"] == total / n
     with whole_batch():
         ref = zero_grads(state.model.params())
-        ref_comps = one_batch(state, items, ref)
+        ref_comps = one_batch(state, epoch, items, ref)
     assert_close_dicts(grads, ref)
     assert comps.keys() == ref_comps.keys()
     for key in ref_comps:
@@ -518,7 +554,7 @@ def test_grouped_benchmark_batch_matches_one_forward(world, rasp, seg_on):
     model, _ = base_model(world, cfg, train=False)
     state, samples, _ = step_inputs(world, model, cfg, loss_cfg=LossConfig(
         seg_warmup_epochs=1, lambda_rasp=rasp))
-    state.epoch = 1 if seg_on else 0
+    epoch = 1 if seg_on else 0
     current = engine._prepare_items(state, samples[:18], tax.registry, sim)
     bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
                              tax.registry, 6, seed=3)
@@ -534,14 +570,14 @@ def test_grouped_benchmark_batch_matches_one_forward(world, rasp, seg_on):
 
     state.model.encoder.forward = spy_forward
     grads = zero_grads(state.model.params())
-    comps = one_batch(state, items, grads)
+    comps = one_batch(state, epoch, items, grads)
     sizes = log.drain()
     assert [n for _, n in sizes] == [4] * 6
     here = [pid for pid, _ in sizes if pid == os.getpid()]
     assert len(here) == 3 and len({pid for pid, _ in sizes}) == 2
     with whole_batch():
         ref = zero_grads(state.model.params())
-        ref_comps = one_batch(state, items, ref)
+        ref_comps = one_batch(state, epoch, items, ref)
     assert log.drain() == [(os.getpid(), 24)]
     assert_close_dicts(grads, ref)
     assert comps.keys() == ref_comps.keys()
@@ -589,7 +625,7 @@ def test_group_layout_on_the_shard_processes(world):
 
     encoder.forward, encoder.backward = spy_forward, spy_backward
     with engine.incremental_shards(state, items) as shards:
-        incremental_batch(state, range(len(items)),
+        incremental_batch(state, 0, range(len(items)),
                           zero_grads(state.model.params()), shards)
         worker = shards._proc.pid
     events = log.drain()
@@ -700,18 +736,16 @@ def test_warmup_skips_seg_head(world):
     state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=2))
     items = engine._prepare_items(state, samples[:7], tax.registry, sim)
-    state.epoch = 1
     want = warmup_grads_with_head(state, items)
     state.model.head = _NoHead(state.model.head)
     grads = zero_grads(state.model.params())
-    one_batch(state, items, grads)
+    one_batch(state, 1, items, grads)
     assert grads.keys() == want.keys()
     for name in want:
         assert np.array_equal(grads[name], want[name]), name
     assert not np.any(grads["head.W"]) and not np.any(grads["head.b"])
-    state.epoch = 2
     with pytest.raises(AssertionError, match="seg head ran forward"):
-        one_batch(state, items, zero_grads(state.model.params()))
+        one_batch(state, 2, items, zero_grads(state.model.params()))
 
 
 def test_shards_run_on_caller_and_one_worker(world):
@@ -742,7 +776,7 @@ def test_shards_run_on_caller_and_one_worker(world):
     with engine.incremental_shards(state, items) as shards:
         for _ in range(10):
             grads = zero_grads(state.model.params())
-            incremental_batch(state, range(7), grads, shards)
+            incremental_batch(state, 0, range(7), grads, shards)
             results.append(grads)
         worker = shards._proc.pid
     for grads in results[1:]:

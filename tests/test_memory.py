@@ -143,32 +143,52 @@ def test_external_round_trip(tmp_path, past, taxonomy):
         rows.append(f"{sorted(entry.labels)[0]}\t{rel}\n")
     manifest = tmp_path / "memory_manifest.tsv"
     manifest.write_text("".join(rows), encoding="utf-8")
-    loaded = ingest_external(str(manifest), taxonomy.registry)
+    loaded = ingest_external(str(manifest), sched.old_classes(1))
     assert len(loaded) == len(bank)
     for orig, back in zip(bank, loaded):
         assert np.array_equal(orig.image, back.image)
         assert back.labels == frozenset([sorted(orig.labels)[0]])
 
 
-def test_external_empty_manifest(tmp_path, taxonomy):
+def test_external_empty_manifest(tmp_path, past):
     path = tmp_path / "m.tsv"
     path.write_text("")
-    bank = ingest_external(str(path), taxonomy.registry)
+    bank = ingest_external(str(path), past[1].old_classes(1))
     assert len(bank) == 0
 
 
-def test_external_unknown_class(tmp_path, taxonomy):
+def test_external_missing_manifest(tmp_path, past):
+    with pytest.raises(FileNotFoundError, match="memory manifest not found"):
+        ingest_external(str(tmp_path / "m.tsv"), past[1].old_classes(1))
+
+
+def test_external_unknown_class(tmp_path, past):
     path = tmp_path / "m.tsv"
     path.write_text("dragon\timg.ppm\n")
-    with pytest.raises(ValueError, match="dragon"):
-        ingest_external(str(path), taxonomy.registry)
+    with pytest.raises(ValueError, match="m.tsv:1: class 'dragon'"):
+        ingest_external(str(path), past[1].old_classes(1))
 
 
-def test_external_unreadable_image(tmp_path, taxonomy):
+@pytest.mark.parametrize("name", ["bkg", "disc_striped", "cross_striped"])
+def test_external_row_must_name_an_old_class(tmp_path, past, name):
+    """At step 1 only the base classes are old: a row naming bkg, a class
+    of step 1 itself or a step-2 class raises ValueError naming the row."""
+    samples, sched = past
+    write_ppm(str(tmp_path / "a.ppm"), samples[0].image)
+    path = tmp_path / "m.tsv"
+    path.write_text(f"disc_solid\ta.ppm\n{name}\ta.ppm\n")
+    with pytest.raises(ValueError, match=f"m.tsv:2: class '{name}' is not an old class"):
+        ingest_external(str(path), sched.old_classes(1))
+    if name == "disc_striped":    # a step-1 class is old at step 2
+        bank = ingest_external(str(path), sched.old_classes(2))
+        assert [e.labels for e in bank] == [{"disc_solid"}, {"disc_striped"}]
+
+
+def test_external_unreadable_image(tmp_path, past):
     path = tmp_path / "m.tsv"
     path.write_text("disc_solid\tmissing.ppm\n")
     with pytest.raises(ValueError, match="missing.ppm"):
-        ingest_external(str(path), taxonomy.registry)
+        ingest_external(str(path), past[1].old_classes(1))
 
 
 def test_mix_batch(past, taxonomy):
