@@ -1,9 +1,14 @@
 """The segmentation model and the per-step training loops.
 
 The network is one fixed definition, written as the module constants
-below; no setting changes it.  The encoder is four 3x3 convs of 8, 16, 16
-and 32 channels, the first of stride 2 and the rest of stride 1, so its
-features have half the image's height and width.  Each conv is followed by
+below; no setting changes it.  Its input is the image rearranged space to
+depth (``image_to_input``): each 2x2 block of RGB pixels becomes one pixel
+of 12 channels, so the input, and every layer after it, has half the
+image's height and width.  The encoder is four stride-1 3x3 convs of 8,
+16, 16 and 32 channels; the first one's 3x3 window over 2x2 blocks covers
+6x6 image pixels, which contain the 3x3 window a stride-2 conv on the
+image would read (Shi et al., arXiv:1609.05158; the space-to-depth stem of
+TResNet, Ridnik et al., arXiv:2003.13630).  Each conv is followed by
 a leaky ReLU of slope 0.01, the last one by a ChannelNorm before it.  Two
 heads share the encoder: a 1x1 segmentation head extended with new output
 channels at every step, and a localizer retrained from scratch per step.
@@ -106,7 +111,7 @@ from .memory import mix_batch
 from .objectives import LossConfig
 
 ENCODER_CHANNELS = (8, 16, 16, 32)
-ENCODER_STRIDES = (2, 1, 1, 1)
+INPUT_CHANNELS = 12     # image_to_input's 2x2 blocks of RGB pixels
 LOCALIZER_HIDDEN = 16
 LEAKY_SLOPE = 0.01
 
@@ -137,9 +142,9 @@ class EngineConfig:
 
 def _encoder(rng, dtype):
     act = LeakyReLU(LEAKY_SLOPE)
-    layers, cin = [], 3
-    for i, (cout, stride) in enumerate(zip(ENCODER_CHANNELS, ENCODER_STRIDES)):
-        layers.append(Conv2d(f"enc.{i}", 3, cin, cout, stride, rng, dtype))
+    layers, cin = [], INPUT_CHANNELS
+    for i, cout in enumerate(ENCODER_CHANNELS):
+        layers.append(Conv2d(f"enc.{i}", 3, cin, cout, rng, dtype))
         if i == len(ENCODER_CHANNELS) - 1:
             layers.append(ChannelNorm(f"enc.n{i}", cout, dtype))
         layers.append(act)
@@ -150,10 +155,10 @@ def _encoder(rng, dtype):
 def _localizer(n_classes, rng, dtype):
     h, act = LOCALIZER_HIDDEN, LeakyReLU(LEAKY_SLOPE)
     return Chain([
-        Conv2d("loc.0", 3, ENCODER_CHANNELS[-1], h, 1, rng, dtype),
+        Conv2d("loc.0", 3, ENCODER_CHANNELS[-1], h, rng, dtype),
         ChannelNorm("loc.n0", h, dtype), act,
-        Conv2d("loc.1", 3, h, h, 1, rng, dtype), ChannelNorm("loc.n1", h, dtype), act,
-        Conv2d("loc.2", 1, h, n_classes, 1, rng, dtype),
+        Conv2d("loc.1", 3, h, h, rng, dtype), ChannelNorm("loc.n1", h, dtype), act,
+        Conv2d("loc.2", 1, h, n_classes, rng, dtype),
     ])
 
 
@@ -173,8 +178,7 @@ class SegModel:
         enc_rng, head_rng, loc_rng = (
             np.random.default_rng(s) for s in ss.spawn(3)
         )
-        head = Conv2d("head", 1, ENCODER_CHANNELS[-1], len(class_names), 1,
-                      head_rng, dtype)
+        head = Conv2d("head", 1, ENCODER_CHANNELS[-1], len(class_names), head_rng, dtype)
         return cls(class_names, _encoder(enc_rng, dtype), head,
                    _localizer(len(class_names), loc_rng, dtype), dtype)
 
@@ -205,7 +209,7 @@ def extend_head(model, new_classes, seed):
     head_rng, loc_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     names = tuple(model.class_names) + tuple(new_classes)
     d = model.head.W.shape[2]
-    head = Conv2d("head", 1, d, len(names), 1, head_rng, model.dtype)
+    head = Conv2d("head", 1, d, len(names), head_rng, model.dtype)
     head.W[:, :, :, : len(model.class_names)] = model.head.W
     head.W[:, :, :, len(model.class_names):] = (
         head_rng.standard_normal((1, 1, d, len(new_classes))) * 1e-3
@@ -221,7 +225,20 @@ def extend_head(model, new_classes, seed):
 # ---------------------------------------------------------------------------
 
 def image_to_input(image, dtype):
-    return (image.astype(dtype) / 255.0) - 0.5
+    """The network input of uint8 images (..., H, W, 3): centred pixel
+    values, rearranged space to depth into (..., ceil(H/2), ceil(W/2), 12).
+
+    An odd H or W is padded with one zero row or column at the bottom or
+    right first.  Channel (2*di + dj)*3 + c of input pixel (i, j) is
+    channel c of image pixel (2i + di, 2j + dj).
+    """
+    x = (image.astype(dtype) / 255.0) - 0.5
+    *lead, h, w, c = x.shape
+    if h % 2 or w % 2:
+        x = np.pad(x, [(0, 0)] * len(lead) + [(0, h % 2), (0, w % 2), (0, 0)])
+    ho, wo = (h + 1) // 2, (w + 1) // 2
+    x = x.reshape(*lead, ho, 2, wo, 2, c).swapaxes(-4, -3)
+    return x.reshape(*lead, ho, wo, 4 * c)
 
 
 def nearest_resize(src, oh, ow):
@@ -309,8 +326,8 @@ def base_train(model, samples, registry, cfg):
     dtype = model.dtype
     ss = np.random.SeedSequence(cfg.seed)
     shuffle_rng = np.random.default_rng(ss.spawn(1)[0])
-    h, w = samples[0].image.shape[:2]
-    ho, wo = (h + 1) // 2, (w + 1) // 2   # the encoder's stride-2 conv
+    # every layer keeps the size of the network input
+    ho, wo = image_to_input(samples[0].image, dtype).shape[:2]
     n_classes = model.n_classes()
     lut = np.zeros(len(registry), dtype=np.uint8)
     for ch, name in enumerate(model.class_names):

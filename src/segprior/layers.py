@@ -4,23 +4,21 @@ Everything runs channel-last on numpy arrays: activations are
 (B, H, W, C).  Backward methods return the input gradient and accumulate
 parameter gradients into a caller-supplied dict keyed by parameter name.
 
-Every convolution is a set of shifted GEMMs (the kn2row/accumulate family
-of Anderson et al., arXiv:1709.03395) over phase grids.  The input of a
-k x k conv is zero-padded by p = k // 2 pixels, rounded up to a multiple of
-the stride s, and split into its s x s phase grids: phase (pi, pj) holds
-the padded pixels (s*i + pi, s*j + pj) at grid position (i, j), the
-polyphase split behind sub-pixel convolution (Shi et al., arXiv:1609.05158).
-Each grid is flattened to rows of C channels, one row per grid pixel, and
-is wq pixels wide.  Output pixel (n, i, j) is computed at row
-r = (n*hq + i)*wq + j of a grid of the same shape, and its tap (ki, kj)
-reads row r + (ki // s)*wq + kj // s of phase (ki % s, kj % s).  Each tap
-is therefore one GEMM over a contiguous range of rows, accumulated into an
-output grid that is cropped to the output size at the end; the backward
+Every convolution is stride 1 and runs as k*k shifted GEMMs over its
+padded input (the kn2row/accumulate family of Anderson et al.,
+arXiv:1709.03395).  The input of a k x k conv is zero-padded once by
+p = k // 2 pixels and flattened to rows of C channels, one row per padded
+pixel, wp = W + 2p pixels to an image row.  Output pixel (n, i, j) is
+computed at row r = (n*hp + i)*wp + j of an output grid of the padded
+shape, and its tap (ki, kj) reads input row r + ki*wp + kj.  Each tap is
+therefore one GEMM over a contiguous range of rows, accumulated into the
+output grid, which is cropped to the output size at the end; the backward
 pass runs the same k*k row ranges for the weight gradient and scatters the
-input gradient into the phase grids, which interleave back into the padded
-image.  At s = 1 there is one phase, the padded input itself.  A 1x1 conv
-is the one-tap case: one unpadded, unshifted tap on one phase, a single
-GEMM over the whole group's pixels.
+input gradient into a padded grid, cropped the same way.  A 1x1 conv is
+the one-tap case: its input needs no padding, so the input itself is the
+rows and the cache, and the conv is a single GEMM over the whole group's
+pixels.  No layer downsamples: the model's one factor of 2 is the
+space-to-depth rearrangement of its input image (``engine.image_to_input``).
 
 ``Shards`` owns the split: a call names a count n, and ``Shards`` cuts
 range(n) into two fixed shards of ceil(n/2) and floor(n/2) rows
@@ -188,33 +186,22 @@ def _serve(conn, parent_end, fn, sync):
         conn.send(reply)
 
 
-def _tap_rows(k, stride, wq):
-    """(ki, kj, phase, row shift) of each k x k tap in raster order, on phase
-    grids of width wq.  A 1x1 conv has one tap, unshifted, on phase 0."""
-    return [(ki, kj, (ki % stride) * stride + kj % stride, (ki // stride) * wq + kj // stride)
-            for ki in range(k) for kj in range(k)]
-
-
 class Conv2d:
-    """k x k convolution (k in {1, 3}) with k // 2 pixels of zero padding,
-    stride 1 or 2 for k = 3; a 1x1 conv is one unpadded tap on one phase,
-    stride 1 only.
+    """k x k convolution (k in {1, 3}) at stride 1, with k // 2 pixels of
+    zero padding, so the output has the input's height and width.
 
-    A forward keeps nothing in the layer: its cache belongs to its caller,
-    and later forwards of the same layer leave it intact.
+    The forward pads its input once and runs k * k shifted GEMMs over its
+    rows; a 1x1 conv reads the input itself.  A forward keeps nothing in
+    the layer: its cache belongs to its caller, and later forwards of the
+    same layer leave it intact.
     """
 
-    def __init__(self, name, k, cin, cout, stride, rng, dtype):
+    def __init__(self, name, k, cin, cout, rng, dtype):
         if k not in (1, 3):
             raise ValueError("only 1x1 and 3x3 convolutions are supported")
-        # a strided 1x1 conv taps phase 0 alone, so the backward would
-        # leave the other phases of its input gradient unwritten
-        if k == 1 and stride != 1:
-            raise ValueError("1x1 convolutions are stride-1 only")
         std = np.sqrt(2.0 / (k * k * cin))
         self.name = name
         self.k = k
-        self.stride = stride
         self.W = (rng.standard_normal((k, k, cin, cout)) * std).astype(dtype)
         self.b = np.zeros(cout, dtype=dtype)
 
@@ -224,69 +211,59 @@ class Conv2d:
     def forward(self, x):
         b, h, w, cin = x.shape
         cout = self.W.shape[3]
-        k, s = self.k, self.stride
+        k = self.k
         p = k // 2
-        hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
-        n = b * hq * wq
-        span = n - (2 * p // s) * (wq + 1)    # rows up to the last output pixel
-        # Image row r is padded row r + p: phase (r + p) % s, grid row
-        # (r + p) // s.  The grids start uninitialised: each phase's rows
-        # and columns outside the image are its padding, zeroed on every
-        # call, and the image pixels are not zeroed first.
-        grids = np.empty((s, s, b, hq, wq, cin), x.dtype)
-        for pi in range(s):
-            for pj in range(s):
-                r, c = (pi - p) % s, (pj - p) % s    # first image row and column
-                part = x[:, r::s, c::s]
-                i, j = (r + p) // s, (c + p) // s
-                ph, pw = part.shape[1:3]
-                g = grids[pi, pj]
-                g[:, i:i + ph, j:j + pw] = part
-                g[:, :i] = g[:, i + ph:] = g[:, :, :j] = g[:, :, j + pw:] = 0
-        rows = grids.reshape(s * s, n, cin)
+        hp, wp = h + 2 * p, w + 2 * p
+        xp = x
+        if p:
+            xp = np.zeros((b, hp, wp, cin), x.dtype)
+            xp[:, p:h + p, p:w + p] = x
+        n = b * hp * wp
+        span = n - 2 * p * (wp + 1)    # rows up to the last output pixel
+        rows = xp.reshape(n, cin)
+        # output pixel (n, i, j) is row r = (n*hp + i)*wp + j, and its tap
+        # (ki, kj) reads input row r + ki*wp + kj
+        taps = [(ki, kj, ki * wp + kj) for ki in range(k) for kj in range(k)]
         out = np.empty((n, cout), x.dtype)
-        np.matmul(rows[0, :span], self.W[0, 0], out=out[:span])
-        for ki, kj, q, shift in _tap_rows(k, s, wq)[1:]:
-            out[:span] += rows[q, shift:shift + span] @ self.W[ki, kj]
-        ho, wo = (h - 1) // s + 1, (w - 1) // s + 1
-        y = out.reshape(b, hq, wq, cout)[:, :ho, :wo] + self.b
-        return y, (grids, h, w, span)
+        np.matmul(rows[:span], self.W[0, 0], out=out[:span])
+        for ki, kj, shift in taps[1:]:
+            out[:span] += rows[shift:shift + span] @ self.W[ki, kj]
+        y = out.reshape(b, hp, wp, cout)[:, :h, :w] + self.b
+        return y, (xp, span)
 
     def backward(self, dy, cache, grads, input_grad=True):
         """Accumulate parameter gradients; return dx, or None if not input_grad."""
         cout = self.W.shape[3]
-        grids, h, w, span = cache
-        s, _, b, hq, wq, cin = grids.shape
-        n = b * hq * wq
-        taps = _tap_rows(self.k, s, wq)
-        # dy on the output grid; the rest of the grid must be zero to add
+        xp, span = cache
+        b, hp, wp, cin = xp.shape
+        _, h, w, _ = dy.shape
+        n = b * hp * wp
+        k = self.k
+        taps = [(ki, kj, ki * wp + kj) for ki in range(k) for kj in range(k)]
+        # dy on the padded grid; the rest of the grid must be zero to add
         # nothing below
-        dgrid = np.empty((b, hq, wq, cout), grids.dtype)
-        dgrid[:, :dy.shape[1], :dy.shape[2]] = dy
-        dgrid[:, dy.shape[1]:] = dgrid[:, :, dy.shape[2]:] = 0
+        dgrid = np.empty((b, hp, wp, cout), xp.dtype)
+        dgrid[:, :h, :w] = dy
+        dgrid[:, h:] = dgrid[:, :, w:] = 0
         d = dgrid.reshape(n, cout)[:span]
-        rows = grids.reshape(s * s, n, cin)
+        rows = xp.reshape(n, cin)
         dW = grads[f"{self.name}.W"]
-        for ki, kj, q, shift in taps:
-            dW[ki, kj] += rows[q, shift:shift + span].T @ d
+        for ki, kj, shift in taps:
+            dW[ki, kj] += rows[shift:shift + span].T @ d
         # column sums as a GEMV; axis-0 reduction in numpy is far slower
         ones = np.ones(span, d.dtype)
         grads[f"{self.name}.b"] += ones @ d
         if not input_grad:
             return None
-        # the first tap of each phase in raster order is the one with no
-        # shift; it writes the phase's first span rows, the others add
-        dq = np.empty((s * s, n, cin), d.dtype)
-        dq[:, span:] = 0
-        for ki, kj, q, shift in taps:
-            if shift:
-                dq[q, shift:shift + span] += d @ self.W[ki, kj].T
-            else:
-                np.matmul(d, self.W[ki, kj].T, out=dq[q, :span])
-        # interleave the phases back into the padded image (a view at s = 1)
-        dxp = dq.reshape(s, s, b, hq, wq, cin).transpose(2, 3, 0, 4, 1, 5)
-        p = self.k // 2
-        return dxp.reshape(b, s * hq, s * wq, cin)[:, p:h + p, p:w + p]
+        # the first tap has no shift: it writes the first span rows, the
+        # others add
+        dxp = np.empty((n, cin), d.dtype)
+        dxp[span:] = 0
+        np.matmul(d, self.W[0, 0].T, out=dxp[:span])
+        for ki, kj, shift in taps[1:]:
+            dxp[shift:shift + span] += d @ self.W[ki, kj].T
+        p = k // 2
+        return dxp.reshape(b, hp, wp, cin)[:, p:h + p, p:w + p]
 
 
 class ChannelNorm:

@@ -224,6 +224,11 @@ def test_checkpoint_must_hold_exactly_the_model_parameters(workspace, tmp_path):
     res = eval_with("float16.npz", **{**members, "__dtype__": np.array("float16")})
     assert res.returncode == 1, res.stderr
     assert "float16" in res.stderr
+    # a parameter of the right name and the wrong shape: enc.0.W as it was
+    # before the space-to-depth input, a stride-2 conv on 3 channels
+    res = eval_with("shape.npz", **{**members, "enc.0.W": np.zeros((3, 3, 3, 8), np.float32)})
+    assert res.returncode == 1, res.stderr
+    assert "enc.0.W" in res.stderr and "(3, 3, 3, 8)" in res.stderr
 
 
 @pytest.mark.parametrize("key, value", [

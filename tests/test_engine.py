@@ -111,7 +111,7 @@ def test_step_leaves_old_model_unchanged(world):
 def test_extend_head_preserves_old_channels(world):
     cfg = small_cfg()
     model, _ = base_model(world, cfg, train=False)
-    x = np.full((2, 64, 64, 3), 0.1, dtype=cfg.np_dtype())
+    x = np.full((2, 32, 32, engine.INPUT_CHANNELS), 0.1, dtype=cfg.np_dtype())
     feat, _ = model.encoder.forward(x)
     old_logits, _ = model.head.forward(feat)
     bigger = extend_head(model, ["new_a", "new_b"], seed=9)
@@ -133,6 +133,19 @@ def test_base_train_descends_and_is_deterministic(world):
     _, trace2 = base_model(world, cfg)
     assert trace1 == trace2
     assert trace1[-1] < trace1[0]
+
+
+def test_base_train_on_odd_size_images(world):
+    """41 px images are padded to 42 px before their space-to-depth
+    rearrangement: the labels are resized to the 21 x 21 network input,
+    training descends, and the trained model scores every pixel."""
+    tax, sched, _, _ = world
+    cfg = small_cfg(batch_size=8)
+    odd = step_samples(generate_dataset(tax, 30, image_size=41, seed=3), sched, 0)
+    model = SegModel.init(sched.channel_names(0), seed=cfg.seed, dtype=cfg.np_dtype())
+    model, trace = base_train(model, odd, tax.registry, cfg)
+    assert trace[-1] < trace[0]
+    assert predict_dataset(model, odd, tax.registry).sum() == len(odd) * 41 * 41
 
 
 def test_incremental_trace_and_warmup(world):
@@ -265,7 +278,7 @@ def test_checkpoint_round_trip(world, tmp_path):
     loaded, step, chash = load_checkpoint(path)
     assert step == 0 and chash == "abc123"
     assert loaded.class_names == model.class_names
-    x = np.full((1, 64, 64, 3), -0.2, dtype=cfg.np_dtype())
+    x = np.full((1, 32, 32, engine.INPUT_CHANNELS), -0.2, dtype=cfg.np_dtype())
     f1, _ = model.encoder.forward(x)
     f2, _ = loaded.encoder.forward(x)
     assert np.array_equal(f1, f2)
@@ -846,9 +859,9 @@ def test_predict_dataset_mixes_image_sizes(world):
 
 
 def test_predict_dataset_alternates_63_and_64_px(world):
-    """63 and 64 px images pad to 65 and 66 px, which the stride-2 conv
-    rounds up to the same size; the counts must match each image run
-    alone."""
+    """A 63 px image is padded to 64 px before its space-to-depth
+    rearrangement, so both sizes become 32 x 32 network inputs; the counts
+    must match each image run alone."""
     tax, sched, data, _ = world
     cfg = small_cfg()
     model, _ = base_model(world, cfg, train=False)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segprior.engine import ENCODER_CHANNELS, SegModel
+from segprior.engine import ENCODER_CHANNELS, INPUT_CHANNELS, SegModel
 from segprior.layers import LeakyReLU, zero_grads
 from segprior.objectives import (
     bce_sum_grad,
@@ -206,7 +206,8 @@ def test_network_chains_match_finite_differences(part):
     rng = np.random.default_rng(17)
     model = SegModel.init(("bkg", "a", "b"), seed=4, dtype=np.float64)
     chain = getattr(model, part)
-    shape = (2, 6, 6, 3) if part == "encoder" else (2, 4, 4, ENCODER_CHANNELS[-1])
+    # the encoder's input is a 6 x 6 image rearranged space to depth
+    shape = (2, 3, 3, INPUT_CHANNELS) if part == "encoder" else (2, 4, 4, ENCODER_CHANNELS[-1])
     x = rng.standard_normal(shape)
     while kink_distance(chain, x) < 1e-3:
         x = rng.standard_normal(shape)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from segprior.engine import image_to_input
 from segprior.layers import (MOMENTUM, Chain, ChannelNorm, Conv2d, LeakyReLU,
                              SGDMomentum, Shards, shard_slices, zero_grads)
 
@@ -27,10 +28,10 @@ def conv_scalar_grad(conv, x):
     return dx, grads
 
 
-@pytest.mark.parametrize("k,stride", [(3, 1), (3, 2), (1, 1)])
-def test_conv_gradients(k, stride):
+@pytest.mark.parametrize("k", [3, 1])
+def test_conv_gradients(k):
     rng = np.random.default_rng(0)
-    conv = Conv2d("c", k, 3, 4, stride, rng, np.float64)
+    conv = Conv2d("c", k, 3, 4, rng, np.float64)
     x = rng.standard_normal((2, 6, 6, 3))
     dx, grads = conv_scalar_grad(conv, x)
     assert max_rel_error(dx, numeric_gradient(lambda t: conv_scalar(conv, t), x)) < 1e-4
@@ -45,7 +46,10 @@ def test_conv_gradients(k, stride):
 
 
 def naive_conv(x, W, b, stride, dy):
-    """Loop reference: output, input gradient and parameter gradients."""
+    """Loop reference: output, input gradient and parameter gradients.
+
+    Conv2d is stride 1; stride 2 is the reference for the space-to-depth
+    stem (``test_space_to_depth_stem_contains_the_stride_2_conv``)."""
     k = W.shape[0]
     pad = k // 2
     bsz, h, w, _ = x.shape
@@ -70,24 +74,25 @@ def naive_conv(x, W, b, stride, dy):
 @st.composite
 def conv_cases(draw):
     k = draw(st.sampled_from([1, 3]))
-    stride = 1 if k == 1 else draw(st.sampled_from([1, 2]))
     h = draw(st.integers(1, 9))
     w = draw(st.integers(1, 9).filter(lambda v: v != h))
     return (draw(st.integers(1, 3)), h, w, draw(st.integers(1, 5)),
-            draw(st.integers(1, 5)), k, stride, draw(st.integers(0, 2**32 - 1)))
+            draw(st.integers(1, 5)), k, draw(st.integers(0, 2**32 - 1)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(conv_cases())
 def test_conv_matches_naive_loops(case):
-    bsz, h, w, cin, cout, k, stride, seed = case
+    bsz, h, w, cin, cout, k, seed = case
     rng = np.random.default_rng(seed)
-    conv = Conv2d("c", k, cin, cout, stride, rng, np.float64)
+    conv = Conv2d("c", k, cin, cout, rng, np.float64)
     conv.b[...] = rng.standard_normal(cout)
     x = rng.standard_normal((bsz, h, w, cin))
     y, cache = conv.forward(x)
+    # a 1x1 conv needs no padding: its cache is its input, not a copy
+    assert (cache[0] is x) == (k == 1)
     dy = rng.standard_normal(y.shape)
-    ref_y, ref_dx, ref_dW, ref_db = naive_conv(x, conv.W, conv.b, stride, dy)
+    ref_y, ref_dx, ref_dW, ref_db = naive_conv(x, conv.W, conv.b, 1, dy)
     grads = zero_grads(conv.params())
     dx = conv.backward(dy, cache, grads)
     tol = dict(rtol=1e-10, atol=1e-10)
@@ -103,15 +108,14 @@ def test_conv_matches_naive_loops(case):
         np.testing.assert_array_equal(only[name], grads[name])
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-def test_conv_reused_buffers_hold_nothing_from_other_sizes(stride):
+def test_conv_reused_buffers_hold_nothing_from_other_sizes():
     """One layer runs batches of different shapes in turn and matches the
-    loop reference on each: 6 and 5 px pad to 8 and 7, which round up to
-    the same stride-2 size, and 1 x 6 x 6 and 2 x 2 x 6 images pad to the
-    same number of pixels.  The heap hands a freed grid's memory to the
-    next call as it was, so every call must zero all of its padding."""
+    loop reference on each: 1 x 6 x 6 and 2 x 2 x 6 images pad to the
+    same number of pixels, and 6 and 5 px rows to 8 and 7.  The heap hands
+    a freed padded input's memory to the next call as it was, so every
+    call must zero all of its padding."""
     rng = np.random.default_rng(9)
-    conv = Conv2d("c", 3, 3, 4, stride, rng, np.float64)
+    conv = Conv2d("c", 3, 3, 4, rng, np.float64)
     conv.b[...] = rng.standard_normal(4)
     for shape in ((1, 6, 6), (2, 2, 6), (1, 5, 5), (1, 6, 5), (1, 5, 6), (1, 6, 6)):
         x = rng.standard_normal((*shape, 3))
@@ -119,18 +123,18 @@ def test_conv_reused_buffers_hold_nothing_from_other_sizes(stride):
         dy = rng.standard_normal(y.shape)
         grads = zero_grads(conv.params())
         dx = conv.backward(dy, cache, grads)
-        ref = naive_conv(x, conv.W, conv.b, stride, dy)
+        ref = naive_conv(x, conv.W, conv.b, 1, dy)
         for got, want in zip((y, dx, grads["c.W"], grads["c.b"]), ref):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
-@pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (3, 2)])
-def test_conv_cache_outlives_the_next_forward(k, stride):
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv_cache_outlives_the_next_forward(k):
     """A forward's cache belongs to its caller: a second forward of the
     same shape leaves it as it was, and a backward on it gives what the
     first input gives run alone."""
     rng = np.random.default_rng(5)
-    conv = Conv2d("c", k, 3, 4, stride, rng, np.float64)
+    conv = Conv2d("c", k, 3, 4, rng, np.float64)
     conv.b[...] = rng.standard_normal(4)
     a, b = rng.standard_normal((2, 2, 7, 6, 3))
     y, cache = conv.forward(a)
@@ -146,11 +150,54 @@ def test_conv_cache_outlives_the_next_forward(k, stride):
         np.testing.assert_array_equal(grads[name], alone[name])
 
 
-@pytest.mark.parametrize("k,stride", [(2, 1), (1, 2)])
-def test_conv_rejects_unsupported_shapes(k, stride):
-    """Only 1x1 and 3x3 kernels exist, and a 1x1 conv is stride 1."""
-    with pytest.raises(ValueError):
-        Conv2d("c", k, 3, 4, stride, np.random.default_rng(0), np.float64)
+def test_conv_rejects_unsupported_shapes():
+    """Only 1x1 and 3x3 kernels exist."""
+    for k in (2, 5):
+        with pytest.raises(ValueError):
+            Conv2d("c", k, 3, 4, np.random.default_rng(0), np.float64)
+
+
+def stem_kernel(W3):
+    """The (3, 3, 12, c) kernel of a 3x3 conv on space-to-depth input that
+    computes the stride-2 3x3 conv W3 (3, 3, 3, c) on the image.  Its tap
+    (a, b) reads input pixel (i + a - 1, j + b - 1), whose sub-pixel
+    (di, dj) is image pixel (2i + 2a + di - 2, 2j + 2b + dj - 2); the
+    stride-2 tap ki reads image row 2i + ki - 1, so ki = 2a + di - 1, and
+    sub-pixels with ki or kj outside [0, 2] get zero weight."""
+    W = np.zeros((3, 3, 12, W3.shape[3]), W3.dtype)
+    for a, di, b, dj in np.ndindex(3, 2, 3, 2):
+        ki, kj = 2 * a + di - 1, 2 * b + dj - 1
+        if 0 <= ki <= 2 and 0 <= kj <= 2:
+            W[a, b, (2 * di + dj) * 3:(2 * di + dj + 1) * 3] = W3[ki, kj]
+    return W
+
+
+@pytest.mark.parametrize("h,w", [(8, 6), (7, 9)])
+def test_space_to_depth_stem_contains_the_stride_2_conv(h, w):
+    """enc.0 on image_to_input's space-to-depth input sees a 6 x 6 pixel
+    window that contains a stride-2 3x3 conv's window: with the stride-2
+    kernel placed in it (``stem_kernel``), its output equals the stride-2
+    conv of the centred image, at an even and an odd size, and its weight
+    gradient holds the stride-2 conv's at the placed entries."""
+    rng = np.random.default_rng(11)
+    images = rng.integers(0, 256, (2, h, w, 3), dtype=np.uint8)
+    W3 = rng.standard_normal((3, 3, 3, 5))
+    bias = rng.standard_normal(5)
+    conv = Conv2d("c", 3, 12, 5, rng, np.float64)
+    conv.W[...] = stem_kernel(W3)
+    conv.b[...] = bias
+    y, cache = conv.forward(image_to_input(images, np.float64))
+    dy = rng.standard_normal(y.shape)
+    ref_y, _, ref_dW, ref_db = naive_conv(images / 255.0 - 0.5, W3, bias, 2, dy)
+    grads = zero_grads(conv.params())
+    conv.backward(dy, cache, grads, input_grad=False)
+    tol = dict(rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(y, ref_y, **tol)
+    np.testing.assert_allclose(grads["c.b"], ref_db, **tol)
+    # each stride-2 weight's flat index + 1, at the stem entry it is placed in
+    placed = stem_kernel(np.arange(1, 3 * 3 * 3 * 5 + 1).reshape(3, 3, 3, 5))
+    np.testing.assert_allclose(grads["c.W"][placed > 0], ref_dW.ravel()[placed[placed > 0] - 1],
+                               **tol)
 
 
 def test_channel_norm_gradients():
@@ -222,8 +269,8 @@ def test_chain_infer_and_backward_free_caches():
     a layer's backward runs, its own cache and those of the layers after
     it are gone."""
     rng = np.random.default_rng(3)
-    layers = [Conv2d("a", 3, 3, 4, 2, rng, np.float64), ChannelNorm("n", 4, np.float64),
-              LeakyReLU(0.01), Conv2d("b", 1, 4, 2, 1, rng, np.float64)]
+    layers = [Conv2d("a", 3, 3, 4, rng, np.float64), ChannelNorm("n", 4, np.float64),
+              LeakyReLU(0.01), Conv2d("b", 1, 4, 2, rng, np.float64)]
     chain = Chain(layers)
     x = rng.standard_normal((2, 7, 7, 3))
     inferred = chain.infer(x)
