@@ -8,6 +8,15 @@ codes: 0 on success, 1 on validation errors (bad flags, malformed inputs,
 missing files), 2 on runtime failures.  All randomness derives from one
 --seed, so repeating a command with the same config and seed reproduces its
 outputs byte for byte.
+
+Each command loads only the libraries it runs.  gen-data, train-base and
+train-incremental draw seeded random numbers, so they load numpy.random,
+which pulls in OpenSSL's libcrypto through ``secrets`` and ``hmac``; the
+training commands also hash the config (``config.config_hash``, the one
+user of ``hashlib``).  eval and plot load neither: eval fills a model
+skeleton built without a generator from the checkpoint
+(``engine.load_checkpoint``) and stamps the checkpoint's own config hash
+into its report.
 """
 
 import os

@@ -15,7 +15,6 @@ lists cannot build.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field, fields, asdict
@@ -99,6 +98,10 @@ class ExperimentConfig:
 
 
 def config_hash(cfg):
+    # hashlib loads OpenSSL's libcrypto, which only the training commands,
+    # the callers of this function, need
+    import hashlib
+
     payload = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 

@@ -79,6 +79,10 @@ step trains, the old model runs forward over the step's images, chunk by
 chunk as two shards and each shard in groups, and the outputs are joined
 (``_prepare_items``).  Neither keeps backward caches (``Chain.infer``).
 
+A checkpoint loads into a skeleton whose weights start at zero
+(``SegModel.init`` with seed None), built without a generator, so
+evaluation never imports numpy.random; only training draws random numbers.
+
 Memory: the worker shares the caller's pages until one of the two writes
 them, so what the two processes hold together in training is the data
 both read once, plus each shard's own working set.  The data is kept
@@ -133,8 +137,9 @@ class EngineConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, not {getattr(self, name)!r}")
         for name in ("lr_base", "lr_incremental"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, not {getattr(self, name)!r}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"not {getattr(self, name)!r}")
 
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
@@ -174,10 +179,13 @@ class SegModel:
 
     @classmethod
     def init(cls, class_names, seed, dtype=np.float32):
-        ss = np.random.SeedSequence(seed)
-        enc_rng, head_rng, loc_rng = (
-            np.random.default_rng(s) for s in ss.spawn(3)
-        )
+        """A model whose weights start seeded at random, or at zero when
+        seed is None: the skeleton ``load_checkpoint`` fills, built
+        without numpy.random."""
+        enc_rng = head_rng = loc_rng = None
+        if seed is not None:
+            ss = np.random.SeedSequence(seed)
+            enc_rng, head_rng, loc_rng = (np.random.default_rng(s) for s in ss.spawn(3))
         head = Conv2d("head", 1, ENCODER_CHANNELS[-1], len(class_names), head_rng, dtype)
         return cls(class_names, _encoder(enc_rng, dtype), head,
                    _localizer(len(class_names), loc_rng, dtype), dtype)
@@ -776,8 +784,12 @@ def save_checkpoint(model, path, step, config_hash, parent_config_hash=None):
 def load_checkpoint(path):
     """The model, step and config hash of a checkpoint.
 
-    The stored parameter names must be exactly the model's; members named
-    ``__*__`` are metadata, and those the model does not read are ignored.
+    The model is the zero skeleton of ``SegModel.init(..., seed=None)``,
+    built without numpy.random, with every parameter then filled from the
+    file.  The stored parameter names must be exactly the model's and each
+    must have its parameter's shape, so no zero weight is left; members
+    named ``__*__`` are metadata, and those the model does not read are
+    ignored.
     A missing metadata member, or a ``__dtype__`` other than float32 or
     float64, raises ValueError naming the file.
     """
@@ -793,7 +805,7 @@ def load_checkpoint(path):
             raise ValueError(f"checkpoint {path} has __dtype__ {dtype_name!r}, "
                              "not float32 or float64")
         dtype = np.dtype(dtype_name).type
-        model = SegModel.init(class_names, seed=0, dtype=dtype)
+        model = SegModel.init(class_names, seed=None, dtype=dtype)
         params = model.params()
         stored = {n for n in data.files if not (n.startswith("__") and n.endswith("__"))}
         missing, extra = sorted(params.keys() - stored), sorted(stored - params.keys())

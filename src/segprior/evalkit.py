@@ -8,7 +8,7 @@ label maps (argmax maps resized to mask resolution) into counts of their
 own with ``confusion_accumulate``.
 ``miou_all`` averages over every class including background, ``miou_base``
 excludes it, and classes absent from both prediction and truth are left out
-of the means.
+of the means; ``miou_new`` is undefined when every new class is absent.
 
 A report is the dict its JSON file holds: ``step``, ``config_hash``,
 ``per_class_iou`` (class name -> IoU) and the aggregates ``miou_base``,
@@ -73,12 +73,14 @@ _AGGREGATES = ("miou_base", "miou_new", "miou_all", "harmonic_mean")
 
 def build_report(counts, registry, base_classes, new_classes, step, config_hash):
     """The report dict: per-class IoUs and the four aggregates, None where
-    undefined (an absent class; miou_new and harmonic_mean before step 1)."""
+    undefined (an absent class; miou_new and harmonic_mean before step 1,
+    or when no new class appears in the truth or the prediction)."""
     values = iou_per_class(counts)
     miou_base = miou(counts, [registry.index_of(n) for n in base_classes])
     miou_new = hm = None
-    if new_classes:
-        miou_new = miou(counts, [registry.index_of(n) for n in new_classes])
+    new = [registry.index_of(n) for n in new_classes]
+    if not np.isnan(values[new]).all():
+        miou_new = miou(counts, new)
         if miou_base + miou_new > 0:
             hm = harmonic_mean(miou_base, miou_new)
     return {

@@ -190,6 +190,7 @@ class Conv2d:
     """k x k convolution (k in {1, 3}) at stride 1, with k // 2 pixels of
     zero padding, so the output has the input's height and width.
 
+    The weights start He-normal from rng, or at zero when rng is None.
     The forward pads its input once and runs k * k shifted GEMMs over its
     rows; a 1x1 conv reads the input itself.  A forward keeps nothing in
     the layer: its cache belongs to its caller, and later forwards of the
@@ -199,10 +200,14 @@ class Conv2d:
     def __init__(self, name, k, cin, cout, rng, dtype):
         if k not in (1, 3):
             raise ValueError("only 1x1 and 3x3 convolutions are supported")
-        std = np.sqrt(2.0 / (k * k * cin))
         self.name = name
         self.k = k
-        self.W = (rng.standard_normal((k, k, cin, cout)) * std).astype(dtype)
+        shape = (k, k, cin, cout)
+        if rng is None:
+            self.W = np.zeros(shape, dtype)
+        else:
+            std = np.sqrt(2.0 / (k * k * cin))
+            self.W = (rng.standard_normal(shape) * std).astype(dtype)
         self.b = np.zeros(cout, dtype=dtype)
 
     def params(self):

@@ -53,10 +53,13 @@ class LossConfig:
     seg_warmup_epochs: int = 5
 
     def __post_init__(self):
-        if self.lambda_rasp < 0:
-            raise ValueError("lambda_rasp must be non-negative")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        # NaN fails every comparison, so each check is written to pass
+        # only a finite value in range
+        if not 0 <= self.lambda_rasp < np.inf:
+            raise ValueError(f"lambda_rasp must be finite and non-negative, "
+                             f"not {self.lambda_rasp!r}")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"tau must be finite and positive, not {self.tau!r}")
         if self.seg_warmup_epochs < 0:
             raise ValueError("seg_warmup_epochs must be non-negative")
 
@@ -111,7 +114,8 @@ def _check_pair(a, b, what):
 
 
 def _check_unit_range(t, what):
-    if np.any(t < 0) or np.any(t > 1):
+    # a NaN propagates through min and max and fails both comparisons
+    if not (t.min() >= 0 and t.max() <= 1):
         raise ValueError(f"{what} must lie in [0, 1]")
 
 

@@ -247,6 +247,8 @@ def test_checkpoint_must_hold_exactly_the_model_parameters(workspace, tmp_path):
     ("lr_base", "0.1"),
     ("momentum", None),
     ("seed", 1.5),
+    ("lr_base", float("inf")),
+    ("lr_incremental", float("nan")),
 ])
 def test_bad_engine_values_rejected(workspace, tmp_path, key, value):
     """Each of these used to fail mid-run (exit 1 or 2) or train without
@@ -296,6 +298,8 @@ def test_eval_has_no_seed_flag(workspace):
     ("loss", "lambda_rasp", True),
     ("schedule", "shots", 2.5),
     (None, "registry", "abc"),
+    ("loss", "tau", float("inf")),
+    ("loss", "lambda_rasp", float("nan")),
 ])
 def test_wrongly_typed_config_values_rejected(workspace, tmp_path, section, key, value):
     """Each of these exited 2 mid-run or loaded without complaint; the config
@@ -312,6 +316,17 @@ def test_wrongly_typed_config_values_rejected(workspace, tmp_path, section, key,
     assert key in res.stderr
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_lambda_rasp_override_exits_1(workspace, value):
+    """--lambda-rasp nan used to start training and exit 2 at the first
+    non-finite loss; the override is rejected before any work."""
+    _, cfg_path = workspace
+    res = run_cli("train-incremental", "--config", cfg_path, "--step", "1",
+                  "--seed", "12", "--lambda-rasp", value)
+    assert res.returncode == 1, res.stderr
+    assert "lambda_rasp" in res.stderr
+
+
 def untrained_checkpoint(cfg_path, path):
     """A step-0 checkpoint of an untrained model for the config's schedule."""
     from segprior import config, engine
@@ -324,6 +339,34 @@ def untrained_checkpoint(cfg_path, path):
 
 REPORT = {"step": 0, "config_hash": "h", "per_class_iou": {"bkg": 0.5},
           "miou_base": 0.5, "miou_new": None, "miou_all": 0.5, "harmonic_mean": None}
+
+
+_IMPORT_PROBE = """
+import json, sys
+import numpy
+before = set(sys.modules)
+from segprior import cli
+status = cli.main(sys.argv[1:])
+print(json.dumps([status, sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_eval_loads_neither_numpy_random_nor_openssl(workspace, tmp_path):
+    """eval fills a model skeleton from the checkpoint and reports the
+    checkpoint's own config hash, so it draws no random number and hashes
+    nothing: it loads neither numpy.random (which pulls in OpenSSL through
+    secrets and hmac) nor hashlib beyond what `import numpy` alone loads."""
+    _, cfg_path = workspace
+    ckpt = untrained_checkpoint(cfg_path, str(tmp_path / "ckpt_step0_seed0.npz"))
+    res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, "eval",
+                          "--config", cfg_path, "--checkpoint", ckpt],
+                         capture_output=True, text=True, env=ENV)
+    assert res.returncode == 0, res.stderr
+    status, added = json.loads(res.stdout.splitlines()[-1])
+    assert status == 0
+    loaded = [m for m in added if m.split(".")[:2] == ["numpy", "random"]
+              or m in ("hashlib", "_hashlib", "hmac", "secrets")]
+    assert not loaded, loaded
 
 
 @pytest.mark.parametrize("trace", [

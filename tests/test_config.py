@@ -12,6 +12,7 @@ from segprior.config import (
     save_config,
 )
 from segprior.engine import EngineConfig
+from segprior.objectives import LossConfig
 
 
 def make_config():
@@ -96,3 +97,30 @@ def test_engine_dtype_rejected(dtype, tmp_path):
 def test_engine_dtype_accepted():
     assert EngineConfig(dtype="float64").np_dtype() is np.float64
     assert EngineConfig(dtype="float32").np_dtype() is np.float32
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("loss", "lambda_rasp", float("nan")),
+    ("loss", "lambda_rasp", float("inf")),
+    ("loss", "tau", float("inf")),
+    ("loss", "tau", float("nan")),
+    ("engine", "lr_base", float("inf")),
+    ("engine", "lr_incremental", float("nan")),
+])
+def test_non_finite_settings_rejected(section, key, value, tmp_path):
+    """A NaN or infinite weight, temperature or learning rate used to load
+    and fail mid-run or train without complaint; it is rejected at
+    construction, and so at load (JSON's NaN and Infinity)."""
+    cls = LossConfig if section == "loss" else EngineConfig
+    with pytest.raises(ValueError, match=key):
+        cls(**{key: value})
+    cfg = make_config()
+    path = str(tmp_path / "config.json")
+    save_config(cfg, path)
+    with open(path) as fh:
+        raw = json.load(fh)
+    raw[section][key] = value
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    with pytest.raises(ValueError, match=key):
+        load_config(path)

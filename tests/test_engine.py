@@ -287,6 +287,26 @@ def test_checkpoint_round_trip(world, tmp_path):
     assert np.array_equal(l1, l2)
 
 
+def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
+    """A checkpoint fills every parameter of the model it loads into, so
+    that model is built without a generator, and eval never loads
+    numpy.random."""
+    model = SegModel.init(("bkg", "a", "b"), seed=3, dtype=np.float64)
+    path = str(tmp_path / "ckpt.npz")
+    save_checkpoint(model, path, step=0, config_hash="h")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    loaded, _, _ = load_checkpoint(path)
+    params = loaded.params()
+    assert params.keys() == model.params().keys()
+    for name, p in model.params().items():
+        assert params[name].dtype == p.dtype and np.array_equal(params[name], p)
+
+
 def test_predict_dataset_shapes(world):
     """Counts are (truth, prediction) over the registry: each row adds up
     to its class's pixels in the masks, and only the model's classes are

@@ -186,6 +186,24 @@ def test_build_report_from_counts():
         harmonic_mean(6 / 9, 4 / 5))
 
 
+def test_build_report_with_no_new_class_present():
+    """A step whose new classes appear in neither the truth nor the
+    prediction has no mIoU(new) and no harmonic mean; the rest of the
+    report is defined."""
+    registry = ClassRegistry(["bkg", "a", "b", "c"])
+    counts = np.array([
+        [8, 1, 0, 0],
+        [2, 6, 0, 0],
+        [0, 0, 0, 0],
+        [0, 0, 0, 0],
+    ], dtype=np.int64)
+    report = build_report(counts, registry, ["a"], ["b", "c"], step=1, config_hash="x")
+    assert report["miou_new"] is None and report["harmonic_mean"] is None
+    assert report["miou_base"] == pytest.approx(6 / 9)
+    assert report["miou_all"] == pytest.approx(np.mean([8 / 11, 6 / 9]))
+    assert report["per_class_iou"]["b"] is None and report["per_class_iou"]["c"] is None
+
+
 def test_trace_append_idempotent(tmp_path):
     path = str(tmp_path / "trace.json")
     append_trace(path, fake_report(step=1))

@@ -90,9 +90,14 @@ def test_rasp_errors():
         rasp_loss(np.zeros((2, 2, 1)), np.zeros((2, 3, 1)))
     with pytest.raises(ValueError):
         rasp_loss(np.zeros((2, 2, 0)), np.zeros((2, 2, 0)))
-    for bad in (-0.25, 1.5):     # targets are probabilities, not raw maps
+    for bad in (-0.25, 1.5, np.nan):     # targets are probabilities, not raw maps
         with pytest.raises(ValueError, match="rasp targets"):
             rasp_loss(np.zeros((2, 2, 1)), np.full((2, 2, 1), bad))
+    # one NaN among valid targets is enough
+    t = np.full((2, 2, 1), 0.5)
+    t[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="rasp targets"):
+        rasp_loss(np.zeros((2, 2, 1)), t)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +260,19 @@ def test_seg_values():
                                                             rel=1e-12)
     with pytest.raises(ValueError):
         item_loss(seg_loss_grad, p, np.full_like(p, 1.5))
+
+
+@pytest.mark.parametrize("fn, what", [(kdl_loss_grad, "distillation targets"),
+                                      (seg_loss_grad, "pseudo-supervision")])
+def test_targets_outside_the_unit_range_rejected(fn, what):
+    """A NaN target would give a NaN loss; like a value outside [0, 1], it
+    is rejected."""
+    z = np.zeros((2, 2, 2, 3))
+    for bad in (np.nan, -np.inf, np.inf, -1e-9, 1 + 1e-9):
+        t = np.full_like(z, 0.5)
+        t[1, 0, 1, 2] = bad
+        with pytest.raises(ValueError, match=what):
+            fn(z, t, z.size)
 
 
 def test_losses_nonnegative():
