@@ -15,8 +15,13 @@ channels at every step, and a localizer retrained from scratch per step.
 The localizer is two 3x3 convs of 16 channels, each followed by a
 ChannelNorm and a leaky ReLU, then a 1x1 projection to one channel per
 class; its spatial scores drive the image-level classification loss and
-the pseudo-labels.  Encoder and localizer are ``layers.Chain``s, and the
-encoder computes no gradient for the input images.  The previous step's
+the pseudo-labels.  A conv followed by a ChannelNorm (``enc.3``,
+``loc.0`` and ``loc.1``) has no bias: the norm subtracts each sample's
+per-channel mean, which cancels a per-channel bias, so that bias would
+get a gradient of zero (Ioffe & Szegedy, arXiv:1502.03167, section 3.2).
+The other convs (``enc.0`` to ``enc.2``, ``head`` and ``loc.2``) have
+one.  Encoder and localizer are ``layers.Chain``s, and the encoder
+computes no gradient for the input images.  The previous step's
 model, frozen, supplies the distillation targets, and its argmax picks
 each pixel's row of the RaSP target table (``segprior.simprior``).
 
@@ -145,13 +150,21 @@ class EngineConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
 
+def _conv_norm(prefix, i, cin, cout, rng, dtype):
+    """The 3x3 conv {prefix}.{i} and the ChannelNorm {prefix}.n{i} after it.
+    The conv has no bias: the norm's mean subtraction would cancel it."""
+    return [Conv2d(f"{prefix}.{i}", 3, cin, cout, rng, dtype, bias=False),
+            ChannelNorm(f"{prefix}.n{i}", cout, dtype)]
+
+
 def _encoder(rng, dtype):
     act = LeakyReLU(LEAKY_SLOPE)
     layers, cin = [], INPUT_CHANNELS
     for i, cout in enumerate(ENCODER_CHANNELS):
-        layers.append(Conv2d(f"enc.{i}", 3, cin, cout, rng, dtype))
         if i == len(ENCODER_CHANNELS) - 1:
-            layers.append(ChannelNorm(f"enc.n{i}", cout, dtype))
+            layers += _conv_norm("enc", i, cin, cout, rng, dtype)
+        else:
+            layers.append(Conv2d(f"enc.{i}", 3, cin, cout, rng, dtype))
         layers.append(act)
         cin = cout
     return Chain(layers, input_grad=False)
@@ -160,9 +173,8 @@ def _encoder(rng, dtype):
 def _localizer(n_classes, rng, dtype):
     h, act = LOCALIZER_HIDDEN, LeakyReLU(LEAKY_SLOPE)
     return Chain([
-        Conv2d("loc.0", 3, ENCODER_CHANNELS[-1], h, rng, dtype),
-        ChannelNorm("loc.n0", h, dtype), act,
-        Conv2d("loc.1", 3, h, h, rng, dtype), ChannelNorm("loc.n1", h, dtype), act,
+        *_conv_norm("loc", 0, ENCODER_CHANNELS[-1], h, rng, dtype), act,
+        *_conv_norm("loc", 1, h, h, rng, dtype), act,
         Conv2d("loc.2", 1, h, n_classes, rng, dtype),
     ])
 
@@ -706,7 +718,8 @@ def run_step(cfg, files, parent, step):
     samples = protocol.with_weak_labels(samples, schedule, step)
     old_classes = schedule.old_classes(step)
     if cfg.memory.mode == "external":
-        bank = memory.ingest_external(cfg.resolve(cfg.memory.manifest), old_classes)
+        bank = memory.ingest_external(cfg.resolve(cfg.memory.manifest), old_classes,
+                                      samples[0].image.shape)
     elif cfg.memory.mode == "episodic":
         past = [k for past_step in range(step)
                 for k in _step_rows(files.present, schedule, past_step, seed)]
@@ -789,9 +802,11 @@ def load_checkpoint(path):
     file.  The stored parameter names must be exactly the model's and each
     must have its parameter's shape, so no zero weight is left; members
     named ``__*__`` are metadata, and those the model does not read are
-    ignored.
-    A missing metadata member, or a ``__dtype__`` other than float32 or
-    float64, raises ValueError naming the file.
+    ignored.  A missing metadata member, a ``__dtype__`` other than float32
+    or float64, or parameters that are not the model's by name or shape
+    raise ValueError naming the file.  So a checkpoint with a bias on a
+    conv that feeds a ChannelNorm (``enc.3.b``, ``loc.0.b``, ``loc.1.b``)
+    is rejected: the model has none.
     """
     with np.load(path, allow_pickle=False) as data:
         for key in ("__class_names__", "__step__", "__config_hash__", "__dtype__"):
@@ -810,12 +825,12 @@ def load_checkpoint(path):
         stored = {n for n in data.files if not (n.startswith("__") and n.endswith("__"))}
         missing, extra = sorted(params.keys() - stored), sorted(stored - params.keys())
         if missing or extra:
-            raise ValueError(f"checkpoint parameters differ from the model's: "
+            raise ValueError(f"checkpoint {path}: its parameters differ from the model's: "
                              f"missing {missing}, not in the model {extra}")
         for name, p in params.items():
             stored = data[name]
             if stored.shape != p.shape:
-                raise ValueError(f"checkpoint parameter {name} has shape "
+                raise ValueError(f"checkpoint {path}: parameter {name} has shape "
                                  f"{stored.shape}, expected {p.shape}")
             p[...] = stored.astype(dtype)
     return model, step, config_hash

@@ -190,14 +190,19 @@ class Conv2d:
     """k x k convolution (k in {1, 3}) at stride 1, with k // 2 pixels of
     zero padding, so the output has the input's height and width.
 
-    The weights start He-normal from rng, or at zero when rng is None.
-    The forward pads its input once and runs k * k shifted GEMMs over its
-    rows; a 1x1 conv reads the input itself.  A forward keeps nothing in
-    the layer: its cache belongs to its caller, and later forwards of the
-    same layer leave it intact.
+    The weights start He-normal from rng, or at zero when rng is None.  A
+    conv built with bias=False has no bias b (it is None): no ``.b``
+    parameter, no bias add and no bias gradient.  That is the conv to put
+    before a ChannelNorm, whose mean subtraction cancels any per-channel
+    bias, so such a bias would get a gradient of zero (Ioffe & Szegedy,
+    arXiv:1502.03167, section 3.2).  Any other conv has a bias, starting
+    at zero.  The forward pads its input once and runs k * k shifted
+    GEMMs over its rows; a 1x1 conv reads the input itself.  A forward
+    keeps nothing in the layer: its cache belongs to its caller, and later
+    forwards of the same layer leave it intact.
     """
 
-    def __init__(self, name, k, cin, cout, rng, dtype):
+    def __init__(self, name, k, cin, cout, rng, dtype, bias=True):
         if k not in (1, 3):
             raise ValueError("only 1x1 and 3x3 convolutions are supported")
         self.name = name
@@ -208,9 +213,11 @@ class Conv2d:
         else:
             std = np.sqrt(2.0 / (k * k * cin))
             self.W = (rng.standard_normal(shape) * std).astype(dtype)
-        self.b = np.zeros(cout, dtype=dtype)
+        self.b = np.zeros(cout, dtype=dtype) if bias else None
 
     def params(self):
+        if self.b is None:
+            return {f"{self.name}.W": self.W}
         return {f"{self.name}.W": self.W, f"{self.name}.b": self.b}
 
     def forward(self, x):
@@ -233,7 +240,9 @@ class Conv2d:
         np.matmul(rows[:span], self.W[0, 0], out=out[:span])
         for ki, kj, shift in taps[1:]:
             out[:span] += rows[shift:shift + span] @ self.W[ki, kj]
-        y = out.reshape(b, hp, wp, cout)[:, :h, :w] + self.b
+        y = out.reshape(b, hp, wp, cout)[:, :h, :w]
+        if self.b is not None:
+            y = y + self.b
         return y, (xp, span)
 
     def backward(self, dy, cache, grads, input_grad=True):
@@ -255,9 +264,10 @@ class Conv2d:
         dW = grads[f"{self.name}.W"]
         for ki, kj, shift in taps:
             dW[ki, kj] += rows[shift:shift + span].T @ d
-        # column sums as a GEMV; axis-0 reduction in numpy is far slower
-        ones = np.ones(span, d.dtype)
-        grads[f"{self.name}.b"] += ones @ d
+        if self.b is not None:
+            # column sums as a GEMV; axis-0 reduction in numpy is far slower
+            ones = np.ones(span, d.dtype)
+            grads[f"{self.name}.b"] += ones @ d
         if not input_grad:
             return None
         # the first tap has no shift: it writes the first span rows, the

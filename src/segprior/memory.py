@@ -64,12 +64,14 @@ def populate_episodic(past_samples, old_classes, registry, capacity, seed):
     ]
 
 
-def ingest_external(manifest_path, old_classes):
+def ingest_external(manifest_path, old_classes, image_shape):
     """Read 'class_name<TAB>image_path' rows into an external bank, one
     ``MemoryEntry`` per row.
 
     Every row must name one of old_classes, the step's old foreground
-    classes; any other name, a current or future class among them, raises
+    classes, and its image must have image_shape, the shape of the step's
+    own images, since memory items share batches with them.  Any other
+    name, a current or future class among them, or any other shape raises
     ValueError naming the row.
     """
     if not os.path.isfile(manifest_path):
@@ -94,6 +96,9 @@ def ingest_external(manifest_path, old_classes):
             if not os.path.exists(path):
                 raise ValueError(f"{manifest_path}:{lineno}: unreadable image {rel!r}")
             image = netpbm.read_ppm(path)
+            if image.shape != image_shape:
+                raise ValueError(f"{manifest_path}:{lineno}: image {rel!r} has shape "
+                                 f"{image.shape}, the step's images {image_shape}")
             entries.append(MemoryEntry(image, frozenset([name])))
     return entries
 

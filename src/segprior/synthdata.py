@@ -66,8 +66,10 @@ _FILL_NOISE = 8.0
 _STRIPE_PERIOD = 8
 # Striped members alternate two darkened shades of the family color: still
 # saturated enough to stand out from the gray background, but with no pixel
-# matching the solid sibling exactly, so a model trained on the solid fires
-# on the striped variant with moderate rather than near-certain confidence.
+# matching the solid sibling exactly.  Under disjoint, whose base images show
+# no striped object, a model trained on the solid member fires on the striped
+# one with moderate rather than near-certain confidence; under overlap, base
+# images label striped objects bkg, and it learns that (module docstring).
 _STRIPE_LIGHT = 0.75
 _STRIPE_DARK = 0.40
 _PLACE_RETRIES = 40

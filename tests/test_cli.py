@@ -153,6 +153,28 @@ def test_external_memory_of_a_class_not_old_exits_1(workspace, tmp_path, name):
     assert f"memory.tsv:2: class '{name}' is not an old class" in res.stderr
 
 
+def test_external_memory_image_of_another_size_exits_1(workspace, tmp_path):
+    """A step-1 external memory row whose image is 40 px against the step's
+    64 px images is a malformed input: exit 1, naming the row and both
+    shapes."""
+    from segprior.netpbm import read_ppm, write_ppm
+
+    out, cfg_path = workspace
+    res = run_cli("train-base", "--config", cfg_path, "--seed", "11")
+    assert res.returncode == 0, res.stderr
+    image = os.path.join(out, "train", "images", "img_00000.ppm")
+    small = str(tmp_path / "small.ppm")
+    write_ppm(small, read_ppm(image)[:40, :40])
+    manifest = tmp_path / "memory.tsv"
+    manifest.write_text(f"disc_solid\t{image}\ndisc_solid\t{small}\n")
+    res = run_cli("train-incremental", "--config", cfg_path, "--step", "1", "--seed", "11",
+                  "--memory", "external", "--memory-manifest", str(manifest))
+    assert res.returncode == 1, res.stderr
+    assert "memory.tsv:2: image" in res.stderr, res.stderr
+    assert "(40, 40, 3)" in res.stderr and "(64, 64, 3)" in res.stderr
+    assert not os.path.exists(os.path.join(out, "runs", "ckpt_step1_seed11.npz"))
+
+
 def test_bad_usage_and_missing_files():
     res = run_cli("train-base", "--config", "/nonexistent/config.json")
     assert res.returncode == 1
@@ -215,6 +237,15 @@ def test_checkpoint_must_hold_exactly_the_model_parameters(workspace, tmp_path):
     res = eval_with("extra.npz", **members, **{"enc.n0.gamma": np.ones(8, np.float32)})
     assert res.returncode == 1
     assert "enc.n0.gamma" in res.stderr
+    # the old format, with a bias on each conv that feeds a ChannelNorm, is
+    # rejected with no shim
+    biases = {"enc.3.b": np.zeros(32, np.float32), "loc.0.b": np.zeros(16, np.float32),
+              "loc.1.b": np.zeros(16, np.float32)}
+    assert not biases.keys() & members.keys()
+    res = eval_with("biases.npz", **members, **biases)
+    assert res.returncode == 1
+    for name in biases:
+        assert name in res.stderr, res.stderr
     # every metadata member that is read must be there, and __dtype__ must
     # name a float type
     for name in ("__class_names__", "__step__", "__config_hash__", "__dtype__"):

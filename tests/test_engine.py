@@ -203,22 +203,26 @@ def test_batch_losses_match_objectives_recompute(world):
     comps = one_batch(state, 0, items, grads)
 
     # recomputation item by item, each one a batch of one through the
-    # objectives module, normalised by itself
-    x = engine._inputs(items, state.model.dtype)
-    feat, _ = state.model.encoder.forward(x)
-    z, _ = state.model.localizer.forward(feat)
-    p_hat, _ = state.model.head.forward(feat)
+    # objectives module, normalised by itself.  The network runs on the
+    # engine's own groups: a float32 GEMM's rounding depends on its row
+    # count, so a forward over the whole batch would round differently.
     n_old = state.n_old
     agg = {k: 0.0 for k in ("cls", "kdl", "kde", "rasp", "seg")}
-    for i, it in enumerate(items):
-        zi, y_old = z[i:i + 1], it.y_old[None]
-        scores, m, _ = objectives.image_scores_vjp(zi)
-        agg["cls"] += objectives.cls_loss_grad(scores[0, n_old:], it.labels_new)[0]
-        agg["kdl"] += objectives.kdl_loss_grad(zi[..., :n_old], y_old, 1)[0][0]
-        agg["kde"] += objectives.kde_loss_grad(feat[i:i + 1], it.feat_old[None], 1)[0][0]
-        agg["rasp"] += objectives.rasp_loss_grad(zi[0][:, :, it.present], it.rasp_target)[0]
-        qt = objectives.pseudo_supervision(m, y_old)
-        agg["seg"] += objectives.seg_loss_grad(p_hat[i:i + 1], qt, 1)[0][0]
+    groups = [g for rows in shard_slices(len(items)) for g in group_slices(rows)]
+    for group in groups:
+        feat, _ = state.model.encoder.forward(engine._inputs(items[group], state.model.dtype))
+        z, _ = state.model.localizer.forward(feat)
+        p_hat, _ = state.model.head.forward(feat)
+        for i, it in enumerate(items[group]):
+            zi, y_old = z[i:i + 1], it.y_old[None]
+            scores, m, _ = objectives.image_scores_vjp(zi)
+            agg["cls"] += objectives.cls_loss_grad(scores[0, n_old:], it.labels_new)[0]
+            agg["kdl"] += objectives.kdl_loss_grad(zi[..., :n_old], y_old, 1)[0][0]
+            agg["kde"] += objectives.kde_loss_grad(feat[i:i + 1], it.feat_old[None], 1)[0][0]
+            agg["rasp"] += objectives.rasp_loss_grad(zi[0][:, :, it.present],
+                                                     it.rasp_target)[0]
+            qt = objectives.pseudo_supervision(m, y_old)
+            agg["seg"] += objectives.seg_loss_grad(p_hat[i:i + 1], qt, 1)[0][0]
     for key in agg:
         assert abs(agg[key] / len(items) - comps[key]) < 1e-10, key
 
@@ -434,6 +438,43 @@ def assert_close_dicts(got, want, tol=1e-10):
                                    err_msg=name)
 
 
+def record_optimizer_steps(monkeypatch):
+    """A list that receives a copy of the gradients of every optimizer step
+    the engine takes from now on, in order."""
+    steps = []
+
+    class Recording(layers.SGDMomentum):
+        def step(self, params, grads):
+            steps.append({k: v.copy() for k, v in grads.items()})
+            super().step(params, grads)
+
+    monkeypatch.setattr(engine, "SGDMomentum", Recording)
+    return steps
+
+
+def test_every_parameter_gets_a_gradient(world, monkeypatch):
+    """float64: one base batch reaches every encoder and head parameter,
+    and one step-1 batch with seg on every parameter of the model, each
+    with max |g| > 1e-8.  A bias on a conv that feeds a ChannelNorm would
+    get zero, since the norm cancels it; no such parameter exists."""
+    tax, sched, data, sim = world
+    cfg = small_cfg(dtype="float64", epochs_base=1)
+    steps = record_optimizer_steps(monkeypatch)
+    model = SegModel.init(sched.channel_names(0), seed=cfg.seed, dtype=np.float64)
+    model, _ = base_train(model, step_samples(data, sched, 0)[:cfg.batch_size],
+                          tax.registry, cfg)
+    assert len(steps) == 1
+    assert steps[0].keys() == {**model.encoder.params(), **model.head.params()}.keys()
+    state, samples, _ = step_inputs(world, model, cfg,
+                                    loss_cfg=LossConfig(seg_warmup_epochs=1))
+    items = engine._prepare_items(state, samples[:8], tax.registry, sim)
+    grads = zero_grads(state.model.params())
+    one_batch(state, 1, items, grads)
+    dead = {name for g in (steps[0], grads) for name, v in g.items()
+            if not np.max(np.abs(v)) > 1e-8}
+    assert sorted(dead) == []
+
+
 def test_shard_slices_are_fixed_halves():
     assert shard_slices(0) == [slice(0, 0)]
     assert shard_slices(1) == [slice(0, 1)]
@@ -449,15 +490,8 @@ def test_base_train_shards_match_full_batch(world, monkeypatch):
     # batches of 10, 10 and 3: shards of 5 run as groups of 3 and 2
     base = step_samples(data, sched, 0)[:23]
 
-    steps = []
-
-    class Recording(layers.SGDMomentum):
-        def step(self, params, grads):
-            steps.append({k: v.copy() for k, v in grads.items()})
-            super().step(params, grads)
-
-    monkeypatch.setattr(engine, "SGDMomentum", Recording)
     runs = []
+    steps = record_optimizer_steps(monkeypatch)
     for whole in (False, True):
         steps.clear()
         model = SegModel.init(sched.channel_names(0), seed=cfg.seed, dtype=np.float64)

@@ -77,29 +77,40 @@ def conv_cases(draw):
     h = draw(st.integers(1, 9))
     w = draw(st.integers(1, 9).filter(lambda v: v != h))
     return (draw(st.integers(1, 3)), h, w, draw(st.integers(1, 5)),
-            draw(st.integers(1, 5)), k, draw(st.integers(0, 2**32 - 1)))
+            draw(st.integers(1, 5)), k, draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(conv_cases())
 def test_conv_matches_naive_loops(case):
-    bsz, h, w, cin, cout, k, seed = case
+    """Against the loop reference, with a random bias or, built with
+    bias=False, none: then the reference's bias is zero and the conv has
+    no bias parameter or gradient."""
+    bsz, h, w, cin, cout, k, bias, seed = case
     rng = np.random.default_rng(seed)
-    conv = Conv2d("c", k, cin, cout, rng, np.float64)
-    conv.b[...] = rng.standard_normal(cout)
+    conv = Conv2d("c", k, cin, cout, rng, np.float64, bias=bias)
+    ref_b = rng.standard_normal(cout) if bias else np.zeros(cout)
+    if bias:
+        conv.b[...] = ref_b
+    else:
+        assert conv.b is None
     x = rng.standard_normal((bsz, h, w, cin))
     y, cache = conv.forward(x)
     # a 1x1 conv needs no padding: its cache is its input, not a copy
     assert (cache[0] is x) == (k == 1)
     dy = rng.standard_normal(y.shape)
-    ref_y, ref_dx, ref_dW, ref_db = naive_conv(x, conv.W, conv.b, 1, dy)
+    ref_y, ref_dx, ref_dW, ref_db = naive_conv(x, conv.W, ref_b, 1, dy)
     grads = zero_grads(conv.params())
     dx = conv.backward(dy, cache, grads)
     tol = dict(rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(y, ref_y, **tol)
     np.testing.assert_allclose(dx, ref_dx, **tol)
     np.testing.assert_allclose(grads["c.W"], ref_dW, **tol)
-    np.testing.assert_allclose(grads["c.b"], ref_db, **tol)
+    if bias:
+        np.testing.assert_allclose(grads["c.b"], ref_db, **tol)
+    else:
+        assert grads.keys() == {"c.W"}
     # without the input gradient, the parameter gradients are unchanged
     _, cache = conv.forward(x)
     only = zero_grads(conv.params())

@@ -15,6 +15,9 @@ from segprior.synthdata import default_taxonomy, generate_dataset
 
 from helpers import step_samples
 
+# the shape of generate_dataset's images, which the step's images have
+SHAPE = (64, 64, 3)
+
 
 @pytest.fixture(scope="module")
 def taxonomy():
@@ -143,7 +146,7 @@ def test_external_round_trip(tmp_path, past, taxonomy):
         rows.append(f"{sorted(entry.labels)[0]}\t{rel}\n")
     manifest = tmp_path / "memory_manifest.tsv"
     manifest.write_text("".join(rows), encoding="utf-8")
-    loaded = ingest_external(str(manifest), sched.old_classes(1))
+    loaded = ingest_external(str(manifest), sched.old_classes(1), samples[0].image.shape)
     assert len(loaded) == len(bank)
     for orig, back in zip(bank, loaded):
         assert np.array_equal(orig.image, back.image)
@@ -153,20 +156,20 @@ def test_external_round_trip(tmp_path, past, taxonomy):
 def test_external_empty_manifest(tmp_path, past):
     path = tmp_path / "m.tsv"
     path.write_text("")
-    bank = ingest_external(str(path), past[1].old_classes(1))
+    bank = ingest_external(str(path), past[1].old_classes(1), SHAPE)
     assert len(bank) == 0
 
 
 def test_external_missing_manifest(tmp_path, past):
     with pytest.raises(FileNotFoundError, match="memory manifest not found"):
-        ingest_external(str(tmp_path / "m.tsv"), past[1].old_classes(1))
+        ingest_external(str(tmp_path / "m.tsv"), past[1].old_classes(1), SHAPE)
 
 
 def test_external_unknown_class(tmp_path, past):
     path = tmp_path / "m.tsv"
     path.write_text("dragon\timg.ppm\n")
     with pytest.raises(ValueError, match="m.tsv:1: class 'dragon'"):
-        ingest_external(str(path), past[1].old_classes(1))
+        ingest_external(str(path), past[1].old_classes(1), SHAPE)
 
 
 @pytest.mark.parametrize("name", ["bkg", "disc_striped", "cross_striped"])
@@ -178,17 +181,30 @@ def test_external_row_must_name_an_old_class(tmp_path, past, name):
     path = tmp_path / "m.tsv"
     path.write_text(f"disc_solid\ta.ppm\n{name}\ta.ppm\n")
     with pytest.raises(ValueError, match=f"m.tsv:2: class '{name}' is not an old class"):
-        ingest_external(str(path), sched.old_classes(1))
+        ingest_external(str(path), sched.old_classes(1), samples[0].image.shape)
     if name == "disc_striped":    # a step-1 class is old at step 2
-        bank = ingest_external(str(path), sched.old_classes(2))
+        bank = ingest_external(str(path), sched.old_classes(2), samples[0].image.shape)
         assert [e.labels for e in bank] == [{"disc_solid"}, {"disc_striped"}]
+
+
+def test_external_image_of_another_size(tmp_path, past):
+    """A row whose image is not the shape of the step's images raises
+    ValueError naming the row and both shapes."""
+    samples, sched = past
+    write_ppm(str(tmp_path / "a.ppm"), samples[0].image)
+    write_ppm(str(tmp_path / "small.ppm"), samples[0].image[:40, :40])
+    path = tmp_path / "m.tsv"
+    path.write_text("disc_solid\ta.ppm\ndisc_solid\tsmall.ppm\n")
+    with pytest.raises(ValueError, match=r"m.tsv:2: image 'small.ppm' has shape "
+                                         r"\(40, 40, 3\), the step's images \(64, 64, 3\)"):
+        ingest_external(str(path), sched.old_classes(1), SHAPE)
 
 
 def test_external_unreadable_image(tmp_path, past):
     path = tmp_path / "m.tsv"
     path.write_text("disc_solid\tmissing.ppm\n")
     with pytest.raises(ValueError, match="missing.ppm"):
-        ingest_external(str(path), past[1].old_classes(1))
+        ingest_external(str(path), past[1].old_classes(1), SHAPE)
 
 
 def test_mix_batch(past, taxonomy):
