@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import atomic_open
+from .fileio import write_json
 
 
 class ClassRegistry:
@@ -110,9 +110,7 @@ def load_embeddings(path):
 
 
 def save_embeddings(table, path):
-    with atomic_open(path, encoding="utf-8") as fh:
-        json.dump({n: list(map(float, v)) for n, v in table.vectors.items()}, fh, indent=1)
-        fh.write("\n")
+    write_json(path, {n: list(map(float, v)) for n, v in table.vectors.items()})
 
 
 def similarity_matrix(registry, table):

@@ -71,7 +71,7 @@ import sys
 from . import config as config_mod
 from . import engine, evalkit, synthdata
 from .class_semantics import save_embeddings
-from .fileio import atomic_open
+from .fileio import write_json
 
 
 class CliError(Exception):
@@ -92,9 +92,7 @@ def _losses_path(cfg, step, seed):
 
 
 def _write_losses(path, step, seed, trace):
-    with atomic_open(path, encoding="utf-8") as fh:
-        json.dump({"step": step, "seed": seed, "loss": trace}, fh, indent=1)
-        fh.write("\n")
+    write_json(path, {"step": step, "seed": seed, "loss": trace})
 
 
 def _load_config(path):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 from .class_semantics import ClassRegistry
 from .engine import EngineConfig
-from .fileio import atomic_open
+from .fileio import write_json
 from .objectives import LossConfig
 from .protocol import build_schedule
 
@@ -107,10 +107,7 @@ def config_hash(cfg):
 
 
 def save_config(cfg, path):
-    with atomic_open(path, encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=1)
-        fh.write("\n")
-    return path
+    return write_json(path, cfg.to_dict())
 
 
 _SECTIONS = {"schedule": ScheduleConfig, "loss": LossConfig, "engine": EngineConfig,

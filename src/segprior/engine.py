@@ -55,8 +55,8 @@ the CLI only loads its inputs and writes its outputs.
 Every batch runs as two shards (``layers.Shards``): a call names the
 batch's item count and ``Shards`` cuts it, runs shard 0 in the calling
 process and shard 1 in one worker process that ``_fit`` forks once per
-training run (``_training_shards``), after the images, targets or
-prepared items exist, so the worker inherits them.  Each batch sends the
+training run (``_training_shards``), after the images and targets, or the
+step's pool, exist, so the worker inherits them.  Each batch sends the
 worker only its rows, the batch's item indices, the epoch and the current
 parameters; it sends back its per-item losses and its gradients.  Each
 shard runs its items as consecutive groups of at most
@@ -82,7 +82,8 @@ activations stay in cache, and each shard counts its label maps into a
 confusion matrix of its own; only the two matrices are joined.  Before a
 step trains, the old model runs forward over the step's images, chunk by
 chunk as two shards and each shard in groups, and the outputs are joined
-(``_prepare_items``).  Neither keeps backward caches (``Chain.infer``).
+into the step's pool (``_prepare_pool``).  Neither keeps backward caches
+(``Chain.infer``).
 
 A checkpoint loads into a skeleton whose weights start at zero
 (``SegModel.init`` with seed None), built without a generator, so
@@ -92,10 +93,11 @@ Memory: the worker shares the caller's pages until one of the two writes
 them, so what the two processes hold together in training is the data
 both read once, plus each shard's own working set.  The data is kept
 small: images and masks stay uint8 as the files store them, and so do
-the base targets, as channel-index maps; items and base batches convert a
-group's inputs, and expand its one-hot targets, when it runs; the old
-model's scores and features fill one array each; and a training group
-releases each layer's cache once its backward has run.  Evaluation holds
+the base targets, as channel-index maps; a training group converts its
+inputs, and a base group expands its one-hot targets, when it runs; an
+incremental step's pool holds each per-row input (images, labels, the old
+model's scores and features, the RaSP targets) in one array; and a
+training group releases each layer's cache once its backward has run.  Evaluation holds
 no split at all, only the image each shard is scoring, so its memory does
 not grow with the split's size.  Each batch frees its activations, and
 ``segprior.cli`` sets glibc's trim and mmap thresholds on import so that
@@ -133,11 +135,8 @@ class EngineConfig:
     epochs_incremental: int = 40
     batch_size: int = 24
     seed: int = 0
-    dtype: str = "float32"
 
     def __post_init__(self):
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError(f"dtype must be 'float32' or 'float64', not {self.dtype!r}")
         for name in ("batch_size", "epochs_base", "epochs_incremental"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, not {getattr(self, name)!r}")
@@ -145,9 +144,6 @@ class EngineConfig:
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"not {getattr(self, name)!r}")
-
-    def np_dtype(self):
-        return np.float32 if self.dtype == "float32" else np.float64
 
 
 def _conv_norm(prefix, i, cin, cout, rng, dtype):
@@ -409,124 +405,98 @@ class StepState:
 
 
 @dataclass
-class _Item:
-    image: np.ndarray               # (H, W, 3) raw image; see ``_inputs``
-    y_old: np.ndarray = None        # (h, w, n_old) old-model sigmoid scores
-    feat_old: np.ndarray = None     # (h, w, D) old-model features
-    rasp_target: np.ndarray = None  # (h, w, K) RaSP targets of the present classes
-    present: np.ndarray = None      # channel indices of present new classes
-    labels_new: np.ndarray = None   # binary over new channels
-    labels_fg: np.ndarray = None    # binary over all foreground channels (memory)
-    is_memory: bool = False
+class _Pool:
+    """The rows one incremental step draws its batches from: the step's
+    images first, then the memory bank's, in bank order.  A batch is an int
+    array of pool rows; a row below n_current is a current image, any other
+    a memory image."""
+
+    images: np.ndarray          # (N, H, W, 3) uint8 raw images
+    labels: np.ndarray          # (N, n_fg) float64 image labels over the foreground
+    y_old: np.ndarray           # (n_current, h, w, n_old) old-model sigmoid scores
+    feat_old: np.ndarray        # (n_current, h, w, D) old-model features
+    rasp: np.ndarray | None     # (n_current, h, w, n_new) RaSP targets, or None
+    n_current: int
 
 
-def _inputs(items, dtype):
-    """The stacked network inputs of items or samples, from their raw images."""
-    return image_to_input(np.stack([it.image for it in items]), dtype)
+def _prepare_pool(state, samples, bank, registry, sim_matrix):
+    """The step's ``_Pool``: images, labels, old-model outputs, RaSP targets.
 
-
-def _prepare_items(state, samples, registry, sim_matrix):
-    """Per-image caches: old-model scores and features, labels, RaSP targets.
-
-    The old model runs forward over chunks of cfg.batch_size images, each
-    chunk as two shards, in this process and one forked worker, and each
-    shard in groups of at most ``GROUP_ITEMS`` images with no backward
-    caches kept, so one small group's activations are alive at a time.
-    The scores and features land in one array each, which the items view.
-    The RaSP target table is built once; an image's targets are its rows
-    at the old model's argmax, at the columns of the new classes present.
+    A current row has its weak labels on the new channels, and a memory row
+    its stored labels on the old ones.  The old model runs forward over the
+    current images in chunks of cfg.batch_size, each chunk as two shards,
+    in this process and one forked worker, and each shard in groups of at
+    most ``GROUP_ITEMS`` images with no backward caches kept, so one small
+    group's activations are alive at a time.  The RaSP target table is
+    built once; a row's targets are its rows at the old model's argmax, one
+    column per new class, and there are none when lambda_rasp is 0.
     """
     cfg = state.engine_cfg
     old = state.old_model
     dtype = state.model.dtype
-    n_old = state.n_old
-    new_names = state.model.class_names[n_old:]
-    new_pos = {name: k for k, name in enumerate(new_names)}
-    use_rasp = state.loss_cfg.lambda_rasp != 0
-    if use_rasp:
-        table = simprior.rasp_target_table(sim_matrix, registry, old.class_names,
-                                           new_names, state.loss_cfg.tau, dtype)
+    n_cur = len(samples)
+    fg_pos = {name: k for k, name in enumerate(state.model.class_names[1:])}
+    if not all(s.weak_labels for s in samples):
+        raise ValueError("incremental samples need non-empty weak labels")
+    images = np.stack([s.image for s in samples] + [entry.image for entry in bank])
+    labels = np.zeros((len(images), len(fg_pos)), dtype=np.float64)
+    for row, names in enumerate([s.weak_labels for s in samples]
+                                + [entry.labels for entry in bank]):
+        labels[row, [fg_pos[name] for name in names]] = 1.0
 
     def old_forward(rows, start):
         out = []
         for group in group_slices(slice(start + rows.start, start + rows.stop)):
-            feat = old.encoder.infer(_inputs(samples[group], dtype))
+            feat = old.encoder.infer(image_to_input(images[group], dtype))
             logits, _ = old.head.forward(feat)
             out.append((objectives.sigmoid(logits), feat))
         return out
 
-    items = []
     y_old = feat_old = None
     with Shards(old_forward) as shards:
-        for start in range(0, len(samples), cfg.batch_size):
-            chunk = samples[start:start + cfg.batch_size]
-            outs = shards(len(chunk), start)
+        for start in range(0, n_cur, cfg.batch_size):
+            outs = shards(min(cfg.batch_size, n_cur - start), start)
             pos = start
             for y, feat in (group for shard in outs for group in shard):
                 if y_old is None:
-                    y_old = np.empty((len(samples),) + y.shape[1:], dtype)
-                    feat_old = np.empty((len(samples),) + feat.shape[1:], dtype)
+                    y_old = np.empty((n_cur,) + y.shape[1:], dtype)
+                    feat_old = np.empty((n_cur,) + feat.shape[1:], dtype)
                 y_old[pos:pos + len(y)], feat_old[pos:pos + len(y)] = y, feat
                 pos += len(y)
             if not np.all(np.isfinite(y_old[start:pos])):
                 raise ValueError("old-model scores contain non-finite values")
-            for j, sample in enumerate(chunk, start):
-                if not sample.weak_labels:
-                    raise ValueError("incremental samples need non-empty weak labels")
-                item = _Item(image=sample.image, y_old=y_old[j], feat_old=feat_old[j])
-                labels = np.zeros(len(new_names), dtype=np.float64)
-                for name in sample.weak_labels:
-                    labels[new_pos[name]] = 1.0
-                item.labels_new = labels
-                # sorted: a set's order varies from run to run, and the rasp
-                # loss sums over the columns in this order
-                cols = [new_pos[name] for name in sorted(sample.weak_labels)]
-                item.present = n_old + np.array(cols, dtype=np.int64)
-                if use_rasp:
-                    # columns first: the lookup then yields a contiguous array
-                    item.rasp_target = table[:, cols][np.argmax(y_old[j], axis=2)]
-                items.append(item)
-    return items
-
-
-def _prepare_memory(state, bank):
-    """The bank's ``MemoryEntry`` list as memory items, in bank order; an
-    empty bank (no memory) gives none."""
-    fg_names = state.model.class_names[1:]
-    pos = {name: k for k, name in enumerate(fg_names)}
-    prepared = []
-    for entry in bank:
-        labels = np.zeros(len(fg_names), dtype=np.float64)
-        for name in entry.labels:
-            labels[pos[name]] = 1.0
-        prepared.append(_Item(image=entry.image, labels_fg=labels, is_memory=True))
-    return prepared
+    rasp = None
+    if state.loss_cfg.lambda_rasp != 0:
+        table = simprior.rasp_target_table(sim_matrix, registry, old.class_names,
+                                           state.model.class_names[state.n_old:],
+                                           state.loss_cfg.tau, dtype)
+        rasp = table[np.argmax(y_old, axis=3)]
+    return _Pool(images, labels, y_old, feat_old, rasp, n_cur)
 
 
 def incremental_shards(state, pool):
-    """The ``_training_shards`` of a step's batches drawn from the item list pool.
+    """The ``_training_shards`` of a step's batches drawn from the ``_Pool`` pool.
 
-    A batch's key is (epoch, idx): its epoch and the positions of its
-    items in pool, in batch order.  Each group runs forward, its own items'
-    loss terms and backward before the next group starts, and returns its
-    per-item losses and the batch's count of current items.  The loss terms
-    share the whole batch's normalisers, so the summed group gradients are
-    the whole batch's.  The seg head runs only once the warm-up epochs are
-    over.
+    A batch's key is (epoch, idx): its epoch and its pool rows, in batch
+    order.  Each group runs forward, its own rows' loss terms and backward
+    before the next group starts, and returns its per-item losses and the
+    batch's count of current rows.  The loss terms share the whole batch's
+    normalisers, so the summed group gradients are the whole batch's.  The
+    seg head runs only once the warm-up epochs are over.
     """
     model = state.model
 
-    def step(key, rows, g):
+    def step(key, group, g):
         epoch, idx = key
-        batch = [pool[i] for i in idx]
-        n_cur = sum(not it.is_memory for it in batch)
-        items = batch[rows]
+        rows = idx[group]
+        n_cur = int(np.count_nonzero(idx < pool.n_current))
         seg_active = state.loss_cfg.seg_active(epoch)
-        feat, enc_cache = model.encoder.forward(_inputs(items, model.dtype))
+        feat, enc_cache = model.encoder.forward(image_to_input(pool.images[rows],
+                                                               model.dtype))
         z, loc_cache = model.localizer.forward(feat)
         p_hat, head_cache = model.head.forward(feat) if seg_active else (None, None)
-        losses, dz, dp, dfeat = _batch_losses(state, items, feat, z, p_hat,
-                                              len(batch), n_cur)
+        losses, dz, dp, dfeat = _batch_losses(state, pool, rows, feat, z, p_hat,
+                                              len(idx), n_cur)
         dfeat += model.localizer.backward(dz, loc_cache, g)
         if seg_active:
             dfeat += model.head.backward(dp, head_cache, g)
@@ -540,13 +510,9 @@ def incremental_shards(state, pool):
 
 
 def incremental_batch(state, epoch, idx, grads, shards):
-    """Losses and parameter gradients for the batch of the items pool[idx]
-    at epoch.
-
-    shards is ``incremental_shards(state, pool)``.  Exposed separately so
-    tests can probe the gradient routing directly.
-    """
-    idx = [int(i) for i in idx]
+    """Losses and parameter gradients for the batch of the pool rows idx
+    at epoch; shards is ``incremental_shards(state, pool)``."""
+    idx = np.asarray(idx, dtype=np.int64)
     n_all = len(idx)
     results = _train_batch(shards, (epoch, idx), n_all, grads)
     n_cur = results[0][1]       # every group counts the same batch
@@ -568,23 +534,24 @@ def incremental_batch(state, epoch, idx, grads, shards):
     return comps
 
 
-def _batch_losses(state, items, feat, z, p_hat, n_all, n_cur):
+def _batch_losses(state, pool, rows, feat, z, p_hat, n_all, n_cur):
     """Route one group's outputs through the objective; no formula lives here.
 
-    items are the group's own; n_all and n_cur count the whole batch's
-    items and current (non-memory) items.  Each term comes from its
+    rows are the group's own pool rows; n_all and n_cur count the whole
+    batch's rows and current (non-memory) rows.  Each term comes from its
     objectives function, called on the rows it applies to and normalised
     by the whole batch's count, so the groups' gradients add up to the
     whole batch's:
 
-    * cls, every item: the pooled scores of ``image_scores_vjp``, scored
-      per item by ``cls_loss_grad`` over the new channels (current items)
-      or all foreground channels (memory items), back through the VJP;
-    * kdl, kde and seg, current items: the old channels of z against the
+    * cls, every row: the pooled scores of ``image_scores_vjp``, scored
+      per row by ``cls_loss_grad`` over the new channels (current rows)
+      or all foreground channels (memory rows), back through the VJP;
+    * kdl, kde and seg, current rows: the old channels of z against the
       old model's scores, the features against the old features, and the
       seg logits against ``pseudo_supervision`` of the localizer softmax;
-    * rasp, current items, when lambda_rasp is non-zero: ``rasp_loss_grad``
-      per item on the channels of the new classes present.
+    * rasp, current rows, when lambda_rasp is non-zero: ``rasp_loss_grad``
+      per row on the channels of the new classes its labels show, in
+      channel order.
 
     p_hat is None in the warm-up epochs, where dp is None too.  Returns
     (losses, dz, dp, dfeat_extra): losses maps each term to its per-item
@@ -593,25 +560,26 @@ def _batch_losses(state, items, feat, z, p_hat, n_all, n_cur):
     """
     lcfg = state.loss_cfg
     n_old = state.n_old
-    cur = [i for i, it in enumerate(items) if not it.is_memory]
+    cur = np.flatnonzero(rows < pool.n_current)
     losses = {key: [] for key in objectives.LOSS_COMPONENTS}
 
     scores, m, scores_vjp = objectives.image_scores_vjp(z)
     upstream = np.zeros_like(scores)
-    for i, item in enumerate(items):
-        sel = slice(1, None) if item.is_memory else slice(n_old, None)
-        labels = item.labels_fg if item.is_memory else item.labels_new
-        loss, upstream[i, sel] = objectives.cls_loss_grad(scores[i, sel], labels)
+    for i, row in enumerate(rows):
+        # the foreground channels a row is scored on: the new ones for a
+        # current row, all of them for a memory row
+        first = n_old if row < pool.n_current else 1
+        loss, upstream[i, first:] = objectives.cls_loss_grad(
+            scores[i, first:], pool.labels[row, first - 1:])
         losses["cls"].append(loss)
     dz = scores_vjp(upstream) / n_all
     dp = None if p_hat is None else np.zeros_like(p_hat)
     dfeat_extra = np.zeros_like(feat)
-    if not cur:
+    if not len(cur):
         return losses, dz, dp, dfeat_extra
 
     n_pix = z.shape[1] * z.shape[2]
-    y_old = np.stack([items[i].y_old for i in cur])
-    feat_old = np.stack([items[i].feat_old for i in cur])
+    y_old, feat_old = pool.y_old[rows[cur]], pool.feat_old[rows[cur]]
     losses["kdl"], grad = objectives.kdl_loss_grad(
         z[cur, :, :, :n_old], y_old, n_pix * n_old * n_cur)
     dz[cur, :, :, :n_old] += grad
@@ -620,11 +588,11 @@ def _batch_losses(state, items, feat, z, p_hat, n_all, n_cur):
     dfeat_extra[cur] += grad
     if lcfg.lambda_rasp != 0:
         for i in cur:
-            present = items[i].present
-            loss, grad = objectives.rasp_loss_grad(z[i][:, :, present],
-                                                   items[i].rasp_target)
+            shown = np.flatnonzero(pool.labels[rows[i], n_old - 1:])
+            loss, grad = objectives.rasp_loss_grad(z[i][..., n_old + shown],
+                                                   pool.rasp[rows[i]][..., shown])
             losses["rasp"].append(loss)
-            dz[i][:, :, present] += (lcfg.lambda_rasp / n_cur) * grad
+            dz[i][..., n_old + shown] += (lcfg.lambda_rasp / n_cur) * grad
     if p_hat is not None:
         q_tilde = objectives.pseudo_supervision(m[cur], y_old)
         losses["seg"], grad = objectives.seg_loss_grad(
@@ -644,9 +612,8 @@ def incremental_step(state, samples, bank, sim_matrix, registry):
     if not samples:
         raise ValueError("incremental step received no samples")
     cfg = state.engine_cfg
-    items = _prepare_items(state, samples, registry, sim_matrix)
-    pool = items + _prepare_memory(state, bank)
-    memory_rows = range(len(items), len(pool))
+    pool = _prepare_pool(state, samples, bank, registry, sim_matrix)
+    memory_rows = range(pool.n_current, len(pool.images))
     ss = np.random.SeedSequence((cfg.seed, state.step))
     shuffle_seed, memory_seed = ss.spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seed)
@@ -660,7 +627,7 @@ def incremental_step(state, samples, bank, sim_matrix, registry):
         return {**comps, "total": objectives.total_loss(comps, state.loss_cfg, epoch)}
 
     trace = _fit(cfg, state.model.params(), cfg.lr_incremental,
-                 cfg.epochs_incremental, len(items), shuffle_rng, shards, run_batch)
+                 cfg.epochs_incremental, pool.n_current, shuffle_rng, shards, run_batch)
     for epoch, entry in enumerate(trace):
         entry["seg_active"] = state.loss_cfg.seg_active(epoch)
     return state.model, trace
@@ -687,14 +654,15 @@ def run_step(cfg, files, parent, step):
 
     Returns the trained model, its per-epoch trace and the number of train
     samples it trained on.  Step 0 takes no parent and runs ``base_train``
-    on a fresh model; a step s >= 1 takes the step s - 1 model as parent
-    and runs ``incremental_step`` on its ``extend_head`` extension.  files
-    is the train split as ``synthdata.load_dataset`` returns it: the
+    on a fresh float32 model; a step s >= 1 takes the step s - 1 model as
+    parent and runs ``incremental_step`` on its ``extend_head`` extension.
+    files is the train split as ``synthdata.load_dataset`` returns it: the
     manifest's present lists choose the step's rows, its few-shot cut and
     the episodic memory's draws, and only the step's images and then the
-    memory's draws are read.  A step outside the schedule, a parent whose
-    class list is not the schedule's at s - 1, or a step with no samples
-    raises ValueError.
+    memory's draws are read.  The episodic memory draws from the past
+    steps' rows, each row once however many past steps it was shown in.  A
+    step outside the schedule, a parent whose class list is not the
+    schedule's at s - 1, or a step with no samples raises ValueError.
     """
     registry = cfg.class_registry()
     schedule = cfg.task_schedule()
@@ -711,8 +679,7 @@ def run_step(cfg, files, parent, step):
     if not samples:
         raise ValueError(f"no train samples remain for step {step}")
     if step == 0:
-        model = SegModel.init(schedule.channel_names(0), seed=seed,
-                              dtype=cfg.engine.np_dtype())
+        model = SegModel.init(schedule.channel_names(0), seed=seed)
         model, trace = base_train(model, samples, registry, cfg.engine)
         return model, trace, len(samples)
     samples = protocol.with_weak_labels(samples, schedule, step)
@@ -721,8 +688,9 @@ def run_step(cfg, files, parent, step):
         bank = memory.ingest_external(cfg.resolve(cfg.memory.manifest), old_classes,
                                       samples[0].image.shape)
     elif cfg.memory.mode == "episodic":
-        past = [k for past_step in range(step)
-                for k in _step_rows(files.present, schedule, past_step, seed)]
+        past = list(dict.fromkeys(k for past_step in range(step)
+                                  for k in _step_rows(files.present, schedule,
+                                                      past_step, seed)))
         bank = memory.populate_episodic(files[past], old_classes, registry,
                                         memory.CAPACITY, seed)
     else:

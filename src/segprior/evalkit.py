@@ -24,7 +24,7 @@ import os
 
 import numpy as np
 
-from .fileio import atomic_open
+from .fileio import atomic_open, write_json
 
 
 def confusion_accumulate(pred, truth, counts):
@@ -116,10 +116,7 @@ def append_trace(trace_path, report):
     if os.path.exists(trace_path):
         reports = {entry["step"]: entry for entry in load_trace(trace_path)}
     reports[report["step"]] = report
-    with atomic_open(trace_path, encoding="utf-8") as fh:
-        json.dump([reports[s] for s in sorted(reports)], fh, indent=1, allow_nan=False)
-        fh.write("\n")
-    return trace_path
+    return write_json(trace_path, [reports[s] for s in sorted(reports)])
 
 
 def _is_report(entry):

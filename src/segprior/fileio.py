@@ -1,6 +1,7 @@
 """Whole-file writes that leave either the old file or the new one."""
 
 import contextlib
+import json
 import os
 
 
@@ -21,3 +22,13 @@ def atomic_open(path, mode="w", **kwargs):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, obj):
+    """Write obj to path as JSON indented by one space, with a final newline,
+    through ``atomic_open``.  A NaN or infinite float raises ValueError and
+    leaves path as it was.  Returns path."""
+    with atomic_open(path, encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1, allow_nan=False)
+        fh.write("\n")
+    return path

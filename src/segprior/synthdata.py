@@ -34,7 +34,7 @@ import numpy as np
 
 from . import netpbm
 from .class_semantics import ClassRegistry, EmbeddingTable
-from .fileio import atomic_open
+from .fileio import write_json
 from .layers import Shards
 from .protocol import Sample
 
@@ -322,11 +322,7 @@ def export_dataset(taxonomy, splits, image_size=64, objects_range=(1, 3)):
     for (outdir, _, _), part in zip(splits, parts):
         manifest = {"classes": list(registry.names),
                     "samples": [row for rows in part for row in rows]}
-        path = os.path.join(outdir, "manifest.json")
-        with atomic_open(path, encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=1)
-            fh.write("\n")
-        paths.append(path)
+        paths.append(write_json(os.path.join(outdir, "manifest.json"), manifest))
     return paths
 
 

@@ -197,12 +197,13 @@ def test_bad_usage_and_missing_files():
     ("engine", "momentum", 0.9),
     ("memory", "capacity", 100),
     ("memory", "ratio", 0.25),
+    ("engine", "dtype", "float32"),
 ])
 def test_removed_config_keys_rejected(workspace, tmp_path, section, key, value):
-    """The network, its gradient paths and the training recipe's pooling,
-    pseudo-label, momentum and memory constants are fixed; a config that
-    still sets one of the old keys, even to its fixed value, is a
-    validation error naming the key."""
+    """The network, its gradient paths, its float type and the training
+    recipe's pooling, pseudo-label, momentum and memory constants are
+    fixed; a config that still sets one of the old keys, even to its fixed
+    value, is a validation error naming the key."""
     _, cfg_path = workspace
     with open(cfg_path) as fh:
         cfg = json.load(fh)

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from segprior.config import (
@@ -75,28 +74,6 @@ def test_resolve_paths(tmp_path):
     assert cfg.resolve("x/y.json") == str(tmp_path / "x" / "y.json")
     assert cfg.resolve("/abs/path.json") == "/abs/path.json"
     assert cfg.resolve(None) is None
-
-
-@pytest.mark.parametrize("dtype", ["float16", "int32", "Float32", ""])
-def test_engine_dtype_rejected(dtype, tmp_path):
-    with pytest.raises(ValueError, match="dtype"):
-        EngineConfig(dtype=dtype)
-    # the same check guards configs read from disk
-    cfg = make_config()
-    path = str(tmp_path / "config.json")
-    save_config(cfg, path)
-    with open(path) as fh:
-        raw = json.load(fh)
-    raw["engine"]["dtype"] = dtype
-    with open(path, "w") as fh:
-        json.dump(raw, fh)
-    with pytest.raises(ValueError, match="dtype"):
-        load_config(path)
-
-
-def test_engine_dtype_accepted():
-    assert EngineConfig(dtype="float64").np_dtype() is np.float64
-    assert EngineConfig(dtype="float32").np_dtype() is np.float32
 
 
 @pytest.mark.parametrize("section, key, value", [

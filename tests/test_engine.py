@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segprior import engine, layers, netpbm, objectives
+from segprior import engine, layers, memory, netpbm, objectives, simprior
 from segprior.class_semantics import save_embeddings, similarity_matrix
-from segprior.config import ExperimentConfig
+from segprior.config import ExperimentConfig, MemoryConfig
 from segprior.engine import (
     EngineConfig,
     SegModel,
@@ -58,10 +58,10 @@ def small_cfg(**kw):
     return EngineConfig(**defaults)
 
 
-def base_model(world, cfg, train=True):
+def base_model(world, cfg, train=True, dtype=np.float32):
     tax, sched, data, _ = world
     names = sched.channel_names(0)
-    model = SegModel.init(names, seed=cfg.seed, dtype=cfg.np_dtype())
+    model = SegModel.init(names, seed=cfg.seed, dtype=dtype)
     if train:
         base = step_samples(data, sched, 0)
         model, trace = base_train(model, base, tax.registry, cfg)
@@ -83,11 +83,17 @@ def step_inputs(world, model, cfg, step=1, loss_cfg=None):
     return state, samples, sim
 
 
-def one_batch(state, epoch, items, grads):
-    """incremental_batch over all of items, in order, at epoch, with a
+def prepare(world, state, samples, bank=()):
+    """The step's pool of samples, then the bank's entries."""
+    tax, _, _, sim = world
+    return engine._prepare_pool(state, samples, list(bank), tax.registry, sim)
+
+
+def one_batch(state, epoch, pool, rows, grads):
+    """incremental_batch over the pool rows, in order, at epoch, with a
     worker of its own."""
-    with engine.incremental_shards(state, items) as shards:
-        return incremental_batch(state, epoch, range(len(items)), grads, shards)
+    with engine.incremental_shards(state, pool) as shards:
+        return incremental_batch(state, epoch, rows, grads, shards)
 
 
 def test_step_leaves_old_model_unchanged(world):
@@ -111,7 +117,7 @@ def test_step_leaves_old_model_unchanged(world):
 def test_extend_head_preserves_old_channels(world):
     cfg = small_cfg()
     model, _ = base_model(world, cfg, train=False)
-    x = np.full((2, 32, 32, engine.INPUT_CHANNELS), 0.1, dtype=cfg.np_dtype())
+    x = np.full((2, 32, 32, engine.INPUT_CHANNELS), 0.1, dtype=np.float32)
     feat, _ = model.encoder.forward(x)
     old_logits, _ = model.head.forward(feat)
     bigger = extend_head(model, ["new_a", "new_b"], seed=9)
@@ -142,7 +148,7 @@ def test_base_train_on_odd_size_images(world):
     tax, sched, _, _ = world
     cfg = small_cfg(batch_size=8)
     odd = step_samples(generate_dataset(tax, 30, image_size=41, seed=3), sched, 0)
-    model = SegModel.init(sched.channel_names(0), seed=cfg.seed, dtype=cfg.np_dtype())
+    model = SegModel.init(sched.channel_names(0), seed=cfg.seed)
     model, trace = base_train(model, odd, tax.registry, cfg)
     assert trace[-1] < trace[0]
     assert predict_dataset(model, odd, tax.registry).sum() == len(odd) * 41 * 41
@@ -198,33 +204,44 @@ def test_batch_losses_match_objectives_recompute(world):
     model, _ = base_model(world, cfg)
     loss_cfg = LossConfig(seg_warmup_epochs=0)
     state, samples, _ = step_inputs(world, model, cfg, loss_cfg=loss_cfg)
-    items = engine._prepare_items(state, samples[:6], tax.registry, sim)
+    samples = samples[:6]
+    pool = prepare(world, state, samples)
     grads = zero_grads(state.model.params())
-    comps = one_batch(state, 0, items, grads)
+    comps = one_batch(state, 0, pool, range(6), grads)
 
     # recomputation item by item, each one a batch of one through the
-    # objectives module, normalised by itself.  The network runs on the
-    # engine's own groups: a float32 GEMM's rounding depends on its row
-    # count, so a forward over the whole batch would round differently.
+    # objectives module, normalised by itself, with its labels and RaSP
+    # targets built from the sample.  The network runs on the engine's own
+    # groups: a float32 GEMM's rounding depends on its row count, so a
+    # forward over the whole batch would round differently.
     n_old = state.n_old
+    new_names = state.model.class_names[n_old:]
+    table = simprior.rasp_target_table(sim, tax.registry, model.class_names, new_names,
+                                       loss_cfg.tau, state.model.dtype)
     agg = {k: 0.0 for k in ("cls", "kdl", "kde", "rasp", "seg")}
-    groups = [g for rows in shard_slices(len(items)) for g in group_slices(rows)]
+    groups = [g for rows in shard_slices(len(samples)) for g in group_slices(rows)]
     for group in groups:
-        feat, _ = state.model.encoder.forward(engine._inputs(items[group], state.model.dtype))
+        x = engine.image_to_input(np.stack([s.image for s in samples[group]]),
+                                  state.model.dtype)
+        feat, _ = state.model.encoder.forward(x)
         z, _ = state.model.localizer.forward(feat)
         p_hat, _ = state.model.head.forward(feat)
-        for i, it in enumerate(items[group]):
-            zi, y_old = z[i:i + 1], it.y_old[None]
+        for i, k in enumerate(range(len(samples))[group]):
+            shown = [name in samples[k].weak_labels for name in new_names]
+            cols = np.flatnonzero(shown)
+            zi, y_old = z[i:i + 1], pool.y_old[k][None]
             scores, m, _ = objectives.image_scores_vjp(zi)
-            agg["cls"] += objectives.cls_loss_grad(scores[0, n_old:], it.labels_new)[0]
+            agg["cls"] += objectives.cls_loss_grad(scores[0, n_old:],
+                                                   np.array(shown, dtype=np.float64))[0]
             agg["kdl"] += objectives.kdl_loss_grad(zi[..., :n_old], y_old, 1)[0][0]
-            agg["kde"] += objectives.kde_loss_grad(feat[i:i + 1], it.feat_old[None], 1)[0][0]
-            agg["rasp"] += objectives.rasp_loss_grad(zi[0][:, :, it.present],
-                                                     it.rasp_target)[0]
+            agg["kde"] += objectives.kde_loss_grad(feat[i:i + 1], pool.feat_old[k][None],
+                                                   1)[0][0]
+            target = table[:, cols][np.argmax(pool.y_old[k], axis=2)]
+            agg["rasp"] += objectives.rasp_loss_grad(zi[0][..., n_old + cols], target)[0]
             qt = objectives.pseudo_supervision(m, y_old)
             agg["seg"] += objectives.seg_loss_grad(p_hat[i:i + 1], qt, 1)[0][0]
     for key in agg:
-        assert abs(agg[key] / len(items) - comps[key]) < 1e-10, key
+        assert abs(agg[key] / len(samples) - comps[key]) < 1e-10, key
 
 
 def test_gradient_routing(world):
@@ -237,9 +254,9 @@ def test_gradient_routing(world):
         world, model, cfg, loss_cfg=LossConfig(seg_warmup_epochs=100)
     )
     old_before = {k: v.copy() for k, v in state.old_model.params().items()}
-    items = engine._prepare_items(state, samples[:6], tax.registry, sim)
+    pool = prepare(world, state, samples[:6])
     grads = zero_grads(state.model.params())
-    one_batch(state, 0, items, grads)  # inside warmup: seg inactive
+    one_batch(state, 0, pool, range(6), grads)  # inside warmup: seg inactive
     assert np.all(grads["head.W"] == 0.0)
     assert np.all(grads["head.b"] == 0.0)
     assert any(np.any(grads[k] != 0.0) for k in grads if k.startswith("loc."))
@@ -248,7 +265,7 @@ def test_gradient_routing(world):
     # after warmup the head trains, and its seg gradient reaches every
     # encoder weight while the localizer's gradient stays as it was
     grads_on = zero_grads(state.model.params())
-    one_batch(state, 200, items, grads_on)
+    one_batch(state, 200, pool, range(6), grads_on)
     assert np.any(grads_on["head.W"] != 0.0)
     for k in grads:
         if k.startswith("enc.") and k.endswith(".W"):
@@ -282,7 +299,7 @@ def test_checkpoint_round_trip(world, tmp_path):
     loaded, step, chash = load_checkpoint(path)
     assert step == 0 and chash == "abc123"
     assert loaded.class_names == model.class_names
-    x = np.full((1, 32, 32, engine.INPUT_CHANNELS), -0.2, dtype=cfg.np_dtype())
+    x = np.full((1, 32, 32, engine.INPUT_CHANNELS), -0.2, dtype=np.float32)
     f1, _ = model.encoder.forward(x)
     f2, _ = loaded.encoder.forward(x)
     assert np.array_equal(f1, f2)
@@ -328,13 +345,14 @@ def test_predict_dataset_shapes(world):
 
 
 def test_prepare_items_runs_the_old_model_in_groups(world):
-    """float64: the old model runs cache-free (infer, never forward) in
-    groups of at most GROUP_ITEMS per shard: a 9-image chunk splits 5 | 4,
-    so groups of 3 and 2 run here and one of 4 in the worker.  Each item's
-    scores and features equal the old model's forward of its image alone."""
+    """float64: ``_prepare_pool`` runs the old model cache-free (infer,
+    never forward) in groups of at most GROUP_ITEMS per shard: a 9-image
+    chunk splits 5 | 4, so groups of 3 and 2 run here and one of 4 in the
+    worker.  Each row's scores and features equal the old model's forward
+    of its image alone."""
     tax, sched, data, sim = world
-    cfg = small_cfg(dtype="float64")
-    model, _ = base_model(world, cfg, train=False)
+    cfg = small_cfg()
+    model, _ = base_model(world, cfg, train=False, dtype=np.float64)
     state, samples, _ = step_inputs(world, model, cfg)
     log = ProcessLog()
     encoder = state.old_model.encoder
@@ -348,18 +366,50 @@ def test_prepare_items_runs_the_old_model_in_groups(world):
         raise AssertionError("the old model kept backward caches")
 
     encoder.infer, encoder.forward = spy_infer, no_forward
-    items = engine._prepare_items(state, samples[:9], tax.registry, sim)
+    pool = prepare(world, state, samples[:9])
     sizes = log.drain()
     assert [n for pid, n in sizes if pid == os.getpid()] == [3, 2]
     assert [n for pid, n in sizes if pid != os.getpid()] == [4]
     del encoder.infer, encoder.forward
-    for item, sample in zip(items, samples[:9]):
-        x = engine.image_to_input(sample.image, cfg.np_dtype())[None]
+    for k, sample in enumerate(samples[:9]):
+        x = engine.image_to_input(sample.image, np.float64)[None]
         feat, _ = model.encoder.forward(x)
         logits, _ = model.head.forward(feat)
-        np.testing.assert_allclose(item.feat_old, feat[0], rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(item.y_old, objectives.sigmoid(logits)[0],
+        np.testing.assert_allclose(pool.feat_old[k], feat[0], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(pool.y_old[k], objectives.sigmoid(logits)[0],
                                    rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("rasp", [0.0, 1.0])
+def test_pool_rows_are_the_step_images_then_the_bank(world, rasp):
+    """A pool holds the step's images, then the bank's in bank order.  A
+    current row has its weak labels on the new channels, a memory row its
+    stored labels on the old ones; old-model outputs and RaSP targets
+    cover the current rows, and there are no RaSP targets without RaSP."""
+    tax, sched, data, sim = world
+    cfg = small_cfg()
+    model, _ = base_model(world, cfg, train=False)
+    state, samples, _ = step_inputs(world, model, cfg,
+                                    loss_cfg=LossConfig(lambda_rasp=rasp))
+    bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
+                             tax.registry, 5, seed=3)
+    pool = prepare(world, state, samples[:7], bank)
+    assert pool.n_current == 7 and len(pool.images) == len(pool.labels) == 12
+    assert pool.images.dtype == np.uint8
+    fg = state.model.class_names[1:]
+    for row, (image, names) in enumerate([(s.image, s.weak_labels) for s in samples[:7]]
+                                         + [(e.image, e.labels) for e in bank]):
+        assert np.array_equal(pool.images[row], image)
+        assert [fg[k] for k in np.flatnonzero(pool.labels[row])] == \
+            [name for name in fg if name in names]
+        old = row >= pool.n_current
+        assert all((fg.index(name) + 1 < state.n_old) == old for name in names)
+    assert len(pool.y_old) == len(pool.feat_old) == 7
+    n_new = state.model.n_classes() - state.n_old
+    if rasp:
+        assert pool.rasp.shape == pool.y_old.shape[:3] + (n_new,)
+    else:
+        assert pool.rasp is None
 
 
 def test_checkpoint_records_parent_config_hash(world, tmp_path):
@@ -418,6 +468,47 @@ def test_run_step_checks_the_step_and_the_parent(experiment, monkeypatch):
     assert reads == []
 
 
+def test_episodic_memory_draws_each_past_image_once(experiment, monkeypatch):
+    """Under overlap an image can show a base class and a step-1 class, so
+    steps 0 and 1 both train on it; at step 2 it is still one row of the
+    memory's pool.  The bank's images are pairwise distinct, and the draw
+    reads each of them once."""
+    cfg, files = experiment
+    cfg = dataclasses.replace(cfg, memory=MemoryConfig(mode="episodic"))
+    schedule = cfg.task_schedule()
+    past = [k for step in (0, 1) for k in step_rows(files.present, schedule, step)]
+    assert len(set(past)) < len(past)
+    parent = extend_head(SegModel.init(schedule.channel_names(0), seed=0),
+                         schedule.classes_at_step(1), seed=1)
+    banks, reads, drawing = [], [], []
+    real_read, real_populate = netpbm.read_ppm, memory.populate_episodic
+
+    def spy_read(path):
+        if drawing:
+            reads.append(path)
+        return real_read(path)
+
+    def spy_populate(*args):
+        drawing.append(True)
+        try:
+            return real_populate(*args)
+        finally:
+            drawing.clear()
+
+    def keep_bank(state, samples, bank, sim, registry):
+        banks.append(bank)
+        return state.model, []
+
+    monkeypatch.setattr(netpbm, "read_ppm", spy_read)
+    monkeypatch.setattr(memory, "populate_episodic", spy_populate)
+    monkeypatch.setattr(engine, "incremental_step", keep_bank)
+    engine.run_step(cfg, files, parent, 2)
+    (bank,) = banks
+    digests = {hashlib.sha256(entry.image.tobytes()).hexdigest() for entry in bank}
+    assert len(digests) == len(bank) > 0
+    assert len(set(reads)) == len(reads) == len(bank)
+
+
 # ---------------------------------------------------------------------------
 # Two-shard batches
 # ---------------------------------------------------------------------------
@@ -458,7 +549,7 @@ def test_every_parameter_gets_a_gradient(world, monkeypatch):
     with max |g| > 1e-8.  A bias on a conv that feeds a ChannelNorm would
     get zero, since the norm cancels it; no such parameter exists."""
     tax, sched, data, sim = world
-    cfg = small_cfg(dtype="float64", epochs_base=1)
+    cfg = small_cfg(epochs_base=1)
     steps = record_optimizer_steps(monkeypatch)
     model = SegModel.init(sched.channel_names(0), seed=cfg.seed, dtype=np.float64)
     model, _ = base_train(model, step_samples(data, sched, 0)[:cfg.batch_size],
@@ -467,9 +558,9 @@ def test_every_parameter_gets_a_gradient(world, monkeypatch):
     assert steps[0].keys() == {**model.encoder.params(), **model.head.params()}.keys()
     state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=1))
-    items = engine._prepare_items(state, samples[:8], tax.registry, sim)
+    pool = prepare(world, state, samples[:8])
     grads = zero_grads(state.model.params())
-    one_batch(state, 1, items, grads)
+    one_batch(state, 1, pool, range(8), grads)
     dead = {name for g in (steps[0], grads) for name, v in g.items()
             if not np.max(np.abs(v)) > 1e-8}
     assert sorted(dead) == []
@@ -485,7 +576,7 @@ def test_shard_slices_are_fixed_halves():
 
 def test_base_train_shards_match_full_batch(world, monkeypatch):
     """float64: every step's gradient equals the whole-batch one at 1e-10."""
-    cfg = small_cfg(dtype="float64", epochs_base=1, batch_size=10)
+    cfg = small_cfg(epochs_base=1, batch_size=10)
     tax, sched, data, _ = world
     # batches of 10, 10 and 3: shards of 5 run as groups of 3 and 2
     base = step_samples(data, sched, 0)[:23]
@@ -516,61 +607,58 @@ def test_base_train_shards_match_full_batch(world, monkeypatch):
 def test_incremental_batch_shards_match_full_batch(world, n_items, seg_on):
     """float64: shard gradients and losses equal the whole-batch ones at 1e-10."""
     tax, sched, data, sim = world
-    cfg = small_cfg(dtype="float64")
-    model, _ = base_model(world, cfg, train=False)
+    cfg = small_cfg()
+    model, _ = base_model(world, cfg, train=False, dtype=np.float64)
     state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=1))
     epoch = 1 if seg_on else 0
-    items = engine._prepare_items(state, samples[:n_items], tax.registry, sim)
-    if n_items > 1:   # a memory item in the last slot, as mix_batch puts it
-        bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
-                                 tax.registry, 4, seed=3)
-        items[-1] = engine._prepare_memory(state, bank)[0]
+    bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
+                             tax.registry, 4, seed=3)
+    pool = prepare(world, state, samples[:n_items], bank)
+    rows = list(range(n_items))
+    if n_items > 1:   # a memory row in the last slot, as mix_batch puts it
+        rows[-1] = pool.n_current
     grads = zero_grads(state.model.params())
-    comps = one_batch(state, epoch, items, grads)
+    comps = one_batch(state, epoch, pool, rows, grads)
     with whole_batch():
         ref = zero_grads(state.model.params())
-        ref_comps = one_batch(state, epoch, items, ref)
+        ref_comps = one_batch(state, epoch, pool, rows, ref)
     assert_close_dicts(grads, ref)
     for key in ref_comps:
         assert abs(comps[key] - ref_comps[key]) < 1e-10, key
     assert any(np.any(grads[k] != 0.0) for k in grads if k.startswith("enc."))
 
     # the old model's batched two-shard forward equals the whole-batch one
-    prepared = engine._prepare_items(state, samples[:n_items], tax.registry, sim)
     with whole_batch():
-        ref_items = engine._prepare_items(state, samples[:n_items], tax.registry, sim)
-    for it, ref in zip(prepared, ref_items):
-        for name in ("y_old", "feat_old", "rasp_target"):
-            np.testing.assert_allclose(getattr(it, name), getattr(ref, name),
-                                       rtol=1e-10, atol=1e-10, err_msg=name)
+        ref_pool = prepare(world, state, samples[:n_items], bank)
+    for name in ("y_old", "feat_old", "rasp"):
+        np.testing.assert_allclose(getattr(pool, name), getattr(ref_pool, name),
+                                   rtol=1e-10, atol=1e-10, err_msg=name)
 
 
 @pytest.fixture(scope="module")
-def float64_pools(world):
-    """A float64 step-1 state with prepared current and memory items."""
+def float64_pool(world):
+    """A float64 step-1 state and its pool of 9 current and 9 memory rows."""
     tax, sched, data, sim = world
-    cfg = small_cfg(dtype="float64")
-    model, _ = base_model(world, cfg, train=False)
+    cfg = small_cfg()
+    model, _ = base_model(world, cfg, train=False, dtype=np.float64)
     state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=1))
-    current = engine._prepare_items(state, samples[:9], tax.registry, sim)
     bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
                              tax.registry, 9, seed=3)
-    memory = engine._prepare_memory(state, bank)
-    return state, current, memory
+    return state, prepare(world, state, samples[:9], bank)
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_shard_local_losses_match_whole_batch(float64_pools, data):
+def test_shard_local_losses_match_whole_batch(float64_pool, data):
     """float64: comps and gradients equal a whole-batch run at 1e-10."""
-    state, current, memory = float64_pools
+    state, pool = float64_pool
     n = data.draw(st.integers(1, 9), label="batch size")
     is_memory = data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
                           label="memory slots")
     order = data.draw(st.permutations(range(9)), label="item order")
-    items = [memory[k] if mem else current[k] for k, mem in zip(order, is_memory)]
+    rows = [pool.n_current + k if mem else k for k, mem in zip(order, is_memory)]
     epoch = 1 if data.draw(st.booleans(), label="seg on") else 0
     state.loss_cfg = dataclasses.replace(
         state.loss_cfg, lambda_rasp=data.draw(st.sampled_from([0.0, 1.0]), label="rasp"))
@@ -578,16 +666,14 @@ def test_shard_local_losses_match_whole_batch(float64_pools, data):
     log = ProcessLog()
     real_losses = engine._batch_losses
 
-    def spy_losses(st_, group_items, *args):
-        out = real_losses(st_, group_items, *args)
-        # the worker's items are its inherited copies of these very objects
-        first = next(i for i, it in enumerate(items) if it is group_items[0])
-        log.append((first, out[0]))
+    def spy_losses(st_, pool_, group_rows, *args):
+        out = real_losses(st_, pool_, group_rows, *args)
+        log.append((rows.index(group_rows[0]), out[0]))
         return out
 
     grads = zero_grads(state.model.params())
     with mock.patch.object(engine, "_batch_losses", spy_losses):
-        comps = one_batch(state, epoch, items, grads)
+        comps = one_batch(state, epoch, pool, rows, grads)
     group_losses = [record for _, record in log.drain()]
     # the per-item losses are added one by one in item order
     total = 0.0
@@ -597,7 +683,7 @@ def test_shard_local_losses_match_whole_batch(float64_pools, data):
     assert comps["cls"] == total / n
     with whole_batch():
         ref = zero_grads(state.model.params())
-        ref_comps = one_batch(state, epoch, items, ref)
+        ref_comps = one_batch(state, epoch, pool, rows, ref)
     assert_close_dicts(grads, ref)
     assert comps.keys() == ref_comps.keys()
     for key in ref_comps:
@@ -617,16 +703,15 @@ def test_grouped_benchmark_batch_matches_one_forward(world, rasp, seg_on):
     and its gradients and loss components equal one forward over all 24
     items at 1e-10."""
     tax, sched, data, sim = world
-    cfg = small_cfg(dtype="float64")
-    model, _ = base_model(world, cfg, train=False)
+    cfg = small_cfg()
+    model, _ = base_model(world, cfg, train=False, dtype=np.float64)
     state, samples, _ = step_inputs(world, model, cfg, loss_cfg=LossConfig(
         seg_warmup_epochs=1, lambda_rasp=rasp))
     epoch = 1 if seg_on else 0
-    current = engine._prepare_items(state, samples[:18], tax.registry, sim)
     bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
                              tax.registry, 6, seed=3)
-    items = current + engine._prepare_memory(state, bank)
-    assert len(items) == 24 and sum(it.is_memory for it in items) == 6
+    pool = prepare(world, state, samples[:18], bank)
+    assert len(pool.images) == 24 and pool.n_current == 18
 
     log = ProcessLog()
     forward = state.model.encoder.forward
@@ -637,14 +722,14 @@ def test_grouped_benchmark_batch_matches_one_forward(world, rasp, seg_on):
 
     state.model.encoder.forward = spy_forward
     grads = zero_grads(state.model.params())
-    comps = one_batch(state, epoch, items, grads)
+    comps = one_batch(state, epoch, pool, range(24), grads)
     sizes = log.drain()
     assert [n for _, n in sizes] == [4] * 6
     here = [pid for pid, _ in sizes if pid == os.getpid()]
     assert len(here) == 3 and len({pid for pid, _ in sizes}) == 2
     with whole_batch():
         ref = zero_grads(state.model.params())
-        ref_comps = one_batch(state, epoch, items, ref)
+        ref_comps = one_batch(state, epoch, pool, range(24), ref)
     assert log.drain() == [(os.getpid(), 24)]
     assert_close_dicts(grads, ref)
     assert comps.keys() == ref_comps.keys()
@@ -672,10 +757,9 @@ def test_group_layout_on_the_shard_processes(world):
     model, _ = base_model(world, cfg, train=False)
     state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=0))
-    current = engine._prepare_items(state, samples[:20], tax.registry, sim)
     bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
                              tax.registry, 6, seed=3)
-    items = current + engine._prepare_memory(state, bank)
+    pool = prepare(world, state, samples[:20], bank)
     log = ProcessLog()
     encoder = state.model.encoder
     forward, backward = encoder.forward, encoder.backward
@@ -691,19 +775,18 @@ def test_group_layout_on_the_shard_processes(world):
         return out
 
     encoder.forward, encoder.backward = spy_forward, spy_backward
-    with engine.incremental_shards(state, items) as shards:
-        incremental_batch(state, 0, range(len(items)),
-                          zero_grads(state.model.params()), shards)
+    with engine.incremental_shards(state, pool) as shards:
+        incremental_batch(state, 0, range(26), zero_grads(state.model.params()), shards)
         worker = shards._proc.pid
     events = log.drain()
-    assert len(items) == 26        # two shards of 13: groups of 4, 3, 3, 3
+    assert len(pool.images) == 26  # two shards of 13: groups of 4, 3, 3, 3
     for pid, shard in ((os.getpid(), slice(0, 13)), (worker, slice(13, 26))):
         mine = [e for p, e in events if p == pid]
         groups = group_slices(shard)
         assert [e[0] for e in mine] == ["fwd", "bwd", "bwd_end"] * len(groups)
         for k, group in enumerate(groups):
             fwd, bwd, bwd_end = mine[3 * k:3 * k + 3]
-            want_x = engine._inputs(items[group], state.model.dtype)
+            want_x = engine.image_to_input(pool.images[group], state.model.dtype)
             assert fwd[1] == hashlib.sha256(want_x.tobytes()).hexdigest()
             assert bwd[1] == bwd_end[1] == len(want_x)
     assert len(events) == 3 * 8
@@ -745,7 +828,7 @@ def test_one_on_shards_call_per_training_batch(world, monkeypatch):
                                     loss_cfg=LossConfig(seg_warmup_epochs=1))
     incremental_step(state, samples[:12], bank, sim, tax.registry)
     first = events.index("batch")
-    assert events[:first] == ["shards"] * 2       # _prepare_items: chunks 8, 4
+    assert events[:first] == ["shards"] * 2       # _prepare_pool: chunks 8, 4
     assert events[first:] == ["batch", "shards"] * (2 * 2)   # batches 8, 4
     pids = [pid for pid, _ in log.drain()]
     assert len(pids) == 2 * (2 * 2)
@@ -768,25 +851,26 @@ class _NoHead:
         raise AssertionError("seg head ran backward during warm-up")
 
 
-def warmup_grads_with_head(state, items):
+def warmup_grads_with_head(state, pool, rows):
     """Warm-up gradients as computed before the head was skipped.
 
     Shard by shard on this thread, the head runs forward and then backward
     on an all-zero gradient, whose input gradient is added to the
-    encoder's.  Each shard's loss terms see its own items and the whole
-    batch's item counts.
+    encoder's.  Each shard's loss terms see its own rows and the whole
+    batch's row counts.
     """
     model = state.model
-    x = engine._inputs(items, state.model.dtype)
-    n_cur = sum(not it.is_memory for it in items)
-    rows = shard_slices(len(items))
-    dicts = [zero_grads(model.params()) for _ in rows]
-    for r, g in zip(rows, dicts):
+    rows = np.asarray(rows)
+    x = engine.image_to_input(pool.images[rows], state.model.dtype)
+    n_cur = int(np.count_nonzero(rows < pool.n_current))
+    shards = shard_slices(len(rows))
+    dicts = [zero_grads(model.params()) for _ in shards]
+    for r, g in zip(shards, dicts):
         feat, enc_cache = model.encoder.forward(x[r])
         z, loc_cache = model.localizer.forward(feat)
         p_hat, head_cache = model.head.forward(feat)
         _, dz, dp, dfeat_extra = engine._batch_losses(
-            state, items[r], feat, z, None, len(items), n_cur)
+            state, pool, rows[r], feat, z, None, len(rows), n_cur)
         assert dp is None
         dfeat = model.localizer.backward(dz, loc_cache, g) + dfeat_extra
         dfeat = dfeat + model.head.backward(np.zeros_like(p_hat), head_cache, g)
@@ -802,17 +886,17 @@ def test_warmup_skips_seg_head(world):
     model, _ = base_model(world, cfg)
     state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=2))
-    items = engine._prepare_items(state, samples[:7], tax.registry, sim)
-    want = warmup_grads_with_head(state, items)
+    pool = prepare(world, state, samples[:7])
+    want = warmup_grads_with_head(state, pool, range(7))
     state.model.head = _NoHead(state.model.head)
     grads = zero_grads(state.model.params())
-    one_batch(state, 1, items, grads)
+    one_batch(state, 1, pool, range(7), grads)
     assert grads.keys() == want.keys()
     for name in want:
         assert np.array_equal(grads[name], want[name]), name
     assert not np.any(grads["head.W"]) and not np.any(grads["head.b"])
     with pytest.raises(AssertionError, match="seg head ran forward"):
-        one_batch(state, 2, items, zero_grads(state.model.params()))
+        one_batch(state, 2, pool, range(7), zero_grads(state.model.params()))
 
 
 def test_shards_run_on_caller_and_one_worker(world):
@@ -825,7 +909,7 @@ def test_shards_run_on_caller_and_one_worker(world):
     model, _ = base_model(world, cfg, train=False)
     state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=0))
-    items = engine._prepare_items(state, samples[:7], tax.registry, sim)
+    pool = prepare(world, state, samples[:7])
     log = ProcessLog()
     encoder = state.model.encoder
     forward, backward = encoder.forward, encoder.backward
@@ -840,7 +924,7 @@ def test_shards_run_on_caller_and_one_worker(world):
 
     encoder.forward, encoder.backward = spy_forward, spy_backward
     results = []
-    with engine.incremental_shards(state, items) as shards:
+    with engine.incremental_shards(state, pool) as shards:
         for _ in range(10):
             grads = zero_grads(state.model.params())
             incremental_batch(state, 0, range(7), grads, shards)
@@ -890,8 +974,7 @@ def reference_counts(model, samples, registry):
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 def test_predict_dataset_equals_per_image_reference(world, dtype, n):
     tax, sched, data, _ = world
-    cfg = small_cfg(dtype=dtype)
-    model, _ = base_model(world, cfg, train=False)
+    model, _ = base_model(world, small_cfg(), train=False, dtype=np.dtype(dtype).type)
     samples = data[:n]
     want = reference_counts(model, samples, tax.registry)
     got = predict_dataset(model, samples, tax.registry)

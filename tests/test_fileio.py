@@ -47,6 +47,21 @@ def test_atomic_open_replaces_on_success(tmp_path):
     assert leftovers(tmp_path, "f.bin") == []
 
 
+def test_write_json_format_and_non_finite_floats(tmp_path):
+    """One-space indent and a final newline; a NaN or infinite float is
+    refused before the file is replaced."""
+    path = str(tmp_path / "f.json")
+    assert fileio.write_json(path, {"a": [1, 0.5], "b": None}) == path
+    with open(path, "rb") as fh:
+        assert fh.read() == b'{\n "a": [\n  1,\n  0.5\n ],\n "b": null\n}\n'
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            fileio.write_json(path, {"a": bad})
+        with open(path) as fh:
+            assert json.load(fh) == {"a": [1, 0.5], "b": None}
+    assert leftovers(tmp_path, "f.json") == []
+
+
 def test_save_checkpoint_failure_keeps_previous(tmp_path, monkeypatch):
     names = ("bkg", "a", "b")
     model = SegModel.init(names, seed=1)

@@ -139,11 +139,11 @@ def scored_step(old_names, new_names, logits, labels, dtype="float32",
     old = SimpleNamespace(class_names=tuple(old_names),
                           encoder=SimpleNamespace(infer=lambda x: x),
                           head=SimpleNamespace(forward=head))
-    cfg = EngineConfig(batch_size=batch_size, dtype=dtype)
+    cfg = EngineConfig(batch_size=batch_size)
     state = StepState(
         step=1, old_model=old,
         model=SegModel.init(tuple(old_names) + tuple(new_names), seed=0,
-                            dtype=cfg.np_dtype()),
+                            dtype=np.dtype(dtype).type),
         loss_cfg=LossConfig(tau=tau, lambda_rasp=lambda_rasp), engine_cfg=cfg)
     samples = [Sample(image=np.full(logits.shape[1:3] + (3,), j, dtype=np.uint8),
                       dense_mask=None, weak_labels=frozenset(lab))
@@ -157,11 +157,9 @@ def test_argmax_single_channel(setup):
     logits = np.random.default_rng(1).standard_normal((2, 3, 3, 1))
     state, samples = scored_step(["bkg"], ["disc_striped", "box_solid"], logits,
                                  [{"disc_striped"}, {"disc_striped", "box_solid"}])
-    items = engine._prepare_items(state, samples, registry, sim)
-    assert items[0].rasp_target.shape == (3, 3, 1)
-    assert items[1].rasp_target.shape == (3, 3, 2)
-    for item in items:
-        assert np.all(item.rasp_target == squashed(1.0, np.float32))
+    pool = engine._prepare_pool(state, samples, [], registry, sim)
+    assert pool.rasp.shape == (2, 3, 3, 2)
+    assert np.all(pool.rasp == squashed(1.0, np.float32))
 
 
 def test_argmax_picks_max_and_breaks_ties_low(setup):
@@ -170,10 +168,10 @@ def test_argmax_picks_max_and_breaks_ties_low(setup):
     logits = np.array([[[[-1.0, 2.0, -3.0], [0.5, 0.5, 0.0], [0.0, 1.0, 1.0]]]])
     state, samples = scored_step(old, ["disc_striped"], logits, [{"disc_striped"}],
                                  dtype="float64")
-    (item,) = engine._prepare_items(state, samples, registry, sim)
+    pool = engine._prepare_pool(state, samples, [], registry, sim)
     table = rasp_target_table(sim, registry, old, ["disc_striped"], 5.0, np.float64)
     # max -> disc_solid; tie bkg/disc_solid -> bkg; tie disc/box -> disc_solid
-    assert np.array_equal(item.rasp_target[0, :, 0], table[[1, 0, 1], 0])
+    assert np.array_equal(pool.rasp[0, 0, :, 0], table[[1, 0, 1], 0])
 
 
 def test_argmax_rejects_bad_input(setup, monkeypatch):
@@ -195,13 +193,13 @@ def test_argmax_rejects_bad_input(setup, monkeypatch):
             assert np.array_equal(v, before[k]), k
 
 
-def reference_targets(y_old, old_names, present, registry, sim, tau, dtype):
-    """The per-pixel similarity map of each present class, one pixel and
-    one class at a time (argmax ties go to the lowest channel), squashed
+def reference_targets(y_old, old_names, new_names, registry, sim, tau, dtype):
+    """The per-pixel similarity map of each new class, one pixel and one
+    class at a time (argmax ties go to the lowest channel), squashed
     twice."""
     h, w, n_old = y_old.shape
     bkg = registry.index_of("bkg")
-    scaled = np.empty((h, w, len(present)))
+    scaled = np.empty((h, w, len(new_names)))
     for i in range(h):
         for j in range(w):
             best = 0
@@ -209,7 +207,7 @@ def reference_targets(y_old, old_names, present, registry, sim, tau, dtype):
                 if y_old[i, j, c] > y_old[i, j, best]:
                     best = c
             row = registry.index_of(old_names[best])
-            for k, name in enumerate(present):
+            for k, name in enumerate(new_names):
                 col = registry.index_of(name)
                 scaled[i, j, k] = (sim[row, col] - sim[bkg, col]) / tau
     return squashed(np.exp(scaled), dtype)
@@ -222,7 +220,8 @@ def reference_targets(y_old, old_names, present, registry, sim, tau, dtype):
        hw=st.tuples(st.integers(1, 5), st.integers(1, 5)))
 def test_lookup_matches_per_pixel_reference(setup, data, dtype, tau, n_old,
                                             n_images, batch_size, hw):
-    """Every image's targets equal the per-pixel reference bitwise."""
+    """Every image's targets equal the per-pixel reference bitwise, and its
+    labels show its weak labels on the new channels."""
     registry, sim = setup
     order = data.draw(st.permutations(registry.foreground_names), label="order")
     old_names = ("bkg",) + tuple(order[:n_old - 1])
@@ -234,14 +233,14 @@ def test_lookup_matches_per_pixel_reference(setup, data, dtype, tau, n_old,
               for _ in range(n_images)]
     state, samples = scored_step(old_names, new_names, logits, labels, dtype=dtype,
                                  batch_size=batch_size, tau=tau)
-    items = engine._prepare_items(state, samples, registry, sim)
-    assert len(items) == n_images
+    pool = engine._prepare_pool(state, samples, [], registry, sim)
+    assert pool.n_current == len(pool.rasp) == n_images
     np_dtype = state.model.dtype
-    for item, lab in zip(items, labels):
-        present = sorted(lab)
-        want = reference_targets(item.y_old, old_names, present, registry, sim,
+    for j, lab in enumerate(labels):
+        want = reference_targets(pool.y_old[j], old_names, new_names, registry, sim,
                                  tau, np_dtype)
-        assert item.rasp_target.dtype == want.dtype == np_dtype
-        assert item.rasp_target.shape == hw + (len(present),)
-        assert np.array_equal(item.rasp_target, want)
-        assert list(item.present) == [n_old + new_names.index(n) for n in present]
+        assert pool.rasp.dtype == want.dtype == np_dtype
+        assert pool.rasp[j].shape == hw + (len(new_names),)
+        assert np.array_equal(pool.rasp[j], want)
+        assert list(np.flatnonzero(pool.labels[j, n_old - 1:])) == \
+            sorted(new_names.index(n) for n in lab)
