@@ -81,9 +81,11 @@ encoder and the seg head alone, so no batch is stacked and one image's
 activations stay in cache, and each shard counts its label maps into a
 confusion matrix of its own; only the two matrices are joined.  Before a
 step trains, the old model runs forward over the step's images, chunk by
-chunk as two shards and each shard in groups, and the outputs are joined
-into the step's pool (``_prepare_pool``).  Neither keeps backward caches
-(``Chain.infer``).
+chunk as two shards and each shard in groups, and each group writes its
+scores and features straight into the step's pool (``_prepare_pool``),
+whose two arrays for them are shared mappings made before the worker is
+forked (``layers.shared_array``): nothing but the call's rows crosses the
+pipe.  Neither keeps backward caches (``Chain.infer``).
 
 A checkpoint loads into a skeleton whose weights start at zero
 (``SegModel.init`` with seed None), built without a generator, so
@@ -91,13 +93,16 @@ evaluation never imports numpy.random; only training draws random numbers.
 
 Memory: the worker shares the caller's pages until one of the two writes
 them, so what the two processes hold together in training is the data
-both read once, plus each shard's own working set.  The data is kept
-small: images and masks stay uint8 as the files store them, and so do
-the base targets, as channel-index maps; a training group converts its
-inputs, and a base group expands its one-hot targets, when it runs; an
-incremental step's pool holds each per-row input (images, labels, the old
-model's scores and features, the RaSP targets) in one array; and a
-training group releases each layer's cache once its backward has run.  Evaluation holds
+both read once, plus each shard's own working set.  Each training array
+is held once: base training reads its rows one at a time into one image
+array and one target array, and an incremental step's pool holds each
+per-row input (images, labels, the old model's scores and features, the
+RaSP targets) in one array; no sample or memory entry is kept beside
+them while the step trains.  The data is kept small: images and masks
+stay uint8 as the files store them, and so do the base targets, as
+channel-index maps; a training group converts its inputs, and a base
+group expands its one-hot targets, when it runs; and a training group
+releases each layer's cache once its backward has run.  Evaluation holds
 no split at all, only the image each shard is scoring, so its memory does
 not grow with the split's size.  Each batch frees its activations, and
 ``segprior.cli`` sets glibc's trim and mmap thresholds on import so that
@@ -117,7 +122,7 @@ from . import evalkit, memory, objectives, protocol, simprior
 from .class_semantics import load_embeddings, similarity_matrix
 from .fileio import atomic_open
 from .layers import (Chain, ChannelNorm, Conv2d, LeakyReLU, SGDMomentum, Shards,
-                     group_slices, zero_grads)
+                     group_slices, shared_array, zero_grads)
 from .memory import mix_batch
 from .objectives import LossConfig
 
@@ -265,6 +270,16 @@ def nearest_resize(src, oh, ow):
     return src[rows[:, None], cols[None, :]]
 
 
+def _put_image(images, row, image, what):
+    """images[row] = image, for an image of the shape of row 0's; what
+    names the row in the ValueError raised otherwise."""
+    if image.shape != images.shape[1:]:
+        raise ValueError(f"{what} has an image of shape {image.shape}, but the "
+                         f"step's first image has {images.shape[1:]}; a step's "
+                         "images must share one size")
+    images[row] = image
+
+
 def _training_shards(step, params):
     """The Shards that run the batches of one training loop.
 
@@ -328,34 +343,52 @@ def _fit(cfg, params, lr, epochs, n_items, rng, shards, run_batch):
 # Base training (dense supervision)
 # ---------------------------------------------------------------------------
 
+def _base_arrays(samples, lut, dtype):
+    """Base training's raw images (N, H, W, 3) and channel-index targets
+    (N, h, w) at the network input's size, both uint8, read from samples
+    one row at a time.  No sample outlives its row."""
+    images = labels = None
+    for row, s in enumerate(samples):
+        if s.dense_mask is None:
+            raise ValueError("base training needs dense masks")
+        if images is None:
+            images = np.empty((len(samples),) + s.image.shape, s.image.dtype)
+            # every layer keeps the size of the network input
+            ho, wo = image_to_input(s.image, dtype).shape[:2]
+            labels = np.empty((len(samples), ho, wo), lut.dtype)
+        _put_image(images, row, s.image, f"base training row {row}")
+        labels[row] = lut[nearest_resize(s.dense_mask, ho, wo)]
+    return images, labels
+
+
 def base_train(model, samples, registry, cfg):
     """Train encoder + seg head with per-pixel BCE against one-hot masks.
 
     Classes outside the model's label space count as background, matching
     the convention that unseen content is annotated as background.
+    samples is any sequence of samples with dense masks of one image size:
+    a list, or the ``synthdata.ManifestSamples`` of the step's rows, whose
+    rows are read here one at a time, each once, into the two arrays that
+    training reads (``_base_arrays``).  A sample without a dense mask, or
+    an image of another size than the first's, raises ValueError naming
+    its row.
     """
     if not samples:
         raise ValueError("base training needs a non-empty dataset")
-    for s in samples:
-        if s.dense_mask is None:
-            raise ValueError("base training needs dense masks")
     dtype = model.dtype
     ss = np.random.SeedSequence(cfg.seed)
     shuffle_rng = np.random.default_rng(ss.spawn(1)[0])
-    # every layer keeps the size of the network input
-    ho, wo = image_to_input(samples[0].image, dtype).shape[:2]
     n_classes = model.n_classes()
     lut = np.zeros(len(registry), dtype=np.uint8)
     for ch, name in enumerate(model.class_names):
         lut[registry.index_of(name)] = ch
     # raw images and channel-index maps: a group's inputs are converted and
     # its one-hot targets expanded when it runs
-    images = np.stack([s.image for s in samples])
-    labels = np.stack([lut[nearest_resize(s.dense_mask, ho, wo)] for s in samples])
+    images, labels = _base_arrays(samples, lut, dtype)
+    per_item = labels[0].size * n_classes
     eye = np.eye(n_classes, dtype=dtype)
     # the localizer plays no part here, and extend_head replaces it
     params = {**model.encoder.params(), **model.head.params()}
-    per_item = ho * wo * n_classes
 
     def step(idx, rows, g):
         t = eye[labels[idx[rows]]]
@@ -374,7 +407,7 @@ def base_train(model, samples, registry, cfg):
             raise RuntimeError(f"non-finite base loss at epoch {epoch}")
         return {"loss": loss}
 
-    trace = _fit(cfg, params, cfg.lr_base, cfg.epochs_base, len(samples),
+    trace = _fit(cfg, params, cfg.lr_base, cfg.epochs_base, len(images),
                  shuffle_rng, shards, run_batch)
     return model, [entry["loss"] for entry in trace]
 
@@ -413,6 +446,7 @@ class _Pool:
 
     images: np.ndarray          # (N, H, W, 3) uint8 raw images
     labels: np.ndarray          # (N, n_fg) float64 image labels over the foreground
+    # the old model's outputs live in shared mappings (layers.shared_array)
     y_old: np.ndarray           # (n_current, h, w, n_old) old-model sigmoid scores
     feat_old: np.ndarray        # (n_current, h, w, D) old-model features
     rasp: np.ndarray | None     # (n_current, h, w, n_new) RaSP targets, or None
@@ -422,49 +456,57 @@ class _Pool:
 def _prepare_pool(state, samples, bank, registry, sim_matrix):
     """The step's ``_Pool``: images, labels, old-model outputs, RaSP targets.
 
-    A current row has its weak labels on the new channels, and a memory row
-    its stored labels on the old ones.  The old model runs forward over the
-    current images in chunks of cfg.batch_size, each chunk as two shards,
-    in this process and one forked worker, and each shard in groups of at
-    most ``GROUP_ITEMS`` images with no backward caches kept, so one small
-    group's activations are alive at a time.  The RaSP target table is
-    built once; a row's targets are its rows at the old model's argmax, one
-    column per new class, and there are none when lambda_rasp is 0.
+    samples are the step's weak-labelled samples and bank its memory, a
+    list of ``memory.MemoryEntry``, empty without memory; the pool copies
+    what training reads of them, so the caller can let them go.  A current
+    row has its weak labels on the new channels, and a memory row its
+    stored labels on the old ones.  A step image or a memory image of
+    another size than the first step image's raises ValueError naming its
+    row.  The old model runs forward over the current images in chunks of
+    cfg.batch_size, each chunk as two shards, in this process and one
+    forked worker, and each shard in groups of at most ``GROUP_ITEMS``
+    images with no backward caches kept, so one small group's activations
+    are alive at a time.  Each group writes its scores and features into
+    y_old and feat_old, allocated by ``layers.shared_array`` before the
+    worker is forked, so shard 1's rows reach this process without a copy.
+    The RaSP target table is built once; a row's targets are its rows at
+    the old model's argmax, one column per new class, and there are none
+    when lambda_rasp is 0.
     """
+    if not samples:
+        raise ValueError("incremental step received no samples")
+    if not all(s.weak_labels for s in samples):
+        raise ValueError("incremental samples need non-empty weak labels")
     cfg = state.engine_cfg
     old = state.old_model
     dtype = state.model.dtype
     n_cur = len(samples)
     fg_pos = {name: k for k, name in enumerate(state.model.class_names[1:])}
-    if not all(s.weak_labels for s in samples):
-        raise ValueError("incremental samples need non-empty weak labels")
-    images = np.stack([s.image for s in samples] + [entry.image for entry in bank])
+    first = samples[0].image
+    images = np.empty((n_cur + len(bank),) + first.shape, first.dtype)
     labels = np.zeros((len(images), len(fg_pos)), dtype=np.float64)
-    for row, names in enumerate([s.weak_labels for s in samples]
-                                + [entry.labels for entry in bank]):
-        labels[row, [fg_pos[name] for name in names]] = 1.0
+    for row, s in enumerate(samples):
+        _put_image(images, row, s.image, f"step row {row}")
+        labels[row, [fg_pos[name] for name in s.weak_labels]] = 1.0
+    for k, entry in enumerate(bank):
+        _put_image(images, n_cur + k, entry.image, f"memory entry {k}")
+        labels[n_cur + k, [fg_pos[name] for name in entry.labels]] = 1.0
+    # every layer keeps the size of the network input
+    ho, wo = image_to_input(first, dtype).shape[:2]
+    y_old = shared_array((n_cur, ho, wo, state.n_old), dtype)
+    feat_old = shared_array((n_cur, ho, wo, ENCODER_CHANNELS[-1]), dtype)
 
     def old_forward(rows, start):
-        out = []
         for group in group_slices(slice(start + rows.start, start + rows.stop)):
             feat = old.encoder.infer(image_to_input(images[group], dtype))
             logits, _ = old.head.forward(feat)
-            out.append((objectives.sigmoid(logits), feat))
-        return out
+            y_old[group], feat_old[group] = objectives.sigmoid(logits), feat
 
-    y_old = feat_old = None
     with Shards(old_forward) as shards:
         for start in range(0, n_cur, cfg.batch_size):
-            outs = shards(min(cfg.batch_size, n_cur - start), start)
-            pos = start
-            for y, feat in (group for shard in outs for group in shard):
-                if y_old is None:
-                    y_old = np.empty((n_cur,) + y.shape[1:], dtype)
-                    feat_old = np.empty((n_cur,) + feat.shape[1:], dtype)
-                y_old[pos:pos + len(y)], feat_old[pos:pos + len(y)] = y, feat
-                pos += len(y)
-            if not np.all(np.isfinite(y_old[start:pos])):
-                raise ValueError("old-model scores contain non-finite values")
+            shards(min(cfg.batch_size, n_cur - start), start)
+    if not np.all(np.isfinite(y_old)):
+        raise ValueError("old-model scores contain non-finite values")
     rasp = None
     if state.loss_cfg.lambda_rasp != 0:
         table = simprior.rasp_target_table(sim_matrix, registry, old.class_names,
@@ -601,18 +643,13 @@ def _batch_losses(state, pool, rows, feat, z, p_hat, n_all, n_cur):
     return losses, dz, dp, dfeat_extra
 
 
-def incremental_step(state, samples, bank, sim_matrix, registry):
-    """Run one weakly supervised step; returns the model and per-epoch trace.
-
-    bank is the step's memory, a list of ``memory.MemoryEntry``, empty
-    without memory.
-    """
+def incremental_step(state, pool):
+    """Run one weakly supervised step on the ``_Pool`` pool, which
+    ``_prepare_pool`` built and which holds every array the step reads;
+    returns the model and per-epoch trace."""
     if state.step < 1:
         raise ValueError("incremental steps start at 1")
-    if not samples:
-        raise ValueError("incremental step received no samples")
     cfg = state.engine_cfg
-    pool = _prepare_pool(state, samples, bank, registry, sim_matrix)
     memory_rows = range(pool.n_current, len(pool.images))
     ss = np.random.SeedSequence((cfg.seed, state.step))
     shuffle_seed, memory_seed = ss.spawn(2)
@@ -660,9 +697,14 @@ def run_step(cfg, files, parent, step):
     manifest's present lists choose the step's rows, its few-shot cut and
     the episodic memory's draws, and only the step's images and then the
     memory's draws are read.  The episodic memory draws from the past
-    steps' rows, each row once however many past steps it was shown in.  A
-    step outside the schedule, a parent whose class list is not the
-    schedule's at s - 1, or a step with no samples raises ValueError.
+    steps' rows, each row once however many past steps it was shown in.
+    Each image is held once while the step trains: step 0 hands
+    ``base_train`` the unread rows, which it reads into its two arrays,
+    and a step s >= 1 builds its ``_Pool`` (``_prepare_pool``) and lets the
+    samples and the memory bank go before ``incremental_step`` trains on
+    the pool alone.  A step outside the schedule, a parent whose class list
+    is not the schedule's at s - 1, or a step with no samples raises
+    ValueError.
     """
     registry = cfg.class_registry()
     schedule = cfg.task_schedule()
@@ -675,14 +717,14 @@ def run_step(cfg, files, parent, step):
     if step and parent.class_names != schedule.channel_names(step - 1):
         raise ValueError(f"the parent's class list {list(parent.class_names)} does not "
                          f"match the schedule's at step {step - 1}")
-    samples = list(files[_step_rows(files.present, schedule, step, seed)])
-    if not samples:
+    rows = _step_rows(files.present, schedule, step, seed)
+    if not rows:
         raise ValueError(f"no train samples remain for step {step}")
     if step == 0:
         model = SegModel.init(schedule.channel_names(0), seed=seed)
-        model, trace = base_train(model, samples, registry, cfg.engine)
-        return model, trace, len(samples)
-    samples = protocol.with_weak_labels(samples, schedule, step)
+        model, trace = base_train(model, files[rows], registry, cfg.engine)
+        return model, trace, len(rows)
+    samples = protocol.with_weak_labels(files[rows], schedule, step)
     old_classes = schedule.old_classes(step)
     if cfg.memory.mode == "external":
         bank = memory.ingest_external(cfg.resolve(cfg.memory.manifest), old_classes,
@@ -700,8 +742,11 @@ def run_step(cfg, files, parent, step):
                         seed=np.random.SeedSequence((seed, step, 7)).generate_state(1)[0])
     state = StepState(step=step, old_model=parent, model=model, loss_cfg=cfg.loss,
                       engine_cfg=cfg.engine)
-    model, trace = incremental_step(state, samples, bank, sim, registry)
-    return model, trace, len(samples)
+    pool = _prepare_pool(state, samples, bank, registry, sim)
+    # training reads the pool alone: no image is held twice while it runs
+    del samples, bank
+    model, trace = incremental_step(state, pool)
+    return model, trace, pool.n_current
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ each call faults its arrays' pages in again.
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import traceback
 
@@ -100,8 +101,11 @@ class Shards:
     rows and args, which must pickle, and the current values of the arrays
     in sync (name -> array), which it copies into its own arrays of those
     names before it runs fn.  Its result, or the exception it raised, comes
-    back pickled.  If shard 0 raises, the call waits for shard 1 and
-    raises shard 0's error.
+    back pickled.  A shard may instead write its output into an array
+    allocated by ``shared_array`` before the fork and return nothing: the
+    worker's writes land in this process's array, and nothing large crosses
+    the pipe.  If shard 0 raises, the call waits for shard 1 and raises
+    shard 0's error.
 
     Use it as a context manager: leaving it closes the pipe, on which the
     worker exits, and joins the worker.  The worker also exits when this
@@ -165,6 +169,18 @@ class Shards:
         self._conn = self._proc = None
         raise RuntimeError(f"shard 1's worker process exited with code {code} "
                            "without replying")
+
+
+def shared_array(shape, dtype):
+    """A zeroed array in an anonymous shared mapping.
+
+    Allocated before ``Shards`` forks its worker, it is the same memory in
+    both processes, so rows the worker writes are the caller's rows, with
+    no copy and no pickling.
+    """
+    size = int(np.prod(shape))
+    buf = mmap.mmap(-1, size * np.dtype(dtype).itemsize)
+    return np.frombuffer(buf, dtype, count=size).reshape(shape)
 
 
 def _serve(conn, parent_end, fn, sync):

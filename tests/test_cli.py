@@ -519,13 +519,13 @@ def test_few_shot_memory_holds_only_trained_images(tmp_path, monkeypatch):
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh, indent=1)
     steps = {}
-    real_step = engine.incremental_step
+    real_prepare = engine._prepare_pool
 
-    def spy_step(state, samples, bank, sim, registry):
+    def spy_prepare(state, samples, bank, registry, sim):
         steps[state.step] = (state.model.class_names[state.n_old:], samples, bank)
-        return real_step(state, samples, bank, sim, registry)
+        return real_prepare(state, samples, bank, registry, sim)
 
-    monkeypatch.setattr(engine, "incremental_step", spy_step)
+    monkeypatch.setattr(engine, "_prepare_pool", spy_prepare)
     assert cli.main(["train-base", "--config", cfg_path]) == 0
     for step in ("1", "2"):
         assert cli.main(["train-incremental", "--config", cfg_path, "--step", step]) == 0
@@ -673,12 +673,12 @@ def test_train_incremental_reads_only_its_rows_and_the_memory_draws(
     schedule = config.load_config(cfg_path).task_schedule()
     step_rows = protocol.step_rows(files.present, schedule, 1)
     seen = {}
-    real_step = engine.incremental_step
+    real_prepare = engine._prepare_pool
 
-    def spy_step(state, samples, bank, sim, registry):
+    def spy_prepare(state, samples, bank, registry, sim):
         seen["step"] = [row_of[s.image.tobytes()] for s in samples]
         seen["memory"] = [row_of[e.image.tobytes()] for e in bank]
-        return real_step(state, samples, bank, sim, registry)
+        return real_prepare(state, samples, bank, registry, sim)
 
     reads = []
     real_read = netpbm.read_ppm
@@ -687,7 +687,7 @@ def test_train_incremental_reads_only_its_rows_and_the_memory_draws(
         reads.append(os.path.basename(path))
         return real_read(path)
 
-    monkeypatch.setattr(engine, "incremental_step", spy_step)
+    monkeypatch.setattr(engine, "_prepare_pool", spy_prepare)
     monkeypatch.setattr(netpbm, "read_ppm", spy_read)
     assert cli.main(["train-incremental", "--config", cfg_path, "--step", "1"]) == 0
     assert reads == [f"img_{k:05d}.ppm" for k in seen["step"] + seen["memory"]]

@@ -1,7 +1,10 @@
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import os
+import types
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -99,12 +102,11 @@ def one_batch(state, epoch, pool, rows, grads):
 def test_step_leaves_old_model_unchanged(world):
     """The parent model is the step's old model; training a step changes
     none of its parameters and shares no array with the trained model."""
-    tax = world[0]
     cfg = small_cfg(epochs_incremental=2)
     model, _ = base_model(world, cfg)
     before = {k: v.copy() for k, v in model.params().items()}
-    state, samples, sim = step_inputs(world, model, cfg)
-    trained, _ = incremental_step(state, samples, [], sim, tax.registry)
+    state, samples, _ = step_inputs(world, model, cfg)
+    trained, _ = incremental_step(state, prepare(world, state, samples))
     assert state.old_model is model
     for k, v in model.params().items():
         assert np.array_equal(v, before[k]), k
@@ -154,14 +156,27 @@ def test_base_train_on_odd_size_images(world):
     assert predict_dataset(model, odd, tax.registry).sum() == len(odd) * 41 * 41
 
 
+def test_base_train_rejects_an_image_of_another_size(world):
+    """A 40 px image among 64 px ones stops base training before it
+    starts, with a ValueError naming its row and both shapes."""
+    tax, sched, data, _ = world
+    cfg = small_cfg()
+    small = step_samples(generate_dataset(tax, 8, image_size=40, seed=3), sched, 0)
+    samples = step_samples(data, sched, 0)[:3] + small[:1]
+    model = SegModel.init(sched.channel_names(0), seed=cfg.seed)
+    with pytest.raises(ValueError, match=r"base training row 3 has an image of shape "
+                                         r"\(40, 40, 3\), but the step's first image "
+                                         r"has \(64, 64, 3\)"):
+        base_train(model, samples, tax.registry, cfg)
+
+
 def test_incremental_trace_and_warmup(world):
     cfg = small_cfg()
     model, _ = base_model(world, cfg)
-    state, samples, sim = step_inputs(
+    state, samples, _ = step_inputs(
         world, model, cfg, loss_cfg=LossConfig(seg_warmup_epochs=2)
     )
-    tax = world[0]
-    _, trace = incremental_step(state, samples, [], sim, tax.registry)
+    _, trace = incremental_step(state, prepare(world, state, samples))
     assert len(trace) == cfg.epochs_incremental
     assert not trace[0]["seg_active"] and not trace[1]["seg_active"]
     assert trace[2]["seg_active"]
@@ -174,12 +189,11 @@ def test_incremental_trace_and_warmup(world):
 
 def test_incremental_determinism(world):
     cfg = small_cfg()
-    tax = world[0]
     traces = []
     for _ in range(2):
         model, _ = base_model(world, cfg)
-        state, samples, sim = step_inputs(world, model, cfg)
-        _, trace = incremental_step(state, samples, [], sim, tax.registry)
+        state, samples, _ = step_inputs(world, model, cfg)
+        _, trace = incremental_step(state, prepare(world, state, samples))
         traces.append(trace)
     assert traces[0] == traces[1]
 
@@ -191,7 +205,7 @@ def test_channel_growth(world):
     sizes = [model.n_classes()]
     for step in (1, 2):
         state, samples, _ = step_inputs(world, model, cfg, step=step)
-        model, _ = incremental_step(state, samples, [], sim, tax.registry)
+        model, _ = incremental_step(state, prepare(world, state, samples))
         sizes.append(model.n_classes())
     assert sizes == [5, 7, 9]
     assert sizes[-1] == 1 + len(tax.registry.foreground_names)
@@ -284,10 +298,10 @@ def test_memory_changes_cls_path(world):
     bank = populate_episodic(base, sched.base_classes, tax.registry, 8, seed=3)
     model, _ = base_model(world, cfg)
     state, samples, _ = step_inputs(world, model, cfg)
-    _, trace_mem = incremental_step(state, samples, bank, sim, tax.registry)
+    _, trace_mem = incremental_step(state, prepare(world, state, samples, bank))
     model2, _ = base_model(world, cfg)
     state2, samples2, _ = step_inputs(world, model2, cfg)
-    _, trace_plain = incremental_step(state2, samples2, [], sim, tax.registry)
+    _, trace_plain = incremental_step(state2, prepare(world, state2, samples2))
     assert trace_mem != trace_plain
 
 
@@ -378,6 +392,30 @@ def test_prepare_items_runs_the_old_model_in_groups(world):
         np.testing.assert_allclose(pool.feat_old[k], feat[0], rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(pool.y_old[k], objectives.sigmoid(logits)[0],
                                    rtol=1e-10, atol=1e-12)
+
+
+def test_pool_rejects_an_image_of_another_size(world):
+    """A step image or an episodic memory image of another size than the
+    first step image's raises ValueError naming its row and both shapes,
+    before the old model runs."""
+    tax, sched, data, _ = world
+    cfg = small_cfg()
+    model, _ = base_model(world, cfg, train=False)
+    state, samples, _ = step_inputs(world, model, cfg)
+    small = generate_dataset(tax, 8, image_size=40, seed=3)
+    odd = dataclasses.replace(samples[0], image=small[0].image)
+    with pytest.raises(ValueError, match=r"step row 2 has an image of shape "
+                                         r"\(40, 40, 3\), but the step's first image "
+                                         r"has \(64, 64, 3\)"):
+        prepare(world, state, samples[:2] + [odd])
+    bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
+                             tax.registry, 2, seed=3)
+    bank += populate_episodic(step_samples(small, sched, 0), sched.base_classes,
+                              tax.registry, 1, seed=3)
+    with pytest.raises(ValueError, match=r"memory entry 2 has an image of shape "
+                                         r"\(40, 40, 3\), but the step's first image "
+                                         r"has \(64, 64, 3\)"):
+        prepare(world, state, samples[:3], bank)
 
 
 @pytest.mark.parametrize("rasp", [0.0, 1.0])
@@ -495,18 +533,53 @@ def test_episodic_memory_draws_each_past_image_once(experiment, monkeypatch):
         finally:
             drawing.clear()
 
-    def keep_bank(state, samples, bank, sim, registry):
+    def keep_bank(state, samples, bank, registry, sim):
         banks.append(bank)
-        return state.model, []
+        return types.SimpleNamespace(n_current=len(samples))
 
     monkeypatch.setattr(netpbm, "read_ppm", spy_read)
     monkeypatch.setattr(memory, "populate_episodic", spy_populate)
-    monkeypatch.setattr(engine, "incremental_step", keep_bank)
+    monkeypatch.setattr(engine, "_prepare_pool", keep_bank)
+    monkeypatch.setattr(engine, "incremental_step", lambda state, pool: (state.model, []))
     engine.run_step(cfg, files, parent, 2)
     (bank,) = banks
     digests = {hashlib.sha256(entry.image.tobytes()).hexdigest() for entry in bank}
     assert len(digests) == len(bank) > 0
     assert len(set(reads)) == len(reads) == len(bank)
+
+
+def test_training_holds_each_image_once(experiment, monkeypatch):
+    """Every image and mask a step reads is gone before the step trains:
+    step 0 reads its rows into base training's arrays, step 1 its rows and
+    its episodic memory into its pool, and neither keeps a sample or a
+    memory entry beside them."""
+    cfg, files = experiment
+    cfg = dataclasses.replace(cfg, memory=MemoryConfig(mode="episodic"))
+    reads, checked = [], []
+    real_fit = engine._fit
+
+    def recording(read):
+        def spy(path):
+            array = read(path)
+            reads.append(weakref.ref(array))
+            return array
+        return spy
+
+    def fit_after_collect(*args):
+        gc.collect()
+        alive = [ref for ref in reads if ref() is not None]
+        assert not alive, f"{len(alive)} of the {len(reads)} arrays read are alive"
+        checked.append(len(reads))
+        reads.clear()
+        return real_fit(*args)
+
+    monkeypatch.setattr(netpbm, "read_ppm", recording(netpbm.read_ppm))
+    monkeypatch.setattr(netpbm, "read_pgm", recording(netpbm.read_pgm))
+    monkeypatch.setattr(engine, "_fit", fit_after_collect)
+    parent, _, n_base = engine.run_step(cfg, files, None, 0)
+    _, _, n_step1 = engine.run_step(cfg, files, parent, 1)
+    # an image and a mask per row, and per memory entry in step 1
+    assert checked[0] == 2 * n_base and checked[1] > 2 * n_step1
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +899,7 @@ def test_one_on_shards_call_per_training_batch(world, monkeypatch):
     bank = populate_episodic(base, sched.base_classes, tax.registry, 8, seed=3)
     state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=1))
-    incremental_step(state, samples[:12], bank, sim, tax.registry)
+    incremental_step(state, prepare(world, state, samples[:12], bank))
     first = events.index("batch")
     assert events[:first] == ["shards"] * 2       # _prepare_pool: chunks 8, 4
     assert events[first:] == ["batch", "shards"] * (2 * 2)   # batches 8, 4

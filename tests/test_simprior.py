@@ -129,15 +129,20 @@ def test_relabeling_invariance():
 
 def scored_step(old_names, new_names, logits, labels, dtype="float32",
                 batch_size=24, tau=5.0, lambda_rasp=1.0):
-    """A step whose old model passes images through its encoder and whose
-    head returns fixed logits: image j is filled with the value j, which
-    picks logits[j].  Returns the state and one sample per image."""
+    """A step whose old model's encoder repeats the first channel of its
+    input as the encoder's features and whose head returns fixed logits:
+    image j is filled with the value j, which picks logits[j].  The images
+    are twice the logits' height and width, so the network input has the
+    logits' size.  Returns the state and one sample per image."""
     def head(feat):
         idx = np.rint((feat[:, 0, 0, 0] + 0.5) * 255.0).astype(int)
         return logits[idx].astype(feat.dtype), None
 
+    def encoder(x):
+        return np.repeat(x[..., :1], engine.ENCODER_CHANNELS[-1], axis=3)
+
     old = SimpleNamespace(class_names=tuple(old_names),
-                          encoder=SimpleNamespace(infer=lambda x: x),
+                          encoder=SimpleNamespace(infer=encoder),
                           head=SimpleNamespace(forward=head))
     cfg = EngineConfig(batch_size=batch_size)
     state = StepState(
@@ -145,7 +150,8 @@ def scored_step(old_names, new_names, logits, labels, dtype="float32",
         model=SegModel.init(tuple(old_names) + tuple(new_names), seed=0,
                             dtype=np.dtype(dtype).type),
         loss_cfg=LossConfig(tau=tau, lambda_rasp=lambda_rasp), engine_cfg=cfg)
-    samples = [Sample(image=np.full(logits.shape[1:3] + (3,), j, dtype=np.uint8),
+    h, w = logits.shape[1:3]
+    samples = [Sample(image=np.full((2 * h, 2 * w, 3), j, dtype=np.uint8),
                       dense_mask=None, weak_labels=frozenset(lab))
                for j, lab in enumerate(labels)]
     return state, samples
@@ -187,7 +193,8 @@ def test_argmax_rejects_bad_input(setup, monkeypatch):
                                      [{"disc_striped"}] * 3, lambda_rasp=lambda_rasp)
         before = {k: v.copy() for k, v in state.model.params().items()}
         with pytest.raises(ValueError, match="non-finite"):
-            engine.incremental_step(state, samples, [], sim, registry)
+            engine.incremental_step(
+                state, engine._prepare_pool(state, samples, [], registry, sim))
         assert batches == []
         for k, v in state.model.params().items():
             assert np.array_equal(v, before[k]), k
