@@ -20,7 +20,10 @@ and shard 1 in a worker process forked from it; callers pass
 sequence that reads each image and its uint8 mask when indexed
 (``segprior.synthdata``): training chooses its rows from the manifest's
 class lists and reads only the images it uses, and evaluation's shards
-each read their own images one at a time.  In training each shard runs
+each read their own images one at a time.  An incremental step labels
+its rows in one place, from the classes each shows: a step row with the
+step's new classes, a replay-memory row with the old foreground classes
+(``engine._prepare_pool``).  In training each shard runs
 its items in cache-sized groups of at most four; each
 group computes its own items' losses with whole-batch normalisers and runs
 its own backward before the next group starts, so the summed group

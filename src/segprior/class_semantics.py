@@ -48,9 +48,6 @@ class ClassRegistry:
     def __len__(self):
         return len(self.names)
 
-    def __contains__(self, name):
-        return name in self._index
-
 
 @dataclass(frozen=True)
 class EmbeddingTable:

@@ -161,11 +161,17 @@ def cmd_gen_data(args):
 
 def _train(args, step):
     """train-base (step 0) and train-incremental: ``engine.run_step`` from
-    the previous step's checkpoint, then the step's checkpoint and losses."""
+    the previous step's checkpoint, then the step's checkpoint and losses.
+    train-incremental rejects a step outside [1, n_steps - 1] before it
+    looks for the parent."""
     cfg = _apply_overrides(_load_config(args.config), args)
     seed = cfg.engine.seed
     parent = parent_hash = None
     if args.command == "train-incremental":
+        n_steps = cfg.task_schedule().n_steps
+        if not 1 <= step < n_steps:
+            raise CliError(f"--step {step} is not in [1, {n_steps - 1}], the "
+                           f"incremental steps of the {n_steps}-step schedule")
         prev = _ckpt_path(cfg, step - 1, seed)
         if not os.path.exists(prev):
             raise CliError(f"missing checkpoint for step {step - 1}: {prev} "

@@ -34,8 +34,8 @@ increment in schedule order.  Gradient routing per batch:
 * old model   <- nothing, ever
 
 Memory items contribute only to the classification loss, extended over the
-old foreground channels (their stored labels) with the new classes as
-negatives.
+old foreground channels (the old classes they show) with the new classes
+as negatives.
 
 Every loss and pooling formula lives in ``objectives``, which the
 finite-difference tests check; this module holds none.  ``_batch_losses``
@@ -47,10 +47,11 @@ training loop, ``_fit``; each supplies the per-batch work and keeps its own
 trace format.
 
 ``run_step`` is the one place a step is built from an experiment config.
-It chooses the step's train rows and their few-shot cut, gives the samples
-their weak labels, builds the memory bank and the class similarity matrix,
-extends the parent's head and runs ``base_train`` or ``incremental_step``;
-the CLI only loads its inputs and writes its outputs.
+It chooses the step's train rows, their few-shot cut and the memory bank,
+builds the class similarity matrix, extends the parent's head and runs
+``base_train`` or ``incremental_step``; the CLI only loads its inputs and
+writes its outputs.  An incremental step's rows are labelled in one place,
+``_prepare_pool``, from their present classes.
 
 Every batch runs as two shards (``layers.Shards``): a call names the
 batch's item count and ``Shards`` cuts it, runs shard 0 in the calling
@@ -97,7 +98,7 @@ both read once, plus each shard's own working set.  Each training array
 is held once: base training reads its rows one at a time into one image
 array and one target array, and an incremental step's pool holds each
 per-row input (images, labels, the old model's scores and features, the
-RaSP targets) in one array; no sample or memory entry is kept beside
+RaSP targets) in one array; no sample or memory row is kept beside
 them while the step trains.  The data is kept small: images and masks
 stay uint8 as the files store them, and so do the base targets, as
 channel-index maps; a training group converts its inputs, and a base
@@ -114,6 +115,7 @@ glibc's defaults.
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,7 +352,7 @@ def _base_arrays(samples, lut, dtype):
     images = labels = None
     for row, s in enumerate(samples):
         if s.dense_mask is None:
-            raise ValueError("base training needs dense masks")
+            raise ValueError(f"base training row {row} has no dense mask")
         if images is None:
             images = np.empty((len(samples),) + s.image.shape, s.image.dtype)
             # every layer keeps the size of the network input
@@ -456,43 +458,46 @@ class _Pool:
 def _prepare_pool(state, samples, bank, registry, sim_matrix):
     """The step's ``_Pool``: images, labels, old-model outputs, RaSP targets.
 
-    samples are the step's weak-labelled samples and bank its memory, a
-    list of ``memory.MemoryEntry``, empty without memory; the pool copies
-    what training reads of them, so the caller can let them go.  A current
-    row has its weak labels on the new channels, and a memory row its
-    stored labels on the old ones.  A step image or a memory image of
-    another size than the first step image's raises ValueError naming its
-    row.  The old model runs forward over the current images in chunks of
-    cfg.batch_size, each chunk as two shards, in this process and one
-    forked worker, and each shard in groups of at most ``GROUP_ITEMS``
-    images with no backward caches kept, so one small group's activations
-    are alive at a time.  Each group writes its scores and features into
-    y_old and feat_old, allocated by ``layers.shared_array`` before the
-    worker is forked, so shard 1's rows reach this process without a copy.
-    The RaSP target table is built once; a row's targets are its rows at
-    the old model's argmax, one column per new class, and there are none
-    when lambda_rasp is 0.
+    samples are the step's rows and bank its memory, empty without memory,
+    both sequences of ``protocol.Sample``: lists, or the
+    ``synthdata.ManifestSamples`` of the chosen rows, which read a row when
+    it is indexed.  Each row is read once, the step's in order and then the
+    bank's, into the pool, so the caller holds none of them.  This is the
+    one place a row is labelled, from its ``present`` set: a step row on
+    the new classes it shows, a memory row on the old foreground classes
+    it shows.  A step row that shows no new class, or a step image or a
+    memory image of another size than the first step image's, raises
+    ValueError naming its row.  The old model runs forward over the current
+    images in chunks of cfg.batch_size, each chunk as two shards, in this
+    process and one forked worker, and each shard in groups of at most
+    ``GROUP_ITEMS`` images with no backward caches kept, so one small
+    group's activations are alive at a time.  Each group writes its scores
+    and features into y_old and feat_old, allocated by
+    ``layers.shared_array`` before the worker is forked, so shard 1's rows
+    reach this process without a copy.  The RaSP target table is built
+    once; a row's targets are its rows at the old model's argmax, one
+    column per new class, and there are none when lambda_rasp is 0.
     """
     if not samples:
         raise ValueError("incremental step received no samples")
-    if not all(s.weak_labels for s in samples):
-        raise ValueError("incremental samples need non-empty weak labels")
     cfg = state.engine_cfg
     old = state.old_model
     dtype = state.model.dtype
-    n_cur = len(samples)
-    fg_pos = {name: k for k, name in enumerate(state.model.class_names[1:])}
-    first = samples[0].image
-    images = np.empty((n_cur + len(bank),) + first.shape, first.dtype)
-    labels = np.zeros((len(images), len(fg_pos)), dtype=np.float64)
-    for row, s in enumerate(samples):
-        _put_image(images, row, s.image, f"step row {row}")
-        labels[row, [fg_pos[name] for name in s.weak_labels]] = 1.0
-    for k, entry in enumerate(bank):
-        _put_image(images, n_cur + k, entry.image, f"memory entry {k}")
-        labels[n_cur + k, [fg_pos[name] for name in entry.labels]] = 1.0
+    n_cur, n_old = len(samples), state.n_old
+    fg = [registry.index_of(name) for name in state.model.class_names[1:]]
+    images, labels = None, np.zeros((n_cur + len(bank), len(fg)), dtype=np.float64)
+    for row, s in enumerate(itertools.chain(samples, bank)):
+        if images is None:
+            images = np.empty((len(labels),) + s.image.shape, s.image.dtype)
+        current = row < n_cur
+        _put_image(images, row, s.image,
+                   f"step row {row}" if current else f"memory entry {row - n_cur}")
+        shown = slice(n_old - 1, None) if current else slice(0, n_old - 1)
+        labels[row, shown] = [k in s.present for k in fg[shown]]
+        if current and not labels[row].any():
+            raise ValueError(f"step row {row} shows none of the step's classes")
     # every layer keeps the size of the network input
-    ho, wo = image_to_input(first, dtype).shape[:2]
+    ho, wo = image_to_input(images[0], dtype).shape[:2]
     y_old = shared_array((n_cur, ho, wo, state.n_old), dtype)
     feat_old = shared_array((n_cur, ho, wo, ENCODER_CHANNELS[-1]), dtype)
 
@@ -695,16 +700,18 @@ def run_step(cfg, files, parent, step):
     parent and runs ``incremental_step`` on its ``extend_head`` extension.
     files is the train split as ``synthdata.load_dataset`` returns it: the
     manifest's present lists choose the step's rows, its few-shot cut and
-    the episodic memory's draws, and only the step's images and then the
-    memory's draws are read.  The episodic memory draws from the past
-    steps' rows, each row once however many past steps it was shown in.
+    the episodic memory's draws (``memory.populate_episodic``, which reads
+    nothing), and only the step's images and then the memory's draws are
+    read.  The episodic memory draws from the past steps' rows, each row
+    once however many past steps it was shown in.  External memory checks
+    its images against the step's first image, which it reads for that.
     Each image is held once while the step trains: step 0 hands
     ``base_train`` the unread rows, which it reads into its two arrays,
-    and a step s >= 1 builds its ``_Pool`` (``_prepare_pool``) and lets the
-    samples and the memory bank go before ``incremental_step`` trains on
-    the pool alone.  A step outside the schedule, a parent whose class list
-    is not the schedule's at s - 1, or a step with no samples raises
-    ValueError.
+    and a step s >= 1 hands ``_prepare_pool`` the unread rows and episodic
+    draws, which it reads and labels into the step's ``_Pool``, and lets an
+    external bank go before ``incremental_step`` trains on the pool alone.
+    A step outside the schedule, a parent whose class list is not the
+    schedule's at s - 1, or a step with no samples raises ValueError.
     """
     registry = cfg.class_registry()
     schedule = cfg.task_schedule()
@@ -724,17 +731,18 @@ def run_step(cfg, files, parent, step):
         model = SegModel.init(schedule.channel_names(0), seed=seed)
         model, trace = base_train(model, files[rows], registry, cfg.engine)
         return model, trace, len(rows)
-    samples = protocol.with_weak_labels(files[rows], schedule, step)
+    samples = files[rows]
     old_classes = schedule.old_classes(step)
     if cfg.memory.mode == "external":
         bank = memory.ingest_external(cfg.resolve(cfg.memory.manifest), old_classes,
-                                      samples[0].image.shape)
+                                      registry, samples[0].image.shape)
     elif cfg.memory.mode == "episodic":
         past = list(dict.fromkeys(k for past_step in range(step)
                                   for k in _step_rows(files.present, schedule,
                                                       past_step, seed)))
-        bank = memory.populate_episodic(files[past], old_classes, registry,
-                                        memory.CAPACITY, seed)
+        draws = memory.populate_episodic([files.present[k] for k in past], old_classes,
+                                         registry, memory.CAPACITY, seed)
+        bank = files[[past[k] for k in draws]]
     else:
         bank = []
     sim = similarity_matrix(registry, load_embeddings(cfg.resolve(cfg.embeddings_path)))
@@ -744,7 +752,7 @@ def run_step(cfg, files, parent, step):
                       engine_cfg=cfg.engine)
     pool = _prepare_pool(state, samples, bank, registry, sim)
     # training reads the pool alone: no image is held twice while it runs
-    del samples, bank
+    del bank
     model, trace = incremental_step(state, pool)
     return model, trace, pool.n_current
 

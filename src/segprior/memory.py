@@ -3,20 +3,20 @@
 Two populations are supported: an episodic bank sampled from past training
 data (a single total capacity, split as evenly as possible across the old
 classes) and an external bank ingested from a manifest of retrieved images
-(one class per row).  Memory items carry image-level label sets over old
-classes only; during training they contribute solely to the localizer's
-classification loss, acting as negatives for the new classes.
-
-A bank is a list of ``MemoryEntry``, at most ``CAPACITY`` of them for
-episodic memory and one per manifest row for external memory; without
-memory it is empty.  Memory items take the last ``RATIO`` share of every
-training batch.
+(one class per row).  A bank is a sequence of ``protocol.Sample``: for
+episodic memory at most ``CAPACITY`` of the past rows, which
+``populate_episodic`` chooses by position, and for external memory one
+mask-less sample per manifest row, showing the row's class.  The step's
+pool labels a memory row with the old foreground classes it shows
+(``engine._prepare_pool``); during training memory rows contribute solely
+to the localizer's classification loss, acting as negatives for the new
+classes.  Memory items take the last ``RATIO`` share of every training
+batch.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,47 +26,34 @@ CAPACITY = 100
 RATIO = 0.25
 
 
-@dataclass(frozen=True)
-class MemoryEntry:
-    image: np.ndarray            # (H, W, 3) uint8
-    labels: frozenset            # non-empty, subset of old foreground classes
-
-
 def _class_quotas(capacity, classes):
     base, extra = divmod(capacity, len(classes))
     return {name: base + (1 if i < extra else 0) for i, name in enumerate(classes)}
 
 
-def populate_episodic(past_samples, old_classes, registry, capacity, seed):
-    """Per-class balanced uniform draw from past data, labels from dense
-    masks: a list of at most capacity ``MemoryEntry``.
+def populate_episodic(present, old_classes, registry, capacity, seed):
+    """Per-class balanced uniform draw of at most capacity past rows, given
+    each row's set of present registry indices: the drawn positions, class
+    by class (``protocol.per_class_draw``).
 
     The capacity is split as evenly as possible across the old classes with
-    the remainder going to the lowest-index classes; a sample drawn for one
+    the remainder going to the lowest-index classes; a row drawn for one
     class leaves the pools of the others.  Classes whose pools run short
-    simply contribute fewer entries.  The pools come from each sample's
-    present classes (``protocol.presence``), so a ``ManifestSamples`` has
-    only its drawn samples read.
+    simply contribute fewer rows.  No image is read here.
     """
-    present = protocol.presence(past_samples)
     if not len(present):
         raise ValueError("episodic memory needs a non-empty past stream")
     old_classes = list(old_classes)
-    old_indices = {registry.index_of(n): n for n in old_classes}
     quotas = _class_quotas(capacity, old_classes)
     draws = protocol.per_class_draw(
         present, [(registry.index_of(n), quotas[n]) for n in old_classes],
         np.random.default_rng(seed))
-    return [
-        MemoryEntry(past_samples[k].image,
-                    frozenset(old_indices[j] for j in present[k] if j in old_indices))
-        for rows in draws for k in rows
-    ]
+    return [k for rows in draws for k in rows]
 
 
-def ingest_external(manifest_path, old_classes, image_shape):
+def ingest_external(manifest_path, old_classes, registry, image_shape):
     """Read 'class_name<TAB>image_path' rows into an external bank, one
-    ``MemoryEntry`` per row.
+    mask-less ``protocol.Sample`` per row, showing the row's class.
 
     Every row must name one of old_classes, the step's old foreground
     classes, and its image must have image_shape, the shape of the step's
@@ -77,7 +64,7 @@ def ingest_external(manifest_path, old_classes, image_shape):
     if not os.path.isfile(manifest_path):
         raise FileNotFoundError(f"memory manifest not found: {manifest_path}")
     root = os.path.dirname(os.path.abspath(manifest_path))
-    entries = []
+    bank = []
     with open(manifest_path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -99,8 +86,8 @@ def ingest_external(manifest_path, old_classes, image_shape):
             if image.shape != image_shape:
                 raise ValueError(f"{manifest_path}:{lineno}: image {rel!r} has shape "
                                  f"{image.shape}, the step's images {image_shape}")
-            entries.append(MemoryEntry(image, frozenset([name])))
-    return entries
+            bank.append(protocol.Sample(image, None, frozenset([registry.index_of(name)])))
+    return bank
 
 
 def mix_batch(current, memory, rng):

@@ -1,4 +1,4 @@
-"""Incremental task schedules, per-step dataset filtering and weak labels.
+"""Incremental task schedules and per-step dataset filtering.
 
 A schedule partitions the foreground classes into a base group learned with
 dense masks (step 0) and equal-size increments learned from image-level
@@ -10,11 +10,15 @@ labels (steps 1..T).  Two filtering protocols are supported:
   from a future step.
 
 Step 0 keeps samples containing at least one base-class pixel in both modes.
+Every choice of rows here reads only each sample's ``present`` set, so a
+``synthdata`` ``ManifestSamples`` has its rows chosen from its manifest
+before any image is read.  A row's image-level labels are not stored: the
+step's pool reads them off its ``present`` set (``engine._prepare_pool``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,15 +32,15 @@ def present_classes(mask):
 
 @dataclass
 class Sample:
-    """One image with its dense mask; weak_labels is filled per step.
+    """One image, its dense mask and the registry indices it shows.
 
     The mask is scanned for its classes once, on construction; copies made
-    with ``dataclasses.replace`` carry the result over.
+    with ``dataclasses.replace`` carry the result over.  A sample without a
+    mask, such as an external memory row, is given its present set instead.
     """
 
     image: np.ndarray              # (H, W, 3) uint8
-    dense_mask: np.ndarray         # (H, W) registry indices, uint8 as PGMs store them
-    weak_labels: frozenset = frozenset()
+    dense_mask: np.ndarray | None  # (H, W) registry indices, uint8 as PGMs store them
     present: frozenset = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -137,35 +141,6 @@ def step_rows(present, schedule, step):
     disjoint = schedule.mode == "disjoint"
     return [k for k, shown in enumerate(present)
             if shown & current and not (disjoint and shown & future)]
-
-
-def presence(samples):
-    """Each sample's set of present registry indices.  A sequence that
-    knows them without reading its samples, as a ``synthdata``
-    ``ManifestSamples`` does from its manifest, gives its own ``present``
-    and nothing is read."""
-    known = getattr(samples, "present", None)
-    return known if known is not None else [s.present for s in samples]
-
-
-def weak_labels(sample, schedule, step):
-    """Image-level labels: current-step classes with at least one pixel."""
-    if step < 1:
-        raise ValueError("weak labels exist for incremental steps only (step >= 1)")
-    schedule._check_step(step)
-    present = sample.present
-    return frozenset(
-        name for name in schedule.classes_at_step(step)
-        if schedule.registry.index_of(name) in present
-    )
-
-
-def with_weak_labels(samples, schedule, step):
-    """Copies of samples with weak_labels populated for the given step."""
-    return [
-        replace(s, weak_labels=weak_labels(s, schedule, step))
-        for s in samples
-    ]
 
 
 def per_class_draw(present, quotas, rng):

@@ -5,7 +5,10 @@ import os
 
 import numpy as np
 
-from segprior.protocol import presence, step_rows
+from segprior import engine
+from segprior.memory import populate_episodic
+from segprior.objectives import LossConfig
+from segprior.protocol import step_rows
 
 
 def numeric_gradient(fn, x, step=1e-5):
@@ -45,7 +48,27 @@ def semantic_similarity(a, b, table):
 
 def step_samples(dataset, schedule, step):
     """The samples of dataset that protocol.step_rows admits to a step."""
-    return [dataset[k] for k in step_rows(presence(dataset), schedule, step)]
+    return [dataset[k] for k in step_rows([s.present for s in dataset], schedule, step)]
+
+
+def episodic_bank(samples, old_classes, registry, capacity, seed):
+    """The samples memory.populate_episodic draws from a list of samples."""
+    rows = populate_episodic([s.present for s in samples], old_classes, registry,
+                             capacity, seed)
+    return [samples[k] for k in rows]
+
+
+def pool_labels(schedule, step, samples, bank=()):
+    """The class names engine._prepare_pool labels each row with, the step's
+    rows first, then the bank's, for untrained models of the schedule at
+    the step; a step without a previous one raises ValueError."""
+    old = engine.SegModel.init(schedule.channel_names(step - 1), seed=0)
+    model = engine.extend_head(old, schedule.classes_at_step(step), seed=1)
+    state = engine.StepState(step, old, model, LossConfig(lambda_rasp=0.0),
+                             engine.EngineConfig())
+    pool = engine._prepare_pool(state, samples, bank, schedule.registry, None)
+    fg = model.class_names[1:]
+    return [frozenset(fg[k] for k in np.flatnonzero(row)) for row in pool.labels]
 
 
 class ProcessLog:

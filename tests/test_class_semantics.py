@@ -25,7 +25,7 @@ def test_registry_invariants():
     assert reg.names == ("bkg", "a", "b")
     assert reg.background_name == "bkg"
     assert reg.foreground_names == ("a", "b")
-    assert reg.index_of("b") == 2 and len(reg) == 3 and "a" in reg
+    assert reg.index_of("b") == 2 and len(reg) == 3 and "a" in reg.names
     with pytest.raises(ValueError, match="unknown"):
         reg.index_of("c")
     with pytest.raises(ValueError, match="at least one"):

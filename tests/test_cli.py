@@ -122,19 +122,38 @@ def test_step_and_parent_checks_exit_1(workspace):
     runs = os.path.join(out, "runs")
     res = run_cli("train-base", "--config", cfg_path, "--seed", "9")
     assert res.returncode == 0, res.stderr
-    for step in ("0", "4"):       # no checkpoint of step -1 or 3 can exist
+    for step in ("0", "4"):
         res = run_cli("train-incremental", "--config", cfg_path, "--step", step,
                       "--seed", "9")
-        assert res.returncode == 1 and "missing checkpoint" in res.stderr, res.stderr
+        assert res.returncode == 1, res.stderr
+        assert f"--step {step} is not in [1, 2]" in res.stderr, res.stderr
     # the step-0 model under the names of steps 1 and 2
     for parent in (1, 2):
         shutil.copy(os.path.join(runs, "ckpt_step0_seed9.npz"),
                     os.path.join(runs, f"ckpt_step{parent}_seed9.npz"))
     res = run_cli("train-incremental", "--config", cfg_path, "--step", "3", "--seed", "9")
-    assert res.returncode == 1 and r"step 3 is not in [0, 2]" in res.stderr, res.stderr
+    assert res.returncode == 1 and "--step 3 is not in [1, 2]" in res.stderr, res.stderr
     res = run_cli("train-incremental", "--config", cfg_path, "--step", "2", "--seed", "9")
     assert res.returncode == 1 and "class list" in res.stderr, res.stderr
     assert not os.path.exists(os.path.join(runs, "losses_step2_seed9.json"))
+
+
+@pytest.mark.parametrize("step", ["0", "-1", "n_steps"])
+def test_train_incremental_rejects_a_step_outside_the_schedule(workspace, capsys, step):
+    """A step outside [1, n_steps - 1] exits 1 naming the range, before a
+    parent checkpoint is looked for: step 0 is train-base's, and no step
+    n_steps exists."""
+    from segprior import cli, config
+
+    _, cfg_path = workspace
+    n_steps = config.load_config(cfg_path).task_schedule().n_steps
+    step = str(n_steps) if step == "n_steps" else step
+    capsys.readouterr()
+    assert cli.main(["train-incremental", "--config", cfg_path, "--step", step,
+                     "--seed", "12"]) == 1
+    err = capsys.readouterr().err
+    assert f"--step {step} is not in [1, {n_steps - 1}]" in err, err
+    assert "missing checkpoint" not in err
 
 
 @pytest.mark.parametrize("name", ["disc_striped", "cross_striped"])
@@ -503,8 +522,8 @@ def test_eval_of_a_truncated_image_exits_1_and_reaps_its_worker(tmp_path, capsys
 
 
 def test_few_shot_memory_holds_only_trained_images(tmp_path, monkeypatch):
-    """In the few-shot protocol, every step-2 episodic memory entry of a
-    step-1 class is one of the images step 1 trained on."""
+    """In the few-shot protocol, every step-2 episodic memory row labelled
+    with a step-1 class is one of the images step 1 trained on."""
     from segprior import cli, engine
 
     out = str(tmp_path / "data")
@@ -522,19 +541,26 @@ def test_few_shot_memory_holds_only_trained_images(tmp_path, monkeypatch):
     real_prepare = engine._prepare_pool
 
     def spy_prepare(state, samples, bank, registry, sim):
-        steps[state.step] = (state.model.class_names[state.n_old:], samples, bank)
-        return real_prepare(state, samples, bank, registry, sim)
+        pool = real_prepare(state, samples, bank, registry, sim)
+        steps[state.step] = (state, pool)
+        return pool
 
     monkeypatch.setattr(engine, "_prepare_pool", spy_prepare)
     assert cli.main(["train-base", "--config", cfg_path]) == 0
     for step in ("1", "2"):
         assert cli.main(["train-incremental", "--config", cfg_path, "--step", step]) == 0
-    step1_classes, step1_samples, _ = steps[1]
-    trained = {s.image.tobytes() for s in step1_samples}
+    state1, pool1 = steps[1]
+    trained = {image.tobytes() for image in pool1.images[:pool1.n_current]}
     assert len(trained) == 6
-    held = [e for e in steps[2][2] if e.labels & set(step1_classes)]
+    # the foreground columns of step 1's classes in step 2's labels
+    state2, pool2 = steps[2]
+    step1_columns = slice(state1.n_old - 1, state2.n_old - 1)
+    assert state2.model.class_names[1:][step1_columns] == \
+        state1.model.class_names[state1.n_old:]
+    held = [row for row in range(pool2.n_current, len(pool2.images))
+            if pool2.labels[row, step1_columns].any()]
     assert held
-    assert all(e.image.tobytes() in trained for e in held)
+    assert all(pool2.images[row].tobytes() in trained for row in held)
 
 
 def test_few_shot_disjoint_sequence(tmp_path):
@@ -676,9 +702,10 @@ def test_train_incremental_reads_only_its_rows_and_the_memory_draws(
     real_prepare = engine._prepare_pool
 
     def spy_prepare(state, samples, bank, registry, sim):
-        seen["step"] = [row_of[s.image.tobytes()] for s in samples]
-        seen["memory"] = [row_of[e.image.tobytes()] for e in bank]
-        return real_prepare(state, samples, bank, registry, sim)
+        pool = real_prepare(state, samples, bank, registry, sim)
+        rows = [row_of[image.tobytes()] for image in pool.images]
+        seen["step"], seen["memory"] = rows[:pool.n_current], rows[pool.n_current:]
+        return pool
 
     reads = []
     real_read = netpbm.read_ppm

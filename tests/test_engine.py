@@ -27,13 +27,12 @@ from segprior.engine import (
     save_checkpoint,
 )
 from segprior.layers import group_slices, shard_slices, zero_grads
-from segprior.memory import populate_episodic
 from segprior.objectives import LossConfig
-from segprior.protocol import build_schedule, step_rows, with_weak_labels
+from segprior.protocol import Sample, build_schedule, step_rows
 from segprior.synthdata import (default_taxonomy, export_dataset, generate_dataset,
                                 load_dataset)
 
-from helpers import ProcessLog, step_samples
+from helpers import ProcessLog, episodic_bank, step_samples
 
 
 WORLD_SEED = 101
@@ -75,7 +74,7 @@ def base_model(world, cfg, train=True, dtype=np.float32):
 def step_inputs(world, model, cfg, step=1, loss_cfg=None):
     tax, sched, data, sim = world
     extended = extend_head(model, sched.classes_at_step(step), seed=cfg.seed + step)
-    samples = with_weak_labels(step_samples(data, sched, step), sched, step)
+    samples = step_samples(data, sched, step)
     state = StepState(
         step=step,
         old_model=model,
@@ -97,6 +96,18 @@ def one_batch(state, epoch, pool, rows, grads):
     worker of its own."""
     with engine.incremental_shards(state, pool) as shards:
         return incremental_batch(state, epoch, rows, grads, shards)
+
+
+def test_base_train_names_a_row_without_a_dense_mask(world):
+    """A sample without a dense mask, as an external memory row is, raises
+    ValueError naming its row before training starts."""
+    tax, sched, data, _ = world
+    cfg = small_cfg()
+    model, _ = base_model(world, cfg, train=False)
+    base = step_samples(data, sched, 0)[:3]
+    maskless = Sample(base[1].image, None, base[1].present)
+    with pytest.raises(ValueError, match="base training row 1 has no dense mask"):
+        base_train(model, [base[0], maskless, base[2]], tax.registry, cfg)
 
 
 def test_step_leaves_old_model_unchanged(world):
@@ -241,7 +252,8 @@ def test_batch_losses_match_objectives_recompute(world):
         z, _ = state.model.localizer.forward(feat)
         p_hat, _ = state.model.head.forward(feat)
         for i, k in enumerate(range(len(samples))[group]):
-            shown = [name in samples[k].weak_labels for name in new_names]
+            shown = [tax.registry.index_of(name) in samples[k].present
+                     for name in new_names]
             cols = np.flatnonzero(shown)
             zi, y_old = z[i:i + 1], pool.y_old[k][None]
             scores, m, _ = objectives.image_scores_vjp(zi)
@@ -295,7 +307,7 @@ def test_memory_changes_cls_path(world):
     tax, sched, data, sim = world
     cfg = small_cfg()
     base = step_samples(data, sched, 0)
-    bank = populate_episodic(base, sched.base_classes, tax.registry, 8, seed=3)
+    bank = episodic_bank(base, sched.base_classes, tax.registry, 8, seed=3)
     model, _ = base_model(world, cfg)
     state, samples, _ = step_inputs(world, model, cfg)
     _, trace_mem = incremental_step(state, prepare(world, state, samples, bank))
@@ -408,10 +420,10 @@ def test_pool_rejects_an_image_of_another_size(world):
                                          r"\(40, 40, 3\), but the step's first image "
                                          r"has \(64, 64, 3\)"):
         prepare(world, state, samples[:2] + [odd])
-    bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
-                             tax.registry, 2, seed=3)
-    bank += populate_episodic(step_samples(small, sched, 0), sched.base_classes,
-                              tax.registry, 1, seed=3)
+    bank = episodic_bank(step_samples(data, sched, 0), sched.base_classes,
+                         tax.registry, 2, seed=3)
+    bank += episodic_bank(step_samples(small, sched, 0), sched.base_classes,
+                          tax.registry, 1, seed=3)
     with pytest.raises(ValueError, match=r"memory entry 2 has an image of shape "
                                          r"\(40, 40, 3\), but the step's first image "
                                          r"has \(64, 64, 3\)"):
@@ -419,29 +431,41 @@ def test_pool_rejects_an_image_of_another_size(world):
 
 
 @pytest.mark.parametrize("rasp", [0.0, 1.0])
-def test_pool_rows_are_the_step_images_then_the_bank(world, rasp):
-    """A pool holds the step's images, then the bank's in bank order.  A
-    current row has its weak labels on the new channels, a memory row its
-    stored labels on the old ones; old-model outputs and RaSP targets
-    cover the current rows, and there are no RaSP targets without RaSP."""
-    tax, sched, data, sim = world
-    cfg = small_cfg()
-    model, _ = base_model(world, cfg, train=False)
-    state, samples, _ = step_inputs(world, model, cfg,
-                                    loss_cfg=LossConfig(lambda_rasp=rasp))
-    bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
-                             tax.registry, 5, seed=3)
-    pool = prepare(world, state, samples[:7], bank)
+def test_pool_rows_are_the_step_images_then_the_bank(world, experiment, rasp):
+    """A pool reads the step's rows, then the bank's in bank order, and
+    labels each from its manifest present set: a step row on the step's
+    classes it shows, a memory row on the old classes it shows, so a
+    memory row that also shows a step class reads 0 on it.  Old-model
+    outputs and RaSP targets cover the current rows, and there are no RaSP
+    targets without RaSP."""
+    cfg, files = experiment
+    schedule = cfg.task_schedule()
+    registry = schedule.registry
+    model, _ = base_model(world, small_cfg(), train=False)
+    state, _, sim = step_inputs(world, model, small_cfg(),
+                                loss_cfg=LossConfig(lambda_rasp=rasp))
+    assert state.model.class_names == schedule.channel_names(1)
+    new = {registry.index_of(name) for name in schedule.classes_at_step(1)}
+    base = step_rows(files.present, schedule, 0)
+    shows_new = [k for k in base if files.present[k] & new]
+    # four base rows, then one that shows a step-1 class too
+    bank = [k for k in base if k not in shows_new][:4] + shows_new[:1]
+    step = step_rows(files.present, schedule, 1)[:7]
+    pool = engine._prepare_pool(state, files[step], files[bank], registry, sim)
     assert pool.n_current == 7 and len(pool.images) == len(pool.labels) == 12
     assert pool.images.dtype == np.uint8
     fg = state.model.class_names[1:]
-    for row, (image, names) in enumerate([(s.image, s.weak_labels) for s in samples[:7]]
-                                         + [(e.image, e.labels) for e in bank]):
-        assert np.array_equal(pool.images[row], image)
-        assert [fg[k] for k in np.flatnonzero(pool.labels[row])] == \
-            [name for name in fg if name in names]
-        old = row >= pool.n_current
-        assert all((fg.index(name) + 1 < state.n_old) == old for name in names)
+    reached = False
+    for row, k in enumerate(step + bank):
+        current = row < pool.n_current
+        assert np.array_equal(pool.images[row], files[k].image)
+        labelled = schedule.classes_at_step(1) if current else schedule.old_classes(1)
+        assert [fg[c] for c in np.flatnonzero(pool.labels[row])] == \
+            [name for name in labelled if registry.index_of(name) in files.present[k]]
+        if not current and files.present[k] & new:
+            reached = True
+            assert not pool.labels[row, state.n_old - 1:].any()
+    assert reached
     assert len(pool.y_old) == len(pool.feat_old) == 7
     n_new = state.model.n_classes() - state.n_old
     if rasp:
@@ -509,52 +533,73 @@ def test_run_step_checks_the_step_and_the_parent(experiment, monkeypatch):
 def test_episodic_memory_draws_each_past_image_once(experiment, monkeypatch):
     """Under overlap an image can show a base class and a step-1 class, so
     steps 0 and 1 both train on it; at step 2 it is still one row of the
-    memory's pool.  The bank's images are pairwise distinct, and the draw
-    reads each of them once."""
+    memory's pool.  The draw reads no image: the pool reads the step's
+    images and then the bank's, each once per use, and the bank's images
+    are pairwise distinct."""
     cfg, files = experiment
     cfg = dataclasses.replace(cfg, memory=MemoryConfig(mode="episodic"))
     schedule = cfg.task_schedule()
     past = [k for step in (0, 1) for k in step_rows(files.present, schedule, step)]
     assert len(set(past)) < len(past)
+    row_of = {files[k].image.tobytes(): k for k in range(len(files))}
+    assert len(row_of) == len(files)
     parent = extend_head(SegModel.init(schedule.channel_names(0), seed=0),
                          schedule.classes_at_step(1), seed=1)
-    banks, reads, drawing = [], [], []
-    real_read, real_populate = netpbm.read_ppm, memory.populate_episodic
+    pools, reads, phase = [], [], []
+    real_read = netpbm.read_ppm
 
     def spy_read(path):
-        if drawing:
-            reads.append(path)
+        reads.append((list(phase), os.path.basename(path)))
         return real_read(path)
 
-    def spy_populate(*args):
-        drawing.append(True)
-        try:
-            return real_populate(*args)
-        finally:
-            drawing.clear()
-
-    def keep_bank(state, samples, bank, registry, sim):
-        banks.append(bank)
-        return types.SimpleNamespace(n_current=len(samples))
+    def spying(name, real, results=None):
+        def spy(*args):
+            phase.append(name)
+            try:
+                out = real(*args)
+            finally:
+                phase.pop()
+            if results is not None:
+                results.append(out)
+            return out
+        return spy
 
     monkeypatch.setattr(netpbm, "read_ppm", spy_read)
-    monkeypatch.setattr(memory, "populate_episodic", spy_populate)
-    monkeypatch.setattr(engine, "_prepare_pool", keep_bank)
+    monkeypatch.setattr(memory, "populate_episodic",
+                        spying("draw", memory.populate_episodic))
+    monkeypatch.setattr(engine, "_prepare_pool",
+                        spying("pool", engine._prepare_pool, pools))
     monkeypatch.setattr(engine, "incremental_step", lambda state, pool: (state.model, []))
     engine.run_step(cfg, files, parent, 2)
-    (bank,) = banks
-    digests = {hashlib.sha256(entry.image.tobytes()).hexdigest() for entry in bank}
+    (pool,) = pools
+    assert [where for where, _ in reads] == [["pool"]] * len(pool.images)
+    assert [name for _, name in reads] == \
+        [f"img_{row_of[image.tobytes()]:05d}.ppm" for image in pool.images]
+    bank = pool.images[pool.n_current:]
+    digests = {hashlib.sha256(image.tobytes()).hexdigest() for image in bank}
     assert len(digests) == len(bank) > 0
-    assert len(set(reads)) == len(reads) == len(bank)
 
 
-def test_training_holds_each_image_once(experiment, monkeypatch):
+def test_training_holds_each_image_once(experiment, monkeypatch, tmp_path):
     """Every image and mask a step reads is gone before the step trains:
     step 0 reads its rows into base training's arrays, step 1 its rows and
-    its episodic memory into its pool, and neither keeps a sample or a
-    memory entry beside them."""
+    its episodic or its external memory into its pool, and neither keeps a
+    sample or a memory row beside them."""
     cfg, files = experiment
-    cfg = dataclasses.replace(cfg, memory=MemoryConfig(mode="episodic"))
+    schedule = cfg.task_schedule()
+    registry = schedule.registry
+    images = os.path.join(os.path.dirname(cfg.train_manifest), "images")
+    external = step_rows(files.present, schedule, 0)[:3]
+    rows = []
+    for k in external:
+        name = min(n for n in schedule.base_classes
+                   if registry.index_of(n) in files.present[k])
+        rows.append(f"{name}\t{images}/img_{k:05d}.ppm\n")
+    manifest = tmp_path / "memory.tsv"
+    manifest.write_text("".join(rows))
+    episodic_cfg = dataclasses.replace(cfg, memory=MemoryConfig(mode="episodic"))
+    external_cfg = dataclasses.replace(
+        cfg, memory=MemoryConfig(mode="external", manifest=str(manifest)))
     reads, checked = [], []
     real_fit = engine._fit
 
@@ -576,10 +621,14 @@ def test_training_holds_each_image_once(experiment, monkeypatch):
     monkeypatch.setattr(netpbm, "read_ppm", recording(netpbm.read_ppm))
     monkeypatch.setattr(netpbm, "read_pgm", recording(netpbm.read_pgm))
     monkeypatch.setattr(engine, "_fit", fit_after_collect)
-    parent, _, n_base = engine.run_step(cfg, files, None, 0)
-    _, _, n_step1 = engine.run_step(cfg, files, parent, 1)
-    # an image and a mask per row, and per memory entry in step 1
+    parent, _, n_base = engine.run_step(episodic_cfg, files, None, 0)
+    _, _, n_step1 = engine.run_step(episodic_cfg, files, parent, 1)
+    assert engine.run_step(external_cfg, files, parent, 1)[2] == n_step1
+    # an image and a mask per row, and per memory row in episodic step 1;
+    # external memory reads an image per manifest row, and the image and
+    # mask of the step's first row once more for its shape check
     assert checked[0] == 2 * n_base and checked[1] > 2 * n_step1
+    assert checked[2] == 2 * n_step1 + len(external) + 2
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +734,8 @@ def test_incremental_batch_shards_match_full_batch(world, n_items, seg_on):
     state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=1))
     epoch = 1 if seg_on else 0
-    bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
-                             tax.registry, 4, seed=3)
+    bank = episodic_bank(step_samples(data, sched, 0), sched.base_classes,
+                         tax.registry, 4, seed=3)
     pool = prepare(world, state, samples[:n_items], bank)
     rows = list(range(n_items))
     if n_items > 1:   # a memory row in the last slot, as mix_batch puts it
@@ -717,8 +766,8 @@ def float64_pool(world):
     model, _ = base_model(world, cfg, train=False, dtype=np.float64)
     state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=1))
-    bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
-                             tax.registry, 9, seed=3)
+    bank = episodic_bank(step_samples(data, sched, 0), sched.base_classes,
+                         tax.registry, 9, seed=3)
     return state, prepare(world, state, samples[:9], bank)
 
 
@@ -781,8 +830,8 @@ def test_grouped_benchmark_batch_matches_one_forward(world, rasp, seg_on):
     state, samples, _ = step_inputs(world, model, cfg, loss_cfg=LossConfig(
         seg_warmup_epochs=1, lambda_rasp=rasp))
     epoch = 1 if seg_on else 0
-    bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
-                             tax.registry, 6, seed=3)
+    bank = episodic_bank(step_samples(data, sched, 0), sched.base_classes,
+                         tax.registry, 6, seed=3)
     pool = prepare(world, state, samples[:18], bank)
     assert len(pool.images) == 24 and pool.n_current == 18
 
@@ -830,8 +879,8 @@ def test_group_layout_on_the_shard_processes(world):
     model, _ = base_model(world, cfg, train=False)
     state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=0))
-    bank = populate_episodic(step_samples(data, sched, 0), sched.base_classes,
-                             tax.registry, 6, seed=3)
+    bank = episodic_bank(step_samples(data, sched, 0), sched.base_classes,
+                         tax.registry, 6, seed=3)
     pool = prepare(world, state, samples[:20], bank)
     log = ProcessLog()
     encoder = state.model.encoder
@@ -896,7 +945,7 @@ def test_one_on_shards_call_per_training_batch(world, monkeypatch):
     assert events == ["shards"] * (2 * 3)       # 2 epochs of batches 8, 8, 4
 
     events.clear()
-    bank = populate_episodic(base, sched.base_classes, tax.registry, 8, seed=3)
+    bank = episodic_bank(base, sched.base_classes, tax.registry, 8, seed=3)
     state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=1))
     incremental_step(state, prepare(world, state, samples[:12], bank))

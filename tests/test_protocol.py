@@ -4,15 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from segprior import protocol
 from segprior.memory import populate_episodic
-from segprior.protocol import (
-    Sample,
-    build_schedule,
-    weak_labels,
-    with_weak_labels,
-)
+from segprior.protocol import Sample, build_schedule
 from segprior.synthdata import default_taxonomy, generate_dataset
 
-from helpers import step_samples
+from helpers import pool_labels, step_samples
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +22,7 @@ def toy_dataset(taxonomy):
 
 def few_shot_sample(dataset, schedule, step, k, seed):
     """The samples protocol.few_shot_rows draws from a list of samples."""
-    rows = protocol.few_shot_rows(protocol.presence(dataset), schedule, step, k, seed)
+    rows = protocol.few_shot_rows([s.present for s in dataset], schedule, step, k, seed)
     return [dataset[i] for i in rows]
 
 
@@ -147,18 +142,21 @@ def test_disjoint_subset_of_overlap(taxonomy, toy_dataset):
 
 
 def test_weak_labels(taxonomy):
+    """A step's pool labels a step row with the step's classes it shows; a
+    row that shows none of them is rejected, and step 0, trained on dense
+    masks, has no pool."""
     reg = taxonomy.registry
     sched = build_schedule(reg, 4, 2, "overlap")
     step1 = sched.increments[0]
     old = sched.base_classes[0]
     sample = make_sample(reg, [old, step1[0]])
-    assert weak_labels(sample, sched, 1) == {step1[0]}
     both = make_sample(reg, list(step1))
-    assert weak_labels(both, sched, 1) == set(step1)
+    assert pool_labels(sched, 1, [sample, both]) == [{step1[0]}, set(step1)]
     none = make_sample(reg, [old])
-    assert weak_labels(none, sched, 1) == frozenset()
+    with pytest.raises(ValueError, match="step row 1 shows none of the step's classes"):
+        pool_labels(sched, 1, [sample, none])
     with pytest.raises(ValueError):
-        weak_labels(sample, sched, 0)
+        pool_labels(sched, 0, [sample])
 
 
 def test_weak_labels_never_leak(taxonomy, toy_dataset):
@@ -167,10 +165,15 @@ def test_weak_labels_never_leak(taxonomy, toy_dataset):
     for step in (1, 2):
         old = set(sched.old_classes(step))
         future = set(sched.future_classes(step))
-        for s in with_weak_labels(step_samples(toy_dataset, sched, step), sched, step):
-            assert s.weak_labels
-            assert not (s.weak_labels & old)
-            assert not (s.weak_labels & future)
+        samples = step_samples(toy_dataset, sched, step)
+        labels = pool_labels(sched, step, samples)
+        assert len(labels) == len(samples)
+        for s, names in zip(samples, labels):
+            assert names
+            assert not (names & old)
+            assert not (names & future)
+            assert names == {n for n in sched.classes_at_step(step)
+                             if reg.index_of(n) in s.present}
 
 
 def test_few_shot_exhaustive_pool(taxonomy):
@@ -246,11 +249,13 @@ def test_present_classes_scanned_once_per_sample(taxonomy, monkeypatch):
 
     scans.clear()
     base = step_samples(data, sched, 0)
-    step1 = with_weak_labels(step_samples(data, sched, 1), sched, 1)
-    populate_episodic(base, sched.base_classes, reg, 6, seed=1)
+    step1 = step_samples(data, sched, 1)
+    populate_episodic([s.present for s in base], sched.base_classes, reg, 6, seed=1)
     few_shot_sample(data, sched, 1, 1, seed=2)
-    for sample in step1:
-        assert weak_labels(sample, sched, 1) == sample.weak_labels
+    labels = pool_labels(sched, 1, step1, base[:6])
+    for sample, names in zip(step1, labels):
+        assert names == {n for n in sched.classes_at_step(1)
+                         if reg.index_of(n) in sample.present}
         assert sample.present == {int(v) for v in np.unique(sample.dense_mask)}
     assert scans == []
 

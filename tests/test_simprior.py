@@ -127,13 +127,14 @@ def test_relabeling_invariance():
 # The per-image lookup in the engine
 # ---------------------------------------------------------------------------
 
-def scored_step(old_names, new_names, logits, labels, dtype="float32",
+def scored_step(registry, old_names, new_names, logits, labels, dtype="float32",
                 batch_size=24, tau=5.0, lambda_rasp=1.0):
     """A step whose old model's encoder repeats the first channel of its
     input as the encoder's features and whose head returns fixed logits:
     image j is filled with the value j, which picks logits[j].  The images
     are twice the logits' height and width, so the network input has the
-    logits' size.  Returns the state and one sample per image."""
+    logits' size.  Returns the state and one mask-less sample per image,
+    showing the classes of its labels."""
     def head(feat):
         idx = np.rint((feat[:, 0, 0, 0] + 0.5) * 255.0).astype(int)
         return logits[idx].astype(feat.dtype), None
@@ -152,7 +153,8 @@ def scored_step(old_names, new_names, logits, labels, dtype="float32",
         loss_cfg=LossConfig(tau=tau, lambda_rasp=lambda_rasp), engine_cfg=cfg)
     h, w = logits.shape[1:3]
     samples = [Sample(image=np.full((2 * h, 2 * w, 3), j, dtype=np.uint8),
-                      dense_mask=None, weak_labels=frozenset(lab))
+                      dense_mask=None,
+                      present=frozenset(registry.index_of(n) for n in lab))
                for j, lab in enumerate(labels)]
     return state, samples
 
@@ -161,7 +163,7 @@ def test_argmax_single_channel(setup):
     """With bkg the only old class, every pixel takes the bkg row."""
     registry, sim = setup
     logits = np.random.default_rng(1).standard_normal((2, 3, 3, 1))
-    state, samples = scored_step(["bkg"], ["disc_striped", "box_solid"], logits,
+    state, samples = scored_step(registry, ["bkg"], ["disc_striped", "box_solid"], logits,
                                  [{"disc_striped"}, {"disc_striped", "box_solid"}])
     pool = engine._prepare_pool(state, samples, [], registry, sim)
     assert pool.rasp.shape == (2, 3, 3, 2)
@@ -172,8 +174,8 @@ def test_argmax_picks_max_and_breaks_ties_low(setup):
     registry, sim = setup
     old = ["bkg", "disc_solid", "box_solid"]
     logits = np.array([[[[-1.0, 2.0, -3.0], [0.5, 0.5, 0.0], [0.0, 1.0, 1.0]]]])
-    state, samples = scored_step(old, ["disc_striped"], logits, [{"disc_striped"}],
-                                 dtype="float64")
+    state, samples = scored_step(registry, old, ["disc_striped"], logits,
+                                 [{"disc_striped"}], dtype="float64")
     pool = engine._prepare_pool(state, samples, [], registry, sim)
     table = rasp_target_table(sim, registry, old, ["disc_striped"], 5.0, np.float64)
     # max -> disc_solid; tie bkg/disc_solid -> bkg; tie disc/box -> disc_solid
@@ -189,8 +191,9 @@ def test_argmax_rejects_bad_input(setup, monkeypatch):
     batches = []
     monkeypatch.setattr(engine, "incremental_batch", lambda *args: batches.append(args))
     for lambda_rasp in (0.0, 1.0):
-        state, samples = scored_step(["bkg", "disc_solid"], ["disc_striped"], logits,
-                                     [{"disc_striped"}] * 3, lambda_rasp=lambda_rasp)
+        state, samples = scored_step(registry, ["bkg", "disc_solid"], ["disc_striped"],
+                                     logits, [{"disc_striped"}] * 3,
+                                     lambda_rasp=lambda_rasp)
         before = {k: v.copy() for k, v in state.model.params().items()}
         with pytest.raises(ValueError, match="non-finite"):
             engine.incremental_step(
@@ -228,7 +231,7 @@ def reference_targets(y_old, old_names, new_names, registry, sim, tau, dtype):
 def test_lookup_matches_per_pixel_reference(setup, data, dtype, tau, n_old,
                                             n_images, batch_size, hw):
     """Every image's targets equal the per-pixel reference bitwise, and its
-    labels show its weak labels on the new channels."""
+    labels show the new classes it shows on the new channels."""
     registry, sim = setup
     order = data.draw(st.permutations(registry.foreground_names), label="order")
     old_names = ("bkg",) + tuple(order[:n_old - 1])
@@ -238,8 +241,8 @@ def test_lookup_matches_per_pixel_reference(setup, data, dtype, tau, n_old,
     logits = rng.integers(-2, 3, size=(n_images,) + hw + (n_old,)).astype(np.float64)
     labels = [data.draw(st.sets(st.sampled_from(new_names), min_size=1), label="labels")
               for _ in range(n_images)]
-    state, samples = scored_step(old_names, new_names, logits, labels, dtype=dtype,
-                                 batch_size=batch_size, tau=tau)
+    state, samples = scored_step(registry, old_names, new_names, logits, labels,
+                                 dtype=dtype, batch_size=batch_size, tau=tau)
     pool = engine._prepare_pool(state, samples, [], registry, sim)
     assert pool.n_current == len(pool.rasp) == n_images
     np_dtype = state.model.dtype
