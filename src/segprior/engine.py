@@ -460,17 +460,18 @@ def _prepare_pool(state, samples, bank, registry, sim_matrix):
 
     samples are the step's rows and bank its memory, empty without memory,
     both sequences of ``protocol.Sample``: lists, or the
-    ``synthdata.ManifestSamples`` of the chosen rows, which read a row when
-    it is indexed.  Each row is read once, the step's in order and then the
-    bank's, into the pool, so the caller holds none of them.  This is the
-    one place a row is labelled, from its ``present`` set: a step row on
-    the new classes it shows, a memory row on the old foreground classes
-    it shows.  A step row that shows no new class, or a step image or a
-    memory image of another size than the first step image's, raises
-    ValueError naming its row.  The old model runs forward over the current
-    images in chunks of cfg.batch_size, each chunk as two shards, in this
-    process and one forked worker, and each shard in groups of at most
-    ``GROUP_ITEMS`` images with no backward caches kept, so one small
+    ``synthdata.ManifestSamples`` of the chosen rows or of an external
+    memory manifest, which read a row when it is indexed.  Each row is read
+    once, the step's in order and then the bank's, into the pool, so the
+    caller holds none of them.  This is the one place a row is labelled,
+    from its ``present`` set: a step row on the new classes it shows, a
+    memory row on the old foreground classes it shows; and the one place
+    its size is checked.  A step row that shows no new class, or a step
+    image or a memory image of another size than the first step image's,
+    raises ValueError naming its row.  The old model runs forward over the
+    current images in chunks of cfg.batch_size, each chunk as two shards,
+    in this process and one forked worker, and each shard in groups of at
+    most ``GROUP_ITEMS`` images with no backward caches kept, so one small
     group's activations are alive at a time.  Each group writes its scores
     and features into y_old and feat_old, allocated by
     ``layers.shared_array`` before the worker is forked, so shard 1's rows
@@ -703,13 +704,13 @@ def run_step(cfg, files, parent, step):
     the episodic memory's draws (``memory.populate_episodic``, which reads
     nothing), and only the step's images and then the memory's draws are
     read.  The episodic memory draws from the past steps' rows, each row
-    once however many past steps it was shown in.  External memory checks
-    its images against the step's first image, which it reads for that.
-    Each image is held once while the step trains: step 0 hands
-    ``base_train`` the unread rows, which it reads into its two arrays,
-    and a step s >= 1 hands ``_prepare_pool`` the unread rows and episodic
-    draws, which it reads and labels into the step's ``_Pool``, and lets an
-    external bank go before ``incremental_step`` trains on the pool alone.
+    once however many past steps it was shown in; external memory reads
+    only its manifest (``memory.ingest_external``).  Each image is held
+    once while the step trains: step 0 hands ``base_train`` the unread
+    rows, which it reads into its two arrays, and a step s >= 1 hands
+    ``_prepare_pool`` the unread rows and memory bank, which it reads,
+    checks and labels into the step's ``_Pool``, and ``incremental_step``
+    trains on the pool alone.
     A step outside the schedule, a parent whose class list is not the
     schedule's at s - 1, or a step with no samples raises ValueError.
     """
@@ -735,7 +736,7 @@ def run_step(cfg, files, parent, step):
     old_classes = schedule.old_classes(step)
     if cfg.memory.mode == "external":
         bank = memory.ingest_external(cfg.resolve(cfg.memory.manifest), old_classes,
-                                      registry, samples[0].image.shape)
+                                      registry)
     elif cfg.memory.mode == "episodic":
         past = list(dict.fromkeys(k for past_step in range(step)
                                   for k in _step_rows(files.present, schedule,
@@ -751,8 +752,6 @@ def run_step(cfg, files, parent, step):
     state = StepState(step=step, old_model=parent, model=model, loss_cfg=cfg.loss,
                       engine_cfg=cfg.engine)
     pool = _prepare_pool(state, samples, bank, registry, sim)
-    # training reads the pool alone: no image is held twice while it runs
-    del bank
     model, trace = incremental_step(state, pool)
     return model, trace, pool.n_current
 

@@ -3,15 +3,16 @@
 Two populations are supported: an episodic bank sampled from past training
 data (a single total capacity, split as evenly as possible across the old
 classes) and an external bank ingested from a manifest of retrieved images
-(one class per row).  A bank is a sequence of ``protocol.Sample``: for
-episodic memory at most ``CAPACITY`` of the past rows, which
-``populate_episodic`` chooses by position, and for external memory one
-mask-less sample per manifest row, showing the row's class.  The step's
-pool labels a memory row with the old foreground classes it shows
-(``engine._prepare_pool``); during training memory rows contribute solely
-to the localizer's classification loss, acting as negatives for the new
-classes.  Memory items take the last ``RATIO`` share of every training
-batch.
+(one class per row).  A bank is a ``synthdata.ManifestSamples``, which
+reads a row when it is indexed: for episodic memory at most ``CAPACITY``
+of the past rows, which ``populate_episodic`` chooses by position, and
+for external memory one mask-less row per manifest line, showing the
+line's class.  Neither reads an image: the step's pool reads each memory
+row once, checks its size and labels it with the old foreground classes
+it shows (``engine._prepare_pool``).  During training memory rows
+contribute solely to the localizer's classification loss, acting as
+negatives for the new classes.  Memory items take the last ``RATIO``
+share of every training batch.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import os
 
 import numpy as np
 
-from . import netpbm, protocol
+from . import protocol
+from .synthdata import ManifestSamples
 
 CAPACITY = 100
 RATIO = 0.25
@@ -51,20 +53,21 @@ def populate_episodic(present, old_classes, registry, capacity, seed):
     return [k for rows in draws for k in rows]
 
 
-def ingest_external(manifest_path, old_classes, registry, image_shape):
-    """Read 'class_name<TAB>image_path' rows into an external bank, one
-    mask-less ``protocol.Sample`` per row, showing the row's class.
+def ingest_external(manifest_path, old_classes, registry):
+    """Read 'class_name<TAB>image_path' rows into an external bank: a
+    ``synthdata.ManifestSamples`` of mask-less rows, each showing its
+    row's class and read when indexed.
 
     Every row must name one of old_classes, the step's old foreground
-    classes, and its image must have image_shape, the shape of the step's
-    own images, since memory items share batches with them.  Any other
-    name, a current or future class among them, or any other shape raises
-    ValueError naming the row.
+    classes, and its image file must exist.  Any other name, a current or
+    future class among them, or a missing file raises ValueError naming
+    the row.  No image is read here; the step's pool reads each one and
+    checks that it has the size of the step's images.
     """
     if not os.path.isfile(manifest_path):
         raise FileNotFoundError(f"memory manifest not found: {manifest_path}")
     root = os.path.dirname(os.path.abspath(manifest_path))
-    bank = []
+    rows = []
     with open(manifest_path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -82,12 +85,8 @@ def ingest_external(manifest_path, old_classes, registry, image_shape):
             path = rel if os.path.isabs(rel) else os.path.join(root, rel)
             if not os.path.exists(path):
                 raise ValueError(f"{manifest_path}:{lineno}: unreadable image {rel!r}")
-            image = netpbm.read_ppm(path)
-            if image.shape != image_shape:
-                raise ValueError(f"{manifest_path}:{lineno}: image {rel!r} has shape "
-                                 f"{image.shape}, the step's images {image_shape}")
-            bank.append(protocol.Sample(image, None, frozenset([registry.index_of(name)])))
-    return bank
+            rows.append((path, None, frozenset([registry.index_of(name)])))
+    return ManifestSamples(tuple(rows), registry.names)
 
 
 def mix_batch(current, memory, rng):

@@ -174,8 +174,8 @@ def test_external_memory_of_a_class_not_old_exits_1(workspace, tmp_path, name):
 
 def test_external_memory_image_of_another_size_exits_1(workspace, tmp_path):
     """A step-1 external memory row whose image is 40 px against the step's
-    64 px images is a malformed input: exit 1, naming the row and both
-    shapes."""
+    64 px images is a malformed input: exit 1, with the step's pool naming
+    the row's bank position and both shapes."""
     from segprior.netpbm import read_ppm, write_ppm
 
     out, cfg_path = workspace
@@ -189,8 +189,8 @@ def test_external_memory_image_of_another_size_exits_1(workspace, tmp_path):
     res = run_cli("train-incremental", "--config", cfg_path, "--step", "1", "--seed", "11",
                   "--memory", "external", "--memory-manifest", str(manifest))
     assert res.returncode == 1, res.stderr
-    assert "memory.tsv:2: image" in res.stderr, res.stderr
-    assert "(40, 40, 3)" in res.stderr and "(64, 64, 3)" in res.stderr
+    assert ("memory entry 1 has an image of shape (40, 40, 3), but the step's "
+            "first image has (64, 64, 3)") in res.stderr, res.stderr
     assert not os.path.exists(os.path.join(out, "runs", "ckpt_step1_seed11.npz"))
 
 

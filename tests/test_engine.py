@@ -625,10 +625,9 @@ def test_training_holds_each_image_once(experiment, monkeypatch, tmp_path):
     _, _, n_step1 = engine.run_step(episodic_cfg, files, parent, 1)
     assert engine.run_step(external_cfg, files, parent, 1)[2] == n_step1
     # an image and a mask per row, and per memory row in episodic step 1;
-    # external memory reads an image per manifest row, and the image and
-    # mask of the step's first row once more for its shape check
+    # external memory reads an image per manifest row, and nothing more
     assert checked[0] == 2 * n_base and checked[1] > 2 * n_step1
-    assert checked[2] == 2 * n_step1 + len(external) + 2
+    assert checked[2] == 2 * n_step1 + len(external)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,6 @@ from segprior.synthdata import default_taxonomy, generate_dataset
 
 from helpers import pool_labels, step_samples
 
-# the shape of generate_dataset's images, which the step's images have
-SHAPE = (64, 64, 3)
-
-
 @pytest.fixture(scope="module")
 def taxonomy():
     return default_taxonomy()
@@ -174,8 +170,7 @@ def test_external_round_trip(tmp_path, past, step1, taxonomy):
         rows.append(f"{name}\t{rel}\n")
     manifest = tmp_path / "memory_manifest.tsv"
     manifest.write_text("".join(rows), encoding="utf-8")
-    loaded = ingest_external(str(manifest), sched.old_classes(1), reg,
-                             samples[0].image.shape)
+    loaded = ingest_external(str(manifest), sched.old_classes(1), reg)
     assert len(loaded) == len(bank)
     for k, name, back in zip(bank, names, loaded):
         assert np.array_equal(samples[k].image, back.image)
@@ -186,21 +181,21 @@ def test_external_round_trip(tmp_path, past, step1, taxonomy):
 def test_external_empty_manifest(tmp_path, past):
     path = tmp_path / "m.tsv"
     path.write_text("")
-    bank = ingest_external(str(path), past[1].old_classes(1), past[1].registry, SHAPE)
+    bank = ingest_external(str(path), past[1].old_classes(1), past[1].registry)
     assert len(bank) == 0
 
 
 def test_external_missing_manifest(tmp_path, past):
     with pytest.raises(FileNotFoundError, match="memory manifest not found"):
         ingest_external(str(tmp_path / "m.tsv"), past[1].old_classes(1),
-                        past[1].registry, SHAPE)
+                        past[1].registry)
 
 
 def test_external_unknown_class(tmp_path, past):
     path = tmp_path / "m.tsv"
     path.write_text("dragon\timg.ppm\n")
     with pytest.raises(ValueError, match="m.tsv:1: class 'dragon'"):
-        ingest_external(str(path), past[1].old_classes(1), past[1].registry, SHAPE)
+        ingest_external(str(path), past[1].old_classes(1), past[1].registry)
 
 
 @pytest.mark.parametrize("name", ["bkg", "disc_striped", "cross_striped"])
@@ -212,33 +207,61 @@ def test_external_row_must_name_an_old_class(tmp_path, past, name):
     path = tmp_path / "m.tsv"
     path.write_text(f"disc_solid\ta.ppm\n{name}\ta.ppm\n")
     with pytest.raises(ValueError, match=f"m.tsv:2: class '{name}' is not an old class"):
-        ingest_external(str(path), sched.old_classes(1), sched.registry,
-                        samples[0].image.shape)
+        ingest_external(str(path), sched.old_classes(1), sched.registry)
     if name == "disc_striped":    # a step-1 class is old at step 2
-        bank = ingest_external(str(path), sched.old_classes(2), sched.registry,
-                               samples[0].image.shape)
+        bank = ingest_external(str(path), sched.old_classes(2), sched.registry)
         assert [e.present for e in bank] == [{sched.registry.index_of("disc_solid")},
                                              {sched.registry.index_of("disc_striped")}]
 
 
-def test_external_image_of_another_size(tmp_path, past):
-    """A row whose image is not the shape of the step's images raises
-    ValueError naming the row and both shapes."""
+def test_external_image_of_another_size(tmp_path, past, step1):
+    """A row whose image is not the shape of the step's images loads, and
+    the step's pool raises ValueError naming its bank position and both
+    shapes."""
     samples, sched = past
     write_ppm(str(tmp_path / "a.ppm"), samples[0].image)
     write_ppm(str(tmp_path / "small.ppm"), samples[0].image[:40, :40])
     path = tmp_path / "m.tsv"
     path.write_text("disc_solid\ta.ppm\ndisc_solid\tsmall.ppm\n")
-    with pytest.raises(ValueError, match=r"m.tsv:2: image 'small.ppm' has shape "
-                                         r"\(40, 40, 3\), the step's images \(64, 64, 3\)"):
-        ingest_external(str(path), sched.old_classes(1), sched.registry, SHAPE)
+    bank = ingest_external(str(path), sched.old_classes(1), sched.registry)
+    assert len(bank) == 2
+    with pytest.raises(ValueError, match=r"memory entry 1 has an image of shape "
+                                         r"\(40, 40, 3\), but the step's first image "
+                                         r"has \(64, 64, 3\)"):
+        pool_labels(sched, 1, step1, bank)
+
+
+def test_external_bank_is_read_by_the_pool_alone(tmp_path, past, step1,
+                                                  monkeypatch):
+    """Building an external bank reads no image; the step's pool then reads
+    each bank image once, in bank order."""
+    from segprior import netpbm
+
+    samples, sched = past
+    names = [f"m{i}.ppm" for i in range(3)]
+    for i, name in enumerate(names):
+        write_ppm(str(tmp_path / name), samples[i].image)
+    path = tmp_path / "m.tsv"
+    path.write_text("".join(f"disc_solid\t{name}\n" for name in names))
+    reads = []
+    real_read = netpbm.read_ppm
+
+    def spy_read(p):
+        reads.append(os.path.basename(p))
+        return real_read(p)
+
+    monkeypatch.setattr(netpbm, "read_ppm", spy_read)
+    bank = ingest_external(str(path), sched.old_classes(1), sched.registry)
+    assert reads == []
+    assert pool_labels(sched, 1, step1, bank)[1:] == [{"disc_solid"}] * 3
+    assert reads == names
 
 
 def test_external_unreadable_image(tmp_path, past):
     path = tmp_path / "m.tsv"
     path.write_text("disc_solid\tmissing.ppm\n")
     with pytest.raises(ValueError, match="missing.ppm"):
-        ingest_external(str(path), past[1].old_classes(1), past[1].registry, SHAPE)
+        ingest_external(str(path), past[1].old_classes(1), past[1].registry)
 
 
 def test_mix_batch():
