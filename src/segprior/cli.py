@@ -217,8 +217,9 @@ def cmd_eval(args):
     trace_name = f"metrics_trace_{args.split}.json" if "_seed" not in stem else \
         f"metrics_trace_seed{stem.split('_seed')[1]}_{args.split}.json"
     trace_path = evalkit.append_trace(os.path.join(outdir, trace_name), report)
+    base = report["miou_base"]
     pieces = [f"step {step}", f"mIoU(all) {report['miou_all']:.4f}",
-              f"mIoU(base) {report['miou_base']:.4f}"]
+              "mIoU(base) n/a" if base is None else f"mIoU(base) {base:.4f}"]
     if report["miou_new"] is not None:
         pieces.append(f"mIoU(new) {report['miou_new']:.4f}")
     print("; ".join(pieces))

@@ -38,13 +38,16 @@ old foreground channels (the old classes they show) with the new classes
 as negatives.
 
 Every loss and pooling formula lives in ``objectives``, which the
-finite-difference tests check; this module holds none.  ``_batch_losses``
-only routes: it picks the rows and channels each term applies to, calls
-the term's batch-native function with the whole batch's normaliser, and
-adds the gradient into dz (localizer logits), dp (seg logits) or the
-encoder features.  ``base_train`` and ``incremental_step`` share one
-training loop, ``_fit``; each supplies the per-batch work and keeps its own
-trace format.
+finite-difference tests check; this module holds none.  Base training's
+dense loss and the cls, kdl, seg and rasp terms all call the one binary
+cross-entropy, ``objectives.bce_loss_grad``; kde calls
+``objectives.kde_loss_grad``.  ``_batch_losses`` only routes: it picks
+the rows and channels each term applies to, calls the term's function
+with the whole batch's normaliser, and adds the gradient into dz
+(localizer logits), dp (seg logits) or the encoder features.
+``base_train`` and ``incremental_step`` share one training loop,
+``_fit``; each supplies the per-batch work and keeps its own trace
+format.
 
 ``run_step`` is the one place a step is built from an experiment config.
 It chooses the step's train rows, their few-shot cut and the memory bank,
@@ -116,6 +119,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -396,15 +400,16 @@ def base_train(model, samples, registry, cfg):
         t = eye[labels[idx[rows]]]
         feat, enc_cache = model.encoder.forward(image_to_input(images[idx[rows]], dtype))
         logits, head_cache = model.head.forward(feat)
-        loss_sum, dlogits = objectives.bce_sum_grad(logits, t, len(idx) * per_item)
+        losses, dlogits = objectives.bce_loss_grad(logits, t, len(idx) * per_item)
         dfeat = model.head.backward(dlogits, head_cache, g)
         model.encoder.backward(dfeat, enc_cache, g)
-        return float(loss_sum)
+        return losses
 
     shards = _training_shards(step, params)
 
     def run_batch(epoch, idx, grads):
-        loss = sum(_train_batch(shards, idx, len(idx), grads)) / (len(idx) * per_item)
+        losses = np.concatenate(_train_batch(shards, idx, len(idx), grads))
+        loss = float(losses.sum()) / len(idx)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite base loss at epoch {epoch}")
         return {"loss": loss}
@@ -591,15 +596,18 @@ def _batch_losses(state, pool, rows, feat, z, p_hat, n_all, n_cur):
     by the whole batch's count, so the groups' gradients add up to the
     whole batch's:
 
-    * cls, every row: the pooled scores of ``image_scores_vjp``, scored
-      per row by ``cls_loss_grad`` over the new channels (current rows)
-      or all foreground channels (memory rows), back through the VJP;
-    * kdl, kde and seg, current rows: the old channels of z against the
-      old model's scores, the features against the old features, and the
-      seg logits against ``pseudo_supervision`` of the localizer softmax;
-    * rasp, current rows, when lambda_rasp is non-zero: ``rasp_loss_grad``
-      per row on the channels of the new classes its labels show, in
-      channel order.
+    * cls, every row: the pooled scores of ``image_scores_vjp``, in
+      float64, against the row's labels by ``bce_loss_grad``, one row at
+      a time, over the new channels (current rows) or all foreground
+      channels (memory rows), back through the VJP;
+    * kdl and seg, current rows, by ``bce_loss_grad``: the old channels of
+      z against the old model's scores, and the seg logits against
+      ``pseudo_supervision`` of the localizer softmax;
+    * kde, current rows, by ``kde_loss_grad``: the features against the
+      old features;
+    * rasp, current rows, when lambda_rasp is non-zero: ``bce_loss_grad``
+      one row at a time, on the channels of the new classes its labels
+      show, in channel order, against the row's RaSP targets.
 
     p_hat is None in the warm-up epochs, where dp is None too.  Returns
     (losses, dz, dp, dfeat_extra): losses maps each term to its per-item
@@ -617,9 +625,10 @@ def _batch_losses(state, pool, rows, feat, z, p_hat, n_all, n_cur):
         # the foreground channels a row is scored on: the new ones for a
         # current row, all of them for a memory row
         first = n_old if row < pool.n_current else 1
-        loss, upstream[i, first:] = objectives.cls_loss_grad(
-            scores[i, first:], pool.labels[row, first - 1:])
-        losses["cls"].append(loss)
+        scores_i = scores[i:i + 1, first:].astype(np.float64)
+        loss, upstream[i:i + 1, first:] = objectives.bce_loss_grad(
+            scores_i, pool.labels[row:row + 1, first - 1:], scores_i.size)
+        losses["cls"].extend(loss)
     dz = scores_vjp(upstream) / n_all
     dp = None if p_hat is None else np.zeros_like(p_hat)
     dfeat_extra = np.zeros_like(feat)
@@ -628,7 +637,7 @@ def _batch_losses(state, pool, rows, feat, z, p_hat, n_all, n_cur):
 
     n_pix = z.shape[1] * z.shape[2]
     y_old, feat_old = pool.y_old[rows[cur]], pool.feat_old[rows[cur]]
-    losses["kdl"], grad = objectives.kdl_loss_grad(
+    losses["kdl"], grad = objectives.bce_loss_grad(
         z[cur, :, :, :n_old], y_old, n_pix * n_old * n_cur)
     dz[cur, :, :, :n_old] += grad
     losses["kde"], grad = objectives.kde_loss_grad(
@@ -637,13 +646,14 @@ def _batch_losses(state, pool, rows, feat, z, p_hat, n_all, n_cur):
     if lcfg.lambda_rasp != 0:
         for i in cur:
             shown = np.flatnonzero(pool.labels[rows[i], n_old - 1:])
-            loss, grad = objectives.rasp_loss_grad(z[i][..., n_old + shown],
-                                                   pool.rasp[rows[i]][..., shown])
-            losses["rasp"].append(loss)
-            dz[i][..., n_old + shown] += (lcfg.lambda_rasp / n_cur) * grad
+            zi = z[i:i + 1][..., n_old + shown]
+            loss, grad = objectives.bce_loss_grad(
+                zi, pool.rasp[rows[i:i + 1]][..., shown], zi.size)
+            losses["rasp"].extend(loss)
+            dz[i:i + 1][..., n_old + shown] += (lcfg.lambda_rasp / n_cur) * grad
     if p_hat is not None:
         q_tilde = objectives.pseudo_supervision(m[cur], y_old)
-        losses["seg"], grad = objectives.seg_loss_grad(
+        losses["seg"], grad = objectives.bce_loss_grad(
             p_hat[cur], q_tilde, n_pix * p_hat.shape[3] * n_cur)
         dp[cur] += grad
     return losses, dz, dp, dfeat_extra
@@ -822,13 +832,21 @@ def load_checkpoint(path):
     file.  The stored parameter names must be exactly the model's and each
     must have its parameter's shape, so no zero weight is left; members
     named ``__*__`` are metadata, and those the model does not read are
-    ignored.  A missing metadata member, a ``__dtype__`` other than float32
-    or float64, or parameters that are not the model's by name or shape
-    raise ValueError naming the file.  So a checkpoint with a bias on a
-    conv that feeds a ChannelNorm (``enc.3.b``, ``loc.0.b``, ``loc.1.b``)
-    is rejected: the model has none.
+    ignored.  A file that is not an archive ``np.load`` can read (a
+    truncated archive, text, an empty file, a single .npy array), a
+    missing metadata member, a ``__dtype__`` other than float32 or
+    float64, or parameters that are not the model's by name or shape raise
+    ValueError naming the file.  So a checkpoint with a bias on a conv that
+    feeds a ChannelNorm (``enc.3.b``, ``loc.0.b``, ``loc.1.b``) is
+    rejected: the model has none.
     """
-    with np.load(path, allow_pickle=False) as data:
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"checkpoint {path} cannot be read: {exc}") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):      # a single .npy array
+        raise ValueError(f"checkpoint {path} is not an .npz archive")
+    with data:
         for key in ("__class_names__", "__step__", "__config_hash__", "__dtype__"):
             if key not in data.files:
                 raise ValueError(f"checkpoint {path} has no {key} member")

@@ -8,7 +8,8 @@ label maps (argmax maps resized to mask resolution) into counts of their
 own with ``confusion_accumulate``.
 ``miou_all`` averages over every class including background, ``miou_base``
 excludes it, and classes absent from both prediction and truth are left out
-of the means; ``miou_new`` is undefined when every new class is absent.
+of the means; ``miou_base`` and ``miou_new`` are undefined when every
+class of their subset is absent, and so is ``harmonic_mean`` with either.
 
 A report is the dict its JSON file holds: ``step``, ``config_hash``,
 ``per_class_iou`` (class name -> IoU) and the aggregates ``miou_base``,
@@ -73,16 +74,19 @@ _AGGREGATES = ("miou_base", "miou_new", "miou_all", "harmonic_mean")
 
 def build_report(counts, registry, base_classes, new_classes, step, config_hash):
     """The report dict: per-class IoUs and the four aggregates, None where
-    undefined (an absent class; miou_new and harmonic_mean before step 1,
-    or when no new class appears in the truth or the prediction)."""
+    undefined (an absent class; miou_base and harmonic_mean when no base
+    class appears in the truth or the prediction; miou_new and
+    harmonic_mean before step 1, or when no new class appears)."""
     values = iou_per_class(counts)
-    miou_base = miou(counts, [registry.index_of(n) for n in base_classes])
-    miou_new = hm = None
-    new = [registry.index_of(n) for n in new_classes]
-    if not np.isnan(values[new]).all():
-        miou_new = miou(counts, new)
-        if miou_base + miou_new > 0:
-            hm = harmonic_mean(miou_base, miou_new)
+
+    def subset_miou(names):
+        idx = [registry.index_of(n) for n in names]
+        return None if np.isnan(values[idx]).all() else miou(counts, idx)
+
+    miou_base, miou_new = subset_miou(base_classes), subset_miou(new_classes)
+    hm = None
+    if miou_base is not None and miou_new is not None and miou_base + miou_new > 0:
+        hm = harmonic_mean(miou_base, miou_new)
     return {
         "step": step,
         "config_hash": config_hash,

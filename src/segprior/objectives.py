@@ -5,22 +5,26 @@ returns its value together with an analytic gradient; the test suite checks
 every one of them against central finite differences, and the training
 step calls the same functions.
 
-The batch-native functions take a leading item axis B and reduce per item:
-their losses come back as a float64 vector of B per-item values, each one
-the mean the objective defines for a single image.  Their gradients are
-divided by an explicit normaliser n, the count the whole batch's term is
-averaged over (elements, or pixels for ``kde``).  A shard of a batch passes
-the whole batch's count, so the shards' gradients add up to the batch's.
-``cls_loss_grad`` and ``rasp_loss_grad`` work on one image at a time,
-because each image has its own label set.
+Every loss function takes a leading item axis B and reduces per item: its
+losses come back as a float64 vector of B per-item values, each one the
+mean the objective defines for a single image.  Its gradient is divided by
+an explicit normaliser n, the count the whole batch's term is averaged
+over (elements, or pixels for ``kde``).  A shard of a batch passes the
+whole batch's count, so the shards' gradients add up to the batch's.
 
 The combined objective is
 
     total = cls + kdl + kde + [epoch >= warmup] * seg + lambda_rasp * rasp
 
-where the semantic-prior term ``rasp`` is a binary cross-entropy between
-the RaSP targets of ``segprior.simprior`` and the localizer logits of the
-new classes present in the image.
+Four of its five terms are one binary cross-entropy from logits,
+``bce_loss_grad``, on different pairs: ``cls`` on one image's pooled
+scores (``image_scores_vjp``) against its image labels, ``kdl`` on the
+old channels of the localizer logits against the old model's scores,
+``seg`` on the seg logits against ``pseudo_supervision``, and ``rasp`` on
+the localizer logits of the new classes present in one image against the
+RaSP targets of ``segprior.simprior``.  Base training's dense loss is the
+same function against one-hot masks.  ``kde`` is the squared feature
+distance of ``kde_loss_grad``.
 
 The pooling and pseudo-label constants are fixed: ``NGWP_EPSILON``,
 ``FOCAL_GAMMA`` and ``FOCAL_LAMBDA`` are the nGWP + focal constants of
@@ -87,22 +91,9 @@ def softplus(x):
     return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def bce_sum_grad(logits, targets, n):
-    """Summed binary cross-entropy from logits, and (sigmoid - target) / n.
-
-    n is the element count the loss is averaged over, which for a shard of
-    a batch is the whole batch's.  The sum is a scalar of the logits' dtype.
-    """
-    total = (softplus(logits) - targets * logits).sum()
-    return total, (sigmoid(logits) - targets) / n
-
-
-def _bce_items(logits, targets, n):
-    """Per-item mean binary cross-entropy (float64), and (sigmoid - target) / n."""
-    bce = softplus(logits) - targets * logits
-    losses = bce.reshape(len(logits), -1).mean(axis=1).astype(np.float64)
-    return losses, (sigmoid(logits) - targets) / n
-
+# ---------------------------------------------------------------------------
+# Binary cross-entropy
+# ---------------------------------------------------------------------------
 
 def _check_pair(a, b, what):
     a, b = np.asarray(a), np.asarray(b)
@@ -113,33 +104,21 @@ def _check_pair(a, b, what):
     return a, b
 
 
-def _check_unit_range(t, what):
-    # a NaN propagates through min and max and fails both comparisons
-    if not (t.min() >= 0 and t.max() <= 1):
-        raise ValueError(f"{what} must lie in [0, 1]")
+def bce_loss_grad(logits, targets, n):
+    """Binary cross-entropy from logits: per-item means, and the gradient.
 
-
-# ---------------------------------------------------------------------------
-# Semantic-prior loss
-# ---------------------------------------------------------------------------
-
-def rasp_loss_grad(z, t):
-    """BCE between RaSP targets and localizer logits, one image.
-
-    z and t are (H, W, K) over the new classes present in the image only;
-    t lies in [0, 1] (``segprior.simprior.rasp_target_table`` builds it).
-    Normalization is (K * H * W), the masked analog of averaging over the
-    full class set.  Returns the mean loss and its gradient.
+    logits and targets share a non-empty shape with a leading item axis,
+    and the targets lie in [0, 1] (a NaN fails this check too).  Returns the
+    float64 vector of each item's mean over its elements and
+    (sigmoid(logits) - targets) / n.
     """
-    z = np.asarray(z)
-    t = np.asarray(t)
-    if z.shape != t.shape:
-        raise ValueError(f"shape mismatch between logits {z.shape} and targets {t.shape}")
-    if z.ndim != 3 or z.shape[2] == 0:
-        raise ValueError("rasp loss needs a non-empty (H, W, K) class axis")
-    _check_unit_range(t, "rasp targets")
-    total, grad = bce_sum_grad(z, t, z.size)
-    return float(total / z.size), grad
+    logits, targets = _check_pair(logits, targets, "logits and targets")
+    # a NaN propagates through min and max and fails both comparisons
+    if not (targets.size and targets.min() >= 0 and targets.max() <= 1):
+        raise ValueError("BCE targets must be non-empty and lie in [0, 1]")
+    bce = softplus(logits) - targets * logits
+    losses = bce.reshape(len(logits), -1).mean(axis=1).astype(np.float64)
+    return losses, (sigmoid(logits) - targets) / n
 
 
 # ---------------------------------------------------------------------------
@@ -188,24 +167,8 @@ def image_scores_vjp(z):
 
 
 # ---------------------------------------------------------------------------
-# Classification, distillation and segmentation losses
+# Feature distillation
 # ---------------------------------------------------------------------------
-
-def cls_loss_grad(y_hat, labels):
-    """Multi-label soft-margin loss over one image's pooled scores.
-
-    Returns the mean over classes and its gradient; the caller divides the
-    gradient by its batch's item count.
-    """
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if y_hat.shape != labels.shape or y_hat.ndim != 1:
-        raise ValueError("scores and labels must be equal-length vectors")
-    if not np.all((labels == 0.0) | (labels == 1.0)):
-        raise ValueError("labels must be binary")
-    total, grad = bce_sum_grad(y_hat, labels, y_hat.size)
-    return float(total / y_hat.size), grad
-
 
 def kde_loss_grad(f, f_old, n):
     """Feature distillation: per item, the mean over pixels of the squared
@@ -219,23 +182,6 @@ def kde_loss_grad(f, f_old, n):
     dist = (diff * diff).sum(axis=-1)
     losses = dist.reshape(len(diff), -1).sum(axis=1).astype(np.float64) / n_pix
     return losses, 2.0 * diff / n
-
-
-def kdl_loss_grad(z, y_old, n):
-    """Output distillation: BCE between old-model scores and localizer logits.
-
-    z and y_old are (B, H, W, C_old).
-    """
-    z, y_old = _check_pair(z, y_old, "logits and targets")
-    _check_unit_range(y_old, "distillation targets")
-    return _bce_items(z, y_old, n)
-
-
-def seg_loss_grad(p, q, n):
-    """Dense BCE between fused pseudo-supervision q and main-head logits p."""
-    p, q = _check_pair(p, q, "logits and supervision")
-    _check_unit_range(q, "pseudo-supervision")
-    return _bce_items(p, q, n)
 
 
 # ---------------------------------------------------------------------------

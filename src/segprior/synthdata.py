@@ -353,28 +353,47 @@ def load_dataset(manifest_path):
     sample is indexed.  Evaluation passes the sequence on as it is, so each
     shard reads its own images one at a time; training first chooses its
     rows by their ``present`` lists, then reads each chosen image once,
-    since each epoch visits every image again.  A manifest without its
-    ``classes`` or ``samples``, or a row without its ``image``, ``mask`` or
-    ``present``, raises ValueError naming the file and the member.
+    since each epoch visits every image again.  A file that is not JSON, a
+    missing member (the manifest's ``classes`` or ``samples``, a row's
+    ``image``, ``mask`` or ``present``) or a member of the wrong type
+    (``classes`` and each ``present`` must be lists of strings, ``samples``
+    a list of objects, ``image`` and ``mask`` strings) raises ValueError
+    naming the file and the member or row.
     """
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"invalid manifest {manifest_path}: {exc}") from None
 
     def member(obj, key, where):
-        if not isinstance(obj, dict) or key not in obj:
+        if key not in obj:
             raise ValueError(f"{manifest_path}: {where} has no {key!r}")
         return obj[key]
 
+    def check(ok, what):
+        if not ok:
+            raise ValueError(f"{manifest_path}: {what}")
+
+    def strings(value):
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+    check(isinstance(manifest, dict), "the manifest is not an object")
     root = os.path.dirname(os.path.abspath(manifest_path))
-    classes = list(member(manifest, "classes", "the manifest"))
+    classes = member(manifest, "classes", "the manifest")
+    check(strings(classes), "'classes' is not a list of strings")
+    samples = member(manifest, "samples", "the manifest")
+    check(isinstance(samples, list), "'samples' is not a list")
     index = {name: k for k, name in enumerate(classes)}
     rows = []
-    for k, row in enumerate(member(manifest, "samples", "the manifest")):
+    for k, row in enumerate(samples):
+        check(isinstance(row, dict), f"row {k} is not an object")
         image, mask, present = (member(row, key, f"row {k}")
                                 for key in ("image", "mask", "present"))
+        check(strings([image, mask]), f"row {k}'s 'image' and 'mask' are not strings")
+        check(strings(present), f"row {k}'s 'present' is not a list of strings")
         unknown = [name for name in present if name not in index]
-        if unknown:
-            raise ValueError(f"{manifest_path}: row {k} lists unknown classes {unknown}")
+        check(not unknown, f"row {k} lists unknown classes {unknown}")
         rows.append((os.path.join(root, image), os.path.join(root, mask),
                      frozenset(index[name] for name in present)))
     return ManifestSamples(tuple(rows), classes), classes

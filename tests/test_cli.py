@@ -442,15 +442,13 @@ def test_malformed_trace_exits_1(workspace, tmp_path, trace):
     assert path in res.stderr
 
 
-@pytest.mark.parametrize("member", ["classes", "samples", "mask"])
-def test_malformed_manifest_exits_1(workspace, tmp_path, member):
+def with_train_manifest(workspace, tmp_path, text):
+    """A copy of the workspace config whose train split is a manifest of
+    the given text; returns (config path, manifest path)."""
     out, cfg_path = workspace
-    with open(os.path.join(out, "train", "manifest.json")) as fh:
-        manifest = json.load(fh)
-    del (manifest["samples"][3] if member == "mask" else manifest)[member]
     path = str(tmp_path / "manifest.json")
     with open(path, "w") as fh:
-        json.dump(manifest, fh)
+        fh.write(text)
     with open(cfg_path) as fh:
         cfg = json.load(fh)
     cfg["engine"]["train_manifest"] = path
@@ -458,9 +456,112 @@ def test_malformed_manifest_exits_1(workspace, tmp_path, member):
     cfg_copy = str(tmp_path / "config.json")
     with open(cfg_copy, "w") as fh:
         json.dump(cfg, fh)
+    return cfg_copy, path
+
+
+@pytest.mark.parametrize("member", ["classes", "samples", "mask"])
+def test_malformed_manifest_exits_1(workspace, tmp_path, member):
+    out, _ = workspace
+    with open(os.path.join(out, "train", "manifest.json")) as fh:
+        manifest = json.load(fh)
+    del (manifest["samples"][3] if member == "mask" else manifest)[member]
+    cfg_copy, path = with_train_manifest(workspace, tmp_path, json.dumps(manifest))
     res = run_cli("train-base", "--config", cfg_copy)
     assert res.returncode == 1, res.stderr
     assert path in res.stderr and repr(member) in res.stderr
+
+
+def _mistyped(manifest, case):
+    """The manifest with one member of the wrong type, or not JSON at all."""
+    if case == "not-json":
+        return json.dumps(manifest)[:-2]
+    if case == "manifest-list":
+        return json.dumps([manifest])
+    if case == "classes-string":
+        manifest["classes"] = "bkg"
+    elif case == "samples-int":
+        manifest["samples"] = 5
+    elif case == "row-list":
+        manifest["samples"][2] = ["img.ppm", "mask.pgm", []]
+    elif case == "present-string":
+        manifest["samples"][2]["present"] = "disc_solid"
+    elif case == "present-numbers":
+        manifest["samples"][2]["present"] = [1, 2]
+    elif case == "image-null":
+        manifest["samples"][2]["image"] = None
+    return json.dumps(manifest)
+
+
+@pytest.mark.parametrize("case, what", [pytest.param(case, what, id=case) for case, what in [
+    ("not-json", "invalid manifest"),
+    ("manifest-list", "the manifest is not an object"),
+    ("classes-string", "'classes' is not a list of strings"),
+    ("samples-int", "'samples' is not a list"),
+    ("row-list", "row 2 is not an object"),
+    ("present-string", "row 2's 'present' is not a list of strings"),
+    ("present-numbers", "row 2's 'present' is not a list of strings"),
+    ("image-null", "row 2's 'image' and 'mask' are not strings"),
+]])
+def test_mistyped_manifest_exits_1(workspace, tmp_path, capsys, case, what):
+    """A manifest that is not JSON, or holds a member of the wrong type, is
+    a malformed input: exit 1, naming the file and the member or row."""
+    from segprior import cli
+
+    out, _ = workspace
+    with open(os.path.join(out, "train", "manifest.json")) as fh:
+        manifest = json.load(fh)
+    cfg_copy, path = with_train_manifest(workspace, tmp_path, _mistyped(manifest, case))
+    capsys.readouterr()
+    assert cli.main(["train-base", "--config", cfg_copy]) == 1
+    err = capsys.readouterr().err
+    assert path in err and what in err, err
+
+
+@pytest.mark.parametrize("content", ["truncated", "text", "empty", "npy"])
+def test_eval_of_an_unreadable_checkpoint_exits_1(workspace, tmp_path, capsys, content):
+    """A checkpoint numpy cannot read is a malformed input: exit 1, naming
+    the file, with no report written."""
+    from segprior import cli
+
+    _, cfg_path = workspace
+    ckpt = untrained_checkpoint(cfg_path, str(tmp_path / "ckpt_step0_seed0.npz"))
+    with open(ckpt, "rb") as fh:
+        data = fh.read()
+    with open(ckpt, "wb") as fh:
+        if content == "npy":
+            np.save(fh, np.zeros(3))
+        else:
+            fh.write({"truncated": data[:500], "text": b"not a checkpoint\n",
+                      "empty": b""}[content])
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", cfg_path, "--checkpoint", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert f"checkpoint {ckpt} " in err, err
+    assert os.listdir(tmp_path) == ["ckpt_step0_seed0.npz"]
+
+
+def test_eval_of_a_split_without_base_classes(workspace, tmp_path, capsys, monkeypatch):
+    """A split in which no base class appears has no mIoU(base): eval
+    exits 0, prints it as n/a and writes it as null, with no harmonic
+    mean."""
+    from segprior import cli, engine
+
+    _, cfg_path = workspace
+
+    def background_only(model, samples, registry):
+        counts = np.zeros((len(registry),) * 2, dtype=np.int64)
+        counts[0, 0] = 100
+        return counts
+
+    monkeypatch.setattr(engine, "predict_dataset", background_only)
+    ckpt = untrained_checkpoint(cfg_path, str(tmp_path / "ckpt_step0_seed0.npz"))
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", cfg_path, "--checkpoint", ckpt]) == 0
+    assert "mIoU(all) 1.0000; mIoU(base) n/a" in capsys.readouterr().out
+    with open(tmp_path / "report_ckpt_step0_seed0_eval.json") as fh:
+        report = json.load(fh)
+    assert report["miou_base"] is None and report["harmonic_mean"] is None
+    assert report["miou_all"] == 1.0
 
 
 def test_eval_writes_beside_the_checkpoint(workspace, tmp_path):

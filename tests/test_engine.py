@@ -257,15 +257,17 @@ def test_batch_losses_match_objectives_recompute(world):
             cols = np.flatnonzero(shown)
             zi, y_old = z[i:i + 1], pool.y_old[k][None]
             scores, m, _ = objectives.image_scores_vjp(zi)
-            agg["cls"] += objectives.cls_loss_grad(scores[0, n_old:],
-                                                   np.array(shown, dtype=np.float64))[0]
-            agg["kdl"] += objectives.kdl_loss_grad(zi[..., :n_old], y_old, 1)[0][0]
+            agg["cls"] += objectives.bce_loss_grad(
+                scores[:, n_old:].astype(np.float64), np.array([shown], dtype=np.float64),
+                1)[0][0]
+            agg["kdl"] += objectives.bce_loss_grad(zi[..., :n_old], y_old, 1)[0][0]
             agg["kde"] += objectives.kde_loss_grad(feat[i:i + 1], pool.feat_old[k][None],
                                                    1)[0][0]
             target = table[:, cols][np.argmax(pool.y_old[k], axis=2)]
-            agg["rasp"] += objectives.rasp_loss_grad(zi[0][..., n_old + cols], target)[0]
+            agg["rasp"] += objectives.bce_loss_grad(zi[..., n_old + cols], target[None],
+                                                    1)[0][0]
             qt = objectives.pseudo_supervision(m, y_old)
-            agg["seg"] += objectives.seg_loss_grad(p_hat[i:i + 1], qt, 1)[0][0]
+            agg["seg"] += objectives.bce_loss_grad(p_hat[i:i + 1], qt, 1)[0][0]
     for key in agg:
         assert abs(agg[key] / len(samples) - comps[key]) < 1e-10, key
 

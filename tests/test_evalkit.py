@@ -204,6 +204,23 @@ def test_build_report_with_no_new_class_present():
     assert report["per_class_iou"]["b"] is None and report["per_class_iou"]["c"] is None
 
 
+def test_build_report_with_no_base_class_present():
+    """A split in which no base class appears in the truth or the
+    prediction has no mIoU(base) and no harmonic mean; mIoU(new) and
+    mIoU(all) are defined."""
+    registry = ClassRegistry(["bkg", "a", "b"])
+    counts = np.array([
+        [8, 0, 1],
+        [0, 0, 0],
+        [2, 0, 6],
+    ], dtype=np.int64)
+    report = build_report(counts, registry, ["a"], ["b"], step=1, config_hash="x")
+    assert report["miou_base"] is None and report["harmonic_mean"] is None
+    assert report["per_class_iou"]["a"] is None
+    assert report["miou_new"] == pytest.approx(6 / 9)
+    assert report["miou_all"] == pytest.approx(np.mean([8 / 11, 6 / 9]))
+
+
 def test_trace_append_idempotent(tmp_path):
     path = str(tmp_path / "trace.json")
     append_trace(path, fake_report(step=1))

@@ -1,12 +1,19 @@
 """Central finite-difference checks for every differentiable loss.
 
-These are the functions the training step calls.  The batch-native ones run
-at B = 1 and B = 3 items with a normaliser n above the items' own count, as
-a shard of a larger batch uses them; their gradient is then that of the
-per-item losses summed and rescaled to n.  Random (B, 4, 4, 3) float64
-tensors, step 1e-5, max relative error below 1e-4, over 20 independent
-draws per loss; this doubles as the gradient acceptance criterion.  A
-property test repeats the check over random shapes, scales and item counts.
+These are the functions the training step calls.  The dense BCE (base
+training, kdl and seg) and kde run at B = 1 and B = 3 items with a
+normaliser n above the items' own count, as a shard of a larger batch uses
+them; their gradient is then that of the per-item losses summed and
+rescaled to n.  The BCE also runs at the other shapes the engine passes:
+one image's (1, H, W, K) RaSP slice and one row's (1, C) float64 pooled
+scores, each normalised by its own size.  Random (B, 4, 4, 3) tensors,
+step 1e-5, max relative error below 1e-4, over 20 independent draws per
+loss; this doubles as the gradient acceptance criterion.  The dense BCE
+runs in float32, as training does, and in float64; the float32 gradient is
+held against the float64 loss's differences at the same point, its error
+relative to the gradient's bound 1 / n, since float32 rounding leaves an
+absolute error of about 1e-7 / n in every entry.  A property test repeats
+the check over random shapes, scales and item counts.
 """
 
 import numpy as np
@@ -15,15 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from segprior.engine import ENCODER_CHANNELS, INPUT_CHANNELS, SegModel
 from segprior.layers import LeakyReLU, zero_grads
-from segprior.objectives import (
-    bce_sum_grad,
-    cls_loss_grad,
-    image_scores_vjp,
-    kde_loss_grad,
-    kdl_loss_grad,
-    rasp_loss_grad,
-    seg_loss_grad,
-)
+from segprior.objectives import bce_loss_grad, image_scores_vjp, kde_loss_grad
 
 from helpers import max_rel_error, numeric_gradient
 
@@ -39,16 +38,25 @@ def batch_term(fn, per_item, n):
     return lambda t: float(fn(t)[0].sum()) * per_item / n
 
 
+def one_item(t, targets):
+    """The loss of one item normalised by its own size, as cls and rasp are."""
+    return float(bce_loss_grad(t, targets, t.size)[0][0])
+
+
 def pooled_cls(labels, n):
-    """cls through the pooled scores, summed over items and divided by n;
-    returns (loss function of z, analytic gradient function of z)."""
+    """cls through the pooled scores, one row at a time, summed over items
+    and divided by n; returns (loss function of z, analytic gradient
+    function of z)."""
     def loss(t):
         scores = image_scores_vjp(t)[0]
-        return sum(cls_loss_grad(s, lab)[0] for s, lab in zip(scores, labels)) / n
+        return sum(one_item(scores[i:i + 1], labels[i:i + 1])
+                   for i in range(len(scores))) / n
 
     def grad(t):
         scores, _, vjp = image_scores_vjp(t)
-        upstream = np.stack([cls_loss_grad(s, lab)[1] for s, lab in zip(scores, labels)])
+        upstream = np.concatenate([
+            bce_loss_grad(scores[i:i + 1], labels[i:i + 1], labels.shape[1])[1]
+            for i in range(len(scores))])
         return vjp(upstream) / n
 
     return loss, grad
@@ -59,19 +67,19 @@ def run_gradient_suite(n_draws=N_DRAWS, seed=123):
     rng = np.random.default_rng(seed)
     worst = {}
 
-    def record(name, analytic, fn, x):
-        err = max_rel_error(analytic, numeric_gradient(fn, x))
+    def record(name, analytic, fn, x, floor=1e-6):
+        err = max_rel_error(analytic, numeric_gradient(fn, x), floor)
         worst[name] = max(worst.get(name, 0.0), err)
 
     for _ in range(n_draws):
-        z1 = rng.standard_normal(HWC)
-        s = rng.uniform(0.0, 1.0, size=HWC)
-        record("rasp", rasp_loss_grad(z1, s)[1], lambda t: rasp_loss_grad(t, s)[0], z1)
+        z1 = rng.standard_normal((1,) + HWC)
+        s = rng.uniform(0.0, 1.0, size=z1.shape)
+        record("rasp", bce_loss_grad(z1, s, z1.size)[1], lambda t: one_item(t, s), z1)
 
-        yhat = rng.standard_normal(3)
-        labels = rng.integers(0, 2, 3).astype(np.float64)
-        record("cls", cls_loss_grad(yhat, labels)[1],
-               lambda t: cls_loss_grad(t, labels)[0], yhat)
+        yhat = rng.standard_normal((1, 3))
+        labels = rng.integers(0, 2, (1, 3)).astype(np.float64)
+        record("cls", bce_loss_grad(yhat, labels, 3)[1],
+               lambda t: one_item(t, labels), yhat)
 
         for b in ITEM_COUNTS:
             shape = (b,) + HWC
@@ -79,13 +87,15 @@ def run_gradient_suite(n_draws=N_DRAWS, seed=123):
             n = per_item * (b + EXTRA_ITEMS)
             z = rng.standard_normal(shape)
 
-            q = rng.uniform(0.0, 1.0, size=shape)
-            record(f"seg/B{b}", seg_loss_grad(z, q, n)[1],
-                   batch_term(lambda t: seg_loss_grad(t, q, n), per_item, n), z)
-
-            yold = rng.uniform(0.0, 1.0, size=shape)
-            record(f"kdl/B{b}", kdl_loss_grad(z, yold, n)[1],
-                   batch_term(lambda t: kdl_loss_grad(t, yold, n), per_item, n), z)
+            for dtype in (np.float64, np.float32):
+                zd = z.astype(dtype)
+                q = rng.uniform(0.0, 1.0, size=shape).astype(dtype)
+                losses, grad = bce_loss_grad(zd, q, n)
+                assert losses.dtype == np.float64 and grad.dtype == dtype
+                floor = 1.0 / n if dtype == np.float32 else 1e-6
+                record(f"bce-{np.dtype(dtype).name}/B{b}", grad,
+                       batch_term(lambda t: bce_loss_grad(t, q, n), per_item, n), zd,
+                       floor)
 
             n_px = 16 * (b + EXTRA_ITEMS)
             ref = rng.standard_normal(shape)
@@ -102,7 +112,8 @@ def run_gradient_suite(n_draws=N_DRAWS, seed=123):
 
 def test_gradient_suite():
     worst = run_gradient_suite()
-    assert {"seg/B1", "seg/B3", "pooled_cls/B3", "kde/B3"} <= set(worst)
+    assert {"bce-float64/B1", "bce-float32/B3", "rasp", "cls", "pooled_cls/B3",
+            "kde/B3"} <= set(worst)
     for name, err in sorted(worst.items()):
         assert err < TOL, f"{name}: max relative error {err:.2e} >= {TOL}"
 
@@ -143,25 +154,30 @@ def test_training_gradients_match_finite_differences(seed, scale, n_cls, rasp_sh
     def check(analytic, numeric):
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
-    yhat = rng.standard_normal(n_cls) * scale
-    labels = rng.integers(0, 2, n_cls).astype(np.float64)
-    _, g = cls_loss_grad(yhat, labels)
-    check(g, numeric_gradient(lambda t: cls_loss_grad(t, labels)[0], yhat))
+    # one row's pooled scores (cls) and one image's RaSP slice (rasp)
+    yhat = rng.standard_normal((1, n_cls)) * scale
+    labels = rng.integers(0, 2, (1, n_cls)).astype(np.float64)
+    _, g = bce_loss_grad(yhat, labels, n_cls)
+    check(g, numeric_gradient(lambda t: one_item(t, labels), yhat))
 
-    z = rng.standard_normal(rasp_shape) * scale
-    s = rng.uniform(0.0, 1.0, rasp_shape)
-    _, g = rasp_loss_grad(z, s)
-    check(g, numeric_gradient(lambda t: rasp_loss_grad(t, s)[0], z))
+    z = rng.standard_normal((1,) + rasp_shape) * scale
+    s = rng.uniform(0.0, 1.0, z.shape)
+    _, g = bce_loss_grad(z, s, z.size)
+    check(g, numeric_gradient(lambda t: one_item(t, s), z))
 
-    logits = rng.standard_normal(bce_shape) * scale
-    targets = rng.uniform(0.0, 1.0, bce_shape)
-    n = logits.size + extra       # a shard's sum, normalised by the batch's count
-    total, g = bce_sum_grad(logits, targets, n)
-    assert g.shape == logits.shape
-    check(g, numeric_gradient(lambda t: float(bce_sum_grad(t, targets, n)[0]) / n,
-                              logits))
-    assert float(total) / logits.size == pytest.approx(
-        float(np.mean(np.logaddexp(0.0, logits) - targets * logits)), rel=1e-12)
+    # any item shape, against a scalar oracle of each item's mean
+    logits = rng.standard_normal([items] + bce_shape) * scale
+    targets = rng.uniform(0.0, 1.0, logits.shape)
+    per_item = logits[0].size
+    n = logits.size + extra       # a shard's items, normalised by the batch's count
+    losses, g = bce_loss_grad(logits, targets, n)
+    assert losses.shape == (items,) and g.shape == logits.shape
+    check(g, numeric_gradient(batch_term(lambda t: bce_loss_grad(t, targets, n),
+                                         per_item, n), logits))
+    for b in range(items):
+        assert losses[b] == pytest.approx(
+            float(np.mean(np.logaddexp(0.0, logits[b]) - targets[b] * logits[b])),
+            rel=1e-12)
 
     # the batch-native terms on a shard of `items` items, normalised by a
     # batch that holds `extra` more
@@ -170,12 +186,9 @@ def test_training_gradients_match_finite_differences(seed, scale, n_cls, rasp_sh
     n, n_pix = per_item * (items + extra), n_px * (items + extra)
     zb = rng.standard_normal(shape) * scale
     t = rng.uniform(0.0, 1.0, shape)
-    losses, g = kdl_loss_grad(zb, t, n)
+    losses, g = bce_loss_grad(zb, t, n)
     assert losses.shape == (items,) and g.shape == shape
-    check(g, numeric_gradient(batch_term(lambda v: kdl_loss_grad(v, t, n), per_item, n),
-                              zb))
-    _, g = seg_loss_grad(zb, t, n)
-    check(g, numeric_gradient(batch_term(lambda v: seg_loss_grad(v, t, n), per_item, n),
+    check(g, numeric_gradient(batch_term(lambda v: bce_loss_grad(v, t, n), per_item, n),
                               zb))
     ref = rng.standard_normal(shape) * scale
     _, g = kde_loss_grad(zb, ref, n_pix)

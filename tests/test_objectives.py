@@ -10,13 +10,10 @@ from segprior.objectives import (
     NGWP_EPSILON,
     PSEUDO_ALPHA,
     LossConfig,
-    cls_loss_grad,
+    bce_loss_grad,
     image_scores_vjp,
     kde_loss_grad,
-    kdl_loss_grad,
     pseudo_supervision,
-    rasp_loss_grad,
-    seg_loss_grad,
     sigmoid,
     total_loss,
 )
@@ -46,58 +43,56 @@ def test_sigmoid_matches_float64_reference(dtype):
     assert sigmoid(np.arange(3)).dtype == np.float64
 
 
-def rasp_loss(z, t):
-    return rasp_loss_grad(z, t)[0]
-
-
-def cls_loss(y_hat, labels):
-    return cls_loss_grad(y_hat, labels)[0]
-
-
 def item_loss(fn, a, b, *args):
-    """One (H, W, C) item's loss through a batch-native loss function."""
+    """One item's loss through a batch-native loss function."""
     losses, _ = fn(np.asarray(a)[None], np.asarray(b)[None], 1, *args)
     assert losses.shape == (1,) and losses.dtype == np.float64
     return losses[0]
 
 
+def bce(a, b):
+    """One item's binary cross-entropy: an (H, W, K) RaSP slice, an
+    (H, W, C) dense map or a (C,) row of pooled scores."""
+    return item_loss(bce_loss_grad, a, b)
+
+
 # ---------------------------------------------------------------------------
-# rasp
+# Binary cross-entropy at the rasp term's shapes: one image's (H, W, K)
 # ---------------------------------------------------------------------------
 
 def test_rasp_zero_logits_is_ln2():
     rng = np.random.default_rng(0)
     for _ in range(5):
         t = rng.uniform(0.0, 1.0, size=(5, 4, 3))
-        assert rasp_loss(np.zeros_like(t), t) == pytest.approx(LN2, abs=1e-9)
+        assert bce(np.zeros_like(t), t) == pytest.approx(LN2, abs=1e-9)
 
 
 def test_rasp_single_entry_frozen():
     # independent scalar BCE oracle: t=sigmoid(2), z=3 -> 0.40619611764009533
     z = np.full((1, 1, 1), 3.0)
     t = np.full((1, 1, 1), 1.0 / (1.0 + math.exp(-2.0)))
-    assert rasp_loss(z, t) == pytest.approx(0.40619611764009533, rel=1e-12)
+    assert bce(z, t) == pytest.approx(0.40619611764009533, rel=1e-12)
 
 
 def test_rasp_saturation():
     z = np.full((2, 2, 1), 40.0)
     t = np.ones((2, 2, 1))
-    assert rasp_loss(z, t) < 1e-12
+    assert bce(z, t) < 1e-12
 
 
 def test_rasp_errors():
-    with pytest.raises(ValueError):
-        rasp_loss(np.zeros((2, 2, 1)), np.zeros((2, 3, 1)))
-    with pytest.raises(ValueError):
-        rasp_loss(np.zeros((2, 2, 0)), np.zeros((2, 2, 0)))
+    with pytest.raises(ValueError, match="share a shape"):
+        bce(np.zeros((2, 2, 1)), np.zeros((2, 3, 1)))
+    with pytest.raises(ValueError, match="non-empty"):
+        bce(np.zeros((2, 2, 0)), np.zeros((2, 2, 0)))
     for bad in (-0.25, 1.5, np.nan):     # targets are probabilities, not raw maps
-        with pytest.raises(ValueError, match="rasp targets"):
-            rasp_loss(np.zeros((2, 2, 1)), np.full((2, 2, 1), bad))
+        with pytest.raises(ValueError, match="BCE targets"):
+            bce(np.zeros((2, 2, 1)), np.full((2, 2, 1), bad))
     # one NaN among valid targets is enough
     t = np.full((2, 2, 1), 0.5)
     t[1, 0, 0] = np.nan
-    with pytest.raises(ValueError, match="rasp targets"):
-        rasp_loss(np.zeros((2, 2, 1)), t)
+    with pytest.raises(ValueError, match="BCE targets"):
+        bce(np.zeros((2, 2, 1)), t)
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +202,18 @@ def test_image_scores_is_sum_of_parts():
 
 
 # ---------------------------------------------------------------------------
-# cls / kde / kdl / seg
+# cls (BCE on a row of pooled scores), kde, kdl and seg (dense BCE)
 # ---------------------------------------------------------------------------
 
 def test_cls_values():
-    assert cls_loss(np.zeros(1), np.ones(1)) == pytest.approx(LN2, rel=1e-12)
+    assert bce(np.zeros(1), np.ones(1)) == pytest.approx(LN2, rel=1e-12)
     # frozen scalar oracle: l=(1,0), yhat=(2,-1)
-    assert cls_loss(np.array([2.0, -1.0]), np.array([1.0, 0.0])) == pytest.approx(
+    assert bce(np.array([2.0, -1.0]), np.array([1.0, 0.0])) == pytest.approx(
         0.22009484928059772, rel=1e-12
     )
-    assert cls_loss(np.array([80.0]), np.array([1.0])) < 1e-12
-    with pytest.raises(ValueError):
-        cls_loss(np.zeros(2), np.zeros(3))
-    with pytest.raises(ValueError):
-        cls_loss(np.zeros(2), np.array([0.5, 0.0]))
+    assert bce(np.array([80.0]), np.array([1.0])) < 1e-12
+    with pytest.raises(ValueError, match="share a shape"):
+        bce(np.zeros(2), np.zeros(3))
 
 
 def test_kde_values():
@@ -237,42 +230,54 @@ def test_kde_values():
 
 def test_kdl_values():
     z = np.zeros((2, 2, 1))
-    assert item_loss(kdl_loss_grad, z, np.full_like(z, 0.5)) == pytest.approx(
-        LN2, rel=1e-12)
-    assert item_loss(kdl_loss_grad, np.full_like(z, 60.0), np.ones_like(z)) < 1e-12
+    assert bce(z, np.full_like(z, 0.5)) == pytest.approx(LN2, rel=1e-12)
+    assert bce(np.full_like(z, 60.0), np.ones_like(z)) < 1e-12
     # frozen scalar oracle: y=0.8, z=1
     one = np.array([[[1.0]]])
-    assert item_loss(kdl_loss_grad, one, np.array([[[0.8]]])) == pytest.approx(
-        0.5132616875182228, rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        item_loss(kdl_loss_grad, one, np.array([[[1.2]]]))
+    assert bce(one, np.array([[[0.8]]])) == pytest.approx(0.5132616875182228,
+                                                         rel=1e-12)
+    with pytest.raises(ValueError, match="BCE targets"):
+        bce(one, np.array([[[1.2]]]))
 
 
 def test_seg_values():
     p = np.zeros((2, 2, 2))
-    assert item_loss(seg_loss_grad, p, np.full_like(p, 0.5)) == pytest.approx(
-        LN2, rel=1e-12)
-    assert item_loss(seg_loss_grad, np.full_like(p, -60.0), np.zeros_like(p)) < 1e-12
+    assert bce(p, np.full_like(p, 0.5)) == pytest.approx(LN2, rel=1e-12)
+    assert bce(np.full_like(p, -60.0), np.zeros_like(p)) < 1e-12
     # frozen scalar oracle: q=0.25, p=-1
-    assert item_loss(seg_loss_grad, np.array([[[-1.0]]]),
-                     np.array([[[0.25]]])) == pytest.approx(0.5632616875182228,
-                                                            rel=1e-12)
-    with pytest.raises(ValueError):
-        item_loss(seg_loss_grad, p, np.full_like(p, 1.5))
+    assert bce(np.array([[[-1.0]]]), np.array([[[0.25]]])) == pytest.approx(
+        0.5632616875182228, rel=1e-12)
+    with pytest.raises(ValueError, match="BCE targets"):
+        bce(p, np.full_like(p, 1.5))
 
 
-@pytest.mark.parametrize("fn, what", [(kdl_loss_grad, "distillation targets"),
-                                      (seg_loss_grad, "pseudo-supervision")])
-def test_targets_outside_the_unit_range_rejected(fn, what):
+def _as_pseudo_supervision(t):
+    """seg's targets: t's old channels fused by pseudo_supervision with a
+    localizer softmax over t's classes; a foreground channel of the old
+    scores reaches the targets unchanged."""
+    m = np.full(t.shape, 1.0 / t.shape[-1])
+    return pseudo_supervision(m, t[..., :-1])
+
+
+@pytest.mark.parametrize("shape, targets", [
+    pytest.param((2, 2, 2, 3), lambda t: t,
+                 id="kdl_loss_grad-distillation targets"),
+    pytest.param((2, 2, 2, 3), _as_pseudo_supervision,
+                 id="seg_loss_grad-pseudo-supervision"),
+    pytest.param((1, 2, 2, 1), lambda t: t, id="rasp"),
+    pytest.param((1, 3), lambda t: t, id="cls"),
+])
+def test_targets_outside_the_unit_range_rejected(shape, targets):
     """A NaN target would give a NaN loss; like a value outside [0, 1], it
-    is rejected."""
-    z = np.zeros((2, 2, 2, 3))
+    is rejected, at every shape and for every pair of targets a term
+    passes: kdl's old-model scores, seg's fused pseudo-supervision, rasp's
+    slice and cls's image labels."""
+    z = np.zeros(shape)
     for bad in (np.nan, -np.inf, np.inf, -1e-9, 1 + 1e-9):
         t = np.full_like(z, 0.5)
-        t[1, 0, 1, 2] = bad
-        with pytest.raises(ValueError, match=what):
-            fn(z, t, z.size)
+        t[(-1,) * (len(shape) - 1) + (min(1, shape[-1] - 1),)] = bad
+        with pytest.raises(ValueError, match="BCE targets"):
+            bce_loss_grad(z, targets(t), z.size)
 
 
 def test_losses_nonnegative():
@@ -280,11 +285,8 @@ def test_losses_nonnegative():
     for _ in range(20):
         z = rng.standard_normal((3, 3, 2))
         t = rng.uniform(0, 1, size=(3, 3, 2))
-        assert item_loss(kdl_loss_grad, z, t) >= 0.0
-        assert item_loss(seg_loss_grad, z, t) >= 0.0
-        assert rasp_loss(z, t) >= 0.0
-        assert cls_loss(rng.standard_normal(4),
-                        rng.integers(0, 2, 4).astype(float)) >= 0.0
+        assert bce(z, t) >= 0.0
+        assert bce(rng.standard_normal(4), rng.integers(0, 2, 4).astype(float)) >= 0.0
 
 
 def test_batch_native_losses_reduce_per_item():
@@ -293,7 +295,7 @@ def test_batch_native_losses_reduce_per_item():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((3, 4, 5, 2))
     t = rng.uniform(0.0, 1.0, a.shape)
-    for fn in (kdl_loss_grad, seg_loss_grad, kde_loss_grad):
+    for fn in (bce_loss_grad, kde_loss_grad):
         losses, grad = fn(a, t, 7)
         assert losses.shape == (3,) and losses.dtype == np.float64
         for b in range(3):
@@ -302,7 +304,7 @@ def test_batch_native_losses_reduce_per_item():
             assert np.array_equal(grad[b], one_grad[0])
         np.testing.assert_allclose(grad * 7, fn(a, t, 1)[1], rtol=1e-15)
     with pytest.raises(ValueError):      # no leading item axis
-        kdl_loss_grad(np.zeros(3), np.zeros(3), 3)
+        bce_loss_grad(np.zeros(3), np.zeros(3), 3)
 
 
 # ---------------------------------------------------------------------------
