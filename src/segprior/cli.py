@@ -113,8 +113,6 @@ def _apply_overrides(cfg, args):
         cfg.memory.mode = args.memory
     if getattr(args, "memory_manifest", None) is not None:
         cfg.memory.manifest = args.memory_manifest
-    if cfg.memory.mode == "external" and not cfg.memory.manifest:
-        raise CliError("external memory needs --memory-manifest (or config.memory.manifest)")
     return cfg
 
 
@@ -162,12 +160,16 @@ def cmd_gen_data(args):
 def _train(args, step):
     """train-base (step 0) and train-incremental: ``engine.run_step`` from
     the previous step's checkpoint, then the step's checkpoint and losses.
-    train-incremental rejects a step outside [1, n_steps - 1] before it
-    looks for the parent."""
+    train-incremental rejects external memory without a manifest and a
+    step outside [1, n_steps - 1] before it looks for the parent; train-base
+    reads no memory, so neither concerns it."""
     cfg = _apply_overrides(_load_config(args.config), args)
     seed = cfg.engine.seed
     parent = parent_hash = None
     if args.command == "train-incremental":
+        if cfg.memory.mode == "external" and not cfg.memory.manifest:
+            raise CliError("external memory needs --memory-manifest "
+                           "(or config.memory.manifest)")
         n_steps = cfg.task_schedule().n_steps
         if not 1 <= step < n_steps:
             raise CliError(f"--step {step} is not in [1, {n_steps - 1}], the "
@@ -193,7 +195,8 @@ def _train(args, step):
 
 
 def cmd_eval(args):
-    cfg = _apply_overrides(_load_config(args.config), args)
+    # eval has no training flags: the config is read as it is
+    cfg = _load_config(args.config)
     if not os.path.exists(args.checkpoint):
         raise CliError(f"checkpoint not found: {args.checkpoint}")
     registry = cfg.class_registry()

@@ -46,8 +46,12 @@ the rows and channels each term applies to, calls the term's function
 with the whole batch's normaliser, and adds the gradient into dz
 (localizer logits), dp (seg logits) or the encoder features.
 ``base_train`` and ``incremental_step`` share one training loop,
-``_fit``; each supplies the per-batch work and keeps its own trace
-format.
+``_fit``, the one place a batch is run, reduced and checked.  Each step
+supplies a group step: forward, loss terms and backward for one group of
+a batch's items, returning each term's per-item losses and the count the
+batch's term is averaged over.  An incremental step with memory also
+supplies a batch transform, which mixes memory rows into the batch
+(``memory.mix_batch``).
 
 ``run_step`` is the one place a step is built from an experiment config.
 It chooses the step's train rows, their few-shot cut and the memory bank,
@@ -59,22 +63,22 @@ writes its outputs.  An incremental step's rows are labelled in one place,
 Every batch runs as two shards (``layers.Shards``): a call names the
 batch's item count and ``Shards`` cuts it, runs shard 0 in the calling
 process and shard 1 in one worker process that ``_fit`` forks once per
-training run (``_training_shards``), after the images and targets, or the
-step's pool, exist, so the worker inherits them.  Each batch sends the
-worker only its rows, the batch's item indices, the epoch and the current
-parameters; it sends back its per-item losses and its gradients.  Each
-shard runs its items as consecutive groups of at most
-``layers.GROUP_ITEMS`` items (``layers.group_slices``), each small enough
-for its activations to come from cache.  Each group runs forward, its
-loss terms and backward in one pass, and its backward ends before the
-next group's forward begins.  Every loss term is a per-item quantity
-normalised by whole-batch counts (all items, current items), so each
-group computes its items' terms and output gradients with the whole
-batch's normalisers; the group gradients accumulate into their shard's
-own zeroed dict, and the two shard dicts, added in shard order, are the
-whole batch's.
-The caller adds the per-item losses in item order and checks them for
-finiteness.
+training run, after the images and targets, or the step's pool, exist,
+so the worker inherits them.  Each batch sends the worker only its rows,
+the epoch, the batch's item indices and the current parameters; it sends
+back its per-item losses and its gradients.  Each shard runs its items as
+consecutive groups of at most ``layers.GROUP_ITEMS`` items
+(``layers.group_slices``), each small enough for its activations to come
+from cache.  Each group runs forward, its loss terms and backward in one
+pass, and its backward ends before the next group's forward begins.
+Every loss term is a per-item quantity normalised by whole-batch counts
+(all items, current items), so each group computes its items' terms and
+output gradients with the whole batch's normalisers; the group gradients
+accumulate into their shard's own zeroed dict, and the two shard dicts,
+added in shard order, are the whole batch's.  ``_fit`` adds each term's
+per-item losses in item order, divides by the term's count and checks
+every term for finiteness before the optimizer step, so a batch that
+yields a non-finite term changes no parameter.
 
 Evaluation (``predict_dataset``) passes ``Shards`` the sample count, and
 one forked worker takes the second half of the sample sequence.  The CLI
@@ -118,6 +122,7 @@ glibc's defaults.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import zipfile
 from dataclasses import dataclass
@@ -286,59 +291,59 @@ def _put_image(images, row, image, what):
     images[row] = image
 
 
-def _training_shards(step, params):
-    """The Shards that run the batches of one training loop.
-
-    Its shard function, shard(rows, key), runs step(key, group, g) on each
-    group of the slice rows (``group_slices``) one after another, and
-    returns the steps' results and g, a zeroed gradient dict of the shard's
-    own that the steps accumulate into.  key identifies the batch, and must
-    pickle; a step runs forward, its group's loss terms and backward in
-    one pass, so a group's backward ends before the next group's forward
-    begins.  The worker keeps params in step with this process's.
-    """
-    def shard(rows, key):
-        g = zero_grads(params)
-        return [step(key, group, g) for group in group_slices(rows)], g
-
-    return Shards(shard, sync=params)
-
-
-def _train_batch(shards, key, n, grads):
-    """Run the batch key of n items on the two shards of a ``_training_shards``.
-
-    Both shards' gradients are added into grads in shard order.  Returns
-    the steps' results in item order: shard by shard, group by group.
-    """
-    outs = shards(n, key)
-    for _, g in outs:
-        for name, value in g.items():
-            grads[name] += value
-    return [result for results, _ in outs for result in results]
-
-
-def _fit(cfg, params, lr, epochs, n_items, rng, shards, run_batch):
-    """The training loop both steps share; returns per-epoch batch means.
+def _fit(cfg, params, lr, epochs, n_items, rng, group_step, transform=None):
+    """The one training loop of both steps; returns per-epoch batch means.
 
     Each epoch draws a permutation of the n_items from rng and cuts it into
-    batches of cfg.batch_size.  For each batch, run_batch(epoch, idx, grads)
-    fills the zeroed gradients of params through shards (a
-    ``_training_shards``) and returns a dict of floats, and one
-    SGD-with-momentum step applies the gradients.  An epoch's entry holds
-    the mean of each returned value over its batches, added up in batch
-    order.  The shards' worker lives for the whole loop.
+    batches of cfg.batch_size; transform, if given, maps each batch's int
+    array of items to the one that trains.  A batch runs as one call of the
+    loop's ``Shards``, whose worker, forked on the first call, serves the
+    whole loop and keeps params in step with this process's.  Each shard
+    runs group_step(epoch, idx, group, g) on each group of its slice of the
+    batch idx (``group_slices``), one after another, with g the shard's own
+    zeroed gradient dict; a group step runs its forward, loss terms and
+    backward in one pass, accumulating into g, and returns, for each loss
+    term, its items' losses and the count the batch's term is averaged
+    over.  The two shard dicts are added in shard order; each term's losses
+    are added one by one in item order (shard by shard, group by group) and
+    divided by its count, so the batch's terms do not depend on the split.
+    A term that is not finite raises RuntimeError naming it and the epoch
+    before the SGD-with-momentum step applies the gradients.  An epoch's
+    entry holds the mean of each term over its batches, added up in batch
+    order.
     """
+    def shard(rows, epoch, idx):
+        g = zero_grads(params)
+        return [group_step(epoch, idx, group, g) for group in group_slices(rows)], g
+
     opt = SGDMomentum(lr)
     trace = []
-    with shards:
+    with Shards(shard, sync=params) as shards:
         for epoch in range(epochs):
             order = rng.permutation(n_items)
             sums, n_batches = {}, 0
             for start in range(0, n_items, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                if transform is not None:
+                    idx = transform(idx)
                 grads = zero_grads(params)
-                out = run_batch(epoch, order[start:start + cfg.batch_size], grads)
+                totals, counts = {}, {}
+                for results, g in shards(len(idx), epoch, idx):
+                    for name, value in g.items():
+                        grads[name] += value
+                    for terms in results:
+                        for key, (losses, count) in terms.items():
+                            counts[key], total = count, totals.get(key, 0.0)
+                            for value in losses:
+                                total += float(value)
+                            totals[key] = total
+                batch = {key: total / counts[key] for key, total in totals.items()}
+                for key, value in batch.items():
+                    if not np.isfinite(value):
+                        raise RuntimeError(
+                            f"non-finite {key} loss at epoch {epoch}: {batch}")
                 opt.step(params, grads)
-                for key, value in out.items():
+                for key, value in batch.items():
                     sums[key] = sums.get(key, 0.0) + value
                 n_batches += 1
             trace.append({key: total / n_batches for key, total in sums.items()})
@@ -396,27 +401,19 @@ def base_train(model, samples, registry, cfg):
     # the localizer plays no part here, and extend_head replaces it
     params = {**model.encoder.params(), **model.head.params()}
 
-    def step(idx, rows, g):
-        t = eye[labels[idx[rows]]]
-        feat, enc_cache = model.encoder.forward(image_to_input(images[idx[rows]], dtype))
+    def group_step(epoch, idx, group, g):
+        rows = idx[group]
+        t = eye[labels[rows]]
+        feat, enc_cache = model.encoder.forward(image_to_input(images[rows], dtype))
         logits, head_cache = model.head.forward(feat)
         losses, dlogits = objectives.bce_loss_grad(logits, t, len(idx) * per_item)
         dfeat = model.head.backward(dlogits, head_cache, g)
         model.encoder.backward(dfeat, enc_cache, g)
-        return losses
+        return {"base": (losses, len(idx))}
 
-    shards = _training_shards(step, params)
-
-    def run_batch(epoch, idx, grads):
-        losses = np.concatenate(_train_batch(shards, idx, len(idx), grads))
-        loss = float(losses.sum()) / len(idx)
-        if not np.isfinite(loss):
-            raise RuntimeError(f"non-finite base loss at epoch {epoch}")
-        return {"loss": loss}
-
-    trace = _fit(cfg, params, cfg.lr_base, cfg.epochs_base, len(images),
-                 shuffle_rng, shards, run_batch)
-    return model, [entry["loss"] for entry in trace]
+    trace = _fit(cfg, params, cfg.lr_base, cfg.epochs_base, len(images), shuffle_rng,
+                 group_step)
+    return model, [entry["base"] for entry in trace]
 
 
 # ---------------------------------------------------------------------------
@@ -527,64 +524,35 @@ def _prepare_pool(state, samples, bank, registry, sim_matrix):
     return _Pool(images, labels, y_old, feat_old, rasp, n_cur)
 
 
-def incremental_shards(state, pool):
-    """The ``_training_shards`` of a step's batches drawn from the ``_Pool`` pool.
+def _incremental_group(state, pool, epoch, idx, group, g):
+    """The group step (``_fit``) of an incremental step on the ``_Pool``
+    pool: forward, the group's own rows' loss terms and backward, one after
+    another.
 
-    A batch's key is (epoch, idx): its epoch and its pool rows, in batch
-    order.  Each group runs forward, its own rows' loss terms and backward
-    before the next group starts, and returns its per-item losses and the
-    batch's count of current rows.  The loss terms share the whole batch's
-    normalisers, so the summed group gradients are the whole batch's.  The
-    seg head runs only once the warm-up epochs are over.
+    idx is the batch's pool rows, in batch order.  The loss terms share the
+    whole batch's normalisers, so the summed group gradients are the whole
+    batch's; cls is averaged over the batch's rows, every other term over
+    its current rows (at least one).  The seg head runs only once the
+    warm-up epochs are over.
     """
     model = state.model
-
-    def step(key, group, g):
-        epoch, idx = key
-        rows = idx[group]
-        n_cur = int(np.count_nonzero(idx < pool.n_current))
-        seg_active = state.loss_cfg.seg_active(epoch)
-        feat, enc_cache = model.encoder.forward(image_to_input(pool.images[rows],
-                                                               model.dtype))
-        z, loc_cache = model.localizer.forward(feat)
-        p_hat, head_cache = model.head.forward(feat) if seg_active else (None, None)
-        losses, dz, dp, dfeat = _batch_losses(state, pool, rows, feat, z, p_hat,
-                                              len(idx), n_cur)
-        dfeat += model.localizer.backward(dz, loc_cache, g)
-        if seg_active:
-            dfeat += model.head.backward(dp, head_cache, g)
-        # the heads are done: their outputs and caches go before the
-        # encoder's backward runs
-        del feat, z, p_hat, dz, dp, loc_cache, head_cache
-        model.encoder.backward(dfeat, enc_cache, g)
-        return losses, n_cur
-
-    return _training_shards(step, model.params())
-
-
-def incremental_batch(state, epoch, idx, grads, shards):
-    """Losses and parameter gradients for the batch of the pool rows idx
-    at epoch; shards is ``incremental_shards(state, pool)``."""
-    idx = np.asarray(idx, dtype=np.int64)
-    n_all = len(idx)
-    results = _train_batch(shards, (epoch, idx), n_all, grads)
-    n_cur = results[0][1]       # every group counts the same batch
-    # per-item losses in item order (group by group, shard 0's first),
-    # added one by one as a whole-batch loop would, so the trace does not
-    # depend on the split; a term no item computed stays 0.0
-    sums = dict.fromkeys(objectives.LOSS_COMPONENTS, 0.0)
-    for losses, _ in results:
-        for key, values in losses.items():
-            for value in values:
-                sums[key] += float(value)
-    comps = {key: total / (n_all if key == "cls" else max(n_cur, 1))
-             for key, total in sums.items()}
-    for key, value in comps.items():
-        if not np.isfinite(value):
-            raise RuntimeError(
-                f"non-finite {key} loss at step {state.step} epoch {epoch}: {comps}"
-            )
-    return comps
+    rows = idx[group]
+    n_cur = int(np.count_nonzero(idx < pool.n_current))
+    seg_active = state.loss_cfg.seg_active(epoch)
+    feat, enc_cache = model.encoder.forward(image_to_input(pool.images[rows], model.dtype))
+    z, loc_cache = model.localizer.forward(feat)
+    p_hat, head_cache = model.head.forward(feat) if seg_active else (None, None)
+    losses, dz, dp, dfeat = _batch_losses(state, pool, rows, feat, z, p_hat,
+                                          len(idx), n_cur)
+    dfeat += model.localizer.backward(dz, loc_cache, g)
+    if seg_active:
+        dfeat += model.head.backward(dp, head_cache, g)
+    # the heads are done: their outputs and caches go before the encoder's
+    # backward runs
+    del feat, z, p_hat, dz, dp, loc_cache, head_cache
+    model.encoder.backward(dfeat, enc_cache, g)
+    return {key: (values, len(idx) if key == "cls" else max(n_cur, 1))
+            for key, values in losses.items()}
 
 
 def _batch_losses(state, pool, rows, feat, z, p_hat, n_all, n_cur):
@@ -671,17 +639,17 @@ def incremental_step(state, pool):
     shuffle_seed, memory_seed = ss.spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     memory_rng = np.random.default_rng(memory_seed)
-    shards = incremental_shards(state, pool)
+    # memory rows take the tail of every batch
+    transform = None
+    if memory_rows:
+        def transform(idx):
+            return np.asarray(mix_batch(idx, memory_rows, memory_rng), dtype=np.int64)
 
-    def run_batch(epoch, idx, grads):
-        if memory_rows:
-            idx = mix_batch(idx, memory_rows, memory_rng)
-        comps = incremental_batch(state, epoch, idx, grads, shards)
-        return {**comps, "total": objectives.total_loss(comps, state.loss_cfg, epoch)}
-
-    trace = _fit(cfg, state.model.params(), cfg.lr_incremental,
-                 cfg.epochs_incremental, pool.n_current, shuffle_rng, shards, run_batch)
+    trace = _fit(cfg, state.model.params(), cfg.lr_incremental, cfg.epochs_incremental,
+                 pool.n_current, shuffle_rng,
+                 functools.partial(_incremental_group, state, pool), transform)
     for epoch, entry in enumerate(trace):
+        entry["total"] = objectives.total_loss(entry, state.loss_cfg, epoch)
         entry["seg_active"] = state.loss_cfg.seg_active(epoch)
     return state.model, trace
 
@@ -834,11 +802,12 @@ def load_checkpoint(path):
     named ``__*__`` are metadata, and those the model does not read are
     ignored.  A file that is not an archive ``np.load`` can read (a
     truncated archive, text, an empty file, a single .npy array), a
-    missing metadata member, a ``__dtype__`` other than float32 or
-    float64, or parameters that are not the model's by name or shape raise
-    ValueError naming the file.  So a checkpoint with a bias on a conv that
-    feeds a ChannelNorm (``enc.3.b``, ``loc.0.b``, ``loc.1.b``) is
-    rejected: the model has none.
+    missing metadata member, a ``__class_names__`` that is not a 1-d array
+    of strings, a ``__step__`` that is not one integer, a ``__dtype__``
+    other than float32 or float64, or parameters that are not the model's
+    by name or shape raise ValueError naming the file.  So a checkpoint
+    with a bias on a conv that feeds a ChannelNorm (``enc.3.b``,
+    ``loc.0.b``, ``loc.1.b``) is rejected: the model has none.
     """
     try:
         data = np.load(path, allow_pickle=False)
@@ -850,8 +819,14 @@ def load_checkpoint(path):
         for key in ("__class_names__", "__step__", "__config_hash__", "__dtype__"):
             if key not in data.files:
                 raise ValueError(f"checkpoint {path} has no {key} member")
-        class_names = [str(n) for n in data["__class_names__"]]
-        step = int(data["__step__"])
+        names, step = data["__class_names__"], data["__step__"]
+        if names.ndim != 1 or names.dtype.kind != "U":
+            raise ValueError(f"checkpoint {path}: __class_names__ must be a 1-d array "
+                             f"of strings, not {names.dtype} of shape {names.shape}")
+        if step.ndim != 0 or step.dtype.kind not in "iu":
+            raise ValueError(f"checkpoint {path}: __step__ must be one integer, "
+                             f"not {step.dtype} of shape {step.shape}")
+        class_names, step = [str(n) for n in names], int(step)
         config_hash = str(data["__config_hash__"])
         dtype_name = str(data["__dtype__"])
         if dtype_name not in ("float32", "float64"):

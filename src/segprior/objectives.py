@@ -222,16 +222,10 @@ LOSS_COMPONENTS = ("cls", "kdl", "kde", "seg", "rasp")
 
 
 def total_loss(components, cfg, epoch):
-    """cls + kdl + kde + seg (after warmup) + lambda * rasp."""
-    if epoch < 0:
-        raise ValueError("epoch must be non-negative")
-    vals = {}
-    for key in LOSS_COMPONENTS:
-        v = float(components.get(key, 0.0))
-        if not np.isfinite(v):
-            raise ValueError(f"loss component {key!r} is not finite: {v}")
-        vals[key] = v
-    total = vals["cls"] + vals["kdl"] + vals["kde"] + cfg.lambda_rasp * vals["rasp"]
+    """cls + kdl + kde + seg (after warmup) + lambda * rasp, of the terms'
+    values in components."""
+    c = components
+    total = c["cls"] + c["kdl"] + c["kde"] + cfg.lambda_rasp * c["rasp"]
     if cfg.seg_active(epoch):
-        total += vals["seg"]
+        total += c["seg"]
     return total

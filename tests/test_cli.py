@@ -97,6 +97,64 @@ def test_memory_flags(workspace):
     assert "manifest" in res.stderr
 
 
+def test_external_memory_without_a_manifest_concerns_train_incremental_only(
+        workspace, capsys):
+    """A config of external memory with no manifest: train-base and eval,
+    which read no memory, exit 0, and train-incremental exits 1 asking for
+    the manifest."""
+    from segprior import cli
+
+    out, cfg_path = workspace
+    with open(cfg_path) as fh:
+        cfg = json.load(fh)
+    cfg["memory"]["mode"] = "external"
+    assert cfg["memory"]["manifest"] is None
+    path = os.path.join(out, "external.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    ckpt = os.path.join(out, "runs", "ckpt_step0_seed44.npz")
+    assert cli.main(["train-base", "--config", path, "--seed", "44"]) == 0
+    assert cli.main(["eval", "--config", path, "--checkpoint", ckpt]) == 0
+    capsys.readouterr()
+    assert cli.main(["train-incremental", "--config", path, "--step", "1",
+                     "--seed", "44"]) == 1
+    assert "external memory needs --memory-manifest" in capsys.readouterr().err
+
+
+def test_a_non_finite_loss_exits_2_and_writes_nothing(workspace, capsys, monkeypatch):
+    """A NaN weight makes the first batch's loss non-finite: train-base and
+    train-incremental exit 2 naming the term and the epoch, and write no
+    checkpoint and no losses."""
+    from segprior import cli, engine
+
+    out, cfg_path = workspace
+    runs = os.path.join(out, "runs")
+    assert cli.main(["train-base", "--config", cfg_path, "--seed", "45"]) == 0
+    real_base, real_step = engine.base_train, engine.incremental_step
+
+    def poisoned_base(model, *args):
+        model.head.W[0, 0, 0, 0] = np.nan
+        return real_base(model, *args)
+
+    def poisoned_step(state, pool):
+        state.model.localizer.params()["loc.2.W"][0, 0, 0, -1] = np.nan
+        return real_step(state, pool)
+
+    monkeypatch.setattr(engine, "base_train", poisoned_base)
+    monkeypatch.setattr(engine, "incremental_step", poisoned_step)
+    capsys.readouterr()
+    assert cli.main(["train-base", "--config", cfg_path, "--seed", "46"]) == 2
+    assert ("runtime failure: RuntimeError: non-finite base loss at epoch 0"
+            in capsys.readouterr().err)
+    assert cli.main(["train-incremental", "--config", cfg_path, "--step", "1",
+                     "--seed", "45"]) == 2
+    assert ("runtime failure: RuntimeError: non-finite cls loss at epoch 0"
+            in capsys.readouterr().err)
+    for name in ("ckpt_step0_seed46.npz", "losses_step0_seed46.json",
+                 "ckpt_step1_seed45.npz", "losses_step1_seed45.json"):
+        assert not os.path.exists(os.path.join(runs, name)), name
+
+
 def test_incremental_checkpoint_records_parent_hash(workspace):
     out, cfg_path = workspace
     res = run_cli("train-base", "--config", cfg_path, "--seed", "7")
@@ -537,6 +595,32 @@ def test_eval_of_an_unreadable_checkpoint_exits_1(workspace, tmp_path, capsys, c
     assert cli.main(["eval", "--config", cfg_path, "--checkpoint", ckpt]) == 1
     err = capsys.readouterr().err
     assert f"checkpoint {ckpt} " in err, err
+    assert os.listdir(tmp_path) == ["ckpt_step0_seed0.npz"]
+
+
+@pytest.mark.parametrize("member, value, what", [
+    ("__step__", np.array([0, 1]), "__step__ must be one integer"),
+    ("__step__", np.array("zero"), "__step__ must be one integer"),
+    ("__step__", np.array(0.0), "__step__ must be one integer"),
+    ("__class_names__", np.array("bkg"), "__class_names__ must be a 1-d array of strings"),
+    ("__class_names__", np.arange(5), "__class_names__ must be a 1-d array of strings"),
+], ids=["step-list", "step-string", "step-float", "names-0d", "names-numbers"])
+def test_eval_of_mistyped_checkpoint_metadata_exits_1(workspace, tmp_path, capsys,
+                                                      member, value, what):
+    """A checkpoint whose step is not one integer, or whose class names are
+    not a 1-d array of strings, is a malformed input: exit 1, naming the
+    file, with no report written."""
+    from segprior import cli
+
+    _, cfg_path = workspace
+    ckpt = untrained_checkpoint(cfg_path, str(tmp_path / "ckpt_step0_seed0.npz"))
+    with np.load(ckpt) as data:
+        members = {name: data[name] for name in data.files}
+    np.savez(ckpt, **{**members, member: value})
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", cfg_path, "--checkpoint", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert f"checkpoint {ckpt}: {what}" in err, err
     assert os.listdir(tmp_path) == ["ckpt_step0_seed0.npz"]
 
 

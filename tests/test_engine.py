@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import gc
 import hashlib
 import os
@@ -20,7 +21,6 @@ from segprior.engine import (
     StepState,
     base_train,
     extend_head,
-    incremental_batch,
     incremental_step,
     load_checkpoint,
     predict_dataset,
@@ -91,11 +91,31 @@ def prepare(world, state, samples, bank=()):
     return engine._prepare_pool(state, samples, list(bank), tax.registry, sim)
 
 
-def one_batch(state, epoch, pool, rows, grads):
-    """incremental_batch over the pool rows, in order, at epoch, with a
-    worker of its own."""
-    with engine.incremental_shards(state, pool) as shards:
-        return incremental_batch(state, epoch, rows, grads, shards)
+def one_batch(state, pool, rows, epochs=1):
+    """The pool rows, in their order, as the one batch of each of epochs
+    epochs of ``_fit`` with the step's group step, and a worker of its own.
+
+    Returns the last epoch's loss terms and each batch's gradients.  The
+    one seam is the optimizer, which records the gradients and leaves the
+    parameters as they are, so every batch trains the same model.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    grads = []
+
+    class Recording:
+        def __init__(self, lr):
+            pass
+
+        def step(self, params, batch_grads):
+            grads.append(batch_grads)
+
+    cfg = dataclasses.replace(state.engine_cfg, batch_size=len(rows))
+    order = types.SimpleNamespace(permutation=lambda n: rows)
+    with mock.patch.object(engine, "SGDMomentum", Recording):
+        trace = engine._fit(cfg, state.model.params(), cfg.lr_incremental, epochs,
+                            len(rows), order,
+                            functools.partial(engine._incremental_group, state, pool))
+    return trace[-1], grads
 
 
 def test_base_train_names_a_row_without_a_dense_mask(world):
@@ -125,6 +145,30 @@ def test_step_leaves_old_model_unchanged(world):
     assert not np.array_equal(new_params["enc.0.W"], before["enc.0.W"])
     for k, v in model.params().items():
         assert not np.shares_memory(v, new_params[k]), k
+
+
+def test_a_non_finite_loss_stops_training_before_any_update(world):
+    """A NaN weight makes a loss term non-finite in the first batch: base
+    training and an incremental step raise RuntimeError naming the term
+    and the epoch, and no parameter has changed."""
+    tax, sched, data, _ = world
+    cfg = small_cfg()
+    model, _ = base_model(world, cfg, train=False)
+    model.head.W[0, 0, 0, 0] = np.nan
+    before = {k: v.copy() for k, v in model.params().items()}
+    with pytest.raises(RuntimeError, match="non-finite base loss at epoch 0"):
+        base_train(model, step_samples(data, sched, 0), tax.registry, cfg)
+    for k, v in model.params().items():
+        assert np.array_equal(v, before[k], equal_nan=True), k
+
+    parent, _ = base_model(world, cfg)
+    state, samples, _ = step_inputs(world, parent, cfg)
+    state.model.localizer.params()["loc.2.W"][0, 0, 0, -1] = np.nan
+    before = {k: v.copy() for k, v in state.model.params().items()}
+    with pytest.raises(RuntimeError, match="non-finite cls loss at epoch 0"):
+        incremental_step(state, prepare(world, state, samples))
+    for k, v in state.model.params().items():
+        assert np.array_equal(v, before[k], equal_nan=True), k
 
 
 def test_extend_head_preserves_old_channels(world):
@@ -231,8 +275,7 @@ def test_batch_losses_match_objectives_recompute(world):
     state, samples, _ = step_inputs(world, model, cfg, loss_cfg=loss_cfg)
     samples = samples[:6]
     pool = prepare(world, state, samples)
-    grads = zero_grads(state.model.params())
-    comps = one_batch(state, 0, pool, range(6), grads)
+    comps, _ = one_batch(state, pool, range(6))
 
     # recomputation item by item, each one a batch of one through the
     # objectives module, normalised by itself, with its labels and RaSP
@@ -283,8 +326,7 @@ def test_gradient_routing(world):
     )
     old_before = {k: v.copy() for k, v in state.old_model.params().items()}
     pool = prepare(world, state, samples[:6])
-    grads = zero_grads(state.model.params())
-    one_batch(state, 0, pool, range(6), grads)  # inside warmup: seg inactive
+    _, [grads] = one_batch(state, pool, range(6))  # inside warmup: seg inactive
     assert np.all(grads["head.W"] == 0.0)
     assert np.all(grads["head.b"] == 0.0)
     assert any(np.any(grads[k] != 0.0) for k in grads if k.startswith("loc."))
@@ -292,8 +334,8 @@ def test_gradient_routing(world):
 
     # after warmup the head trains, and its seg gradient reaches every
     # encoder weight while the localizer's gradient stays as it was
-    grads_on = zero_grads(state.model.params())
-    one_batch(state, 200, pool, range(6), grads_on)
+    state.loss_cfg = LossConfig(seg_warmup_epochs=0)
+    _, [grads_on] = one_batch(state, pool, range(6))
     assert np.any(grads_on["head.W"] != 0.0)
     for k in grads:
         if k.startswith("enc.") and k.endswith(".W"):
@@ -680,10 +722,8 @@ def test_every_parameter_gets_a_gradient(world, monkeypatch):
     assert len(steps) == 1
     assert steps[0].keys() == {**model.encoder.params(), **model.head.params()}.keys()
     state, samples, _ = step_inputs(world, model, cfg,
-                                    loss_cfg=LossConfig(seg_warmup_epochs=1))
-    pool = prepare(world, state, samples[:8])
-    grads = zero_grads(state.model.params())
-    one_batch(state, 1, pool, range(8), grads)
+                                    loss_cfg=LossConfig(seg_warmup_epochs=0))
+    _, [grads] = one_batch(state, prepare(world, state, samples[:8]), range(8))
     dead = {name for g in (steps[0], grads) for name, v in g.items()
             if not np.max(np.abs(v)) > 1e-8}
     assert sorted(dead) == []
@@ -727,25 +767,22 @@ def test_base_train_shards_match_full_batch(world, monkeypatch):
 
 @pytest.mark.parametrize("n_items", [1, 3, 8])
 @pytest.mark.parametrize("seg_on", [False, True])
-def test_incremental_batch_shards_match_full_batch(world, n_items, seg_on):
+def test_incremental_step_shards_match_full_batch(world, n_items, seg_on):
     """float64: shard gradients and losses equal the whole-batch ones at 1e-10."""
     tax, sched, data, sim = world
     cfg = small_cfg()
     model, _ = base_model(world, cfg, train=False, dtype=np.float64)
-    state, samples, _ = step_inputs(world, model, cfg,
-                                    loss_cfg=LossConfig(seg_warmup_epochs=1))
-    epoch = 1 if seg_on else 0
+    state, samples, _ = step_inputs(world, model, cfg, loss_cfg=LossConfig(
+        seg_warmup_epochs=0 if seg_on else 1))
     bank = episodic_bank(step_samples(data, sched, 0), sched.base_classes,
                          tax.registry, 4, seed=3)
     pool = prepare(world, state, samples[:n_items], bank)
     rows = list(range(n_items))
     if n_items > 1:   # a memory row in the last slot, as mix_batch puts it
         rows[-1] = pool.n_current
-    grads = zero_grads(state.model.params())
-    comps = one_batch(state, epoch, pool, rows, grads)
+    comps, [grads] = one_batch(state, pool, rows)
     with whole_batch():
-        ref = zero_grads(state.model.params())
-        ref_comps = one_batch(state, epoch, pool, rows, ref)
+        ref_comps, [ref] = one_batch(state, pool, rows)
     assert_close_dicts(grads, ref)
     for key in ref_comps:
         assert abs(comps[key] - ref_comps[key]) < 1e-10, key
@@ -782,31 +819,25 @@ def test_shard_local_losses_match_whole_batch(float64_pool, data):
                           label="memory slots")
     order = data.draw(st.permutations(range(9)), label="item order")
     rows = [pool.n_current + k if mem else k for k, mem in zip(order, is_memory)]
-    epoch = 1 if data.draw(st.booleans(), label="seg on") else 0
     state.loss_cfg = dataclasses.replace(
-        state.loss_cfg, lambda_rasp=data.draw(st.sampled_from([0.0, 1.0]), label="rasp"))
+        state.loss_cfg,
+        seg_warmup_epochs=0 if data.draw(st.booleans(), label="seg on") else 1,
+        lambda_rasp=data.draw(st.sampled_from([0.0, 1.0]), label="rasp"))
 
-    log = ProcessLog()
-    real_losses = engine._batch_losses
-
-    def spy_losses(st_, pool_, group_rows, *args):
-        out = real_losses(st_, pool_, group_rows, *args)
-        log.append((rows.index(group_rows[0]), out[0]))
-        return out
-
-    grads = zero_grads(state.model.params())
-    with mock.patch.object(engine, "_batch_losses", spy_losses):
-        comps = one_batch(state, epoch, pool, rows, grads)
-    group_losses = [record for _, record in log.drain()]
-    # the per-item losses are added one by one in item order
+    comps, [grads] = one_batch(state, pool, rows)
+    # each group's per-item losses, run here on the groups the two shards
+    # run, in item order, are added one by one
+    idx = np.asarray(rows)
+    group_losses = [engine._incremental_group(state, pool, 0, idx, group,
+                                              zero_grads(state.model.params()))
+                    for shard in shard_slices(n) for group in group_slices(shard)]
     total = 0.0
-    for _, losses in sorted(group_losses, key=lambda c: c[0]):
-        for value in losses["cls"]:
+    for terms in group_losses:
+        for value in terms["cls"][0]:
             total += value
     assert comps["cls"] == total / n
     with whole_batch():
-        ref = zero_grads(state.model.params())
-        ref_comps = one_batch(state, epoch, pool, rows, ref)
+        ref_comps, [ref] = one_batch(state, pool, rows)
     assert_close_dicts(grads, ref)
     assert comps.keys() == ref_comps.keys()
     for key in ref_comps:
@@ -815,7 +846,7 @@ def test_shard_local_losses_match_whole_batch(float64_pool, data):
         assert all(comps[k] == 0.0 for k in ("kdl", "kde", "rasp", "seg"))
     if state.loss_cfg.lambda_rasp == 0.0:      # RaSP runs iff lambda_rasp != 0
         assert comps["rasp"] == 0.0
-        assert not any(losses["rasp"] for _, losses in group_losses)
+        assert not any(len(terms["rasp"][0]) for terms in group_losses)
 
 
 @pytest.mark.parametrize("rasp", [0.0, 1.0])
@@ -829,8 +860,7 @@ def test_grouped_benchmark_batch_matches_one_forward(world, rasp, seg_on):
     cfg = small_cfg()
     model, _ = base_model(world, cfg, train=False, dtype=np.float64)
     state, samples, _ = step_inputs(world, model, cfg, loss_cfg=LossConfig(
-        seg_warmup_epochs=1, lambda_rasp=rasp))
-    epoch = 1 if seg_on else 0
+        seg_warmup_epochs=0 if seg_on else 1, lambda_rasp=rasp))
     bank = episodic_bank(step_samples(data, sched, 0), sched.base_classes,
                          tax.registry, 6, seed=3)
     pool = prepare(world, state, samples[:18], bank)
@@ -844,15 +874,13 @@ def test_grouped_benchmark_batch_matches_one_forward(world, rasp, seg_on):
         return forward(x)
 
     state.model.encoder.forward = spy_forward
-    grads = zero_grads(state.model.params())
-    comps = one_batch(state, epoch, pool, range(24), grads)
+    comps, [grads] = one_batch(state, pool, range(24))
     sizes = log.drain()
     assert [n for _, n in sizes] == [4] * 6
     here = [pid for pid, _ in sizes if pid == os.getpid()]
     assert len(here) == 3 and len({pid for pid, _ in sizes}) == 2
     with whole_batch():
-        ref = zero_grads(state.model.params())
-        ref_comps = one_batch(state, epoch, pool, range(24), ref)
+        ref_comps, [ref] = one_batch(state, pool, range(24))
     assert log.drain() == [(os.getpid(), 24)]
     assert_close_dicts(grads, ref)
     assert comps.keys() == ref_comps.keys()
@@ -898,10 +926,9 @@ def test_group_layout_on_the_shard_processes(world):
         return out
 
     encoder.forward, encoder.backward = spy_forward, spy_backward
-    with engine.incremental_shards(state, pool) as shards:
-        incremental_batch(state, 0, range(26), zero_grads(state.model.params()), shards)
-        worker = shards._proc.pid
+    one_batch(state, pool, range(26))
     events = log.drain()
+    [worker] = {pid for pid, _ in events} - {os.getpid()}
     assert len(pool.images) == 26  # two shards of 13: groups of 4, 3, 3, 3
     for pid, shard in ((os.getpid(), slice(0, 13)), (worker, slice(13, 26))):
         mine = [e for p, e in events if p == pid]
@@ -922,37 +949,38 @@ def test_one_on_shards_call_per_training_batch(world, monkeypatch):
     tax, sched, data, sim = world
     cfg = small_cfg(epochs_base=2, epochs_incremental=2, batch_size=8)
     events, log = [], ProcessLog()
-    real_losses, real_batch = engine._batch_losses, engine.incremental_batch
+    real_losses = engine._batch_losses
 
     class SpyShards(layers.Shards):
         def __call__(self, n, *args):
-            events.append("shards")
-            return super().__call__(n, *args)
-
-    def spy_batch(*args):
-        events.append("batch")
-        return real_batch(*args)
+            out = super().__call__(n, *args)
+            # a training batch's call passes its epoch and items
+            events.append(("batch" if len(args) == 2 else "other", id(self),
+                           self._proc.pid))
+            return out
 
     def spy_losses(*args):
         log.append("losses")
         return real_losses(*args)
 
     monkeypatch.setattr(engine, "Shards", SpyShards)
-    monkeypatch.setattr(engine, "incremental_batch", spy_batch)
     monkeypatch.setattr(engine, "_batch_losses", spy_losses)
     base = step_samples(data, sched, 0)[:20]
     model = SegModel.init(sched.channel_names(0), seed=cfg.seed)
     model, _ = base_train(model, base, tax.registry, cfg)
-    assert events == ["shards"] * (2 * 3)       # 2 epochs of batches 8, 8, 4
+    assert [kind for kind, _, _ in events] == ["batch"] * (2 * 3)   # 8, 8, 4 per epoch
+    assert len({(loop, worker) for _, loop, worker in events}) == 1
+    assert events[0][2] != os.getpid()
 
     events.clear()
     bank = episodic_bank(base, sched.base_classes, tax.registry, 8, seed=3)
     state, samples, _ = step_inputs(world, model, cfg,
                                     loss_cfg=LossConfig(seg_warmup_epochs=1))
     incremental_step(state, prepare(world, state, samples[:12], bank))
-    first = events.index("batch")
-    assert events[:first] == ["shards"] * 2       # _prepare_pool: chunks 8, 4
-    assert events[first:] == ["batch", "shards"] * (2 * 2)   # batches 8, 4
+    # _prepare_pool's chunks of 8 and 4, then 2 epochs of batches 8 and 4
+    assert [kind for kind, _, _ in events] == ["other"] * 2 + ["batch"] * (2 * 2)
+    assert len({(loop, worker) for _, loop, worker in events[2:]}) == 1
+    assert events[2][2] not in (os.getpid(), events[0][2])
     pids = [pid for pid, _ in log.drain()]
     assert len(pids) == 2 * (2 * 2)
     assert os.getpid() in pids and len(set(pids)) == 2
@@ -1008,25 +1036,25 @@ def test_warmup_skips_seg_head(world):
     cfg = small_cfg()
     model, _ = base_model(world, cfg)
     state, samples, _ = step_inputs(world, model, cfg,
-                                    loss_cfg=LossConfig(seg_warmup_epochs=2))
+                                    loss_cfg=LossConfig(seg_warmup_epochs=1))
     pool = prepare(world, state, samples[:7])
     want = warmup_grads_with_head(state, pool, range(7))
     state.model.head = _NoHead(state.model.head)
-    grads = zero_grads(state.model.params())
-    one_batch(state, 1, pool, range(7), grads)
+    _, [grads] = one_batch(state, pool, range(7))
     assert grads.keys() == want.keys()
     for name in want:
         assert np.array_equal(grads[name], want[name]), name
     assert not np.any(grads["head.W"]) and not np.any(grads["head.b"])
+    state.loss_cfg = LossConfig(seg_warmup_epochs=0)
     with pytest.raises(AssertionError, match="seg head ran forward"):
-        one_batch(state, 2, pool, range(7), zero_grads(state.model.params()))
+        one_batch(state, pool, range(7))
 
 
 def test_shards_run_on_caller_and_one_worker(world):
     """Shard 0 in this process, shard 1 always in the same worker: ten
-    batches through one incremental_shards give the same gradients, so
-    each shard's forward and backward ran in one process, on its own
-    buffers, with the parameters this process sent."""
+    batches of one training loop give the same gradients, so each shard's
+    forward and backward ran in one process, on its own buffers, with the
+    parameters this process sent."""
     tax, sched, data, sim = world
     cfg = small_cfg()
     model, _ = base_model(world, cfg, train=False)
@@ -1046,20 +1074,16 @@ def test_shards_run_on_caller_and_one_worker(world):
         return backward(dy, caches, grads)
 
     encoder.forward, encoder.backward = spy_forward, spy_backward
-    results = []
-    with engine.incremental_shards(state, pool) as shards:
-        for _ in range(10):
-            grads = zero_grads(state.model.params())
-            incremental_batch(state, 0, range(7), grads, shards)
-            results.append(grads)
-        worker = shards._proc.pid
+    _, results = one_batch(state, pool, range(7), epochs=10)
+    assert len(results) == 10
     for grads in results[1:]:
         for name in grads:
             assert np.array_equal(grads[name], results[0][name]), name
     calls = log.drain()
     assert len(calls) == 40
     assert {pid for pid, (_, n) in calls if n == 4} == {os.getpid()}
-    assert {pid for pid, (_, n) in calls if n == 3} == {worker} != {os.getpid()}
+    workers = {pid for pid, (_, n) in calls if n == 3}
+    assert len(workers) == 1 and workers != {os.getpid()}
 
 
 # ---------------------------------------------------------------------------

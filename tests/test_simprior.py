@@ -188,8 +188,8 @@ def test_argmax_rejects_bad_input(setup, monkeypatch):
     registry, sim = setup
     logits = np.zeros((3, 2, 2, 2))
     logits[2, 1, 0, 1] = np.nan
-    batches = []
-    monkeypatch.setattr(engine, "incremental_batch", lambda *args: batches.append(args))
+    fits = []
+    monkeypatch.setattr(engine, "_fit", lambda *args: fits.append(args))
     for lambda_rasp in (0.0, 1.0):
         state, samples = scored_step(registry, ["bkg", "disc_solid"], ["disc_striped"],
                                      logits, [{"disc_striped"}] * 3,
@@ -198,7 +198,7 @@ def test_argmax_rejects_bad_input(setup, monkeypatch):
         with pytest.raises(ValueError, match="non-finite"):
             engine.incremental_step(
                 state, engine._prepare_pool(state, samples, [], registry, sim))
-        assert batches == []
+        assert fits == []
         for k, v in state.model.params().items():
             assert np.array_equal(v, before[k]), k
 
