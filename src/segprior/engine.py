@@ -104,19 +104,25 @@ them, so what the two processes hold together in training is the data
 both read once, plus each shard's own working set.  Each training array
 is held once: base training reads its rows one at a time into one image
 array and one target array, and an incremental step's pool holds each
-per-row input (images, labels, the old model's scores and features, the
-RaSP targets) in one array; no sample or memory row is kept beside
-them while the step trains.  The data is kept small: images and masks
-stay uint8 as the files store them, and so do the base targets, as
-channel-index maps; a training group converts its inputs, and a base
-group expands its one-hot targets, when it runs; and a training group
-releases each layer's cache once its backward has run.  Evaluation holds
-no split at all, only the image each shard is scoring, so its memory does
-not grow with the split's size.  Each batch frees its activations, and
-``segprior.cli`` sets glibc's trim and mmap thresholds on import so that
-the freed pages stay in the heap for the next batch instead of being
-faulted in again; code that imports this module without the CLI keeps
-glibc's defaults.
+per-row input (images, labels, the old model's scores and features and,
+with RaSP, its argmax channel) in one array; no sample or memory row is
+kept beside them while the step trains.  The data is kept small: images
+and masks stay uint8 as the files store them, and so do the base
+targets, as channel-index maps, and the old model's argmax, which indexes
+the step's old x new RaSP table; a training group converts its inputs,
+a base group expands its one-hot targets and an incremental group
+gathers its RaSP targets when it runs.  A group's working set is kept
+small too: a LeakyReLU caches the 1-byte mask x > 0, not its input; kde
+gathers the old features, subtracts the current ones and turns the
+difference into its gradient in that one buffer, which is added into
+the features' gradient after the localizer's backward; and a training
+group releases each layer's cache once its backward has run.
+Evaluation holds no split at all, only the image each shard is scoring,
+so its memory does not grow with the split's size.  Each batch frees its
+activations, and ``segprior.cli`` sets glibc's trim and mmap thresholds
+on import so that the freed pages stay in the heap for the next batch
+instead of being faulted in again; code that imports this module without
+the CLI keeps glibc's defaults.
 """
 
 from __future__ import annotations
@@ -453,12 +459,16 @@ class _Pool:
     # the old model's outputs live in shared mappings (layers.shared_array)
     y_old: np.ndarray           # (n_current, h, w, n_old) old-model sigmoid scores
     feat_old: np.ndarray        # (n_current, h, w, D) old-model features
-    rasp: np.ndarray | None     # (n_current, h, w, n_new) RaSP targets, or None
+    # RaSP, or both None when lambda_rasp is 0: a pixel's targets are
+    # rasp_table[winner[row, i, j]], gathered when a group runs
+    rasp_table: np.ndarray | None   # (n_old, n_new) T[o, k] (simprior)
+    winner: np.ndarray | None       # (n_current, h, w) old-model argmax channel,
+                                    # uint8 up to 256 old channels
     n_current: int
 
 
 def _prepare_pool(state, samples, bank, registry, sim_matrix):
-    """The step's ``_Pool``: images, labels, old-model outputs, RaSP targets.
+    """The step's ``_Pool``: images, labels, old-model outputs, RaSP table.
 
     samples are the step's rows and bank its memory, empty without memory,
     both sequences of ``protocol.Sample``: lists, or the
@@ -477,9 +487,13 @@ def _prepare_pool(state, samples, bank, registry, sim_matrix):
     group's activations are alive at a time.  Each group writes its scores
     and features into y_old and feat_old, allocated by
     ``layers.shared_array`` before the worker is forked, so shard 1's rows
-    reach this process without a copy.  The RaSP target table is built
-    once; a row's targets are its rows at the old model's argmax, one
-    column per new class, and there are none when lambda_rasp is 0.
+    reach this process without a copy.  With RaSP on, each group also
+    writes the old model's argmax channel into winner, a third shared
+    mapping (uint8 up to 256 old channels), and the RaSP target table is
+    built once.  The pool keeps the table and winner, not the per-pixel
+    targets table[winner] of n_new values a pixel: a training group
+    gathers its rows' targets when it runs.  There are neither when
+    lambda_rasp is 0.
     """
     if not samples:
         raise ValueError("incremental step received no samples")
@@ -503,25 +517,29 @@ def _prepare_pool(state, samples, bank, registry, sim_matrix):
     ho, wo = image_to_input(images[0], dtype).shape[:2]
     y_old = shared_array((n_cur, ho, wo, state.n_old), dtype)
     feat_old = shared_array((n_cur, ho, wo, ENCODER_CHANNELS[-1]), dtype)
+    rasp_on = state.loss_cfg.lambda_rasp != 0
+    winner = (shared_array((n_cur, ho, wo), np.min_scalar_type(n_old - 1))
+              if rasp_on else None)
 
     def old_forward(rows, start):
         for group in group_slices(slice(start + rows.start, start + rows.stop)):
             feat = old.encoder.infer(image_to_input(images[group], dtype))
             logits, _ = old.head.forward(feat)
             y_old[group], feat_old[group] = objectives.sigmoid(logits), feat
+            if rasp_on:
+                winner[group] = np.argmax(y_old[group], axis=3)
 
     with Shards(old_forward) as shards:
         for start in range(0, n_cur, cfg.batch_size):
             shards(min(cfg.batch_size, n_cur - start), start)
     if not np.all(np.isfinite(y_old)):
         raise ValueError("old-model scores contain non-finite values")
-    rasp = None
-    if state.loss_cfg.lambda_rasp != 0:
+    table = None
+    if rasp_on:
         table = simprior.rasp_target_table(sim_matrix, registry, old.class_names,
                                            state.model.class_names[state.n_old:],
                                            state.loss_cfg.tau, dtype)
-        rasp = table[np.argmax(y_old, axis=3)]
-    return _Pool(images, labels, y_old, feat_old, rasp, n_cur)
+    return _Pool(images, labels, y_old, feat_old, table, winner, n_cur)
 
 
 def _incremental_group(state, pool, epoch, idx, group, g):
@@ -542,14 +560,17 @@ def _incremental_group(state, pool, epoch, idx, group, g):
     feat, enc_cache = model.encoder.forward(image_to_input(pool.images[rows], model.dtype))
     z, loc_cache = model.localizer.forward(feat)
     p_hat, head_cache = model.head.forward(feat) if seg_active else (None, None)
-    losses, dz, dp, dfeat = _batch_losses(state, pool, rows, feat, z, p_hat,
-                                          len(idx), n_cur)
-    dfeat += model.localizer.backward(dz, loc_cache, g)
+    losses, dz, dp, dkde = _batch_losses(state, pool, rows, feat, z, p_hat,
+                                         len(idx), n_cur)
+    del feat, z
+    dfeat = model.localizer.backward(dz, loc_cache, g)
+    if dkde is not None:
+        dfeat[rows < pool.n_current] += dkde
     if seg_active:
         dfeat += model.head.backward(dp, head_cache, g)
     # the heads are done: their outputs and caches go before the encoder's
     # backward runs
-    del feat, z, p_hat, dz, dp, loc_cache, head_cache
+    del p_hat, dz, dp, dkde, loc_cache, head_cache
     model.encoder.backward(dfeat, enc_cache, g)
     return {key: (values, len(idx) if key == "cls" else max(n_cur, 1))
             for key, values in losses.items()}
@@ -572,15 +593,19 @@ def _batch_losses(state, pool, rows, feat, z, p_hat, n_all, n_cur):
       z against the old model's scores, and the seg logits against
       ``pseudo_supervision`` of the localizer softmax;
     * kde, current rows, by ``kde_loss_grad``: the features against the
-      old features;
+      old features, in one buffer: the old features are gathered into it,
+      the features subtracted into it, and ``kde_loss_grad`` turns the
+      difference into its gradient in place;
     * rasp, current rows, when lambda_rasp is non-zero: ``bce_loss_grad``
       one row at a time, on the channels of the new classes its labels
-      show, in channel order, against the row's RaSP targets.
+      show, in channel order, against the row's RaSP targets, gathered
+      from the pool's table at the old model's argmax.
 
     p_hat is None in the warm-up epochs, where dp is None too.  Returns
-    (losses, dz, dp, dfeat_extra): losses maps each term to its per-item
-    values in item order, and dfeat_extra is the kde gradient on the
-    encoder features.
+    (losses, dz, dp, dkde): losses maps each term to its per-item values in
+    item order, and dkde, kde's buffer, is the kde gradient on the
+    features of the group's current rows, in row order, or None if it has
+    none.
     """
     lcfg = state.loss_cfg
     n_old = state.n_old
@@ -599,24 +624,22 @@ def _batch_losses(state, pool, rows, feat, z, p_hat, n_all, n_cur):
         losses["cls"].extend(loss)
     dz = scores_vjp(upstream) / n_all
     dp = None if p_hat is None else np.zeros_like(p_hat)
-    dfeat_extra = np.zeros_like(feat)
     if not len(cur):
-        return losses, dz, dp, dfeat_extra
+        return losses, dz, dp, None
 
     n_pix = z.shape[1] * z.shape[2]
-    y_old, feat_old = pool.y_old[rows[cur]], pool.feat_old[rows[cur]]
+    y_old, dkde = pool.y_old[rows[cur]], pool.feat_old[rows[cur]]
     losses["kdl"], grad = objectives.bce_loss_grad(
         z[cur, :, :, :n_old], y_old, n_pix * n_old * n_cur)
     dz[cur, :, :, :n_old] += grad
-    losses["kde"], grad = objectives.kde_loss_grad(
-        feat[cur], feat_old, n_pix * n_cur)
-    dfeat_extra[cur] += grad
+    np.subtract(feat[cur], dkde, out=dkde)
+    losses["kde"], dkde = objectives.kde_loss_grad(dkde, n_pix * n_cur)
     if lcfg.lambda_rasp != 0:
         for i in cur:
             shown = np.flatnonzero(pool.labels[rows[i], n_old - 1:])
             zi = z[i:i + 1][..., n_old + shown]
-            loss, grad = objectives.bce_loss_grad(
-                zi, pool.rasp[rows[i:i + 1]][..., shown], zi.size)
+            target = pool.rasp_table[:, shown][pool.winner[rows[i:i + 1]]]
+            loss, grad = objectives.bce_loss_grad(zi, target, zi.size)
             losses["rasp"].extend(loss)
             dz[i:i + 1][..., n_old + shown] += (lcfg.lambda_rasp / n_cur) * grad
     if p_hat is not None:
@@ -624,7 +647,7 @@ def _batch_losses(state, pool, rows, feat, z, p_hat, n_all, n_cur):
         losses["seg"], grad = objectives.bce_loss_grad(
             p_hat[cur], q_tilde, n_pix * p_hat.shape[3] * n_cur)
         dp[cur] += grad
-    return losses, dz, dp, dfeat_extra
+    return losses, dz, dp, dkde
 
 
 def incremental_step(state, pool):
@@ -804,10 +827,12 @@ def load_checkpoint(path):
     truncated archive, text, an empty file, a single .npy array), a
     missing metadata member, a ``__class_names__`` that is not a 1-d array
     of strings, a ``__step__`` that is not one integer, a ``__dtype__``
-    other than float32 or float64, or parameters that are not the model's
-    by name or shape raise ValueError naming the file.  So a checkpoint
-    with a bias on a conv that feeds a ChannelNorm (``enc.3.b``,
-    ``loc.0.b``, ``loc.1.b``) is rejected: the model has none.
+    other than float32 or float64, a member ``np.load`` cannot read (such
+    as an object array, which needs pickle) or parameters that are not the
+    model's by name or shape raise ValueError naming the file, and the
+    member that cannot be read.  So a checkpoint with a bias on a conv
+    that feeds a ChannelNorm (``enc.3.b``, ``loc.0.b``, ``loc.1.b``) is
+    rejected: the model has none.
     """
     try:
         data = np.load(path, allow_pickle=False)
@@ -815,11 +840,19 @@ def load_checkpoint(path):
         raise ValueError(f"checkpoint {path} cannot be read: {exc}") from None
     if not isinstance(data, np.lib.npyio.NpzFile):      # a single .npy array
         raise ValueError(f"checkpoint {path} is not an .npz archive")
+
+    def member(name):
+        try:
+            return data[name]
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"checkpoint {path}: member {name} cannot be read: "
+                             f"{exc}") from None
+
     with data:
         for key in ("__class_names__", "__step__", "__config_hash__", "__dtype__"):
             if key not in data.files:
                 raise ValueError(f"checkpoint {path} has no {key} member")
-        names, step = data["__class_names__"], data["__step__"]
+        names, step = member("__class_names__"), member("__step__")
         if names.ndim != 1 or names.dtype.kind != "U":
             raise ValueError(f"checkpoint {path}: __class_names__ must be a 1-d array "
                              f"of strings, not {names.dtype} of shape {names.shape}")
@@ -827,8 +860,8 @@ def load_checkpoint(path):
             raise ValueError(f"checkpoint {path}: __step__ must be one integer, "
                              f"not {step.dtype} of shape {step.shape}")
         class_names, step = [str(n) for n in names], int(step)
-        config_hash = str(data["__config_hash__"])
-        dtype_name = str(data["__dtype__"])
+        config_hash = str(member("__config_hash__"))
+        dtype_name = str(member("__dtype__"))
         if dtype_name not in ("float32", "float64"):
             raise ValueError(f"checkpoint {path} has __dtype__ {dtype_name!r}, "
                              "not float32 or float64")
@@ -841,7 +874,7 @@ def load_checkpoint(path):
             raise ValueError(f"checkpoint {path}: its parameters differ from the model's: "
                              f"missing {missing}, not in the model {extra}")
         for name, p in params.items():
-            stored = data[name]
+            stored = member(name)
             if stored.shape != p.shape:
                 raise ValueError(f"checkpoint {path}: parameter {name} has shape "
                                  f"{stored.shape}, expected {p.shape}")

@@ -44,11 +44,14 @@ Layers keep no work buffers: every forward allocates its own arrays, so
 the cache it returns belongs to its caller and stays valid for as long as
 the caller keeps it.  ``Chain.backward`` empties the cache list it is
 given, freeing each layer's cache once that layer's backward has run, and
-``Chain.infer`` keeps no cache at all.  The worker inherits its parent's
-malloc settings: under ``segprior.cli``, which fixes glibc's trim and mmap
-thresholds, freed arrays stay in both processes' heaps for the next call;
-code that imports this module without the CLI keeps glibc's defaults, and
-each call faults its arrays' pages in again.
+``Chain.infer`` keeps no cache at all.  A cache holds only what the
+backward reads: a LeakyReLU's is the 1-byte mask x > 0, not its float
+input, and ``Chain.infer`` does not compute it; a NaN input then gets the
+gain slope in the backward, not a NaN (``LeakyReLU``).  The worker
+inherits its parent's malloc settings: under ``segprior.cli``, which fixes
+glibc's trim and mmap thresholds, freed arrays stay in both processes'
+heaps for the next call; code that imports this module without the CLI
+keeps glibc's defaults, and each call faults its arrays' pages in again.
 """
 
 from __future__ import annotations
@@ -352,9 +355,15 @@ class ChannelNorm:
 class LeakyReLU:
     """x for x > 0, slope * x otherwise, for a slope in [0, 1).
 
-    The forward is max(x, slope * x) and caches x; at slope 0 it maps
-    +inf to NaN, as slope * inf is.  The backward multiplies by the gain
-    g = max(sign(x), slope), which is 1 where x > 0 and slope elsewhere.
+    The forward is max(x, slope * x); at slope 0 it maps +inf to NaN, as
+    slope * inf is.  It caches only the bool mask x > 0, a quarter of a
+    float32 x (the 1-byte ReLU mask of In-Place ABN, Rota Bulo et al.,
+    arXiv:1712.02616, and ActNN, Chen et al., arXiv:2104.14129), or nothing
+    when cache is False.  The backward multiplies dy by the gain
+    g = max(mask, slope) in dy's dtype: 1 where x > 0 and slope elsewhere.
+    That is max(sign(x), slope) for every x but NaN, which gets gain slope,
+    not a NaN gradient; the forward's output is NaN there, so the loss is
+    not finite and training stops before the step.
     """
 
     def __init__(self, slope):
@@ -363,13 +372,14 @@ class LeakyReLU:
     def params(self):
         return {}
 
-    def forward(self, x):
-        return np.maximum(x, self.slope * x), x
+    def forward(self, x, cache=True):
+        return np.maximum(x, self.slope * x), (x > 0 if cache else None)
 
-    def backward(self, dy, x, grads):
-        g = np.sign(x)
+    def backward(self, dy, mask, grads):
+        g = mask.astype(dy.dtype)
         np.maximum(g, self.slope, out=g)
-        return dy * g
+        g *= dy
+        return g
 
 
 class Chain:
@@ -397,9 +407,13 @@ class Chain:
 
     def infer(self, x):
         """The forward's output alone; each layer's cache is dropped as
-        soon as the next layer has run, so no backward can follow."""
+        soon as the next layer has run, so no backward can follow.  A
+        LeakyReLU computes no mask."""
         for layer in self.layers:
-            x, _ = layer.forward(x)
+            if isinstance(layer, LeakyReLU):
+                x, _ = layer.forward(x, cache=False)
+            else:
+                x, _ = layer.forward(x)
         return x
 
     def backward(self, dy, caches, grads):

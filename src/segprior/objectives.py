@@ -24,7 +24,8 @@ old channels of the localizer logits against the old model's scores,
 the localizer logits of the new classes present in one image against the
 RaSP targets of ``segprior.simprior``.  Base training's dense loss is the
 same function against one-hot masks.  ``kde`` is the squared feature
-distance of ``kde_loss_grad``.
+distance of ``kde_loss_grad``, which takes the feature difference and
+turns it into its gradient in place.
 
 The pooling and pseudo-label constants are fixed: ``NGWP_EPSILON``,
 ``FOCAL_GAMMA`` and ``FOCAL_LAMBDA`` are the nGWP + focal constants of
@@ -170,18 +171,24 @@ def image_scores_vjp(z):
 # Feature distillation
 # ---------------------------------------------------------------------------
 
-def kde_loss_grad(f, f_old, n):
+def kde_loss_grad(diff, n):
     """Feature distillation: per item, the mean over pixels of the squared
-    Euclidean distance between the feature vectors.
+    Euclidean distance between the feature vectors, from their difference.
 
-    f and f_old are (B, H, W, D); n counts pixels.
+    diff is f - f_old, (B, H, W, D), and n counts pixels.  The gradient
+    with respect to f, 2 * diff / n, is computed in diff's own buffer:
+    diff is overwritten with it and returned as the gradient, so a caller
+    passes a difference it no longer needs.
     """
-    f, f_old = _check_pair(f, f_old, "feature tensors")
-    diff = f - f_old
+    diff = np.asarray(diff)
+    if diff.ndim < 2:
+        raise ValueError("feature differences need a leading item axis")
     n_pix = int(np.prod(diff.shape[1:-1]))
     dist = (diff * diff).sum(axis=-1)
     losses = dist.reshape(len(diff), -1).sum(axis=1).astype(np.float64) / n_pix
-    return losses, 2.0 * diff / n
+    diff *= 2.0
+    diff /= n
+    return losses, diff
 
 
 # ---------------------------------------------------------------------------

@@ -624,6 +624,25 @@ def test_eval_of_mistyped_checkpoint_metadata_exits_1(workspace, tmp_path, capsy
     assert os.listdir(tmp_path) == ["ckpt_step0_seed0.npz"]
 
 
+def test_eval_of_a_checkpoint_with_an_object_member_exits_1(workspace, tmp_path,
+                                                             capsys):
+    """A checkpoint member that only pickle can read, here a config hash
+    saved as an object array, is a malformed input: exit 1, naming the
+    file and the member, with no report written."""
+    from segprior import cli
+
+    _, cfg_path = workspace
+    ckpt = untrained_checkpoint(cfg_path, str(tmp_path / "ckpt_step0_seed0.npz"))
+    with np.load(ckpt) as data:
+        members = {name: data[name] for name in data.files}
+    np.savez(ckpt, **{**members, "__config_hash__": np.array([{}], dtype=object)})
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", cfg_path, "--checkpoint", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert f"checkpoint {ckpt}: member __config_hash__ cannot be read" in err, err
+    assert os.listdir(tmp_path) == ["ckpt_step0_seed0.npz"]
+
+
 def test_eval_of_a_split_without_base_classes(workspace, tmp_path, capsys, monkeypatch):
     """A split in which no base class appears has no mIoU(base): eval
     exits 0, prints it as n/a and writes it as null, with no harmonic

@@ -4,6 +4,7 @@ import functools
 import gc
 import hashlib
 import os
+import tracemalloc
 import types
 import weakref
 from unittest import mock
@@ -304,7 +305,7 @@ def test_batch_losses_match_objectives_recompute(world):
                 scores[:, n_old:].astype(np.float64), np.array([shown], dtype=np.float64),
                 1)[0][0]
             agg["kdl"] += objectives.bce_loss_grad(zi[..., :n_old], y_old, 1)[0][0]
-            agg["kde"] += objectives.kde_loss_grad(feat[i:i + 1], pool.feat_old[k][None],
+            agg["kde"] += objectives.kde_loss_grad(feat[i:i + 1] - pool.feat_old[k][None],
                                                    1)[0][0]
             target = table[:, cols][np.argmax(pool.y_old[k], axis=2)]
             agg["rasp"] += objectives.bce_loss_grad(zi[..., n_old + cols], target[None],
@@ -376,6 +377,23 @@ def test_checkpoint_round_trip(world, tmp_path):
     l1, _ = model.head.forward(f1)
     l2, _ = loaded.head.forward(f2)
     assert np.array_equal(l1, l2)
+
+
+@pytest.mark.parametrize("member", ["__config_hash__", "enc.0.W"])
+def test_load_checkpoint_names_a_member_it_cannot_read(tmp_path, member):
+    """A member np.load cannot read without pickle, such as an object array,
+    raises ValueError naming the checkpoint and the member."""
+    model = SegModel.init(("bkg", "a", "b"), seed=None)
+    path = str(tmp_path / "ckpt.npz")
+    save_checkpoint(model, path, step=0, config_hash="h")
+    with np.load(path) as data:
+        members = {name: data[name] for name in data.files}
+    members[member] = np.array([{}], dtype=object)
+    np.savez(path, **members)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert f"checkpoint {path}: member {member} cannot be read: Object arrays" \
+        in str(err.value)
 
 
 def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
@@ -480,8 +498,8 @@ def test_pool_rows_are_the_step_images_then_the_bank(world, experiment, rasp):
     labels each from its manifest present set: a step row on the step's
     classes it shows, a memory row on the old classes it shows, so a
     memory row that also shows a step class reads 0 on it.  Old-model
-    outputs and RaSP targets cover the current rows, and there are no RaSP
-    targets without RaSP."""
+    outputs and the old model's argmax cover the current rows; the RaSP
+    table is old x new; and there is neither without RaSP."""
     cfg, files = experiment
     schedule = cfg.task_schedule()
     registry = schedule.registry
@@ -513,9 +531,12 @@ def test_pool_rows_are_the_step_images_then_the_bank(world, experiment, rasp):
     assert len(pool.y_old) == len(pool.feat_old) == 7
     n_new = state.model.n_classes() - state.n_old
     if rasp:
-        assert pool.rasp.shape == pool.y_old.shape[:3] + (n_new,)
+        assert pool.winner.dtype == np.uint8
+        assert np.array_equal(pool.winner, np.argmax(pool.y_old, axis=3))
+        assert pool.rasp_table.shape == (state.n_old, n_new)
+        assert pool.rasp_table[pool.winner].shape == pool.y_old.shape[:3] + (n_new,)
     else:
-        assert pool.rasp is None
+        assert pool.rasp_table is None and pool.winner is None
 
 
 def test_checkpoint_records_parent_config_hash(world, tmp_path):
@@ -791,9 +812,10 @@ def test_incremental_step_shards_match_full_batch(world, n_items, seg_on):
     # the old model's batched two-shard forward equals the whole-batch one
     with whole_batch():
         ref_pool = prepare(world, state, samples[:n_items], bank)
-    for name in ("y_old", "feat_old", "rasp"):
+    for name in ("y_old", "feat_old", "rasp_table"):
         np.testing.assert_allclose(getattr(pool, name), getattr(ref_pool, name),
                                    rtol=1e-10, atol=1e-10, err_msg=name)
+    assert np.array_equal(pool.winner, ref_pool.winner)
 
 
 @pytest.fixture(scope="module")
@@ -888,6 +910,173 @@ def test_grouped_benchmark_batch_matches_one_forward(world, rasp, seg_on):
         assert abs(comps[key] - ref_comps[key]) < 1e-10, key
     assert (comps["rasp"] != 0.0) == (rasp != 0.0)
     assert (comps["seg"] != 0.0) == seg_on
+
+
+@pytest.fixture(scope="module")
+def float32_group(world):
+    """A float32 step-1 state with the seg branch on and lambda_rasp 1, its
+    pool of 6 current and 2 memory rows, and a batch of all 8, whose two
+    groups of 4 each end in a memory row."""
+    tax, sched, data, sim = world
+    cfg = small_cfg()
+    model, _ = base_model(world, cfg, train=False)
+    state, samples, _ = step_inputs(world, model, cfg, loss_cfg=LossConfig(
+        seg_warmup_epochs=0, lambda_rasp=1.0))
+    bank = episodic_bank(step_samples(data, sched, 0), sched.base_classes,
+                         tax.registry, 2, seed=3)
+    pool = prepare(world, state, samples[:6], bank)
+    # the encoder moved away from the old model's, as training moves it, so
+    # that kde's difference is not zero
+    rng = np.random.default_rng(0)
+    for p in state.model.encoder.params().values():
+        p += (0.05 * np.abs(p).max() * rng.standard_normal(p.shape)).astype(p.dtype)
+    idx = np.array([0, 1, 2, 6, 3, 4, 5, 7], dtype=np.int64)
+    return state, pool, idx
+
+
+def _chain_forward(chain, x):
+    """The chain's forward with the parent's LeakyReLU, which caches x."""
+    caches = []
+    for layer in chain.layers:
+        if isinstance(layer, layers.LeakyReLU):
+            x, cache = np.maximum(x, layer.slope * x), x
+        else:
+            x, cache = layer.forward(x)
+        caches.append(cache)
+    return x, caches
+
+
+def _chain_backward(chain, dy, caches, g):
+    """The chain's backward with the parent's LeakyReLU gain,
+    max(sign(x), slope) * dy."""
+    for layer, cache in zip(chain.layers[:0:-1], caches[:0:-1]):
+        if isinstance(layer, layers.LeakyReLU):
+            gain = np.sign(cache)
+            np.maximum(gain, layer.slope, out=gain)
+            dy = dy * gain
+        else:
+            dy = layer.backward(dy, cache, g)
+    return chain.layers[0].backward(dy, caches[0], g, chain.input_grad)
+
+
+def parent_group(state, pool, table, idx, group, g):
+    """One group step by the parent's formulas: the LeakyReLU above, kde as
+    2.0 * (f - f_old) / n on fresh arrays added into a zeroed feature
+    gradient, and the RaSP targets table[argmax(y_old)] per pixel."""
+    model, n_old = state.model, state.n_old
+    rows = idx[group]
+    n_all, n_cur = len(idx), int(np.count_nonzero(idx < pool.n_current))
+    rasp = table[np.argmax(pool.y_old, axis=3)]
+    feat, enc_cache = _chain_forward(
+        model.encoder, engine.image_to_input(pool.images[rows], model.dtype))
+    z, loc_cache = _chain_forward(model.localizer, feat)
+    p_hat, head_cache = model.head.forward(feat)
+    cur = np.flatnonzero(rows < pool.n_current)
+    losses = {key: [] for key in objectives.LOSS_COMPONENTS}
+    scores, m, scores_vjp = objectives.image_scores_vjp(z)
+    upstream = np.zeros_like(scores)
+    for i, row in enumerate(rows):
+        first = n_old if row < pool.n_current else 1
+        scores_i = scores[i:i + 1, first:].astype(np.float64)
+        loss, upstream[i:i + 1, first:] = objectives.bce_loss_grad(
+            scores_i, pool.labels[row:row + 1, first - 1:], scores_i.size)
+        losses["cls"].extend(loss)
+    dz = scores_vjp(upstream) / n_all
+    dp = np.zeros_like(p_hat)
+    dfeat = np.zeros_like(feat)
+    n_pix = z.shape[1] * z.shape[2]
+    y_old, feat_old = pool.y_old[rows[cur]], pool.feat_old[rows[cur]]
+    losses["kdl"], grad = objectives.bce_loss_grad(
+        z[cur, :, :, :n_old], y_old, n_pix * n_old * n_cur)
+    dz[cur, :, :, :n_old] += grad
+    diff = feat[cur] - feat_old
+    dist = (diff * diff).sum(axis=-1)
+    losses["kde"] = dist.reshape(len(diff), -1).sum(axis=1).astype(np.float64) / n_pix
+    dfeat[cur] += 2.0 * diff / (n_pix * n_cur)
+    for i in cur:
+        shown = np.flatnonzero(pool.labels[rows[i], n_old - 1:])
+        zi = z[i:i + 1][..., n_old + shown]
+        loss, grad = objectives.bce_loss_grad(zi, rasp[rows[i:i + 1]][..., shown], zi.size)
+        losses["rasp"].extend(loss)
+        dz[i:i + 1][..., n_old + shown] += (state.loss_cfg.lambda_rasp / n_cur) * grad
+    q_tilde = objectives.pseudo_supervision(m[cur], y_old)
+    losses["seg"], grad = objectives.bce_loss_grad(
+        p_hat[cur], q_tilde, n_pix * p_hat.shape[3] * n_cur)
+    dp[cur] += grad
+    dfeat += _chain_backward(model.localizer, dz, loc_cache, g)
+    dfeat += model.head.backward(dp, head_cache, g)
+    _chain_backward(model.encoder, dfeat, enc_cache, g)
+    return losses
+
+
+def test_group_step_is_bitwise_the_parent_formulas(world, float32_group):
+    """float32, seg on, memory rows, lambda_rasp 1: each group's gradients
+    and per-item losses equal the parent's formulas bit for bit (the mask
+    LeakyReLU, kde in one buffer, RaSP targets gathered from the table at
+    the old argmax)."""
+    tax, sched, data, sim = world
+    state, pool, idx = float32_group
+    table = simprior.rasp_target_table(sim, tax.registry, state.old_model.class_names,
+                                       state.model.class_names[state.n_old:],
+                                       state.loss_cfg.tau, state.model.dtype)
+    assert state.model.dtype == np.float32
+    assert np.array_equal(pool.rasp_table, table)
+    for group in group_slices(slice(0, len(idx))):
+        g, want_g = (zero_grads(state.model.params()) for _ in range(2))
+        got = engine._incremental_group(state, pool, 0, idx, group, g)
+        want = parent_group(state, pool, table, idx, group, want_g)
+        assert set(got) == set(want)
+        for key, (values, _) in got.items():
+            assert np.array_equal(values, want[key]), key
+        assert len(got["rasp"][0]) == len(got["kde"][0]) == 3
+        assert np.all(got["kde"][0] > 0)
+        for name in want_g:
+            assert want_g[name].dtype == np.float32
+            assert np.array_equal(g[name], want_g[name]), name
+
+
+def _unique_nbytes(arrays):
+    """Bytes of the distinct buffers behind a nest of lists and tuples of
+    arrays; a view counts as its base."""
+    seen, total = set(), 0
+    stack = [arrays]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            if id(obj) not in seen:
+                seen.add(id(obj))
+                total += obj.nbytes
+    return total
+
+
+def test_group_step_peak_memory(float32_group):
+    """One group step's traced peak stays below its forward caches plus 3.5
+    feature arrays of the group.  It reads 2.9 over the caches, so one more
+    feature-sized array alive at the peak, such as a zeroed feature
+    gradient beside kde's buffer, crosses the bound."""
+    state, pool, idx = float32_group
+    model = state.model
+    group = slice(0, 4)
+    rows = idx[group]
+    feat, enc_cache = model.encoder.forward(
+        engine.image_to_input(pool.images[rows], model.dtype))
+    _, loc_cache = model.localizer.forward(feat)
+    _, head_cache = model.head.forward(feat)
+    caches = _unique_nbytes([enc_cache, loc_cache, head_cache])
+    bound = caches + 3.5 * feat.nbytes
+    del feat, enc_cache, loc_cache, head_cache
+    g = zero_grads(model.params())
+    tracemalloc.start()
+    try:
+        engine._incremental_group(state, pool, 0, idx, group, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak - caches) / (bound - caches) * 3.5
 
 
 def test_group_layout_on_the_shard_processes(world):
@@ -1020,10 +1209,12 @@ def warmup_grads_with_head(state, pool, rows):
         feat, enc_cache = model.encoder.forward(x[r])
         z, loc_cache = model.localizer.forward(feat)
         p_hat, head_cache = model.head.forward(feat)
-        _, dz, dp, dfeat_extra = engine._batch_losses(
+        _, dz, dp, dkde = engine._batch_losses(
             state, pool, rows[r], feat, z, None, len(rows), n_cur)
         assert dp is None
-        dfeat = model.localizer.backward(dz, loc_cache, g) + dfeat_extra
+        dfeat = model.localizer.backward(dz, loc_cache, g)
+        if dkde is not None:
+            dfeat[rows[r] < pool.n_current] += dkde
         dfeat = dfeat + model.head.backward(np.zeros_like(p_hat), head_cache, g)
         model.encoder.backward(dfeat, enc_cache, g)
     for name in dicts[0]:

@@ -99,8 +99,8 @@ def run_gradient_suite(n_draws=N_DRAWS, seed=123):
 
             n_px = 16 * (b + EXTRA_ITEMS)
             ref = rng.standard_normal(shape)
-            record(f"kde/B{b}", kde_loss_grad(z, ref, n_px)[1],
-                   batch_term(lambda t: kde_loss_grad(t, ref, n_px), 16, n_px), z)
+            record(f"kde/B{b}", kde_loss_grad(z - ref, n_px)[1],
+                   batch_term(lambda t: kde_loss_grad(t - ref, n_px), 16, n_px), z)
 
             # classification through the nGWP + focal pooled scores
             item_labels = rng.integers(0, 2, (b, 3)).astype(np.float64)
@@ -191,9 +191,9 @@ def test_training_gradients_match_finite_differences(seed, scale, n_cls, rasp_sh
     check(g, numeric_gradient(batch_term(lambda v: bce_loss_grad(v, t, n), per_item, n),
                               zb))
     ref = rng.standard_normal(shape) * scale
-    _, g = kde_loss_grad(zb, ref, n_pix)
+    _, g = kde_loss_grad(zb - ref, n_pix)
     check(g, numeric_gradient(
-        batch_term(lambda v: kde_loss_grad(v, ref, n_pix), n_px, n_pix), zb))
+        batch_term(lambda v: kde_loss_grad(v - ref, n_pix), n_px, n_pix), zb))
     item_labels = rng.integers(0, 2, (items, item_shape[2])).astype(np.float64)
     loss, grad = pooled_cls(item_labels, items + extra)
     check(grad(zb), numeric_gradient(loss, zb))

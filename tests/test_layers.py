@@ -274,6 +274,55 @@ def test_leaky_relu_matches_where(slope, dtype):
     assert np.array_equal(dx, np.where(x > 0, dy, slope * dy))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_caches_a_bool_mask(dtype):
+    """The forward caches the bool mask x > 0, of x's shape, and nothing
+    when cache is False.  The backward keeps dy's dtype and equals
+    max(sign(x), slope) * dy bit for bit for every x but NaN, where the
+    gain is slope."""
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((2, 3, 5, 4)).astype(dtype)
+    x[0, 0, 0] = [0.0, -0.0, np.inf, -np.inf]
+    x[1, 2, 4, 3] = np.nan
+    dy = rng.standard_normal(x.shape).astype(dtype)
+    act = LeakyReLU(0.01)
+    with np.errstate(invalid="ignore"):
+        y, mask = act.forward(x)
+        y_nocache, none = act.forward(x, cache=False)
+    assert mask.dtype == np.bool_ and mask.shape == x.shape
+    assert np.array_equal(mask, x > 0)
+    assert none is None and np.array_equal(y_nocache, y, equal_nan=True)
+    dx = act.backward(dy, mask, {})
+    assert dx.dtype == dtype
+    gain = np.sign(x)
+    np.maximum(gain, 0.01, out=gain)
+    want = dy * gain
+    nan = np.isnan(x)
+    assert np.array_equal(dx[~nan], want[~nan])
+    assert np.isnan(want[nan]).all()
+    assert np.array_equal(dx[nan], dy[nan] * dtype(0.01))
+
+
+def test_chain_infer_computes_no_mask():
+    """Chain.infer runs a LeakyReLU without its mask."""
+    rng = np.random.default_rng(5)
+    act = LeakyReLU(0.01)
+    masks, real = [], act.forward
+
+    def spy(x, **kwargs):
+        y, mask = real(x, **kwargs)
+        masks.append(mask)
+        return y, mask
+
+    act.forward = spy
+    chain = Chain([Conv2d("a", 3, 3, 4, rng, np.float32), act])
+    x = rng.standard_normal((1, 5, 5, 3)).astype(np.float32)
+    y = chain.infer(x)
+    assert masks == [None]
+    assert np.array_equal(y, chain.forward(x)[0])
+    assert masks[1].dtype == np.bool_
+
+
 def test_chain_infer_and_backward_free_caches():
     """infer returns the forward's output bit for bit without keeping a
     cache, and backward empties the forward's cache list as it goes: when

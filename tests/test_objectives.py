@@ -50,6 +50,12 @@ def item_loss(fn, a, b, *args):
     return losses[0]
 
 
+def kde(f, f_old, n):
+    """kde of a pair of feature tensors, as the engine calls it: on a fresh
+    difference, which ``kde_loss_grad`` overwrites with the gradient."""
+    return kde_loss_grad(f - f_old, n)
+
+
 def bce(a, b):
     """One item's binary cross-entropy: an (H, W, K) RaSP slice, an
     (H, W, C) dense map or a (C,) row of pooled scores."""
@@ -219,13 +225,31 @@ def test_cls_values():
 def test_kde_values():
     a = np.zeros((1, 1, 2))
     b = np.array([[[3.0, 4.0]]])
-    assert item_loss(kde_loss_grad, b, b) == 0.0
-    assert item_loss(kde_loss_grad, a, b) == pytest.approx(25.0, rel=1e-12)
+    assert item_loss(kde, b, b) == 0.0
+    assert item_loss(kde, a, b) == pytest.approx(25.0, rel=1e-12)
     two = np.zeros((2, 1, 1))
     ref = np.array([[[1.0]], [[np.sqrt(3.0)]]])
-    assert item_loss(kde_loss_grad, two, ref) == pytest.approx(2.0, rel=1e-12)
+    assert item_loss(kde, two, ref) == pytest.approx(2.0, rel=1e-12)
     with pytest.raises(ValueError):
-        kde_loss_grad(np.zeros((1, 2, 2, 1)), np.zeros((1, 2, 3, 1)), 4)
+        kde(np.zeros((1, 2, 2, 1)), np.zeros((1, 2, 3, 1)), 4)
+    with pytest.raises(ValueError, match="leading item axis"):
+        kde_loss_grad(np.zeros(3), 3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kde_gradient_is_the_difference_buffer(dtype):
+    """kde_loss_grad returns its argument, overwritten with 2 * diff / n:
+    bit for bit the gradient computed on fresh arrays."""
+    rng = np.random.default_rng(8)
+    f, f_old = (rng.standard_normal((3, 4, 5, 6)).astype(dtype) for _ in range(2))
+    diff = f - f_old
+    dist = (diff * diff).sum(axis=-1)
+    want_losses = dist.reshape(3, -1).sum(axis=1).astype(np.float64) / 20
+    want_grad = 2.0 * (f - f_old) / 7
+    losses, grad = kde_loss_grad(diff, 7)
+    assert grad is diff and grad.dtype == dtype
+    assert np.array_equal(grad, want_grad)
+    assert np.array_equal(losses, want_losses)
 
 
 def test_kdl_values():
@@ -295,7 +319,7 @@ def test_batch_native_losses_reduce_per_item():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((3, 4, 5, 2))
     t = rng.uniform(0.0, 1.0, a.shape)
-    for fn in (bce_loss_grad, kde_loss_grad):
+    for fn in (bce_loss_grad, kde):
         losses, grad = fn(a, t, 7)
         assert losses.shape == (3,) and losses.dtype == np.float64
         for b in range(3):

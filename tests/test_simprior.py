@@ -166,8 +166,11 @@ def test_argmax_single_channel(setup):
     state, samples = scored_step(registry, ["bkg"], ["disc_striped", "box_solid"], logits,
                                  [{"disc_striped"}, {"disc_striped", "box_solid"}])
     pool = engine._prepare_pool(state, samples, [], registry, sim)
-    assert pool.rasp.shape == (2, 3, 3, 2)
-    assert np.all(pool.rasp == squashed(1.0, np.float32))
+    assert pool.winner.dtype == np.uint8 and pool.winner.shape == (2, 3, 3)
+    assert pool.rasp_table.shape == (1, 2)
+    targets = pool.rasp_table[pool.winner]
+    assert targets.shape == (2, 3, 3, 2)
+    assert np.all(targets == squashed(1.0, np.float32))
 
 
 def test_argmax_picks_max_and_breaks_ties_low(setup):
@@ -179,7 +182,9 @@ def test_argmax_picks_max_and_breaks_ties_low(setup):
     pool = engine._prepare_pool(state, samples, [], registry, sim)
     table = rasp_target_table(sim, registry, old, ["disc_striped"], 5.0, np.float64)
     # max -> disc_solid; tie bkg/disc_solid -> bkg; tie disc/box -> disc_solid
-    assert np.array_equal(pool.rasp[0, 0, :, 0], table[[1, 0, 1], 0])
+    assert np.array_equal(pool.winner[0, 0], [1, 0, 1])
+    assert np.array_equal(pool.rasp_table, table)
+    assert np.array_equal(pool.rasp_table[pool.winner][0, 0, :, 0], table[[1, 0, 1], 0])
 
 
 def test_argmax_rejects_bad_input(setup, monkeypatch):
@@ -244,13 +249,16 @@ def test_lookup_matches_per_pixel_reference(setup, data, dtype, tau, n_old,
     state, samples = scored_step(registry, old_names, new_names, logits, labels,
                                  dtype=dtype, batch_size=batch_size, tau=tau)
     pool = engine._prepare_pool(state, samples, [], registry, sim)
-    assert pool.n_current == len(pool.rasp) == n_images
+    assert pool.n_current == len(pool.winner) == n_images
+    assert pool.winner.dtype == np.uint8
+    assert pool.rasp_table.shape == (n_old, len(new_names))
     np_dtype = state.model.dtype
     for j, lab in enumerate(labels):
         want = reference_targets(pool.y_old[j], old_names, new_names, registry, sim,
                                  tau, np_dtype)
-        assert pool.rasp.dtype == want.dtype == np_dtype
-        assert pool.rasp[j].shape == hw + (len(new_names),)
-        assert np.array_equal(pool.rasp[j], want)
+        got = pool.rasp_table[pool.winner[j]]
+        assert got.dtype == want.dtype == np_dtype
+        assert got.shape == hw + (len(new_names),)
+        assert np.array_equal(got, want)
         assert list(np.flatnonzero(pool.labels[j, n_old - 1:])) == \
             sorted(new_names.index(n) for n in lab)
