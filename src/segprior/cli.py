@@ -11,12 +11,16 @@ outputs byte for byte.
 
 Each command loads only the libraries it runs.  gen-data, train-base and
 train-incremental draw seeded random numbers, so they load numpy.random,
-which pulls in OpenSSL's libcrypto through ``secrets`` and ``hmac``; the
-training commands also hash the config (``config.config_hash``, the one
-user of ``hashlib``).  eval and plot load neither: eval fills a model
-skeleton built without a generator from the checkpoint
-(``engine.load_checkpoint``) and stamps the checkpoint's own config hash
-into its report.
+which imports ``secrets``, ``hmac`` and ``hashlib``; the training commands
+also hash the config (``config.config_hash``, the one user of
+``hashlib``).  None of them uses OpenSSL, so before numpy.random loads
+they mark ``_hashlib``, OpenSSL's binding, as unavailable
+(``_without_openssl``): the three modules then fall back to CPython's
+builtin hashes, the config's sha256 digest is the same, and OpenSSL's
+libcrypto is never mapped.  eval and plot load neither numpy.random nor
+``hashlib``: eval fills a model skeleton built without a generator from
+the checkpoint (``engine.load_checkpoint``) and stamps the checkpoint's
+own config hash into its report.
 """
 
 import os
@@ -72,6 +76,20 @@ from . import config as config_mod
 from . import engine, evalkit, synthdata
 from .class_semantics import save_embeddings
 from .fileio import write_json
+
+
+def _without_openssl():
+    """Make ``import _hashlib`` fail in this process, unless it already ran.
+
+    numpy.random imports ``secrets``, which imports ``hmac``, which imports
+    ``_hashlib`` and maps OpenSSL's libcrypto: 3.4 MB resident in a
+    train-base process.  Nothing here needs OpenSSL.  Without ``_hashlib``,
+    ``hmac`` and ``hashlib`` use CPython's builtin hashes, whose sha256 is
+    the digest ``config.config_hash`` stamps into checkpoints.  Only the
+    commands that draw random numbers call this, first thing; eval and plot
+    never import ``_hashlib`` at all, so they leave sys.modules as it is.
+    """
+    sys.modules.setdefault("_hashlib", None)
 
 
 class CliError(Exception):
@@ -131,6 +149,7 @@ def _load_split(cfg, split):
 
 
 def cmd_gen_data(args):
+    _without_openssl()
     if args.n <= 0 or args.eval_n < 0:
         raise CliError("--n must be positive and --eval-n non-negative")
     if not 1 <= args.min_objects <= args.max_objects:
@@ -163,6 +182,7 @@ def _train(args, step):
     train-incremental rejects external memory without a manifest and a
     step outside [1, n_steps - 1] before it looks for the parent; train-base
     reads no memory, so neither concerns it."""
+    _without_openssl()
     cfg = _apply_overrides(_load_config(args.config), args)
     seed = cfg.engine.seed
     parent = parent_hash = None

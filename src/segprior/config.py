@@ -98,8 +98,10 @@ class ExperimentConfig:
 
 
 def config_hash(cfg):
-    # hashlib loads OpenSSL's libcrypto, which only the training commands,
-    # the callers of this function, need
+    # imported here: eval and plot hash nothing.  The training commands,
+    # the callers of this function, keep OpenSSL out of the process
+    # (``cli._without_openssl``), so hashlib's sha256 is CPython's builtin
+    # one, the same digest as OpenSSL's
     import hashlib
 
     payload = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))

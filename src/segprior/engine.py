@@ -112,11 +112,17 @@ targets, as channel-index maps, and the old model's argmax, which indexes
 the step's old x new RaSP table; a training group converts its inputs,
 a base group expands its one-hot targets and an incremental group
 gathers its RaSP targets when it runs.  A group's working set is kept
-small too: a LeakyReLU caches the 1-byte mask x > 0, not its input; kde
-gathers the old features, subtracts the current ones and turns the
-difference into its gradient in that one buffer, which is added into
-the features' gradient after the localizer's backward; and a training
-group releases each layer's cache once its backward has run.
+small too: a LeakyReLU caches the 1-byte mask x > 0, not its input; a
+ChannelNorm's backward writes its input gradient into the dy it is
+given (``layers``); the binary cross-entropy computes its loss in one
+buffer (``objectives.bce_loss_grad``); kde gathers the old features,
+subtracts the current ones and turns the difference into its gradient in
+that one buffer, which is added into the features' gradient after the
+localizer's backward; the seg gradient is the seg term's own gradient
+array, scattered into a zeroed one only when the group holds memory
+rows; and a training group releases each layer's cache once its
+backward has run.  No training command maps OpenSSL's libcrypto
+(``segprior.cli``), which numpy.random would otherwise pull in.
 Evaluation holds no split at all, only the image each shard is scoring,
 so its memory does not grow with the split's size.  Each batch frees its
 activations, and ``segprior.cli`` sets glibc's trim and mmap thresholds
@@ -402,24 +408,26 @@ def base_train(model, samples, registry, cfg):
     # raw images and channel-index maps: a group's inputs are converted and
     # its one-hot targets expanded when it runs
     images, labels = _base_arrays(samples, lut, dtype)
-    per_item = labels[0].size * n_classes
     eye = np.eye(n_classes, dtype=dtype)
     # the localizer plays no part here, and extend_head replaces it
     params = {**model.encoder.params(), **model.head.params()}
-
-    def group_step(epoch, idx, group, g):
-        rows = idx[group]
-        t = eye[labels[rows]]
-        feat, enc_cache = model.encoder.forward(image_to_input(images[rows], dtype))
-        logits, head_cache = model.head.forward(feat)
-        losses, dlogits = objectives.bce_loss_grad(logits, t, len(idx) * per_item)
-        dfeat = model.head.backward(dlogits, head_cache, g)
-        model.encoder.backward(dfeat, enc_cache, g)
-        return {"base": (losses, len(idx))}
-
     trace = _fit(cfg, params, cfg.lr_base, cfg.epochs_base, len(images), shuffle_rng,
-                 group_step)
+                 functools.partial(_base_group, model, images, labels, eye))
     return model, [entry["base"] for entry in trace]
+
+
+def _base_group(model, images, labels, eye, epoch, idx, group, g):
+    """The group step (``_fit``) of base training: forward, the dense BCE
+    of the group's rows against their one-hot targets, eye[labels], with
+    the whole batch's element count, and backward.  Every epoch is alike."""
+    rows = idx[group]
+    t = eye[labels[rows]]
+    feat, enc_cache = model.encoder.forward(image_to_input(images[rows], model.dtype))
+    logits, head_cache = model.head.forward(feat)
+    losses, dlogits = objectives.bce_loss_grad(logits, t, len(idx) * t[0].size)
+    dfeat = model.head.backward(dlogits, head_cache, g)
+    model.encoder.backward(dfeat, enc_cache, g)
+    return {"base": (losses, len(idx))}
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +609,10 @@ def _batch_losses(state, pool, rows, feat, z, p_hat, n_all, n_cur):
       show, in channel order, against the row's RaSP targets, gathered
       from the pool's table at the old model's argmax.
 
-    p_hat is None in the warm-up epochs, where dp is None too.  Returns
+    p_hat is None in the warm-up epochs, where dp is None too; otherwise
+    dp is the seg term's gradient itself when every row is current, and
+    that gradient scattered into zeros at the current rows when the group
+    holds memory rows.  Returns
     (losses, dz, dp, dkde): losses maps each term to its per-item values in
     item order, and dkde, kde's buffer, is the kde gradient on the
     features of the group's current rows, in row order, or None if it has
@@ -623,9 +634,8 @@ def _batch_losses(state, pool, rows, feat, z, p_hat, n_all, n_cur):
             scores_i, pool.labels[row:row + 1, first - 1:], scores_i.size)
         losses["cls"].extend(loss)
     dz = scores_vjp(upstream) / n_all
-    dp = None if p_hat is None else np.zeros_like(p_hat)
     if not len(cur):
-        return losses, dz, dp, None
+        return losses, dz, None if p_hat is None else np.zeros_like(p_hat), None
 
     n_pix = z.shape[1] * z.shape[2]
     y_old, dkde = pool.y_old[rows[cur]], pool.feat_old[rows[cur]]
@@ -642,11 +652,15 @@ def _batch_losses(state, pool, rows, feat, z, p_hat, n_all, n_cur):
             loss, grad = objectives.bce_loss_grad(zi, target, zi.size)
             losses["rasp"].extend(loss)
             dz[i:i + 1][..., n_old + shown] += (lcfg.lambda_rasp / n_cur) * grad
+    dp = None
     if p_hat is not None:
         q_tilde = objectives.pseudo_supervision(m[cur], y_old)
-        losses["seg"], grad = objectives.bce_loss_grad(
+        losses["seg"], dp = objectives.bce_loss_grad(
             p_hat[cur], q_tilde, n_pix * p_hat.shape[3] * n_cur)
-        dp[cur] += grad
+        if len(cur) < len(rows):
+            # the memory rows' seg logits get no gradient
+            dp, grad = np.zeros_like(p_hat), dp
+            dp[cur] = grad
     return losses, dz, dp, dkde
 
 

@@ -42,16 +42,19 @@ core count or cache size, so results are the same on every machine.
 
 Layers keep no work buffers: every forward allocates its own arrays, so
 the cache it returns belongs to its caller and stays valid for as long as
-the caller keeps it.  ``Chain.backward`` empties the cache list it is
-given, freeing each layer's cache once that layer's backward has run, and
-``Chain.infer`` keeps no cache at all.  A cache holds only what the
-backward reads: a LeakyReLU's is the 1-byte mask x > 0, not its float
-input, and ``Chain.infer`` does not compute it; a NaN input then gets the
-gain slope in the backward, not a NaN (``LeakyReLU``).  The worker
-inherits its parent's malloc settings: under ``segprior.cli``, which fixes
-glibc's trim and mmap thresholds, freed arrays stay in both processes'
-heaps for the next call; code that imports this module without the CLI
-keeps glibc's defaults, and each call faults its arrays' pages in again.
+the caller keeps it.  A backward may overwrite the dy it is given, and
+may return that buffer as dx (``ChannelNorm`` does); a caller passes a dy
+it no longer needs, and so does ``Chain.backward``.  ``Chain.backward``
+empties the cache list it is given, freeing each layer's cache once that
+layer's backward has run, and ``Chain.infer`` keeps no cache at all.  A
+cache holds only what the backward reads: a LeakyReLU's is the 1-byte
+mask x > 0, not its float input, and ``Chain.infer`` does not compute it;
+a NaN input then gets the gain slope in the backward, not a NaN
+(``LeakyReLU``).  The worker inherits its parent's malloc settings:
+under ``segprior.cli``, which fixes glibc's trim and mmap thresholds,
+freed arrays stay in both processes' heaps for the next call; code that
+imports this module without the CLI keeps glibc's defaults, and each call
+faults its arrays' pages in again.
 """
 
 from __future__ import annotations
@@ -332,6 +335,9 @@ class ChannelNorm:
         return y, (xhat, inv_std)
 
     def backward(self, dy, cache, grads):
+        """dx, written into dy's own buffer and returned: one temporary of
+        dy's size, not three (the in-place backward of In-Place ABN, Rota
+        Bulo et al., arXiv:1712.02616)."""
         xhat, inv_std = cache
         b, h, w, c = xhat.shape
         n = h * w
@@ -341,15 +347,16 @@ class ChannelNorm:
         # and dxhat * xhat in the input gradient
         #   dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         sum_dy = ones @ dy.reshape(b, n, c)
-        sum_dyx = ones @ (dy * xhat).reshape(b, n, c)
+        shift = dy * xhat
+        sum_dyx = ones @ shift.reshape(b, n, c)
         grads[f"{self.name}.gamma"] += sum_dyx.sum(axis=0)
         grads[f"{self.name}.beta"] += sum_dy.sum(axis=0)
         scale = self.gamma * inv_std
-        shift = xhat * (scale * sum_dyx / n)[:, None, None, :]
+        np.multiply(xhat, (scale * sum_dyx / n)[:, None, None, :], out=shift)
         shift += (scale * sum_dy / n)[:, None, None, :]
-        dx = dy * scale[:, None, None, :]
-        dx -= shift
-        return dx
+        dy *= scale[:, None, None, :]
+        dy -= shift
+        return dy
 
 
 class LeakyReLU:
@@ -421,6 +428,8 @@ class Chain:
 
         caches is the list forward returned, and backward empties it: each
         layer's cache is released as soon as that layer's backward has run.
+        dy may be overwritten, and so may each gradient a layer hands the
+        next.
         """
         for layer in self.layers[:0:-1]:
             dy = layer.backward(dy, caches.pop(), grads)

@@ -88,8 +88,17 @@ def sigmoid(x):
 
 
 def softplus(x):
-    x = np.asarray(x)
-    return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which never
+    overflows; all but max(x, 0) runs in one buffer, of x's float dtype or
+    float64."""
+    out = np.abs(x)
+    if out.dtype.kind != "f":
+        out = out.astype(np.float64)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +121,24 @@ def bce_loss_grad(logits, targets, n):
     and the targets lie in [0, 1] (a NaN fails this check too).  Returns the
     float64 vector of each item's mean over its elements and
     (sigmoid(logits) - targets) / n.
+
+    The loss, softplus(logits) - targets * logits, runs in place on
+    softplus's buffer, with the operations and the result dtype of the
+    formula as written, so its values are the formula's bit for bit;
+    wider targets widen the buffer first, as they widen the formula's
+    result.
     """
     logits, targets = _check_pair(logits, targets, "logits and targets")
     # a NaN propagates through min and max and fails both comparisons
     if not (targets.size and targets.min() >= 0 and targets.max() <= 1):
         raise ValueError("BCE targets must be non-empty and lie in [0, 1]")
-    bce = softplus(logits) - targets * logits
+    bce = softplus(logits)
+    bce = bce.astype(np.result_type(bce, targets), copy=False)
+    bce -= targets * logits
     losses = bce.reshape(len(logits), -1).mean(axis=1).astype(np.float64)
+    del bce
+    # the gradient stays as written: computed in place on sigmoid's
+    # buffer too, it lowered neither training workload's peak RSS
     return losses, (sigmoid(logits) - targets) / n
 
 

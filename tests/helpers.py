@@ -7,7 +7,7 @@ import numpy as np
 
 from segprior import engine
 from segprior.memory import populate_episodic
-from segprior.objectives import LossConfig
+from segprior.objectives import LossConfig, sigmoid
 from segprior.protocol import step_rows
 
 
@@ -26,6 +26,53 @@ def numeric_gradient(fn, x, step=1e-5):
         flat[i] = keep
         gflat[i] = (hi - lo) / (2.0 * step)
     return grad
+
+
+def bce_reference(logits, targets, n):
+    """``objectives.bce_loss_grad`` as its formulas read, on fresh arrays:
+    per-item means of max(z, 0) + log1p(exp(-|z|)) - t * z, and
+    (sigmoid(z) - t) / n."""
+    bce = np.maximum(logits, 0) + np.log1p(np.exp(-np.abs(logits))) - targets * logits
+    losses = bce.reshape(len(logits), -1).mean(axis=1).astype(np.float64)
+    return losses, (sigmoid(logits) - targets) / n
+
+
+def norm_backward_reference(norm, dy, cache, grads):
+    """ChannelNorm's backward as the out-of-place formula, on fresh arrays:
+    dx = dy * scale - (xhat * scale * sum(dy * xhat) / n + scale * sum(dy) / n)
+    per sample and channel, with scale = gamma * inv_std."""
+    xhat, inv_std = cache
+    b, h, w, c = xhat.shape
+    n = h * w
+    ones = np.ones(n, dy.dtype)
+    sum_dy = ones @ dy.reshape(b, n, c)
+    sum_dyx = ones @ (dy * xhat).reshape(b, n, c)
+    grads[f"{norm.name}.gamma"] += sum_dyx.sum(axis=0)
+    grads[f"{norm.name}.beta"] += sum_dy.sum(axis=0)
+    scale = norm.gamma * inv_std
+    shift = xhat * (scale * sum_dyx / n)[:, None, None, :]
+    shift += (scale * sum_dy / n)[:, None, None, :]
+    dx = dy * scale[:, None, None, :]
+    dx -= shift
+    return dx
+
+
+def unique_nbytes(arrays):
+    """Bytes of the distinct buffers behind a nest of lists and tuples of
+    arrays; a view counts as its base."""
+    seen, total = set(), 0
+    stack = [arrays]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            if id(obj) not in seen:
+                seen.add(id(obj))
+                total += obj.nbytes
+    return total
 
 
 def max_rel_error(analytic, numeric, floor=1e-6):

@@ -478,6 +478,46 @@ def test_eval_loads_neither_numpy_random_nor_openssl(workspace, tmp_path):
     assert not loaded, loaded
 
 
+_OPENSSL_PROBE = """
+import json, sys
+from segprior import cli
+status = cli.main(sys.argv[1:])
+try:
+    with open("/proc/self/maps") as fh:
+        maps = [line for line in fh if "libcrypto" in line]
+except FileNotFoundError:     # no procfs: not Linux
+    maps = None
+print(json.dumps([status, sys.modules.get("_hashlib") is not None, maps,
+                  "numpy.random" in sys.modules, "hashlib" in sys.modules]))
+"""
+
+
+def test_training_commands_load_no_openssl(tmp_path):
+    """gen-data, train-base and train-incremental load numpy.random, which
+    imports hashlib, and the training commands hash their config, yet none
+    of them loads OpenSSL's binding, _hashlib: on Linux no libcrypto is
+    mapped."""
+    out = str(tmp_path / "data")
+    cfg_path = os.path.join(out, "config.json")
+    commands = [("gen-data", "--out", out, "--n", "8", "--eval-n", "0"),
+                ("train-base", "--config", cfg_path),
+                ("train-incremental", "--config", cfg_path, "--step", "1",
+                 "--memory", "episodic")]
+    for argv in commands:
+        res = subprocess.run([sys.executable, "-c", _OPENSSL_PROBE, *argv],
+                             capture_output=True, text=True, env=ENV)
+        assert res.returncode == 0, res.stderr
+        status, hashlib_binding, maps, numpy_random, hashlib = json.loads(
+            res.stdout.splitlines()[-1])
+        assert status == 0, argv
+        assert numpy_random and hashlib, argv
+        assert not hashlib_binding, argv
+        if sys.platform.startswith("linux"):
+            assert maps == [], argv
+        if argv[0] == "gen-data":
+            shrink_config(cfg_path, epochs_base=1, epochs_incremental=1, batch_size=4)
+
+
 @pytest.mark.parametrize("trace", [
     {},
     [1],

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -40,6 +43,30 @@ def test_hash_sensitivity(tmp_path):
     h1 = config_hash(cfg)
     cfg.engine.seed += 1
     assert config_hash(cfg) != h1
+
+
+_BUILTIN_HASH = """
+import sys
+sys.modules["_hashlib"] = None
+sys.path.insert(0, sys.argv[1])
+import hashlib
+from test_config import make_config
+from segprior.config import config_hash
+assert "openssl" not in hashlib.sha256.__name__
+print(config_hash(make_config()))
+"""
+
+
+def test_config_hash_is_pinned():
+    """The config hash is the sha256 of the canonical serialization, cut to
+    16 hex digits, whichever sha256 computes it: the one this process's
+    hashlib has and CPython's builtin one, which the training commands use
+    (``cli._without_openssl``)."""
+    assert config_hash(make_config()) == "8b6be431aa9c7350"
+    res = subprocess.run([sys.executable, "-c", _BUILTIN_HASH, os.path.dirname(__file__)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "8b6be431aa9c7350"
 
 
 def test_schedule_and_registry_construction():

@@ -33,7 +33,8 @@ from segprior.protocol import Sample, build_schedule, step_rows
 from segprior.synthdata import (default_taxonomy, export_dataset, generate_dataset,
                                 load_dataset)
 
-from helpers import ProcessLog, episodic_bank, step_samples
+from helpers import (ProcessLog, bce_reference, episodic_bank, norm_backward_reference,
+                     step_samples, unique_nbytes)
 
 
 WORLD_SEED = 101
@@ -432,7 +433,7 @@ def test_predict_dataset_shapes(world):
     assert predicted <= {tax.registry.index_of(name) for name in model.class_names}
 
 
-def test_prepare_items_runs_the_old_model_in_groups(world):
+def test_prepare_pool_runs_the_old_model_in_groups(world):
     """float64: ``_prepare_pool`` runs the old model cache-free (infer,
     never forward) in groups of at most GROUP_ITEMS per shard: a 9-image
     chunk splits 5 | 4, so groups of 3 and 2 run here and one of 4 in the
@@ -948,21 +949,25 @@ def _chain_forward(chain, x):
 
 def _chain_backward(chain, dy, caches, g):
     """The chain's backward with the parent's LeakyReLU gain,
-    max(sign(x), slope) * dy."""
+    max(sign(x), slope) * dy, and ChannelNorm's out-of-place formula."""
     for layer, cache in zip(chain.layers[:0:-1], caches[:0:-1]):
         if isinstance(layer, layers.LeakyReLU):
             gain = np.sign(cache)
             np.maximum(gain, layer.slope, out=gain)
             dy = dy * gain
+        elif isinstance(layer, layers.ChannelNorm):
+            dy = norm_backward_reference(layer, dy, cache, g)
         else:
             dy = layer.backward(dy, cache, g)
     return chain.layers[0].backward(dy, caches[0], g, chain.input_grad)
 
 
 def parent_group(state, pool, table, idx, group, g):
-    """One group step by the parent's formulas: the LeakyReLU above, kde as
-    2.0 * (f - f_old) / n on fresh arrays added into a zeroed feature
-    gradient, and the RaSP targets table[argmax(y_old)] per pixel."""
+    """One group step by the parent's formulas: the LeakyReLU and
+    ChannelNorm above, every BCE term on fresh arrays (``bce_reference``),
+    kde as 2.0 * (f - f_old) / n on fresh arrays added into a zeroed
+    feature gradient, the seg gradient scattered into zeros, and the RaSP
+    targets table[argmax(y_old)] per pixel."""
     model, n_old = state.model, state.n_old
     rows = idx[group]
     n_all, n_cur = len(idx), int(np.count_nonzero(idx < pool.n_current))
@@ -978,7 +983,7 @@ def parent_group(state, pool, table, idx, group, g):
     for i, row in enumerate(rows):
         first = n_old if row < pool.n_current else 1
         scores_i = scores[i:i + 1, first:].astype(np.float64)
-        loss, upstream[i:i + 1, first:] = objectives.bce_loss_grad(
+        loss, upstream[i:i + 1, first:] = bce_reference(
             scores_i, pool.labels[row:row + 1, first - 1:], scores_i.size)
         losses["cls"].extend(loss)
     dz = scores_vjp(upstream) / n_all
@@ -986,7 +991,7 @@ def parent_group(state, pool, table, idx, group, g):
     dfeat = np.zeros_like(feat)
     n_pix = z.shape[1] * z.shape[2]
     y_old, feat_old = pool.y_old[rows[cur]], pool.feat_old[rows[cur]]
-    losses["kdl"], grad = objectives.bce_loss_grad(
+    losses["kdl"], grad = bce_reference(
         z[cur, :, :, :n_old], y_old, n_pix * n_old * n_cur)
     dz[cur, :, :, :n_old] += grad
     diff = feat[cur] - feat_old
@@ -996,11 +1001,11 @@ def parent_group(state, pool, table, idx, group, g):
     for i in cur:
         shown = np.flatnonzero(pool.labels[rows[i], n_old - 1:])
         zi = z[i:i + 1][..., n_old + shown]
-        loss, grad = objectives.bce_loss_grad(zi, rasp[rows[i:i + 1]][..., shown], zi.size)
+        loss, grad = bce_reference(zi, rasp[rows[i:i + 1]][..., shown], zi.size)
         losses["rasp"].extend(loss)
         dz[i:i + 1][..., n_old + shown] += (state.loss_cfg.lambda_rasp / n_cur) * grad
     q_tilde = objectives.pseudo_supervision(m[cur], y_old)
-    losses["seg"], grad = objectives.bce_loss_grad(
+    losses["seg"], grad = bce_reference(
         p_hat[cur], q_tilde, n_pix * p_hat.shape[3] * n_cur)
     dp[cur] += grad
     dfeat += _chain_backward(model.localizer, dz, loc_cache, g)
@@ -1010,18 +1015,23 @@ def parent_group(state, pool, table, idx, group, g):
 
 
 def test_group_step_is_bitwise_the_parent_formulas(world, float32_group):
-    """float32, seg on, memory rows, lambda_rasp 1: each group's gradients
-    and per-item losses equal the parent's formulas bit for bit (the mask
-    LeakyReLU, kde in one buffer, RaSP targets gathered from the table at
-    the old argmax)."""
+    """float32, seg on, lambda_rasp 1, in the fixture's batch, whose groups
+    hold memory rows, and in a batch of the current rows alone: each
+    group's gradients and per-item losses equal the parent's formulas bit
+    for bit (the mask LeakyReLU, ChannelNorm's backward in dy's buffer,
+    the BCE loss in softplus's buffer, kde in one buffer, the seg gradient
+    scattered only beside memory rows, RaSP targets gathered from the
+    table at the old argmax)."""
     tax, sched, data, sim = world
-    state, pool, idx = float32_group
+    state, pool, mixed = float32_group
     table = simprior.rasp_target_table(sim, tax.registry, state.old_model.class_names,
                                        state.model.class_names[state.n_old:],
                                        state.loss_cfg.tau, state.model.dtype)
     assert state.model.dtype == np.float32
     assert np.array_equal(pool.rasp_table, table)
-    for group in group_slices(slice(0, len(idx))):
+    batches = [mixed, np.arange(pool.n_current)]
+    for idx, group in ((idx, group) for idx in batches
+                       for group in group_slices(slice(0, len(idx)))):
         g, want_g = (zero_grads(state.model.params()) for _ in range(2))
         got = engine._incremental_group(state, pool, 0, idx, group, g)
         want = parent_group(state, pool, table, idx, group, want_g)
@@ -1033,24 +1043,6 @@ def test_group_step_is_bitwise_the_parent_formulas(world, float32_group):
         for name in want_g:
             assert want_g[name].dtype == np.float32
             assert np.array_equal(g[name], want_g[name]), name
-
-
-def _unique_nbytes(arrays):
-    """Bytes of the distinct buffers behind a nest of lists and tuples of
-    arrays; a view counts as its base."""
-    seen, total = set(), 0
-    stack = [arrays]
-    while stack:
-        obj = stack.pop()
-        if isinstance(obj, (list, tuple)):
-            stack.extend(obj)
-        elif isinstance(obj, np.ndarray):
-            while isinstance(obj.base, np.ndarray):
-                obj = obj.base
-            if id(obj) not in seen:
-                seen.add(id(obj))
-                total += obj.nbytes
-    return total
 
 
 def test_group_step_peak_memory(float32_group):
@@ -1066,7 +1058,7 @@ def test_group_step_peak_memory(float32_group):
         engine.image_to_input(pool.images[rows], model.dtype))
     _, loc_cache = model.localizer.forward(feat)
     _, head_cache = model.head.forward(feat)
-    caches = _unique_nbytes([enc_cache, loc_cache, head_cache])
+    caches = unique_nbytes([enc_cache, loc_cache, head_cache])
     bound = caches + 3.5 * feat.nbytes
     del feat, enc_cache, loc_cache, head_cache
     g = zero_grads(model.params())

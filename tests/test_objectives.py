@@ -18,6 +18,8 @@ from segprior.objectives import (
     total_loss,
 )
 
+from helpers import bce_reference
+
 LN2 = math.log(2.0)
 
 
@@ -99,6 +101,30 @@ def test_rasp_errors():
     t[1, 0, 0] = np.nan
     with pytest.raises(ValueError, match="BCE targets"):
         bce(np.zeros((2, 2, 1)), t)
+
+
+@pytest.mark.parametrize("logits_dtype, targets_dtype", [
+    (np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64),
+    (np.float32, np.uint8), (np.float64, np.bool_), (np.int64, np.float64)])
+def test_bce_is_bitwise_its_formula(logits_dtype, targets_dtype):
+    """The loss, computed in softplus's buffer, and the gradient equal the
+    formulas on fresh arrays bit for bit and in their dtype, also for
+    targets wider than the logits, for integer or bool targets and for
+    integer logits."""
+    rng = np.random.default_rng(7)
+    z = (8.0 * rng.standard_normal((3, 5, 4, 2))).astype(logits_dtype)
+    z[0, 0, 0] = [0.0, -0.0]
+    z[0, 0, 1] = [40.0, -40.0]
+    if np.issubdtype(targets_dtype, np.floating):
+        t = rng.random(z.shape).astype(targets_dtype)
+    else:
+        t = (rng.random(z.shape) < 0.5).astype(targets_dtype)
+    losses, grad = bce_loss_grad(z, t, 37)
+    want_losses, want_grad = bce_reference(z, t, 37)
+    assert losses.dtype == np.float64
+    assert np.array_equal(losses, want_losses)
+    assert grad.dtype == want_grad.dtype == np.result_type(z, t)
+    assert np.array_equal(grad, want_grad)
 
 
 # ---------------------------------------------------------------------------
