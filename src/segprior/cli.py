@@ -9,15 +9,18 @@ missing files), 2 on runtime failures.  All randomness derives from one
 --seed, so repeating a command with the same config and seed reproduces its
 outputs byte for byte.
 
-Each command loads only the libraries it runs.  gen-data, train-base and
-train-incremental draw seeded random numbers, so they load numpy.random,
-which imports ``secrets``, ``hmac`` and ``hashlib``; the training commands
-also hash the config (``config.config_hash``, the one user of
-``hashlib``).  None of them uses OpenSSL, so before numpy.random loads
-they mark ``_hashlib``, OpenSSL's binding, as unavailable
-(``_without_openssl``): the three modules then fall back to CPython's
-builtin hashes, the config's sha256 digest is the same, and OpenSSL's
-libcrypto is never mapped.  eval and plot load neither numpy.random nor
+Each command loads only the libraries it runs.  Shard 1's worker
+(``layers.Shards``) is forked with ``os.fork`` and talks to its parent
+over two pipes, so no command imports ``multiprocessing``, nor the
+``socket``, ``selectors`` and ``subprocess`` modules it would bring.
+gen-data, train-base and train-incremental draw seeded random numbers, so
+they load numpy.random, which imports ``secrets``, ``hmac`` and
+``hashlib``; the training commands also hash the config
+(``config.config_hash``, the one user of ``hashlib``).  None of them uses
+OpenSSL, so before numpy.random loads they mark ``_hashlib``, OpenSSL's
+binding, as unavailable (``_without_openssl``): the three modules then
+fall back to CPython's builtin hashes, the config's sha256 digest is the
+same, and OpenSSL's libcrypto is never mapped.  eval and plot load neither numpy.random nor
 ``hashlib``: eval fills a model skeleton built without a generator from
 the checkpoint (``engine.load_checkpoint``) and stamps the checkpoint's
 own config hash into its report.

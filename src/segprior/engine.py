@@ -62,11 +62,12 @@ writes its outputs.  An incremental step's rows are labelled in one place,
 
 Every batch runs as two shards (``layers.Shards``): a call names the
 batch's item count and ``Shards`` cuts it, runs shard 0 in the calling
-process and shard 1 in one worker process that ``_fit`` forks once per
-training run, after the images and targets, or the step's pool, exist,
-so the worker inherits them.  Each batch sends the worker only its rows,
-the epoch, the batch's item indices and the current parameters; it sends
-back its per-item losses and its gradients.  Each shard runs its items as
+process and shard 1 in one worker process that ``_fit`` forks (``os.fork``)
+once per training run, after the images and targets, or the step's pool,
+exist, so the worker inherits them.  Each batch sends the worker only its
+rows, the epoch, the batch's item indices and the current parameters, as
+one pickle over a pipe; it sends back its per-item losses and its
+gradients over a second pipe.  Each shard runs its items as
 consecutive groups of at most ``layers.GROUP_ITEMS`` items
 (``layers.group_slices``), each small enough for its activations to come
 from cache.  Each group runs forward, its loss terms and backward in one

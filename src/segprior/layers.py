@@ -23,19 +23,22 @@ space-to-depth rearrangement of its input image (``engine.image_to_input``).
 ``Shards`` owns the split: a call names a count n, and ``Shards`` cuts
 range(n) into two fixed shards of ceil(n/2) and floor(n/2) rows
 (``shard_slices``), runs shard 0 in the calling process and shard 1 in one
-worker process forked from it.  The worker inherits the caller's data, so
-a call sends shard 1 only its rows, the call's small arguments and the
-current values of the arrays it keeps in step; each shard has its own
-caches and gradient dicts, and the two processes never share a GIL.  In
-training a shard runs its items as consecutive groups of at most
-``GROUP_ITEMS`` items whose sizes differ by at most one
-(``group_slices``), which keeps the activations and caches a group's
-backward reads back small enough to come from cache (cache blocking in the
-sense of Goto & van de Geijn, ACM TOMS 2008).  Each group runs its
-forward, its loss terms (with whole-batch normalisers) and its backward,
-accumulating into the shard's gradients, and its backward ends before the
-next group's forward begins.  The caller sums the shard gradients in shard
-order.  Evaluation splits the whole sample list the same way and each
+worker process forked from it with ``os.fork``.  The worker inherits the
+caller's data, so a call sends shard 1 only its rows, the call's small
+arguments and the current values of the arrays it keeps in step, as one
+length-prefixed pickle over a pipe, and the reply comes back the same way
+over a second pipe; each shard has its own caches and gradient dicts, and
+the two processes never share a GIL.  The worker runs nothing but its
+serving loop and always leaves through ``os._exit``, so no code of its
+parent's after the fork runs in it.  In training a shard runs its items
+as consecutive groups of at most ``GROUP_ITEMS`` items whose sizes differ
+by at most one (``group_slices``), which keeps the activations and caches
+a group's backward reads back small enough to come from cache (cache
+blocking in the sense of Goto & van de Geijn, ACM TOMS 2008).  Each group
+runs its forward, its loss terms (with whole-batch normalisers) and its
+backward, accumulating into the shard's gradients, and its backward ends
+before the next group's forward begins.  The caller sums the shard
+gradients in shard order.  Evaluation splits the whole sample list the same way and each
 shard runs its images one at a time.  A count of one or none runs inline
 and forks nothing.  The split and the groups never depend on the host's
 core count or cache size, so results are the same on every machine.
@@ -60,15 +63,12 @@ faults its arrays' pages in again.
 from __future__ import annotations
 
 import mmap
-import multiprocessing
+import os
+import pickle
+import sys
 import traceback
 
 import numpy as np
-
-# fork, not spawn: shard 1's worker must inherit the caller's data and
-# model instead of receiving them.  The processes that fork it run one
-# Python thread, and OpenBLAS re-creates its own threads in the child.
-_FORK = multiprocessing.get_context("fork")
 
 
 def shard_slices(b):
@@ -101,51 +101,47 @@ class Shards:
 
     Calling it as shards(n, *args) cuts range(n) with ``shard_slices`` and
     returns fn(rows, *args) for each shard's slice rows, in shard order;
-    with n <= 1 there is one shard, and fn runs here alone.  The worker
-    is forked on the first call with two shards and inherits everything
-    fn reads as it is at that moment.  Each call sends it only shard 1's
-    rows and args, which must pickle, and the current values of the arrays
-    in sync (name -> array), which it copies into its own arrays of those
-    names before it runs fn.  Its result, or the exception it raised, comes
-    back pickled.  A shard may instead write its output into an array
-    allocated by ``shared_array`` before the fork and return nothing: the
-    worker's writes land in this process's array, and nothing large crosses
-    the pipe.  If shard 0 raises, the call waits for shard 1 and raises
-    shard 0's error.
+    with n <= 1 there is one shard, and fn runs here alone and nothing is
+    forked.  The worker is forked on the first call with two shards and
+    inherits everything fn reads as it is at that moment.  Each call sends
+    it only shard 1's rows and args, which must pickle, and the current
+    values of the arrays in sync (name -> array), which it copies into its
+    own arrays of those names before it runs fn.  Its result, or the
+    exception it raised, comes back pickled.  A shard may instead write its
+    output into an array allocated by ``shared_array`` before the fork and
+    return nothing: the worker's writes land in this process's array, and
+    nothing large crosses the pipe.  If shard 0 raises, the call waits for
+    shard 1 and raises shard 0's error.
 
-    Use it as a context manager: leaving it closes the pipe, on which the
-    worker exits, and joins the worker.  The worker also exits when this
-    process dies.  A worker that dies without replying, or whose reply
-    cannot be pickled, raises RuntimeError here with its exit code.
+    Use it as a context manager: leaving it closes the pipes, on which the
+    worker exits, and reaps the worker.  The worker also exits when this
+    process dies, as its pipe closes.  A worker that dies without
+    replying, or whose reply cannot be pickled, raises RuntimeError here
+    with its exit code, once it is reaped; the next call forks a new one.
     """
 
     def __init__(self, fn, sync=None):
         self.fn = fn
         self.sync = {} if sync is None else sync
-        self._conn = self._proc = None
+        # shard 1's worker once forked: its pid, and this process's ends of
+        # the pipe that sends to it and of the pipe that receives from it
+        self._pid = self._send_fd = self._recv_fd = None
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        if self._proc is not None:
-            self._conn.close()
-            self._proc.join()
-            self._conn = self._proc = None
+        if self._pid is not None:
+            self._reap()
 
     def __call__(self, n, *args):
         rows = shard_slices(n)
         if len(rows) == 1:
             return [self.fn(rows[0], *args)]
-        if self._proc is None:
-            self._conn, child = _FORK.Pipe()
-            self._proc = _FORK.Process(target=_serve, name="segprior-shard1",
-                                       args=(child, self._conn, self.fn, self.sync),
-                                       daemon=True)
-            self._proc.start()
-            child.close()
+        if self._pid is None:
+            self._fork()
         try:
-            self._conn.send(((rows[1],) + args, self.sync))
+            _send(self._send_fd, ((rows[1],) + args, self.sync))
         except OSError:
             self._lost()
         try:
@@ -158,9 +154,30 @@ class Shards:
             raise
         return [first, self._reply()]
 
+    def _fork(self):
+        # a bare fork, not spawn: the worker inherits the caller's data and
+        # model instead of receiving them.  The processes that fork it run
+        # one Python thread, and OpenBLAS re-creates its own in the child.
+        to_worker, send_fd = os.pipe()
+        recv_fd, from_worker = os.pipe()
+        # the worker flushes its copies of the standard streams when it
+        # exits, so output still buffered here would be written twice
+        _flush_std_streams()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (to_worker, send_fd, recv_fd, from_worker):
+                os.close(fd)
+            raise
+        if pid == 0:
+            _worker(self.fn, self.sync, to_worker, from_worker, (send_fd, recv_fd))
+        os.close(to_worker)
+        os.close(from_worker)
+        self._pid, self._send_fd, self._recv_fd = pid, send_fd, recv_fd
+
     def _reply(self):
         try:
-            error, value = self._conn.recv()
+            error, value = _recv(self._recv_fd)
         except EOFError:
             self._lost()
         if error is None:
@@ -168,11 +185,17 @@ class Shards:
         exc, trace = error
         raise exc from RuntimeError(f"in shard 1's worker process:\n{trace}")
 
+    def _reap(self):
+        """Close this process's pipe ends, on which the worker exits, wait
+        for it and return its exit code (-N if signal N killed it)."""
+        os.close(self._send_fd)
+        os.close(self._recv_fd)
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = self._send_fd = self._recv_fd = None
+        return os.waitstatus_to_exitcode(status)
+
     def _lost(self):
-        self._conn.close()
-        self._proc.join()
-        code = self._proc.exitcode
-        self._conn = self._proc = None
+        code = self._reap()
         raise RuntimeError(f"shard 1's worker process exited with code {code} "
                            "without replying")
 
@@ -189,14 +212,69 @@ def shared_array(shape, dtype):
     return np.frombuffer(buf, dtype, count=size).reshape(shape)
 
 
-def _serve(conn, parent_end, fn, sync):
+def _send(fd, obj):
+    """Write obj to the pipe fd as one pickle after its 8-byte length."""
+    data = pickle.dumps(obj)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _recv(fd):
+    """The next object ``_send`` wrote to the pipe fd; EOFError if the pipe
+    closes before it is whole."""
+    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+
+
+def _read(fd, n):
+    """The next n bytes of the pipe fd; EOFError if it closes first."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            raise EOFError
+        view = view[got:]
+    return buf
+
+
+def _flush_std_streams():
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):    # None, or closed
+            pass
+
+
+def _worker(fn, sync, recv_fd, send_fd, parent_fds):
+    """The forked child's whole life: serve until the pipe closes, then exit.
+
+    It never returns, so no exception and no code of the caller's after
+    the fork runs in the child: an error that escapes ``_serve`` (a reply
+    that cannot be pickled, an interrupt) prints its traceback and exits 1.
+    """
+    code = 1
+    try:
+        # the fork copied the parent's pipe ends too; with its send end open
+        # here, the worker would never see its pipe close
+        for fd in parent_fds:
+            os.close(fd)
+        _serve(recv_fd, send_fd, fn, sync)
+        code = 0
+    except BaseException:   # the process exits below: nothing to re-raise to
+        traceback.print_exc()
+    finally:
+        try:
+            _flush_std_streams()
+        finally:
+            os._exit(code)
+
+
+def _serve(recv_fd, send_fd, fn, sync):
     """Shard 1's worker: run fn for each message until the pipe closes."""
-    # the fork copied the parent's end too; with it open here, the worker
-    # would never see the pipe close
-    parent_end.close()
     while True:
         try:
-            args, values = conn.recv()
+            args, values = _recv(recv_fd)
         except EOFError:
             return
         try:
@@ -205,7 +283,7 @@ def _serve(conn, parent_end, fn, sync):
             reply = (None, fn(*args))
         except Exception as exc:
             reply = ((exc, traceback.format_exc()), None)
-        conn.send(reply)
+        _send(send_fd, reply)
 
 
 class Conv2d:

@@ -118,6 +118,16 @@ def pool_labels(schedule, step, samples, bank=()):
     return [frozenset(fg[k] for k in np.flatnonzero(row)) for row in pool.labels]
 
 
+def no_child_process():
+    """Whether this process has no child left, running or exited and not
+    yet reaped.  An exited child found here is reaped by the check."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 class ProcessLog:
     """Records from this process and from any process forked after the
     log was made, such as shard 1's worker, in the order they were written.

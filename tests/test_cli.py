@@ -518,6 +518,40 @@ def test_training_commands_load_no_openssl(tmp_path):
             shrink_config(cfg_path, epochs_base=1, epochs_incremental=1, batch_size=4)
 
 
+_MODULES_PROBE = """
+import json, sys
+from segprior import cli
+status = cli.main(sys.argv[1:])
+print(json.dumps([status, [name for name in ("multiprocessing", "socket", "selectors",
+                                             "subprocess") if name in sys.modules]]))
+"""
+
+
+def test_no_command_imports_multiprocessing(tmp_path):
+    """Shard 1's worker is a bare fork over two pipes: no command imports
+    multiprocessing, nor socket, selectors or subprocess, which it brings."""
+    out = str(tmp_path / "data")
+    cfg_path = os.path.join(out, "config.json")
+    runs = os.path.join(out, "runs")
+    trace = os.path.join(runs, "metrics_trace_seed0_eval.json")
+    commands = [("gen-data", "--out", out, "--n", "8", "--eval-n", "4"),
+                ("train-base", "--config", cfg_path),
+                ("train-incremental", "--config", cfg_path, "--step", "1"),
+                ("eval", "--config", cfg_path,
+                 "--checkpoint", os.path.join(runs, "ckpt_step1_seed0.npz")),
+                ("plot", "--trace", trace, "--out", str(tmp_path / "curves.svg"))]
+    for argv in commands:
+        res = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv],
+                             capture_output=True, text=True, env=ENV)
+        assert res.returncode == 0, res.stderr
+        status, loaded = json.loads(res.stdout.splitlines()[-1])
+        assert status == 0, (argv, res.stderr)
+        assert loaded == [], argv
+        if argv[0] == "gen-data":
+            shrink_config(cfg_path, epochs_base=1, epochs_incremental=1, batch_size=4)
+    assert os.path.exists(str(tmp_path / "curves.svg"))
+
+
 @pytest.mark.parametrize("trace", [
     {},
     [1],
@@ -740,8 +774,7 @@ def test_eval_of_a_truncated_image_exits_1_and_reaps_its_worker(tmp_path, capsys
     """The eval shards read their own images: a truncated one, in this
     process's shard (0) or the worker's (5), stops eval with exit code 1
     and the file's path, and no worker outlives the command."""
-    import multiprocessing
-
+    from helpers import no_child_process
     from segprior import cli, config, engine
 
     out = str(tmp_path / "data")
@@ -761,7 +794,7 @@ def test_eval_of_a_truncated_image_exits_1_and_reaps_its_worker(tmp_path, capsys
     assert cli.main(["eval", "--config", cfg_path, "--checkpoint", ckpt]) == 1
     err = capsys.readouterr().err
     assert "truncated PPM payload" in err and image in err
-    assert multiprocessing.active_children() == []
+    assert no_child_process()
     assert not os.path.exists(str(tmp_path / "report_ckpt_step0_seed0_eval.json"))
 
 
@@ -863,9 +896,7 @@ def test_gen_data_exits_2_when_shard_1_fails_and_leaves_no_process(
     """A write that fails in shard 1's worker, or a worker that dies, stops
     gen-data with exit code 2; the worker is reaped and no manifest is
     written."""
-    import multiprocessing
-
-    from helpers import ProcessLog
+    from helpers import ProcessLog, no_child_process
     from segprior import cli, netpbm
 
     here, log = os.getpid(), ProcessLog()
@@ -884,7 +915,7 @@ def test_gen_data_exits_2_when_shard_1_fails_and_leaves_no_process(
     assert cli.main(["gen-data", "--out", out, "--n", "4", "--eval-n", "2",
                      "--size", "48"]) == 2
     assert "runtime failure" in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
+    assert no_child_process()
     (worker, _), = log.drain()
     with pytest.raises(ProcessLookupError):
         os.kill(worker, 0)

@@ -1137,7 +1137,7 @@ def test_one_on_shards_call_per_training_batch(world, monkeypatch):
             out = super().__call__(n, *args)
             # a training batch's call passes its epoch and items
             events.append(("batch" if len(args) == 2 else "other", id(self),
-                           self._proc.pid))
+                           self._pid))
             return out
 
     def spy_losses(*args):

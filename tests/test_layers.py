@@ -2,6 +2,8 @@ import multiprocessing
 import os
 import select
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -14,8 +16,8 @@ from segprior.engine import image_to_input
 from segprior.layers import (MOMENTUM, Chain, ChannelNorm, Conv2d, LeakyReLU,
                              SGDMomentum, Shards, shard_slices, zero_grads)
 
-from helpers import (max_rel_error, norm_backward_reference, numeric_gradient,
-                     unique_nbytes)
+from helpers import (max_rel_error, no_child_process, norm_backward_reference,
+                     numeric_gradient, unique_nbytes)
 
 
 def conv_scalar(conv, x):
@@ -440,9 +442,10 @@ def failing_in(*failing):
 
 @pytest.fixture(autouse=True)
 def no_worker_left():
-    """Every test here must leave no worker process behind."""
+    """Every test here must leave no worker process behind, running or
+    unreaped."""
     yield
-    assert multiprocessing.active_children() == []
+    assert no_child_process()
 
 
 def test_shards_run_here_and_in_one_worker():
@@ -463,7 +466,8 @@ def test_one_shard_forks_no_worker():
     with Shards(lambda rows, tag: (rows, tag)) as shards:
         assert shards(1, "a") == [(slice(0, 1), "a")]
         assert shards(0, "b") == [(slice(0, 0), "b")]
-        assert multiprocessing.active_children() == []
+        assert no_child_process()
+        assert shards._pid is None
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -547,19 +551,99 @@ def test_dead_worker_raises_runtime_error_with_its_exit_code(death):
         with pytest.raises(RuntimeError, match=rf"shard 1's worker process exited "
                                                rf"with code {code} without replying"):
             shards(2)
-        assert multiprocessing.active_children() == []
+        assert no_child_process()
         shards.fn = whoami      # a fresh worker forks with the current fn
         (_, here), (_, there) = shards(2)
         assert here == os.getpid() != there
 
 
+def wait_for_exit(pid, timeout):
+    """Wait up to timeout seconds for the child pid to exit, without reaping
+    it; its exit status (os.waitid's result), or None if it still runs."""
+    deadline = time.monotonic() + timeout
+    while True:
+        info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+        if info is not None or time.monotonic() > deadline:
+            return info
+        time.sleep(0.01)
+
+
 def test_worker_killed_between_calls_raises_runtime_error():
     with Shards(whoami) as shards:
         shards(2)
-        os.kill(shards._proc.pid, signal.SIGKILL)
-        shards._proc.join(5.0)
+        os.kill(shards._pid, signal.SIGKILL)
+        info = wait_for_exit(shards._pid, 5.0)
+        assert info is not None, "the killed worker did not exit within 5 s"
+        assert (info.si_code, info.si_status) == (os.CLD_KILLED, signal.SIGKILL)
         with pytest.raises(RuntimeError, match=rf"code {-signal.SIGKILL} without"):
             shards(2)
+
+
+def test_no_worker_is_left_a_zombie():
+    """After a shard-1 error the worker lives on until the block ends, and
+    is then reaped; a worker that died is reaped before RuntimeError is
+    raised.  Neither is left a zombie, which os.kill would still find."""
+    with Shards(failing_in(1)) as shards:
+        with pytest.raises(ShardError):
+            shards(2)
+        worker = shards._pid
+        assert wait_for_exit(worker, 0.0) is None
+    with pytest.raises(ProcessLookupError):
+        os.kill(worker, 0)
+    assert no_child_process()
+
+    def fn(rows):
+        if rows.start == 1:
+            os._exit(3)
+
+    with Shards(fn) as shards:
+        shards(1)
+        with pytest.raises(RuntimeError, match="code 3 without replying"):
+            shards(2)
+        assert shards._pid is None
+        assert no_child_process()
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no procfs")
+def test_shards_close_every_pipe_end_they_open():
+    """A block that forked a worker, and one whose worker died, leave this
+    process with the file descriptors it had before."""
+    before = open_fds()
+    with Shards(whoami) as shards:
+        shards(2)
+        assert len(open_fds()) == len(before) + 2    # one end of each pipe
+    assert open_fds() == before
+    with Shards(failing_in()) as shards:
+        shards(2)
+        os.kill(shards._pid, signal.SIGKILL)
+        with pytest.raises(RuntimeError):
+            shards(2)
+        assert open_fds() == before
+    assert open_fds() == before
+
+
+_UNFLUSHED = """
+from segprior.layers import Shards
+print("printed before the fork")
+with Shards(lambda rows: print("shard", rows.start)) as shards:
+    shards(2)
+"""
+
+
+def test_output_buffered_before_the_fork_is_written_once():
+    """A line printed, and not flushed, before the worker is forked appears
+    once on stdout, and the worker's own output is not lost."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    res = subprocess.run([sys.executable, "-c", _UNFLUSHED], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.count("printed before the fork") == 1
+    assert sorted(res.stdout.splitlines()) == ["printed before the fork",
+                                               "shard 0", "shard 1"]
 
 
 def _parent_of_a_worker(report):
